@@ -1,7 +1,10 @@
-"""Decision-plane microbenchmarks: columns versus the scalar oracle.
+"""Rule-evaluator microbenchmark: a column per script versus a host
+at a time.
 
-Three ratios measure what vectorizing over the host-state matrix buys
-(docs/decision_plane.md):
+Both evaluators are production code serving different inputs
+(docs/decision_plane.md): ``RuleEvaluator`` classifies one host from
+its script engine; ``VectorRuleEvaluator`` classifies every row of a
+host-state matrix at once.
 
 * **rule evals/sec** — the paper's five-rule set classifying every row
   of a 4096-host matrix at once (``VectorRuleEvaluator`` over
@@ -9,13 +12,6 @@ Three ratios measure what vectorizing over the host-state matrix buys
   ``RuleEvaluator`` looping host by host.  One vectorized
   ``evaluate_host_states`` call counts as 4096 per-host evaluations.
   The committed gate requires **≥10×**.
-* **destination picks/sec** — ``RegistryCore._pick_destination`` with
-  ``vector_mode="auto"`` (masked columns + argsort) versus
-  ``vector_mode="scalar"`` (per-record filters), same registry, same
-  policy, same answers.
-* **victim picks/sec** — the masked lexsort over 512 reported
-  processes versus the scalar ``max`` over materialized
-  ``ProcessInfo`` objects.
 
 ``python benchmarks/bench_decision_plane.py`` regenerates the
 committed ``benchmarks/BENCH_rules.json`` baseline.
@@ -30,11 +26,6 @@ import time
 
 from repro.core.policy import policy_1
 from repro.entity.clock import ManualClock
-from repro.monitor.selector import (
-    ProcessInfo,
-    select_victim,
-    select_victim_from_dicts,
-)
 from repro.registry.core import RegistryCore
 from repro.registry.hostmatrix import matrix_column_engine
 from repro.rules import RuleEvaluator, VectorRuleEvaluator, paper_ruleset
@@ -46,9 +37,6 @@ from conftest import report
 HOSTS = 4096
 VECTOR_SWEEPS = 50
 SCALAR_HOST_EVALS = 4_096  # one scalar pass over the same host count
-PICKS = 300
-PROCESSES = 512
-VICTIM_PICKS = 200
 REPEATS = 3
 
 #: The four measurement columns the paper ruleset reads.
@@ -87,10 +75,10 @@ def _populate(core: RegistryCore, n: int) -> list:
     return rows
 
 
-def _make_core(vector_mode: str) -> "tuple[RegistryCore, list]":
+def _make_core() -> "tuple[RegistryCore, list]":
     core = RegistryCore(
         ManualClock(), "registry", policy=policy_1(),
-        rng=seeded_generator(7), vector_mode=vector_mode,
+        rng=seeded_generator(7),
     )
     rows = _populate(core, HOSTS)
     return core, rows
@@ -125,44 +113,6 @@ def _run_rules_scalar(rows: list) -> int:
     return n
 
 
-# ------------------------------------------------------------ selection
-def _run_picks(core: RegistryCore) -> int:
-    exclude = ("ws0000", "ws0001")
-    for _ in range(PICKS):
-        core._pick_destination(exclude)
-    return PICKS
-
-
-def _process_dicts() -> list:
-    rng = seeded_generator(11)
-    return [
-        {
-            "pid": int(1000 + i),
-            "name": "app",
-            "start_time": float(rng.uniform(0, 100)),
-            "est_completion": float(rng.choice([200.0, 300.0, 300.0,
-                                                400.0])),
-            "data_locality": float(rng.uniform(0, 1)),
-        }
-        for i in range(PROCESSES)
-    ]
-
-
-def _run_victims_vector(processes: list) -> int:
-    for _ in range(VICTIM_PICKS):
-        select_victim_from_dicts(processes, max_data_locality=0.5)
-    return VICTIM_PICKS
-
-
-def _run_victims_scalar(processes: list) -> int:
-    for _ in range(VICTIM_PICKS):
-        select_victim(
-            (ProcessInfo.from_dict(p) for p in processes),
-            max_data_locality=0.5,
-        )
-    return VICTIM_PICKS
-
-
 # ------------------------------------------------------------ measuring
 def _rate(fn, *args) -> float:
     """Best-of-REPEATS operations/second (min wall time wins)."""
@@ -175,69 +125,39 @@ def _rate(fn, *args) -> float:
 
 
 def measure() -> dict:
-    vec_core, rows = _make_core("auto")
-    scalar_core, _ = _make_core("scalar")
-    rules_vec = _rate(_run_rules_vector, vec_core)
+    core, rows = _make_core()
+    rules_vec = _rate(_run_rules_vector, core)
     rules_scalar = _rate(_run_rules_scalar, rows)
-    picks_vec = _rate(_run_picks, vec_core)
-    picks_scalar = _rate(_run_picks, scalar_core)
-    processes = _process_dicts()
-    victims_vec = _rate(_run_victims_vector, processes)
-    victims_scalar = _rate(_run_victims_scalar, processes)
     return {
         "rules": {
             "vector_evals_per_sec": round(rules_vec),
             "scalar_evals_per_sec": round(rules_scalar),
             "speedup": round(rules_vec / rules_scalar, 2),
         },
-        "destination": {
-            "vector_picks_per_sec": round(picks_vec),
-            "scalar_picks_per_sec": round(picks_scalar),
-            "speedup": round(picks_vec / picks_scalar, 2),
-        },
-        "victim": {
-            "vector_picks_per_sec": round(victims_vec),
-            "scalar_picks_per_sec": round(victims_scalar),
-            "speedup": round(victims_vec / victims_scalar, 2),
-        },
     }
 
 
 def test_decision_plane(benchmark, once):
     r = once(measure)
-    report(benchmark, "Decision-plane microbenchmarks (4096 hosts)", [
+    report(benchmark, "Rule-evaluator microbenchmark (4096 hosts)", [
         ("rule evals/s (vector)", "≥10× scalar",
          r["rules"]["vector_evals_per_sec"]),
         ("rule evals/s (scalar)", "-",
          r["rules"]["scalar_evals_per_sec"]),
         ("rules speedup ×", ">=10", r["rules"]["speedup"]),
-        ("dest picks/s (vector)", "-",
-         r["destination"]["vector_picks_per_sec"]),
-        ("dest picks/s (scalar)", "-",
-         r["destination"]["scalar_picks_per_sec"]),
-        ("dest speedup ×", ">1.0", r["destination"]["speedup"]),
-        ("victim picks/s (vector)", "-",
-         r["victim"]["vector_picks_per_sec"]),
-        ("victim picks/s (scalar)", "-",
-         r["victim"]["scalar_picks_per_sec"]),
-        ("victim speedup ×", ">1.0", r["victim"]["speedup"]),
     ])
     assert r["rules"]["speedup"] >= 10.0
-    assert r["destination"]["speedup"] > 1.0
-    assert r["victim"]["speedup"] > 1.0
 
 
 if __name__ == "__main__":
     baseline = {
-        "description": "Decision-plane baseline; regenerate with "
+        "description": "Rule-evaluator baseline; regenerate with "
                        "`python benchmarks/bench_decision_plane.py`.",
         "python": sys.version.split()[0],
         "workload": {
             "hosts": HOSTS,
             "vector_sweeps": VECTOR_SWEEPS,
             "scalar_host_evals": SCALAR_HOST_EVALS,
-            "destination_picks": PICKS,
-            "victim_processes": PROCESSES,
             "repeats_best_of": REPEATS,
         },
         "results": measure(),

@@ -29,7 +29,7 @@ from ..core.rescheduler import Rescheduler, ReschedulerConfig
 from ..hpcm.record import MigrationRecord
 from ..metrics.recorder import HostRecorder
 from ..metrics.timeseries import TimeSeries
-from ..registry.registry import Decision
+from ..registry.registry import Reconfigure
 from ..workloads.test_tree import TestTreeApp
 
 
@@ -45,7 +45,7 @@ class EfficiencyResult:
     recv_dest: TimeSeries
     app_started_at: float
     load_injected_at: float
-    decision: Optional[Decision]
+    decision: Optional[Reconfigure]
     record: Optional[MigrationRecord]
     app_finished_at: float
     checksum_ok: bool

@@ -20,12 +20,7 @@ from .network import (
     HostDownError,
     Network,
 )
-from .plane import (
-    HOST_PLANE_MODES,
-    ClusterStateArrays,
-    HostPlane,
-    HostPlaneDivergence,
-)
+from .plane import ClusterStateArrays, HostPlane
 from .proctable import ProcEntry, ProcessTable
 
 __all__ = [
@@ -42,11 +37,9 @@ __all__ = [
     "DutyCycleLoad",
     "ETHERNET_100MBPS",
     "Flow",
-    "HOST_PLANE_MODES",
     "Host",
     "HostDownError",
     "HostPlane",
-    "HostPlaneDivergence",
     "LoadAverage",
     "Memory",
     "Network",

@@ -29,7 +29,6 @@ class Cluster:
         cpu_speed: float = 1.0,
         host_prefix: str = "ws",
         env: Optional[Environment] = None,
-        host_plane: str = "auto",
     ):
         if n_hosts < 1:
             raise ValueError("need at least one host")
@@ -42,9 +41,8 @@ class Cluster:
             cpu_per_byte=cpu_per_byte,
         )
         # The batched host plane: one periodic fold process for the
-        # whole cluster (mode "scalar" keeps per-host samplers, the
-        # oracle path — see repro.cluster.plane).
-        self.plane = HostPlane(self.env, mode=host_plane)
+        # whole cluster (see repro.cluster.plane).
+        self.plane = HostPlane(self.env)
         self.hosts: dict[str, Host] = {}
         for i in range(1, n_hosts + 1):
             self.add_host(f"{host_prefix}{i}", cpu_speed=cpu_speed)
@@ -73,7 +71,7 @@ class Cluster:
         (on ``mean_load * period`` wall-seconds per ``period``, offset
         by ``phase``) contributes to the run queue analytically, so
         thousands of these cost one batched fold per tick, not
-        thousands of events.  Requires ``host_plane`` auto/verify.
+        thousands of events.
         """
         host = self.add_host(name, **kwargs)
         self.plane.set_analytic(

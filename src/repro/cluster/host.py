@@ -12,7 +12,6 @@ from typing import Any, Optional
 
 from .cpu import Cpu
 from .disk import DiskSet
-from .loadavg import LoadAverage
 from .memory import Memory
 from .proctable import ProcessTable
 
@@ -65,7 +64,8 @@ class Host:
         arch: str = "sparc",
         cpu_mhz: float = 500.0,
         features: tuple = (),
-        plane: Optional[Any] = None,
+        *,
+        plane: Any,
     ):
         self.env = env
         self.name = name
@@ -76,13 +76,9 @@ class Host:
         self.disks.add("/", total=20 * 10**9, used=6 * 10**9)
         self.disks.add("/export/home", total=40 * 10**9, used=10 * 10**9)
         self.procs = ProcessTable(env)
-        # With a batched host plane the load average is a passive view
-        # the plane folds in batch; without one (or in scalar mode) it
-        # runs its own sampler process, the pre-plane model.
-        if plane is not None:
-            self.loadavg = plane.attach(self)
-        else:
-            self.loadavg = LoadAverage(env, lambda: self.cpu.run_queue)
+        # The load average is a passive value the cluster's host plane
+        # folds in batch.
+        self.loadavg = plane.attach(self)
         self.static_info = StaticInfo(
             hostname=name,
             ip=ip or _auto_ip(name),

@@ -10,19 +10,20 @@ with windows of 60 s (1-minute), 300 s (5-minute) and 900 s
 1-minute value; Figure 5 plots it.
 
 The fold itself lives in :meth:`LoadAverage.fold` and the constants in
-:func:`decay_factors` so that the batched host plane
-(:mod:`repro.cluster.plane`) folds whole *columns* with bit-identical
-arithmetic: numpy's elementwise ``col * k + n * mk`` performs exactly
-the two float64 multiplies and one add the scalar path does (no fused
-multiply-add), so a vectorized fold and a per-host fold produce the
-same bytes — the property ``tests/cluster/test_plane.py`` enforces.
+:func:`decay_factors`.  In a cluster nobody calls ``fold`` per host:
+the batched host plane (:mod:`repro.cluster.plane`) folds whole
+*columns* and writes the results back into each host's
+:class:`LoadAverage`.  The two are bit-identical — numpy's elementwise
+``col * k + n * mk`` performs exactly the two float64 multiplies and
+one add of :meth:`LoadAverage.fold` (no fused multiply-add) — which is
+the property ``tests/cluster/test_plane.py`` enforces by folding
+per host against the plane.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Callable, Optional
 
 #: The traditional kernel sampling period.
 DEFAULT_SAMPLE_INTERVAL = 5.0
@@ -35,9 +36,9 @@ WINDOWS = (("one", 60.0), ("five", 300.0), ("fifteen", 900.0))
 def decay_factors(sample_interval: float) -> tuple:
     """``((k, 1 - k), ...)`` for the 1/5/15-minute windows.
 
-    The shared constant table: the scalar sampler and the vectorized
-    column fold both read their ``k``/``1 - k`` pairs from here, so the
-    two paths cannot drift apart numerically.
+    The one constant table: :meth:`LoadAverage.fold` and the host
+    plane's column fold both read their ``k``/``1 - k`` pairs from
+    here.
     """
     if sample_interval <= 0:
         raise ValueError("sample_interval must be positive")
@@ -51,67 +52,36 @@ def decay_factors(sample_interval: float) -> tuple:
 
 
 class LoadAverage:
-    """Tracks 1/5/15-minute load averages of a sampled run-queue length.
+    """The 1/5/15-minute load averages of one host: a passive value.
+
+    Whoever samples the run queue — the host plane, for every host of
+    a cluster at once — either calls :meth:`fold` or writes
+    ``one``/``five``/``fifteen`` directly.
 
     Parameters
     ----------
-    env:
-        Simulation environment (drives the sampling process).
-    runqueue_fn:
-        Zero-argument callable returning the instantaneous load (the
-        run-queue length, possibly fractional when network processing
-        is folded in).
     sample_interval:
         Seconds between samples (default 5, like the Unix kernel).
-    sampler:
-        Start the periodic sampling process (default).  The batched
-        host plane passes ``False`` and drives :meth:`fold` itself —
-        one sim process per cluster instead of one per host.
     """
 
-    def __init__(
-        self,
-        env: Any,
-        runqueue_fn: Optional[Callable[[], float]],
-        sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-        sampler: bool = True,
-    ):
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        self.env = env
-        self.runqueue_fn = runqueue_fn
+    def __init__(self, sample_interval: float = DEFAULT_SAMPLE_INTERVAL):
         self.sample_interval = float(sample_interval)
         self.one = 0.0
         self.five = 0.0
         self.fifteen = 0.0
-        # Decay constants hoisted to plain float attributes — the
-        # sampler's inner loop does three attribute reads instead of
-        # three dict lookups by string key.
         (
             (self.k_one, self.mk_one),
             (self.k_five, self.mk_five),
             (self.k_fifteen, self.mk_fifteen),
         ) = decay_factors(self.sample_interval)
-        self._proc = (
-            env.process(self._sampler(), name="loadavg") if sampler
-            else None
-        )
 
     def fold(self, n: float) -> None:
-        """Fold one run-queue reading into all three averages.
-
-        The scalar oracle for the host plane's column fold — both use
-        the :func:`decay_factors` constants and the same
-        multiply/multiply/add shape.
-        """
+        """Fold one run-queue reading into all three averages: the
+        per-host arithmetic the plane's column fold must reproduce bit
+        for bit."""
         self.one = self.one * self.k_one + n * self.mk_one
         self.five = self.five * self.k_five + n * self.mk_five
         self.fifteen = self.fifteen * self.k_fifteen + n * self.mk_fifteen
-
-    def _sampler(self):
-        while True:
-            yield self.env.timeout(self.sample_interval)
-            self.fold(float(self.runqueue_fn()))
 
     def as_tuple(self) -> tuple:
         """(1-min, 5-min, 15-min) like ``os.getloadavg``."""

@@ -1,14 +1,14 @@
 """The batched host plane: per-host sensor state as numpy columns.
 
-The scalar cluster model spends one Python sim-process per host per
-sensor family — a load-average sampler each, a duty-cycle generator
-each, a monitor loop each — which caps credible sweeps at tens of
-hosts.  This module keeps the same state as **columns** — one row per
-host in builder order — updated by a *single* periodic process per
-cluster: the exponentially damped fold of :mod:`.loadavg` runs as one
-vectorized statement (``load = load * k + n * (1 - k)``) across every
-host, and background duty cycles / injected hogs become closed-form
-run-queue columns instead of event-generating processes.
+One Python sim-process per host per sensor family — a load-average
+sampler each, a duty-cycle generator each, a monitor loop each — caps
+credible sweeps at tens of hosts.  This module keeps that state as
+**columns** — one row per host in builder order — updated by a
+*single* periodic process per cluster: the exponentially damped fold
+of :mod:`.loadavg` runs as one vectorized statement
+(``load = load * k + n * (1 - k)``) across every host, and background
+duty cycles / injected hogs become closed-form run-queue columns
+instead of event-generating processes.
 
 Two kinds of row:
 
@@ -16,35 +16,23 @@ Two kinds of row:
   their run queue is gathered from ``host.cpu.run_queue`` each tick and
   the folded averages are written back to the host's (passive)
   :class:`~repro.cluster.loadavg.LoadAverage`, so every consumer — the
-  sensor suite, recorders, ``repr`` — reads exactly what it always
-  read.
+  sensor suite, recorders, ``repr`` — reads ``host.loadavg``.
 * **analytic** rows model their background load in closed form: each
   duty cycle contributes its exact mean occupancy over the elapsed
   sample window (the integral of its on/off square wave — alias-free)
   and injected hogs add a constant; no CPU jobs, no events.  This is
   where the O(1000s)-host scaling comes from.
 
-Mode switch (mirroring the decision plane's ``vector_mode``):
-
-* ``auto`` — the batched fold drives every row (the default).
-* ``scalar`` — each backed host runs its own sampler process, exactly
-  the pre-plane model; the oracle for differential tests.  Analytic
-  rows require the batched fold and are rejected in this mode.
-* ``verify`` — the batched fold runs *and* a shadow scalar fold (the
-  very :meth:`~repro.cluster.loadavg.LoadAverage.fold` method, one
-  host at a time) folds the same gathered readings; any bitwise
-  difference raises :class:`HostPlaneDivergence`.
-
-Bit-identity of ``auto`` against ``scalar`` rests on two facts: the
-fold constants come from one table
-(:func:`~repro.cluster.loadavg.decay_factors`), and numpy's elementwise
-``col * k + n * mk`` performs the same two float64 multiplies and one
-add as the scalar statement (no fused multiply-add).  All rows fold on
-the cluster-wide grid ``t0 + i * sample_interval``; hosts created
-before the simulation starts therefore sample at the exact instants
-their per-host samplers would have used.  (A host attached *mid-run*
-joins the shared grid instead of starting its own — the one documented
-departure from the per-host model.)
+The column fold is bit-identical to folding each host on its own with
+:meth:`~repro.cluster.loadavg.LoadAverage.fold`: the fold constants
+come from one table (:func:`~repro.cluster.loadavg.decay_factors`), and
+numpy's elementwise ``col * k + n * mk`` performs the same two float64
+multiplies and one add as the per-host statement (no fused
+multiply-add).  ``tests/cluster/test_plane.py`` holds that line with a
+per-host sampler (``tests/cluster/reference.py``) over whole simulated
+runs.  All rows fold on the cluster-wide grid
+``t0 + i * sample_interval``; a host attached *mid-run* joins the
+shared grid instead of starting its own.
 
 The metric vocabulary of :meth:`HostPlane.analytic_sensor_columns`
 deliberately mirrors :meth:`repro.monitor.sensors.SensorSuite.sample`;
@@ -59,16 +47,9 @@ import numpy as np
 
 from .loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage, decay_factors
 
-#: Host-plane modes, mirroring the registry's ``vector_mode``.
-HOST_PLANE_MODES = ("auto", "scalar", "verify")
-
 #: Baseline open sockets reported for analytic rows (matches
 #: ``repro.monitor.sensors.BASE_SOCKETS``; asserted equal by tests).
 BASE_SOCKETS = 25
-
-
-class HostPlaneDivergence(AssertionError):
-    """The batched fold and the scalar shadow fold disagreed."""
 
 
 class ClusterStateArrays:
@@ -161,23 +142,14 @@ class HostPlane:
         self,
         env: Any,
         sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-        mode: str = "auto",
     ):
-        if mode not in HOST_PLANE_MODES:
-            raise ValueError(
-                f"host_plane must be one of {HOST_PLANE_MODES}, "
-                f"got {mode!r}"
-            )
         self.env = env
-        self.mode = mode
         self.sample_interval = float(sample_interval)
         self.arrays = ClusterStateArrays()
         #: (row, host) pairs whose run queue is gathered each tick.
         self._backed: List[Tuple[int, Any]] = []
         #: Row-aligned passive LoadAverage targets for write-back.
-        self._views: List[Optional[LoadAverage]] = []
-        #: Scalar shadow state for ``verify`` ([one, five, fifteen]).
-        self._shadow: List[List[float]] = []
+        self._views: List[LoadAverage] = []
         self.ticks = 0
         self.folds = 0
         self._proc = None
@@ -185,27 +157,14 @@ class HostPlane:
          (self._k15, self._mk15)) = decay_factors(self.sample_interval)
 
     # -- registration ---------------------------------------------------
-    @property
-    def batched(self) -> bool:
-        return self.mode != "scalar"
-
     def attach(self, host: Any) -> LoadAverage:
-        """Register ``host`` as a backed row; returns its load average.
-
-        In ``scalar`` mode the returned :class:`LoadAverage` runs its
-        own sampler process (the pre-plane model); otherwise it is
-        passive and this plane folds it in batch.
-        """
+        """Register ``host`` as a backed row; returns its (passive)
+        load average, which this plane folds in batch."""
         row = self.arrays.add_row(host.name)
-        loadavg = LoadAverage(
-            host.env, lambda: host.cpu.run_queue,
-            sample_interval=self.sample_interval,
-            sampler=not self.batched,
-        )
+        loadavg = LoadAverage(sample_interval=self.sample_interval)
         self._backed.append((row, host))
         self._views.append(loadavg)
-        self._shadow.append([0.0, 0.0, 0.0])
-        if self.batched and self._proc is None:
+        if self._proc is None:
             self._proc = self.env.process(self._run(), name="hostplane")
         return loadavg
 
@@ -224,8 +183,6 @@ class HostPlane:
         ``static`` pins the memory/disk sensor columns (defaults to the
         backing host's current readings).
         """
-        if not self.batched:
-            raise ValueError("analytic rows require host_plane=auto/verify")
         if not 0 <= mean_load < 1:
             raise ValueError("mean_load must lie in [0, 1)")
         if period <= 0:
@@ -345,8 +302,6 @@ class HostPlane:
         load5 += runq * self._mk5
         load15 *= self._k15
         load15 += runq * self._mk15
-        if self.mode == "verify":
-            self._verify_fold(runq, load1, load5, load15)
         # Write-back: consumers keep reading host.loadavg.{one,five,...}.
         for view, one, five, fifteen in zip(
             self._views, load1.tolist(), load5.tolist(), load15.tolist()
@@ -356,26 +311,6 @@ class HostPlane:
             view.fifteen = fifteen
         self.ticks += 1
         self.folds += n
-
-    def _verify_fold(self, runq, load1, load5, load15) -> None:
-        """Shadow scalar fold (the LoadAverage.fold arithmetic, one
-        host at a time) against the batched columns, bit for bit."""
-        k1, mk1 = self._k1, self._mk1
-        k5, mk5 = self._k5, self._mk5
-        k15, mk15 = self._k15, self._mk15
-        for i, shadow in enumerate(self._shadow):
-            ni = runq[i]
-            shadow[0] = shadow[0] * k1 + ni * mk1
-            shadow[1] = shadow[1] * k5 + ni * mk5
-            shadow[2] = shadow[2] * k15 + ni * mk15
-            if (shadow[0] != load1[i] or shadow[1] != load5[i]
-                    or shadow[2] != load15[i]):
-                raise HostPlaneDivergence(
-                    f"host plane fold diverged on row {i} "
-                    f"({self.arrays.host_at(i)}) at t={self.env.now}: "
-                    f"batched ({load1[i]!r}, {load5[i]!r}, "
-                    f"{load15[i]!r}) != scalar {tuple(shadow)!r}"
-                )
 
     # -- sensor columns for the monitor hub ------------------------------
     def analytic_sensor_columns(

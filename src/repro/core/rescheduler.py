@@ -56,15 +56,6 @@ class ReschedulerConfig:
     #: Registration model (§3.2): "push" (the paper's soft-state
     #: choice) or "pull" (the registry queries on its own schedule).
     mode: str = "push"
-    #: Decision-plane mode: "auto" (vectorized over the host-state
-    #: matrix), "scalar" (record-list oracle), or "verify" (both, with
-    #: a raise on divergence) — see docs/decision_plane.md.
-    vector_mode: str = "auto"
-    #: Host-plane mode for the monitoring tier: "auto" batches the
-    #: cluster's analytic rows under one MonitorHub, "verify" also
-    #: scalar-classifies each row and raises on divergence, "scalar"
-    #: refuses analytic rows (per-host monitors only — the oracle).
-    host_plane: str = "auto"
 
 
 class Rescheduler:
@@ -118,7 +109,6 @@ class Rescheduler:
             parent_address=parent_address,
             mode=self.config.mode,
             poll_interval=self.config.interval,
-            vector_mode=self.config.vector_mode,
         )
         # The paper's first fit scans "the machine list": seed the
         # registry's table in deployment order so the scan order is the
@@ -129,19 +119,13 @@ class Rescheduler:
             )
         # Partition the host list: analytic plane rows are monitored in
         # batch by one MonitorHub; backed hosts get the per-host
-        # monitor/commander pair exactly as before.
-        plane = getattr(cluster, "plane", None)
+        # monitor/commander pair.
+        plane = cluster.plane
         analytic_names = [
             name for name in host_names
-            if plane is not None
-            and plane.arrays.row_of(name) is not None
+            if plane.arrays.row_of(name) is not None
             and plane.arrays.analytic[plane.arrays.row_of(name)]
         ]
-        if analytic_names and self.config.host_plane == "scalar":
-            raise ValueError(
-                "host_plane='scalar' cannot monitor analytic hosts "
-                f"(found {len(analytic_names)}); use auto or verify"
-            )
         backed_names = [n for n in host_names if n not in set(analytic_names)]
         self.hub: Optional[MonitorHub] = None
         if analytic_names:
@@ -159,7 +143,6 @@ class Rescheduler:
                 sustain=self.config.sustain,
                 cycle_cost=self.config.cycle_cost,
                 rng=cluster.rng.stream("monitorhub"),
-                verify=(self.config.host_plane == "verify") or None,
                 # Analytic rows still host real process tables here, so
                 # overload reports carry the same victim/world fields a
                 # per-host monitor would send.

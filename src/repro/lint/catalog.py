@@ -112,11 +112,8 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "M802": ("error", "request message with no reply path"),
     "M803": ("warning", "message handled but never constructed"),
     "M804": ("error", "sim and live handle different message sets"),
-    # twin-path parity
-    "V901": ("error", "scalar strategy/predicate with no vector twin"),
+    # parity
     "V902": ("error", "metric-column or script-map vocabulary mismatch"),
-    "V903": ("error", "selection sort key defined outside rules/sortkeys"),
-    "V904": ("error", "verify-capable knob missing from the config surface"),
     "V905": ("error", "effect pumped by one runtime's driver only"),
     # cross-artifact drift
     "X901": ("error", "dataclass field missing from its codec key set"),

@@ -230,8 +230,8 @@ def is_dataclass_def(node: ast.ClassDef) -> bool:
     """True when the class carries a ``@dataclass`` decorator (bare,
     called, or ``dataclasses.dataclass`` attribute form).
 
-    Shared by the effect-contract discovery (E400), the config-surface
-    check (V904) and the codec-pairing check (X901)."""
+    Shared by the effect-contract discovery (E400) and the
+    codec-pairing check (X901)."""
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         if isinstance(target, ast.Name) and target.id == "dataclass":

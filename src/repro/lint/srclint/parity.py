@@ -1,51 +1,35 @@
-"""V900 — twin-path parity: the decision plane's mirrored contracts.
+"""V900 — parity: contracts the decision plane states in two places.
 
-The decision plane is implemented twice on purpose — a scalar oracle
-(readable, the paper's §4 semantics) and a vectorized fast path — and
-the two are reconciled at runtime by the opt-in ``verify`` modes and
-the differential tests.  Those only catch a forgotten twin when the
-right test *runs*; this family proves the pairing statically, the way
-E400 proves effect exhaustiveness.
+Two facts about the decision plane are necessarily written down more
+than once — the metric/script vocabulary (the policy language, the
+host-state matrix and each script engine name the same metrics) and
+the effect dispatch (the sim and live drivers each pump the one
+core's effects).  The sim/live parity tests only catch a forgotten
+side when the right test *runs*; this family proves the pairing
+statically, the way E400 proves effect exhaustiveness.
 
 ========  ========  =====================================================
 code      severity  finding
 ========  ========  =====================================================
-V901      error     scalar strategy/predicate with no vector twin
-                    registered (or a vector twin with no scalar, an
-                    orphan ``vector_*`` function, a twin suffix —
-                    ``_scalar``/``_vector`` — with no sibling)
 V902      error     decision-plane vocabulary mismatch: the metric
                     column order is not ``sorted(KNOWN_METRICS)``, or
                     the monitor-script maps across modules disagree
-V903      error     a selection sort key spelled inline instead of in
-                    the shared sort-key contract module
-V904      error     a verify-capable mode knob (``vector_mode``,
-                    ``host_plane``, …) not threaded through any
-                    ``*Config`` dataclass
 V905      error     a core effect pumped by one runtime's driver
                     dispatch but not the other's
 ========  ========  =====================================================
 
 Contracts are discovered by shape, never by repo path:
 
-* **strategy registry** (V901) — a module assigning a str→function
-  dict named ``STRATEGIES`` next to a function→function dict named
-  ``VECTOR_STRATEGIES``;
 * **metric vocabulary** (V902) — a ``METRIC_COLUMNS`` tuple of string
   literals anywhere in the set versus a ``KNOWN_METRICS`` set literal,
   plus every dict literal whose keys are ``*.sh`` script names;
-* **sort-key contract** (V903) — the module defining both ``*_key``
-  and ``*_lexsort_keys`` functions;
-* **mode knobs** (V904) — an ALL-CAPS tuple of mode strings containing
-  ``"verify"`` guarded by a ``raise ValueError(f"<knob> must be one
-  of …")`` validation;
 * **effect sides** (V905) — the E400 outbox contract, with the live
   side = modules under a ``live`` path segment plus their import
   closure and the sim side = sim-scope modules, exactly M804's split.
 
 Each sub-check stays silent when its contract (or one of its two
 sides) is absent from the linted set, so linting ``examples/`` or a
-single file never fails for lack of a twin.
+single file never fails for lack of a counterpart.
 """
 
 from __future__ import annotations
@@ -60,26 +44,15 @@ from .effects import find_effect_contract
 from .model import (
     ProjectModel,
     PyModule,
-    dataclass_fields,
     imports_from,
-    is_dataclass_def,
     isinstance_targets,
     module_basename,
     str_const,
 )
 
-#: The conventional names of the strategy registry pair (same
-#: convention as ``MESSAGE_TYPES`` for the wire contract).
-_SCALAR_REGISTRY = "STRATEGIES"
-_VECTOR_REGISTRY = "VECTOR_STRATEGIES"
-
 #: The metric vocabulary pair (V902a).
 _COLUMNS_NAME = "METRIC_COLUMNS"
 _METRICS_NAME = "KNOWN_METRICS"
-
-#: Twin suffixes for V901b: a function ``X_scalar`` needs a sibling
-#: ``X`` or ``X_vector`` in the same scope, and vice versa.
-_TWIN_SUFFIXES = ("_scalar", "_vector")
 
 
 def _is_live(path: str) -> bool:
@@ -114,128 +87,13 @@ def _str_elements(node: ast.AST) -> Optional[List[str]]:
     return values  # type: ignore[return-value]
 
 
-# ------------------------------------------------------------------ V901
-def _check_strategy_registry(
-    modules: Sequence[PyModule],
-) -> List[Diagnostic]:
-    """V901a: the str→fn registry versus its fn→fn vector twin map."""
-    diags: List[Diagnostic] = []
-    for module in modules:
-        scalar = _top_level_assign(module, _SCALAR_REGISTRY)
-        vector = _top_level_assign(module, _VECTOR_REGISTRY)
-        if scalar is None or vector is None:
-            continue
-        if not (isinstance(scalar.value, ast.Dict)
-                and isinstance(vector.value, ast.Dict)):
-            continue
-        scalar_fns = {
-            v.id for v in scalar.value.values if isinstance(v, ast.Name)
-        }
-        twin_keys = {
-            k.id for k in vector.value.keys if isinstance(k, ast.Name)
-        }
-        twin_values = {
-            v.id for v in vector.value.values if isinstance(v, ast.Name)
-        }
-        top_fns = {
-            n.name: n.lineno for n in module.tree.body
-            if isinstance(n, ast.FunctionDef)
-        }
-        for name in sorted(scalar_fns - twin_keys):
-            diags.append(Diagnostic(
-                code="V901", severity=Severity.ERROR,
-                message=(
-                    f"scalar strategy '{name}' has no entry in "
-                    f"{_VECTOR_REGISTRY}; the vector path cannot "
-                    "honour it"
-                ),
-                file=module.path,
-                line=top_fns.get(name, scalar.lineno), obj=name,
-            ))
-        for name in sorted(twin_keys - scalar_fns):
-            diags.append(Diagnostic(
-                code="V901", severity=Severity.ERROR,
-                message=(
-                    f"{_VECTOR_REGISTRY} twins '{name}' but it is not "
-                    f"a registered {_SCALAR_REGISTRY} strategy"
-                ),
-                file=module.path, line=vector.lineno, obj=name,
-            ))
-        orphans = {
-            name for name in top_fns
-            if name.startswith("vector_") and name not in twin_values
-        }
-        for name in sorted(orphans):
-            diags.append(Diagnostic(
-                code="V901", severity=Severity.ERROR,
-                message=(
-                    f"vector implementation '{name}' is not registered "
-                    f"as any strategy's twin in {_VECTOR_REGISTRY}"
-                ),
-                file=module.path, line=top_fns[name], obj=name,
-            ))
-        for name in sorted(twin_values - set(top_fns)):
-            diags.append(Diagnostic(
-                code="V901", severity=Severity.ERROR,
-                message=(
-                    f"{_VECTOR_REGISTRY} maps to '{name}' but no such "
-                    "function is defined in the registry module"
-                ),
-                file=module.path, line=vector.lineno, obj=name,
-            ))
-    return diags
-
-
-def _scope_functions(body: Sequence[ast.stmt]) -> Dict[str, int]:
-    return {
-        n.name: n.lineno for n in body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def _check_suffix_twins(
-    modules: Sequence[PyModule],
-) -> List[Diagnostic]:
-    """V901b: an ``X_scalar``/``X_vector`` definition needs its twin
-    (or the unsuffixed canonical ``X``) in the same scope."""
-    diags: List[Diagnostic] = []
-    for module in modules:
-        scopes = [_scope_functions(module.tree.body)]
-        scopes += [
-            _scope_functions(n.body) for n in module.tree.body
-            if isinstance(n, ast.ClassDef)
-        ]
-        for names in scopes:
-            for name, lineno in sorted(names.items()):
-                for suffix in _TWIN_SUFFIXES:
-                    if not name.endswith(suffix):
-                        continue
-                    base = name[:-len(suffix)]
-                    if not base.strip("_"):
-                        continue
-                    other = _TWIN_SUFFIXES[
-                        1 - _TWIN_SUFFIXES.index(suffix)
-                    ]
-                    if base in names or base + other in names:
-                        continue
-                    diags.append(Diagnostic(
-                        code="V901", severity=Severity.ERROR,
-                        message=(
-                            f"'{name}' has no twin '{base}' or "
-                            f"'{base}{other}' in its scope; the "
-                            "paired implementation is gone"
-                        ),
-                        file=module.path, line=lineno, obj=name,
-                    ))
-    return diags
-
-
 # ------------------------------------------------------------------ V902
 def _check_metric_vocabulary(
     modules: Sequence[PyModule],
 ) -> List[Diagnostic]:
     """V902a: ``METRIC_COLUMNS`` must be ``sorted(KNOWN_METRICS)`` —
-    the vector plane's column order versus the policy vocabulary."""
+    the host-state matrix's column order versus the policy
+    vocabulary."""
     columns: List[Tuple[PyModule, int, List[str]]] = []
     metrics: List[List[str]] = []
     for module in modules:
@@ -332,171 +190,6 @@ def _check_script_vocabulary(
     return diags
 
 
-# ------------------------------------------------------------------ V903
-def _find_sortkey_contracts(
-    modules: Sequence[PyModule],
-) -> List[PyModule]:
-    found: List[PyModule] = []
-    for module in modules:
-        names = [
-            n.name for n in module.tree.body
-            if isinstance(n, ast.FunctionDef)
-        ]
-        if (any(n.endswith("_lexsort_keys") for n in names)
-                and any(n.endswith("_key") for n in names)):
-            found.append(module)
-    return found
-
-
-def _check_sort_keys(modules: Sequence[PyModule]) -> List[Diagnostic]:
-    """V903: selection orderings must come from the one contract
-    module — an inline lexsort column stack or composite key lambda is
-    a second, unreconciled copy of the ordering."""
-    contracts = _find_sortkey_contracts(modules)
-    if not contracts:
-        return []
-    basenames = sorted({module_basename(c) for c in contracts})
-    basename = basenames[0]
-    diags: List[Diagnostic] = []
-    for module in modules:
-        if any(module is c for c in contracts):
-            continue
-        imports_contract = any(
-            imports_from(module, b) for b in basenames
-        )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = (
-                func.attr if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name) else None
-            )
-            if callee == "lexsort":
-                if node.args and isinstance(node.args[0], ast.Call):
-                    continue
-                diags.append(Diagnostic(
-                    code="V903", severity=Severity.ERROR,
-                    message=(
-                        "lexsort called with inline key columns; "
-                        f"define the ordering in {basename}.py so "
-                        "both paths share one key"
-                    ),
-                    file=module.path, line=node.lineno,
-                ))
-            elif (imports_contract
-                    and callee in ("sorted", "min", "max", "sort")):
-                for kw in node.keywords:
-                    if (kw.arg == "key"
-                            and isinstance(kw.value, ast.Lambda)
-                            and isinstance(kw.value.body, ast.Tuple)):
-                        diags.append(Diagnostic(
-                            code="V903", severity=Severity.ERROR,
-                            message=(
-                                "inline composite sort key; move it "
-                                f"to {basename}.py next to the "
-                                "lexsort twin"
-                            ),
-                            file=module.path, line=kw.value.lineno,
-                        ))
-    return diags
-
-
-# ------------------------------------------------------------------ V904
-def _mode_constants(module: PyModule) -> Dict[str, int]:
-    """ALL-CAPS tuple-of-strings assignments containing ``"verify"``."""
-    found: Dict[str, int] = {}
-    for node in module.tree.body:
-        if not (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            continue
-        name = node.targets[0].id
-        if name != name.upper():
-            continue
-        values = _str_elements(node.value)
-        if values and len(values) >= 2 and "verify" in values:
-            found[name] = node.lineno
-    return found
-
-
-def _knob_for_modes(
-    module: PyModule, modes_name: str
-) -> Optional[Tuple[str, int]]:
-    """The config-knob name a ``X not in MODES → raise ValueError``
-    validation protects: the first word of the error f-string (the
-    message names the *knob*, not the local parameter), falling back
-    to the compared name."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        if not (isinstance(test, ast.Compare)
-                and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.NotIn)
-                and isinstance(test.comparators[0], ast.Name)
-                and test.comparators[0].id == modes_name):
-            continue
-        fallback = (
-            test.left.id if isinstance(test.left, ast.Name) else None
-        )
-        for inner in ast.walk(node):
-            if not (isinstance(inner, ast.Raise)
-                    and isinstance(inner.exc, ast.Call)
-                    and isinstance(inner.exc.func, ast.Name)
-                    and inner.exc.func.id == "ValueError"):
-                continue
-            for arg in inner.exc.args:
-                if isinstance(arg, ast.JoinedStr):
-                    for part in arg.values:
-                        text = str_const(part)
-                        if text and text.split():
-                            return text.split()[0], inner.lineno
-            if fallback:
-                return fallback, inner.lineno
-        if fallback:
-            return fallback, node.lineno
-    return None
-
-
-def _check_verify_knobs(
-    modules: Sequence[PyModule],
-) -> List[Diagnostic]:
-    """V904: every verify-capable mode switch must be reachable from
-    the config surface — a knob validated at construction but absent
-    from every ``*Config`` dataclass cannot be turned on end-to-end."""
-    config_fields: Set[str] = set()
-    have_config = False
-    for module in modules:
-        for node in module.tree.body:
-            if (isinstance(node, ast.ClassDef)
-                    and node.name.endswith("Config")
-                    and is_dataclass_def(node)):
-                have_config = True
-                config_fields |= set(dataclass_fields(node))
-    if not have_config:
-        return []
-    diags: List[Diagnostic] = []
-    for module in modules:
-        for modes_name, _ in sorted(_mode_constants(module).items()):
-            knob = _knob_for_modes(module, modes_name)
-            if knob is None:
-                continue
-            name, lineno = knob
-            if name in config_fields:
-                continue
-            diags.append(Diagnostic(
-                code="V904", severity=Severity.ERROR,
-                message=(
-                    f"verify-capable knob '{name}' ({modes_name}) is "
-                    "not a field of any *Config dataclass; the mode "
-                    "cannot be selected from the config surface"
-                ),
-                file=module.path, line=lineno, obj=name,
-            ))
-    return diags
-
-
 # ------------------------------------------------------------------ V905
 def _check_effect_sides(
     modules: Sequence[PyModule], project: ProjectModel
@@ -570,11 +263,7 @@ def lint_parity(
 
         project = build_project(modules)
     diags: List[Diagnostic] = []
-    diags.extend(_check_strategy_registry(modules))
-    diags.extend(_check_suffix_twins(modules))
     diags.extend(_check_metric_vocabulary(modules))
     diags.extend(_check_script_vocabulary(modules))
-    diags.extend(_check_sort_keys(modules))
-    diags.extend(_check_verify_knobs(modules))
     diags.extend(_check_effect_sides(modules, project))
     return diags

@@ -21,7 +21,7 @@ from .proc_sensors import (
     process_count,
     snapshot,
 )
-from .registry import LiveDecision, LiveRegistry
+from .registry import LiveRegistry
 from .tasks import (
     TASK_TYPES,
     collatz_census_state,
@@ -32,7 +32,6 @@ from .transport import LiveEndpoint
 
 __all__ = [
     "CpuIdleSampler",
-    "LiveDecision",
     "LiveEndpoint",
     "LiveNode",
     "LiveRegistry",

@@ -27,14 +27,11 @@ from typing import Any, List, Optional
 
 from ..entity.clock import WallClock
 from ..entity.outbox import Deliver, Expand, Query, Send, Shrink, Spend, Task
-from ..registry.core import Decision, RegistryCore
+from ..registry.core import Reconfigure, RegistryCore
 from ..registry.strategies import first_fit
 from .transport import LiveEndpoint
 
-#: Back-compat alias: live decisions are plain core decisions now.
-LiveDecision = Decision
-
-__all__ = ["LiveDecision", "LiveRegistry"]
+__all__ = ["LiveRegistry"]
 
 
 class LiveRegistry:
@@ -53,7 +50,6 @@ class LiveRegistry:
         query_timeout: float = 5.0,
         max_data_locality: float = 0.5,
         rng: Any = None,
-        vector_mode: str = "auto",
     ):
         self.endpoint = LiveEndpoint(name, port=port)
         #: ``name@host:port`` — parents route delegated candidate
@@ -72,7 +68,6 @@ class LiveRegistry:
             query_timeout=query_timeout,
             # The overloaded node itself plays the commander role.
             commander_for=lambda source: source,
-            vector_mode=vector_mode,
         )
         self._pending_replies: dict = {}
         self._reply_lock = threading.Lock()
@@ -104,7 +99,7 @@ class LiveRegistry:
         return self.core.table
 
     @property
-    def decisions(self) -> List[Decision]:
+    def decisions(self) -> List[Reconfigure]:
         return self.core.decisions
 
     @property

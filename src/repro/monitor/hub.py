@@ -15,8 +15,9 @@ This hub drives the *analytic* rows of the batched host plane
   (``plane.analytic_sensor_columns``), not per-host sampling;
 * classification is vectorized — the rule set through
   :class:`~repro.rules.vector.VectorRuleEvaluator` and the policy's
-  trigger/guard predicates as column comparisons — mirroring
-  ``MonitorCore.classify`` element for element;
+  trigger/guard predicates as column comparisons — agreeing with
+  ``MonitorCore.classify`` element for element
+  (``tests/monitor/test_hub.py`` feeds both the same snapshot);
 * each row still owns a pure :class:`~repro.monitor.core.MonitorCore`
   (pumped with the pre-computed state, so sustain warm-up, per-state
   intervals and the monitoring database behave exactly as on a backed
@@ -33,11 +34,6 @@ the plane's columns (``set_monitor_duty``) rather than real
 ``cpu.execute`` events — the Figure 5 overhead shows up in the load
 averages without per-host event traffic.
 
-In ``verify`` mode every due row is *also* classified by its core's
-scalar path over the same snapshot and any disagreement raises
-:class:`~repro.cluster.plane.HostPlaneDivergence` — the differential
-harness of ``tests/monitor/test_hub.py``.
-
 Import note: like ``repro.registry.hostmatrix``, the script→column
 table below is spelled out literally instead of imported, keeping this
 module free of registry imports (``registry.core`` imports
@@ -50,7 +46,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..cluster.plane import HostPlaneDivergence
 from ..protocol.transport import Endpoint, EndpointRegistry
 from ..rules.model import RuleSet
 from ..rules.states import SystemState
@@ -66,7 +61,7 @@ TICKS_PER_INTERVAL = 8
 _OPS = {"<": np.less, "<=": np.less_equal,
         ">": np.greater, ">=": np.greater_equal}
 
-#: Script names → the snapshot column each one reads (the vector twin
+#: Script names → the snapshot column each one reads (the column form
 #: of ``SnapshotScriptEngine``'s handler table).
 _SCRIPT_COLUMNS: Dict[str, Callable[[str], str]] = {
     "processorStatus.sh": lambda p: "cpu_idle_pct",
@@ -103,7 +98,6 @@ class MonitorHub:
         root_rule: Optional[int] = None,
         rng: Any = None,
         n_levels: int = 3,
-        verify: Optional[bool] = None,
         database_max_samples: int = 4,
         processes_for: Optional[Callable[[str], List[dict]]] = None,
     ):
@@ -122,7 +116,6 @@ class MonitorHub:
         self.intervals_by_state = intervals_by_state or {}
         self.root_rule = root_rule
         self.rng = rng
-        self.verify = plane.mode == "verify" if verify is None else verify
         self.cycle_cost = float(cycle_cost)
         #: Host name → process report dicts for its status updates.
         #: Analytic rows carry no simulated process table, so by
@@ -137,14 +130,14 @@ class MonitorHub:
         n = len(self.hosts)
         self._rows = np.empty(n, dtype=np.intp)
         self._cores: List[MonitorCore] = []
-        self._engines: List[SnapshotScriptEngine] = []
+        # The cores are pumped with pre-computed states and never run a
+        # script themselves, so one engine serves them all.
+        engine = SnapshotScriptEngine(sampler=dict)
         for i, name in enumerate(self.hosts):
             row = plane.arrays.row_of(name)
             if row is None or not plane.arrays.analytic[row]:
                 raise ValueError(f"{name!r} is not an analytic row")
             self._rows[i] = row
-            engine = SnapshotScriptEngine(sampler=dict)
-            self._engines.append(engine)
             self._cores.append(MonitorCore(
                 clock=self.env,
                 host_name=name,
@@ -160,7 +153,7 @@ class MonitorHub:
                 database_max_samples=database_max_samples,
             ))
         # Vectorized classification over the current tick's columns
-        # (empty rule sets classify FREE, like the scalar evaluator).
+        # (empty rule sets classify FREE, like the per-host evaluator).
         self._cols: Dict[str, np.ndarray] = {}
         self._vec = (
             VectorRuleEvaluator(self.ruleset, self._column_engine,
@@ -261,8 +254,6 @@ class MonitorHub:
                 name: col[j] for name, col in zip(names, scalar_cols)
             }
             state = SystemState(int(states[j]))
-            if self.verify:
-                self._verify_row(idx, snapshot, state)
             update = core.finish_cycle(
                 None, snapshot, self.processes_for(core.host_name),
                 state=state,
@@ -288,16 +279,3 @@ class MonitorHub:
         for update in overloaded:
             self.endpoint.send_and_forget(self.registry_address, update)
         self.cycles += 1
-
-    def _verify_row(self, idx: int, snapshot: Dict[str, float],
-                    state: SystemState) -> None:
-        """Scalar-classify one row off the same snapshot and compare."""
-        engine = self._engines[idx]
-        engine.snapshot = snapshot
-        scalar = self._cores[idx].classify(snapshot)
-        if scalar is not state:
-            raise HostPlaneDivergence(
-                f"hub classification diverged on "
-                f"{self._cores[idx].host_name} at t={self.env.now}: "
-                f"vector {state.name} != scalar {scalar.name}"
-            )

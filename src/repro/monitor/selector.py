@@ -5,20 +5,12 @@ time of the process and the application description information
 provided in the application schema ... The registry/scheduler tends to
 migrate a process that has the latest completing time to reduce the
 possibility of migrating multiple processes."
-
-Both the scalar and the column paths rank victims by the shared key in
-:mod:`repro.rules.sortkeys`, so the differential tests compare against
-one definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
-
-import numpy as np
-
-from ..rules.sortkeys import victim_lexsort_keys, victim_record_key
 
 
 def _parse_curve(raw) -> tuple:
@@ -109,57 +101,28 @@ class ProcessInfo:
 
 
 def select_victim(
-    processes: Iterable[ProcessInfo],
+    processes: Iterable[dict],
     max_data_locality: float = 1.0,
 ) -> Optional[ProcessInfo]:
-    """Pick the process with the latest estimated completion time.
+    """Pick the process with the latest estimated completion time,
+    straight off the wire dicts of a status report.
 
     Processes whose data-locality weight exceeds ``max_data_locality``
     are skipped ("if a process involves a lot in a local data access,
     the process is not to be migrated", §5.3).  Ties break toward the
-    earlier start time (longer-running first), then lowest pid, so the
-    choice is deterministic.
+    earlier start time (longer-running first), then the lowest pid,
+    then report order, so the choice is deterministic.  One pass; only
+    the winner is materialised as a :class:`ProcessInfo`.
     """
-    candidates = [
-        p for p in processes if p.data_locality <= max_data_locality
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=victim_record_key)
-
-
-def select_victim_from_dicts(
-    processes: List[dict],
-    max_data_locality: float = 1.0,
-) -> Optional[ProcessInfo]:
-    """Vectorized :func:`select_victim` straight off the wire dicts.
-
-    Builds columns instead of :class:`ProcessInfo` objects — only the
-    *chosen* victim is materialized — and picks the winner with one
-    masked lexsort.  The sort-key columns come from
-    :func:`repro.rules.sortkeys.victim_lexsort_keys`, the same
-    definition the scalar ``max`` ranks by (latest completion; ties to
-    the earlier start, then the lower pid), so both paths return the
-    same victim on every input; the differential gate in
-    ``tests/registry/test_vector_differential.py`` asserts it,
-    duplicate keys included.
-    """
-    if not processes:
-        return None
-    locality = np.array(
-        [float(p.get("data_locality", 0.0)) for p in processes]
-    )
-    mask = locality <= max_data_locality
-    if not mask.any():
-        return None
-    rows = np.flatnonzero(mask)
-    est = np.array([float(processes[i]["est_completion"]) for i in rows])
-    start = np.array([float(processes[i]["start_time"]) for i in rows])
-    pid = np.array([int(processes[i]["pid"]) for i in rows])
-    # lexsort: last key is primary → est descending, then start
-    # ascending, then pid ascending; element 0 is the scalar max.
-    order = np.lexsort(victim_lexsort_keys(est, start, pid))
-    return ProcessInfo.from_dict(processes[rows[order[0]]])
+    best = best_key = None
+    for proc in processes:
+        if float(proc.get("data_locality", 0.0)) > max_data_locality:
+            continue
+        key = (float(proc["est_completion"]),
+               -float(proc["start_time"]), -int(proc["pid"]))
+        if best_key is None or key > best_key:
+            best, best_key = proc, key
+    return ProcessInfo.from_dict(best) if best is not None else None
 
 
 def collect_process_info(host) -> List[ProcessInfo]:

@@ -10,13 +10,12 @@ from .hostmatrix import (
 from .registry import (
     DEFAULT_COMMAND_COOLDOWN,
     DEFAULT_DECISION_COST,
-    Decision,
+    Reconfigure,
     RegistryScheduler,
 )
 from .softstate import HostRecord, SoftStateTable
 from .strategies import (
     STRATEGIES,
-    VECTOR_STRATEGIES,
     best_fit,
     first_fit,
     random_fit,
@@ -25,14 +24,13 @@ from .strategies import (
 __all__ = [
     "DEFAULT_COMMAND_COOLDOWN",
     "DEFAULT_DECISION_COST",
-    "Decision",
     "HostRecord",
     "HostStateMatrix",
     "METRIC_COLUMNS",
+    "Reconfigure",
     "RegistryScheduler",
     "STRATEGIES",
     "SoftStateTable",
-    "VECTOR_STRATEGIES",
     "best_fit",
     "dest_mask",
     "first_fit",

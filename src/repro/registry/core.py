@@ -25,8 +25,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from ..entity.outbox import (
     Deliver,
     Effects,
@@ -37,11 +35,7 @@ from ..entity.outbox import (
     Spend,
     Task,
 )
-from ..monitor.selector import (
-    ProcessInfo,
-    select_victim,
-    select_victim_from_dicts,
-)
+from ..monitor.selector import select_victim
 from ..protocol.messages import (
     Ack,
     CandidateReply,
@@ -63,7 +57,7 @@ from ..trace.events import (
 )
 from .hostmatrix import dest_mask, exclude_rows, requirements_mask
 from .softstate import SoftStateTable
-from .strategies import VECTOR_STRATEGIES, first_fit
+from .strategies import first_fit
 
 #: CPU-seconds one scheduling decision costs; the paper measures the
 #: decision itself at ~0.002 s.
@@ -78,13 +72,6 @@ MAX_HOPS = 4
 
 #: Seconds a delegated candidate query waits for its reply.
 QUERY_TIMEOUT = 10.0
-
-#: Below this many reported processes, per-record victim selection is
-#: cheaper than building columns; both paths pick the same victim.
-VICTIM_VECTOR_MIN = 8
-
-#: Valid ``RegistryCore(vector_mode=...)`` settings.
-VECTOR_MODES = ("auto", "scalar", "verify")
 
 
 def _requirements_xml(req: Any) -> str:
@@ -113,34 +100,13 @@ def _requirements_from_xml(text: str):
 
 
 @dataclass
-class Decision:
-    """A migration decision, for the experiment logs."""
-
-    at: float
-    source: str
-    dest: Optional[str]
-    pid: Optional[int]
-    reason: str
-    decision_seconds: float
-    escalated: bool = False
-
-    def key(self) -> tuple:
-        """The clock-independent identity of the decision — what the
-        sim/live parity tests compare."""
-        return (self.source, self.dest, self.pid, self.reason,
-                self.escalated)
-
-
-@dataclass
 class Reconfigure:
-    """An N:M reshape decision — :class:`Decision` generalized.
+    """One decision of the registry/scheduler, for the experiment logs.
 
-    ``effect`` is ``"migrate"``, ``"expand"`` or ``"shrink"``; a 1:1
-    migration is the special case with a single destination.  Every
-    decision the core takes lands here (``RegistryCore.
-    reconfigurations``); migrations *additionally* land in the
-    historical ``decisions`` list so existing experiment logs and the
-    golden trace read unchanged.
+    ``effect`` is ``"migrate"``, ``"expand"`` or ``"shrink"``; the
+    paper's 1:1 migration is the case with a single destination (none
+    when no host was eligible).  Every decision the core takes lands in
+    ``RegistryCore.reconfigurations``.
     """
 
     at: float
@@ -153,30 +119,21 @@ class Reconfigure:
     decision_seconds: float
     escalated: bool = False
 
+    @property
+    def dest(self) -> Optional[str]:
+        """The first destination, if any — *the* destination of a
+        migration."""
+        return self.dests[0] if self.dests else None
+
     def key(self) -> tuple:
         """Clock-independent identity — what the sim/live parity tests
-        compare for Expand/Shrink exactly as ``Decision.key`` does for
-        migration."""
+        compare."""
         return (self.effect, self.source, self.dests, self.pid,
                 self.reason, self.escalated)
-
-    def as_decision(self) -> Decision:
-        """The 1:1 projection (first destination, if any)."""
-        return Decision(
-            at=self.at,
-            source=self.source,
-            dest=self.dests[0] if self.dests else None,
-            pid=self.pid,
-            reason=self.reason,
-            decision_seconds=self.decision_seconds,
-            escalated=self.escalated,
-        )
 
 
 class RegistryCore:
     """The registry/scheduler's decision brain on one clock."""
-
-    _req_counter = itertools.count(1)
 
     def __init__(
         self,
@@ -192,13 +149,7 @@ class RegistryCore:
         max_data_locality: float = 0.5,
         query_timeout: float = QUERY_TIMEOUT,
         commander_for: Optional[Callable[[str], str]] = None,
-        vector_mode: str = "auto",
     ):
-        if vector_mode not in VECTOR_MODES:
-            raise ValueError(
-                f"vector_mode must be one of {VECTOR_MODES}, "
-                f"got {vector_mode!r}"
-            )
         self.clock = clock
         #: Name this registry registers under at its parent, and the
         #: marker by which parents recognize registry records ("@").
@@ -215,22 +166,27 @@ class RegistryCore:
         #: (sim: the ``commander@host`` endpoint; live: the node itself
         #: plays the commander, so the identity map is used).
         self.commander_for = commander_for or (lambda host: host)
-        #: Decision-plane mode: ``auto`` evaluates over the host-state
-        #: matrix when the strategy has a vectorized twin, ``scalar``
-        #: forces the record-list oracle path, ``verify`` runs both and
-        #: raises on any disagreement (the runtime differential gate —
-        #: see docs/decision_plane.md).
-        self.vector_mode = vector_mode
-        self.decisions: List[Decision] = []
-        #: Every decision in its N:M form (migrations included);
-        #: Expand/Shrink decisions appear *only* here.
+        #: Every decision taken, in order (migrations, expands and
+        #: shrinks alike).
         self.reconfigurations: List[Reconfigure] = []
+        #: Numbers this registry's outgoing candidate queries.  Per
+        #: instance: the id goes on the wire and simulated transfer time
+        #: grows with message length, so it must not depend on what any
+        #: other registry in the process has sent.
+        self._req_counter = itertools.count(1)
         self._last_command: Dict[str, float] = {}
         self._deciding: set = set()
         #: Victims above this schema data-locality weight stay put
         #: ("a process [that] involves a lot in a local data access is
         #: not to be migrated", §5.3).
         self.max_data_locality = float(max_data_locality)
+
+    @property
+    def decisions(self) -> List[Reconfigure]:
+        """The migration decisions, in order — a read-only view of
+        :attr:`reconfigurations`."""
+        return [r for r in self.reconfigurations
+                if r.effect == "migrate"]
 
     # -- the message interface --------------------------------------------
     def handle(self, msg: Any, sender: str) -> Effects:
@@ -280,7 +236,9 @@ class RegistryCore:
             return
         if source in self._deciding:
             return  # a decision for this host is already in flight
-        victim = self._select_victim(update.processes)
+        victim = select_victim(
+            update.processes, max_data_locality=self.max_data_locality
+        )
         if victim is None:
             return
         self._deciding.add(source)
@@ -316,17 +274,6 @@ class RegistryCore:
         decision_seconds = self.clock.now - t0
         if span is not None:
             span.end(t=self.clock.now, dest=dest, escalated=escalated)
-        self.decisions.append(
-            Decision(
-                at=self.clock.now,
-                source=source,
-                dest=dest,
-                pid=victim.pid,
-                reason=f"{source} overloaded",
-                decision_seconds=decision_seconds,
-                escalated=escalated,
-            )
-        )
         self.reconfigurations.append(
             Reconfigure(
                 at=self.clock.now,
@@ -404,8 +351,12 @@ class RegistryCore:
         else:
             cap = policy.world_cap(victim.max_world)
             k = min(max(1, policy.grow_step), cap - victim.world_size)
+            # Child-registry records are skipped rather than delegated
+            # to: an N:M reshape stays within this registry's domain
+            # (see docs/malleability.md).
             dests = tuple(self._pick_destinations(
                 k, exclude=(source, self.label), requirements=victim,
+                children=False,
             ))
             if not dests:
                 return False
@@ -469,220 +420,33 @@ class RegistryCore:
                     return rec.host
         return None
 
-    def _select_victim(self, processes: List[dict]):
-        """Latest-completion victim, via the column path for big
-        process lists and the scalar path otherwise (identical picks)."""
-        mode = self.vector_mode
-        use_vector = (mode != "scalar"
-                      and len(processes) >= VICTIM_VECTOR_MIN)
-        if use_vector:
-            victim = select_victim_from_dicts(
-                processes, max_data_locality=self.max_data_locality
-            )
-            if mode == "verify":
-                oracle = self._select_victim_scalar(processes)
-                if victim != oracle:
-                    raise AssertionError(
-                        f"vector victim {victim!r} != scalar "
-                        f"victim {oracle!r}"
-                    )
-            return victim
-        return self._select_victim_scalar(processes)
-
-    def _select_victim_scalar(self, processes: List[dict]):
-        return select_victim(
-            (ProcessInfo.from_dict(p) for p in processes),
-            max_data_locality=self.max_data_locality,
-        )
-
-    def _pick_destination(self, exclude: tuple,
-                          requirements: Any = None) -> Optional[str]:
-        """First fit (or configured strategy) over eligible FREE hosts
-        that own all the resources required (paper §3.2).
-
-        The eligibility filters run as boolean columns over the
-        soft-state registry's host-state matrix and the strategy as a
-        masked argsort; strategies without a vectorized twin — and
-        ``vector_mode="scalar"`` — take the record-list oracle path.
-        """
-        mode = self.vector_mode
-        vector = (None if mode == "scalar"
-                  else VECTOR_STRATEGIES.get(self.strategy))
-        if vector is None:
-            return self._pick_destination_scalar(exclude, requirements)
-        if mode == "verify":
-            # Rewind the rng between runs so a draw-consuming strategy
-            # (random_fit) sees the same stream on both paths.
-            rng = self.rng
-            state = (rng.bit_generator.state
-                     if rng is not None
-                     and hasattr(rng, "bit_generator") else None)
-            dest = self._pick_destination_vector(exclude, requirements,
-                                                 vector)
-            if state is not None:
-                rng.bit_generator.state = state
-            oracle = self._pick_destination_scalar(exclude, requirements)
-            if dest != oracle:
-                raise AssertionError(
-                    f"vector destination {dest!r} != scalar "
-                    f"destination {oracle!r}"
-                )
-            return dest
-        return self._pick_destination_vector(exclude, requirements,
-                                             vector)
-
-    def _pick_destination_scalar(self, exclude: tuple,
-                                 requirements: Any = None
-                                 ) -> Optional[str]:
-        """The oracle path: per-record Python filters + strategy."""
-        eligible = [
-            rec for rec in self.table.free_hosts()
-            if rec.host not in exclude
-            and self._dest_ok(rec)
-            and self._meets_requirements(rec, requirements)
-        ]
-        chosen = self.strategy(eligible, rng=self.rng)
-        return chosen.host if chosen is not None else None
-
-    def _pick_destination_vector(self, exclude: tuple,
-                                 requirements: Any,
-                                 vector: Callable) -> Optional[str]:
-        """Masked column selection over the host-state matrix."""
-        table = self.table
-        matrix = table.matrix
-        mask = table.free_mask()
-        exclude_rows(matrix, mask, exclude)
-        if mask.any():
-            mask &= dest_mask(matrix, self.policy)
-        if mask.any():
-            mask &= requirements_mask(matrix, requirements)
-        row = vector(matrix, mask, rng=self.rng)
-        return matrix.host_at(row) if row is not None else None
-
-    # -- N destinations at once (Expand) ----------------------------------
     def _pick_destinations(self, k: int, exclude: tuple,
-                           requirements: Any = None) -> List[str]:
-        """Top-``k`` destination hosts in preference order.
+                           requirements: Any,
+                           children: bool) -> List[str]:
+        """Up to ``k`` destination hosts in preference order: the
+        configured strategy over the FREE hosts that meet the policy's
+        destination conditions and own all the resources required
+        (paper §3.2).
 
-        The same eligibility filters as :meth:`_pick_destination`, but
-        the strategy ranks with its ``k`` cutoff — one argsort on the
-        vector plane.  Child-registry records are skipped rather than
-        delegated to: an N:M reshape stays within this registry's
-        domain (see docs/malleability.md).  ``vector_mode="verify"``
-        runs both paths and raises on any list disagreement.
+        Eligibility is a chain of boolean columns over the soft-state
+        table's host-state matrix.  ``children`` says whether an ``@``
+        child-registry record is an admissible pick: the 1:1 path
+        delegates to it, a reshape does not.
         """
         if k <= 0:
             return []
-        mode = self.vector_mode
-        vector = (None if mode == "scalar"
-                  else VECTOR_STRATEGIES.get(self.strategy))
-        if vector is None:
-            return self._pick_destinations_scalar(k, exclude, requirements)
-        if mode == "verify":
-            rng = self.rng
-            state = (rng.bit_generator.state
-                     if rng is not None
-                     and hasattr(rng, "bit_generator") else None)
-            dests = self._pick_destinations_vector(
-                k, exclude, requirements, vector
-            )
-            if state is not None:
-                rng.bit_generator.state = state
-            oracle = self._pick_destinations_scalar(
-                k, exclude, requirements
-            )
-            if dests != oracle:
-                raise AssertionError(
-                    f"vector destinations {dests!r} != scalar "
-                    f"destinations {oracle!r}"
-                )
-            return dests
-        return self._pick_destinations_vector(
-            k, exclude, requirements, vector
-        )
-
-    def _pick_destinations_scalar(self, k: int, exclude: tuple,
-                                  requirements: Any = None) -> List[str]:
-        """The oracle path: per-record filters + the strategy's k cut."""
-        eligible = [
-            rec for rec in self.table.free_hosts()
-            if rec.host not in exclude
-            and "@" not in rec.host
-            and self._dest_ok(rec)
-            and self._meets_requirements(rec, requirements)
-        ]
-        chosen = self.strategy(eligible, rng=self.rng, k=k)
-        return [rec.host for rec in chosen]
-
-    def _pick_destinations_vector(self, k: int, exclude: tuple,
-                                  requirements: Any,
-                                  vector: Callable) -> List[str]:
-        """Masked top-k column selection over the host-state matrix."""
         table = self.table
         matrix = table.matrix
         mask = table.free_mask()
         exclude_rows(matrix, mask, exclude)
-        rows = np.flatnonzero(mask)
-        if rows.size:
-            # The vector twin of the scalar "@" skip: child-registry
-            # records are rows too, but not reshape destinations.
-            names = matrix.hosts_array[rows]
-            child = np.char.find(names, "@") >= 0
-            mask[rows[child]] = False
+        if not children:
+            mask &= ~matrix.registry_mask
         if mask.any():
             mask &= dest_mask(matrix, self.policy)
         if mask.any():
             mask &= requirements_mask(matrix, requirements)
-        picked = vector(matrix, mask, rng=self.rng, k=k)
-        return [matrix.host_at(int(row)) for row in picked]
-
-    @staticmethod
-    def _meets_requirements(record, req: Any) -> bool:
-        """Does the candidate own all the resources the victim needs?
-
-        ``req`` duck-types ResourceRequirements / ProcessInfo
-        (min_memory_bytes, min_disk_bytes, min_cpu_speed, features).
-        Static fields absent from a record (e.g. a delegated child
-        registry) are not held against it; missing *dynamic* metrics
-        fail a positive requirement — 'ready and owns all the
-        resources required' is checked, not assumed.
-        """
-        if req is None:
-            return True
-        static = record.static_info
-        min_speed = float(getattr(req, "min_cpu_speed", 0.0) or 0.0)
-        if min_speed and static.get("cpu_speed") is not None:
-            if float(static["cpu_speed"]) < min_speed:
-                return False
-        needed = set(getattr(req, "features", ()) or ())
-        if needed and static.get("features") is not None:
-            offered = {
-                f for f in str(static["features"]).split(",") if f
-            }
-            if needed - offered:
-                return False
-        metrics = record.metrics
-        min_mem = int(getattr(req, "min_memory_bytes", 0) or 0)
-        if min_mem:
-            avail = metrics.get("mem_avail_bytes")
-            if avail is None or avail < min_mem:
-                return False
-        min_disk = int(getattr(req, "min_disk_bytes", 0) or 0)
-        if min_disk:
-            avail = metrics.get("disk_avail_bytes")
-            if avail is None or avail < min_disk:
-                return False
-        return True
-
-    def _dest_ok(self, record) -> bool:
-        """Policy destination conditions (paper §5.3) on the candidate."""
-        policy = self.policy
-        if policy is None or not getattr(policy, "enabled", True):
-            return True
-        return all(
-            cond.holds(record.metrics)
-            for cond in getattr(policy, "dest_conditions", ())
-        )
+        rows = self.strategy(matrix, mask, self.rng, k)
+        return [matrix.host_at(int(row)) for row in rows]
 
     # -- hierarchy --------------------------------------------------------
     def _resolve_destination(self, exclude: tuple, app_name: str,
@@ -694,8 +458,9 @@ class RegistryCore:
         the child answers with one of *its* hosts.  With no local
         candidate at all, the query escalates to the parent.
         """
-        dest = self._pick_destination(exclude=exclude,
-                                      requirements=requirements)
+        picked = self._pick_destinations(1, exclude, requirements,
+                                         children=True)
+        dest = picked[0] if picked else None
         if dest is not None and "@" in dest:
             dest = yield from self._query(
                 dest, app_name, exclude, hops + 1, requirements
@@ -734,8 +499,9 @@ class RegistryCore:
         """Answer a destination query from a child or sibling registry."""
         requirements = _requirements_from_xml(msg.requirements_xml)
         if msg.hops >= MAX_HOPS:
-            dest = self._pick_destination(exclude=msg.exclude,
-                                          requirements=requirements)
+            picked = self._pick_destinations(1, msg.exclude, requirements,
+                                             children=True)
+            dest = picked[0] if picked else None
             if dest is not None and "@" in dest:
                 dest = None  # hop budget exhausted; can't delegate
         else:

@@ -1,12 +1,12 @@
 """The host-state matrix: the registry's state, one row per host.
 
-The scalar decision path walks ``HostRecord`` objects; every query is a
-Python loop over dicts.  This module keeps the *same* information as a
-set of numpy columns — one row per registered host, in registration
-order (the paper's "machine list" order that makes first fit
-deterministic) — so the decision plane can evaluate **all hosts at
-once**: policy destination conditions become column comparisons,
-victim/first-fit selection becomes a masked argsort, and rule sets
+The soft-state table keeps ``HostRecord`` objects; this module keeps
+the *same* information as a set of numpy columns — one row per
+registered host, in registration order (the paper's "machine list"
+order that makes first fit deterministic) — so the decision plane
+evaluates **all hosts at once**: policy destination conditions are
+column comparisons, destination selection is a strategy over the
+resulting row mask (:mod:`repro.registry.strategies`), and rule sets
 compile to column evaluators (:mod:`repro.rules.vector`).
 
 The full column contract (name, dtype, units, invalidation trigger)
@@ -23,8 +23,7 @@ is documented in ``docs/decision_plane.md``.  In short:
   invalidated on append — status pushes, the hot path, never touch
   them.
 
-Missing data is ``NaN``, and every mask builder preserves the scalar
-path's missing-data semantics: a predicate over an unreported metric is
+Missing data is ``NaN``: a predicate over an unreported metric is
 *false* (``NaN`` fails every numpy comparison), while a *static* field
 a record never declared does not disqualify it.
 """
@@ -231,8 +230,7 @@ class HostStateMatrix:
     def metric_column(self, name: str) -> np.ndarray:
         """float64 view of one metric column; NaN = unreported.
 
-        Raises ``KeyError`` for names outside :data:`METRIC_COLUMNS` —
-        the same loud failure a mis-wired scalar predicate gets.
+        Raises ``KeyError`` for names outside :data:`METRIC_COLUMNS`.
         """
         return self._metrics[: self._n, _COL_INDEX[name]]
 
@@ -273,11 +271,10 @@ def exclude_rows(matrix: HostStateMatrix, mask: np.ndarray,
 
 
 def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
-    """Policy destination conditions as one boolean column.
-
-    Mirrors ``RegistryCore._dest_ok``: a disabled/absent policy accepts
-    everyone; otherwise *all* predicates must hold, and an unreported
-    metric (NaN) fails its predicate.
+    """Policy destination conditions (paper §5.3) as one boolean
+    column: a disabled/absent policy accepts everyone; otherwise *all*
+    predicates must hold, and an unreported metric (NaN) fails its
+    predicate.
     """
     n = matrix.n
     mask = np.ones(n, dtype=bool)
@@ -290,11 +287,15 @@ def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
 
 
 def requirements_mask(matrix: HostStateMatrix, req: Any) -> np.ndarray:
-    """Victim resource requirements as one boolean column.
+    """Victim resource requirements as one boolean column: does the
+    candidate own all the resources the victim needs?
 
-    Mirrors ``RegistryCore._meets_requirements``: undeclared *static*
-    fields (cpu_speed, features) do not disqualify; missing *dynamic*
-    metrics fail a positive requirement.
+    ``req`` duck-types ResourceRequirements / ProcessInfo
+    (min_memory_bytes, min_disk_bytes, min_cpu_speed, features).
+    Undeclared *static* fields (cpu_speed, features — e.g. a delegated
+    child registry's) are not held against a record; missing *dynamic*
+    metrics fail a positive requirement — 'ready and owns all the
+    resources required' is checked, not assumed.
     """
     n = matrix.n
     mask = np.ones(n, dtype=bool)
@@ -345,8 +346,8 @@ def matrix_column_engine(
 
     Maps the rule files' script names onto the matrix's metric columns,
     so one rule set classifies *every registered host at once*.
-    Unknown scripts raise ``KeyError`` (exactly like the scalar
-    engines).
+    Unknown scripts raise ``KeyError`` (exactly like the per-host
+    script engines).
     """
 
     def engine(script: str, param: str = "") -> np.ndarray:

@@ -21,7 +21,7 @@ from .core import (
     DEFAULT_COMMAND_COOLDOWN,
     DEFAULT_DECISION_COST,
     MAX_HOPS,
-    Decision,
+    Reconfigure,
     RegistryCore,
     _requirements_from_xml,
     _requirements_xml,
@@ -32,7 +32,7 @@ __all__ = [
     "DEFAULT_COMMAND_COOLDOWN",
     "DEFAULT_DECISION_COST",
     "MAX_HOPS",
-    "Decision",
+    "Reconfigure",
     "RegistryScheduler",
 ]
 
@@ -56,7 +56,6 @@ class RegistryScheduler:
         mode: str = "push",
         poll_interval: float = 10.0,
         max_data_locality: float = 0.5,
-        vector_mode: str = "auto",
     ):
         if mode not in ("push", "pull"):
             raise ValueError(f"mode must be push or pull, got {mode!r}")
@@ -78,7 +77,6 @@ class RegistryScheduler:
             parent_address=parent_address,
             max_data_locality=max_data_locality,
             commander_for=lambda source: f"commander@{source}",
-            vector_mode=vector_mode,
         )
         self._pending_replies: dict = {}
         self._stopped = False
@@ -122,9 +120,6 @@ class RegistryScheduler:
     @property
     def parent_address(self):
         return self.core.parent_address
-
-    #: Back-compat alias: the requirement matcher is core logic now.
-    _meets_requirements = staticmethod(RegistryCore._meets_requirements)
 
     def stop(self) -> None:
         self._stopped = True

@@ -53,7 +53,7 @@ class SoftStateTable:
         #: rebuild from name lookups on every ``records()`` call.
         self._record_list: List[HostRecord] = []
         #: Columnar mirror of the table — row *i* is record *i* — for
-        #: the vectorized decision plane (docs/decision_plane.md).
+        #: the decision plane (docs/decision_plane.md).
         self.matrix = HostStateMatrix()
 
     # -- mutation ---------------------------------------------------------
@@ -186,42 +186,22 @@ class SoftStateTable:
                 else self.effective_state(r) is not unavail)
         ]
 
-    def free_hosts(self) -> List[HostRecord]:
-        """Records currently in the FREE state (migration targets)."""
-        cutoff = self.env.now - self.lease
-        free = SystemState.FREE
-        return [
-            r for r in self._record_list
-            if (r.state is free if r.last_update >= cutoff
-                else self.effective_state(r) is free)
-        ]
+    def free_mask(self) -> np.ndarray:
+        """Boolean row mask over :attr:`matrix`: hosts currently in
+        the FREE state (migration targets).
 
-    # -- vectorized queries (the decision plane's masks) ----------------
-    def _state_mask(self, wanted: SystemState, invert: bool) -> np.ndarray:
-        """Boolean row mask with the scalar paths' exact lease
-        semantics: fresh rows compare their pushed state directly;
-        stale rows take the per-record :meth:`effective_state` path,
-        which owns the once-per-lapse expiry trace event — so a masked
-        query and a scalar scan emit byte-identical traces."""
+        Fresh rows compare their pushed state directly; stale rows
+        take the per-record :meth:`effective_state` path, which owns
+        the once-per-lapse expiry trace event.
+        """
         m = self.matrix
-        cutoff = self.env.now - self.lease
-        codes = m.state_codes
-        mask = (codes != int(wanted)) if invert else (codes == int(wanted))
-        stale = m.last_update < cutoff
+        mask = m.state_codes == int(SystemState.FREE)
+        stale = m.last_update < self.env.now - self.lease
         if stale.any():
             for i in np.flatnonzero(stale):
-                state = self.effective_state(self._record_list[i])
-                mask[i] = (state is not wanted) if invert else (
-                    state is wanted)
+                mask[i] = (self.effective_state(self._record_list[i])
+                           is SystemState.FREE)
         return mask
-
-    def free_mask(self) -> np.ndarray:
-        """``free_hosts()`` as a boolean row mask over :attr:`matrix`."""
-        return self._state_mask(SystemState.FREE, invert=False)
-
-    def available_mask(self) -> np.ndarray:
-        """``available()`` as a boolean row mask over :attr:`matrix`."""
-        return self._state_mask(SystemState.UNAVAILABLE, invert=True)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -5,143 +5,70 @@ registry/scheduler chooses the first host, which is ready and owns all
 the resources required, as the migration destination host."  Best-fit
 and random are provided for the ablation study.
 
-Every strategy exists in two shapes that must agree pick-for-pick:
+A strategy has one shape: ``(matrix, mask, rng, k) -> rows``.  It takes
+the host-state matrix plus the eligibility mask the registry core built
+(free ∧ not-excluded ∧ policy destination conditions ∧ victim
+requirements) and returns **at most ``k`` row indices in preference
+order** as an ``np.ndarray`` — empty when nothing is eligible.  A 1:1
+migration asks for ``k = 1``; a malleable Expand asks for the policy's
+grow step.  Row order is registration order, the paper's "machine
+list", which is what makes first fit deterministic.
 
-* the scalar form below, over soft-state ``HostRecord`` lists;
-* a vectorized twin over the host-state matrix (masked argsort).
-
-Both shapes take an optional ``k``: ``k=None`` keeps the historical
-single-destination contract (one record/row or ``None``), while an
-integer ``k`` returns the **top-k candidates in preference order** —
-the N-host form malleable (Expand) policies request.  The ranking is
-produced in one pass (one argsort/lexsort on the vector side), and the
-scalar form is the oracle the differential tests compare against
-(``tests/registry/test_vector_differential.py``,
-``tests/registry/test_k_selection.py``).  Best-fit order comes from
-the shared key in :mod:`repro.rules.sortkeys` so both shapes rank by
-one definition.
+The record-walking reference forms the differential tests compare
+against live in ``tests/registry/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any
 
 import numpy as np
 
-from ..rules.sortkeys import best_fit_lexsort_keys, best_fit_record_key
 from .hostmatrix import HostStateMatrix
-from .softstate import HostRecord
 
 
-def _draw_k(rng: Any, n: int, k: int) -> List[int]:
-    """k distinct indices out of ``range(n)``, ascending — one rng
-    draw, shared by the scalar and vector random strategies so seeded
-    runs agree."""
+def first_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
+              k: int) -> np.ndarray:
+    """The paper's policy: first eligible rows in registration order."""
+    return np.flatnonzero(mask)[:k]
+
+
+def best_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
+             k: int) -> np.ndarray:
+    """Least-loaded eligible rows (1-minute load average), ties broken
+    on host name; an unreported load ranks as 0.0."""
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        return rows
+    load = matrix.metric_column("loadavg1")[rows]
+    load = np.where(np.isnan(load), 0.0, load)
+    # lexsort's last key is primary: ascending (loadavg1, host).
+    order = np.lexsort((matrix.hosts_array[rows], load))
+    return rows[order[:k]]
+
+
+def random_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
+               k: int) -> np.ndarray:
+    """Uniformly random eligible rows, ascending (needs an rng).
+
+    ``k == 1`` draws with ``rng.integers`` — the stream every seeded
+    single-destination run has always consumed — so migration picks and
+    the generator position after them are unchanged; wider requests
+    take ``k`` distinct rows with one ``rng.choice``.
+    """
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
+        return rows
     if rng is None:
         raise ValueError("random_fit requires an rng")
-    take = min(k, n)
-    return sorted(int(i) for i in rng.choice(n, size=take, replace=False))
-
-
-def first_fit(candidates: List[HostRecord], rng: Any = None,
-              k: Optional[int] = None):
-    """The paper's policy: first eligible host(s) in registration
-    order."""
-    if k is not None:
-        return candidates[:k]
-    return candidates[0] if candidates else None
-
-
-def best_fit(candidates: List[HostRecord], rng: Any = None,
-             k: Optional[int] = None):
-    """Least-loaded eligible host(s) (1-minute load average)."""
-    if k is not None:
-        return sorted(candidates, key=best_fit_record_key)[:k]
-    if not candidates:
-        return None
-    return min(candidates, key=best_fit_record_key)
-
-
-def random_fit(candidates: List[HostRecord], rng: Any = None,
-               k: Optional[int] = None):
-    """Uniformly random eligible host(s) (needs an rng)."""
-    if k is not None:
-        if not candidates:
-            return []
-        return [candidates[i] for i in _draw_k(rng, len(candidates), k)]
-    if not candidates:
-        return None
-    if rng is None:
-        raise ValueError("random_fit requires an rng")
-    return candidates[int(rng.integers(0, len(candidates)))]
+    if k == 1:
+        return rows[[int(rng.integers(0, rows.size))]]
+    take = min(k, rows.size)
+    return rows[np.sort(rng.choice(rows.size, size=take, replace=False))]
 
 
 STRATEGIES = {
     "first_fit": first_fit,
     "best_fit": best_fit,
     "random_fit": random_fit,
-}
-
-
-# ------------------------------------------------- vectorized variants
-# Each takes the host-state matrix plus the eligibility mask the
-# registry core built (free ∧ not-excluded ∧ policy destination
-# conditions ∧ victim requirements) and returns the chosen *row* or
-# ``None`` — or, with an integer ``k``, the top-k rows in preference
-# order as an ``np.ndarray``.  Row order is registration order, so
-# every variant agrees with its scalar twin above — the differential
-# gates in tests/registry/test_vector_differential.py and
-# tests/registry/test_k_selection.py hold that line.
-
-def vector_first_fit(matrix: HostStateMatrix, mask: np.ndarray,
-                     rng: Any = None, k: Optional[int] = None):
-    """First eligible row(s) in registration order (one pass)."""
-    if k is not None:
-        return np.flatnonzero(mask)[:k]
-    if mask.size == 0:
-        return None
-    row = int(mask.argmax())
-    return row if mask[row] else None
-
-
-def vector_best_fit(matrix: HostStateMatrix, mask: np.ndarray,
-                    rng: Any = None, k: Optional[int] = None):
-    """Least-loaded eligible row(s); ties break on host name, exactly
-    the scalar ``(loadavg1, host)`` order — one lexsort for any k."""
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        return None if k is None else rows
-    load = matrix.metric_column("loadavg1")[rows]
-    # The scalar path reads a missing loadavg1 as 0.0.
-    load = np.where(np.isnan(load), 0.0, load)
-    order = np.lexsort(
-        best_fit_lexsort_keys(load, matrix.hosts_array[rows])
-    )
-    if k is not None:
-        return rows[order[:k]]
-    return int(rows[order[0]])
-
-
-def vector_random_fit(matrix: HostStateMatrix, mask: np.ndarray,
-                      rng: Any = None, k: Optional[int] = None):
-    """Uniformly random eligible row(s) — the same rng draws over the
-    same candidate ordering as the scalar form, so seeded runs agree."""
-    rows = np.flatnonzero(mask)
-    if k is not None:
-        if rows.size == 0:
-            return rows
-        return rows[_draw_k(rng, rows.size, k)]
-    if rows.size == 0:
-        return None
-    if rng is None:
-        raise ValueError("random_fit requires an rng")
-    return int(rows[int(rng.integers(0, rows.size))])
-
-
-#: Scalar strategy → vectorized twin; strategies outside this map fall
-#: back to the scalar record-list path in ``RegistryCore``.
-VECTOR_STRATEGIES = {
-    first_fit: vector_first_fit,
-    best_fit: vector_best_fit,
-    random_fit: vector_random_fit,
 }

@@ -7,16 +7,18 @@ import pytest
 from repro.sim import Environment
 from repro.cluster import LoadAverage
 
+from .reference import sampled_loadavg
+
 
 def test_initial_load_is_zero():
     env = Environment()
-    la = LoadAverage(env, lambda: 5.0)
+    la = sampled_loadavg(env, lambda: 5.0)
     assert la.as_tuple() == (0.0, 0.0, 0.0)
 
 
 def test_constant_load_converges():
     env = Environment()
-    la = LoadAverage(env, lambda: 2.0)
+    la = sampled_loadavg(env, lambda: 2.0)
     env.run(until=3600)  # one hour
     assert la.one == pytest.approx(2.0, rel=1e-6)
     assert la.five == pytest.approx(2.0, rel=1e-4)
@@ -26,7 +28,7 @@ def test_constant_load_converges():
 def test_one_minute_reacts_faster_than_five():
     env = Environment()
     load = {"n": 0.0}
-    la = LoadAverage(env, lambda: load["n"])
+    la = sampled_loadavg(env, lambda: load["n"])
     env.run(until=60)
     load["n"] = 4.0
     env.run(until=120)  # one minute of load 4
@@ -36,7 +38,7 @@ def test_one_minute_reacts_faster_than_five():
 def test_decay_after_load_removed():
     env = Environment()
     load = {"n": 3.0}
-    la = LoadAverage(env, lambda: load["n"])
+    la = sampled_loadavg(env, lambda: load["n"])
     env.run(until=600)
     peak = la.one
     load["n"] = 0.0
@@ -50,34 +52,32 @@ def test_one_minute_60s_step_response():
     # 1-minute average reaches L * (1 - 1/e).  Run slightly past 60 so
     # the sample scheduled exactly at t=60 is included.
     env = Environment()
-    la = LoadAverage(env, lambda: 1.0)
+    la = sampled_loadavg(env, lambda: 1.0)
     env.run(until=60.1)
     assert la.one == pytest.approx(1.0 - math.exp(-1), rel=0.01)
 
 
 def test_custom_sample_interval():
     env = Environment()
-    la = LoadAverage(env, lambda: 1.0, sample_interval=1.0)
+    la = sampled_loadavg(env, lambda: 1.0, sample_interval=1.0)
     env.run(until=60.5)
     assert la.one == pytest.approx(1.0 - math.exp(-1), rel=0.01)
 
 
 def test_invalid_interval():
-    env = Environment()
     with pytest.raises(ValueError):
-        LoadAverage(env, lambda: 0.0, sample_interval=0)
+        LoadAverage(sample_interval=0)
 
 
 def test_repr_contains_values():
     env = Environment()
-    la = LoadAverage(env, lambda: 1.0)
+    la = sampled_loadavg(env, lambda: 1.0)
     env.run(until=300)
     assert "LoadAverage" in repr(la)
 
 
 def test_decay_constants_are_plain_attributes():
-    env = Environment()
-    la = LoadAverage(env, lambda: 0.0)
+    la = LoadAverage()
     assert la.k_one == math.exp(-5.0 / 60.0)
     assert la.mk_one == 1.0 - la.k_one
     assert la.k_five == math.exp(-5.0 / 300.0)
@@ -88,8 +88,8 @@ def test_decay_constants_are_plain_attributes():
 def test_decay_factors_shared_table():
     from repro.cluster.loadavg import decay_factors
 
-    # Cached: the scalar sampler and the column fold read the exact
-    # same float objects, so the two paths cannot drift.
+    # Cached: LoadAverage.fold and the plane's column fold read the
+    # exact same float objects.
     assert decay_factors(5.0) is decay_factors(5.0)
     (k1, mk1), (k5, mk5), (k15, mk15) = decay_factors(2.0)
     assert k1 == math.exp(-2.0 / 60.0) and mk1 == 1.0 - k1
@@ -99,9 +99,9 @@ def test_decay_factors_shared_table():
 
 
 def test_sampler_false_folds_only_on_demand():
+    # A LoadAverage is a passive value: it starts no process of its own.
     env = Environment()
-    la = LoadAverage(env, None, sampler=False)
-    assert la._proc is None
+    la = LoadAverage()
     env.run(until=600)
     assert la.as_tuple() == (0.0, 0.0, 0.0)  # nobody sampled
     la.fold(2.0)

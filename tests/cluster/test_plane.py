@@ -1,4 +1,5 @@
-"""The batched host plane: bit-identity, analytic rows, verify mode."""
+"""The batched host plane: bit-identity with per-host folding,
+analytic rows."""
 
 import math
 
@@ -11,13 +12,12 @@ from repro.cluster import (
     Cluster,
     ClusterStateArrays,
     DutyCycleLoad,
-    HostPlane,
-    HostPlaneDivergence,
     LoadAverage,
 )
 from repro.cluster.loadavg import decay_factors
 from repro.monitor.sensors import BASE_SOCKETS, SNAPSHOT_METRICS
-from repro.sim import Environment
+
+from .reference import per_host_samplers
 
 
 # ---------------------------------------------------- fold bit-identity
@@ -39,12 +39,11 @@ _INTERVALS = st.one_of(
 )
 @settings(max_examples=120, deadline=None)
 def test_column_fold_bit_identical_to_scalar(streams, interval):
-    """The vectorized fold produces the scalar fold's exact bytes for
-    every host, every sample, every interval."""
+    """The vectorized fold produces ``LoadAverage.fold``'s exact bytes
+    for every host, every sample, every interval."""
     n_hosts, n_samples = streams.shape
     oracles = [
-        LoadAverage(None, None, sample_interval=interval, sampler=False)
-        for _ in range(n_hosts)
+        LoadAverage(sample_interval=interval) for _ in range(n_hosts)
     ]
     (k1, mk1), (k5, mk5), (k15, mk15) = decay_factors(interval)
     one = np.zeros(n_hosts)
@@ -67,34 +66,40 @@ def test_column_fold_bit_identical_to_scalar(streams, interval):
         assert fifteen[host] == oracle.fifteen
 
 
-def _duty_cluster(mode: str, seed: int, n_hosts: int = 6) -> Cluster:
-    cluster = Cluster(n_hosts=n_hosts, seed=seed, host_plane=mode)
+def _duty_cluster(seed: int, n_hosts: int = 6):
+    """A cluster under jittered duty-cycle load, folded twice: by the
+    plane (production) and by one reference sampler per host."""
+    cluster = Cluster(n_hosts=n_hosts, seed=seed)
     for i, host in enumerate(cluster):
         DutyCycleLoad(
             host, mean_load=0.08 + 0.07 * i, period=0.6 + 0.25 * i,
             jitter=0.5, rng=cluster.rng.stream(f"duty-{host.name}"),
         )
-    return cluster
+    return cluster, per_host_samplers(cluster)
+
+
+def verify(cluster, reference):
+    """Batched ≡ per-host, host by host, to the last bit."""
+    for host in cluster:
+        assert host.loadavg.as_tuple() == reference[host.name].as_tuple(), (
+            f"host plane fold diverged on {host.name} "
+            f"at t={cluster.env.now}"
+        )
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_whole_sim_scalar_equals_batched(seed):
-    """scalar ≡ auto, host by host, to the last bit: the same simulated
-    workload folded per-host and folded as columns."""
-    results = {}
-    for mode in ("scalar", "auto"):
-        cluster = _duty_cluster(mode, seed)
-        cluster.run(until=171.0)
-        results[mode] = {
-            h.name: h.loadavg.as_tuple() for h in cluster
-        }
-    assert results["scalar"] == results["auto"]
+    """The same simulated workload folded per host
+    (``LoadAverage.fold``) and folded as columns: identical bytes."""
+    cluster, reference = _duty_cluster(seed)
+    cluster.run(until=171.0)
+    verify(cluster, reference)
     # And the loads actually moved — the comparison is not 0 == 0.
-    assert any(t[0] > 0 for t in results["auto"].values())
+    assert any(host.loadavg.one > 0 for host in cluster)
 
 
 def test_auto_writes_back_to_host_views():
-    cluster = _duty_cluster("auto", seed=3)
+    cluster, _ = _duty_cluster(seed=3)
     cluster.run(until=60.0)
     a = cluster.plane.arrays
     for host in cluster:
@@ -104,21 +109,26 @@ def test_auto_writes_back_to_host_views():
         assert host.loadavg.fifteen == a.col("load15")[row]
 
 
-# ------------------------------------------------------------ verify mode
+# -------------------------------------------------- the differential itself
 def test_verify_mode_runs_clean():
-    cluster = _duty_cluster("verify", seed=5)
-    cluster.run(until=90.0)
+    """Checked at every tick of a run, not only at its end."""
+    cluster, reference = _duty_cluster(seed=5)
+    for until in np.arange(5.5, 90.0, 5.0):
+        cluster.run(until=float(until))
+        verify(cluster, reference)
     assert cluster.plane.ticks >= 17
     assert cluster.plane.folds == cluster.plane.ticks * len(cluster)
 
 
 def test_verify_mode_catches_corruption():
-    cluster = _duty_cluster("verify", seed=5)
+    """The differential has teeth: one corrupted bit in a batched
+    column is caught."""
+    cluster, reference = _duty_cluster(seed=5)
     cluster.run(until=30.0)
-    # Corrupt one batched column behind the shadow fold's back.
     cluster.plane.arrays.col("load1")[0] += 1e-9
-    with pytest.raises(HostPlaneDivergence):
-        cluster.run(until=60.0)
+    cluster.run(until=60.0)
+    with pytest.raises(AssertionError, match="diverged"):
+        verify(cluster, reference)
 
 
 # ---------------------------------------------------------- analytic rows
@@ -182,17 +192,6 @@ def test_plane_base_sockets_matches_sensors():
 
 
 # ----------------------------------------------------------- validation
-def test_scalar_mode_rejects_analytic_hosts():
-    cluster = Cluster(n_hosts=1, seed=0, host_plane="scalar")
-    with pytest.raises(ValueError, match="analytic"):
-        cluster.add_analytic_host("an0", mean_load=0.2)
-
-
-def test_bad_plane_mode_rejected():
-    with pytest.raises(ValueError, match="host_plane"):
-        HostPlane(Environment(), mode="turbo")
-
-
 def test_set_analytic_validation():
     cluster = Cluster(n_hosts=1, seed=0)
     with pytest.raises(ValueError, match="mean_load"):
@@ -228,18 +227,12 @@ def test_arrays_growth_and_duplicates():
     assert arrays.col("load1").shape == (9,)
 
 
-def test_scalar_mode_keeps_per_host_samplers():
-    cluster = Cluster(n_hosts=2, seed=0, host_plane="scalar")
-    assert cluster.plane._proc is None
-    for host in cluster:
-        assert host.loadavg._proc is not None
-
-
 def test_auto_mode_single_plane_process():
-    cluster = Cluster(n_hosts=8, seed=0)
-    assert cluster.plane._proc is not None
-    for host in cluster:
-        assert host.loadavg._proc is None
+    """One fold process per cluster, none per host."""
+    before = Cluster(n_hosts=1, seed=0)
+    after = Cluster(n_hosts=8, seed=0)
+    assert after.plane._proc is not None
+    assert len(after.env._queue) == len(before.env._queue)
 
 
 # ----------------------------------------------------- mega-cluster smoke

@@ -1,4 +1,4 @@
-"""Vector-plane columns in the canonical sorted order."""
+"""Host-state columns in the canonical sorted order."""
 
 METRIC_COLUMNS = ("cpu_idle_pct", "loadavg1", "mem_free")
 

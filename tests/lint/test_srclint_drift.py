@@ -172,8 +172,8 @@ _DRIFT_MUTATIONS = [
      '            min_world=int(root.findtext("minWorld", "1")),\n',
      "", "X901"),
     (os.path.join("lint", "catalog.py"),
-     '    "V901": ("error", '
-     '"scalar strategy/predicate with no vector twin"),\n',
+     '    "V902": ("error", '
+     '"metric-column or script-map vocabulary mismatch"),\n',
      "", "X902"),
 ]
 

@@ -1,9 +1,8 @@
-"""V900 twin-path parity: the decision plane's mirrored contracts.
+"""V900 parity: the contracts the decision plane states in two places.
 
-Fixture-driven checks for V901–V905, the silence guards, and the
-acceptance claim that matters most: deleting a vector twin, a metric
-column, a config knob or a live effect dispatch must each flip the
-self-lint red.
+Fixture-driven checks for V902 and V905, the silence guard, and the
+acceptance claim that matters most: deleting a metric column or a
+live effect dispatch must each flip the self-lint red.
 """
 
 import os
@@ -13,8 +12,6 @@ import pytest
 
 from repro.lint import collect_files, lint_paths
 from repro.lint.srclint import lint_sources
-from repro.lint.srclint.model import parse_sources
-from repro.lint.srclint.parity import lint_parity
 
 
 def _fixture(name):
@@ -30,16 +27,7 @@ def _repo_root():
 # ------------------------------------------------------------ fixtures
 def test_firing_fixture_raises_every_code():
     diags = lint_paths([_fixture("v900_firing")], select=["V9"])
-    assert Counter(d.code for d in diags) == {
-        "V901": 5, "V902": 3, "V903": 2, "V904": 1, "V905": 1,
-    }
-
-
-def test_v901_names_every_broken_pairing():
-    objs = {d.obj for d in lint_paths([_fixture("v900_firing")],
-                                      select=["V901"])}
-    assert objs == {"best_fit", "stray_fit", "vector_orphan",
-                    "vector_missing", "classify_scalar"}
+    assert Counter(d.code for d in diags) == {"V902": 3, "V905": 1}
 
 
 def test_v902_separates_columns_from_script_maps():
@@ -48,21 +36,6 @@ def test_v902_separates_columns_from_script_maps():
     assert objs == {"METRIC_COLUMNS", "procCount.sh", "diskUsage.sh"}
     columns = next(d for d in diags if d.obj == "METRIC_COLUMNS")
     assert "missing ['cpu_idle_pct']" in columns.message
-
-
-def test_v903_fires_on_both_inline_forms():
-    diags = lint_paths([_fixture("v900_firing")], select=["V903"])
-    messages = sorted(d.message for d in diags)
-    assert "inline composite sort key" in messages[0]
-    assert "lexsort called with inline key columns" in messages[1]
-    assert all("sortkeys.py" in m for m in messages)
-
-
-def test_v904_reports_the_knob_not_the_parameter():
-    diag = next(iter(lint_paths([_fixture("v900_firing")],
-                                select=["V904"])))
-    assert diag.obj == "run_mode"
-    assert "RUN_MODES" in diag.message
 
 
 def test_v905_reports_at_the_contract_and_names_the_lagging_side():
@@ -77,15 +50,7 @@ def test_clean_fixture_is_clean():
     assert lint_paths([_fixture("v900_clean")]) == []
 
 
-# ------------------------------------------------------ silence guards
-def test_sortkey_contract_alone_is_silent():
-    path = os.path.join(_fixture("v900_firing"), "rules",
-                        "sortkeys.py")
-    with open(path, encoding="utf-8") as fh:
-        modules, _ = parse_sources([(path, fh.read())])
-    assert lint_parity(modules) == []
-
-
+# ------------------------------------------------------- silence guard
 def test_v905_silent_without_a_live_side():
     # Sim modules only: pump sets cannot diverge between runtimes.
     firing = _fixture("v900_firing")
@@ -95,20 +60,6 @@ def test_v905_silent_without_a_live_side():
         select=["V905"],
     )
     assert diags == []
-
-
-def test_v904_silent_without_a_config_surface():
-    files = [(
-        "core/modes.py",
-        'RUN_MODES = ("auto", "verify")\n\n\n'
-        "def resolve(run_mode):\n"
-        "    if run_mode not in RUN_MODES:\n"
-        '        raise ValueError(f"run_mode must be one of '
-        '{RUN_MODES}")\n'
-        "    return run_mode\n",
-    )]
-    modules, _ = parse_sources(files)
-    assert lint_parity(modules) == []
 
 
 # ----------------------------------------------------------- real tree
@@ -129,19 +80,12 @@ def test_src_tree_parity_is_clean():
     assert diags == []
 
 
-#: One mutation per twin-path contract.  Each must flip the self-lint
-#: red — the static half of the "verify modes would have caught it at
-#: runtime" guarantee.
+#: One mutation per parity contract.  Each must flip the self-lint
+#: red — the static half of what the sim/live parity tests chase
+#: dynamically.
 _PARITY_MUTATIONS = [
-    (os.path.join("registry", "strategies.py"),
-     "    best_fit: vector_best_fit,\n", "", "V901"),
     (os.path.join("registry", "hostmatrix.py"),
      '    "loadavg1",\n', "", "V902"),
-    (os.path.join("monitor", "selector.py"),
-     "np.lexsort(victim_lexsort_keys(est, start, pid))",
-     "np.lexsort((pid, start, -est))", "V903"),
-    (os.path.join("core", "rescheduler.py"),
-     'host_plane: str = "auto"', 'plane_kind: str = "auto"', "V904"),
     (os.path.join("live", "registry.py"),
      "(Send, Expand, Shrink)", "(Send,)", "V905"),
 ]

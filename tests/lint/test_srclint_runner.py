@@ -212,13 +212,17 @@ def test_partial_suppression_keeps_the_other_family(tmp_path):
 
 
 def test_suppression_reaches_project_passes(tmp_path):
-    # V901 comes from a project-wide pass (lint_parity), not a
-    # per-module one; skip[V901] must silence it all the same.
-    mod = tmp_path / "rules" / "evaluator.py"
-    mod.parent.mkdir()
-    mod.write_text(
-        "def classify_scalar(state):  # repro-lint: skip[V901]\n"
-        '    return "free"\n'
+    # V902 comes from a project-wide pass (lint_parity), not a
+    # per-module one; skip[V902] must silence it all the same.
+    (tmp_path / "engine.py").write_text(
+        'HANDLERS = {"a.sh": 1, "b.sh": 2, "c.sh": 3, "d.sh": 4}\n'
+    )
+    short = tmp_path / "columns.py"
+    short.write_text('COLUMNS = {"a.sh": 1, "b.sh": 2, "c.sh": 3}\n')
+    assert [d.code for d in lint_paths([str(tmp_path)])] == ["V902"]
+    short.write_text(
+        'COLUMNS = {"a.sh": 1, "b.sh": 2, "c.sh": 3}'
+        "  # repro-lint: skip[V902]\n"
     )
     assert lint_paths([str(tmp_path)]) == []
 

@@ -72,22 +72,24 @@ def script():
     ]
 
 
-def normalize(decisions, names):
-    """Decision keys with runtime-specific addresses mapped back to the
-    logical host names (live hosts are socket addresses)."""
+def normalize(reconfigurations, names):
+    """``Reconfigure.key()`` without its free-text reason, with
+    runtime-specific addresses mapped back to the logical host names
+    (live hosts are socket addresses)."""
 
     def logical(host):
         return names.get(host, host)
 
     return [
-        (logical(d.source), logical(d.dest), d.pid, d.escalated)
-        for d in decisions
+        (r.effect, logical(r.source), tuple(logical(d) for d in r.dests),
+         r.pid, r.escalated)
+        for r in reconfigurations
     ]
 
 
 EXPECTED = [
-    ("ws1", "ws2", 102, False),
-    ("ws1", None, 102, False),
+    ("migrate", "ws1", ("ws2",), 102, False),
+    ("migrate", "ws1", (), 102, False),
 ]
 
 
@@ -114,7 +116,7 @@ def run_sim():
 
     cluster.env.process(sender(cluster.env))
     cluster.run(until=30)
-    return normalize(registry.decisions, {})
+    return normalize(registry.reconfigurations, {})
 
 
 def run_live():
@@ -141,7 +143,7 @@ def run_live():
                 assert wait_for(
                     lambda: len(registry.decisions) >= barrier
                 ), f"no decision after {host} overload"
-        return normalize(registry.decisions, names)
+        return normalize(registry.reconfigurations, names)
     finally:
         for ep in endpoints.values():
             ep.close()
@@ -198,17 +200,6 @@ def reshape_script():
     ]
 
 
-def normalize_reshapes(reconfigurations, names):
-    def logical(host):
-        return names.get(host, host)
-
-    return [
-        (r.effect, logical(r.source), tuple(logical(d) for d in r.dests),
-         r.pid, r.escalated)
-        for r in reconfigurations
-    ]
-
-
 RESHAPE_EXPECTED = [
     ("expand", "ws1", ("ws2",), 101, False),
     ("shrink", "ws1", ("ws3",), 101, False),
@@ -236,7 +227,7 @@ def run_sim_reshapes():
 
     cluster.env.process(sender(cluster.env))
     cluster.run(until=30)
-    return normalize_reshapes(registry.reconfigurations, {})
+    return normalize(registry.reconfigurations, {})
 
 
 def run_live_reshapes():
@@ -259,7 +250,7 @@ def run_live_reshapes():
                 assert wait_for(
                     lambda: len(registry.reconfigurations) >= barrier
                 ), f"no reshape decision after {host} overload"
-        return normalize_reshapes(registry.reconfigurations, names)
+        return normalize(registry.reconfigurations, names)
     finally:
         for ep in endpoints.values():
             ep.close()

@@ -63,18 +63,26 @@ def info(pid, eta, start=0.0, locality=0.0):
                        est_completion=eta, data_locality=locality)
 
 
+def report(*infos):
+    """The wire form of a status report's process list."""
+    return [p.as_dict() for p in infos]
+
+
 def test_selects_latest_completion():
     # Paper: "tends to migrate a process that has the latest completing
     # time to reduce the possibility of migrating multiple processes."
-    chosen = select_victim([info(1, 100.0), info(2, 500.0),
-                            info(3, 300.0)])
-    assert chosen.pid == 2
+    chosen = select_victim(report(info(1, 100.0), info(2, 500.0),
+                                  info(3, 300.0)))
+    assert chosen == info(2, 500.0)
 
 
 def test_tie_breaks_toward_earlier_start():
-    chosen = select_victim([info(1, 100.0, start=50.0),
-                            info(2, 100.0, start=10.0)])
+    chosen = select_victim(report(info(1, 100.0, start=50.0),
+                                  info(2, 100.0, start=10.0)))
     assert chosen.pid == 2
+    # Equal completion and start: the lower pid.
+    chosen = select_victim(report(info(9, 100.0), info(4, 100.0)))
+    assert chosen.pid == 4
 
 
 def test_empty_returns_none():
@@ -84,10 +92,11 @@ def test_empty_returns_none():
 def test_data_locality_filter():
     # "If a process involves a lot in a local data access, the process
     # is not to be migrated."
-    procs = [info(1, 500.0, locality=0.9), info(2, 100.0, locality=0.1)]
+    procs = report(info(1, 500.0, locality=0.9),
+                   info(2, 100.0, locality=0.1))
     chosen = select_victim(procs, max_data_locality=0.5)
     assert chosen.pid == 2
-    assert select_victim([info(1, 1.0, locality=0.9)],
+    assert select_victim(report(info(1, 1.0, locality=0.9)),
                          max_data_locality=0.5) is None
 
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
-from repro.cluster import HostPlaneDivergence
 from repro.monitor.hub import MonitorHub
-from repro.rules import SystemState
+from repro.rules import SystemState, paper_ruleset
 from repro.rules.vector import OVERLOADED
 
 INTERVAL = 10.0
 
 
-def deploy(n_analytic=4, mode="auto", seed=4):
-    cluster = Cluster(n_hosts=2, seed=seed, host_plane=mode)
+def deploy(n_analytic=4, seed=4, ruleset=None):
+    cluster = Cluster(n_hosts=2, seed=seed)
     for i in range(n_analytic):
         cluster.add_analytic_host(
             f"an{i}", mean_load=0.08 + 0.04 * i, period=2.0,
@@ -23,9 +22,30 @@ def deploy(n_analytic=4, mode="auto", seed=4):
         cluster,
         policy=policy_2(),
         config=ReschedulerConfig(interval=INTERVAL, sustain=3,
-                                 host_plane=mode),
+                                 ruleset=ruleset),
     )
     return cluster, rs
+
+
+def verify(hub):
+    """Classify one column snapshot of every hub row two ways — the
+    hub's column classification, and ``MonitorCore.classify`` fed the
+    same rows one at a time — and require the same states."""
+    rows = hub._rows
+    cols = hub.plane.analytic_sensor_columns(rows)
+    hub._cols = cols
+    states = hub._vector_classify(cols, len(rows))
+    for j, core in enumerate(hub.cores):
+        snapshot = {name: float(col[j]) for name, col in cols.items()}
+        core.evaluator.script_engine.snapshot = snapshot
+        expected = core.classify(snapshot)
+        got = SystemState(int(states[j]))
+        assert got is expected, (
+            f"hub classification diverged on {core.host_name} at "
+            f"t={hub.env.now}: column {got.name} != per-row "
+            f"{expected.name}"
+        )
+    return states
 
 
 def test_hub_owns_analytic_rows_monitors_own_backed():
@@ -90,19 +110,33 @@ def test_sustain_delays_overload_and_report_travels_wire():
 
 
 def test_verify_mode_clean_run():
-    cluster, rs = deploy(mode="verify")
-    assert rs.hub.verify
-    cluster.run(until=90.0)
-    assert rs.hub.core_cycles > 0
+    """Column classification ≡ per-row ``MonitorCore.classify`` over a
+    run that takes rows through more than one state, with policy
+    predicates alone and with the paper's rule set deployed."""
+    for ruleset in (None, paper_ruleset()):
+        cluster, rs = deploy(ruleset=ruleset)
+        seen = set()
+        for until in range(15, 200, 5):
+            if until == 60:
+                cluster.plane.inject_hogs("an1", 3)
+            if until == 120:
+                cluster.plane.inject_hogs("an2", 1)
+            cluster.run(until=float(until))
+            seen.update(int(s) for s in verify(rs.hub))
+        assert rs.hub.core_cycles > 0
+        assert len(seen) >= 2  # the comparison is not FREE == FREE
 
 
 def test_verify_mode_catches_misclassification():
-    cluster, rs = deploy(mode="verify")
+    """The differential has teeth: a column classifier that disagrees
+    with the per-row one is caught."""
+    cluster, rs = deploy()
+    cluster.run(until=30.0)
     rs.hub._vector_classify = lambda cols, n: np.full(
         n, np.int8(OVERLOADED)
     )
-    with pytest.raises(HostPlaneDivergence, match="diverged"):
-        cluster.run(until=60.0)
+    with pytest.raises(AssertionError, match="diverged"):
+        verify(rs.hub)
 
 
 def test_hub_rejects_empty_and_backed_hosts():
@@ -118,16 +152,6 @@ def test_hub_rejects_empty_and_backed_hosts():
                    directory=EndpointRegistry(),
                    registry_address="r",
                    table=rs.registry.table)
-
-
-def test_scalar_config_refuses_analytic_rows():
-    cluster = Cluster(n_hosts=2, seed=0)
-    cluster.add_analytic_host("an0", mean_load=0.1)
-    with pytest.raises(ValueError, match="scalar"):
-        Rescheduler(
-            cluster, policy=policy_2(),
-            config=ReschedulerConfig(host_plane="scalar"),
-        )
 
 
 def test_hog_overload_drives_decision_migration_and_recovery():

@@ -3,8 +3,8 @@
 Column contract tests for ``registry/hostmatrix.py`` — row alignment
 with the record list through register/update/unregister, NaN semantics
 for unreported metrics, static-field parsing, membership-cache
-invalidation, and the mask builders' equivalence with the scalar
-predicates (docs/decision_plane.md).
+invalidation, and the mask builders' equivalence with the per-record
+reference predicates (docs/decision_plane.md).
 """
 
 import dataclasses
@@ -25,6 +25,8 @@ from repro.registry.softstate import SoftStateTable
 from repro.rules import VectorRuleEvaluator, paper_ruleset
 from repro.rules.states import SystemState
 from repro.schema import ResourceRequirements
+
+from . import reference
 
 
 def make_table(lease=35.0):
@@ -151,15 +153,15 @@ def test_free_mask_matches_free_hosts_with_expired_leases():
     table.update("ws1", SystemState.OVERLOADED, {})
     table.update("ws2", SystemState.FREE, {})
     table.env.set(12.0)  # ws0/ws3 leases (t=0) now expired
-    expected = {r.host for r in table.free_hosts()}
+    expected = {r.host for r in reference.free_hosts(table)}
     mask = table.free_mask()
     got = {table.matrix.host_at(i) for i in np.flatnonzero(mask)}
     assert got == expected == {"ws2"}
-    # Expiry is sticky until the next push, exactly like the scalar path.
+    # Expiry is sticky until the next push.
     table.env.set(13.0)
     assert {table.matrix.host_at(i)
-            for i in np.flatnonzero(table.available_mask())} == {
-        r.host for r in table.available()}
+            for i in np.flatnonzero(table.free_mask())} == {"ws2"}
+    assert {r.host for r in table.available()} == {"ws1", "ws2"}
 
 
 def test_free_mask_traces_expiry_once_like_scalar():
@@ -178,9 +180,9 @@ def test_free_mask_traces_expiry_once_like_scalar():
             query(table)  # second query: no second expiry event
         return [r for r in tracer.records if r.name == EV_REGISTRY_EXPIRE]
 
-    scalar = expiry_events(lambda t: t.free_hosts())
-    vector = expiry_events(lambda t: t.free_mask())
-    assert len(scalar) == len(vector) == 1
+    by_record = expiry_events(reference.free_hosts)
+    by_mask = expiry_events(lambda t: t.free_mask())
+    assert len(by_record) == len(by_mask) == 1
 
 
 def test_dest_mask_matches_scalar_predicates():
@@ -196,9 +198,9 @@ def test_dest_mask_matches_scalar_predicates():
         table.register(host, {})
         table.update(host, SystemState.FREE, metrics)
     mask = dest_mask(table.matrix, policy)
-    for i, (host, metrics) in enumerate(rows):
-        scalar = all(c.holds(metrics) for c in policy.dest_conditions)
-        assert mask[i] == scalar, host
+    for i, record in enumerate(table.records()):
+        assert mask[i] == reference.dest_ok(policy, record), record.host
+    assert list(mask) == [True, False, False, False]
     # Disabled or absent policies accept every row.
     assert dest_mask(table.matrix, None).all()
     disabled = dataclasses.replace(policy_3(), enabled=False)
@@ -206,8 +208,6 @@ def test_dest_mask_matches_scalar_predicates():
 
 
 def test_requirements_mask_matches_scalar_matcher():
-    from repro.registry.core import RegistryCore
-
     table = make_table()
     cases = [
         ("full", {"cpu_speed": 2000.0, "features": "gpu,ib"},
@@ -228,8 +228,8 @@ def test_requirements_mask_matches_scalar_matcher():
     )
     mask = requirements_mask(table.matrix, req)
     for i, record in enumerate(table.records()):
-        scalar = RegistryCore._meets_requirements(record, req)
-        assert mask[i] == scalar, record.host
+        expected = reference.meets_requirements(record, req)
+        assert mask[i] == expected, record.host
     assert requirements_mask(table.matrix, None).all()
 
 

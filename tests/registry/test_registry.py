@@ -284,3 +284,63 @@ def test_hierarchy_no_candidate_anywhere():
     cluster.run(until=60)
     decision = child.decisions[0]
     assert decision.dest is None and decision.escalated
+
+
+def test_request_ids_do_not_leak_process_history_into_sim_time():
+    """A registry numbers its own candidate queries.  The id goes on
+    the wire and simulated transfer time grows with message length, so
+    queries issued earlier in the interpreter — by any other registry —
+    must not change a run's results by a single bit."""
+    from repro.cluster import CpuHog
+    from repro.core import policy_2
+    from repro.core.rescheduler import Rescheduler, ReschedulerConfig
+    from repro.entity.clock import ManualClock
+    from repro.registry.core import RegistryCore
+    from repro.workloads import TestTreeApp
+
+    def escalated_migration():
+        """Two domains under one parent; domain A is overloaded whole,
+        so its registry must query the parent for a destination."""
+        cluster = Cluster(n_hosts=6, seed=0)
+        names = [h.name for h in cluster]
+        directory = EndpointRegistry()
+        config = ReschedulerConfig(interval=10.0, sustain=3)
+        parent = Rescheduler(
+            cluster, policy=policy_2(), config=config,
+            monitored_hosts=[], registry_host=names[0],
+            registry_name="registry-parent", directory=directory,
+        )
+        domains = [
+            Rescheduler(
+                cluster, policy=policy_2(), config=config,
+                monitored_hosts=hosts, registry_host=hosts[0],
+                directory=directory,
+                parent_address=parent.registry.address,
+            )
+            for hosts in (names[:3], names[3:])
+        ]
+        app = domains[0].launch_app(
+            TestTreeApp(), "ws1",
+            params={"levels": 10, "trees": 60, "node_cost": 4e-4,
+                    "seed": 5},
+        )
+
+        def inject(env):
+            yield env.timeout(40)
+            for name in names[:3]:
+                CpuHog(cluster[name], count=4, name="load")
+
+        cluster.env.process(inject(cluster.env))
+        cluster.env.run(until=app.done)
+        assert any(d.escalated and d.dest
+                   for d in domains[0].registry.decisions)
+        return app.finished_at, [
+            rs.registry.endpoint.bytes_in for rs in [parent] + domains
+        ]
+
+    first = escalated_migration()
+    # Unrelated traffic: another registry issues ten thousand queries.
+    other = RegistryCore(ManualClock(), "elsewhere")
+    for _ in range(10_000):
+        next(other._query("parent", "app", (), hops=1))
+    assert escalated_migration() == first

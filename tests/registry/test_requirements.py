@@ -4,26 +4,39 @@ resources required" (paper §3.2)."""
 
 from repro.cluster import Cluster, CpuHog
 from repro.core import Rescheduler, ReschedulerConfig, policy_2
+from repro.entity.clock import ManualClock
+from repro.registry.hostmatrix import requirements_mask
 from repro.registry.registry import (
-    RegistryScheduler,
     _requirements_from_xml,
     _requirements_xml,
 )
-from repro.registry.softstate import HostRecord
+from repro.registry.softstate import SoftStateTable
+from repro.rules.states import SystemState
 from repro.schema import ApplicationSchema, ResourceRequirements
 from repro.workloads import TestTreeApp
 
+from . import reference
+
 
 def rec(host, static=None, metrics=None):
-    return HostRecord(host=host, registered_at=0.0,
-                      static_info=static or {}, metrics=metrics or {})
+    """A one-host soft-state table holding the record under test."""
+    table = SoftStateTable(ManualClock())
+    table.register(host, static or {})
+    table.update(host, SystemState.FREE, metrics or {})
+    return table
 
 
 def req(**kw):
     return ResourceRequirements(**kw)
 
 
-meets = RegistryScheduler._meets_requirements
+def meets(table, requirements):
+    """The production column predicate on the table's single row —
+    which must be what the record-walking reference says."""
+    answer = bool(requirements_mask(table.matrix, requirements)[0])
+    (record,) = table.records()
+    assert answer == reference.meets_requirements(record, requirements)
+    return answer
 
 
 def test_no_requirements_always_pass():

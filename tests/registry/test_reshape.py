@@ -21,7 +21,12 @@ from repro.registry.strategies import best_fit, first_fit, random_fit
 from repro.rules import SystemState
 from repro.sim.rng import seeded_generator
 
-from .test_vector_differential import random_core, random_requirements
+from .test_vector_differential import (
+    random_core,
+    random_exclude,
+    random_requirements,
+    verify,
+)
 
 CURVE = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65)
 
@@ -203,44 +208,52 @@ def test_reconfigure_key_and_decision_projection():
     )
     assert rec.key() == ("expand", "ws1", ("ws2", "ws3"), 101, "r",
                          False)
-    d = rec.as_decision()
-    assert d.dest == "ws2" and d.source == "ws1" and d.pid == 101
+    # The 1:1 view: the first destination, or None when there is none.
+    assert rec.dest == "ws2"
+    assert Reconfigure(
+        at=12.0, effect="migrate", source="ws1", dests=(), pid=101,
+        app="mc_pi", reason="r", decision_seconds=0.5,
+    ).dest is None
 
 
-# -- k-destination selection: vector ≡ scalar ----------------------------
+def test_decisions_is_the_migrate_view_of_reconfigurations():
+    core = RegistryCore(ManualClock(), "registry")
+    assert core.decisions == []
+    for effect in ("migrate", "expand", "migrate", "shrink"):
+        core.reconfigurations.append(Reconfigure(
+            at=0.0, effect=effect, source="ws1", dests=("ws2",),
+            pid=1, app="a", reason="r", decision_seconds=0.0,
+        ))
+    assert core.decisions == [core.reconfigurations[0],
+                              core.reconfigurations[2]]
+
+
+# -- k-destination selection: production ≡ reference -------------------
 
 @pytest.mark.parametrize("strategy", [first_fit, best_fit, random_fit],
                          ids=lambda s: s.__name__)
 @pytest.mark.parametrize("policy_no", [None, 2])
 def test_k_destination_differential(strategy, policy_no):
-    """Vector and scalar top-k picks agree on 30 random registries
-    per strategy/policy combination, for every k."""
-    base = (policy_no or 0) * 2000 + hash(strategy.__name__) % 991
+    """The reshape path (child registries masked out): production and
+    reference top-k picks agree on 30 random registries per
+    strategy/policy combination, for a random k each."""
+    base = (policy_no or 0) * 2000 + sum(map(ord, strategy.__name__)) % 991
     for trial in range(30):
         policy = PAPER_POLICIES[policy_no]() if policy_no else None
         core, rng = random_core(base + trial, strategy, policy=policy)
-        exclude = tuple(
-            f"ws{int(i):02d}"
-            for i in rng.integers(0, 20, size=int(rng.integers(0, 3)))
-        )
+        exclude = random_exclude(rng)
         req = random_requirements(rng)
         k = int(rng.integers(1, 5))
-        state = core.rng.bit_generator.state
-        vec = core._pick_destinations(k, exclude, req)
-        core.rng.bit_generator.state = state
-        core.vector_mode = "scalar"
-        scalar = core._pick_destinations(k, exclude, req)
-        assert vec == scalar, (
-            f"trial {trial} k={k}: vector={vec!r} scalar={scalar!r}"
-        )
+        picked = verify(core, k, exclude, req, children=False)
+        assert len(picked) <= k
+        assert not any("@" in host for host in picked)
 
 
 def test_k_destination_verify_mode_runs_clean():
     for strategy in (first_fit, best_fit, random_fit):
-        core, rng = random_core(13, strategy, policy=malleable_policy(),
-                                vector_mode="verify")
+        core, rng = random_core(13, strategy, policy=malleable_policy())
         for k in (1, 2, 3, 5):
-            core._pick_destinations(k, (), random_requirements(rng))
+            verify(core, k, (), random_requirements(rng), children=False)
 
 
 def test_k_destinations_degenerate_cases():
@@ -249,8 +262,7 @@ def test_k_destinations_degenerate_cases():
     for name in ("a", "b", "c"):
         core.table.register(name, {})
         core.table.update(name, SystemState.FREE, {})
-    assert core._pick_destinations(0, ()) == []
+    assert core._pick_destinations(0, (), None, True) == []
     # k beyond the eligible pool returns everyone, machine-list order.
-    assert core._pick_destinations(10, ()) == ["a", "b", "c"]
-    # k=1 matches the historical single pick.
-    assert core._pick_destinations(1, ()) == [core._pick_destination(())]
+    assert core._pick_destinations(10, (), None, True) == ["a", "b", "c"]
+    assert core._pick_destinations(1, (), None, True) == ["a"]

@@ -63,7 +63,7 @@ def test_lease_expiry_makes_unavailable():
     env.run()
     assert table.effective_state(rec) is SystemState.UNAVAILABLE
     assert table.available() == []
-    assert table.free_hosts() == []
+    assert not table.free_mask().any()
 
 
 def test_update_implicitly_registers():
@@ -91,7 +91,7 @@ def test_free_hosts_filters_states():
                         ("d", SystemState.FREE)):
         table.register(name, {})
         table.update(name, state, {})
-    assert [r.host for r in table.free_hosts()] == ["a", "d"]
+    assert list(table.free_mask()) == [True, False, False, True]
 
 
 def test_updates_counted():
