@@ -121,12 +121,12 @@ class Rescheduler:
         # batch by one MonitorHub; backed hosts get the per-host
         # monitor/commander pair.
         plane = cluster.plane
-        analytic_names = [
-            name for name in host_names
-            if plane.arrays.row_of(name) is not None
-            and plane.arrays.analytic[plane.arrays.row_of(name)]
-        ]
-        backed_names = [n for n in host_names if n not in set(analytic_names)]
+        analytic_names: List[str] = []
+        backed_names: List[str] = []
+        for name in host_names:
+            row = plane.arrays.row_of(name)
+            is_analytic = row is not None and plane.arrays.analytic[row]
+            (analytic_names if is_analytic else backed_names).append(name)
         self.hub: Optional[MonitorHub] = None
         if analytic_names:
             self.hub = MonitorHub(
@@ -143,9 +143,9 @@ class Rescheduler:
                 sustain=self.config.sustain,
                 cycle_cost=self.config.cycle_cost,
                 rng=cluster.rng.stream("monitorhub"),
-                # Analytic rows still host real process tables here, so
-                # overload reports carry the same victim/world fields a
-                # per-host monitor would send.
+                # Analytic rows host real process tables here; the hub
+                # walks one only to build that row's overload report,
+                # which carries the fields a per-host monitor would send.
                 processes_for=lambda name: [
                     info.as_dict()
                     for info in collect_process_info(cluster.host(name))

@@ -54,7 +54,6 @@ class MonitorCore:
         sustain: int = 3,
         root_rule: Optional[int] = None,
         n_levels: int = 3,
-        database_max_samples: Optional[int] = None,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -71,12 +70,7 @@ class MonitorCore:
         # three-state view is its presentation layer.
         self.evaluator = RuleEvaluator(self.ruleset, script_engine,
                                        n_levels=n_levels)
-        # Hub-driven cores cap the ring buffers tightly (thousands of
-        # cores must not hold thousands of 1024-sample deques each).
-        self.database = (
-            MonitoringDatabase(max_samples=database_max_samples)
-            if database_max_samples is not None else MonitoringDatabase()
-        )
+        self.database = MonitoringDatabase()
         self.policy = policy
         self.interval = float(interval)
         self.intervals_by_state = intervals_by_state or {}
@@ -108,16 +102,10 @@ class MonitorCore:
         snapshot: Dict[str, float],
         processes: List[dict],
         push_to: Optional[str] = None,
-        state: Optional[SystemState] = None,
     ) -> StatusUpdate:
-        """Record, classify, sustain; returns the update to push.
-
-        ``state`` short-circuits :meth:`classify` when the caller has
-        already classified this host — the monitor hub does it for a
-        whole column of hosts at once via the vectorized rule plane.
-        """
+        """Record, classify, sustain; returns the update to push."""
         self.database.record(self.clock.now, snapshot)
-        self.state = self.classify(snapshot) if state is None else state
+        self.state = self.classify(snapshot)
         self.reported_state = self.apply_sustain(self.state)
         self.cycles += 1
         if span is not None:

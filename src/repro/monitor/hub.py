@@ -16,18 +16,21 @@ This hub drives the *analytic* rows of the batched host plane
 * classification is vectorized — the rule set through
   :class:`~repro.rules.vector.VectorRuleEvaluator` and the policy's
   trigger/guard predicates as column comparisons — agreeing with
-  ``MonitorCore.classify`` element for element
-  (``tests/monitor/test_hub.py`` feeds both the same snapshot);
-* each row still owns a pure :class:`~repro.monitor.core.MonitorCore`
-  (pumped with the pre-computed state, so sustain warm-up, per-state
-  intervals and the monitoring database behave exactly as on a backed
-  host);
+  ``MonitorCore.classify`` element for element;
+* sustain warm-up, per-state cadence and the Figure 2 monitoring
+  database are row-aligned **columns** of the hub (overload streak,
+  classified and reported state, cycle count, ``next_due``) plus one
+  ``(samples, rows, metrics)`` ring behind :meth:`MonitorHub.history`,
+  so a tick runs no per-row Python; ``MonitorCore`` judges backed
+  hosts and live nodes and is the hub's oracle — one core per row in
+  ``tests/monitor/reference.py``, held equal to it tick for tick;
 * FREE/BUSY results land in the registry's
   :meth:`~repro.registry.softstate.SoftStateTable.push_many` as one
   batch — sim-internal delivery, no per-host XML — while OVERLOADED
-  reports go out as real :class:`~repro.protocol.messages.StatusUpdate`
-  messages through the hub's endpoint, so decisions, traces and
-  command cooldowns flow through ``RegistryCore.handle`` unchanged.
+  rows, and only they, get a snapshot dict, a process list and a real
+  :class:`~repro.protocol.messages.StatusUpdate` through the hub's
+  endpoint, so decisions, traces and command cooldowns flow through
+  ``RegistryCore.handle`` unchanged.
 
 The monitoring cycle's CPU cost is modelled as a second duty family on
 the plane's columns (``set_monitor_duty``) rather than real
@@ -42,17 +45,17 @@ module free of registry imports (``registry.core`` imports
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..protocol.messages import StatusUpdate
 from ..protocol.transport import Endpoint, EndpointRegistry
 from ..rules.model import RuleSet
 from ..rules.states import SystemState
-from ..rules.vector import FREE, OVERLOADED, VectorRuleEvaluator
-from .core import DEFAULT_INTERVAL, MonitorCore
+from ..rules.vector import BUSY, FREE, OVERLOADED, VectorRuleEvaluator
+from .core import DEFAULT_INTERVAL
 from .monitor import DEFAULT_CYCLE_COST
-from .scripts import SnapshotScriptEngine
 
 #: Hub wake-ups per monitoring interval: due rows are batched onto this
 #: sub-cadence instead of one wake-up per host per cycle.
@@ -103,6 +106,12 @@ class MonitorHub:
     ):
         if not hosts:
             raise ValueError("hub needs at least one analytic host")
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        if sustain < 1:
+            raise ValueError("sustain must be >= 1")
+        if n_levels < 2:
+            raise ValueError("need at least two state levels")
         self.plane = plane
         self.env = plane.env
         self.hosts = list(hosts)
@@ -117,41 +126,41 @@ class MonitorHub:
         self.root_rule = root_rule
         self.rng = rng
         self.cycle_cost = float(cycle_cost)
-        #: Host name → process report dicts for its status updates.
-        #: Analytic rows carry no simulated process table, so by
-        #: default the hub reports none; a deployment that runs apps
-        #: on plane-backed hosts supplies the lookup here so the
-        #: registry's victim selection (and the malleable policy's
-        #: grow/shrink planning) sees them.
+        #: Host name → process report dicts.  Called only when a report
+        #: that carries a process list is built: an OVERLOADED row's
+        #: ``StatusUpdate``, which the registry's victim selection (and
+        #: the malleable policy's grow/shrink planning) reads.  Analytic
+        #: rows carry no simulated process table, so by default the hub
+        #: reports none; a deployment that runs apps on plane-backed
+        #: hosts supplies the lookup here.
         self.processes_for = processes_for or (lambda host: [])
         self.cycles = 0
         self._stopped = False
 
         n = len(self.hosts)
         self._rows = np.empty(n, dtype=np.intp)
-        self._cores: List[MonitorCore] = []
-        # The cores are pumped with pre-computed states and never run a
-        # script themselves, so one engine serves them all.
-        engine = SnapshotScriptEngine(sampler=dict)
         for i, name in enumerate(self.hosts):
             row = plane.arrays.row_of(name)
             if row is None or not plane.arrays.analytic[row]:
                 raise ValueError(f"{name!r} is not an analytic row")
             self._rows[i] = row
-            self._cores.append(MonitorCore(
-                clock=self.env,
-                host_name=name,
-                registry_address=registry_address,
-                script_engine=engine,
-                ruleset=self.ruleset,
-                policy=policy,
-                interval=interval,
-                intervals_by_state=intervals_by_state,
-                sustain=sustain,
-                root_rule=root_rule,
-                n_levels=n_levels,
-                database_max_samples=database_max_samples,
-            ))
+        self._names = np.array(self.hosts, dtype=object)
+        # ``MonitorCore``'s per-host fields, one column each.
+        self.sustain = int(sustain)
+        self.streak = np.zeros(n, dtype=np.int64)
+        self.state = np.full(n, np.int8(FREE))
+        self.reported = np.full(n, np.int8(FREE))
+        self.row_cycles = np.zeros(n, dtype=np.int64)
+        #: ``MonitorCore.current_interval`` as a lookup by state code.
+        self._interval_by_code = np.array([
+            self.intervals_by_state.get(state, self.interval)
+            for state in SystemState
+        ], dtype=float)
+        # The monitoring database (Figure 2): each row's latest
+        # snapshots, cycle *c* in slot ``c % database_max_samples``.
+        self._metrics = list(plane.analytic_sensor_columns(self._rows[:0]))
+        self._ring = np.empty((database_max_samples, n, len(self._metrics)))
+        self._ring_t = np.empty((database_max_samples, n))
         # Vectorized classification over the current tick's columns
         # (empty rule sets classify FREE, like the per-host evaluator).
         self._cols: Dict[str, np.ndarray] = {}
@@ -207,14 +216,20 @@ class MonitorHub:
         return states
 
     @property
-    def cores(self) -> List[MonitorCore]:
-        """The per-row pure cores, in ``hosts`` order."""
-        return self._cores
-
-    @property
     def core_cycles(self) -> int:
         """Total monitoring cycles completed across all rows."""
-        return sum(core.cycles for core in self._cores)
+        return int(self.row_cycles.sum())
+
+    def history(self, host: str, metric: str) -> List[Tuple[float, float]]:
+        """One row's retained ``(time, value)`` samples, oldest first
+        (``MonitoringDatabase.series`` for a hub row)."""
+        i = self.hosts.index(host)
+        done = int(self.row_cycles[i])
+        kept = min(done, self._ring.shape[0])
+        slots = np.arange(done - kept, done) % self._ring.shape[0]
+        m = self._metrics.index(metric)
+        return list(zip(self._ring_t[slots, i].tolist(),
+                        self._ring[slots, i, m].tolist()))
 
     # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
@@ -237,45 +252,39 @@ class MonitorHub:
         cols = self.plane.analytic_sensor_columns(self._rows[due])
         self._cols = cols
         states = self._vector_classify(cols, n)
-        jitter = (self.rng.random(n) if self.rng is not None else None)
+        slot = self.row_cycles[due] % self._ring.shape[0]
+        self._ring[slot, due] = np.stack(
+            [cols[name] for name in self._metrics], axis=1)
+        self._ring_t[slot, due] = now
+        # ``MonitorCore.apply_sustain``: an overload is reported BUSY
+        # until it has persisted ``sustain`` cycles.
+        over = states == OVERLOADED
+        streak = np.where(over, self.streak[due] + 1, 0)
+        demoted = over & (streak < self.sustain)
+        reported = np.where(demoted, np.int8(BUSY), states)
+        self.streak[due] = streak
+        self.state[due] = states
+        self.reported[due] = reported
+        self.row_cycles[due] += 1
+        interval = self._interval_by_code[reported]
+        if self.rng is not None:
+            interval = interval * (1.0 + 0.04 * (self.rng.random(n) - 0.5))
+        self._next_due[due] = now + interval
 
-        # Pump the pure cores row by row off the column views: sustain,
-        # per-state cadence and the monitoring database stay exactly
-        # the per-host semantics.
-        names = list(cols.keys())
-        scalar_cols = [cols[name].tolist() for name in names]
-        push_hosts: List[str] = []
-        push_states: List[SystemState] = []
-        push_j: List[int] = []
-        overloaded = []
-        for j, idx in enumerate(due.tolist()):
-            core = self._cores[idx]
-            snapshot = {
-                name: col[j] for name, col in zip(names, scalar_cols)
-            }
-            state = SystemState(int(states[j]))
-            update = core.finish_cycle(
-                None, snapshot, self.processes_for(core.host_name),
-                state=state,
-            )
-            if update.state is SystemState.OVERLOADED:
-                overloaded.append(update)
-            else:
-                push_hosts.append(core.host_name)
-                push_states.append(update.state)
-                push_j.append(j)
-            interval = core.current_interval()
-            if jitter is not None:
-                interval *= 1.0 + 0.04 * (float(jitter[j]) - 0.5)
-            self._next_due[idx] = now + interval
-        if push_hosts:
-            sel = np.asarray(push_j, dtype=np.intp)
+        keep = reported != OVERLOADED
+        if keep.any():
             self.table.push_many(
-                push_hosts, push_states,
-                {name: cols[name][sel] for name in names},
+                self._names[due[keep]].tolist(), reported[keep],
+                {name: col[keep] for name, col in cols.items()},
             )
         # Overload reports travel the real wire so decisions, traces
         # and cooldowns flow through RegistryCore.handle unchanged.
-        for update in overloaded:
-            self.endpoint.send_and_forget(self.registry_address, update)
+        for j in np.flatnonzero(~keep).tolist():
+            host = self.hosts[due[j]]
+            self.endpoint.send_and_forget(self.registry_address, StatusUpdate(
+                host=host,
+                state=SystemState.OVERLOADED,
+                metrics={name: float(col[j]) for name, col in cols.items()},
+                processes=self.processes_for(host),
+            ))
         self.cycles += 1

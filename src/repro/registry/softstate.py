@@ -21,6 +21,9 @@ from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
 from .hostmatrix import HostStateMatrix
 
+#: State code → member (``record.state`` for a batch of int8 codes).
+_STATE_BY_CODE = tuple(SystemState(code) for code in range(len(SystemState)))
+
 
 @dataclass
 class HostRecord:
@@ -100,19 +103,20 @@ class SoftStateTable:
     def push_many(
         self,
         hosts: List[str],
-        states: List[SystemState],
+        states: Any,
         columns: Dict[str, Any],
     ) -> None:
         """Fold in a whole batch of status pushes in one call.
 
-        ``hosts``/``states`` are row-aligned, and ``columns`` maps
-        metric names to row-aligned value arrays — the monitor hub's
-        column snapshot.  Equivalent to calling :meth:`update` once
-        per host (records refreshed, leases renewed, matrix rows
-        rewritten), except the matrix takes one fancy-indexed write
-        per column and no ``EV_REGISTRY_UPDATE`` trace event is
-        emitted per row — batch pushes are sim-internal delivery, not
-        wire messages (see ``repro.monitor.hub``).
+        ``hosts``/``states`` are row-aligned (``states`` an int8 code
+        array, or a list of members), and ``columns`` maps metric
+        names to row-aligned value arrays — the monitor hub's column
+        snapshot.  Equivalent to calling :meth:`update` once per host
+        (records refreshed, leases renewed, matrix rows rewritten),
+        except the matrix takes one fancy-indexed write per column
+        and no ``EV_REGISTRY_UPDATE`` trace event is emitted per row —
+        batch pushes are sim-internal delivery, not wire messages
+        (see ``repro.monitor.hub``).
         """
         now = self.env.now
         names = list(columns.keys())
@@ -120,12 +124,14 @@ class SoftStateTable:
             np.asarray(columns[name], dtype=float).tolist()
             for name in names
         ]
+        codes = np.asarray(states, dtype=np.int8)
+        members = [_STATE_BY_CODE[code] for code in codes.tolist()]
         rows = np.empty(len(hosts), dtype=np.intp)
         for i, host in enumerate(hosts):
             record = self._records.get(host)
             if record is None:
                 record = self.register(host, {})
-            record.state = states[i]
+            record.state = members[i]
             record.metrics = {
                 name: col[i] for name, col in zip(names, cols)
             }
@@ -135,10 +141,7 @@ class SoftStateTable:
             record.expiry_traced = False
             rows[i] = self.matrix.row_of(host)
         if len(hosts):
-            self.matrix.set_status_rows(
-                rows, np.asarray([int(s) for s in states], dtype=np.int8),
-                columns, now,
-            )
+            self.matrix.set_status_rows(rows, codes, columns, now)
 
     def unregister(self, host: str) -> None:
         record = self._records.pop(host, None)

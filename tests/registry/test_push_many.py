@@ -1,7 +1,6 @@
 """Batched status pushes: ``push_many`` ≡ per-host ``update`` loops."""
 
 import numpy as np
-import pytest
 
 from repro.registry import SoftStateTable
 from repro.registry.hostmatrix import METRIC_COLUMNS
@@ -36,9 +35,6 @@ def _fresh_table():
 
 def test_push_many_equivalent_to_update_loop():
     cols = _columns(len(HOSTS))
-    batched = _fresh_table()
-    batched.push_many(HOSTS, STATES, cols)
-
     scalar = _fresh_table()
     for i, name in enumerate(HOSTS):
         scalar.update(
@@ -46,22 +42,27 @@ def test_push_many_equivalent_to_update_loop():
             {metric: col[i] for metric, col in cols.items()},
         )
 
-    for name in HOSTS:
-        b, s = batched.get(name), scalar.get(name)
-        assert b.state is s.state
-        assert b.metrics == s.metrics
-        assert b.processes == s.processes == []
-        assert b.updates_received == s.updates_received == 1
-        assert b.last_update == s.last_update
-    # The columnar mirror matches too (NaN == NaN for unreported).
-    for metric in METRIC_COLUMNS:
+    # ``states`` as a list of members, and as the hub's int8 codes.
+    codes = np.array([int(s) for s in STATES], dtype=np.int8)
+    for states in (STATES, codes):
+        batched = _fresh_table()
+        batched.push_many(HOSTS, states, cols)
+        for name in HOSTS:
+            b, s = batched.get(name), scalar.get(name)
+            assert b.state is s.state
+            assert b.metrics == s.metrics
+            assert b.processes == s.processes == []
+            assert b.updates_received == s.updates_received == 1
+            assert b.last_update == s.last_update
+        # The columnar mirror matches too (NaN == NaN for unreported).
+        for metric in METRIC_COLUMNS:
+            np.testing.assert_array_equal(
+                batched.matrix.metric_column(metric),
+                scalar.matrix.metric_column(metric),
+            )
         np.testing.assert_array_equal(
-            batched.matrix.metric_column(metric),
-            scalar.matrix.metric_column(metric),
+            batched.matrix.state_codes, scalar.matrix.state_codes
         )
-    np.testing.assert_array_equal(
-        batched.matrix.state_codes, scalar.matrix.state_codes
-    )
 
 
 def test_push_many_implicitly_registers_unknown_hosts():
