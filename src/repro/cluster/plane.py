@@ -34,9 +34,10 @@ runs.  All rows fold on the cluster-wide grid
 ``t0 + i * sample_interval``; a host attached *mid-run* joins the
 shared grid instead of starting its own.
 
-The metric vocabulary of :meth:`HostPlane.analytic_sensor_columns`
-deliberately mirrors :meth:`repro.monitor.sensors.SensorSuite.sample`;
-a tier-1 test asserts the two key sets stay equal.
+The keys of :meth:`HostPlane.analytic_sensor_columns` are the metric
+tuple of :mod:`repro.rules.vocabulary`, like those of
+:meth:`repro.monitor.sensors.SensorSuite.sample`; a tier-1 test holds
+both producers to it.
 """
 
 from __future__ import annotations

@@ -19,26 +19,15 @@ communication-busy workstation 2).
 
 from __future__ import annotations
 
-import operator as op_mod
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from ..rules.model import ComplexRule, SimpleRule
-
-_OPS: Dict[str, Callable[[float, float], bool]] = {
-    "<": op_mod.lt,
-    "<=": op_mod.le,
-    ">": op_mod.gt,
-    ">=": op_mod.ge,
-}
-
-#: Metric names predicates may reference (must match SensorSuite keys).
-KNOWN_METRICS = frozenset({
-    "loadavg1", "loadavg5", "loadavg15", "cpu_util", "cpu_idle_pct",
-    "proc_count", "socket_count", "mem_avail_bytes", "mem_avail_pct",
-    "vmem_avail_pct", "disk_avail_bytes", "send_kbs", "recv_kbs",
-    "comm_mbs",
-})
+from ..rules.vocabulary import (
+    METRIC_SCRIPTS,
+    METRICS as KNOWN_METRICS,  # what a predicate may reference
+    OPERATORS,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,7 @@ class MetricPredicate:
     value: float
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if self.op not in OPERATORS:
             raise ValueError(f"unsupported operator {self.op!r}")
         if self.metric not in KNOWN_METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -60,7 +49,7 @@ class MetricPredicate:
         value = metrics.get(self.metric)
         if value is None:
             return False
-        return _OPS[self.op](float(value), self.value)
+        return OPERATORS[self.op](float(value), self.value)
 
     def __str__(self) -> str:
         return f"{self.metric} {self.op} {self.value:g}"
@@ -125,19 +114,11 @@ class MigrationPolicy:
         documentation of how policies and the §4 rule engine are two
         views of the same mechanism.
         """
-        script_for = {
-            "loadavg1": ("loadAvg.sh", "1"),
-            "loadavg5": ("loadAvg.sh", "5"),
-            "proc_count": ("procCount.sh", ""),
-            "comm_mbs": ("netFlow.sh", ""),
-            "cpu_idle_pct": ("processorStatus.sh", ""),
-            "socket_count": ("ntStatIpv4.sh", "ESTABLISHED"),
-        }
         rules = []
         numbers = []
         for i, trig in enumerate(self.triggers):
-            script, param = script_for.get(trig.metric,
-                                           (f"{trig.metric}.sh", ""))
+            script, param = METRIC_SCRIPTS.get(
+                trig.metric, (f"{trig.metric}.sh", ""))
             number = base_number + i
             numbers.append(number)
             rules.append(

@@ -31,17 +31,14 @@ Deliver   resolve the pending :class:`Query` waiter for ``req_id`` with
           ``reply`` (emitted when the correlated response arrives)
 Task      run ``gen`` concurrently under ``name`` (a scheduling
           decision, a delegated candidate query, ...)
-Expand    grow an application's world: deliver the wrapped
-          ``ExpandCommand`` to the source host's commander (on the
-          wire this is a send, but the reshape intent is first-class
-          so drivers and traces can tell 1:1 moves from N:M reshapes)
-Shrink    the inverse reshape: deliver the wrapped ``ShrinkCommand``
 ========  ==============================================================
 
-``Expand``/``Shrink`` generalize migration (docs/malleability.md): a
-``MigrateCommand`` ``Send`` is the 1:1 special case of an N:M world
-reshape.  The self-lint's E402 exhaustiveness check forces every
-driver pump to handle them the day they are added here.
+A world reshape (docs/malleability.md) is a ``Send`` like a migration:
+the intent travels in the typed message (``MigrateCommand`` is the 1:1
+special case of ``ExpandCommand``/``ShrinkCommand``) and in
+``Reconfigure.effect``, so drivers need no reshape-specific dispatch.
+The self-lint's E402 exhaustiveness check forces every driver pump to
+handle an effect the day it is added here.
 """
 
 from __future__ import annotations
@@ -92,21 +89,5 @@ class Task:
     gen: Generator
 
 
-@dataclass(frozen=True)
-class Expand:
-    """Grow a world: ship the wrapped ExpandCommand to a commander."""
-
-    to: str
-    msg: Any
-
-
-@dataclass(frozen=True)
-class Shrink:
-    """Shrink a world: ship the wrapped ShrinkCommand to a commander."""
-
-    to: str
-    msg: Any
-
-
-Effect = Union[Send, Spend, Query, Deliver, Task, Expand, Shrink]
+Effect = Union[Send, Spend, Query, Deliver, Task]
 Effects = List[Effect]

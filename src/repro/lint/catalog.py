@@ -113,7 +113,6 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "M803": ("warning", "message handled but never constructed"),
     "M804": ("error", "sim and live handle different message sets"),
     # parity
-    "V902": ("error", "metric-column or script-map vocabulary mismatch"),
     "V905": ("error", "effect pumped by one runtime's driver only"),
     # cross-artifact drift
     "X901": ("error", "dataclass field missing from its codec key set"),

@@ -38,19 +38,12 @@ migration, P108 the form for N:M reshapes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.policy import KNOWN_METRICS, MetricPredicate, MigrationPolicy
+from ..core.policy import MetricPredicate, MigrationPolicy
 from ..registry.strategies import STRATEGIES
+from ..rules.vocabulary import METRIC_DOMAINS
 from .diagnostics import Diagnostic, Severity
-
-#: Metric value domains; percentages are bounded, the rest are
-#: non-negative and unbounded above.
-METRIC_DOMAINS: Dict[str, Tuple[float, float]] = {
-    metric: (0.0, 100.0) if metric.endswith("_pct") or metric == "cpu_util"
-    else (0.0, math.inf)
-    for metric in KNOWN_METRICS
-}
 
 #: Interval: (lo, lo_inclusive, hi, hi_inclusive).
 _Interval = Tuple[float, bool, float, bool]

@@ -30,7 +30,6 @@ R011    error      unparsable complex-rule expression
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,20 +42,21 @@ from ..rules.model import (
     threshold_error,
 )
 from ..rules.parser import scan_blocks
+from ..rules.vocabulary import (
+    METRIC_DOMAINS,
+    OPERATORS,
+    SCRIPT_PARAMS,
+    script_metric,
+)
 from .diagnostics import Diagnostic, Severity
 
 #: Value domains of the stock monitoring scripts (closed intervals;
-#: ``inf`` = unbounded).  Percentages live in [0, 100]; counts, loads
-#: and byte rates are non-negative.  Unknown scripts get no domain and
-#: therefore no domain-based R006 findings.
+#: ``inf`` = unbounded): the domain of the metric each script reads.
+#: Unknown scripts get no domain and therefore no domain-based R006
+#: findings.
 SCRIPT_DOMAINS: Dict[str, Tuple[float, float]] = {
-    "processorStatus.sh": (0.0, 100.0),
-    "memInfo.sh": (0.0, 100.0),
-    "loadAvg.sh": (0.0, math.inf),
-    "procCount.sh": (0.0, math.inf),
-    "ntStatIpv4.sh": (0.0, math.inf),
-    "netFlow.sh": (0.0, math.inf),
-    "diskUsage.sh": (0.0, math.inf),
+    script: METRIC_DOMAINS[script_metric(script)]
+    for script in SCRIPT_PARAMS
 }
 
 _REQUIRED_SIMPLE = ("rl_script", "rl_operator", "rl_busy", "rl_overLd")
@@ -225,13 +225,9 @@ def _threshold_checks(facts: _RuleFacts, filename) -> List[Diagnostic]:
     domain = SCRIPT_DOMAINS.get(facts.script)
     if domain is not None:
         lo, hi = domain
-        reachable = {
-            "<": over > lo,
-            "<=": over >= lo,
-            ">": over < hi,
-            ">=": over <= hi,
-        }[op]
-        if not reachable:
+        # ``value OP over`` has a solution in [lo, hi] iff the domain
+        # end on the operator's side satisfies it.
+        if not OPERATORS[op](lo if op.startswith("<") else hi, over):
             report(
                 "R006",
                 f"overloaded state unreachable: {facts.script} yields "

@@ -161,7 +161,7 @@ def _unknown_prefix_diags(
 ) -> List[Diagnostic]:
     """L006: a filter prefix no registered code starts with is a typo
     that would otherwise produce a silently-green (or silently-full)
-    run — ``--select V91`` when the codes are V902 and V905 must fail
+    run — ``--select V91`` when the only V code is V905 must fail
     loudly, not report nothing."""
     diags: List[Diagnostic] = []
     for prefix in prefixes or ():

@@ -28,10 +28,10 @@ lint run:
 
 PR 10 adds the parity-and-drift layer:
 
-* **V900** — parity of the contracts the decision plane states in
-  two places: the metric/script vocabulary and the sim/live effect
-  dispatch (:mod:`.parity`, whole-project: V905 splits effect pumps
-  by runtime the way M804 splits handlers).
+* **V900** — parity of the one contract the decision plane states in
+  two places, the sim/live effect dispatch (:mod:`.parity`,
+  whole-project: V905 splits effect pumps by runtime the way M804
+  splits handlers).
 * **X900** — cross-artifact drift between code and its codecs, docs,
   benchmark baselines and fixtures (:mod:`.drift`).
 

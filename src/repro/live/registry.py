@@ -26,7 +26,7 @@ import time
 from typing import Any, List, Optional
 
 from ..entity.clock import WallClock
-from ..entity.outbox import Deliver, Expand, Query, Send, Shrink, Spend, Task
+from ..entity.outbox import Deliver, Query, Send, Spend, Task
 from ..registry.core import Reconfigure, RegistryCore
 from ..registry.strategies import first_fit
 from .transport import LiveEndpoint
@@ -122,10 +122,7 @@ class LiveRegistry:
     def _perform(self, effects) -> None:
         """Run the synchronous effects of one handled message."""
         for effect in effects:
-            if isinstance(effect, (Send, Expand, Shrink)):
-                # Expand/Shrink are sends with first-class reshape
-                # intent; on the live wire all three are one TCP hop
-                # to the overloaded node (its own commander).
+            if isinstance(effect, Send):
                 self._send(effect.to, effect.msg)
             elif isinstance(effect, Task):
                 threading.Thread(
@@ -153,7 +150,7 @@ class LiveRegistry:
             value = None
             if isinstance(effect, Spend):
                 time.sleep(effect.seconds)
-            elif isinstance(effect, (Send, Expand, Shrink)):
+            elif isinstance(effect, Send):
                 self._send(effect.to, effect.msg)
             elif isinstance(effect, Query):
                 waiter: "queue.Queue" = queue.Queue(maxsize=1)

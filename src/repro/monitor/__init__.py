@@ -5,7 +5,7 @@ from .hub import MonitorHub
 from .monitor import DEFAULT_CYCLE_COST, DEFAULT_INTERVAL, Monitor
 from .scripts import SimScriptEngine
 from .selector import ProcessInfo, collect_process_info, select_victim
-from .sensors import SNAPSHOT_METRICS, SensorSuite
+from .sensors import SensorSuite
 
 __all__ = [
     "DEFAULT_CYCLE_COST",
@@ -14,7 +14,6 @@ __all__ = [
     "MonitorHub",
     "MonitoringDatabase",
     "ProcessInfo",
-    "SNAPSHOT_METRICS",
     "SensorSuite",
     "SimScriptEngine",
     "collect_process_info",

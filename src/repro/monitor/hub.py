@@ -36,11 +36,6 @@ The monitoring cycle's CPU cost is modelled as a second duty family on
 the plane's columns (``set_monitor_duty``) rather than real
 ``cpu.execute`` events — the Figure 5 overhead shows up in the load
 averages without per-host event traffic.
-
-Import note: like ``repro.registry.hostmatrix``, the script→column
-table below is spelled out literally instead of imported, keeping this
-module free of registry imports (``registry.core`` imports
-``monitor.selector``; a hub→registry import would close a cycle).
 """
 
 from __future__ import annotations
@@ -54,31 +49,13 @@ from ..protocol.transport import Endpoint, EndpointRegistry
 from ..rules.model import RuleSet
 from ..rules.states import SystemState
 from ..rules.vector import BUSY, FREE, OVERLOADED, VectorRuleEvaluator
+from ..rules.vocabulary import OPERATORS, script_metric
 from .core import DEFAULT_INTERVAL
 from .monitor import DEFAULT_CYCLE_COST
 
 #: Hub wake-ups per monitoring interval: due rows are batched onto this
 #: sub-cadence instead of one wake-up per host per cycle.
 TICKS_PER_INTERVAL = 8
-
-_OPS = {"<": np.less, "<=": np.less_equal,
-        ">": np.greater, ">=": np.greater_equal}
-
-#: Script names → the snapshot column each one reads (the column form
-#: of ``SnapshotScriptEngine``'s handler table).
-_SCRIPT_COLUMNS: Dict[str, Callable[[str], str]] = {
-    "processorStatus.sh": lambda p: "cpu_idle_pct",
-    "loadAvg.sh": lambda p: {
-        "": "loadavg1", "1": "loadavg1", "5": "loadavg5",
-        "15": "loadavg15",
-    }[p.strip()],
-    "procCount.sh": lambda p: "proc_count",
-    "ntStatIpv4.sh": lambda p: "socket_count",
-    "netFlow.sh": lambda p: "comm_mbs",
-    "memInfo.sh": lambda p: ("vmem_avail_pct" if p.strip() == "virtual"
-                             else "mem_avail_pct"),
-    "diskUsage.sh": lambda p: "disk_avail_bytes",
-}
 
 
 class MonitorHub:
@@ -185,8 +162,7 @@ class MonitorHub:
 
     # -- vector plumbing ------------------------------------------------
     def _column_engine(self, script: str, param: str = "") -> np.ndarray:
-        to_column = _SCRIPT_COLUMNS[script]  # KeyError intended
-        return self._cols[to_column(param)]
+        return self._cols[script_metric(script, param)]
 
     def _vector_classify(self, cols: Dict[str, np.ndarray],
                          n: int) -> np.ndarray:
@@ -201,7 +177,7 @@ class MonitorHub:
             if triggers:
                 fired = np.zeros(n, dtype=bool)
                 for t in triggers:
-                    fired |= _OPS[t.op](cols[t.metric], t.value)
+                    fired |= OPERATORS[t.op](cols[t.metric], t.value)
                 states = np.where(
                     fired, np.maximum(states, np.int8(OVERLOADED)),
                     states,
@@ -210,7 +186,7 @@ class MonitorHub:
             if guards:
                 held = np.ones(n, dtype=bool)
                 for g in guards:
-                    held &= _OPS[g.op](cols[g.metric], g.value)
+                    held &= OPERATORS[g.op](cols[g.metric], g.value)
                 demote = (states == OVERLOADED) & ~held
                 states[demote] = np.int8(SystemState.BUSY)
         return states

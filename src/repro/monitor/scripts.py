@@ -2,123 +2,38 @@
 
 The paper gathers dynamic information "through the use of scripts (such
 as UNIX shell-scripts ...)" using ``vmstat``, ``prstat``, ``ps`` etc.
-Rule files therefore name *scripts*; this engine maps those names onto
-the simulated host's sensors.  Each monitoring cycle calls
-:meth:`refresh` once so all rules of that cycle see one coherent
-snapshot (and windowed counters difference over exactly one interval).
+Rule files therefore name *scripts*; the engine resolves a script (and
+its parameter) to a metric through
+:func:`repro.rules.vocabulary.script_metric` and reads that metric from
+one coherent snapshot.  Each monitoring cycle calls :meth:`refresh`
+once so all rules of that cycle see the same snapshot (and windowed
+counters difference over exactly one interval).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from ..rules.vocabulary import SCRIPT_PARAMS, script_metric
 from .sensors import SensorSuite
 
 
-class SimScriptEngine:
-    """Script-name → value resolver over a sensor snapshot."""
-
-    def __init__(self, host: Any, per_script_cost: float = 0.0):
-        self.host = host
-        self.sensors = SensorSuite(host)
-        self.snapshot: Dict[str, float] = {}
-        #: CPU-seconds a single script execution costs (the rescheduler
-        #: overhead of Figure 5 comes from these).
-        self.per_script_cost = per_script_cost
-        self._handlers: Dict[str, Callable[[str], float]] = {
-            "processorStatus.sh": self._processor_status,
-            "loadAvg.sh": self._load_avg,
-            "procCount.sh": self._proc_count,
-            "ntStatIpv4.sh": self._ntstat,
-            "netFlow.sh": self._net_flow,
-            "memInfo.sh": self._mem_info,
-            "diskUsage.sh": self._disk_usage,
-        }
-
-    def refresh(self) -> Dict[str, float]:
-        """Take a new coherent snapshot; returns it."""
-        self.snapshot = self.sensors.sample()
-        return self.snapshot
-
-    def register(self, script: str, handler: Callable[[str], float]) -> None:
-        """Plug in an extra script (the engine is configurable, §4)."""
-        self._handlers[script] = handler
-
-    def scripts(self) -> list:
-        return sorted(self._handlers)
-
-    def __call__(self, script: str, param: str = "") -> float:
-        """Fire one script; raises KeyError for unknown scripts."""
-        handler = self._handlers[script]  # KeyError intended
-        return float(handler(param))
-
-    # -- handlers -----------------------------------------------------------
-    def _snap(self) -> Dict[str, float]:
-        if not self.snapshot:
-            self.refresh()
-        return self.snapshot
-
-    def _processor_status(self, param: str) -> float:
-        """vmstat-style processor idle time percentage."""
-        return self._snap()["cpu_idle_pct"]
-
-    def _load_avg(self, param: str) -> float:
-        """uptime-style load average; param selects the window."""
-        key = {"": "loadavg1", "1": "loadavg1", "5": "loadavg5",
-               "15": "loadavg15"}.get(param.strip())
-        if key is None:
-            raise ValueError(f"loadAvg.sh: unknown window {param!r}")
-        return self._snap()[key]
-
-    def _proc_count(self, param: str) -> float:
-        return self._snap()["proc_count"]
-
-    def _ntstat(self, param: str) -> float:
-        """netstat-style socket count in the given state."""
-        state = param.strip() or "ESTABLISHED"
-        if state.upper() == "ESTABLISHED":
-            return self._snap()["socket_count"]
-        return self.sensors.socket_count(state)
-
-    def _net_flow(self, param: str) -> float:
-        """Aggregate in+out flow in MB/s."""
-        return self._snap()["comm_mbs"]
-
-    def _mem_info(self, param: str) -> float:
-        key = "vmem_avail_pct" if param.strip() == "virtual" else (
-            "mem_avail_pct"
-        )
-        return self._snap()[key]
-
-    def _disk_usage(self, param: str) -> float:
-        return self._snap()["disk_avail_bytes"]
-
-
 class SnapshotScriptEngine:
-    """Script-name → value resolver over a plain metrics snapshot.
+    """Script-name → value resolver over a ``{metric: value}`` snapshot.
 
-    Live mode gathers one coherent reading per cycle (from ``/proc`` via
-    :mod:`repro.live.proc_sensors`, or any other sampler) as a flat
-    ``{metric: value}`` dict; this engine maps the rule files' script
-    names onto that dict so the *same* rule sets drive classification in
-    both runtimes.  A missing metric raises ``KeyError`` — exactly like
-    an unknown script — so mis-wired sensors fail loudly instead of
-    silently classifying FREE.
+    ``sampler()`` returns one coherent reading — ``SensorSuite.sample``
+    in the simulation, ``/proc`` via :mod:`repro.live.proc_sensors` in
+    live mode — so the *same* rule sets drive classification in both
+    runtimes.  A metric the sampler did not report raises ``KeyError``
+    — exactly like an unknown script — so mis-wired sensors fail loudly
+    instead of silently classifying FREE.
     """
 
     def __init__(self, sampler: Callable[[], Dict[str, float]],
                  snapshot: Optional[Dict[str, float]] = None):
         self.sampler = sampler
         self.snapshot: Dict[str, float] = dict(snapshot or {})
-        self._handlers: Dict[str, Callable[[str], float]] = {
-            "processorStatus.sh": lambda p: self._get("cpu_idle_pct"),
-            "loadAvg.sh": self._load_avg,
-            "procCount.sh": lambda p: self._get("proc_count"),
-            "ntStatIpv4.sh": lambda p: self._get("socket_count"),
-            "netFlow.sh": lambda p: self._get("comm_mbs"),
-            "memInfo.sh": self._mem_info,
-            "diskUsage.sh": lambda p: self._get("disk_avail_bytes"),
-        }
+        self._handlers: Dict[str, Callable[[str], float]] = {}
 
     def refresh(self) -> Dict[str, float]:
         """Take a new coherent snapshot; returns it."""
@@ -126,29 +41,38 @@ class SnapshotScriptEngine:
         return self.snapshot
 
     def register(self, script: str, handler: Callable[[str], float]) -> None:
+        """Plug in an extra script (the engine is configurable, §4)."""
         self._handlers[script] = handler
 
     def scripts(self) -> list:
-        return sorted(self._handlers)
+        return sorted(set(SCRIPT_PARAMS) | set(self._handlers))
 
-    def __call__(self, script: str, param: str = "") -> float:
-        handler = self._handlers[script]  # KeyError intended
-        return float(handler(param))
-
-    def _get(self, key: str) -> float:
+    def metric(self, name: str) -> float:
+        """One metric of the current snapshot (taken lazily)."""
         if not self.snapshot:
             self.refresh()
-        return self.snapshot[key]  # KeyError intended
+        return self.snapshot[name]  # KeyError intended
 
-    def _load_avg(self, param: str) -> float:
-        key = {"": "loadavg1", "1": "loadavg1", "5": "loadavg5",
-               "15": "loadavg15"}.get(param.strip())
-        if key is None:
-            raise ValueError(f"loadAvg.sh: unknown window {param!r}")
-        return self._get(key)
+    def __call__(self, script: str, param: str = "") -> float:
+        """Fire one script; raises KeyError for unknown scripts."""
+        handler = self._handlers.get(script)
+        if handler is not None:
+            return float(handler(param))
+        return float(self.metric(script_metric(script, param)))
 
-    def _mem_info(self, param: str) -> float:
-        key = "vmem_avail_pct" if param.strip() == "virtual" else (
-            "mem_avail_pct"
-        )
-        return self._get(key)
+
+def SimScriptEngine(host: Any) -> SnapshotScriptEngine:
+    """The engine of one simulated host: its sensor suite as the
+    sampler, plus the one query a snapshot cannot answer — netstat
+    socket states other than ESTABLISHED, counted live."""
+    sensors = SensorSuite(host)
+    engine = SnapshotScriptEngine(sensors.sample)
+
+    def socket_states(param: str) -> float:
+        try:
+            return engine.metric(script_metric("ntStatIpv4.sh", param))
+        except ValueError:
+            return sensors.socket_count(param.strip())
+
+    engine.register("ntStatIpv4.sh", socket_states)
+    return engine

@@ -16,19 +16,6 @@ BASE_SOCKETS = 25
 #: Additional established sockets per active bulk flow.
 SOCKETS_PER_FLOW = 2
 
-#: The snapshot vocabulary — every key :meth:`SensorSuite.sample`
-#: produces, in emission order.  The batched host plane's
-#: ``analytic_sensor_columns`` mirrors this set exactly (tested), so a
-#: hub-built snapshot is indistinguishable from a sampled one.
-SNAPSHOT_METRICS = (
-    "loadavg1", "loadavg5", "loadavg15",
-    "cpu_util", "cpu_idle_pct",
-    "proc_count", "socket_count",
-    "mem_avail_bytes", "mem_avail_pct", "vmem_avail_pct",
-    "disk_avail_bytes",
-    "send_kbs", "recv_kbs", "comm_mbs",
-)
-
 
 class SensorSuite:
     """Stateful sensor bank for one host."""
@@ -97,7 +84,8 @@ class SensorSuite:
 
     # -- full snapshot -----------------------------------------------------
     def sample(self) -> Dict[str, float]:
-        """One coherent reading of every metric."""
+        """One coherent reading of every metric in
+        :data:`repro.rules.vocabulary.METRICS`."""
         one, five, fifteen = self.load_averages()
         util = self.cpu_utilization()
         snapshot: Dict[str, float] = {

@@ -28,10 +28,8 @@ from typing import Any, Callable, Dict, List, Optional
 from ..entity.outbox import (
     Deliver,
     Effects,
-    Expand,
     Query,
     Send,
-    Shrink,
     Spend,
     Task,
 )
@@ -384,28 +382,14 @@ class RegistryCore:
                 pid=victim.pid, dest=wire_dest,
                 decision_s=decision_seconds,
             )
-        if kind == "shrink":
-            yield Shrink(
-                to=self.commander_for(source),
-                msg=ShrinkCommand(
-                    host=source,
-                    pid=victim.pid,
-                    dest=dests[0],
-                    reason=reason,
-                    decision_seconds=decision_seconds,
-                ),
-            )
-        else:
-            yield Expand(
-                to=self.commander_for(source),
-                msg=ExpandCommand(
-                    host=source,
-                    pid=victim.pid,
-                    dests=dests,
-                    reason=reason,
-                    decision_seconds=decision_seconds,
-                ),
-            )
+        common = dict(host=source, pid=victim.pid, reason=reason,
+                      decision_seconds=decision_seconds)
+        yield Send(
+            to=self.commander_for(source),
+            msg=(ShrinkCommand(dest=dests[0], **common)
+                 if kind == "shrink"
+                 else ExpandCommand(dests=dests, **common)),
+        )
         return True
 
     def _find_world_peer(self, app_name: str,

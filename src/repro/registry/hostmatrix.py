@@ -35,33 +35,13 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..rules.states import SystemState
-
-#: The matrix's metric columns, in a stable documented order — exactly
-#: the metric vocabulary policy predicates may reference.  Spelled out
-#: literally (not imported from :mod:`repro.core.policy`) to keep this
-#: low-level module import-cycle-free; a tier-1 test asserts it equals
-#: ``sorted(KNOWN_METRICS)``.
-METRIC_COLUMNS = (
-    "comm_mbs",
-    "cpu_idle_pct",
-    "cpu_util",
-    "disk_avail_bytes",
-    "loadavg1",
-    "loadavg15",
-    "loadavg5",
-    "mem_avail_bytes",
-    "mem_avail_pct",
-    "proc_count",
-    "recv_kbs",
-    "send_kbs",
-    "socket_count",
-    "vmem_avail_pct",
+from ..rules.vocabulary import (
+    METRICS as METRIC_COLUMNS,  # the matrix's metric columns, in order
+    OPERATORS,
+    script_metric,
 )
 
 _COL_INDEX = {name: j for j, name in enumerate(METRIC_COLUMNS)}
-
-_OPS = {"<": np.less, "<=": np.less_equal,
-        ">": np.greater, ">=": np.greater_equal}
 
 
 def _parse_features(static: dict) -> Optional[frozenset]:
@@ -282,7 +262,7 @@ def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
         return mask
     for cond in getattr(policy, "dest_conditions", ()):
         col = matrix.metric_column(cond.metric)
-        mask &= _OPS[cond.op](col, cond.value)
+        mask &= OPERATORS[cond.op](col, cond.value)
     return mask
 
 
@@ -322,23 +302,6 @@ def requirements_mask(matrix: HostStateMatrix, req: Any) -> np.ndarray:
 
 
 # -------------------------------------------------- rule-column engine
-#: Script names → the metric column each one reads, mirroring
-#: ``SimScriptEngine``/``SnapshotScriptEngine`` (docs/decision_plane.md).
-_SCRIPT_METRICS: Dict[str, Callable[[str], str]] = {
-    "processorStatus.sh": lambda p: "cpu_idle_pct",
-    "loadAvg.sh": lambda p: {
-        "": "loadavg1", "1": "loadavg1", "5": "loadavg5",
-        "15": "loadavg15",
-    }[p.strip()],
-    "procCount.sh": lambda p: "proc_count",
-    "ntStatIpv4.sh": lambda p: "socket_count",
-    "netFlow.sh": lambda p: "comm_mbs",
-    "memInfo.sh": lambda p: ("vmem_avail_pct" if p.strip() == "virtual"
-                             else "mem_avail_pct"),
-    "diskUsage.sh": lambda p: "disk_avail_bytes",
-}
-
-
 def matrix_column_engine(
     matrix: HostStateMatrix,
 ) -> Callable[[str, str], np.ndarray]:
@@ -351,7 +314,6 @@ def matrix_column_engine(
     """
 
     def engine(script: str, param: str = "") -> np.ndarray:
-        to_metric = _SCRIPT_METRICS[script]  # KeyError intended
-        return matrix.metric_column(to_metric(param))
+        return matrix.metric_column(script_metric(script, param))
 
     return engine

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..entity.outbox import Deliver, Expand, Query, Send, Shrink, Spend, Task
+from ..entity.outbox import Deliver, Query, Send, Spend, Task
 from ..protocol.transport import Endpoint, EndpointRegistry
 from .core import (
     DEFAULT_COMMAND_COOLDOWN,
@@ -128,10 +128,7 @@ class RegistryScheduler:
     def _perform(self, effects) -> None:
         """Run the synchronous effects of one handled message."""
         for effect in effects:
-            if isinstance(effect, (Send, Expand, Shrink)):
-                # Expand/Shrink are sends with first-class reshape
-                # intent; on the simulated wire all three are one hop
-                # to the commander.
+            if isinstance(effect, Send):
                 self.endpoint.send_and_forget(effect.to, effect.msg)
             elif isinstance(effect, Task):
                 self.env.process(self._pump(effect.gen), name=effect.name)
@@ -152,7 +149,7 @@ class RegistryScheduler:
             if isinstance(effect, Spend):
                 yield self.host.cpu.execute(effect.seconds,
                                             label=effect.label)
-            elif isinstance(effect, (Send, Expand, Shrink)):
+            elif isinstance(effect, Send):
                 self.endpoint.send_and_forget(effect.to, effect.msg)
             elif isinstance(effect, Query):
                 # Order matters for determinism and matches the

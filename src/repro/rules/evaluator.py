@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from . import expr as expr_mod
 from .model import ComplexRule, RuleSet, SimpleRule
 from .states import SystemState
+from .vocabulary import OPERATORS
 from ..trace import get_tracer
 from ..trace.events import EV_RULE_EVALUATE, EV_RULE_FIRE
 
@@ -169,28 +170,11 @@ def classify(
     comparisons invert (socket-count style).  ``<=``/``>=`` included
     for completeness.
     """
-    if operator == "<":
-        if value < overloaded:
-            return SystemState.OVERLOADED
-        if value < busy:
-            return SystemState.BUSY
-        return SystemState.FREE
-    if operator == "<=":
-        if value <= overloaded:
-            return SystemState.OVERLOADED
-        if value <= busy:
-            return SystemState.BUSY
-        return SystemState.FREE
-    if operator == ">":
-        if value > overloaded:
-            return SystemState.OVERLOADED
-        if value > busy:
-            return SystemState.BUSY
-        return SystemState.FREE
-    if operator == ">=":
-        if value >= overloaded:
-            return SystemState.OVERLOADED
-        if value >= busy:
-            return SystemState.BUSY
-        return SystemState.FREE
-    raise ValueError(f"unsupported operator {operator!r}")
+    compare = OPERATORS.get(operator)
+    if compare is None:
+        raise ValueError(f"unsupported operator {operator!r}")
+    if compare(value, overloaded):
+        return SystemState.OVERLOADED
+    if compare(value, busy):
+        return SystemState.BUSY
+    return SystemState.FREE

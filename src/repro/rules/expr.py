@@ -224,30 +224,6 @@ def compile_node(node: Node) -> Callable[[Callable[[int], SystemState]], float]:
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
-def compile_expression(
-    text: str, n_levels: int = 3
-) -> Callable[[Callable[[int], SystemState]], SystemState]:
-    """Parse + compile ``text`` into ``fn(resolve) -> SystemState``.
-
-    One-stop form of :func:`parse_expression` + :func:`compile_node`
-    with the final level-rounding folded in.
-    """
-    run = compile_node(parse_expression(text))
-    top = n_levels - 1
-
-    def evaluate_compiled(
-        resolve: Callable[[int], SystemState]
-    ) -> SystemState:
-        rounded = int(run(resolve) + 0.5)
-        if rounded < 0:
-            rounded = 0
-        elif rounded > top:
-            rounded = top
-        return SystemState.from_level(rounded, n_levels=n_levels)
-
-    return evaluate_compiled
-
-
 # ---------------------------------------------------- vector compiler
 def round_levels(levels: np.ndarray, n_levels: int = 3) -> np.ndarray:
     """Vector twin of the scalar ``int(level + 0.5)`` clamp: severity
@@ -316,28 +292,6 @@ def compile_node_vector(
 
         return run_combine
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def compile_expression_vector(
-    text: str, n_levels: int = 3
-) -> Callable[[Callable[[int], np.ndarray]], np.ndarray]:
-    """Parse + compile ``text`` into ``fn(resolve) -> state codes``.
-
-    Column twin of :func:`compile_expression`: the final rounding and
-    the named-state mapping are folded in, returning int8 state codes
-    for every host at once.
-    """
-    run = compile_node_vector(parse_expression(text))
-
-    def evaluate_compiled(
-        resolve: Callable[[int], np.ndarray]
-    ) -> np.ndarray:
-        return states_from_levels(
-            round_levels(run(resolve), n_levels=n_levels),
-            n_levels=n_levels,
-        )
-
-    return evaluate_compiled
 
 
 def _level(node: Node, resolve: Callable[[int], SystemState]) -> float:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-VALID_OPERATORS = ("<", ">", "<=", ">=")
-#: Backwards-compatible alias (pre-lint name).
-_VALID_OPERATORS = VALID_OPERATORS
+from .vocabulary import OPERATORS
+
+VALID_OPERATORS = tuple(OPERATORS)
 
 
 def threshold_error(

@@ -38,6 +38,7 @@ from . import expr as expr_mod
 from .evaluator import ScriptNotFound
 from .model import ComplexRule, RuleSet, SimpleRule
 from .states import SystemState
+from .vocabulary import OPERATORS
 
 #: int8 codes of the named states, for mask building without enum churn.
 FREE = int(SystemState.FREE)
@@ -54,16 +55,10 @@ def classify_column(
     fail every comparison and land in FREE — callers that need missing
     data to be loud should mask beforehand.
     """
-    if operator == "<":
-        over, busy_m = values < overloaded, values < busy
-    elif operator == "<=":
-        over, busy_m = values <= overloaded, values <= busy
-    elif operator == ">":
-        over, busy_m = values > overloaded, values > busy
-    elif operator == ">=":
-        over, busy_m = values >= overloaded, values >= busy
-    else:
+    compare = OPERATORS.get(operator)
+    if compare is None:
         raise ValueError(f"unsupported operator {operator!r}")
+    over, busy_m = compare(values, overloaded), compare(values, busy)
     return np.where(
         over, np.int8(OVERLOADED), np.where(busy_m, np.int8(BUSY),
                                             np.int8(FREE))

@@ -15,7 +15,8 @@ from repro.cluster import (
     LoadAverage,
 )
 from repro.cluster.loadavg import decay_factors
-from repro.monitor.sensors import BASE_SOCKETS, SNAPSHOT_METRICS
+from repro.monitor.sensors import BASE_SOCKETS
+from repro.rules.vocabulary import METRICS
 
 from .reference import per_host_samplers
 
@@ -173,7 +174,7 @@ def test_analytic_sensor_columns_match_sensor_vocabulary():
     cluster.run(until=30.0)
     plane = cluster.plane
     cols = plane.analytic_sensor_columns(plane.analytic_rows())
-    assert set(cols) == set(SNAPSHOT_METRICS)
+    assert set(cols) == set(METRICS)
     assert cols["socket_count"][0] == float(BASE_SOCKETS)
     assert cols["cpu_util"][0] == pytest.approx(0.25)
     assert cols["cpu_idle_pct"][0] == pytest.approx(75.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     MetricPredicate,
+    MigrationPolicy,
     policy_1,
     policy_2,
     policy_3,
@@ -98,3 +99,26 @@ def test_policy_to_rules_round_trips_through_rule_engine():
     assert ev.evaluate_rule(rules[-1].number) is SystemState.FREE
     values["procCount.sh"] = 500
     assert ev.evaluate_rule(rules[-1].number) is SystemState.OVERLOADED
+
+
+def test_to_rules_names_a_real_script_for_every_scripted_metric():
+    """The generated simple rule, fired through the script engine over
+    a sampled snapshot, reads exactly the trigger's metric."""
+    from repro.cluster import Cluster
+    from repro.monitor import SimScriptEngine
+    from repro.rules.vocabulary import METRIC_SCRIPTS, METRICS
+
+    cluster = Cluster(n_hosts=2, seed=0)
+    engine = SimScriptEngine(cluster["ws1"])
+    cluster.run(until=20)
+    snapshot = engine.refresh()
+    for metric in METRICS:
+        policy = MigrationPolicy(
+            name="p", triggers=(MetricPredicate(metric, ">", 0.0),))
+        rule = policy.to_rules()[0]
+        if metric in METRIC_SCRIPTS:
+            assert engine(rule.script, rule.param) == snapshot[metric]
+        else:  # no script reads it: the historical placeholder name
+            assert (rule.script, rule.param) == (f"{metric}.sh", "")
+    assert set(METRICS) - set(METRIC_SCRIPTS) == {
+        "cpu_util", "mem_avail_bytes", "send_kbs", "recv_kbs"}

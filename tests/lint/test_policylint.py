@@ -86,6 +86,33 @@ def test_p106_dead_trigger_is_warning(fixture_path):
     assert d.severity is Severity.WARNING
 
 
+def test_p106_cpu_util_is_a_fraction_not_a_percentage():
+    # Every producer emits cpu_util in [0, 1]: a trigger above 1 can
+    # never fire (P106); it is not a ping-pong over (1.5, 100] (P101).
+    policy = policy_from_dict({
+        "name": "util",
+        "triggers": [{"metric": "cpu_util", "op": ">", "value": 1.5}],
+        "dest_conditions": [
+            {"metric": "loadavg1", "op": "<", "value": 1.0}
+        ],
+    })
+    diags = lint_policy(policy)
+    assert _codes(diags) == {"P106"}
+    assert "[0, 1]" in diags[0].message
+
+
+def test_lint_domains_are_the_vocabulary_domains():
+    from repro.lint import METRIC_DOMAINS, SCRIPT_DOMAINS
+    from repro.rules import vocabulary
+
+    assert METRIC_DOMAINS is vocabulary.METRIC_DOMAINS
+    assert SCRIPT_DOMAINS == {
+        script: METRIC_DOMAINS[metric]
+        for script, params in vocabulary.SCRIPT_PARAMS.items()
+        for metric in params.values()
+    }
+
+
 def test_disabled_policy_skips_region_checks():
     policy = policy_from_dict({
         "name": "off",

@@ -172,8 +172,8 @@ _DRIFT_MUTATIONS = [
      '            min_world=int(root.findtext("minWorld", "1")),\n',
      "", "X901"),
     (os.path.join("lint", "catalog.py"),
-     '    "V902": ("error", '
-     '"metric-column or script-map vocabulary mismatch"),\n',
+     '    "V905": ("error", '
+     '"effect pumped by one runtime\'s driver only"),\n',
      "", "X902"),
 ]
 

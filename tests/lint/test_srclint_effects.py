@@ -104,7 +104,7 @@ def test_real_tree_contract_is_discovered():
     ]
     assert len(contracts) == 1
     assert contracts[0].effects == {
-        "Send", "Spend", "Query", "Deliver", "Task", "Expand", "Shrink",
+        "Send", "Spend", "Query", "Deliver", "Task",
     }
     # Both real pumps cover the full vocabulary.
     assert lint_effects(modules) == []

@@ -1,8 +1,8 @@
-"""V900 parity: the contracts the decision plane states in two places.
+"""V900 parity: the one contract the decision plane states twice.
 
-Fixture-driven checks for V902 and V905, the silence guard, and the
-acceptance claim that matters most: deleting a metric column or a
-live effect dispatch must each flip the self-lint red.
+Fixture-driven checks for V905, the silence guard, and the acceptance
+claim that matters most: deleting a live effect dispatch must flip the
+self-lint red.
 """
 
 import os
@@ -27,15 +27,7 @@ def _repo_root():
 # ------------------------------------------------------------ fixtures
 def test_firing_fixture_raises_every_code():
     diags = lint_paths([_fixture("v900_firing")], select=["V9"])
-    assert Counter(d.code for d in diags) == {"V902": 3, "V905": 1}
-
-
-def test_v902_separates_columns_from_script_maps():
-    diags = lint_paths([_fixture("v900_firing")], select=["V902"])
-    objs = {d.obj for d in diags}
-    assert objs == {"METRIC_COLUMNS", "procCount.sh", "diskUsage.sh"}
-    columns = next(d for d in diags if d.obj == "METRIC_COLUMNS")
-    assert "missing ['cpu_idle_pct']" in columns.message
+    assert Counter(d.code for d in diags) == {"V905": 1}
 
 
 def test_v905_reports_at_the_contract_and_names_the_lagging_side():
@@ -80,14 +72,12 @@ def test_src_tree_parity_is_clean():
     assert diags == []
 
 
-#: One mutation per parity contract.  Each must flip the self-lint
-#: red — the static half of what the sim/live parity tests chase
-#: dynamically.
+#: One mutation per parity contract: the live driver stops dispatching
+#: ``Deliver``.  It must flip the self-lint red — the static half of
+#: what the sim/live parity tests chase dynamically.
 _PARITY_MUTATIONS = [
-    (os.path.join("registry", "hostmatrix.py"),
-     '    "loadavg1",\n', "", "V902"),
     (os.path.join("live", "registry.py"),
-     "(Send, Expand, Shrink)", "(Send,)", "V905"),
+     "(effect, Deliver)", "(effect, ())", "V905"),
 ]
 
 

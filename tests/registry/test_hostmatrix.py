@@ -12,10 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.policy import KNOWN_METRICS, policy_3
+from repro.core.policy import policy_3
 from repro.entity.clock import ManualClock
 from repro.registry.hostmatrix import (
-    METRIC_COLUMNS,
     HostStateMatrix,
     dest_mask,
     matrix_column_engine,
@@ -31,12 +30,6 @@ from . import reference
 
 def make_table(lease=35.0):
     return SoftStateTable(ManualClock(), lease=lease)
-
-
-def test_metric_columns_match_policy_vocabulary():
-    # The literal in hostmatrix.py must track core.policy.KNOWN_METRICS
-    # (kept separate to stay import-cycle-free).
-    assert METRIC_COLUMNS == tuple(sorted(KNOWN_METRICS))
 
 
 def test_rows_follow_registration_order():

@@ -24,8 +24,6 @@ from repro.rules import (
     paper_ruleset,
 )
 from repro.rules.expr import (
-    compile_expression,
-    compile_expression_vector,
     round_levels,
     states_from_levels,
 )
@@ -122,17 +120,6 @@ def test_weighted_sum_rounding_equivalence(values):
         "procCount.sh": np.array(values) * 3.0,
     }
     _assert_equiv(paper_ruleset(), columns)
-
-
-def test_compile_expression_vector_matches_scalar_closure():
-    text = "( 40% * r 4 + 30% * r1 + 30% * r3 ) & r2"
-    states = {1: SystemState.OVERLOADED, 2: SystemState.BUSY,
-              3: SystemState.BUSY, 4: SystemState.OVERLOADED}
-    scalar = compile_expression(text)(lambda n: states[n])
-    vector = compile_expression_vector(text)(
-        lambda n: np.array([float(int(states[n]))])
-    )
-    assert vector[0] == int(scalar)
 
 
 def test_round_levels_and_states_from_levels():
