@@ -1,10 +1,11 @@
 """Rule-evaluator microbenchmark: a column per script versus a host
 at a time.
 
-Both evaluators are production code serving different inputs
-(docs/decision_plane.md): ``RuleEvaluator`` classifies one host from
-its script engine; ``VectorRuleEvaluator`` classifies every row of a
-host-state matrix at once.
+Both widths are production code serving different inputs
+(docs/decision_plane.md) and share one judgement: ``RuleEvaluator``
+classifies one host from its script engine; its subclass
+``VectorRuleEvaluator`` classifies every row of a host-state matrix at
+once.
 
 * **rule evals/sec** — the paper's five-rule set classifying every row
   of a 4096-host matrix at once (``VectorRuleEvaluator`` over
@@ -12,6 +13,10 @@ host-state matrix at once.
   ``RuleEvaluator`` looping host by host.  One vectorized
   ``evaluate_host_states`` call counts as 4096 per-host evaluations.
   The committed gate requires **≥10×**.
+* **width 1** — the column engine handed one-row columns, in absolute
+  evals/s beside the other two: what replacing the one-host width by
+  the column width would cost a monitor that owns one machine (the
+  reason both widths exist).
 
 ``python benchmarks/bench_decision_plane.py`` regenerates the
 committed ``benchmarks/BENCH_rules.json`` baseline.
@@ -36,6 +41,7 @@ from conftest import report
 
 HOSTS = 4096
 VECTOR_SWEEPS = 50
+WIDTH1_EVALS = 4_096  # the column engine, one row per call
 SCALAR_HOST_EVALS = 4_096  # one scalar pass over the same host count
 REPEATS = 3
 
@@ -94,6 +100,19 @@ def _run_rules_vector(core: RegistryCore) -> int:
     return VECTOR_SWEEPS * core.table.matrix.n
 
 
+def _run_rules_width1(core: RegistryCore) -> int:
+    """The column engine over one-row columns, one host per call."""
+    matrix = core.table.matrix
+    row = {name: matrix.metric_column(name)[:1] for name in RULE_METRICS}
+    evaluator = VectorRuleEvaluator(
+        paper_ruleset(),
+        lambda script, param="": row[_SCRIPT_TO_METRIC[script]],
+    )
+    for _ in range(WIDTH1_EVALS):
+        evaluator.evaluate_host_states()
+    return WIDTH1_EVALS
+
+
 def _run_rules_scalar(rows: list) -> int:
     """The PR 3 compiled-closure evaluator, one host at a time."""
     current = {"metrics": rows[0]}
@@ -128,10 +147,12 @@ def measure() -> dict:
     core, rows = _make_core()
     rules_vec = _rate(_run_rules_vector, core)
     rules_scalar = _rate(_run_rules_scalar, rows)
+    rules_width1 = _rate(_run_rules_width1, core)
     return {
         "rules": {
             "vector_evals_per_sec": round(rules_vec),
             "scalar_evals_per_sec": round(rules_scalar),
+            "width1_evals_per_sec": round(rules_width1),
             "speedup": round(rules_vec / rules_scalar, 2),
         },
     }
@@ -144,6 +165,8 @@ def test_decision_plane(benchmark, once):
          r["rules"]["vector_evals_per_sec"]),
         ("rule evals/s (scalar)", "-",
          r["rules"]["scalar_evals_per_sec"]),
+        ("rule evals/s (vector, width 1)", "-",
+         r["rules"]["width1_evals_per_sec"]),
         ("rules speedup ×", ">=10", r["rules"]["speedup"]),
     ])
     assert r["rules"]["speedup"] >= 10.0
@@ -158,6 +181,7 @@ if __name__ == "__main__":
             "hosts": HOSTS,
             "vector_sweeps": VECTOR_SWEEPS,
             "scalar_host_evals": SCALAR_HOST_EVALS,
+            "width1_evals": WIDTH1_EVALS,
             "repeats_best_of": REPEATS,
         },
         "results": measure(),

@@ -20,7 +20,7 @@ communication-busy workstation 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Mapping, Tuple
 
 from ..rules.model import ComplexRule, SimpleRule
 from ..rules.vocabulary import (
@@ -44,12 +44,16 @@ class MetricPredicate:
         if self.metric not in KNOWN_METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
 
-    def holds(self, metrics: Dict[str, float]) -> bool:
-        """True when the predicate is satisfied (missing metric → False)."""
+    def holds(self, metrics: Mapping[str, Any]) -> Any:
+        """True when the predicate is satisfied (missing metric → False).
+
+        ``metrics`` maps metric names to numbers (one snapshot → a
+        bool) or to numpy columns (every host at once → a bool column,
+        NaN failing like a missing metric)."""
         value = metrics.get(self.metric)
         if value is None:
             return False
-        return OPERATORS[self.op](float(value), self.value)
+        return OPERATORS[self.op](value, self.value)
 
     def __str__(self) -> str:
         return f"{self.metric} {self.op} {self.value:g}"

@@ -138,7 +138,8 @@ class LiveNode:
             host_name=self.endpoint.address,
             registry_address=registry_address or "",
             script_engine=self.engine,
-            ruleset=ruleset or default_ruleset(self.capacity_threshold),
+            ruleset=(default_ruleset(self.capacity_threshold)
+                     if ruleset is None else ruleset),
             policy=policy,
             interval=interval,
             intervals_by_state=intervals_by_state,

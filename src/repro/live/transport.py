@@ -31,6 +31,11 @@ DEFAULT_CONNECT_RETRIES = 2
 #: First backoff delay; doubles per retry (0.05 s, 0.1 s, 0.2 s, ...).
 DEFAULT_RETRY_BACKOFF = 0.05
 
+#: Largest frame payload a peer may announce.  The 4-byte length field
+#: can say 4 GiB; a connection that announces more than this is closed
+#: instead of buffered.
+MAX_FRAME_BYTES = 64 << 20
+
 _HEADER = struct.Struct(">cI")
 
 
@@ -53,6 +58,8 @@ def _recv_frame(sock: socket.socket) -> Optional[Tuple[bytes, bytes]]:
     if header is None:
         return None
     kind, length = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        return None  # the caller closes the connection
     payload = _recv_exact(sock, length)
     if payload is None:
         return None
@@ -125,10 +132,15 @@ class LiveEndpoint:
                         continue  # drop malformed traffic
                     self.inbox.put(("msg", decoded))
                 elif kind == FRAME_STATE:
-                    header_len = struct.unpack(">I", payload[:4])[0]
-                    header = json.loads(
-                        payload[4:4 + header_len].decode("utf-8")
-                    )
+                    try:
+                        (header_len,) = struct.unpack_from(">I", payload)
+                        if 4 + header_len > len(payload):
+                            raise ValueError("truncated state header")
+                        header = json.loads(
+                            payload[4:4 + header_len].decode("utf-8")
+                        )
+                    except (struct.error, ValueError):
+                        continue  # drop malformed traffic
                     blob = payload[4 + header_len:]
                     self.inbox.put(("state", (header, blob)))
 

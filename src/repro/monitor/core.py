@@ -24,18 +24,57 @@ this core::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..protocol.messages import StatusUpdate
 from ..rules.evaluator import RuleEvaluator
+from ..rules.expr import scalar
 from ..rules.model import RuleSet
-from ..rules.states import SystemState
+from ..rules.states import BUSY, OVERLOADED, SystemState
 from ..trace import get_tracer
 from ..trace.events import EV_MONITOR_REPORT, EV_MONITOR_SAMPLE
 from .database import MonitoringDatabase
 
 #: Paper §5.1: "performance data is gathered at an interval of 10 s".
 DEFAULT_INTERVAL = 10.0
+
+
+def sharpen(xp: Any, level: Any, policy: Any, metrics: Any) -> Any:
+    """Policy trigger/guard sharpening of a rule-engine level, at
+    either width (``xp``: :data:`repro.rules.expr.scalar` over one
+    snapshot, ``numpy`` over a mapping of columns).
+
+    Any trigger holding marks the host OVERLOADED; an OVERLOADED host
+    whose source guards do not all hold is demoted to BUSY.
+    """
+    if policy is None or not getattr(policy, "enabled", True):
+        return level
+    triggers = getattr(policy, "triggers", ())
+    if triggers:
+        fired = False
+        for trigger in triggers:
+            fired = fired | trigger.holds(metrics)
+        level = xp.where(fired, xp.maximum(level, OVERLOADED), level)
+    guards = getattr(policy, "source_guards", ())
+    if guards:
+        held = True
+        for guard in guards:
+            held = held & guard.holds(metrics)
+        level = xp.where(held, level, xp.minimum(level, BUSY))
+    return level
+
+
+def sustain(xp: Any, level: Any, streak: Any, need: int) -> Tuple[Any, Any]:
+    """An overload must persist ``need`` samples to be reported:
+    ``(reported level, new overload streak)``, at either width.
+
+    Reproduces the paper's warm-up: "It takes 72 seconds ... for
+    the monitor to find out that this is a long task and determine
+    that the system is overloaded."
+    """
+    over = level == OVERLOADED
+    streak = xp.where(over, streak + 1, 0)
+    return xp.where(over & (streak < need), BUSY, level), streak
 
 
 class MonitorCore:
@@ -64,7 +103,7 @@ class MonitorCore:
         self.clock = clock
         self.host_name = host_name
         self.registry_address = registry_address
-        self.ruleset = ruleset or RuleSet()
+        self.ruleset = RuleSet() if ruleset is None else ruleset
         # Fine-granularity support (§4): complex-rule evaluation rounds
         # onto an ``n_levels``-deep severity lattice; the named
         # three-state view is its presentation layer.
@@ -126,29 +165,10 @@ class MonitorCore:
     def classify(self, snapshot: Dict[str, float]) -> SystemState:
         """Rule evaluation plus policy trigger/guard sharpening."""
         state = self.evaluator.evaluate_host_state(self.root_rule)
-        policy = self.policy
-        if policy is not None and getattr(policy, "enabled", True):
-            triggers = getattr(policy, "triggers", ())
-            if any(t.holds(snapshot) for t in triggers):
-                state = SystemState(max(state, SystemState.OVERLOADED))
-            guards = getattr(policy, "source_guards", ())
-            if state is SystemState.OVERLOADED and not all(
-                g.holds(snapshot) for g in guards
-            ):
-                state = SystemState.BUSY
-        return state
+        return SystemState(sharpen(scalar, state, self.policy, snapshot))
 
     def apply_sustain(self, state: SystemState) -> SystemState:
-        """An overload must persist ``sustain`` samples to be reported.
-
-        Reproduces the paper's warm-up: "It takes 72 seconds ... for
-        the monitor to find out that this is a long task and determine
-        that the system is overloaded."
-        """
-        if state is SystemState.OVERLOADED:
-            self._overload_streak += 1
-            if self._overload_streak < self.sustain:
-                return SystemState.BUSY
-            return SystemState.OVERLOADED
-        self._overload_streak = 0
-        return state
+        """The reported state after the :func:`sustain` warm-up."""
+        level, self._overload_streak = sustain(
+            scalar, state, self._overload_streak, self.sustain)
+        return SystemState(level)

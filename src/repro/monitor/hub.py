@@ -13,10 +13,11 @@ This hub drives the *analytic* rows of the batched host plane
   collects every row whose (jittered, per-row) cycle is due;
 * the due rows' sensor snapshot is a **column** read
   (``plane.analytic_sensor_columns``), not per-host sampling;
-* classification is vectorized — the rule set through
-  :class:`~repro.rules.vector.VectorRuleEvaluator` and the policy's
-  trigger/guard predicates as column comparisons — agreeing with
-  ``MonitorCore.classify`` element for element;
+* classification is ``MonitorCore``'s judgement at column width — the
+  rule set through :class:`~repro.rules.vector.VectorRuleEvaluator`,
+  then the same :func:`~repro.monitor.core.sharpen` and
+  :func:`~repro.monitor.core.sustain` the core calls, with numpy over
+  the tick's columns;
 * sustain warm-up, per-state cadence and the Figure 2 monitoring
   database are row-aligned **columns** of the hub (overload streak,
   classified and reported state, cycle count, ``next_due``) plus one
@@ -47,10 +48,10 @@ import numpy as np
 from ..protocol.messages import StatusUpdate
 from ..protocol.transport import Endpoint, EndpointRegistry
 from ..rules.model import RuleSet
-from ..rules.states import SystemState
-from ..rules.vector import BUSY, FREE, OVERLOADED, VectorRuleEvaluator
-from ..rules.vocabulary import OPERATORS, script_metric
-from .core import DEFAULT_INTERVAL
+from ..rules.states import FREE, OVERLOADED, SystemState
+from ..rules.vector import VectorRuleEvaluator
+from ..rules.vocabulary import script_metric
+from .core import DEFAULT_INTERVAL, sharpen, sustain
 from .monitor import DEFAULT_CYCLE_COST
 
 #: Hub wake-ups per monitoring interval: due rows are batched onto this
@@ -96,7 +97,7 @@ class MonitorHub:
                                  name="monitorhub")
         self.table = table
         self.registry_address = registry_address
-        self.ruleset = ruleset or RuleSet()
+        self.ruleset = RuleSet() if ruleset is None else ruleset
         self.policy = policy
         self.interval = float(interval)
         self.intervals_by_state = intervals_by_state or {}
@@ -138,14 +139,10 @@ class MonitorHub:
         self._metrics = list(plane.analytic_sensor_columns(self._rows[:0]))
         self._ring = np.empty((database_max_samples, n, len(self._metrics)))
         self._ring_t = np.empty((database_max_samples, n))
-        # Vectorized classification over the current tick's columns
-        # (empty rule sets classify FREE, like the per-host evaluator).
+        # Vectorized classification over the current tick's columns.
         self._cols: Dict[str, np.ndarray] = {}
-        self._vec = (
-            VectorRuleEvaluator(self.ruleset, self._column_engine,
-                                n_levels=n_levels)
-            if len(self.ruleset.rules) else None
-        )
+        self._vec = VectorRuleEvaluator(self.ruleset, self._column_engine,
+                                        n_levels=n_levels)
         # Per-row cycle phases: the same decorrelating random start a
         # per-host monitor draws, as one array draw.
         phases = (
@@ -166,30 +163,14 @@ class MonitorHub:
 
     def _vector_classify(self, cols: Dict[str, np.ndarray],
                          n: int) -> np.ndarray:
-        """``MonitorCore.classify`` as column operations (int8 codes)."""
-        if self._vec is not None:
+        """``MonitorCore.classify`` over columns (int8 codes): a set
+        with no top-level rule classifies FREE, like the per-host
+        evaluator."""
+        if self.root_rule is not None or self._vec._top_level_rules():
             states = self._vec.evaluate_host_states(self.root_rule)
         else:
             states = np.full(n, np.int8(FREE))
-        policy = self.policy
-        if policy is not None and getattr(policy, "enabled", True):
-            triggers = getattr(policy, "triggers", ())
-            if triggers:
-                fired = np.zeros(n, dtype=bool)
-                for t in triggers:
-                    fired |= OPERATORS[t.op](cols[t.metric], t.value)
-                states = np.where(
-                    fired, np.maximum(states, np.int8(OVERLOADED)),
-                    states,
-                ).astype(np.int8)
-            guards = getattr(policy, "source_guards", ())
-            if guards:
-                held = np.ones(n, dtype=bool)
-                for g in guards:
-                    held &= OPERATORS[g.op](cols[g.metric], g.value)
-                demote = (states == OVERLOADED) & ~held
-                states[demote] = np.int8(SystemState.BUSY)
-        return states
+        return sharpen(np, states, self.policy, cols)
 
     @property
     def core_cycles(self) -> int:
@@ -232,13 +213,8 @@ class MonitorHub:
         self._ring[slot, due] = np.stack(
             [cols[name] for name in self._metrics], axis=1)
         self._ring_t[slot, due] = now
-        # ``MonitorCore.apply_sustain``: an overload is reported BUSY
-        # until it has persisted ``sustain`` cycles.
-        over = states == OVERLOADED
-        streak = np.where(over, self.streak[due] + 1, 0)
-        demoted = over & (streak < self.sustain)
-        reported = np.where(demoted, np.int8(BUSY), states)
-        self.streak[due] = streak
+        reported, self.streak[due] = sustain(
+            np, states, self.streak[due], self.sustain)
         self.state[due] = states
         self.reported[due] = reported
         self.row_cycles[due] += 1

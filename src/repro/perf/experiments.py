@@ -18,6 +18,13 @@ def _points(series) -> list:
     return [list(p) for p in series.points()]
 
 
+def _axis_kwargs(axes: frozenset, config: Dict[str, Any]) -> Dict[str, Any]:
+    """A runner's keyword arguments: whichever of the cell's axes
+    (:data:`CELL_AXES` — the one place they are listed) the config
+    sets; the runner's own defaults cover the rest."""
+    return {key: value for key, value in config.items() if key in axes}
+
+
 def cell_fig5(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Figure 5 — rescheduler load/CPU overhead (§5.1)."""
     from ..analysis import run_overhead_experiment
@@ -71,15 +78,7 @@ def cell_fig6(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def _efficiency(config: Dict[str, Any], seed: int):
     from ..analysis import run_efficiency_experiment
 
-    kwargs = {
-        key: config[key]
-        for key in (
-            "app_start", "load_at", "duration", "hogs", "sustain",
-            "levels", "trees", "node_cost", "serialize_rate", "chunks",
-            "resume_fraction",
-        )
-        if key in config
-    }
+    kwargs = _axis_kwargs(_EFFICIENCY_AXES, config)
     return run_efficiency_experiment(seed=seed, **kwargs)
 
 
@@ -122,12 +121,7 @@ def cell_table2(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Table 2 — policy comparison (§5.3)."""
     from ..analysis import run_table2
 
-    kwargs = {
-        key: config[key]
-        for key in ("params", "load_at", "hogs", "sustain", "bulk_rate",
-                    "ws3_load", "max_duration")
-        if key in config
-    }
+    kwargs = _axis_kwargs(CELL_AXES["table2"], config)
     results = run_table2(seed=seed, **kwargs)
     return {
         f"policy{i}": {
@@ -147,14 +141,7 @@ def cell_malleability(config: Dict[str, Any],
     """Malleability — rigid vs N:M reshape (docs/malleability.md)."""
     from ..analysis import run_malleability_experiment
 
-    kwargs = {
-        key: config[key]
-        for key in (
-            "params", "hosts", "load_at", "hogs", "sustain", "grow_at",
-            "shrink_at", "min_efficiency", "max_duration",
-        )
-        if key in config
-    }
+    kwargs = _axis_kwargs(CELL_AXES["malleability"], config)
     r = run_malleability_experiment(seed=seed, **kwargs)
     return {
         "rigid_s": r.rigid.completed_at,

@@ -37,7 +37,6 @@ import numpy as np
 from ..rules.states import SystemState
 from ..rules.vocabulary import (
     METRICS as METRIC_COLUMNS,  # the matrix's metric columns, in order
-    OPERATORS,
     script_metric,
 )
 
@@ -214,6 +213,13 @@ class HostStateMatrix:
         """
         return self._metrics[: self._n, _COL_INDEX[name]]
 
+    def get(self, name: str, default: Any = None) -> Any:
+        """The mapping-of-columns read ``MetricPredicate.holds`` makes:
+        :meth:`metric_column`, ``default`` for names outside
+        :data:`METRIC_COLUMNS`."""
+        j = _COL_INDEX.get(name)
+        return default if j is None else self._metrics[: self._n, j]
+
     def features_at(self, row: int) -> Optional[frozenset]:
         return self._features[row]
 
@@ -261,8 +267,7 @@ def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
     if policy is None or not getattr(policy, "enabled", True):
         return mask
     for cond in getattr(policy, "dest_conditions", ()):
-        col = matrix.metric_column(cond.metric)
-        mask &= OPERATORS[cond.op](col, cond.value)
+        mask &= cond.holds(matrix)
     return mask
 
 

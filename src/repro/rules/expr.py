@@ -21,13 +21,13 @@ overloaded=2 in the default three-state lattice):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Union
+from types import SimpleNamespace
+from typing import Any, Callable, List, Tuple, Union
 
-import numpy as np
-
-from .states import SystemState, combine_and, combine_or
+from .states import BUSY, FREE, OVERLOADED
 
 
 class ExprError(ValueError):
@@ -168,107 +168,67 @@ def parse_expression(text: str) -> Node:
     return node
 
 
-# ------------------------------------------------------------ evaluator
-def evaluate(
-    node: Node,
-    resolve: Callable[[int], SystemState],
-    n_levels: int = 3,
-) -> SystemState:
-    """Evaluate an AST given a resolver from rule number → state."""
-    level = _level(node, resolve)
-    rounded = int(level + 0.5)
-    rounded = max(0, min(rounded, n_levels - 1))
-    return SystemState.from_level(rounded, n_levels=n_levels)
+# ------------------------------------------------------ array namespace
+#: The one-host stand-in for ``numpy``.  The judgement code — this
+#: compiler, the evaluator's threshold ladder, the monitor's
+#: ``sharpen``/``sustain`` — is written once against an array namespace
+#: ``xp``: plain Python numbers under ``scalar``, columns under
+#: ``numpy``.  Each width keeps its own arithmetic.
+scalar = SimpleNamespace(
+    minimum=min,
+    maximum=max,
+    floor=math.floor,
+    where=lambda cond, a, b: a if cond else b,
+    clip=lambda value, lo, hi: max(lo, min(value, hi)),
+)
+
+
+def round_levels(xp: Any, levels: Any, n_levels: int = 3) -> Any:
+    """Severity levels → the nearest level of an ``n_levels``-deep
+    lattice, clamped (the ``int(level + 0.5)`` of one host, elementwise
+    over a column).  Levels are non-negative (weights and states are),
+    so truncation and floor agree."""
+    return xp.clip(xp.floor(levels + 0.5), 0, n_levels - 1)
+
+
+def states_from_levels(xp: Any, levels: Any, n_levels: int = 3) -> Any:
+    """:meth:`SystemState.from_level` at either width: severity levels
+    → named state codes via the same thirds split (identity when
+    ``n_levels == 3``)."""
+    scaled = xp.clip(levels, 0, n_levels - 1) / (n_levels - 1)
+    return xp.where(scaled < 1 / 3, FREE,
+                    xp.where(scaled < 2 / 3, BUSY, OVERLOADED))
 
 
 # ------------------------------------------------------------- compiler
-def compile_node(node: Node) -> Callable[[Callable[[int], SystemState]], float]:
+def compile_node(node: Node, xp: Any) -> Callable[[Callable[[int], Any]], Any]:
     """Compile an AST into a closure ``fn(resolve) -> level``.
 
-    The returned closure computes exactly what :func:`_level` computes,
-    but with the tree structure baked into nested closures at compile
-    time: evaluating a compiled rule performs no ``isinstance`` dispatch
-    and no attribute walks — only the ``resolve`` calls at the leaves.
-    Monitors evaluate the same rule expression every interval, so the
-    one-time compilation cost amortizes after a handful of cycles.
+    ``resolve(number)`` returns the referenced rule's severity level —
+    a number under :data:`scalar`, one element per host under
+    ``numpy`` — and every AST node becomes an ``xp`` operation:
+    weighted sums are scaled adds, ``&``/``|`` are min/max over rounded
+    levels (``&`` = both must agree to escalate, ``|`` = either may —
+    see ``states.combine_and``/``combine_or``).  The tree structure is
+    baked into nested closures at compile time: evaluating a compiled
+    rule performs no ``isinstance`` dispatch and no attribute walks —
+    only the ``resolve`` calls at the leaves.  Monitors evaluate the
+    same rule expression every interval, so the one-time compilation
+    cost amortizes after a handful of cycles.  The tree-walking
+    reference it is held equal to lives in ``tests/rules/reference.py``.
     """
     if isinstance(node, RuleRef):
         number = node.number
 
-        def run_ref(resolve: Callable[[int], SystemState]) -> float:
-            return float(int(resolve(number)))
-
-        return run_ref
-    if isinstance(node, WeightedSum):
-        compiled = tuple((w, compile_node(child))
-                        for w, child in node.terms)
-
-        def run_sum(resolve: Callable[[int], SystemState]) -> float:
-            total = 0.0
-            for weight, child in compiled:
-                total += weight * child(resolve)
-            return total
-
-        return run_sum
-    if isinstance(node, Combine):
-        left = compile_node(node.left)
-        right = compile_node(node.right)
-        combine = combine_and if node.op == "&" else combine_or
-
-        def run_combine(resolve: Callable[[int], SystemState]) -> float:
-            a = _round_state(left(resolve))
-            b = _round_state(right(resolve))
-            return float(int(combine(a, b)))
-
-        return run_combine
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-# ---------------------------------------------------- vector compiler
-def round_levels(levels: np.ndarray, n_levels: int = 3) -> np.ndarray:
-    """Vector twin of the scalar ``int(level + 0.5)`` clamp: severity
-    levels → int8 state codes, elementwise.  Levels are non-negative
-    (weights and states are), so truncation and floor agree."""
-    codes = np.floor(levels + 0.5)
-    return np.clip(codes, 0, n_levels - 1).astype(np.int8)
-
-
-def states_from_levels(levels: np.ndarray,
-                       n_levels: int = 3) -> np.ndarray:
-    """Vector twin of :meth:`SystemState.from_level`, elementwise:
-    severity levels → named int8 state codes via the same thirds
-    split (identity when ``n_levels == 3``)."""
-    scaled = np.clip(levels, 0, n_levels - 1) / (n_levels - 1)
-    return np.where(
-        scaled < 1 / 3, np.int8(0),
-        np.where(scaled < 2 / 3, np.int8(1), np.int8(2)),
-    ).astype(np.int8)
-
-
-def compile_node_vector(
-    node: Node,
-) -> Callable[[Callable[[int], np.ndarray]], np.ndarray]:
-    """Compile an AST into ``fn(resolve) -> level column``.
-
-    The column twin of :func:`compile_node`: ``resolve(number)`` now
-    returns a float array of severity levels — one element per host —
-    and every AST node becomes a numpy column operation (weighted sums
-    → scaled adds, ``&``/``|`` → elementwise min/max over rounded
-    states).  One call classifies the whole host-state matrix; the
-    scalar path stays the oracle (docs/decision_plane.md).
-    """
-    if isinstance(node, RuleRef):
-        number = node.number
-
-        def run_ref(resolve: Callable[[int], np.ndarray]) -> np.ndarray:
+        def run_ref(resolve: Callable[[int], Any]) -> Any:
             return resolve(number)
 
         return run_ref
     if isinstance(node, WeightedSum):
-        compiled = tuple((w, compile_node_vector(child))
+        compiled = tuple((w, compile_node(child, xp))
                          for w, child in node.terms)
 
-        def run_sum(resolve: Callable[[int], np.ndarray]) -> np.ndarray:
+        def run_sum(resolve: Callable[[int], Any]) -> Any:
             (weight, child), rest = compiled[0], compiled[1:]
             total = weight * child(resolve)
             for weight, child in rest:
@@ -277,36 +237,13 @@ def compile_node_vector(
 
         return run_sum
     if isinstance(node, Combine):
-        left = compile_node_vector(node.left)
-        right = compile_node_vector(node.right)
-        # ``&`` = both must agree to escalate (min severity); ``|`` =
-        # either may escalate (max) — see states.combine_and/_or.
-        combine = np.minimum if node.op == "&" else np.maximum
+        left = compile_node(node.left, xp)
+        right = compile_node(node.right, xp)
+        combine = xp.minimum if node.op == "&" else xp.maximum
 
-        def run_combine(
-            resolve: Callable[[int], np.ndarray]
-        ) -> np.ndarray:
-            a = round_levels(left(resolve))
-            b = round_levels(right(resolve))
-            return combine(a, b).astype(np.float64)
+        def run_combine(resolve: Callable[[int], Any]) -> Any:
+            return combine(round_levels(xp, left(resolve)),
+                           round_levels(xp, right(resolve)))
 
         return run_combine
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def _level(node: Node, resolve: Callable[[int], SystemState]) -> float:
-    if isinstance(node, RuleRef):
-        return float(int(resolve(node.number)))
-    if isinstance(node, WeightedSum):
-        return sum(w * _level(child, resolve) for w, child in node.terms)
-    if isinstance(node, Combine):
-        left = _round_state(_level(node.left, resolve))
-        right = _round_state(_level(node.right, resolve))
-        if node.op == "&":
-            return float(int(combine_and(left, right)))
-        return float(int(combine_or(left, right)))
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def _round_state(level: float) -> SystemState:
-    return SystemState(max(0, min(int(level + 0.5), 2)))

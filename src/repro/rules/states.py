@@ -69,6 +69,13 @@ class SystemState(IntEnum):
         return cls.OVERLOADED
 
 
+#: Plain-int codes of the named states: what the judgement code computes
+#: with at either width (a Python int for one host, int8 for a column).
+FREE = int(SystemState.FREE)
+BUSY = int(SystemState.BUSY)
+OVERLOADED = int(SystemState.OVERLOADED)
+
+
 def combine_and(a: SystemState, b: SystemState) -> SystemState:
     """The ``&`` combinator: both must agree to escalate (min severity).
 

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 The foundation of the reproduction: a generator-coroutine DES with
-events, processes, interrupts, stores, counted resources and a
+events, processes, interrupts, stores and a
 generalized processor-sharing server used to model both CPUs and
 network links.
 """
@@ -19,12 +19,7 @@ from .events import (
 )
 from .fairshare import FairShareServer, ShareJob
 from .kernel import Environment, Infinity
-from .resources import (
-    Container,
-    FilterStore,
-    Resource,
-    Store,
-)
+from .resources import FilterStore, Store
 from .rng import RngRegistry
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "FairShareServer",
@@ -41,7 +35,6 @@ __all__ = [
     "Initialize",
     "Interrupt",
     "Process",
-    "Resource",
     "RngRegistry",
     "ShareJob",
     "SimulationError",

@@ -2,8 +2,6 @@
 
 * :class:`Store` — FIFO buffer of items with blocking get/put.
 * :class:`FilterStore` — get with a predicate (used for MPI tag matching).
-* :class:`Resource` — counted resource with request/release.
-* :class:`Container` — continuous quantity with put/get of amounts.
 """
 
 from __future__ import annotations
@@ -168,131 +166,3 @@ class FilterStore(Store):
                     progress = True
                 else:
                     idx += 1
-
-
-class Request(Event):
-    """Pending request for one unit of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """A counted resource with ``capacity`` units."""
-
-    def __init__(self, env: Any, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: list = []
-        self._queue: list = []
-
-    @property
-    def count(self) -> int:
-        """Units currently held."""
-        return len(self.users)
-
-    @property
-    def queue(self) -> list:
-        """Pending (unsatisfied) requests."""
-        return [r for r in self._queue if not r.triggered]
-
-    def request(self) -> Request:
-        """Event that succeeds once a unit is acquired."""
-        return Request(self)
-
-    def release(self, request: Request) -> None:
-        """Return the unit held by ``request``."""
-        if request in self.users:
-            self.users.remove(request)
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            req = self._queue.pop(0)
-            if req.triggered:
-                continue
-            self.users.append(req)
-            req.succeed()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous continuous quantity (fuel-tank style)."""
-
-    def __init__(
-        self, env: Any, capacity: float = Infinity, init: float = 0.0
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_queue: list = []
-        self._get_queue: list = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_queue:
-                event = self._put_queue[0]
-                if self._level + event.amount <= self.capacity:
-                    self._level += event.amount
-                    self._put_queue.pop(0)
-                    event.succeed()
-                    progress = True
-            if self._get_queue:
-                event = self._get_queue[0]
-                if self._level >= event.amount:
-                    self._level -= event.amount
-                    self._get_queue.pop(0)
-                    event.succeed()
-                    progress = True

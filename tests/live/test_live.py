@@ -1,5 +1,7 @@
 """Live mode: real sockets, real threads, real /proc, real migration."""
 
+import socket
+import struct
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from repro.live import (
     sqrt_sum_state,
 )
 from repro.live.proc_sensors import CpuIdleSampler, NetRateSampler
+from repro.live.transport import MAX_FRAME_BYTES
 from repro.protocol import Ack
 
 
@@ -104,6 +107,53 @@ def test_endpoint_send_to_dead_address_returns_false():
                                   timestamp=0.0)
     finally:
         a.close()
+
+
+def _state_frame(header: bytes, blob: bytes = b"") -> bytes:
+    payload = struct.pack(">I", len(header)) + header + blob
+    return struct.pack(">cI", b"S", len(payload)) + payload
+
+
+@pytest.mark.parametrize("bad_payload", [
+    b"\x00\x01",                                # shorter than its length field
+    struct.pack(">I", 100) + b'{"a": 1}',       # header longer than payload
+    struct.pack(">I", 5) + b"{nope",            # bad JSON
+    struct.pack(">I", 2) + b"\xff\xfe",         # bad UTF-8
+], ids=["short", "truncated-header", "bad-json", "bad-utf8"])
+def test_malformed_state_frame_is_dropped_and_next_frame_delivered(
+        bad_payload):
+    """Frames from the network are not trusted: a malformed ``S`` frame
+    is dropped like a malformed ``M`` frame, and the good frame behind
+    it on the same connection still arrives."""
+    b = LiveEndpoint("b")
+    try:
+        with socket.create_connection((b.host, b.port), timeout=5.0) as s:
+            s.sendall(struct.pack(">cI", b"S", len(bad_payload))
+                      + bad_payload)
+            s.sendall(struct.pack(">cI", b"M", 7) + b"not xml")
+            s.sendall(_state_frame(b'{"task_type": "x"}', b"blob"))
+            item = b.recv(timeout=5.0)
+        assert item == ("state", ({"task_type": "x"}, b"blob"))
+        assert b.inbox.empty()
+    finally:
+        b.close()
+
+
+def test_oversized_frame_length_closes_the_connection():
+    """A length above ``MAX_FRAME_BYTES`` is never buffered: the
+    endpoint closes the connection, and keeps serving new ones."""
+    a = LiveEndpoint("a")
+    b = LiveEndpoint("b")
+    try:
+        with socket.create_connection((b.host, b.port), timeout=5.0) as s:
+            s.sendall(struct.pack(">cI", b"S", MAX_FRAME_BYTES + 1))
+            assert s.recv(1) == b""  # closed by the peer, nothing read
+        assert b.inbox.empty()
+        assert a.send_state(b.address, {"task_type": "x"}, b"ok")
+        assert b.recv(timeout=5.0) == ("state", ({"task_type": "x"}, b"ok"))
+    finally:
+        a.close()
+        b.close()
 
 
 # -------------------------------------------------------------- node/task

@@ -148,6 +148,19 @@ def complex_ruleset(capacity_threshold):
     return rules
 
 
+def test_live_node_accepts_an_empty_ruleset():
+    """"No rules" can be asked for: an empty ``RuleSet`` (falsy) is
+    not swapped for the default one."""
+    rules = RuleSet()
+    node = LiveNode("n1", ruleset=rules, capacity_threshold=1.5)
+    try:
+        assert node.monitor.ruleset is rules
+        node.inject_load(3.0)  # the default set would say OVERLOADED
+        assert node._status_update().state is SystemState.FREE
+    finally:
+        node.stop()
+
+
 def test_live_complex_rule_classification():
     node = LiveNode("n1", ruleset=complex_ruleset(1.5), root_rule=3)
     try:

@@ -13,7 +13,8 @@ from repro.rules import (
     SystemState,
     parse_expression,
 )
-from repro.rules.expr import evaluate
+
+from ..rules.reference import evaluate
 
 
 def test_monitor_accepts_n_levels():

@@ -11,8 +11,8 @@ from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.monitor.core import MonitorCore
 from repro.monitor.hub import MonitorHub
 from repro.protocol.transport import EndpointRegistry
-from repro.rules import SystemState, paper_ruleset
-from repro.rules.vector import OVERLOADED
+from repro.rules import RuleSet, SimpleRule, SystemState, paper_ruleset
+from repro.rules.states import OVERLOADED
 
 from .reference import RowPump
 
@@ -361,6 +361,24 @@ def test_call_count_of_a_hub_tick_is_flat_in_rows():
         assert len(hosts) == len(states) == n_rows
         assert hub.sent == [] and hub.core_cycles == n_rows
     assert abs(counts[2048] - counts[64]) <= 8, counts
+
+
+def test_empty_ruleset_is_kept_and_later_rules_reach_the_hub():
+    """The hub keeps a caller's empty ``RuleSet`` (falsy: it has
+    ``__len__``) and, like ``MonitorCore``, picks up rules added after
+    construction; with no top-level rule every row is FREE."""
+    rules = RuleSet()
+    cluster, hub = bare_hub(3, ruleset=rules, sustain=1)
+    assert hub.ruleset is rules
+    hub._next_due[:] = hub.env.now
+    hub._tick()
+    assert hub.state.tolist() == [0, 0, 0]
+    rules.add(SimpleRule(number=1, name="load", script="loadAvg.sh",
+                         operator=">=", busy=0.0, overloaded=0.0))
+    hub._next_due[:] = hub.env.now
+    hub._tick()
+    assert hub.state.tolist() == [OVERLOADED] * 3
+    assert len(hub.sent) == 3
 
 
 class HashedName(str):

@@ -6,7 +6,8 @@ from repro.cluster import Cluster, CpuHog
 from repro.core import MetricPredicate, MigrationPolicy
 from repro.monitor import Monitor
 from repro.protocol import EndpointRegistry, Endpoint, Register, StatusUpdate
-from repro.rules import SystemState
+from repro.monitor.core import MonitorCore
+from repro.rules import RuleSet, SimpleRule, SystemState
 
 
 def deploy(cluster, host_name="ws1", registry_host="ws2", **kw):
@@ -175,3 +176,17 @@ def test_validation():
         Monitor(cluster["ws1"], directory, sink.address, interval=0)
     with pytest.raises(ValueError):
         Monitor(cluster["ws1"], directory, sink.address, sustain=0)
+
+
+def test_empty_ruleset_is_kept_and_later_rules_reach_the_core():
+    """An empty ``RuleSet`` is falsy (it has ``__len__``) but it is the
+    caller's set: rules added after construction must classify."""
+    rules = RuleSet()
+    core = MonitorCore(clock=None, host_name="h", registry_address="r",
+                       script_engine=lambda script, param="": 9.0,
+                       ruleset=rules, sustain=1)
+    assert core.ruleset is rules
+    assert core.classify({}) is SystemState.FREE
+    rules.add(SimpleRule(number=1, name="load", script="loadAvg.sh",
+                         operator=">", busy=1.0, overloaded=2.0))
+    assert core.classify({}) is SystemState.OVERLOADED

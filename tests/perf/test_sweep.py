@@ -59,6 +59,75 @@ def test_plan_axis_union_across_experiments():
 
 
 # ------------------------------------------------- serial ≡ parallel
+#: ``repro sweep --list-axes`` and the cache keys as they were when the
+#: axes were still listed twice (in ``CELL_AXES`` and in each cell's
+#: kwargs comprehension); deriving the kwargs from ``CELL_AXES`` must
+#: move neither.
+LIST_AXES_ROWS = {
+    "fig5": "cycle_cost, duration, hosts, interval, settle",
+    "fig6": "cycle_cost, duration, hosts, interval, settle",
+    "fig7": "app_start, chunks, duration, hogs, levels, load_at, node_cost, "
+            "resume_fraction, serialize_rate, sustain, trees",
+    "fig8": "app_start, chunks, duration, hogs, levels, load_at, node_cost, "
+            "resume_fraction, serialize_rate, sustain, trees",
+    "malleability": "grow_at, hogs, hosts, load_at, max_duration, "
+                    "min_efficiency, params, shrink_at, sustain",
+    "table2": "bulk_rate, hogs, load_at, max_duration, params, sustain, "
+              "ws3_load",
+}
+CACHE_KEYS = {
+    "fig5": "8850915327fcadaf596f824e43b5a77fe852e8835904e1a494e0e2bca7a6b81d",
+    "fig7": "cf9081644167b970fbd594396a16e959e6d295fe5a35d93296dd1e835c846d3d",
+    "table2":
+        "c5a8417b74ff73f43ca2a1710d69b1673d808a038008af9b76ab3b12e76ea7ae",
+    "malleability":
+        "f2ccf8dbcf991a0f08dc1de4f3648db2623e7be93dd35be06119eb3157d4179d",
+}
+
+
+def test_axes_listing_and_cache_keys_are_unchanged(capsys):
+    assert main(["sweep", "--list-axes"]) == 0
+    rows = {
+        name.strip(): axes.strip()
+        for name, _, axes in (
+            line.partition("|") for line in capsys.readouterr().out.splitlines()
+        )
+    }
+    for name, axes in LIST_AXES_ROWS.items():
+        assert rows[name] == axes
+    cells = plan_sweep(list(CACHE_KEYS), config={"hosts": 4, "sustain": 2})
+    assert {c.experiment: c.key for c in cells} == CACHE_KEYS
+
+
+def test_cells_forward_exactly_their_axes(monkeypatch):
+    """A cell's runner receives the config keys ``CELL_AXES`` lists for
+    it — set ones only — and nothing else rides along."""
+    import repro.analysis as analysis
+    from repro.perf.experiments import CELL_AXES
+
+    seen = {}
+
+    def capture(name):
+        def runner(seed, **kwargs):
+            seen[name] = kwargs
+            raise LookupError(name)  # the summary is not under test
+        return runner
+
+    monkeypatch.setattr(analysis, "run_table2", capture("table2"))
+    monkeypatch.setattr(analysis, "run_malleability_experiment",
+                        capture("malleability"))
+    monkeypatch.setattr(analysis, "run_efficiency_experiment",
+                        capture("fig7"))
+    config = {"hosts": 4, "sustain": 2, "interval": 5.0, "chunks": 3}
+    for name in ("table2", "malleability", "fig7"):
+        with pytest.raises(LookupError):
+            run_cell(name, config, seed=1)
+        assert seen[name] == {
+            k: v for k, v in config.items() if k in CELL_AXES[name]}
+    assert seen["table2"] == {"sustain": 2}
+    assert seen["fig7"] == {"sustain": 2, "chunks": 3}
+
+
 def test_parallel_sweep_matches_serial():
     cells = plan_sweep(["fig5"], replicas=2, base_seed=3, config=QUICK)
     serial = run_sweep(cells, jobs=1)

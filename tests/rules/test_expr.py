@@ -1,10 +1,21 @@
 """Complex-rule expression grammar and evaluation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.rules import ExprError, SystemState, parse_expression
-from repro.rules.expr import Combine, RuleRef, WeightedSum, evaluate
+from repro.rules.expr import (
+    Combine,
+    RuleRef,
+    WeightedSum,
+    compile_node,
+    round_levels,
+    scalar,
+    states_from_levels,
+)
+
+from .reference import evaluate
 
 F, B, O = SystemState.FREE, SystemState.BUSY, SystemState.OVERLOADED
 
@@ -131,3 +142,30 @@ def test_and_or_lattice_laws(a, b):
     resolver = make_resolver({1: a, 2: b})
     assert evaluate(and_node, resolver) == min(a, b)
     assert evaluate(or_node, resolver) == max(a, b)
+
+
+@given(expressions(),
+       st.lists(st.dictionaries(st.integers(1, 9), _states,
+                                min_size=9, max_size=9),
+                min_size=1, max_size=6),
+       st.sampled_from([3, 5, 9]))
+def test_compiled_expression_matches_tree_walk_at_both_widths(
+        expr_refs, hosts, n_levels):
+    """``compile_node(node, scalar)`` host by host and
+    ``compile_node(node, numpy)`` over all hosts at once both equal
+    the reference tree walk on random ASTs."""
+    node = parse_expression(expr_refs[0])
+    expected = [evaluate(node, make_resolver(states), n_levels=n_levels)
+                for states in hosts]
+
+    def finish(xp, levels):
+        return states_from_levels(
+            xp, round_levels(xp, levels, n_levels), n_levels)
+
+    run = compile_node(node, scalar)
+    one_by_one = [finish(scalar, run(lambda n: int(states[n])))
+                  for states in hosts]
+    assert one_by_one == expected
+    column = finish(np, compile_node(node, np)(
+        lambda n: np.array([int(states[n]) for states in hosts])))
+    assert column.tolist() == expected

@@ -124,13 +124,13 @@ def test_weighted_sum_rounding_equivalence(values):
 
 def test_round_levels_and_states_from_levels():
     levels = np.array([-1.0, 0.4, 0.5, 1.49, 1.5, 2.4, 9.0])
-    assert round_levels(levels).tolist() == [0, 0, 1, 1, 2, 2, 2]
-    assert states_from_levels(np.array([0, 1, 2])).tolist() == [
+    assert round_levels(np, levels).tolist() == [0, 0, 1, 1, 2, 2, 2]
+    assert states_from_levels(np, np.array([0, 1, 2])).tolist() == [
         int(SystemState.FREE), int(SystemState.BUSY),
         int(SystemState.OVERLOADED)]
     # 5-level sets collapse onto thirds exactly like
     # SystemState.from_level.
-    got = states_from_levels(np.arange(5), n_levels=5)
+    got = states_from_levels(np, np.arange(5), n_levels=5)
     expected = [int(SystemState.from_level(i, n_levels=5))
                 for i in range(5)]
     assert got.tolist() == expected

@@ -1,8 +1,8 @@
-"""Unit tests for Store, FilterStore, Resource, Container."""
+"""Unit tests for Store and FilterStore."""
 
 import pytest
 
-from repro.sim import Container, Environment, FilterStore, Resource, Store
+from repro.sim import Environment, FilterStore, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -175,150 +175,3 @@ def test_filter_store_get_cancel():
     env.process(producer(env))
     env.run()
     assert got == ["a"]
-
-
-# -------------------------------------------------------------- Resource
-def test_resource_mutual_exclusion():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(env, name, hold):
-        req = res.request()
-        yield req
-        log.append((name, "in", env.now))
-        yield env.timeout(hold)
-        res.release(req)
-        log.append((name, "out", env.now))
-
-    env.process(user(env, "a", 5))
-    env.process(user(env, "b", 3))
-    env.run()
-    assert log == [
-        ("a", "in", 0),
-        ("a", "out", 5),
-        ("b", "in", 5),
-        ("b", "out", 8),
-    ]
-
-
-def test_resource_context_manager():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(2)
-        return res.count
-
-    p = env.process(user(env))
-    env.run()
-    assert p.value == 0
-
-
-def test_resource_capacity_two():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    entered = []
-
-    def user(env, name):
-        with res.request() as req:
-            yield req
-            entered.append((name, env.now))
-            yield env.timeout(10)
-
-    for name in "abc":
-        env.process(user(env, name))
-    env.run()
-    times = dict(entered)
-    assert times["a"] == 0 and times["b"] == 0 and times["c"] == 10
-
-
-def test_resource_queue_property():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(5)
-
-    def waiter(env):
-        with res.request() as req:
-            yield req
-
-    env.process(holder(env))
-    env.process(waiter(env))
-    env.run(until=1)
-    assert len(res.queue) == 1
-    assert res.count == 1
-
-
-# -------------------------------------------------------------- Container
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-
-    def proc(env):
-        yield tank.get(30)
-        assert tank.level == 20
-        yield tank.put(60)
-        assert tank.level == 80
-
-    env.process(proc(env))
-    env.run()
-    assert tank.level == 80
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def getter(env):
-        yield tank.get(10)
-        log.append(env.now)
-
-    def putter(env):
-        yield env.timeout(3)
-        yield tank.put(5)
-        yield env.timeout(3)
-        yield tank.put(5)
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert log == [6]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def putter(env):
-        yield tank.put(5)
-        log.append(env.now)
-
-    def getter(env):
-        yield env.timeout(4)
-        yield tank.get(5)
-
-    env.process(putter(env))
-    env.process(getter(env))
-    env.run()
-    assert log == [4]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
