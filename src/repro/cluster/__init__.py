@@ -10,7 +10,7 @@ from .background import BulkTransferLoad, ChatterLoad, CpuHog, DutyCycleLoad
 from .builder import DEFAULT_CPU_PER_BYTE, Cluster
 from .cpu import Cpu
 from .disk import Disk, DiskSet
-from .host import Host, StaticInfo
+from .host import Host, HostSpec, StaticInfo
 from .loadavg import LoadAverage
 from .memory import Memory
 from .network import (
@@ -40,6 +40,7 @@ __all__ = [
     "Host",
     "HostDownError",
     "HostPlane",
+    "HostSpec",
     "LoadAverage",
     "Memory",
     "Network",

@@ -6,7 +6,7 @@ from typing import Any, Optional
 
 from ..sim.kernel import Environment
 from ..sim.rng import RngRegistry
-from .host import Host
+from .host import Host, HostSpec, StaticInfo
 from .network import ETHERNET_100MBPS, Network
 from .plane import HostPlane
 
@@ -41,18 +41,23 @@ class Cluster:
             cpu_per_byte=cpu_per_byte,
         )
         # The batched host plane: one periodic fold process for the
-        # whole cluster (see repro.cluster.plane).
+        # whole cluster (see repro.cluster.plane).  Its rows, in
+        # builder order, are the cluster's host list.
         self.plane = HostPlane(self.env)
+        #: The hosts that exist as objects.  Analytic rows join on
+        #: first :meth:`host` lookup; until then they are a plane row
+        #: and a spec.
         self.hosts: dict[str, Host] = {}
+        self._deferred: dict[str, HostSpec] = {}
         for i in range(1, n_hosts + 1):
             self.add_host(f"{host_prefix}{i}", cpu_speed=cpu_speed)
 
     def add_host(self, name: str, **kwargs: Any) -> Host:
         """Attach an extra host (heterogeneous parameters welcome)."""
-        if name in self.hosts:
+        if self.plane.arrays.row_of(name) is not None:
             raise ValueError(f"host {name!r} already exists")
-        host = Host(self.env, name, self.network, plane=self.plane,
-                    **kwargs)
+        host = Host(self.env, name, self.network, HostSpec(**kwargs),
+                    plane=self.plane)
         self.hosts[name] = host
         return host
 
@@ -63,7 +68,7 @@ class Cluster:
         period: float = 2.0,
         phase: float = 0.0,
         **kwargs: Any,
-    ) -> Host:
+    ) -> None:
         """Attach a host whose background load is modelled in closed
         form by the host plane — no per-host sim processes at all.
 
@@ -71,28 +76,49 @@ class Cluster:
         (on ``mean_load * period`` wall-seconds per ``period``, offset
         by ``phase``) contributes to the run queue analytically, so
         thousands of these cost one batched fold per tick, not
-        thousands of events.
+        thousands of events.  The row is a name, a plane row and a
+        :class:`HostSpec`; a :class:`Host` is built the first time
+        someone asks for it (:meth:`host`) — a commander, an
+        application launch, a migration destination.
         """
-        host = self.add_host(name, **kwargs)
-        self.plane.set_analytic(
-            name, mean_load=mean_load, period=period, phase=phase
+        spec = HostSpec(**kwargs)
+        self.plane.add_analytic(
+            name, mean_load=mean_load, period=period, phase=phase,
+            static=spec.idle_sensors(),
         )
-        return host
+        self._deferred[name] = spec
+
+    def names(self) -> list:
+        """Every host name in builder order (builds no host)."""
+        return list(self.plane.arrays.hosts)
+
+    def static_info(self, name: str) -> StaticInfo:
+        """A host's registration data (builds no host)."""
+        host = self.hosts.get(name)
+        if host is not None:
+            return host.static_info
+        return self._deferred[name].static_info(name)
 
     def host(self, name: str) -> Host:
-        return self.hosts[name]
+        host = self.hosts.get(name)
+        if host is None:
+            # An analytic row's first use as a place to run something.
+            spec = self._deferred.pop(name)
+            host = self.hosts[name] = Host(
+                self.env, name, self.network, spec, plane=self.plane)
+        return host
 
     def host_list(self) -> list:
-        return list(self.hosts.values())
+        return [self.host(name) for name in self.plane.arrays.hosts]
 
     def run(self, until: Optional[float] = None) -> None:
         self.env.run(until=until)
 
     def __getitem__(self, name: str) -> Host:
-        return self.hosts[name]
+        return self.host(name)
 
     def __len__(self) -> int:
-        return len(self.hosts)
+        return len(self.plane.arrays)
 
     def __iter__(self):
-        return iter(self.hosts.values())
+        return iter(self.host_list())

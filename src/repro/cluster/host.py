@@ -47,6 +47,58 @@ class StaticInfo:
         return data
 
 
+#: The mount points every workstation carries: (mount, total, used).
+DISKS = (
+    ("/", 20 * 10**9, 6 * 10**9),
+    ("/export/home", 40 * 10**9, 10 * 10**9),
+)
+_DISKS_AVAILABLE = sum(total - used for _, total, used in DISKS)
+
+
+@dataclass(frozen=True)
+class HostSpec:
+    """What a workstation is built from.
+
+    Enough to *describe* a host — its registration data and the
+    memory/disk readings it reports while nothing runs on it — without
+    building one: the cluster's analytic rows are a spec until
+    something is placed on them.
+    """
+
+    cpu_speed: float = 1.0
+    memory_bytes: int = 128 * 1024 * 1024
+    swap_bytes: int = 256 * 1024 * 1024
+    bandwidth: Optional[float] = None
+    ip: Optional[str] = None
+    os_name: str = "SunOS 5.8"
+    arch: str = "sparc"
+    cpu_mhz: float = 500.0
+    features: tuple = ()
+
+    def static_info(self, name: str) -> StaticInfo:
+        return StaticInfo(
+            hostname=name,
+            ip=self.ip or _auto_ip(name),
+            os=self.os_name,
+            arch=self.arch,
+            cpu_mhz=self.cpu_mhz,
+            memory_bytes=self.memory_bytes,
+            cpu_speed=self.cpu_speed,
+            features=tuple(self.features),
+        )
+
+    def idle_sensors(self) -> dict:
+        """The memory and disk metrics of a host built from this spec
+        on which nothing has allocated or written yet (what its
+        ``SensorSuite`` reports; a tier-1 test holds the two equal)."""
+        return {
+            "mem_avail_bytes": self.memory_bytes,
+            "mem_avail_pct": 100.0,
+            "vmem_avail_pct": 100.0,
+            "disk_avail_bytes": _DISKS_AVAILABLE,
+        }
+
+
 class Host:
     """A workstation in the simulated cluster."""
 
@@ -55,41 +107,24 @@ class Host:
         env: Any,
         name: str,
         network: Any,
-        cpu_speed: float = 1.0,
-        memory_bytes: int = 128 * 1024 * 1024,
-        swap_bytes: int = 256 * 1024 * 1024,
-        bandwidth: Optional[float] = None,
-        ip: Optional[str] = None,
-        os_name: str = "SunOS 5.8",
-        arch: str = "sparc",
-        cpu_mhz: float = 500.0,
-        features: tuple = (),
+        spec: HostSpec = HostSpec(),
         *,
         plane: Any,
     ):
         self.env = env
         self.name = name
         self.network = network
-        self.cpu = Cpu(env, speed=cpu_speed, name=f"{name}.cpu")
-        self.memory = Memory(memory_bytes, swap_bytes)
+        self.cpu = Cpu(env, speed=spec.cpu_speed, name=f"{name}.cpu")
+        self.memory = Memory(spec.memory_bytes, spec.swap_bytes)
         self.disks = DiskSet()
-        self.disks.add("/", total=20 * 10**9, used=6 * 10**9)
-        self.disks.add("/export/home", total=40 * 10**9, used=10 * 10**9)
+        for mount, total, used in DISKS:
+            self.disks.add(mount, total=total, used=used)
         self.procs = ProcessTable(env)
         # The load average is a passive value the cluster's host plane
         # folds in batch.
         self.loadavg = plane.attach(self)
-        self.static_info = StaticInfo(
-            hostname=name,
-            ip=ip or _auto_ip(name),
-            os=os_name,
-            arch=arch,
-            cpu_mhz=cpu_mhz,
-            memory_bytes=memory_bytes,
-            cpu_speed=cpu_speed,
-            features=tuple(features),
-        )
-        network.add_host(name, cpu=self.cpu, bandwidth=bandwidth)
+        self.static_info = spec.static_info(name)
+        network.add_host(name, cpu=self.cpu, bandwidth=spec.bandwidth)
 
     # -- convenience views ---------------------------------------------
     @property

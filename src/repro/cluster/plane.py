@@ -20,8 +20,12 @@ Two kinds of row:
 * **analytic** rows model their background load in closed form: each
   duty cycle contributes its exact mean occupancy over the elapsed
   sample window (the integral of its on/off square wave — alias-free)
-  and injected hogs add a constant; no CPU jobs, no events.  This is
-  where the O(1000s)-host scaling comes from.
+  and injected hogs add a constant; no CPU jobs, no events, and no
+  ``Host`` object.  This is where the O(1000s)-host scaling comes
+  from.  When the cluster does build a ``Host`` for one (something is
+  placed on it), the host attaches to the existing row: its load
+  average starts at the row's current values and is written back like
+  a backed host's, while the run queue stays closed-form.
 
 The column fold is bit-identical to folding each host on its own with
 :meth:`~repro.cluster.loadavg.LoadAverage.fold`: the fold constants
@@ -42,7 +46,7 @@ both producers to it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -107,6 +111,8 @@ class ClusterStateArrays:
         self._analytic = analytic
 
     def add_row(self, host: str) -> int:
+        """Append a row of zeros (rows are never removed, so the
+        columns past ``n`` are still as allocated)."""
         if host in self._index:
             raise ValueError(f"host {host!r} already has a row")
         if self._n == self._analytic.shape[0]:
@@ -115,9 +121,6 @@ class ClusterStateArrays:
         self._n += 1
         self._hosts.append(host)
         self._index[host] = row
-        for name in self._COLUMNS:
-            getattr(self, "_" + name)[row] = 0.0
-        self._analytic[row] = False
         return row
 
     # -- column views ---------------------------------------------------
@@ -147,10 +150,10 @@ class HostPlane:
         self.env = env
         self.sample_interval = float(sample_interval)
         self.arrays = ClusterStateArrays()
-        #: (row, host) pairs whose run queue is gathered each tick.
-        self._backed: List[Tuple[int, Any]] = []
-        #: Row-aligned passive LoadAverage targets for write-back.
-        self._views: List[LoadAverage] = []
+        #: The hosts that exist as objects and their rows (aligned):
+        #: the only rows gathered from and written back to each tick.
+        self._attached: List[Any] = []
+        self._attached_rows: List[int] = []
         self.ticks = 0
         self.folds = 0
         self._proc = None
@@ -159,17 +162,29 @@ class HostPlane:
 
     # -- registration ---------------------------------------------------
     def attach(self, host: Any) -> LoadAverage:
-        """Register ``host`` as a backed row; returns its (passive)
-        load average, which this plane folds in batch."""
-        row = self.arrays.add_row(host.name)
+        """Register ``host`` for gather/write-back; returns its
+        (passive) load average, which this plane folds in batch.
+
+        A new name gets a backed row.  A name that already has a row —
+        an analytic row whose ``Host`` is being built — keeps it, and
+        the returned load average starts at the row's current values.
+        """
+        a = self.arrays
+        row = a.row_of(host.name)
+        if row is None:
+            row = a.add_row(host.name)
         loadavg = LoadAverage(sample_interval=self.sample_interval)
-        self._backed.append((row, host))
-        self._views.append(loadavg)
+        loadavg.one, loadavg.five, loadavg.fifteen = (
+            float(a.col(name)[row])
+            for name in ("load1", "load5", "load15")
+        )
+        self._attached.append(host)
+        self._attached_rows.append(row)
         if self._proc is None:
             self._proc = self.env.process(self._run(), name="hostplane")
         return loadavg
 
-    def set_analytic(
+    def add_analytic(
         self,
         name: str,
         mean_load: float = 0.0,
@@ -177,36 +192,25 @@ class HostPlane:
         phase: float = 0.0,
         static: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Switch a row to closed-form load modelling.
+        """Append a row whose load is modelled in closed form.
 
         ``mean_load``/``period``/``phase`` describe the background duty
         cycle (busy ``mean_load * period`` wall-seconds per period);
-        ``static`` pins the memory/disk sensor columns (defaults to the
-        backing host's current readings).
+        ``static`` pins the memory/disk sensor columns.  The row folds
+        on the tick process the cluster's first backed host started.
         """
         if not 0 <= mean_load < 1:
             raise ValueError("mean_load must lie in [0, 1)")
         if period <= 0:
             raise ValueError("period must be positive")
-        row = self.arrays.row_of(name)
-        if row is None:
-            raise KeyError(name)
         a = self.arrays
+        row = a.add_row(name)
         a.analytic[row] = True
         a.col("duty_busy")[row] = float(mean_load) * float(period)
-        a.col("duty_period")[row] = float(period)
-        a.col("duty_phase")[row] = float(phase)
-        host = next(h for r, h in self._backed if r == row)
-        static = static or {
-            "mem_avail_bytes": host.memory.physical_available,
-            "mem_avail_pct": host.memory.physical_available_pct,
-            "vmem_avail_pct": host.memory.virtual_available_pct,
-            "disk_avail_bytes": host.disks.total_available(),
-        }
-        for key, value in static.items():
-            a.col(key)[row] = float(value)
-        # Analytic rows never gather from the CPU model.
-        self._backed = [(r, h) for r, h in self._backed if r != row]
+        a.col("duty_period")[row] = period
+        a.col("duty_phase")[row] = phase
+        for key, value in (static or {}).items():
+            a.col(key)[row] = value
 
     def set_monitor_duty(
         self, rows: np.ndarray, busy: float, period: float,
@@ -289,8 +293,10 @@ class HostPlane:
             return
         t = self.env.now
         runq = a.col("runq")
-        for row, host in self._backed:
+        hosts, rows = self._attached, self._attached_rows
+        for row, host in zip(rows, hosts):
             runq[row] = host.cpu.run_queue
+        # Analytic rows stay closed-form, host attached or not.
         analytic = self.analytic_rows()
         if analytic.size:
             runq[analytic] = self._analytic_runq(t, analytic)
@@ -304,9 +310,11 @@ class HostPlane:
         load15 *= self._k15
         load15 += runq * self._mk15
         # Write-back: consumers keep reading host.loadavg.{one,five,...}.
-        for view, one, five, fifteen in zip(
-            self._views, load1.tolist(), load5.tolist(), load15.tolist()
+        for host, one, five, fifteen in zip(
+            hosts, load1[rows].tolist(), load5[rows].tolist(),
+            load15[rows].tolist(),
         ):
+            view = host.loadavg
             view.one = one
             view.five = five
             view.fifteen = fifteen

@@ -91,10 +91,10 @@ class Rescheduler:
 
         host_names = (
             monitored_hosts if monitored_hosts is not None
-            else [h.name for h in cluster]
+            else cluster.names()
         )
         registry_host = registry_host or (
-            host_names[0] if host_names else cluster.host_list()[0].name
+            host_names[0] if host_names else cluster.names()[0]
         )
 
         self.registry = RegistryScheduler(
@@ -115,7 +115,7 @@ class Rescheduler:
         # configured list, not the race of first Register arrivals.
         for name in host_names:
             self.registry.table.register(
-                name, cluster.host(name).static_info.as_dict()
+                name, cluster.static_info(name).as_dict()
             )
         # Partition the host list: analytic plane rows are monitored in
         # batch by one MonitorHub; backed hosts get the per-host
@@ -143,13 +143,7 @@ class Rescheduler:
                 sustain=self.config.sustain,
                 cycle_cost=self.config.cycle_cost,
                 rng=cluster.rng.stream("monitorhub"),
-                # Analytic rows host real process tables here; the hub
-                # walks one only to build that row's overload report,
-                # which carries the fields a per-host monitor would send.
-                processes_for=lambda name: [
-                    info.as_dict()
-                    for info in collect_process_info(cluster.host(name))
-                ],
+                processes_for=self._process_reports,
             )
         self.monitors: Dict[str, Monitor] = {}
         self.commanders: Dict[str, Commander] = {}
@@ -182,6 +176,15 @@ class Rescheduler:
                 policy=getattr(self.policy, "name", ""),
                 mode=self.config.mode,
             )
+
+    def _process_reports(self, name: str) -> List[dict]:
+        """An analytic row's process report, with the fields a per-host
+        monitor would send.  A row nothing was placed on has no
+        ``Host`` and runs nothing."""
+        host = self.cluster.hosts.get(name)
+        if host is None:
+            return []
+        return [info.as_dict() for info in collect_process_info(host)]
 
     # -- application management -----------------------------------------
     def launch_app(

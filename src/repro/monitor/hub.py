@@ -116,6 +116,8 @@ class MonitorHub:
         self._stopped = False
 
         n = len(self.hosts)
+        #: Host name → hub row.
+        self._index = {name: i for i, name in enumerate(self.hosts)}
         self._rows = np.empty(n, dtype=np.intp)
         for i, name in enumerate(self.hosts):
             row = plane.arrays.row_of(name)
@@ -180,7 +182,7 @@ class MonitorHub:
     def history(self, host: str, metric: str) -> List[Tuple[float, float]]:
         """One row's retained ``(time, value)`` samples, oldest first
         (``MonitoringDatabase.series`` for a hub row)."""
-        i = self.hosts.index(host)
+        i = self._index[host]
         done = int(self.row_cycles[i])
         kept = min(done, self._ring.shape[0])
         slots = np.arange(done - kept, done) % self._ring.shape[0]

@@ -25,6 +25,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..entity.outbox import (
     Deliver,
     Effects,
@@ -396,12 +398,14 @@ class RegistryCore:
                          exclude: tuple) -> Optional[str]:
         """First host (registration order) whose process report names
         another rank of ``app_name`` — the shrink merge context."""
-        for rec in self.table.records():
-            if rec.host in exclude or "@" in rec.host:
+        matrix = self.table.matrix
+        # Only rows whose last push carried a process report are listed.
+        for row, processes in sorted(matrix.processes.items()):
+            host = matrix.host_at(row)
+            if host in exclude or "@" in host:
                 continue
-            for proc in rec.processes:
-                if proc.get("name") == app_name:
-                    return rec.host
+            if any(proc.get("name") == app_name for proc in processes):
+                return host
         return None
 
     def _pick_destinations(self, k: int, exclude: tuple,
@@ -505,9 +509,9 @@ class RegistryCore:
         from ..protocol.messages import StatusQuery
 
         return [
-            Send(f"monitor@{record.host}", StatusQuery(host=record.host))
-            for record in self.table.records()
-            if "@" not in record.host  # children push on their own
+            Send(f"monitor@{host}", StatusQuery(host=host))
+            for host in self.table.matrix.hosts
+            if "@" not in host  # children push on their own
         ]
 
     def parent_update(self) -> Optional[Send]:
@@ -519,24 +523,21 @@ class RegistryCore:
         """
         if not self.parent_address:
             return None
-        available = self.table.available()
-        if available:
-            state = SystemState(
-                min(int(self.table.effective_state(r))
-                    for r in available)
-            )
+        matrix = self.table.matrix
+        available = np.flatnonzero(self.table.available_mask())
+        if available.size:
+            state = SystemState(int(matrix.state_codes[available].min()))
             # Advertise the best offer: the least-loaded available
-            # host's full metric set, so the parent's destination
-            # conditions evaluate against a real candidate.
-            best = min(
-                available,
-                key=lambda r: r.metrics.get("loadavg1", 0.0),
-            )
-            metrics = dict(best.metrics)
+            # host's full metric set (the first such row; an
+            # unreported load ranks as 0.0), so the parent's
+            # destination conditions evaluate against a real candidate.
+            load = matrix.metric_column("loadavg1")[available]
+            best = available[np.argmin(np.where(np.isnan(load), 0.0, load))]
+            metrics = matrix.metrics_at(int(best))
         else:
             state = SystemState.BUSY
             metrics = {}
-        metrics["hosts"] = float(len(available))
+        metrics["hosts"] = float(available.size)
         return Send(
             self.parent_address,
             StatusUpdate(host=self.label, state=state, metrics=metrics),

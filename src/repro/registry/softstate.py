@@ -11,74 +11,39 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..rules.states import SystemState
+from ..rules.states import FREE, SystemState
 from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
-from .hostmatrix import HostStateMatrix
+from .hostmatrix import HostRecord, HostStateMatrix
 
-#: State code → member (``record.state`` for a batch of int8 codes).
-_STATE_BY_CODE = tuple(SystemState(code) for code in range(len(SystemState)))
-
-
-@dataclass
-class HostRecord:
-    """One registered host (or child registry, in a hierarchy)."""
-
-    host: str
-    registered_at: float
-    static_info: dict = field(default_factory=dict)
-    state: SystemState = SystemState.FREE
-    metrics: Dict[str, float] = field(default_factory=dict)
-    processes: List[dict] = field(default_factory=list)
-    last_update: float = 0.0
-    updates_received: int = 0
-    #: Expiry already traced for the current lease lapse (reset by the
-    #: next update, so each lapse produces exactly one trace event).
-    expiry_traced: bool = False
+__all__ = ["HostRecord", "SoftStateTable"]
 
 
 class SoftStateTable:
-    """Lease-based registration table."""
+    """Lease-based registration table: the clock, the lease and the
+    expiry trace over a :class:`HostStateMatrix`, which holds the
+    data (docs/decision_plane.md)."""
 
     def __init__(self, env: Any, lease: float = 35.0):
         if lease <= 0:
             raise ValueError("lease must be positive")
         self.env = env
         self.lease = float(lease)
-        self._records: Dict[str, HostRecord] = {}
-        #: Records in registration order, maintained incrementally so
-        #: the per-query cost is O(1) per record scanned — no list
-        #: rebuild from name lookups on every ``records()`` call.
-        self._record_list: List[HostRecord] = []
-        #: Columnar mirror of the table — row *i* is record *i* — for
-        #: the decision plane (docs/decision_plane.md).
         self.matrix = HostStateMatrix()
 
     # -- mutation ---------------------------------------------------------
     def register(self, host: str, static_info: dict) -> HostRecord:
         """(Re-)register a host; keeps original order on re-register."""
-        record = self._records.get(host)
-        if record is None:
-            record = HostRecord(
-                host=host,
-                registered_at=self.env.now,
-                static_info=dict(static_info),
-                last_update=self.env.now,
-            )
-            self._records[host] = record
-            self._record_list.append(record)
-            self.matrix.add_row(host, record.static_info, self.env.now)
+        matrix = self.matrix
+        if host in matrix:
+            matrix.set_static(host, static_info, self.env.now)
         else:
-            record.static_info = dict(static_info)
-            record.last_update = self.env.now
-            record.expiry_traced = False
-            self.matrix.set_static(host, record.static_info, self.env.now)
-        return record
+            matrix.add_row(host, static_info, self.env.now)
+        return matrix.view(host)
 
     def update(
         self,
@@ -86,19 +51,13 @@ class SoftStateTable:
         state: SystemState,
         metrics: Dict[str, float],
         processes: Optional[List[dict]] = None,
-    ) -> HostRecord:
+    ) -> None:
         """Fold in a status push; implicitly registers unknown hosts."""
-        record = self._records.get(host)
-        if record is None:
-            record = self.register(host, {})
-        record.state = state
-        record.metrics = dict(metrics)
-        record.processes = list(processes or [])
-        record.last_update = self.env.now
-        record.updates_received += 1
-        record.expiry_traced = False
-        self.matrix.set_status(host, state, record.metrics, self.env.now)
-        return record
+        matrix = self.matrix
+        now = self.env.now
+        if host not in matrix:
+            matrix.add_row(host, {}, now)
+        matrix.set_status(host, state, metrics, now, processes)
 
     def push_many(
         self,
@@ -112,102 +71,93 @@ class SoftStateTable:
         array, or a list of members), and ``columns`` maps metric
         names to row-aligned value arrays — the monitor hub's column
         snapshot.  Equivalent to calling :meth:`update` once per host
-        (records refreshed, leases renewed, matrix rows rewritten),
-        except the matrix takes one fancy-indexed write per column
-        and no ``EV_REGISTRY_UPDATE`` trace event is emitted per row —
-        batch pushes are sim-internal delivery, not wire messages
-        (see ``repro.monitor.hub``).
+        (leases renewed, rows rewritten), except that it runs no
+        per-host Python and no ``EV_REGISTRY_UPDATE`` trace event is
+        emitted per row — batch pushes are sim-internal delivery, not
+        wire messages (see ``repro.monitor.hub``).
         """
+        if not len(hosts):
+            return
+        matrix = self.matrix
         now = self.env.now
-        names = list(columns.keys())
-        cols = [
-            np.asarray(columns[name], dtype=float).tolist()
-            for name in names
-        ]
-        codes = np.asarray(states, dtype=np.int8)
-        members = [_STATE_BY_CODE[code] for code in codes.tolist()]
-        rows = np.empty(len(hosts), dtype=np.intp)
-        for i, host in enumerate(hosts):
-            record = self._records.get(host)
-            if record is None:
-                record = self.register(host, {})
-            record.state = members[i]
-            record.metrics = {
-                name: col[i] for name, col in zip(names, cols)
-            }
-            record.processes = []
-            record.last_update = now
-            record.updates_received += 1
-            record.expiry_traced = False
-            rows[i] = self.matrix.row_of(host)
-        if len(hosts):
-            self.matrix.set_status_rows(rows, codes, columns, now)
+        try:
+            rows = matrix.rows_of(hosts)
+        except KeyError:
+            for host in hosts:
+                if host not in matrix:
+                    matrix.add_row(host, {}, now)
+            rows = matrix.rows_of(hosts)
+        matrix.set_status_rows(rows, states, columns, now)
 
     def unregister(self, host: str) -> None:
-        record = self._records.pop(host, None)
-        if record is not None:
-            self._record_list.remove(record)
-            self.matrix.remove(host)
+        self.matrix.remove(host)
 
     # -- queries --------------------------------------------------------
+    def _trace_expiry(self, rows: List[int]) -> None:
+        """Mark the current lease lapse of ``rows`` traced: one
+        ``EV_REGISTRY_EXPIRE`` each, until their next push."""
+        matrix = self.matrix
+        matrix.expiry_traced[rows] = True
+        tracer = get_tracer()
+        if tracer.enabled:
+            for row in rows:
+                tracer.event(
+                    EV_REGISTRY_EXPIRE, t=self.env.now,
+                    host=matrix.host_at(row),
+                    last_update=float(matrix.last_update[row]),
+                    lease=self.lease,
+                )
+
+    def _stale(self) -> np.ndarray:
+        """Boolean column: rows whose lease has lapsed.  Owns the
+        once-per-lapse expiry trace for every column query."""
+        matrix = self.matrix
+        stale = self.env.now - matrix.last_update > self.lease
+        if stale.any():
+            lapsed = np.flatnonzero(stale & ~matrix.expiry_traced)
+            if lapsed.size:
+                self._trace_expiry(lapsed.tolist())
+        return stale
+
     def effective_state(self, record: HostRecord) -> SystemState:
         """The record's state, demoted to UNAVAILABLE on lease expiry."""
-        if self.env.now - record.last_update > self.lease:
-            if not record.expiry_traced:
-                record.expiry_traced = True
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        EV_REGISTRY_EXPIRE, t=self.env.now,
-                        host=record.host,
-                        last_update=record.last_update,
-                        lease=self.lease,
-                    )
+        matrix = self.matrix
+        row = matrix.row_of(record.host)
+        if self.env.now - matrix.last_update[row] > self.lease:
+            if not matrix.expiry_traced[row]:
+                self._trace_expiry([row])
             return SystemState.UNAVAILABLE
         return record.state
 
     def get(self, host: str) -> Optional[HostRecord]:
-        return self._records.get(host)
+        return self.matrix.view(host)
 
     def records(self) -> List[HostRecord]:
         """All records in registration order (the first-fit order).
 
-        Returns the table's own incrementally-maintained list; callers
-        must treat it as read-only.
+        Returns the table's own list of row views (it changes only
+        when the row set does); callers must treat it as read-only.
         """
-        return self._record_list
+        return self.matrix.views()
+
+    def available_mask(self) -> np.ndarray:
+        """Boolean row mask over :attr:`matrix`: hosts whose lease is
+        current (and that did not report themselves UNAVAILABLE)."""
+        return (self.matrix.state_codes != SystemState.UNAVAILABLE) & ~self._stale()
 
     def available(self) -> List[HostRecord]:
         """Records whose lease is current."""
-        cutoff = self.env.now - self.lease
-        unavail = SystemState.UNAVAILABLE
-        # Fresh records skip effective_state() entirely; only expired
-        # ones take the slow path, which owns the once-per-lapse trace.
-        return [
-            r for r in self._record_list
-            if (r.state is not unavail if r.last_update >= cutoff
-                else self.effective_state(r) is not unavail)
-        ]
+        records = self.records()
+        return [records[row]
+                for row in np.flatnonzero(self.available_mask()).tolist()]
 
     def free_mask(self) -> np.ndarray:
         """Boolean row mask over :attr:`matrix`: hosts currently in
-        the FREE state (migration targets).
-
-        Fresh rows compare their pushed state directly; stale rows
-        take the per-record :meth:`effective_state` path, which owns
-        the once-per-lapse expiry trace event.
-        """
-        m = self.matrix
-        mask = m.state_codes == int(SystemState.FREE)
-        stale = m.last_update < self.env.now - self.lease
-        if stale.any():
-            for i in np.flatnonzero(stale):
-                mask[i] = (self.effective_state(self._record_list[i])
-                           is SystemState.FREE)
-        return mask
+        the FREE state (migration targets), lease expiry applied."""
+        return (self.matrix.state_codes == FREE) & ~self._stale()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.matrix)
 
     def __contains__(self, host: str) -> bool:
-        return host in self._records
+        return host in self.matrix

@@ -192,6 +192,77 @@ def test_plane_base_sockets_matches_sensors():
     assert PLANE_BASE_SOCKETS == BASE_SOCKETS
 
 
+def test_analytic_hosts_are_rows_not_objects(monkeypatch):
+    """An analytic host is a name, a plane row and a spec until
+    somebody asks for the ``Host``; then exactly one is built, on the
+    row it already had."""
+    from collections import Counter
+
+    import repro.cluster.builder as builder_mod
+    import repro.cluster.host as host_mod
+    from repro.cluster.network import Network
+    from repro.monitor.sensors import SensorSuite
+
+    suite = SensorSuite(Cluster(n_hosts=1, seed=0)["ws1"])
+    idle = {**suite.memory(), **suite.disk()}
+
+    built = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            built[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(builder_mod, "Host",
+                        counted("Host", builder_mod.Host))
+    for part in ("Cpu", "Memory", "DiskSet", "ProcessTable"):
+        monkeypatch.setattr(host_mod, part,
+                            counted(part, getattr(host_mod, part)))
+    monkeypatch.setattr(Network, "add_host",
+                        counted("port", Network.add_host))
+
+    cluster = Cluster(n_hosts=1, seed=0)
+    built.clear()
+    for i in range(2048):
+        cluster.add_analytic_host(
+            f"an{i}", mean_load=0.1 + 0.4 * (i % 9) / 9, period=2.0,
+            phase=0.01 * (i % 50),
+        )
+    assert not built
+    assert len(cluster) == 2049
+    assert cluster.names()[:2] == ["ws1", "an0"]
+    assert cluster.static_info("an7").hostname == "an7"
+    a = cluster.plane.arrays
+    row = a.row_of("an7")
+    # The pinned sensor columns are a fresh default host's readings,
+    # bit for bit.
+    for key, value in idle.items():
+        assert a.col(key)[row] == float(value), key
+    cluster.run(until=60.0)
+    assert not built
+
+    host = cluster.host("an7")
+    assert built == {"Host": 1, "Cpu": 1, "Memory": 1, "DiskSet": 1,
+                     "ProcessTable": 1, "port": 1}
+    assert cluster.network.has_host("an7")
+    assert not cluster.network.has_host("an8")
+    assert a.row_of("an7") == row and a.n == 2049
+    # The load average shows the row's current loads from the moment
+    # the host exists, not zeros until the next tick.
+    assert host.loadavg.as_tuple() == (
+        a.col("load1")[row], a.col("load5")[row], a.col("load15")[row])
+    assert host.loadavg.one > 0.0
+    assert cluster.host("an7") is host and cluster["an7"] is host
+    assert built["Host"] == 1
+    # ...and follows them from then on.
+    before = host.loadavg.as_tuple()
+    cluster.run(until=90.0)
+    assert host.loadavg.as_tuple() != before
+    assert host.loadavg.one == a.col("load1")[row]
+    assert set(cluster.hosts) == {"ws1", "an7"}
+
+
 # ----------------------------------------------------------- validation
 def test_set_analytic_validation():
     cluster = Cluster(n_hosts=1, seed=0)
@@ -199,8 +270,10 @@ def test_set_analytic_validation():
         cluster.add_analytic_host("an0", mean_load=1.0)
     with pytest.raises(ValueError, match="period"):
         cluster.add_analytic_host("an1", mean_load=0.2, period=0.0)
-    with pytest.raises(KeyError):
-        cluster.plane.set_analytic("nope", mean_load=0.1)
+    with pytest.raises(ValueError, match="already"):
+        cluster.add_analytic_host("ws1", mean_load=0.1)
+    # A rejected host leaves no row behind.
+    assert cluster.names() == ["ws1"]
 
 
 def test_hog_validation():

@@ -1,7 +1,5 @@
 """Monitor hub: batched monitoring of the host plane's analytic rows."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +12,7 @@ from repro.protocol.transport import EndpointRegistry
 from repro.rules import RuleSet, SimpleRule, SystemState, paper_ruleset
 from repro.rules.states import OVERLOADED
 
+from ..callcount import count_calls
 from .reference import RowPump
 
 INTERVAL = 10.0
@@ -153,23 +152,6 @@ class SideBySide:
             for metric in core.database.metrics():
                 assert (self.hub.history(name, metric)
                         == core.database.series(metric)), (name, metric)
-
-
-def count_calls(fn):
-    """Python-level and C calls made while ``fn()`` runs."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_hub_owns_analytic_rows_monitors_own_backed():
@@ -459,3 +441,8 @@ def test_hog_overload_drives_decision_migration_and_recovery():
     assert rs.registry.table.get("an1").state in (
         SystemState.FREE, SystemState.BUSY,
     )
+    # Of the analytic rows, only the one something was placed on ever
+    # became a Host: registration, monitoring, the overload report and
+    # the decision all ran on rows.
+    assert set(cluster.hosts) == {"ws1", "ws2", "an1"}
+    assert len(cluster) == 6

@@ -7,6 +7,8 @@ from repro.registry.hostmatrix import METRIC_COLUMNS
 from repro.rules import SystemState
 from repro.sim import Environment
 
+from ..callcount import count_calls
+
 HOSTS = ["ws1", "ws2", "ws3", "ws4", "ws5"]
 STATES = [
     SystemState.FREE, SystemState.BUSY, SystemState.FREE,
@@ -143,3 +145,66 @@ def test_set_status_rows_direct():
     # Untouched rows keep their state.
     assert matrix.state_codes[0] == int(SystemState.FREE)
     assert np.isnan(matrix.metric_column("loadavg1")[0])
+
+
+def test_push_many_counts_a_host_named_twice_twice():
+    """``update`` twice ≡ one batch naming the host twice: two pushes
+    counted, the later write kept (a fancy-indexed ``+= 1`` counts
+    one)."""
+    table = _fresh_table()
+    table.push_many(
+        ["ws2", "ws1", "ws2"],
+        [SystemState.BUSY, SystemState.FREE, SystemState.OVERLOADED],
+        {"loadavg1": np.array([1.0, 2.0, 3.0]),
+         "hosts": np.array([7.0, 8.0, 9.0])},
+    )
+    scalar = _fresh_table()
+    scalar.update("ws2", SystemState.BUSY, {"loadavg1": 1.0, "hosts": 7.0})
+    scalar.update("ws1", SystemState.FREE, {"loadavg1": 2.0, "hosts": 8.0})
+    scalar.update("ws2", SystemState.OVERLOADED,
+                  {"loadavg1": 3.0, "hosts": 9.0})
+    for name in HOSTS:
+        b, s = table.get(name), scalar.get(name)
+        assert b.updates_received == s.updates_received
+        assert b.state is s.state
+        assert b.metrics == s.metrics
+    assert table.get("ws2").updates_received == 2
+    assert table.get("ws2").metrics == {"loadavg1": 3.0, "hosts": 9.0}
+
+
+def test_push_many_clears_side_tables_of_pushed_rows_only():
+    table = _fresh_table()
+    report = [{"name": "app", "pid": 7}]
+    for name in ("ws1", "ws3"):
+        table.update(name, SystemState.OVERLOADED,
+                     {"loadavg1": 4.0, "hosts": 2.0}, report)
+    table.push_many(["ws1", "ws2"], [SystemState.FREE, SystemState.FREE],
+                    {"loadavg1": np.array([0.1, 0.2])})
+    assert table.get("ws1").processes == []
+    assert table.get("ws1").metrics == {"loadavg1": 0.1}
+    assert table.get("ws3").processes == report
+    assert table.get("ws3").metrics == {"loadavg1": 4.0, "hosts": 2.0}
+
+
+def test_call_count_of_push_many_is_flat_in_rows():
+    """No per-host Python in the real table's batch fold: 2048 rows
+    cost the calls 64 rows do."""
+    counts = {}
+    for n_rows in (64, 2048):
+        table = SoftStateTable(Environment(), lease=35.0)
+        hosts = [f"ws{i}" for i in range(n_rows)]
+        for name in hosts:
+            table.register(name, {})
+        # One row carries side-table entries the batch must clear.
+        table.update("ws3", SystemState.OVERLOADED, {"hosts": 1.0},
+                     [{"name": "app", "pid": 1}])
+        cols = _columns(n_rows)
+        codes = np.zeros(n_rows, dtype=np.int8)
+        counts[n_rows] = count_calls(
+            lambda: table.push_many(hosts, codes, cols))
+        assert table.matrix.updates_received.tolist() == (
+            [1, 1, 1, 2] + [1] * (n_rows - 4))
+        assert table.get("ws3").processes == []
+        np.testing.assert_array_equal(
+            table.matrix.metric_column("loadavg5"), cols["loadavg5"])
+    assert abs(counts[2048] - counts[64]) <= 4, counts

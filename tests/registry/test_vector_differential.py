@@ -157,11 +157,13 @@ def test_verify_mode_runs_both_paths_clean():
 
 
 def test_verify_mode_raises_on_divergence():
-    """The differential has teeth: a matrix mirror that drifted from
-    the records makes production and reference disagree."""
+    """The differential has teeth: a column predicate that drifted
+    from the record walk makes production and reference disagree.
+    (Records are views of the same columns, so corrupting the data
+    moves both sides; corrupting the column *code* does not.)"""
     core, _ = random_core(11, first_fit)
-    core.table.matrix._state[:] = int(SystemState.OVERLOADED)
-    core.table.matrix._last_update[:] = core.clock.now
+    free_mask = core.table.free_mask
+    core.table.free_mask = lambda: ~free_mask()
     with pytest.raises(AssertionError):
         verify(core, 1, (), None, True)
 
