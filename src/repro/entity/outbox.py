@@ -37,7 +37,7 @@ A world reshape (docs/malleability.md) is a ``Send`` like a migration:
 the intent travels in the typed message (``MigrateCommand`` is the 1:1
 special case of ``ExpandCommand``/``ShrinkCommand``) and in
 ``Reconfigure.effect``, so drivers need no reshape-specific dispatch.
-The self-lint's E402 exhaustiveness check forces every driver pump to
+The self-lint's E402 exhaustiveness check forces every driver to
 handle an effect the day it is added here.
 """
 

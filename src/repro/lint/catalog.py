@@ -87,7 +87,7 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "D306": ("warning", "time.sleep inside virtual time"),
     # effects
     "E401": ("error", "effect class and Effect union disagree"),
-    "E402": ("error", "effect pump does not cover every effect type"),
+    "E402": ("error", "driver module does not cover every effect type"),
     "E403": ("error", "Query effect yielded as a bare statement"),
     "E404": ("error", "core module yields a non-effect call"),
     # trace discipline
@@ -104,8 +104,6 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     # concurrency
     "C701": ("error", "shared attribute raced across thread contexts"),
     "C702": ("error", "blocking call while a lock is held"),
-    "C703": ("error", "manual acquire() without release() in finally"),
-    "C704": ("error", "locks nested in opposite orders"),
     "C705": ("warning", "mutable module global mutated under threads"),
     # message flow
     "M801": ("error", "message emitted but handled nowhere"),

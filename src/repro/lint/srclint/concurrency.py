@@ -1,13 +1,13 @@
-"""C700 — concurrency sanitizer over the thread-per-connection runtime.
+"""C700 — concurrency sanitizer over the loop-plus-task-threads runtime.
 
-The live drivers (``live/registry.py``, ``live/node.py``,
-``live/transport.py``) run the paper's entity web as real threads:
-receive loops, monitor loops, worker threads, one pump thread per
-decision.  Every shared instance attribute those threads touch is a
-race unless a common lock covers it — and every blocking call made
-*while holding* such a lock turns the lock into a convoy (or, with two
-locks, a deadlock).  This pass rebuilds that threading model statically
-and checks it; ``docs/live.md`` ("Threading model") is the prose twin.
+The live runtime (``live/transport.py``, ``live/node.py``) runs the
+paper's entity web on one ``selectors`` loop thread per endpoint plus
+one worker thread per task, with one lock per class between them and
+their callers.  Every shared instance attribute those threads touch is
+a race unless that lock covers it — and every blocking call made
+*while holding* it stalls the loop behind real I/O.  This pass rebuilds
+that threading model statically and checks it; ``docs/live.md``
+("Threading model") is the prose twin.
 
 ========  ========  =====================================================
 code      severity  finding
@@ -15,22 +15,19 @@ code      severity  finding
 C701      error     shared attribute written in one thread context and
                     accessed from another with no common lock — or a
                     public attribute written lock-free in a
-                    thread-spawning class (implied external reader)
+                    thread-spawning class (implied external reader),
+                    unless it is a counter only one context increments
 C702      error     blocking call (socket I/O, ``time.sleep``,
                     ``join()``, subprocess) while holding a lock
-C703      error     manual ``acquire()`` without a ``release()`` in an
-                    enclosing ``finally`` — a ``with`` block would be
-                    exception-safe
-C704      error     inconsistent multi-lock acquisition order across a
-                    class (potential deadlock)
 C705      warning   mutable module-level state in a thread-spawning
                     module, mutated from function bodies
 ========  ========  =====================================================
 
 The model: a class is *threaded* when it spawns
 ``threading.Thread(target=self.method)`` anywhere; each such target's
-transitive self-call closure is one thread context, and every public
-method outside all closures is the implied "caller" context.
+transitive self-call closure is one thread context, and every method
+outside all closures — the public surface, and what an endpoint's loop
+calls back — is the implied "caller" context.
 ``__init__`` runs before any thread exists, so its accesses are exempt.
 Attributes holding ``Lock``/``RLock`` are the lock vocabulary;
 ``Event``/``Condition``/``queue.Queue``/``deque`` and friends
@@ -104,7 +101,7 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 class _Access:
     attr: str
     method: str
-    kind: str  # "read" | "write"
+    kind: str  # "read" | "write" | "bump" (an augmented assignment)
     line: int
     held: FrozenSet[str]
 
@@ -119,16 +116,12 @@ class _ClassModel:
     locks: Set[str] = field(default_factory=set)
     sync_exempt: Set[str] = field(default_factory=set)
     accesses: List[_Access] = field(default_factory=list)
-    #: (outer lock, inner lock, line) for every nested acquisition.
-    lock_pairs: List[Tuple[str, str, int]] = field(default_factory=list)
     #: (line, label, held, method) for every blocking call site.
     blocking: List[Tuple[int, str, FrozenSet[str], str]] = (
         field(default_factory=list))
     #: (line, target method, held, method) for every self-call site.
     self_calls: List[Tuple[int, str, FrozenSet[str], str]] = (
         field(default_factory=list))
-    #: (line, lock) for every bare acquire() outside a finally pairing.
-    unbalanced: List[Tuple[int, str]] = field(default_factory=list)
 
     def contexts_of(self, method: str) -> FrozenSet[str]:
         owning = frozenset(
@@ -206,64 +199,39 @@ def _scan_method(
     method: str,
     fn: ast.FunctionDef,
 ) -> None:
-    """One pass over a method body tracking held locks and enclosing
-    ``finally`` release sets."""
+    """One pass over a method body tracking the locks ``with`` holds (a
+    manual ``acquire()`` holds nothing here: what it guards is C701)."""
 
     def lock_in(expr: ast.AST) -> Optional[str]:
         attr = _self_attr(expr)
         return attr if attr in model.locks else None
 
     def record_write(attr: Optional[str], line: int,
-                     held: FrozenSet[str]) -> None:
+                     held: FrozenSet[str], kind: str = "write") -> None:
         if attr is not None:
-            model.accesses.append(_Access(attr, method, "write", line, held))
+            model.accesses.append(_Access(attr, method, kind, line, held))
 
-    def visit(node: ast.AST, held: FrozenSet[str],
-              finals: FrozenSet[str]) -> None:
+    def visit(node: ast.AST, held: FrozenSet[str]) -> None:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             inner = held
             for item in node.items:
-                visit(item.context_expr, held, finals)
+                visit(item.context_expr, held)
                 lock = lock_in(item.context_expr)
                 if lock is not None:
-                    for outer in sorted(inner):
-                        if outer != lock:
-                            model.lock_pairs.append(
-                                (outer, lock, item.context_expr.lineno))
                     inner = inner | {lock}
             for stmt in node.body:
-                visit(stmt, inner, finals)
+                visit(stmt, inner)
             return
-        if isinstance(node, ast.Try):
-            released: Set[str] = set()
-            for stmt in node.finalbody:
-                for call in ast.walk(stmt):
-                    if (isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and call.func.attr == "release"):
-                        lock = lock_in(call.func.value)
-                        if lock is not None:
-                            released.add(lock)
-            inner_finals = finals | released
-            for stmt in node.body:
-                visit(stmt, held, inner_finals)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    visit(stmt, held, inner_finals)
-            for stmt in node.orelse:
-                visit(stmt, held, inner_finals)
-            for stmt in node.finalbody:
-                visit(stmt, held, finals)
-            return
-
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
+            kind = "bump" if isinstance(node, ast.AugAssign) else "write"
             for target in targets:
                 for sub in ast.walk(target):
                     if (isinstance(sub, ast.Attribute)
                             and isinstance(sub.ctx, ast.Store)):
-                        record_write(_self_attr(sub), node.lineno, held)
+                        record_write(_self_attr(sub), node.lineno, held,
+                                     kind)
                     elif isinstance(sub, ast.Subscript):
                         record_write(_self_attr(sub.value),
                                      node.lineno, held)
@@ -279,10 +247,6 @@ def _scan_method(
                 receiver = _self_attr(func.value)
                 if func.attr in _MUTATOR_METHODS and receiver is not None:
                     record_write(receiver, node.lineno, held)
-                if func.attr == "acquire":
-                    lock = lock_in(func.value)
-                    if lock is not None and lock not in finals:
-                        model.unbalanced.append((node.lineno, lock))
                 target = _self_attr(func)
                 if target is not None and target in model.methods:
                     model.self_calls.append(
@@ -306,10 +270,10 @@ def _scan_method(
                     _Access(attr, method, "read", node.lineno, held))
 
         for child in ast.iter_child_nodes(node):
-            visit(child, held, finals)
+            visit(child, held)
 
     for stmt in fn.body:
-        visit(stmt, frozenset(), frozenset())
+        visit(stmt, frozenset())
 
 
 def _check_class(module: PyModule, model: _ClassModel) -> List[Diagnostic]:
@@ -329,7 +293,7 @@ def _check_class(module: PyModule, model: _ClassModel) -> List[Diagnostic]:
     # C701 — unshielded shared attributes.
     for attr in sorted(by_attr):
         accesses = by_attr[attr]
-        writes = [a for a in accesses if a.kind == "write"]
+        writes = [a for a in accesses if a.kind != "read"]
         if not writes:
             continue
         contexts: Set[str] = set()
@@ -350,10 +314,14 @@ def _check_class(module: PyModule, model: _ClassModel) -> List[Diagnostic]:
             ))
             continue
         # A public attribute written lock-free in a threaded class has
-        # an implied reader: the code that made it public.
+        # an implied reader: the code that made it public.  A counter
+        # that one context alone increments cannot tear under it.
         if not attr.startswith("_"):
             bare = [w for w in writes if not w.held]
-            if bare:
+            writers = {c for w in writes
+                       for c in model.contexts_of(w.method)}
+            if bare and not (len(writers) == 1
+                             and all(w.kind == "bump" for w in writes)):
                 diags.append(Diagnostic(
                     code="C701", severity=Severity.ERROR,
                     message=(
@@ -390,39 +358,6 @@ def _check_class(module: PyModule, model: _ClassModel) -> List[Diagnostic]:
                 f"blocking call {label} while holding lock(s) "
                 f"[{locks}]; every other thread needing them stalls "
                 "behind real I/O"
-            ),
-            file=module.path, line=line, obj=cls,
-        ))
-
-    # C703 — bare acquire() without a finally-paired release().
-    for line, lock in sorted(model.unbalanced):
-        diags.append(Diagnostic(
-            code="C703", severity=Severity.ERROR,
-            message=(
-                f"manual '{lock}.acquire()' with no release() in an "
-                "enclosing finally; an exception leaks the lock — use "
-                f"'with self.{lock}:'"
-            ),
-            file=module.path, line=line, obj=cls,
-        ))
-
-    # C704 — inconsistent lock acquisition order.
-    orders: Dict[Tuple[str, str], int] = {}
-    for outer, inner, line in model.lock_pairs:
-        orders.setdefault((outer, inner), line)
-    reported: Set[FrozenSet[str]] = set()
-    for (outer, inner), line in sorted(orders.items(),
-                                       key=lambda kv: kv[1]):
-        pair = frozenset((outer, inner))
-        if pair in reported or (inner, outer) not in orders:
-            continue
-        reported.add(pair)
-        diags.append(Diagnostic(
-            code="C704", severity=Severity.ERROR,
-            message=(
-                f"locks '{outer}' and '{inner}' are acquired in both "
-                "orders within this class; two threads can deadlock "
-                "holding one each"
             ),
             file=module.path, line=line, obj=cls,
         ))

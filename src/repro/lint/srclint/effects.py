@@ -2,16 +2,16 @@
 
 PR 4's contract: pure cores *describe* what they want done as effect
 dataclasses (``Send``/``Spend``/``Query``/``Deliver``/``Task`` from
-``entity/outbox.py``) and every driver pump *performs* all of them.
-The union and the pumps drift independently — adding a sixth effect
-compiles fine and is silently dropped by a pump that never learned it.
+``entity/outbox.py``) and every driver *performs* all of them.
+The union and the drivers drift independently — adding a sixth effect
+compiles fine and is silently dropped by a driver that never learned it.
 
 ========  ========  =====================================================
 code      severity  finding
 ========  ========  =====================================================
 E401      error     effect dataclass missing from the ``Effect`` union,
                     or the union names an undefined class
-E402      error     an effect pump (a class isinstance-dispatching on
+E402      error     a driver (a module isinstance-dispatching on
                     effects) does not cover every effect type
 E403      error     a ``Query`` effect yielded as a bare statement —
                     the reply the driver delivers is discarded
@@ -174,24 +174,19 @@ def _check_user(
         local for local, orig in local_effects.items() if orig == "Query"
     }
 
-    # E402: any class that isinstance-dispatches on at least one effect
-    # is a pump and must cover them all (union across its methods —
-    # real drivers split handling between _perform and _pump).
-    for cls in (n for n in module.tree.body
-                if isinstance(n, ast.ClassDef)):
-        handled = isinstance_targets(cls, local_effects)
-        if not handled:
-            continue
-        missing = sorted(contract.effects - handled)
-        if missing:
-            diags.append(Diagnostic(
-                code="E402", severity=Severity.ERROR,
-                message=(
-                    f"effect pump handles {sorted(handled)} but not "
-                    f"{missing}; every Effect type must be performed"
-                ),
-                file=module.path, line=cls.lineno, obj=cls.name,
-            ))
+    # E402: a module that isinstance-dispatches on at least one effect
+    # is a driver and must perform them all (V905's unit of "handles").
+    handled = isinstance_targets(module.tree, local_effects)
+    missing = sorted(contract.effects - handled)
+    if handled and missing:
+        diags.append(Diagnostic(
+            code="E402", severity=Severity.ERROR,
+            message=(
+                f"driver handles {sorted(handled)} but not "
+                f"{missing}; every Effect type must be performed"
+            ),
+            file=module.path, line=1, obj=module_basename(module),
+        ))
 
     for node in ast.walk(module.tree):
         # E403: `yield Query(...)` as a bare statement — the reply the

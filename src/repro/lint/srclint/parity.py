@@ -50,7 +50,7 @@ def _check_effect_sides(
 ) -> List[Diagnostic]:
     """V905: both runtimes must pump the same effect vocabulary.
 
-    E402 already forces each *pump class* to cover the union; this is
+    E402 already forces each *driver module* to cover the union; this is
     the cross-runtime half — an effect whose only live-side handling
     was deleted still leaves the sim green, exactly the drift the
     sim/live parity tests chase dynamically (M804's split, applied to

@@ -2,8 +2,9 @@
 
 "A monitor and a commander entity reside on each host" (paper §3);
 a :class:`LiveNode` plays both roles for one real OS process.  It owns
-a TCP endpoint, executes checkpointable tasks on worker threads, and
-acts on incoming ``MigrateCommand``s by checkpointing the task at its
+a TCP endpoint whose loop thread runs both roles (commander acks,
+``StatusQuery`` answers, state resume, the monitor cadence), executes
+checkpointable tasks on worker threads, and acts on incoming ``MigrateCommand``s by checkpointing the task at its
 next poll-point and shipping the pickled state to the destination node
 over a real socket (HPCM role, §3.3).
 
@@ -122,11 +123,9 @@ class LiveNode:
         self.expands_out = 0
         self.shrinks_out = 0
         self.merges_in = 0
+        #: Shared by the task threads, the endpoint's loop and callers:
+        #: ``tasks``, ``injected_load`` and the counters above.
         self._lock = threading.Lock()
-        #: Serializes MonitorCore cycles: the periodic loop and the
-        #: StatusQuery pull path both pump the core.  Ordering is
-        #: always _mon_lock → _lock, never the reverse.
-        self._mon_lock = threading.Lock()
         self._stop = threading.Event()
         self._cpu = proc_sensors.CpuIdleSampler()
         self._net = proc_sensors.NetRateSampler()
@@ -151,14 +150,9 @@ class LiveNode:
             clock=clock, host_name=self.endpoint.address,
             deliver=self._signal,
         )
-        self._threads = [
-            threading.Thread(target=self._serve_loop,
-                             name=f"{name}-serve", daemon=True),
-            threading.Thread(target=self._monitor_loop,
-                             name=f"{name}-monitor", daemon=True),
-        ]
-        for t in self._threads:
-            t.start()
+        self.endpoint.serve(self._on_item)
+        if registry_address:
+            self.endpoint.call_later(0.0, self._register)
 
     # -- public API -------------------------------------------------------
     @property
@@ -335,43 +329,38 @@ class LiveNode:
                     TASK_MERGERS[task.task_type](task.state, shard)
                     task.world_size -= 1
 
-    # -- inbox (commander + migration receiver) ---------------------------
-    def _serve_loop(self) -> None:
-        while not self._stop.is_set():
-            item = self.endpoint.recv(timeout=0.1)
-            if item is None:
-                continue
-            kind, payload = item
-            if kind == "msg":
-                msg, sender, ts = payload
-                if isinstance(msg, (ExpandCommand, MigrateCommand, ShrinkCommand)):
-                    ack = self.commander.command(msg)
-                    self.endpoint.send_message(sender, ack,
-                                               timestamp=time.time())
-                elif isinstance(msg, StatusQuery):
-                    # The registry's pull path (§3.2): answer with a
-                    # full monitor cycle, same as the sim monitor.
-                    self.endpoint.send_message(sender,
-                                               self._status_update(),
-                                               timestamp=time.time())
-            elif kind == "state":
-                header, blob = payload
-                state = pickle.loads(blob)
-                if header.get("merge") and self._merge_state(header,
-                                                             state):
-                    continue
-                task = self.submit(header["task_type"], state,
-                                   est_seconds=header["est_seconds"],
-                                   **header.get("world", {}))
-                task.hops = header.get("hops", 1)
-                with self._lock:
-                    self.migrations_in += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(EV_LIVE_RESUME, t=self._clock.now,
-                                 host=self.name, task=task.task_id,
-                                 origin=header.get("origin", ""),
-                                 hops=task.hops)
+    # -- on the endpoint's loop (commander + migration receiver) ----------
+    def _on_item(self, item) -> None:
+        kind, payload = item
+        if kind == "msg":
+            msg, sender, ts = payload
+            if isinstance(msg, (ExpandCommand, MigrateCommand, ShrinkCommand)):
+                ack = self.commander.command(msg)
+                self.endpoint.send_message(sender, ack,
+                                           timestamp=time.time())
+            elif isinstance(msg, StatusQuery):
+                # The registry's pull path (§3.2): answer with a
+                # full monitor cycle, same as the sim monitor.
+                self.endpoint.send_message(sender,
+                                           self._status_update(),
+                                           timestamp=time.time())
+        elif kind == "state":
+            header, blob = payload
+            state = pickle.loads(blob)
+            if header.get("merge") and self._merge_state(header, state):
+                return
+            task = self.submit(header["task_type"], state,
+                               est_seconds=header["est_seconds"],
+                               **header.get("world", {}))
+            task.hops = header.get("hops", 1)
+            with self._lock:
+                self.migrations_in += 1
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(EV_LIVE_RESUME, t=self._clock.now,
+                             host=self.name, task=task.task_id,
+                             origin=header.get("origin", ""),
+                             hops=task.hops)
 
     def _merge_state(self, header: dict, state: dict) -> bool:
         """Fold a retiring shard into a running task of its type (the
@@ -424,42 +413,46 @@ class LiveNode:
             metrics["proc_count"] = float(len(self.tasks))
         return metrics
 
-    def _monitor_loop(self) -> None:
-        if self.registry_address:
-            self.endpoint.send_message(
-                self.registry_address,
-                Register(host=self.address,
-                         static_info={"name": self.name}),
-                timestamp=time.time(),
-            )
-        while not self._stop.wait(self.monitor.current_interval()):
-            if not self.registry_address:
-                continue
-            self.endpoint.send_message(
-                self.registry_address,
-                self._status_update(),
-                timestamp=time.time(),
-            )
+    def _register(self) -> None:
+        self.endpoint.send_message(
+            self.registry_address,
+            Register(host=self.address, static_info={"name": self.name}),
+            timestamp=time.time(),
+        )
+        self.endpoint.call_later(self.monitor.current_interval(),
+                                 self._monitor_tick)
+
+    def _monitor_tick(self) -> None:
+        if self._stop.is_set():
+            return
+        self.endpoint.send_message(
+            self.registry_address,
+            self._status_update(),
+            timestamp=time.time(),
+        )
+        self.endpoint.call_later(self.monitor.current_interval(),
+                                 self._monitor_tick)
 
     def _status_update(self):
-        with self._mon_lock:
-            span = self.monitor.begin_cycle()
-            snapshot = self.engine.refresh()
-            with self._lock:
-                processes = [
-                    {
-                        "pid": t.task_id,
-                        "name": t.task_type,
-                        "start_time": t.started_at,
-                        "est_completion": t.started_at + t.est_seconds,
-                        "data_locality": 0.0,
-                        "world_size": t.world_size,
-                        "min_world": t.min_world,
-                        "max_world": t.max_world,
-                        "efficiency_curve": ",".join(
-                            repr(float(v)) for v in t.efficiency_curve
-                        ),
-                    }
-                    for t in self.tasks.values()
-                ]
-            return self.monitor.finish_cycle(span, snapshot, processes)
+        """One monitor cycle.  Cycles never overlap: the cadence and
+        the ``StatusQuery`` pull path both run on the loop thread."""
+        span = self.monitor.begin_cycle()
+        snapshot = self.engine.refresh()
+        with self._lock:
+            processes = [
+                {
+                    "pid": t.task_id,
+                    "name": t.task_type,
+                    "start_time": t.started_at,
+                    "est_completion": t.started_at + t.est_seconds,
+                    "data_locality": 0.0,
+                    "world_size": t.world_size,
+                    "min_world": t.min_world,
+                    "max_world": t.max_world,
+                    "efficiency_curve": ",".join(
+                        repr(float(v)) for v in t.efficiency_curve
+                    ),
+                }
+                for t in self.tasks.values()
+            ]
+        return self.monitor.finish_cycle(span, snapshot, processes)

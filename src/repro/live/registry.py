@@ -7,35 +7,43 @@ mechanism" (§3.2).  This driver pumps the *same*
 soft-state table, victim selection, first fit over policy destination
 conditions, the command cooldown, and hierarchical
 ``CandidateRequest`` escalation are one code path in both runtimes —
-from real threads over real TCP.  A behaviour exists in both runtimes
+over real TCP.  A behaviour exists in both runtimes
 or in neither; ``tests/live/test_parity.py`` holds that line.
 
-Threading model: the receive loop folds messages into the core under
-one lock; each decision the core spawns (a
-:class:`~repro.entity.outbox.Task` effect) runs on its own thread,
-advancing the core's generator under the same lock but executing the
-blocking effects — ``Spend`` → sleep, ``Query`` → bounded wait for the
-matching ``CandidateReply`` — outside it.
+Threading model: none of its own.  The endpoint's loop thread hands
+every decoded frame to :meth:`LiveRegistry._on_item`, which advances
+the core one step — ``handle`` → effects, each
+:class:`~repro.entity.outbox.Task` generator stepped inline until it
+finishes or parks: ``Spend`` as a timer, ``Query`` as a pending reply
+with its timeout.  A decision that neither spends nor queries is over
+before the next frame is read.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from typing import Any, List, Optional
+from typing import Any, Generator, List, Optional
 
 from ..entity.clock import WallClock
-from ..entity.outbox import Deliver, Query, Send, Spend, Task
+from ..entity.outbox import Deliver, Effects, Query, Send, Spend, Task
 from ..registry.core import Reconfigure, RegistryCore
 from ..registry.strategies import first_fit
 from .transport import LiveEndpoint
 
 __all__ = ["LiveRegistry"]
 
+#: Seconds between aggregate soft-state reports to a parent registry.
+PARENT_UPDATE_S = 1.0
+
+
+def _each(effects: Effects) -> Generator:
+    """The effects of one handled message, as a task that never waits."""
+    yield from effects
+
 
 class LiveRegistry:
-    """Registry/scheduler thread for a live deployment."""
+    """Registry/scheduler for a live deployment, run by its endpoint's
+    loop thread."""
 
     def __init__(
         self,
@@ -69,21 +77,11 @@ class LiveRegistry:
             # The overloaded node itself plays the commander role.
             commander_for=lambda source: source,
         )
-        self._pending_replies: dict = {}
-        self._reply_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name=f"live-registry:{name}", daemon=True
-        )
-        self._thread.start()
-        self._parent_thread = None
+        #: ``req_id`` → the task generator parked on that ``Query``.
+        self._pending: dict = {}
+        self.endpoint.serve(self._on_item)
         if parent_address:
-            self._parent_thread = threading.Thread(
-                target=self._parent_loop, name=f"live-registry-up:{name}",
-                daemon=True,
-            )
-            self._parent_thread.start()
+            self.endpoint.call_later(PARENT_UPDATE_S, self._parent_update)
 
     # -- the core's state, exposed for experiments and tests ------------
     @property
@@ -114,77 +112,62 @@ class LiveRegistry:
     def parent_address(self):
         return self.core.parent_address
 
+    @property
+    def reports_guarded(self) -> int:
+        """OVERLOADED reports that met the in-flight guard or the
+        cooldown and were therefore not decided on."""
+        return self.core.reports_guarded
+
     def stop(self) -> None:
-        self._stop.set()
         self.endpoint.close()
 
     # -- effect interpretation ------------------------------------------
-    def _perform(self, effects) -> None:
-        """Run the synchronous effects of one handled message."""
-        for effect in effects:
-            if isinstance(effect, Send):
-                self._send(effect.to, effect.msg)
-            elif isinstance(effect, Task):
-                threading.Thread(
-                    target=self._pump, args=(effect.gen,),
-                    name=effect.name, daemon=True,
-                ).start()
-            elif isinstance(effect, Deliver):
-                with self._reply_lock:
-                    waiter = self._pending_replies.pop(effect.req_id, None)
-                if waiter is not None:
-                    try:
-                        waiter.put_nowait(effect.reply)
-                    except queue.Full:
-                        pass
-
-    def _pump(self, gen) -> None:
-        """Drive one core task generator on this thread."""
-        value = None
-        while not self._stop.is_set():
+    def _advance(self, gen: Generator, value: Any = None) -> None:
+        """Step one task generator until it finishes or parks."""
+        while True:
             try:
-                with self._lock:
-                    effect = gen.send(value)
+                effect = gen.send(value)
             except StopIteration:
                 return
             value = None
-            if isinstance(effect, Spend):
-                time.sleep(effect.seconds)
-            elif isinstance(effect, Send):
+            if isinstance(effect, Send):
                 self._send(effect.to, effect.msg)
+            elif isinstance(effect, Task):
+                self._advance(effect.gen)
+            elif isinstance(effect, Deliver):
+                self._resume(effect.req_id, effect.reply)
+            elif isinstance(effect, Spend):
+                self.endpoint.call_later(effect.seconds, self._advance, gen)
+                return
             elif isinstance(effect, Query):
-                waiter: "queue.Queue" = queue.Queue(maxsize=1)
-                with self._reply_lock:
-                    self._pending_replies[effect.req_id] = waiter
+                self._pending[effect.req_id] = gen
                 self._send(effect.to, effect.request)
-                try:
-                    value = waiter.get(timeout=effect.timeout)
-                except queue.Empty:
-                    value = None
-                with self._reply_lock:
-                    self._pending_replies.pop(effect.req_id, None)
+                self.endpoint.call_later(
+                    effect.timeout, self._resume, effect.req_id, None)
+                return
+
+    def _resume(self, req_id: str, reply: Any) -> None:
+        """A ``Query`` ends, by its reply or (``None``) its timeout —
+        whichever comes first finds the task still parked."""
+        gen = self._pending.pop(req_id, None)
+        if gen is not None:
+            self._advance(gen, reply)
 
     def _send(self, to: str, msg: Any) -> None:
         self.endpoint.send_message(to, msg, timestamp=time.time())
 
-    # -- main loop ------------------------------------------------------
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            item = self.endpoint.recv(timeout=0.1)
-            if item is None:
-                continue
-            kind, payload = item
-            if kind != "msg":
-                continue
-            msg, sender, ts = payload
-            with self._lock:
-                effects = self.core.handle(msg, sender)
-            self._perform(effects)
+    # -- on the endpoint's loop -----------------------------------------
+    def _on_item(self, item) -> None:
+        kind, payload = item
+        if kind == "msg":
+            msg, sender, _ts = payload
+            effects = self.core.handle(msg, sender)
+            if effects:
+                self._advance(_each(effects))
 
-    def _parent_loop(self) -> None:
+    def _parent_update(self) -> None:
         """Ship the core's aggregate soft-state report upward."""
-        while not self._stop.wait(1.0):
-            with self._lock:
-                send = self.core.parent_update()
-            if send is not None:
-                self._send(send.to, send.msg)
+        send = self.core.parent_update()
+        if send is not None:
+            self._send(send.to, send.msg)
+        self.endpoint.call_later(PARENT_UPDATE_S, self._parent_update)

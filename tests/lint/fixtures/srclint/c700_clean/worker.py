@@ -10,6 +10,7 @@ class Worker:
     def __init__(self):
         self._results = []
         self._shared = 0
+        self.beats = 0  # only _loop increments it: cannot tear
         self._lock = threading.Lock()
         self._wake = threading.Event()  # synchronises internally
         self._thread = threading.Thread(target=self._loop)
@@ -18,6 +19,7 @@ class Worker:
 
     def _loop(self):
         while not self._wake.wait(0.05):
+            self.beats += 1
             with self._lock:
                 self._shared += 1
                 self._results.append(self._shared)

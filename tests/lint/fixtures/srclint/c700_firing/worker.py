@@ -13,9 +13,9 @@ def enqueue(item):
 class Worker:
     def __init__(self):
         self.results = []  # public, later written lock-free: C701
+        self.beats = 0     # public, incremented by two contexts: C701
         self._shared = 0   # cross-context without a common lock: C701
         self._lock = threading.Lock()
-        self._aux = threading.Lock()
         self._thread = threading.Thread(target=self._loop)
         self._thread.start()
         threading.Thread(target=self._drain).start()
@@ -23,18 +23,12 @@ class Worker:
     def _loop(self):
         while True:
             self._shared += 1
+            self.beats += 1
             self.results.append(self._shared)
             with self._lock:
                 time.sleep(0.1)  # C702: blocking while holding _lock
-            with self._lock:
-                with self._aux:  # C704: _lock -> _aux here ...
-                    pass
 
     def _drain(self):
         value = self._shared
-        with self._aux:
-            with self._lock:  # C704: ... _aux -> _lock there
-                pass
-        self._lock.acquire()  # C703: an exception leaks the lock
         self._shared = value
-        self._lock.release()
+        self.beats += 1

@@ -4,8 +4,8 @@ from outbox import Answer, Ask, Emit, Spawn, Wait
 
 
 class FullPump:
-    # Handling split across two methods, like the real drivers'
-    # _perform/_pump pair: the union across the class counts.
+    # Handling split across two methods, like the sim driver's: the
+    # module is the unit that must perform every effect.
     def perform(self, effects):
         for effect in effects:
             if isinstance(effect, (Emit, Spawn)):

@@ -3,7 +3,7 @@
 from outbox import Deliver, Query, Send, Spend, Task
 
 
-class PartialPump:  # E402: never handles Query or Deliver
+class PartialPump:  # E402: nothing here handles Query or Deliver
     def perform(self, effects):
         for effect in effects:
             if isinstance(effect, Send):

@@ -35,17 +35,18 @@ def _lint_text(text, path="live/worker.py"):
 # ------------------------------------------------------------ fixtures
 def test_firing_fixture_raises_every_code():
     diags = lint_paths([_fixture("c700_firing")], select=["C7"])
-    assert set(_codes(diags)) == {
-        "C701", "C702", "C703", "C704", "C705",
-    }
+    assert set(_codes(diags)) == {"C701", "C702", "C705"}
 
 
 def test_c701_covers_both_shapes():
     # One cross-context race on a private attribute, one lock-free
-    # write to a public attribute (implied external reader).
+    # write to a public attribute (implied external reader), one
+    # counter that two contexts increment.  The clean fixture holds the
+    # exemption: a counter only its loop increments.
     diags = lint_paths([_fixture("c700_firing")], select=["C701"])
     messages = [d.message for d in diags]
-    assert len(diags) == 2
+    assert len(diags) == 3
+    assert any("'beats'" in m for m in messages)
     assert any("'_shared'" in m and "thread contexts" in m
                for m in messages)
     assert any("'results'" in m and "without holding any lock" in m
@@ -57,13 +58,6 @@ def test_c702_names_the_blocking_call_and_lock():
                                       select=["C702"]))
     assert "time.sleep" in diag.message
     assert "_lock" in diag.message
-
-
-def test_c704_fires_once_per_lock_pair():
-    diags = lint_paths([_fixture("c700_firing")], select=["C704"])
-    assert len(diags) == 1
-    assert "'_lock'" in diags[0].message
-    assert "'_aux'" in diags[0].message
 
 
 def test_clean_fixture_is_clean():

@@ -21,7 +21,7 @@ def test_firing_fixture_raises_every_code():
     assert set(_codes(diags)) == {"E401", "E402", "E403", "E404"}
     by_code = {d.code: d for d in diags}
     assert by_code["E401"].obj == "Cancel"
-    assert by_code["E402"].obj == "PartialPump"
+    assert by_code["E402"].obj == "pump"
     assert "Deliver" in by_code["E402"].message
     assert "Query" in by_code["E402"].message
 

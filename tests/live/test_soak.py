@@ -8,6 +8,7 @@ The StatusQuery pull path (the M804 fix) gets the same treatment on a
 :class:`LiveNode`.
 """
 
+import os
 import threading
 import time
 
@@ -218,3 +219,49 @@ def test_status_query_pull_path_under_contention():
         for client in clients:
             client.close()
         node.stop()
+
+
+def test_nodes_and_registry_leak_no_thread_and_no_descriptor():
+    """4 nodes x 2 000 heartbeats into one registry while clients pull
+    ``StatusQuery`` answers from the same nodes; after ``stop()`` the
+    process holds the threads and descriptors it started with."""
+    threads = threading.active_count()
+    fds = len(os.listdir("/proc/self/fd"))
+    registry = LiveRegistry(lease=60.0)
+    nodes = [LiveNode(f"n{i}", registry_address=registry.address,
+                      interval=0.001) for i in range(4)]
+    clients = [LiveEndpoint(f"poll{i}") for i in range(4)]
+    pulled = []
+    done = threading.Event()
+
+    def pull(client, node):
+        while not done.is_set():
+            client.send_message(node.address,
+                                StatusQuery(host=node.address),
+                                timestamp=time.time())
+            item = client.recv(timeout=10.0)
+            if item is not None:
+                pulled.append(item[1][0])
+            time.sleep(0.05)  # the heartbeats are the load, not the pulls
+
+    pullers = [threading.Thread(target=pull, args=pair)
+               for pair in zip(clients, nodes)]
+    try:
+        for t in pullers:
+            t.start()
+        assert wait_for(lambda: len(registry.table.records()) == 4
+                        and all(r.updates_received >= 2000
+                                for r in registry.table.records()),
+                        timeout=60.0)
+    finally:
+        done.set()
+        for t in pullers:
+            t.join(timeout=30.0)
+        for closing in (*clients, *nodes):
+            (closing.close if closing in clients else closing.stop)()
+        registry.stop()
+    assert not any(t.is_alive() for t in pullers)
+    assert pulled and all(isinstance(m, StatusUpdate) for m in pulled)
+    assert registry.endpoint.frames_malformed == 0
+    assert wait_for(lambda: threading.active_count() == threads)
+    assert wait_for(lambda: len(os.listdir("/proc/self/fd")) == fds)
