@@ -2,12 +2,14 @@
 
 The paper's entities exchange typed XML messages
 (``protocol/messages.py``): each message class carries a ``TYPE``
-string, serializes through ``body()``/``from_body()``, registers in
-``MESSAGE_TYPES`` so ``decode`` can route it, and is handled by some
-entity (``RegistryCore``, the monitor, the commander, the live
-drivers).  Any link in that chain can drift independently — a class
-missing from ``MESSAGE_TYPES`` encodes fine and raises only when the
-*peer* tries to decode it.
+string, serializes through ``body()`` (which returns the serialised
+XML fragment, as text) and parses through ``from_body()`` (which takes
+the parsed ``<msg>`` element), registers in ``MESSAGE_TYPES`` so
+``decode`` can route it, and is handled by some entity
+(``RegistryCore``, the monitor, the commander, the live drivers).  Any
+link in that chain can drift independently — a class missing from
+``MESSAGE_TYPES`` encodes fine and raises only when the *peer* tries to
+decode it.
 
 ========  ========  =====================================================
 code      severity  finding

@@ -290,9 +290,9 @@ class LiveEndpoint:
                 item = ("state", (header, payload[4 + header_len:]))
             else:
                 raise ValueError("unknown frame kind")
-        except (ValueError, KeyError, TypeError, struct.error):
-            # Frames from the network are not trusted: bad XML, a value
-            # no field accepts, a missing attribute, a bad state header.
+        except (ValueError, struct.error):
+            # Frames from the network are not trusted: a message decode
+            # refuses (ProtocolError is a ValueError), a bad state header.
             self.frames_malformed += 1
             return
         self.frames_in += 1

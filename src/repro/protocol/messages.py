@@ -5,13 +5,23 @@ communication subsystem of the rescheduler."  Every message type
 round-trips through real XML (plain ASCII, transport-independent); the
 encoded byte length is what the simulated network carries, so protocol
 overhead measurements (Figure 6) reflect genuine message sizes.
+
+``encode`` writes the XML as text (``_tag``) and ``decode`` parses it
+with ElementTree, except that a ``StatusUpdate`` spelled exactly as
+``encode`` spells it -- the heartbeat, nearly all of the traffic -- is
+read by one compiled pattern instead.  Neither shortcut is observable:
+the bytes are those ElementTree's serialiser produced
+(tests/protocol/fixtures/wire_golden.jsonl) and the pattern accepts
+nothing the parser would read differently (docs/architecture.md).
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+from xml.etree.ElementTree import Element
 
 from ..rules.states import SystemState
 
@@ -20,18 +30,62 @@ class ProtocolError(ValueError):
     """Malformed message."""
 
 
-def _metrics_to_element(metrics: Dict[str, float]) -> ET.Element:
-    elem = ET.Element("metrics")
-    for key in sorted(metrics):
-        m = ET.SubElement(elem, "m", name=key)
-        m.text = repr(float(metrics[key]))
-    return elem
+# -- the writer ---------------------------------------------------------
+# Messages are written as text, not built as an ElementTree and
+# serialised: the two escape tables below are ElementTree's own
+# (``_escape_attrib`` / ``_escape_cdata``), so the bytes are the ones
+# its serialiser produced, pinned by tests/protocol/fixtures.
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# Almost no value holds a character to escape; one C-level search is
+# cheaper than translating every value through a table.
+_attr_special = re.compile('[&<>"\r\n\t]').search
+_text_special = re.compile("[&<>]").search
 
 
-def _metrics_from_element(elem: Optional[ET.Element]) -> Dict[str, float]:
+def _escape_text(text: str) -> str:
+    return text.translate(_TEXT_ESCAPES) if _text_special(text) else text
+
+
+def _tag(name: str, attrs: Iterable[Tuple[str, str]], inner: str = "") -> str:
+    """``<name k="v">inner</name>``, or ``<name k="v" />`` when
+    ``inner`` is empty: attributes in the order given and escaped here,
+    ``inner`` already serialised."""
+    head = name
+    for key, value in attrs:
+        if _attr_special(value):
+            value = value.translate(_ATTR_ESCAPES)
+        head += f' {key}="{value}"'
+    return f"<{head}>{inner}</{name}>" if inner else f"<{head} />"
+
+
+def _metrics_from_element(elem: Optional[Element]) -> Dict[str, float]:
     if elem is None:
         return {}
     return {m.get("name"): float(m.text) for m in elem.findall("m")}
+
+
+def _process(get) -> dict:
+    """One process report from ``get(attribute[, default])`` of a
+    ``<p>``: an ``Element``'s or, for the one-pass reader, a dict's."""
+    return {
+        "pid": int(get("pid")),
+        "name": get("name"),
+        "start_time": float(get("start")),
+        "est_completion": float(get("eta")),
+        "data_locality": float(get("locality", "0")),
+        "min_memory_bytes": int(get("minMem", "0")),
+        "min_disk_bytes": int(get("minDisk", "0")),
+        "min_cpu_speed": float(get("minCpu", "0")),
+        "features": get("features", ""),
+        "world_size": int(get("world", "1")),
+        "min_world": int(get("wmin", "1")),
+        "max_world": int(get("wmax", "1")),
+        "efficiency_curve": get("eff", ""),
+    }
 
 
 @dataclass(frozen=True)
@@ -43,15 +97,15 @@ class Register:
 
     TYPE = "register"
 
-    def body(self) -> ET.Element:
-        elem = ET.Element("static")
-        for key in sorted(self.static_info):
-            item = ET.SubElement(elem, "i", name=key)
-            item.text = str(self.static_info[key])
-        return elem
+    def body(self) -> str:
+        return _tag("static", (), "".join([
+            _tag("i", [("name", key)],
+                 _escape_text(str(self.static_info[key])))
+            for key in sorted(self.static_info)
+        ]))
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "Register":
+    def from_body(cls, host: str, elem: Element) -> "Register":
         static = elem.find("static")
         info: Dict[str, object] = {}
         if static is not None:
@@ -71,27 +125,27 @@ class StatusUpdate:
 
     TYPE = "status"
 
-    def body(self) -> ET.Element:
-        elem = ET.Element("status", state=self.state.name.lower())
-        elem.append(_metrics_to_element(self.metrics))
-        procs = ET.SubElement(elem, "processes")
+    def body(self) -> str:
+        metrics = "".join([
+            _tag("m", [("name", key)], repr(float(self.metrics[key])))
+            for key in sorted(self.metrics)
+        ])
+        procs = []
         for proc in self.processes:
             features = proc.get("features", ())
             if not isinstance(features, str):
                 features = ",".join(features)
-            p = ET.SubElement(
-                procs,
-                "p",
-                pid=str(proc["pid"]),
-                name=str(proc["name"]),
-                start=repr(float(proc["start_time"])),
-                eta=repr(float(proc["est_completion"])),
-                locality=repr(float(proc.get("data_locality", 0.0))),
-                minMem=str(int(proc.get("min_memory_bytes", 0))),
-                minDisk=str(int(proc.get("min_disk_bytes", 0))),
-                minCpu=repr(float(proc.get("min_cpu_speed", 0.0))),
-                features=features,
-            )
+            attrs = [
+                ("pid", str(proc["pid"])),
+                ("name", str(proc["name"])),
+                ("start", repr(float(proc["start_time"]))),
+                ("eta", repr(float(proc["est_completion"]))),
+                ("locality", repr(float(proc.get("data_locality", 0.0)))),
+                ("minMem", str(int(proc.get("min_memory_bytes", 0)))),
+                ("minDisk", str(int(proc.get("min_disk_bytes", 0)))),
+                ("minCpu", repr(float(proc.get("min_cpu_speed", 0.0)))),
+                ("features", features),
+            ]
             # Malleability (world) attributes ride only when declared:
             # rigid processes keep the paper's exact message bytes.
             world = int(proc.get("world_size", 1))
@@ -101,39 +155,28 @@ class StatusUpdate:
             if not isinstance(curve, str):
                 curve = ",".join(repr(float(v)) for v in curve)
             if world != 1:
-                p.set("world", str(world))
+                attrs.append(("world", str(world)))
             if wmin != 1:
-                p.set("wmin", str(wmin))
+                attrs.append(("wmin", str(wmin)))
             if wmax != 1:
-                p.set("wmax", str(wmax))
+                attrs.append(("wmax", str(wmax)))
             if curve:
-                p.set("eff", curve)
-        return elem
+                attrs.append(("eff", curve))
+            procs.append(_tag("p", attrs))
+        return _tag(
+            "status", [("state", self.state.name.lower())],
+            _tag("metrics", (), metrics)
+            + _tag("processes", (), "".join(procs)),
+        )
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "StatusUpdate":
+    def from_body(cls, host: str, elem: Element) -> "StatusUpdate":
         status = elem.find("status")
         if status is None:
             raise ProtocolError("status message without <status> body")
-        procs = []
         procs_elem = status.find("processes")
-        if procs_elem is not None:
-            for p in procs_elem.findall("p"):
-                procs.append({
-                    "pid": int(p.get("pid")),
-                    "name": p.get("name"),
-                    "start_time": float(p.get("start")),
-                    "est_completion": float(p.get("eta")),
-                    "data_locality": float(p.get("locality", "0")),
-                    "min_memory_bytes": int(p.get("minMem", "0")),
-                    "min_disk_bytes": int(p.get("minDisk", "0")),
-                    "min_cpu_speed": float(p.get("minCpu", "0")),
-                    "features": p.get("features", ""),
-                    "world_size": int(p.get("world", "1")),
-                    "min_world": int(p.get("wmin", "1")),
-                    "max_world": int(p.get("wmax", "1")),
-                    "efficiency_curve": p.get("eff", ""),
-                })
+        procs = [] if procs_elem is None else [
+            _process(p.get) for p in procs_elem.findall("p")]
         return cls(
             host=host,
             state=SystemState[status.get("state", "free").upper()],
@@ -150,11 +193,11 @@ class Unregister:
 
     TYPE = "unregister"
 
-    def body(self) -> ET.Element:
-        return ET.Element("bye")
+    def body(self) -> str:
+        return _tag("bye", ())
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "Unregister":
+    def from_body(cls, host: str, elem: Element) -> "Unregister":
         return cls(host=host)
 
 
@@ -176,17 +219,18 @@ class CandidateRequest:
 
     TYPE = "candidate-request"
 
-    def body(self) -> ET.Element:
-        elem = ET.Element(
-            "want", app=self.app_name, reqId=self.req_id,
-            hops=str(self.hops), exclude=",".join(self.exclude),
-        )
-        if self.requirements_xml:
-            elem.append(ET.fromstring(self.requirements_xml))
-        return elem
+    def body(self) -> str:
+        # The one fragment that still goes through ElementTree: an
+        # embedded document is validated and canonicalised, not pasted.
+        requirements = self.requirements_xml and ET.tostring(
+            ET.fromstring(self.requirements_xml), encoding="unicode")
+        return _tag("want", [
+            ("app", self.app_name), ("reqId", self.req_id),
+            ("hops", str(self.hops)), ("exclude", ",".join(self.exclude)),
+        ], requirements)
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "CandidateRequest":
+    def from_body(cls, host: str, elem: Element) -> "CandidateRequest":
         want = elem.find("want")
         if want is None:
             raise ProtocolError("candidate-request without <want> body")
@@ -216,14 +260,14 @@ class CandidateReply:
 
     TYPE = "candidate-reply"
 
-    def body(self) -> ET.Element:
-        elem = ET.Element("candidate", reqId=self.req_id)
+    def body(self) -> str:
+        attrs = [("reqId", self.req_id)]
         if self.dest:
-            elem.set("dest", self.dest)
-        return elem
+            attrs.append(("dest", self.dest))
+        return _tag("candidate", attrs)
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "CandidateReply":
+    def from_body(cls, host: str, elem: Element) -> "CandidateReply":
         cand = elem.find("candidate")
         if cand is None:
             raise ProtocolError("candidate-reply without <candidate> body")
@@ -243,17 +287,15 @@ class MigrateCommand:
 
     TYPE = "migrate"
 
-    def body(self) -> ET.Element:
-        return ET.Element(
-            "migrate",
-            pid=str(self.pid),
-            dest=self.dest,
-            reason=self.reason,
-            decision=repr(self.decision_seconds),
-        )
+    def body(self) -> str:
+        return _tag("migrate", [
+            ("pid", str(self.pid)), ("dest", self.dest),
+            ("reason", self.reason),
+            ("decision", repr(self.decision_seconds)),
+        ])
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "MigrateCommand":
+    def from_body(cls, host: str, elem: Element) -> "MigrateCommand":
         mig = elem.find("migrate")
         if mig is None:
             raise ProtocolError("migrate message without <migrate> body")
@@ -283,17 +325,15 @@ class ExpandCommand:
 
     TYPE = "expand"
 
-    def body(self) -> ET.Element:
-        return ET.Element(
-            "expand",
-            pid=str(self.pid),
-            dests=",".join(self.dests),
-            reason=self.reason,
-            decision=repr(self.decision_seconds),
-        )
+    def body(self) -> str:
+        return _tag("expand", [
+            ("pid", str(self.pid)), ("dests", ",".join(self.dests)),
+            ("reason", self.reason),
+            ("decision", repr(self.decision_seconds)),
+        ])
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "ExpandCommand":
+    def from_body(cls, host: str, elem: Element) -> "ExpandCommand":
         exp = elem.find("expand")
         if exp is None:
             raise ProtocolError("expand message without <expand> body")
@@ -326,17 +366,15 @@ class ShrinkCommand:
 
     TYPE = "shrink"
 
-    def body(self) -> ET.Element:
-        return ET.Element(
-            "shrink",
-            pid=str(self.pid),
-            dest=self.dest,
-            reason=self.reason,
-            decision=repr(self.decision_seconds),
-        )
+    def body(self) -> str:
+        return _tag("shrink", [
+            ("pid", str(self.pid)), ("dest", self.dest),
+            ("reason", self.reason),
+            ("decision", repr(self.decision_seconds)),
+        ])
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "ShrinkCommand":
+    def from_body(cls, host: str, elem: Element) -> "ShrinkCommand":
         shr = elem.find("shrink")
         if shr is None:
             raise ProtocolError("shrink message without <shrink> body")
@@ -365,11 +403,11 @@ class StatusQuery:
 
     TYPE = "status-query"
 
-    def body(self) -> ET.Element:
-        return ET.Element("query")
+    def body(self) -> str:
+        return _tag("query", ())
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "StatusQuery":
+    def from_body(cls, host: str, elem: Element) -> "StatusQuery":
         return cls(host=host)
 
 
@@ -383,12 +421,12 @@ class Ack:
 
     TYPE = "ack"
 
-    def body(self) -> ET.Element:
-        return ET.Element("ack", ok=str(self.ok).lower(),
-                          detail=self.detail)
+    def body(self) -> str:
+        return _tag("ack", [("ok", str(self.ok).lower()),
+                            ("detail", self.detail)])
 
     @classmethod
-    def from_body(cls, host: str, elem: ET.Element) -> "Ack":
+    def from_body(cls, host: str, elem: Element) -> "Ack":
         ack = elem.find("ack")
         return cls(
             host=host,
@@ -408,16 +446,68 @@ MESSAGE_TYPES = {
 
 def encode(msg, sender: str, timestamp: float) -> bytes:
     """Serialize a message to wire bytes (ASCII XML)."""
-    root = ET.Element(
-        "msg", type=msg.TYPE, sender=sender, host=msg.host,
-        ts=repr(float(timestamp)),
-    )
-    root.append(msg.body())
-    return ET.tostring(root, encoding="utf-8")
+    return _tag("msg", [
+        ("type", msg.TYPE), ("sender", sender), ("host", msg.host),
+        ("ts", repr(float(timestamp))),
+    ], msg.body()).encode("utf-8", "xmlcharrefreplace")
+
+
+# -- the canonical heartbeat, read in one pass -----------------------------
+# ``StatusUpdate`` is the message every host sends every cycle.  The
+# pattern below accepts exactly the bytes ``encode`` writes for one and
+# nothing else; whatever it declines -- other types, and every other
+# spelling of a status message XML allows -- is parsed by ElementTree.
+# The two readers must not be tellable apart, which is why a value is
+# printable ASCII without ``" & < >`` and not ``[^"]*``: expat resolves
+# entities, turns a literal tab or newline in an attribute into a space,
+# rejects most control characters and decodes UTF-8, and a value free of
+# all of those is one expat hands over unchanged.
+_CHAR = "[ !#-%'-;=?-~]"
+_V = f"{_CHAR}*"
+_STATES = {state.name.lower(): state for state in SystemState}
+_ATTR = re.compile(f' ([A-Za-z]+)="({_V})"')
+_M = re.compile(f'<m name="({_V})">({_CHAR}+)</m>')
+_P = (f'<p pid="{_V}" name="{_V}" start="{_V}" eta="{_V}" locality="{_V}"'
+      f' minMem="{_V}" minDisk="{_V}" minCpu="{_V}" features="{_V}"'
+      f'(?: world="{_V}")?(?: wmin="{_V}")?(?: wmax="{_V}")?'
+      f'(?: eff="{_V}")? />')
+_STATUS = re.compile(
+    f'<msg type="status" sender="({_V})" host="({_V})" ts="({_V})">'
+    f'<status state="({"|".join(_STATES)})">'
+    f'(?:<metrics>((?:{_M.pattern.replace("(", "(?:")})+)</metrics>'
+    f"|<metrics />)(?:<processes>((?:{_P})+)</processes>|<processes />)"
+    "</status></msg>"
+)
 
 
 def decode(data: bytes):
-    """Parse wire bytes back into (message, sender, timestamp)."""
+    """Parse wire bytes back into (message, sender, timestamp).
+
+    Raises :class:`ProtocolError` for anything that is not a valid
+    message: bad XML, an unknown type, a missing or unreadable value.
+    """
+    # Latin-1 cannot fail and maps every non-ASCII byte to a character
+    # the pattern's alphabet excludes.
+    canonical = _STATUS.fullmatch(data.decode("latin-1"))
+    try:
+        if canonical is None:
+            return _decode_xml(data)
+        sender, host, ts, state, metrics, procs = canonical.groups("")
+        return StatusUpdate(
+            host=host,
+            state=_STATES[state],
+            metrics={k: float(v) for k, v in _M.findall(metrics)},
+            processes=[_process(dict(_ATTR.findall(p)).get)
+                       for p in procs.split("<p")[1:]],
+        ), sender, float(ts)
+    except ProtocolError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid message: {exc!r}") from exc
+
+
+def _decode_xml(data: bytes):
+    """Any message, any spelling: ElementTree, then ``from_body``."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

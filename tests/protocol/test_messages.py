@@ -123,3 +123,39 @@ def test_encoded_is_plain_ascii_xml():
     text = data.decode("utf-8")
     assert text.startswith("<msg")
     text.encode("ascii")  # must not raise — paper: plain ASCII format
+
+
+# ------------------------------------------------ one error contract
+_STATUS_FRAME = (
+    '<msg type="status" sender="s" host="h" ts="{ts}">'
+    '<status state="{state}"><metrics>{metrics}</metrics>'
+    "<processes>{procs}</processes></status></msg>"
+)
+
+
+def _status_frame(ts="0.0", state="free", metrics="", procs=""):
+    return _STATUS_FRAME.format(
+        ts=ts, state=state, metrics=metrics, procs=procs).encode("ascii")
+
+
+@pytest.mark.parametrize("data, cause", [
+    (_status_frame(state="bogus"), KeyError),
+    (_status_frame(procs='<p name="x" start="0" eta="1" />'), TypeError),
+    (b'<msg type="migrate" sender="s" host="h" ts="0.0">'
+     b'<migrate dest="d" /></msg>', TypeError),
+    (_status_frame(metrics='<m name="x" />'), TypeError),
+    (_status_frame(ts="zero"), ValueError),
+    # ... and through the one-pass reader, which reads ts itself:
+    (encode(StatusUpdate(host="h", state=SystemState.FREE), "s", 0.0)
+     .replace(b'ts="0.0"', b'ts="zero"'), ValueError),
+    (_status_frame()[:-9], SyntaxError),
+    (_status_frame().replace(b'host="h"', b'host="\xff\xfe"'), SyntaxError),
+], ids=["state", "p-without-pid", "migrate-without-pid", "m-without-text",
+        "ts", "ts-canonical", "truncated", "invalid-utf8"])
+def test_decode_raises_protocol_error_for_every_invalid_message(data, cause):
+    """Well-formed XML carrying a value no field accepts is refused the
+    same way bad XML is: the documented ``ProtocolError``, chained to
+    what went wrong, never a bare ``KeyError`` / ``TypeError``."""
+    with pytest.raises(ProtocolError) as caught:
+        decode(data)
+    assert isinstance(caught.value.__cause__, cause)
