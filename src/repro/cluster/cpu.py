@@ -67,27 +67,32 @@ class Cpu:
         """Current protocol-processing demand (CPU-seconds per second)."""
         return self._comm_load
 
-    # Backward-compatible alias used by monitors/tests.
-    @property
-    def comm_fraction(self) -> float:
-        return self._comm_load
-
     def set_comm_load(self, load: float) -> None:
         """Set the protocol-processing demand; 0 clears it."""
-        load = max(0.0, min(float(load), MAX_COMM_LOAD))
+        load = float(load)
+        if not load > 0.0:
+            if not self._comm_load:
+                return  # idle stays idle: nothing to integrate
+            load = 0.0
+        elif load > MAX_COMM_LOAD:
+            load = MAX_COMM_LOAD
         self._accumulate_comm()
         if load != self._comm_load:
             self._comm_load = load
-            self._rebalance()
+            self._share()
 
     def _rebalance(self) -> None:
+        """The job set changed: integrate up to now, then re-split."""
+        self._accumulate_comm()
+        self._share()
+
+    def _share(self) -> None:
         """Re-split the CPU between comm processing and compute jobs.
 
         With ``n`` jobs and comm demand ``f``, jobs receive the fraction
         ``n / (n + f)`` of the CPU (equal-weight processor sharing with
         the protocol work).
         """
-        self._accumulate_comm()
         n = self._server.active_jobs
         if n == 0:
             rate = self.speed  # no jobs to serve; rate is moot
@@ -104,11 +109,13 @@ class Cpu:
         only while no compute job is active.
         """
         now = self.env.now
-        dt = now - self._comm_last
-        if dt > 0:
-            self._comm_queue += self._comm_load * dt
-            if self._server.active_jobs == 0:
-                self._comm_busy += min(self._comm_load, 1.0) * dt
+        load = self._comm_load
+        if load:  # a zero load integrates to exactly nothing
+            dt = now - self._comm_last
+            if dt > 0:
+                self._comm_queue += load * dt
+                if self._server.active_jobs == 0:
+                    self._comm_busy += (load if load < 1.0 else 1.0) * dt
         self._comm_last = now
 
     # -- accounting ---------------------------------------------------------

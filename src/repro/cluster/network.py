@@ -33,16 +33,51 @@ DEFAULT_LATENCY = 1e-4
 _EPS = 1e-9
 
 
+class _Nic:
+    """One direction of a host's NIC — one resource of the max-min
+    problem.  ``left`` and ``open`` are progressive filling's scratch:
+    the capacity not yet handed out and the unfrozen flows drawing on
+    it (``open`` is 0 between recomputes)."""
+
+    __slots__ = ("port", "capacity", "bytes", "left", "open")
+
+    def __init__(self, port: "_HostPort", capacity: float):
+        self.port = port
+        self.capacity = capacity
+        self.bytes = 0.0
+        self.left = capacity
+        self.open = 0
+
+
+class _HostPort:
+    """NIC state for one host."""
+
+    __slots__ = ("name", "tx", "rx", "cpu", "up", "rate", "listed")
+
+    def __init__(self, name: str, bandwidth: float, cpu: Any):
+        self.name = name
+        self.tx = _Nic(self, float(bandwidth))
+        self.rx = _Nic(self, float(bandwidth))
+        self.cpu = cpu  # may be None (e.g. a switch-attached service node)
+        self.up = True
+        #: Sum of the flow rates through both directions at the last
+        #: recompute, and whether the port is in ``Network._loaded``.
+        self.rate = 0.0
+        self.listed = False
+
+
 class Flow:
     """One active flow between two hosts.
 
-    ``remaining`` is ``inf`` for open-ended streams.  ``done`` is the
-    completion event for finite transfers.
+    ``remaining`` is ``inf`` for open-ended streams (``finite`` false).
+    ``done`` is the completion event for finite transfers.  ``tx`` and
+    ``rx`` are the two NIC directions the flow draws on — the source's
+    transmit half and the destination's receive half.
     """
 
     __slots__ = (
-        "src", "dst", "remaining", "rate_cap", "rate", "label",
-        "done", "bytes_moved", "closed",
+        "src", "dst", "tx", "rx", "remaining", "finite", "rate_cap",
+        "rate", "label", "done", "bytes_moved", "closed",
     )
 
     def __init__(
@@ -62,7 +97,10 @@ class Flow:
             raise ValueError("rate cap must be positive")
         self.src = src
         self.dst = dst
+        self.tx: Optional[_Nic] = None  # attached by Network._open
+        self.rx: Optional[_Nic] = None
         self.remaining = float(nbytes)
+        self.finite = math.isfinite(self.remaining)
         self.rate_cap = float(rate_cap)
         self.rate = 0.0
         self.label = label
@@ -70,31 +108,11 @@ class Flow:
         self.bytes_moved = 0.0
         self.closed = False
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.remaining)
-
     def __repr__(self) -> str:
         return (
             f"<Flow {self.src}->{self.dst} {self.label!r} "
             f"rate={self.rate:.0f}B/s remaining={self.remaining:.0f}>"
         )
-
-
-class _HostPort:
-    """NIC state for one host."""
-
-    __slots__ = ("name", "tx_capacity", "rx_capacity", "bytes_tx",
-                 "bytes_rx", "cpu", "up")
-
-    def __init__(self, name: str, bandwidth: float, cpu: Any):
-        self.name = name
-        self.tx_capacity = float(bandwidth)
-        self.rx_capacity = float(bandwidth)
-        self.bytes_tx = 0.0
-        self.bytes_rx = 0.0
-        self.cpu = cpu  # may be None (e.g. a switch-attached service node)
-        self.up = True
 
 
 class HostDownError(ConnectionError):
@@ -134,9 +152,10 @@ class Network:
         self.cpu_per_byte = float(cpu_per_byte)
         self._ports: Dict[str, _HostPort] = {}
         self._flows: list[Flow] = []
-        #: Hosts whose CPU carried a nonzero comm load at the last
-        #: recompute (the only ports a recompute must revisit).
-        self._loaded: set = set()
+        #: Ports whose CPU carried a nonzero comm load at the last
+        #: recompute (the only ones, besides flow endpoints, that a
+        #: recompute must revisit), in the order flows first loaded them.
+        self._loaded: list[_HostPort] = []
         self._last_update = env.now
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
@@ -180,11 +199,11 @@ class Network:
     # -- byte accounting -----------------------------------------------
     def bytes_sent(self, name: str) -> float:
         self._advance()
-        return self._ports[name].bytes_tx
+        return self._ports[name].tx.bytes
 
     def bytes_received(self, name: str) -> float:
         self._advance()
-        return self._ports[name].bytes_rx
+        return self._ports[name].rx.bytes
 
     def active_flows(self) -> list:
         return list(self._flows)
@@ -198,35 +217,33 @@ class Network:
         Returns an event that succeeds (with the byte count) once the
         last byte arrives; the transfer starts after the network
         latency.  Fails with :class:`HostDownError` if an endpoint is or
-        goes down.
+        goes down.  ``nbytes <= 0`` is a pure control signal: latency
+        only, no flow.
+
+        A transfer is a callback chain, not a process: latency timeout
+        → flow opened → ``flow.done`` → the returned event.
         """
-        self._check_port(src)
-        self._check_port(dst)
+        sport = self._port(src)
+        dport = self._port(dst)
         result = Event(self.env)
-        if nbytes <= 0:
-            # Pure control signal: latency only.
-            tick = self.env.timeout(self.latency, value=0.0)
-            tick.callbacks.append(lambda ev: result.succeed(0.0))
-            return result
 
-        def _run():
-            yield self.env.timeout(self.latency)
-            if not (self._ports[src].up and self._ports[dst].up):
-                raise HostDownError(src if not self._ports[src].up else dst)
-            flow = self._open(src, dst, nbytes, label=label)
-            yield flow.done
-            return nbytes
-
-        proc = self.env.process(_run(), name=f"xfer:{label or src + '->' + dst}")
-
-        def _finish(ev):
-            if ev.ok:
-                result.succeed(ev.value)
+        def _arrived(_tick: Event) -> None:
+            if not (sport.up and dport.up):
+                result.fail(HostDownError(dst if sport.up else src))
+            elif nbytes <= 0:
+                result.succeed(0.0)
             else:
-                ev.defuse()
-                result.fail(ev.value)
+                flow = self._open(sport, dport, nbytes, label=label)
+                flow.done.callbacks.append(_landed)
 
-        proc.callbacks.append(_finish)
+        def _landed(done: Event) -> None:
+            if done.ok:
+                result.succeed(nbytes)
+            else:
+                done.defuse()
+                result.fail(done.value)
+
+        self.env.timeout(self.latency).callbacks.append(_arrived)
         return result
 
     def open_stream(
@@ -237,11 +254,12 @@ class Network:
         label: str = "",
     ) -> Flow:
         """Start an open-ended stream (e.g. a background bulk flow)."""
-        self._check_port(src)
-        self._check_port(dst)
-        if not (self._ports[src].up and self._ports[dst].up):
-            raise HostDownError(src if not self._ports[src].up else dst)
-        return self._open(src, dst, math.inf, rate_cap=rate_cap, label=label)
+        sport = self._port(src)
+        dport = self._port(dst)
+        if not (sport.up and dport.up):
+            raise HostDownError(dst if sport.up else src)
+        return self._open(sport, dport, math.inf, rate_cap=rate_cap,
+                          label=label)
 
     def close_stream(self, flow: Flow) -> None:
         """Stop an open-ended stream."""
@@ -256,20 +274,27 @@ class Network:
         self._recompute()
 
     # -- internals ------------------------------------------------------
-    def _check_port(self, name: str) -> None:
-        if name not in self._ports:
-            raise KeyError(f"host {name!r} is not attached to the network")
+    def _port(self, name: str) -> _HostPort:
+        try:
+            return self._ports[name]
+        except KeyError:
+            raise KeyError(
+                f"host {name!r} is not attached to the network"
+            ) from None
 
     def _open(
         self,
-        src: str,
-        dst: str,
+        sport: _HostPort,
+        dport: _HostPort,
         nbytes: float,
         rate_cap: float = math.inf,
         label: str = "",
     ) -> Flow:
         self._advance()
-        flow = Flow(self.env, src, dst, nbytes, rate_cap=rate_cap, label=label)
+        flow = Flow(self.env, sport.name, dport.name, nbytes,
+                    rate_cap=rate_cap, label=label)
+        flow.tx = sport.tx
+        flow.rx = dport.rx
         self._flows.append(flow)
         self._recompute()
         return flow
@@ -279,97 +304,98 @@ class Network:
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        if dt <= 0:
             return
         for flow in self._flows:
             moved = flow.rate * dt
             if flow.finite:
-                moved = min(moved, flow.remaining)
+                if flow.remaining < moved:
+                    moved = flow.remaining
                 flow.remaining -= moved
             flow.bytes_moved += moved
-            self._ports[flow.src].bytes_tx += moved
-            self._ports[flow.dst].bytes_rx += moved
+            flow.tx.bytes += moved
+            flow.rx.bytes += moved
 
     def _recompute(self) -> None:
-        """Progressive filling: assign max-min fair rates, then reschedule."""
+        """Assign max-min fair rates, then couple and reschedule."""
         flows = self._flows
-        for flow in flows:
-            flow.rate = 0.0
         if flows:
-            # Residual capacity of every NIC direction in use.
-            residual: Dict[tuple, float] = {}
-            users: Dict[tuple, list] = {}
-            for flow in flows:
-                for res in (("tx", flow.src), ("rx", flow.dst)):
-                    if res not in residual:
-                        port = self._ports[res[1]]
-                        residual[res] = (
-                            port.tx_capacity if res[0] == "tx"
-                            else port.rx_capacity
-                        )
-                        users[res] = []
-                    users[res].append(flow)
-
-            unfrozen = set(flows)  # Flow objects hash by identity
-            guard = 0
-            while unfrozen:
-                guard += 1
-                if guard > 10 * len(flows) + 10:  # pragma: no cover
-                    raise RuntimeError("progressive filling did not converge")
-                # Largest equal increment every unfrozen flow can take.
-                delta = math.inf
-                for res, cap in residual.items():
-                    n = sum(1 for f in users[res] if f in unfrozen)
-                    if n:
-                        delta = min(delta, cap / n)
-                for flow in unfrozen:
-                    delta = min(delta, flow.rate_cap - flow.rate)
-                if delta is math.inf:  # pragma: no cover - defensive
-                    break
-                delta = max(delta, 0.0)
-                # Apply the increment and charge resources.
-                for flow in unfrozen:
-                    flow.rate += delta
-                for res in residual:
-                    n = sum(1 for f in users[res] if f in unfrozen)
-                    residual[res] -= delta * n
-                # Freeze flows at capped rate or on a saturated resource.
-                newly_frozen = set()
-                for flow in unfrozen:
-                    if flow.rate >= flow.rate_cap - _EPS:
-                        newly_frozen.add(flow)
-                        continue
-                    for res in (("tx", flow.src), ("rx", flow.dst)):
-                        if residual[res] <= _EPS * self.default_bandwidth:
-                            newly_frozen.add(flow)
-                            break
-                if not newly_frozen:  # pragma: no cover - defensive
-                    break
-                unfrozen -= newly_frozen
-
+            self._fill(flows)
         self._update_cpu_loads()
         self._schedule_next_completion()
 
+    def _fill(self, flows: list) -> None:
+        """Progressive filling, counted: every round raises all unfrozen
+        flows by the largest equal increment any of them can take, then
+        freezes those at their cap or on a NIC direction that ran out.
+        Each direction keeps the number of unfrozen flows on it, so a
+        round is one pass over the directions and one over the flows."""
+        floor = _EPS * self.default_bandwidth
+        nics = []
+        for flow in flows:
+            flow.rate = 0.0
+            for nic in (flow.tx, flow.rx):
+                if not nic.open:
+                    nic.left = nic.capacity
+                    nics.append(nic)
+                nic.open += 1
+        unfrozen = flows
+        while unfrozen:
+            delta = math.inf
+            for nic in nics:
+                if nic.open:
+                    delta = min(delta, nic.left / nic.open)
+            for flow in unfrozen:
+                delta = min(delta, flow.rate_cap - flow.rate)
+            if delta is math.inf:  # pragma: no cover - defensive
+                break
+            delta = max(delta, 0.0)
+            for flow in unfrozen:
+                flow.rate += delta
+            for nic in nics:
+                nic.left -= delta * nic.open
+            still = []
+            for flow in unfrozen:
+                if (flow.rate >= flow.rate_cap - _EPS
+                        or flow.tx.left <= floor or flow.rx.left <= floor):
+                    flow.tx.open -= 1
+                    flow.rx.open -= 1
+                else:
+                    still.append(flow)
+            if len(still) == len(unfrozen):  # pragma: no cover - defensive
+                break
+            unfrozen = still
+        for nic in nics:
+            nic.open = 0
+
     def _update_cpu_loads(self) -> None:
-        if self.cpu_per_byte <= 0:
+        per_byte = self.cpu_per_byte
+        if per_byte <= 0:
             return
-        # Touch only flow endpoints plus hosts loaded last recompute
+        # Touch only flow endpoints plus ports loaded last recompute
         # (their load may need zeroing) — O(flow endpoints), not
         # O(ports).  A mega-cluster's thousands of idle analytic hosts
-        # stay untouched on every recompute; zero→zero writes they
-        # would have received are no-ops in ``Cpu.set_comm_load``.
-        totals: dict = {name: 0.0 for name in self._loaded}
+        # stay untouched on every recompute.  Ports are visited in list
+        # order — last recompute's, then new endpoints in flow order —
+        # never in the hash order of their names: the visit pushes CPU
+        # wake-ups, and their kernel ``seq`` breaks same-instant ties.
+        ports = self._loaded
+        for port in ports:
+            port.rate = 0.0
         for flow in self._flows:
-            totals[flow.src] = totals.get(flow.src, 0.0) + flow.rate
-            totals[flow.dst] = totals.get(flow.dst, 0.0) + flow.rate
-        loaded = set()
-        for name, total in totals.items():
-            cpu = self._ports[name].cpu
-            if cpu is not None:
-                cpu.set_comm_load(total * self.cpu_per_byte)
-            if total > 0.0:
-                loaded.add(name)
-        self._loaded = loaded
+            for port in (flow.tx.port, flow.rx.port):
+                if not port.listed:
+                    port.listed = True
+                    ports.append(port)
+                port.rate += flow.rate
+        self._loaded = loaded = []
+        for port in ports:
+            if port.cpu is not None:
+                port.cpu.set_comm_load(port.rate * per_byte)
+            if port.rate > 0.0:
+                loaded.append(port)
+            else:
+                port.listed = False
 
     def _schedule_next_completion(self) -> None:
         delay = math.inf

@@ -2,18 +2,16 @@
 
 A :class:`FairShareServer` serves any number of concurrent *jobs*, each
 with a fixed total service demand, dividing its service rate among them
-in proportion to their weights.  It is the single contention model in
-this project:
-
-* a CPU is a fair-share server whose rate is "work units per second"
-  (time slicing between the application and background tasks);
-* a network link / NIC is a fair-share server whose rate is bytes per
-  second (TCP-fair sharing between flows).
+in proportion to their weights.  It is this project's model of a CPU
+(:class:`repro.cluster.cpu.Cpu`): the rate is "work units per second",
+the sharing is time slicing between the application and background
+tasks.  The network is not one — a flow holds two NIC directions at
+once, so :mod:`repro.cluster.network` shares them max-min fairly by
+progressive filling.
 
 The server also keeps the accounting the paper's monitors need:
 cumulative busy time (→ CPU utilization), the current number of active
-jobs (→ run-queue length → load average), and total work served
-(→ bytes counters, KB/s figures).
+jobs (→ run-queue length → load average), and total work served.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class ShareJob(Event):
         self.remaining = float(demand)
         self.weight = float(weight)
         self.label = label
-        self.started_at = server.env.now
+        self.started_at = server.env._now
         self.finished_at: Optional[float] = None
         self._cancelled = False
 
@@ -131,7 +129,7 @@ class FairShareServer:
 
     def utilization(self, since_busy: float, since_now: float) -> float:
         """Utilization over an interval given a previous busy-time sample."""
-        dt = self.env.now - since_now
+        dt = self.env._now - since_now
         if dt <= 0:
             return 0.0
         return (self.busy_time() - since_busy) / dt
@@ -155,7 +153,7 @@ class FairShareServer:
         self._advance()
         job = ShareJob(self, demand, weight=weight, label=label)
         if job.remaining <= _EPS:
-            job.finished_at = self.env.now
+            job.finished_at = self.env._now
             job.succeed()
             return job
         self._jobs.append(job)
@@ -169,7 +167,7 @@ class FairShareServer:
             self._jobs.remove(job)
             self._notify_jobs_changed()
         if completed:
-            job.finished_at = self.env.now
+            job.finished_at = self.env._now
             job.succeed()
         self._reschedule()
 
@@ -178,44 +176,37 @@ class FairShareServer:
             self.on_jobs_changed()
 
     # -- internals -----------------------------------------------------
-    def _total_weight(self) -> float:
-        return sum(j.weight for j in self._jobs)
-
     def _advance(self) -> None:
         """Account for service performed since the last update."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
-        if dt <= 0:
-            self._last_update = now
-            return
-        n = len(self._jobs)
-        if n:
-            self._busy_time += dt
-            self._queue_time += dt * n
-            total_w = self._total_weight()
-            for job in self._jobs:
-                served = dt * self.rate * (job.weight / total_w)
-                served = min(served, job.remaining)
-                job.remaining -= served
-                self._work_done += served
         self._last_update = now
-
-    def _next_completion_delay(self) -> float:
-        if not self._jobs:
-            return math.inf
-        total_w = self._total_weight()
-        return min(
-            j.remaining / (self.rate * (j.weight / total_w))
-            for j in self._jobs
-        )
+        jobs = self._jobs
+        if dt <= 0 or not jobs:
+            return
+        self._busy_time += dt
+        self._queue_time += dt * len(jobs)
+        total_w = sum([j.weight for j in jobs])
+        step = dt * self.rate
+        for job in jobs:
+            served = step * (job.weight / total_w)
+            if job.remaining < served:
+                served = job.remaining
+            job.remaining -= served
+            self._work_done += served
 
     def _reschedule(self) -> None:
-        delay = self._next_completion_delay()
-        if delay is math.inf:
+        """(Re)arm the wake-up for the earliest completion, if any."""
+        jobs = self._jobs
+        if not jobs:
             self._wakeup = None
             self._wakeup_time = math.inf
             return
-        when = self.env.now + delay
+        rate = self.rate
+        total_w = sum([j.weight for j in jobs])
+        delay = min([j.remaining / (rate * (j.weight / total_w))
+                     for j in jobs])
+        when = self.env._now + delay
         if self._wakeup is not None and not self._wakeup.processed:
             # An earlier wake-up that is still pending: keep it only if it
             # is not later than needed; stale wake-ups are ignored on fire.
@@ -242,7 +233,7 @@ class FairShareServer:
         for job in finished:
             self._jobs.remove(job)
             job.remaining = 0.0
-            job.finished_at = self.env.now
+            job.finished_at = self.env._now
             job.succeed()
         if finished:
             self._notify_jobs_changed()

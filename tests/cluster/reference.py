@@ -1,13 +1,25 @@
-"""Reference implementation of load-average sampling: one process per
-host.
+"""Reference implementations the cluster model is held to: load-average
+sampling with one process per host, and max-min filling over sets.
 
-The model the batched host plane replaces — every host owns a sampler
-process that wakes each ``sample_interval`` seconds, reads its run
-queue and calls :meth:`LoadAverage.fold`.  ``tests/cluster/`` runs it
-beside the plane's column fold and requires the same bytes.
+**Load average.**  The model the batched host plane replaces — every
+host owns a sampler process that wakes each ``sample_interval``
+seconds, reads its run queue and calls :meth:`LoadAverage.fold`.
+``tests/cluster/`` runs it beside the plane's column fold and requires
+the same bytes.
+
+**Max-min filling.**  ``reference_maxmin`` is the progressive filling
+``Network._recompute`` ran until PR 19 — residuals and users in dicts
+keyed by ``(direction, host)``, the unfrozen flows in a set, a
+``sum(1 for ...)`` per resource per round — kept loop for loop (over
+flow indices instead of ``Flow`` objects) so the counted filling that
+replaced it can be required to return the same floats, not merely
+close ones.
 """
 
+import math
+
 from repro.cluster.loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage
+from repro.cluster.network import ETHERNET_100MBPS
 
 
 def sampled_loadavg(env, runqueue_fn,
@@ -35,3 +47,69 @@ def per_host_samplers(cluster):
         )
         for host in cluster
     }
+
+
+_EPS = 1e-9
+
+
+def reference_maxmin(flows, ports, default_bandwidth=ETHERNET_100MBPS):
+    """Max-min fair rates by progressive filling.
+
+    ``flows`` is a sequence of ``(src, dst, rate_cap)``, ``ports`` maps
+    a host name to its ``(tx_capacity, rx_capacity)``; returns one rate
+    per flow, in order.
+    """
+    rate = [0.0] * len(flows)
+    if not flows:
+        return rate
+    # Residual capacity of every NIC direction in use.
+    residual = {}
+    users = {}
+    for i, (src, dst, _cap) in enumerate(flows):
+        for res in (("tx", src), ("rx", dst)):
+            if res not in residual:
+                tx_capacity, rx_capacity = ports[res[1]]
+                residual[res] = (
+                    tx_capacity if res[0] == "tx" else rx_capacity
+                )
+                users[res] = []
+            users[res].append(i)
+
+    unfrozen = set(range(len(flows)))
+    guard = 0
+    while unfrozen:
+        guard += 1
+        if guard > 10 * len(flows) + 10:
+            raise RuntimeError("progressive filling did not converge")
+        # Largest equal increment every unfrozen flow can take.
+        delta = math.inf
+        for res, cap in residual.items():
+            n = sum(1 for f in users[res] if f in unfrozen)
+            if n:
+                delta = min(delta, cap / n)
+        for i in unfrozen:
+            delta = min(delta, flows[i][2] - rate[i])
+        if delta is math.inf:
+            break
+        delta = max(delta, 0.0)
+        # Apply the increment and charge resources.
+        for i in unfrozen:
+            rate[i] += delta
+        for res in residual:
+            n = sum(1 for f in users[res] if f in unfrozen)
+            residual[res] -= delta * n
+        # Freeze flows at capped rate or on a saturated resource.
+        newly_frozen = set()
+        for i in unfrozen:
+            src, dst, cap = flows[i]
+            if rate[i] >= cap - _EPS:
+                newly_frozen.add(i)
+                continue
+            for res in (("tx", src), ("rx", dst)):
+                if residual[res] <= _EPS * default_bandwidth:
+                    newly_frozen.add(i)
+                    break
+        if not newly_frozen:
+            break
+        unfrozen -= newly_frozen
+    return rate

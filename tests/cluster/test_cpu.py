@@ -110,7 +110,7 @@ def test_comm_load_negative_clamped():
     env = Environment()
     cpu = Cpu(env, speed=1.0)
     cpu.set_comm_load(-1.0)
-    assert cpu.comm_fraction == 0.0
+    assert cpu.comm_load == 0.0
 
 
 def test_busy_time_includes_comm():

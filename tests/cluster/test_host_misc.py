@@ -197,7 +197,7 @@ def test_bulk_transfer_load_rates_and_cpu():
     assert a.loadavg.one == pytest.approx(0.97, abs=0.05)
     bulk.stop()
     cluster.run(until=600)
-    assert a.cpu.comm_fraction == 0.0
+    assert a.cpu.comm_load == 0.0
 
 
 def test_cluster_builder_basics():

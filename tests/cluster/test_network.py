@@ -141,9 +141,9 @@ def test_cpu_coupling_sets_comm_load():
     net.open_stream("a", "b", rate_cap=50.0)
     env.run(until=1)
     # 50 B/s * 0.005 = 0.25 CPU fraction on both endpoints.
-    assert cpus["a"].comm_fraction == pytest.approx(0.25)
-    assert cpus["b"].comm_fraction == pytest.approx(0.25)
-    assert cpus["c"].comm_fraction == 0.0
+    assert cpus["a"].comm_load == pytest.approx(0.25)
+    assert cpus["b"].comm_load == pytest.approx(0.25)
+    assert cpus["c"].comm_load == 0.0
 
 
 def test_cpu_coupling_cleared_when_flow_ends():
@@ -151,8 +151,8 @@ def test_cpu_coupling_cleared_when_flow_ends():
     net, cpus = make_net(env, bandwidth=100.0, cpu_per_byte=0.005)
     net.transfer("a", "b", 100.0)
     env.run()
-    assert cpus["a"].comm_fraction == 0.0
-    assert cpus["b"].comm_fraction == 0.0
+    assert cpus["a"].comm_load == 0.0
+    assert cpus["b"].comm_load == 0.0
 
 
 def test_transfer_to_unknown_host_raises():
@@ -178,6 +178,71 @@ def test_transfer_to_down_host_fails():
     env.process(waiter(env))
     env.run()
     assert "exc" in failed
+
+
+def _await_failure(env, net, done):
+    """Run to the end with one waiter on ``done``; the run must not
+    re-raise (no failed event left undefused) and no flow may remain.
+    Returns ``(exception, time)`` of the failure the waiter caught."""
+    caught = []
+
+    def waiter(env):
+        try:
+            yield done
+        except HostDownError as exc:
+            caught.append((exc, env.now))
+
+    env.process(waiter(env))
+    env.run()
+    assert net.active_flows() == []
+    assert len(caught) == 1, "transfer did not fail with HostDownError"
+    return caught[0]
+
+
+def test_zero_byte_transfer_to_down_host_fails():
+    """A control signal sees the same up-check as a sized transfer."""
+    env = Environment()
+    net, _ = make_net(env, latency=0.5)
+    net.set_host_up("b", False)
+    exc, when = _await_failure(env, net, net.transfer("a", "b", 0))
+    assert exc.args == ("b",)
+    assert when == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("nbytes", [0, 100.0])
+def test_host_going_down_during_latency_fails_transfer(nbytes):
+    env = Environment()
+    net, _ = make_net(env, latency=2.0)
+    done = net.transfer("a", "b", nbytes)
+
+    def killer(env):
+        yield env.timeout(1)
+        net.set_host_up("a", False)
+
+    env.process(killer(env))
+    exc, when = _await_failure(env, net, done)
+    assert exc.args == ("a",)
+    assert when == pytest.approx(2.0)  # noticed when the latency ends
+
+
+def test_host_going_down_mid_flow_fails_transfer():
+    env = Environment()
+    net, cpus = make_net(env, bandwidth=100.0, latency=1.0,
+                         cpu_per_byte=0.005)
+    done = net.transfer("a", "b", 10000.0)
+    other = net.transfer("a", "c", 400.0)
+
+    def killer(env):
+        yield env.timeout(5)
+        net.set_host_up("b", False)
+
+    env.process(killer(env))
+    exc, when = _await_failure(env, net, done)
+    assert exc.args == ("b",)
+    assert when == pytest.approx(5.0)
+    # The bystander shared a's NIC for 4 s, then had it alone.
+    assert other.value == 400.0
+    assert cpus["a"].comm_load == cpus["b"].comm_load == 0.0
 
 
 def test_host_down_kills_active_flows():

@@ -7,7 +7,7 @@ def test_repro_live_runs_one_migration(capsys):
     rc = main(["live", "--n", "4000000", "--timeout", "45",
                "--interval", "0.1"])
     out = capsys.readouterr().out
-    assert rc == 0
+    assert rc == 0, out
     assert "decision log" in out
     assert "result correct" in out
 
@@ -16,6 +16,6 @@ def test_repro_live_hierarchy_escalates(capsys):
     rc = main(["live", "--n", "4000000", "--timeout", "45",
                "--interval", "0.1", "--hierarchy"])
     out = capsys.readouterr().out
-    assert rc == 0
+    assert rc == 0, out
     assert "yes" in out  # an escalated decision in the log
     assert "result correct" in out
