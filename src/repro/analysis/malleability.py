@@ -30,6 +30,7 @@ from ..cluster.builder import Cluster
 from ..core.policy import MigrationPolicy, malleable_policy, policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
 from ..workloads.montecarlo import MonteCarloPiApp
+from .horizon import run_until_finished
 
 #: ≈ 200 reference CPU-seconds per rank at world size 2.
 DEFAULT_PARAMS = {
@@ -87,26 +88,27 @@ def _run_once(
             MonteCarloPiApp, ["ws1", "ws2"], params=params
         )
         runtimes = world.all_runtimes
+        finished = world.finished
     else:
-        world = None
         runtimes = rs.launch_mpi_app(
             MonteCarloPiApp, ["ws1", "ws2"], params=params
         )
+        finished = cluster.env.all_of([rt.done for rt in runtimes])
 
     def inject(env):
         yield env.timeout(load_at)
         CpuHog(cluster["ws1"], count=hogs, name="additional-tasks")
 
     cluster.env.process(inject(cluster.env))
-    cluster.env.run(until=max_duration)
+    run_until_finished(cluster.env, finished, max_duration)
 
     # ``runtimes`` grows during the run when the world expands; read it
     # only after the clock stops.
     live = list(runtimes)
     done = [rt for rt in live if rt.status == "done"]
-    finished = all(rt.status in ("done", "retired") for rt in live)
+    completed = all(rt.status in ("done", "retired") for rt in live)
     completed_at = (
-        max(rt.finished_at for rt in live) if finished and live
+        max(rt.finished_at for rt in live) if completed and live
         else max_duration
     )
     pi = done[0].result if done else None

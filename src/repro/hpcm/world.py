@@ -84,6 +84,10 @@ class HpcmWorld:
         #: included), in join order — for experiments and tests.
         self.all_runtimes: List[HpcmRuntime] = []
         self.reconfigurations: List[ReconfigRecord] = []
+        #: Succeeds once, when the last live rank has left (done or
+        #: failed; ranks a later Expand adds count too): the event to
+        #: wait on for the whole job, ``env.run(until=world.finished)``.
+        self.finished = self.env.event()
         self._pending: Optional[ReconfigureOrder] = None
         self._retiree: Optional[HpcmRuntime] = None
         self._parked: Dict[int, Any] = {}  # runtime id → release event
@@ -102,11 +106,6 @@ class HpcmWorld:
     @property
     def reshape_pending(self) -> bool:
         return self._pending is not None
-
-    @property
-    def done(self):
-        """Events of every current rank (for ``all_of`` style waits)."""
-        return [rt.done for rt in self.runtimes]
 
     # -- the signal (commander → world) ---------------------------------
     def request_expand(self, order: ReconfigureOrder) -> tuple:
@@ -165,6 +164,8 @@ class HpcmWorld:
         """
         if runtime in self.runtimes:
             self.runtimes.remove(runtime)
+            if not self.runtimes:
+                self.finished.succeed()
         self._parked.pop(id(runtime), None)
         self._maybe_fire()
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
 from repro.cluster import Cluster, CpuHog
 from repro.hpcm import ReconfigureOrder, launch_malleable_world
 from repro.hpcm.app import MigratableApp
@@ -58,7 +59,11 @@ def shrink_at(cluster, world, runtime, when, reason="test"):
 
 
 def run_world(cluster, world, until=3000.0):
-    cluster.env.run(until=until)
+    """Wait for the job itself, not a horizon: ``world.finished`` plus
+    the experiment drivers' drain, ``until`` only as the cap."""
+    run_until_finished(cluster.env, world.finished, until)
+    assert world.finished.processed and world.finished.ok
+    assert world.runtimes == []
     assert all(rt.status in ("done", "retired")
                for rt in world.all_runtimes), [
         (rt.host.name, rt.status) for rt in world.all_runtimes
@@ -67,11 +72,26 @@ def run_world(cluster, world, until=3000.0):
     return done
 
 
+def fire_times(cluster, world):
+    """Clock readings at which ``world.finished`` was dispatched."""
+    fired = []
+    world.finished.callbacks.append(
+        lambda event: fired.append(cluster.env.now))
+    return fired
+
+
+def last_exit(world):
+    return max(rt.finished_at for rt in world.all_runtimes)
+
+
 def test_world_completes_without_reshape():
     cluster, mpi = setup()
     world = launch_pi(mpi, cluster)
+    fired = fire_times(cluster, world)
     done = run_world(cluster, world)
     assert len(done) == 2 and world.reconfigurations == []
+    assert fired == [last_exit(world)]
+    assert cluster.env.now == last_exit(world) + DRAIN_SECONDS
     assert done[0].result == pytest.approx(math.pi, abs=0.05)
 
 
@@ -79,8 +99,12 @@ def test_expand_adds_ranks_and_preserves_the_estimate():
     cluster, mpi = setup()
     world = launch_pi(mpi, cluster)
     expand_at(cluster, world, ("ws3", "ws4"), when=2.0)
+    fired = fire_times(cluster, world)
     done = run_world(cluster, world)
     assert len(done) == 4
+    # Once, and not before the ranks the Expand added have left too.
+    assert fired == [last_exit(world)]
+    assert all(rt.done.processed for rt in world.all_runtimes)
     (rec,) = world.reconfigurations
     assert rec.succeeded and rec.kind == "expand"
     assert rec.old_size == 2 and rec.new_size == 4
@@ -99,8 +123,13 @@ def test_shrink_retires_the_contended_rank():
     world = launch_pi(mpi, cluster, hosts=("ws1", "ws2", "ws3"))
     victim = world.runtimes[0]
     shrink_at(cluster, world, victim, when=2.0)
+    fired = fire_times(cluster, world)
     done = run_world(cluster, world)
     assert victim.status == "retired"
+    # The retiree left long before the survivors: the job is finished
+    # when the last of them is, not when the world first lost a rank.
+    assert victim.finished_at < last_exit(world)
+    assert fired == [last_exit(world)]
     assert len(done) == 2
     (rec,) = world.reconfigurations
     assert rec.succeeded and rec.kind == "shrink"
@@ -220,6 +249,55 @@ def test_reshape_refused_once_a_rank_finished():
     assert world.reconfigurations == []
 
 
+def test_finished_waits_for_the_slow_rank_of_an_uneven_world():
+    cluster, mpi = setup()
+    world = launch_malleable_world(
+        mpi, UnevenApp, [cluster["ws1"], cluster["ws2"]], params={},
+    )
+    fired = fire_times(cluster, world)
+    cluster.env.run(until=1.0)
+    assert [rt.status for rt in world.all_runtimes] == ["running", "done"]
+    assert not world.finished.triggered
+    cluster.env.run(until=world.finished)
+    assert fired == [last_exit(world)] == [world.all_runtimes[0].finished_at]
+
+
+class FailingRankApp(UnevenApp):
+    """Rank 1 (or, with ``params["all"]``, every rank) raises at its
+    second step; there is no collective for the others to hang in."""
+
+    name = "failing"
+
+    def create_state(self, params: dict, rng):
+        return dict(super().create_state(params, rng),
+                    all=bool(params.get("all")))
+
+    def run_step(self, state, ctx):
+        more = yield from super().run_step(state, ctx)
+        if state["steps"] == 2 and (self.my_rank == 1 or state["all"]):
+            raise RuntimeError("rank blew up")
+        return more
+
+
+@pytest.mark.parametrize("everyone", [False, True])
+def test_a_failed_rank_has_left_the_world(everyone):
+    cluster, mpi = setup()
+    world = launch_malleable_world(
+        mpi, FailingRankApp, [cluster["ws1"], cluster["ws2"]],
+        params={"all": everyone},
+    )
+    fired = fire_times(cluster, world)
+    # ``finished`` succeeds — a failed rank does not raise out of the wait.
+    cluster.env.run(until=world.finished)
+    assert world.finished.ok
+    statuses = [rt.status for rt in world.all_runtimes]
+    assert statuses == (["failed", "failed"] if everyone
+                        else ["done", "failed"])
+    assert fired == [last_exit(world)] == [cluster.env.now]
+    cluster.env.run(until=cluster.env.now + 5.0)
+    assert len(fired) == 1
+
+
 class StuckRankApp(MigratableApp):
     """Rank 1 computes one enormous step: it can never park."""
 
@@ -259,6 +337,34 @@ def test_barrier_timeout_aborts_the_reshape():
     # Rank 0 resumed and keeps stepping after the abort.
     assert world.runtimes[0].status == "running"
     assert world.runtimes[0].state["steps"] > 10
+
+
+class OneLongStepApp(StuckRankApp):
+    """Rank 1 is one 20 s step — too long for the barrier, not for
+    the job; rank 0 is a hundred short ones."""
+
+    name = "longstep"
+
+    def run_step(self, state, ctx):
+        yield ctx.compute(20.0 if self.my_rank == 1 else 0.05,
+                          label="longstep")
+        state["steps"] += 1
+        return self.my_rank == 0 and state["steps"] < 100
+
+
+def test_a_world_aborted_at_the_barrier_still_finishes():
+    cluster, mpi = setup()
+    world = launch_malleable_world(
+        mpi, OneLongStepApp, [cluster["ws1"], cluster["ws2"]],
+        params={}, barrier_timeout=5.0,
+    )
+    expand_at(cluster, world, ("ws3",), when=1.0)
+    fired = fire_times(cluster, world)
+    done = run_world(cluster, world, until=600.0)
+    (rec,) = world.reconfigurations
+    assert not rec.succeeded and "barrier timeout" in rec.failure
+    assert len(done) == 2
+    assert fired == [last_exit(world)] == [pytest.approx(20.0)]
 
 
 def test_repartition_refusal_resumes_unchanged():
