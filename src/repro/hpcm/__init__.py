@@ -18,7 +18,6 @@ from .checkpoint import (
 from .context import AppContext
 from .errors import (
     HpcmError,
-    MigrationFailed,
     RepartitionError,
     StateCaptureError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "HpcmRuntime",
     "HpcmWorld",
     "MigratableApp",
-    "MigrationFailed",
     "MigrationOrder",
     "MigrationRecord",
     "ReconfigRecord",

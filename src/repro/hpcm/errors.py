@@ -7,11 +7,6 @@ class HpcmError(Exception):
     """Base class for migration-middleware failures."""
 
 
-class MigrationFailed(HpcmError):
-    """A migration attempt could not complete; the process keeps
-    running at the source (no partial results are lost)."""
-
-
 class StateCaptureError(HpcmError):
     """The application state could not be serialized at a poll-point."""
 

@@ -9,7 +9,7 @@ completion (~7.5 s).  Every migration produces one record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -58,12 +58,14 @@ class ReconfigRecord:
     decision_seconds: float = 0.0
     #: When the last live rank parked at the reshape barrier.
     barrier_at: float = 0.0
-    #: When the reshape finished and survivors resumed.
+    #: When the attempt ended (either way) and the ranks resumed.
     completed_at: float = 0.0
     #: Repartitioned state moved between ranks (pickled size).
     moved_bytes: int = 0
     succeeded: bool = False
     failure: str = ""
+    #: Rung name → when the attempt completed it (see ``hpcm.ladder``).
+    steps: dict = field(default_factory=dict)
 
     @property
     def barrier_seconds(self) -> float:
@@ -110,12 +112,14 @@ class MigrationRecord:
     spawned_at: float = 0.0
     #: When execution resumed on the destination.
     resumed_at: float = 0.0
-    #: When the last state byte arrived (migration complete).
+    #: When the attempt ended: the last state byte arrived, or it failed.
     completed_at: float = 0.0
     memory_bytes: int = 0
     exec_bytes: int = 0
     succeeded: bool = False
     failure: str = ""
+    #: Rung name → when the attempt completed it (see ``hpcm.ladder``).
+    steps: dict = field(default_factory=dict)
 
     # -- derived phase durations (seconds) -------------------------------
     @property

@@ -28,7 +28,6 @@ import pickle
 from typing import Any, Callable, List, Optional
 
 from ..mpi.comm import Comm
-from ..mpi.errors import SpawnError
 from ..mpi.group import CommGroup
 from ..mpi.process import MpiProcess
 from ..mpi.runtime import MpiRuntime
@@ -47,6 +46,8 @@ from ..trace.events import (
 )
 from .app import MigratableApp
 from .context import AppContext
+from .errors import HpcmError
+from .ladder import Attempt, Refusal, Rung, climb
 from .record import MigrationOrder, MigrationRecord
 from . import statexfer
 
@@ -105,7 +106,6 @@ class HpcmRuntime:
         #: A fresh rank joining mid-run starts from a repartitioned
         #: state instead of ``create_state``.
         self._initial_state = initial_state
-        self._has_initial_state = initial_state is not None
 
         self.state: Any = None
         self.step_count = int(initial_step)
@@ -189,9 +189,8 @@ class HpcmRuntime:
             tracer.event(EV_APP_START, t=self.env.now,
                          host=self.host.name, app=self.app.name)
         try:
-            if self._has_initial_state:
-                self.state = self._initial_state
-                self._initial_state = None
+            if self._initial_state is not None:
+                self.state, self._initial_state = self._initial_state, None
             else:
                 self.state = self.app.create_state(self.params, self.rng)
             more = True
@@ -199,7 +198,7 @@ class HpcmRuntime:
                 order = self._pending_order
                 if order is not None:
                     self._pending_order = None
-                    yield from self._migrate(order)
+                    yield from climb(self._attempt(order), MIGRATION)
                 if self.world is not None and self.world.reshape_pending:
                     directive = yield from self.world.park(self)
                     if directive == "retire":
@@ -258,131 +257,109 @@ class HpcmRuntime:
         self.done.succeed(None)
         self.process.exit()
 
-    # -- migration ------------------------------------------------------
-    def _migrate(self, order: MigrationOrder):
-        dest_host = self._resolve_order_host(order)
+    # -- migration: the rungs of MIGRATION, in order ---------------------
+    def _attempt(self, order: MigrationOrder) -> Attempt:
+        """Open a migration attempt at this poll-point."""
         rec = MigrationRecord(
             source=self.host.name,
-            dest=dest_host.name,
+            dest=order.dest_host,
             reason=order.reason,
             ordered_at=order.issued_at,
             decision_seconds=order.decision_seconds,
-            pollpoint_at=self.env.now,
         )
-        self.migrations.append(rec)
+        return Attempt(self, order, rec, self.migrations,
+                       span=HpcmRuntime._migration_span)
+
+    def _migration_span(self, att: Attempt) -> tuple:
+        rec = att.rec
+        return EV_HPCM_MIGRATION, rec.source, dict(
+            app=self.app.name, source=rec.source, dest=rec.dest)
+
+    def _resolve(self, att: Attempt) -> None:
+        """Find the destination Host (reads the temp address file when
+        the commander used one, per the paper's mechanism)."""
+        order, rec = att.order, att.rec
+        if order.address_file:
+            try:
+                with open(order.address_file, "r", encoding="ascii") as fh:
+                    rec.dest = fh.read().split()[0]
+            finally:
+                try:
+                    os.unlink(order.address_file)
+                except OSError:
+                    pass
+        att.dest = self.mpi.cluster.host(rec.dest)
         tracer = get_tracer()
-        mig_span = tracer.begin(
-            EV_HPCM_MIGRATION, t=order.issued_at, host=self.host.name,
-            app=self.app.name, source=self.host.name,
-            dest=dest_host.name,
-        ) if tracer.enabled else None
         if tracer.enabled:
             tracer.event(
                 EV_HPCM_POLLPOINT, t=self.env.now, host=self.host.name,
-                app=self.app.name, dest=dest_host.name,
-                step=self.step_count,
+                app=self.app.name, dest=rec.dest, step=self.step_count,
             )
-        if dest_host is self.host:
-            rec.failure = "destination equals source"
-            if mig_span is not None:
-                mig_span.end(t=self.env.now, succeeded=False,
-                             failure=rec.failure)
-            return
-        old_proc = self.process
-        spawn_span = tracer.begin(
-            EV_HPCM_SPAWN, t=self.env.now, host=dest_host.name,
-            app=self.app.name, dest=dest_host.name,
-        ) if tracer.enabled else None
-        try:
-            # 1. Initialized process on the destination (MPI-2 DPM);
-            #    a pre-initialized standby skips the spawn latency.
-            ready = self.env.event()
-            transfer_done = self.env.event()
-            warm = self._preinit.pop(dest_host.name, False)
-            comm_self = self.mpi.comm_self(old_proc)
-            icomm = yield from comm_self.spawn(
-                _make_receiver(ready, transfer_done),
-                [dest_host],
-                name=f"init:{self.app.name}",
-                latency=0.0 if warm else None,
-            )
-        except SpawnError as exc:
-            rec.failure = f"spawn failed: {exc}"
-            if spawn_span is not None:
-                spawn_span.end(t=self.env.now, warm=warm)
-            if mig_span is not None:
-                mig_span.end(t=self.env.now, succeeded=False,
-                             failure=rec.failure)
-            return
-        rec.spawned_at = self.env.now
-        if spawn_span is not None:
-            spawn_span.end(t=self.env.now, warm=warm)
+        if att.dest is self.host:
+            raise Refusal("destination equals source")
+        # A pre-initialized standby skips the spawn latency.
+        att.warm = self._preinit.pop(rec.dest, False)
 
-        # 2. Capture memory state (real pickle; costs CPU on the source).
-        capture_span = tracer.begin(
-            EV_HPCM_CAPTURE, t=self.env.now, host=self.host.name,
-            app=self.app.name,
-        ) if tracer.enabled else None
-        mem_blob = statexfer.capture(self.state)
-        rec.memory_bytes = len(mem_blob)
-        capture_work = len(mem_blob) / self.serialize_rate
+    def _spawn(self, att: Attempt):
+        """Initialized process on the destination (MPI-2 DPM)."""
+        att.old_proc = self.process
+        att.ready = self.env.event()
+        att.transfer_done = self.env.event()
+        att.icomm = yield from self.mpi.comm_self(att.old_proc).spawn(
+            _make_receiver(att.ready, att.transfer_done),
+            [att.dest],
+            name=f"init:{self.app.name}",
+            latency=0.0 if att.warm else None,
+        )
+
+    def _unspawn(self, att: Attempt) -> None:
+        """The attempt failed before the switch-over: the initialized
+        process must not stay in the destination's process table."""
+        for proc in att.icomm.remote_group.procs:
+            proc.exit()
+
+    def _capture(self, att: Attempt):
+        """Memory state (real pickle; costs CPU on the source), cut
+        into chunks, plus the execution state that precedes it."""
+        att.blob = statexfer.capture(self.state)
+        att.rec.memory_bytes = len(att.blob)
+        capture_work = len(att.blob) / self.serialize_rate
         if capture_work > 0:
             yield self.host.cpu.execute(capture_work, label="hpcm-capture")
-        if capture_span is not None:
-            capture_span.end(t=self.env.now, bytes=len(mem_blob))
-        chunks = statexfer.chunk(mem_blob, self.chunks)
-        resume_after = max(1, math.ceil(len(chunks) * self.resume_fraction))
-        exec_state = {
+        att.chunks = statexfer.chunk(att.blob, self.chunks)
+        att.exec_state = {
             "app": self.app.name,
             "step": self.step_count,
             "schema_xml": self.schema.to_xml(),
-            "n_chunks": len(chunks),
-            "resume_after": resume_after,
+            "n_chunks": len(att.chunks),
+            "resume_after": max(
+                1, math.ceil(len(att.chunks) * self.resume_fraction)),
         }
-        rec.exec_bytes = len(pickle.dumps(exec_state))
+        att.rec.exec_bytes = len(pickle.dumps(att.exec_state))
 
-        # 3. Stream execution state, then memory chunks, from a helper
-        #    process (HPCM's data-collection thread) so the resumed
-        #    computation overlaps the drain.
+    def _transfer(self, att: Attempt):
+        """Stream execution state, then memory chunks, from a helper
+        process (HPCM's data-collection thread) so the resumed
+        computation overlaps the drain; wait until the destination may
+        resume (exec state + the initial fraction of chunks arrived)."""
+        icomm = att.icomm
+
         def _stream():
-            yield from icomm.send(exec_state, dest=0, tag=TAG_EXEC_STATE)
-            for piece in chunks:
+            yield from icomm.send(att.exec_state, dest=0, tag=TAG_EXEC_STATE)
+            for piece in att.chunks:
                 yield from icomm.send(piece, dest=0, tag=TAG_MEMORY_CHUNK)
 
-        transfer_span = tracer.begin(
-            EV_HPCM_TRANSFER, t=self.env.now, host=self.host.name,
-            app=self.app.name, dest=dest_host.name,
-            bytes=len(mem_blob), chunks=len(chunks),
-        ) if tracer.enabled else None
-        streamer = self.env.process(_stream(), name="hpcm-stream")
+        att.streamer = self.env.process(_stream(), name="hpcm-stream")
+        yield self.env.any_of([att.ready, att.streamer])
+        if not att.ready.triggered:  # pragma: no cover - defensive
+            raise HpcmError("receiver never became ready")
 
-        # 4. Wait until the destination may resume (exec state + the
-        #    initial fraction of memory chunks arrived).  A streamer
-        #    failure (e.g. destination crash mid-transfer) aborts the
-        #    migration; the process keeps running at the source and no
-        #    partial results are lost.
-        try:
-            yield self.env.any_of([ready, streamer])
-        except Exception as exc:
-            rec.failure = f"transfer failed: {exc}"
-            if transfer_span is not None:
-                transfer_span.end(t=self.env.now)
-            if mig_span is not None:
-                mig_span.end(t=self.env.now, succeeded=False,
-                             failure=rec.failure)
-            return
-        if not ready.triggered:  # pragma: no cover - defensive
-            rec.failure = "receiver never became ready"
-            if transfer_span is not None:
-                transfer_span.end(t=self.env.now)
-            if mig_span is not None:
-                mig_span.end(t=self.env.now, succeeded=False,
-                             failure=rec.failure)
-            return
-        receiver_proc = ready.value
-
-        # 5. Switch over: restore state, re-point ranks, move mailbox.
-        restored = statexfer.restore(mem_blob)
+    def _switch_over(self, att: Attempt) -> None:
+        """Restore state, re-point ranks, move the mailbox.  The point
+        of no return: the initialized process *is* the rank from here
+        on, so nothing earlier is left to undo."""
+        old_proc, receiver_proc = att.old_proc, att.ready.value
+        restored = statexfer.restore(att.blob)
         for group in list(old_proc.groups):
             if not group.internal:
                 group.replace(old_proc, receiver_proc)
@@ -392,67 +369,24 @@ class HpcmRuntime:
         self.state = restored
         if self.comm is not None:
             self.comm = self.comm.handle_for(receiver_proc)
-        rec.resumed_at = self.env.now
+        att.undos.clear()
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
-                EV_HPCM_RESUME, t=self.env.now, host=dest_host.name,
-                app=self.app.name, source=rec.source,
+                EV_HPCM_RESUME, t=self.env.now, host=self.host.name,
+                app=self.app.name, source=att.rec.source,
             )
-        drain_span = tracer.begin(
-            EV_HPCM_DRAIN, t=self.env.now, host=dest_host.name,
-            app=self.app.name,
-        ) if tracer.enabled else None
 
-        # 6. The drain and the source-side exit finish in the background.
-        def _cleanup():
-            try:
-                yield streamer
-                blob = yield transfer_done
-            except Exception as exc:
-                rec.failure = f"drain failed: {exc}"
-                self._trace_drain_end(rec, transfer_span, drain_span,
-                                      mig_span)
-                old_proc.exit()
-                return
-            if blob != mem_blob:  # pragma: no cover - invariant
-                rec.failure = "state corrupted in transit"
-                self._trace_drain_end(rec, transfer_span, drain_span,
-                                      mig_span)
-                old_proc.exit()
-                return
-            rec.completed_at = self.env.now
-            rec.succeeded = True
-            self._trace_drain_end(rec, transfer_span, drain_span,
-                                  mig_span)
-            old_proc.exit()
-
-        self.env.process(_cleanup(), name="hpcm-cleanup")
-
-    def _trace_drain_end(self, rec, transfer_span, drain_span, mig_span):
-        """Close the transfer/drain/migration spans when the drain ends."""
-        now = self.env.now
-        if transfer_span is not None:
-            transfer_span.end(t=now)
-        if drain_span is not None:
-            drain_span.end(t=now, overlap_s=now - rec.resumed_at)
-        if mig_span is not None:
-            mig_span.end(t=now, succeeded=rec.succeeded,
-                         failure=rec.failure)
-
-    def _resolve_order_host(self, order: MigrationOrder):
-        """Find the destination Host (reads the temp address file when
-        the commander used one, per the paper's mechanism)."""
-        name = order.dest_host
-        if order.address_file:
-            try:
-                with open(order.address_file, "r", encoding="ascii") as fh:
-                    name = fh.read().split()[0]
-            finally:
-                try:
-                    os.unlink(order.address_file)
-                except OSError:
-                    pass
-        return self.mpi.cluster.host(name)
+    def _drain(self, att: Attempt):
+        """The rest of the stream arrives behind the resumed rank; the
+        source-side process exits however that ends."""
+        try:
+            yield att.streamer
+            blob = yield att.transfer_done
+        finally:
+            att.old_proc.exit()
+        if blob != att.blob:  # pragma: no cover - invariant
+            raise HpcmError("state corrupted in transit")
 
     # -- bookkeeping ----------------------------------------------------
     def _bind(self, proc: MpiProcess) -> None:
@@ -471,6 +405,30 @@ class HpcmRuntime:
         name = self.process.host.name
         dwell = self.env.now - self._arrived_at
         self.residency[name] = self.residency.get(name, 0.0) + dwell
+
+
+#: A migration, rung by rung (docs/architecture.md has the failure
+#: table).  ``drain`` runs behind the resumed rank.
+MIGRATION = (
+    Rung("resolve", HpcmRuntime._resolve, stamp="pollpoint_at"),
+    Rung("spawn", HpcmRuntime._spawn, stamp="spawned_at",
+         undo=HpcmRuntime._unspawn,
+         span=lambda rt, att: (EV_HPCM_SPAWN, att.rec.dest, dict(
+             app=rt.app.name, dest=att.rec.dest, warm=att.warm))),
+    Rung("capture", HpcmRuntime._capture,
+         span=lambda rt, att: (EV_HPCM_CAPTURE, att.rec.source, dict(
+             app=rt.app.name, bytes=att.rec.memory_bytes))),
+    Rung("transfer", HpcmRuntime._transfer, held=True,
+         span=lambda rt, att: (EV_HPCM_TRANSFER, att.rec.source, dict(
+             app=rt.app.name, dest=att.rec.dest,
+             bytes=att.rec.memory_bytes, chunks=len(att.chunks)))),
+    Rung("switch_over", HpcmRuntime._switch_over, stamp="resumed_at"),
+    Rung("drain", HpcmRuntime._drain, held=True,
+         background="hpcm-cleanup",
+         span=lambda rt, att: (EV_HPCM_DRAIN, att.rec.dest, dict(
+             app=rt.app.name,
+             overlap_s=att.env.now - att.rec.resumed_at))),
+)
 
 
 def _make_receiver(ready, transfer_done):

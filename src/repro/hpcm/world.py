@@ -23,9 +23,11 @@ poll-point contract migration rests on:
    real pickled size, the world communicator gains/loses the rank, and
    survivors resume with their new state shares.
 
-Any failure (unknown hosts, a :class:`RepartitionError`, a retiree
-that already finished) aborts the reshape: every rank resumes
-unchanged, and the failed attempt is still recorded.
+The six steps are the rungs of :data:`RESHAPE`, driven by
+:func:`repro.hpcm.ladder.climb`.  A failure on any rung — a barrier
+that never assembles, unknown hosts, a :class:`RepartitionError`, a
+destination that crashes under the state transfer — ends the attempt:
+every rank resumes unchanged, and the failed attempt is still recorded.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from ..trace.events import (
     EV_HPCM_REPARTITION,
 )
 from .errors import RepartitionError
+from .ladder import Attempt, Refusal, Rung, climb, leave
 from .record import ReconfigRecord, ReconfigureOrder
 from .runtime import HpcmRuntime
 from . import statexfer
@@ -88,10 +91,11 @@ class HpcmWorld:
         #: failed; ranks a later Expand adds count too): the event to
         #: wait on for the whole job, ``env.run(until=world.finished)``.
         self.finished = self.env.event()
-        self._pending: Optional[ReconfigureOrder] = None
-        self._retiree: Optional[HpcmRuntime] = None
+        #: The open reshape attempt — its record, order and retiree —
+        #: from the accepted command until the terminal record; ``None``
+        #: when idle.
+        self._attempt: Optional[Attempt] = None
         self._parked: Dict[int, Any] = {}  # runtime id → release event
-        self._reshaping = False
 
     # -- public views ---------------------------------------------------
     @property
@@ -100,17 +104,33 @@ class HpcmWorld:
         return len(self.runtimes)
 
     @property
-    def app_name(self) -> str:
-        return self.runtimes[0].app.name if self.runtimes else "world"
-
-    @property
     def reshape_pending(self) -> bool:
-        return self._pending is not None
+        return self._attempt is not None
+
+    def add_rank(self, proc: MpiProcess, **start: Any) -> HpcmRuntime:
+        """Start the runtime of ``proc``, already a member of the
+        group — the one way a rank of this world is built, at launch
+        and when an Expand joins (``start``: its state share and step)."""
+        runtime = HpcmRuntime(
+            self.mpi,
+            self.app_factory(self.group.rank_of(proc)),
+            proc,
+            params=self.params,
+            schema=self.schema,
+            comm=Comm(self.group, proc),
+            rng=self.rng,
+            world=self,
+            **start,
+            **self.runtime_kwargs,
+        )
+        self.runtimes.append(runtime)
+        self.all_runtimes.append(runtime)
+        return runtime
 
     # -- the signal (commander → world) ---------------------------------
     def request_expand(self, order: ReconfigureOrder) -> tuple:
         """Grow the world onto ``order.hosts``; (delivered, detail)."""
-        if self._pending is not None or self._reshaping:
+        if self._attempt is not None:
             return False, "reshape already in progress"
         if not self.runtimes:
             return False, "world has no live ranks"
@@ -118,16 +138,14 @@ class HpcmWorld:
             return False, "world has finished ranks"
         if not order.hosts:
             return False, "expand order carries no destination hosts"
-        self._pending = order
-        self._watch(order)
-        self._maybe_fire()
+        self._open(order, None)
         return True, ""
 
     def request_shrink(
         self, runtime: HpcmRuntime, order: ReconfigureOrder
     ) -> tuple:
         """Retire ``runtime``'s rank; (delivered, detail)."""
-        if self._pending is not None or self._reshaping:
+        if self._attempt is not None:
             return False, "reshape already in progress"
         if runtime not in self.runtimes:
             return False, "rank is not a live member of this world"
@@ -135,13 +153,39 @@ class HpcmWorld:
             return False, "world has finished ranks"
         if len(self.runtimes) <= 1:
             return False, "world cannot shrink below one rank"
-        self._pending = order
-        self._retiree = runtime
-        self._watch(order)
-        self._maybe_fire()
+        self._open(order, runtime)
         return True, ""
 
-    # -- the poll-point barrier -----------------------------------------
+    def _open(self, order: ReconfigureOrder,
+              retiree: Optional[HpcmRuntime]) -> None:
+        """Open the attempt and arm its barrier watchdog."""
+        size = len(self.runtimes)
+        rec = ReconfigRecord(
+            app=self.runtimes[0].app.name,
+            kind=order.kind,
+            old_size=size,
+            new_size=size,
+            reason=order.reason,
+            ordered_at=order.issued_at,
+            decision_seconds=order.decision_seconds,
+        )
+        att = self._attempt = Attempt(
+            self, order, rec, self.reconfigurations,
+            span=HpcmWorld._reshape_span, release=HpcmWorld._release,
+        )
+        att.retiree, att.host = retiree, None
+
+        def _watchdog():
+            yield self.env.timeout(self.barrier_timeout)
+            if self._attempt is att and not rec.steps:
+                leave(att, ASSEMBLE, Refusal(
+                    "barrier timeout: a rank never reached its "
+                    "poll-point"))
+
+        self.env.process(_watchdog(), name=f"reshape-watch:{rec.app}")
+        self._maybe_fire()
+
+    # -- the poll-point barrier (rung ``assemble``) ---------------------
     def park(self, runtime: HpcmRuntime):
         """Park one rank at the reshape barrier (a generator the rank
         drives with ``yield from``).  Returns the release directive:
@@ -169,278 +213,207 @@ class HpcmWorld:
         self._parked.pop(id(runtime), None)
         self._maybe_fire()
 
-    def _watch(self, order: ReconfigureOrder) -> None:
-        """Arm the barrier-assembly watchdog for one order."""
-        def _watchdog():
-            yield self.env.timeout(self.barrier_timeout)
-            if self._pending is order and not self._reshaping:
-                self._pending = None
-                self._retiree = None
-                self._abort(
-                    order,
-                    "barrier timeout: a rank never reached its "
-                    "poll-point",
-                )
-
-        self.env.process(_watchdog(), name=f"reshape-watch:{self.app_name}")
-
-    def _abort(self, order: ReconfigureOrder, failure: str) -> None:
-        """Record a reshape that never ran and wake the parked ranks."""
-        size = len(self.runtimes)
-        rec = ReconfigRecord(
-            app=self.app_name,
-            kind=order.kind,
-            old_size=size,
-            new_size=size,
-            reason=order.reason,
-            ordered_at=order.issued_at,
-            decision_seconds=order.decision_seconds,
-            barrier_at=self.env.now,
-            completed_at=self.env.now,
-            failure=failure,
-        )
-        self.reconfigurations.append(rec)
-        tracer = get_tracer()
-        if tracer.enabled and self.runtimes:
-            tracer.begin(
-                EV_HPCM_REPARTITION, t=order.issued_at,
-                host=self.runtimes[0].host.name, app=rec.app,
-                kind=order.kind, old_size=size,
-            ).end(t=self.env.now, new_size=size, bytes=0,
-                  succeeded=False, failure=failure)
-        self._release(None)
-
     def _maybe_fire(self) -> None:
-        if self._pending is None or self._reshaping:
+        """Leave ``assemble`` once the barrier is decided: every live
+        rank parked (the reshape process climbs the rest), or a rank
+        finished first and the barrier can never assemble."""
+        att = self._attempt
+        if att is None or att.rec.steps:
             return
         if not self.runtimes:
-            # Everyone finished before the barrier assembled.
-            order, self._pending = self._pending, None
-            self._retiree = None
-            self._abort(order, "every rank finished before the barrier")
-            return
-        if self.group.size != len(self.runtimes):
-            # Some rank finished mid-run: membership is frozen (see
-            # rank_done), so the world can no longer be reshaped.
-            order, self._pending = self._pending, None
-            self._retiree = None
-            self._abort(order, "world has finished ranks")
-            return
-        if all(id(rt) in self._parked for rt in self.runtimes):
-            self._reshaping = True
-            order, self._pending = self._pending, None
+            leave(att, ASSEMBLE,
+                  Refusal("every rank finished before the barrier"))
+        elif self.group.size != len(self.runtimes):
+            # Membership is frozen (see rank_done): no reshape any more.
+            leave(att, ASSEMBLE, Refusal("world has finished ranks"))
+        elif all(id(rt) in self._parked for rt in self.runtimes):
+            att.host = self.runtimes[0].host.name
+            leave(att, ASSEMBLE)
             self.env.process(
-                self._reconfigure(order),
-                name=f"hpcm-reshape:{self.app_name}",
+                climb(att, RESHAPE[att.order.kind]),
+                name=f"hpcm-reshape:{att.rec.app}",
             )
 
-    # -- the reshape ----------------------------------------------------
-    def _reconfigure(self, order: ReconfigureOrder):
-        tracer = get_tracer()
-        old_size = len(self.runtimes)
-        rank0 = self.runtimes[0]
-        rec = ReconfigRecord(
-            app=self.app_name,
-            kind=order.kind,
-            old_size=old_size,
-            new_size=old_size,
-            reason=order.reason,
-            ordered_at=order.issued_at,
-            decision_seconds=order.decision_seconds,
-            barrier_at=self.env.now,
+    def _reshape_span(self, att: Attempt) -> Optional[tuple]:
+        rec = att.rec
+        host = att.host or (
+            self.runtimes[0].host.name if self.runtimes else None)
+        if host is None:
+            return None  # no rank left to pin the span to
+        return EV_HPCM_REPARTITION, host, dict(
+            app=rec.app, kind=rec.kind, old_size=rec.old_size,
+            new_size=rec.new_size, bytes=rec.moved_bytes,
         )
-        span = tracer.begin(
-            EV_HPCM_REPARTITION, t=order.issued_at,
-            host=rank0.host.name, app=rec.app, kind=order.kind,
-            old_size=old_size,
-        ) if tracer.enabled else None
-        retiree, self._retiree = self._retiree, None
-        try:
-            if order.kind == "expand":
-                yield from self._do_expand(order, rec)
-            else:
-                yield from self._do_shrink(order, rec, retiree)
-        except RepartitionError as exc:
-            rec.failure = f"repartition refused: {exc}"
-        rec.new_size = len(self.runtimes)
-        rec.succeeded = not rec.failure
-        rec.completed_at = self.env.now
-        self.reconfigurations.append(rec)
-        if span is not None:
-            span.end(
-                t=self.env.now, new_size=rec.new_size,
-                bytes=rec.moved_bytes, succeeded=rec.succeeded,
-                failure=rec.failure,
-            )
-        self._release(retiree if rec.succeeded and order.kind == "shrink"
-                      else None)
 
-    def _release(self, retiree: Optional[HpcmRuntime]) -> None:
+    def _release(self, att: Attempt) -> None:
+        """The attempt ended: wake every parked rank."""
+        self._attempt = None
+        retiree = att.retiree if att.rec.succeeded else None
         parked, self._parked = self._parked, {}
-        self._reshaping = False
         for key, event in parked.items():
-            directive = (
+            event.succeed(
                 "retire" if retiree is not None and key == id(retiree)
                 else "resume"
             )
-            if not event.triggered:
-                event.succeed(directive)
-        # A command may have raced in while we were reshaping.
-        self._maybe_fire()
 
-    def _capture_all(self, rec: ReconfigRecord) -> Any:
-        """Pickle every rank's state, paying CPU in parallel; returns
-        the per-rank blobs (rank order)."""
-        blobs: List[bytes] = [b""] * len(self.runtimes)
+    # -- the rungs of RESHAPE, in order ---------------------------------
+    def _validate_expand(self, att: Attempt) -> None:
+        hosts = []
+        for name in att.order.hosts:
+            try:
+                host = self.mpi.cluster.host(name)
+            except KeyError:
+                continue
+            if host.up:
+                hosts.append(host)
+        if not hosts:
+            raise Refusal("no valid destination hosts")
+        att.hosts = hosts
+        att.new_size = len(self.runtimes) + len(hosts)
 
-        def _one(i, rt):
-            blob = statexfer.capture(rt.state)
-            blobs[i] = blob
+    def _validate_shrink(self, att: Attempt) -> None:
+        if att.retiree not in self.runtimes:
+            raise Refusal("retiring rank already finished")
+        att.new_size = len(self.runtimes) - 1
+
+    def _helpers(self, named: List[tuple]):
+        """Run ``(name, generator)`` helpers as parallel processes and
+        wait for them in turn.  Each is defused first: the first
+        failure fails the rung, and a second one, with nobody left
+        waiting on it, must not raise out of ``env.run``."""
+        helpers = [self.env.process(gen, name=name) for name, gen in named]
+        for helper in helpers:
+            helper.defuse()
+        for helper in helpers:
+            yield helper
+
+    def _capture_all(self, att: Attempt):
+        """Pickle every rank's state, paying CPU in parallel."""
+        att.blobs = [statexfer.capture(rt.state) for rt in self.runtimes]
+
+        def _pay(rt, blob):
             work = len(blob) / rt.serialize_rate
             if work > 0:
                 yield rt.host.cpu.execute(work, label="hpcm-reshape-capture")
 
-        waits = [
-            self.env.process(_one(i, rt), name=f"reshape-capture:{i}")
-            for i, rt in enumerate(self.runtimes)
-        ]
-        for wait in waits:
-            yield wait
-        return blobs
+        yield from self._helpers([
+            (f"reshape-capture:{i}", _pay(rt, blob))
+            for i, (rt, blob) in enumerate(zip(self.runtimes, att.blobs))
+        ])
 
-    def _repartition(self, new_size: int) -> List[Any]:
+    def _repartition(self, att: Attempt) -> None:
+        """States in *current* rank order in, ``new_size`` shares out."""
         states = [rt.state for rt in self.runtimes]
-        new_states = self.runtimes[0].app.repartition(
-            states, new_size, self.params, self.rng
+        att.states = self.runtimes[0].app.repartition(
+            states, att.new_size, self.params, self.rng
         )
-        if len(new_states) != new_size:
+        if len(att.states) != att.new_size:
             raise RepartitionError(
-                f"repartition returned {len(new_states)} states "
-                f"for a world of {new_size}"
+                f"repartition returned {len(att.states)} states "
+                f"for a world of {att.new_size}"
             )
-        return new_states
 
-    def _do_expand(self, order: ReconfigureOrder, rec: ReconfigRecord):
-        hosts = []
-        for name in order.hosts:
-            try:
-                host = self.mpi.cluster.host(name)
-            except Exception:
-                continue
-            if getattr(host, "up", True):
-                hosts.append(host)
-        if not hosts:
-            rec.failure = "no valid destination hosts"
-            return
-        old_size = len(self.runtimes)
-        new_size = old_size + len(hosts)
-        yield from self._capture_all(rec)
-        new_states = self._repartition(new_size)
-
-        # Parallel tree spawn: k fresh ranks in ceil(log2(k+1)) rounds.
-        rounds = math.ceil(math.log2(len(hosts) + 1))
+    def _spawn(self, att: Attempt):
+        """Parallel tree spawn: k fresh ranks in ceil(log2(k+1)) rounds
+        — the one place a spawn strategy would plug in."""
+        rounds = math.ceil(math.log2(len(att.hosts) + 1))
         spawn_cost = self.mpi.spawn_latency * rounds
         if spawn_cost > 0:
             yield self.env.timeout(spawn_cost)
 
-        # Ship each fresh rank its state share (real pickled size).
-        shares = [statexfer.capture(s) for s in new_states[old_size:]]
-        src = self.runtimes[0].host
-
-        def _ship(host, blob):
-            if host is not src:
-                yield self.mpi.network.transfer(
-                    src.name, host.name, len(blob),
-                    label=f"reshape:{rec.app}",
-                )
-            else:  # pragma: no cover - same-host expansion
-                yield self.env.timeout(self.mpi.local_latency)
-
-        waits = [
-            self.env.process(_ship(h, b), name=f"reshape-ship:{h.name}")
-            for h, b in zip(hosts, shares)
-        ]
-        for wait in waits:
-            yield wait
-        rec.moved_bytes = sum(len(b) for b in shares)
-
-        # Survivors take their new shares; fresh ranks join the group.
-        for rt, state in zip(self.runtimes, new_states):
-            rt.state = state
-        step = self.runtimes[0].step_count
-        added = []
-        for host, state in zip(hosts, new_states[old_size:]):
-            rank = len(self.group.procs)
-            proc = MpiProcess(self.mpi, host, name=f"{rec.app}[{rank}]")
-            self.group.add(proc)
-            runtime = HpcmRuntime(
-                self.mpi,
-                self.app_factory(rank),
-                proc,
-                params=self.params,
-                schema=self.schema,
-                comm=Comm(self.group, proc),
-                rng=self.rng,
-                world=self,
-                initial_state=state,
-                initial_step=step,
-                **self.runtime_kwargs,
-            )
-            self.runtimes.append(runtime)
-            self.all_runtimes.append(runtime)
-            added.append(host.name)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                EV_APP_EXPAND, t=self.env.now, host=src.name,
-                app=rec.app, added=",".join(added),
-                new_size=len(self.runtimes),
-            )
-
-    def _do_shrink(
-        self,
-        order: ReconfigureOrder,
-        rec: ReconfigRecord,
-        retiree: Optional[HpcmRuntime],
-    ):
-        if retiree is None or retiree not in self.runtimes:
-            rec.failure = "retiring rank already finished"
-            return
-        if len(self.runtimes) <= 1:
-            rec.failure = "world cannot shrink below one rank"
-            return
-        new_size = len(self.runtimes) - 1
-        yield from self._capture_all(rec)
-        retired_blob = statexfer.capture(retiree.state)
-
-        # repartition sees states in *current* rank order; survivors
-        # then take the new shares in post-shrink rank order.
-        survivors = [rt for rt in self.runtimes if rt is not retiree]
-        new_states = self._repartition(new_size)
-
-        # The retired rank's share travels to the first survivor.
-        peer = survivors[0]
-        if peer.host is not retiree.host:
+    def _move(self, att: Attempt, src, dst, nbytes: int):
+        """One state share over the simulated network."""
+        if dst is not src:
             yield self.mpi.network.transfer(
-                retiree.host.name, peer.host.name, len(retired_blob),
-                label=f"reshape:{rec.app}",
+                src.name, dst.name, nbytes, label=f"reshape:{att.rec.app}",
             )
         else:
             yield self.env.timeout(self.mpi.local_latency)
-        rec.moved_bytes = len(retired_blob)
 
-        retired_host = retiree.host.name
-        self.runtimes.remove(retiree)
-        self.group.remove(retiree.process)
-        for rt, state in zip(self.runtimes, new_states):
+    def _ship_shares(self, att: Attempt):
+        """Each fresh rank's share leaves rank 0's host (real pickled
+        size), all of them in parallel."""
+        shares = [statexfer.capture(state)
+                  for state in att.states[len(self.runtimes):]]
+        src = self.runtimes[0].host
+        yield from self._helpers([
+            (f"reshape-ship:{host.name}",
+             self._move(att, src, host, len(blob)))
+            for host, blob in zip(att.hosts, shares)
+        ])
+        att.rec.moved_bytes = sum(len(blob) for blob in shares)
+
+    def _ship_retired(self, att: Attempt):
+        """The retired rank's share travels to the first survivor."""
+        retiree = att.retiree
+        blob = att.blobs[self.runtimes.index(retiree)]
+        peer = next(rt for rt in self.runtimes if rt is not retiree)
+        yield from self._move(att, retiree.host, peer.host, len(blob))
+        att.rec.moved_bytes = len(blob)
+
+    def _join(self, att: Attempt) -> None:
+        """Survivors take their new shares; fresh ranks join the group."""
+        old_size = len(self.runtimes)
+        step = self.runtimes[0].step_count
+        for rt, state in zip(self.runtimes, att.states):
             rt.state = state
+        for host, state in zip(att.hosts, att.states[old_size:]):
+            proc = MpiProcess(
+                self.mpi, host, name=f"{att.rec.app}[{self.group.size}]")
+            self.group.add(proc)
+            self.add_rank(proc, initial_state=state, initial_step=step)
+        att.rec.new_size = len(self.runtimes)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
-                EV_APP_SHRINK, t=self.env.now, host=peer.host.name,
-                app=rec.app, removed=retired_host,
-                new_size=len(self.runtimes),
+                EV_APP_EXPAND, t=self.env.now, host=att.host,
+                app=att.rec.app,
+                added=",".join(host.name for host in att.hosts),
+                new_size=att.rec.new_size,
             )
+
+    def _retire(self, att: Attempt) -> None:
+        """The retiree leaves the group; survivors take the new shares
+        in post-shrink rank order."""
+        retiree = att.retiree
+        self.runtimes.remove(retiree)
+        self.group.remove(retiree.process)
+        for rt, state in zip(self.runtimes, att.states):
+            rt.state = state
+        att.rec.new_size = len(self.runtimes)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                EV_APP_SHRINK, t=self.env.now,
+                host=self.runtimes[0].host.name, app=att.rec.app,
+                removed=retiree.host.name, new_size=att.rec.new_size,
+            )
+
+
+#: The poll-point barrier: waited out by ``park`` / ``rank_done`` / the
+#: watchdog, which report it with :func:`~repro.hpcm.ladder.leave`.
+ASSEMBLE = Rung("assemble", stamp="barrier_at")
+
+#: A reshape, rung by rung, after ``assemble`` (docs/malleability.md
+#: has the failure table).  ``join`` / ``retire`` come last because
+#: they alone mutate membership: a failure before them undoes nothing.
+RESHAPE = {
+    "expand": (
+        Rung("validate", HpcmWorld._validate_expand),
+        Rung("capture_all", HpcmWorld._capture_all),
+        Rung("repartition", HpcmWorld._repartition),
+        Rung("spawn", HpcmWorld._spawn),
+        Rung("ship", HpcmWorld._ship_shares),
+        Rung("join", HpcmWorld._join),
+    ),
+    "shrink": (
+        Rung("validate", HpcmWorld._validate_shrink),
+        Rung("capture_all", HpcmWorld._capture_all),
+        Rung("repartition", HpcmWorld._repartition),
+        Rung("ship", HpcmWorld._ship_retired),
+        Rung("retire", HpcmWorld._retire),
+    ),
+}
 
 
 def launch_malleable_world(
@@ -477,18 +450,6 @@ def launch_malleable_world(
         params=params, schema=schema, rng=rng, runtime_kwargs=kwargs,
         barrier_timeout=barrier_timeout,
     )
-    for rank, proc in enumerate(procs):
-        runtime = HpcmRuntime(
-            mpi,
-            app_factory(rank),
-            proc,
-            params=params,
-            schema=schema,
-            comm=Comm(group, proc),
-            rng=rng,
-            world=world,
-            **kwargs,
-        )
-        world.runtimes.append(runtime)
-        world.all_runtimes.append(runtime)
+    for proc in procs:
+        world.add_rank(proc)
     return world

@@ -7,6 +7,8 @@ from repro.hpcm import MigrationOrder, launch, launch_world
 from repro.mpi import MpiRuntime
 from repro.workloads import MonteCarloPiApp, TestTreeApp
 
+from .records import assert_terminal
+
 PARAMS = {"levels": 8, "trees": 6, "node_cost": 1e-4, "seed": 3}
 
 
@@ -24,6 +26,14 @@ def order_at(cluster, runtime, dest, when, reason="test"):
         )
 
     cluster.env.process(_issue(cluster.env))
+
+
+def finish(cluster, runtime):
+    """Run the rank to its end and any drain behind it; the records."""
+    cluster.env.run(until=runtime.done)
+    cluster.env.run(until=cluster.env.now + 30)
+    assert_terminal(runtime.migrations)
+    return runtime.migrations
 
 
 def test_app_completes_without_migration():
@@ -124,6 +134,58 @@ def test_migration_to_down_host_aborts_and_continues():
     (rec,) = rt.migrations
     assert not rec.succeeded and "spawn failed" in rec.failure
     assert result == pytest.approx(TestTreeApp.expected_checksum(PARAMS))
+
+
+@pytest.mark.parametrize("crash, rung, ends_on", [
+    (1.7, "spawn", "ws1"),
+    (1.94, "transfer", "ws1"),
+    (1.946, "drain", "ws2"),   # past the switch-over: no way back
+])
+def test_destination_crash_fails_the_rung_it_lands_in(crash, rung, ends_on):
+    params = dict(PARAMS, levels=14)
+    cluster, mpi = setup()
+    rt = launch(mpi, TestTreeApp(), cluster["ws1"], params=params)
+    order_at(cluster, rt, "ws2", when=0.5)
+
+    def _crash(env):
+        yield env.timeout(crash)
+        cluster["ws2"].crash()
+
+    cluster.env.process(_crash(cluster.env))
+    (rec,) = finish(cluster, rt)
+    assert not rec.succeeded and rec.failure == f"{rung} failed: " + (
+        "host ws2 is down" if rung == "spawn" else "ws2")
+    assert rt.status == "done" and rt.host.name == ends_on
+    assert rt.result == pytest.approx(TestTreeApp.expected_checksum(params))
+    # A failed attempt leaves no initialized process behind.
+    assert cluster["ws2"].procs.entries() == []
+
+
+def test_unpicklable_state_fails_the_migration_not_the_rank():
+    class Unpicklable(TestTreeApp):
+        def create_state(self, params, rng):
+            state = super().create_state(params, rng)
+            state.hook = lambda: None
+            return state
+
+    cluster, mpi = setup()
+    rt = launch(mpi, Unpicklable(), cluster["ws1"], params=PARAMS)
+    order_at(cluster, rt, "ws2", when=0.5)
+    (rec,) = finish(cluster, rt)
+    assert rt.status == "done" and rt.host.name == "ws1"
+    assert rt.result == pytest.approx(TestTreeApp.expected_checksum(PARAMS))
+    assert not rec.succeeded and rec.failure.startswith("capture failed")
+    assert cluster["ws2"].procs.entries() == []   # the spawn was undone
+
+
+def test_migration_to_an_unknown_host_fails_the_attempt():
+    cluster, mpi = setup()
+    rt = launch(mpi, TestTreeApp(), cluster["ws1"], params=PARAMS)
+    order_at(cluster, rt, "nowhere", when=0.5)
+    (rec,) = finish(cluster, rt)
+    assert rt.status == "done" and rt.host.name == "ws1"
+    assert not rec.succeeded and "nowhere" in rec.failure
+    assert rec.dest == "nowhere"
 
 
 def test_migration_to_self_is_noop():

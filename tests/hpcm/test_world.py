@@ -11,6 +11,8 @@ from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
 from repro.workloads import MonteCarloPiApp
 
+from .records import assert_terminal
+
 PI_PARAMS = {
     "batches": 40, "batch_size": 2000, "sample_cost": 1e-4, "seed": 2,
 }
@@ -58,12 +60,25 @@ def shrink_at(cluster, world, runtime, when, reason="test"):
     return results
 
 
+def crash_at(cluster, name, when, back=None):
+    """Take ``name`` off the network at ``when`` (and bring it back)."""
+    def _outage(env):
+        yield env.timeout(when)
+        cluster[name].crash()
+        if back is not None:
+            yield env.timeout(back - when)
+            cluster[name].recover()
+
+    cluster.env.process(_outage(cluster.env))
+
+
 def run_world(cluster, world, until=3000.0):
     """Wait for the job itself, not a horizon: ``world.finished`` plus
     the experiment drivers' drain, ``until`` only as the cap."""
     run_until_finished(cluster.env, world.finished, until)
     assert world.finished.processed and world.finished.ok
     assert world.runtimes == []
+    assert_terminal(world.reconfigurations)
     assert all(rt.status in ("done", "retired")
                for rt in world.all_runtimes), [
         (rt.host.name, rt.status) for rt in world.all_runtimes
@@ -138,6 +153,63 @@ def test_shrink_retires_the_contended_rank():
     total = sum(rt.state.total for rt in done)
     assert total == 3 * PI_PARAMS["batches"] * PI_PARAMS["batch_size"]
     assert done[0].result == pytest.approx(math.pi, abs=0.05)
+
+
+def tally(runtimes):
+    """(Σ inside, Σ samples) over the ranks' final states."""
+    return (sum(rt.state.inside for rt in runtimes),
+            sum(rt.state.total for rt in runtimes))
+
+
+def unreshaped_tally(hosts):
+    cluster, mpi = setup()
+    return tally(run_world(cluster, launch_pi(mpi, cluster, hosts=hosts)))
+
+
+@pytest.mark.parametrize("down, when, grown", [
+    (("ws3",), 2.05, True),   # before the up-check: ws3 skipped
+    (("ws3",), 2.2, False),
+    (("ws3",), 2.3, False),
+    (("ws3",), 2.35, False),
+    (("ws3",), 2.5, False),
+    (("ws3", "ws4"), 2.2, False),   # two shipments fail, one is awaited
+])
+def test_expand_outlives_a_destination_crash(down, when, grown):
+    cluster, mpi = setup()
+    world = launch_pi(mpi, cluster)
+    expand_at(cluster, world, ("ws3", "ws4"), when=2.0)
+    for name in down:
+        crash_at(cluster, name, when)
+    fired = fire_times(cluster, world)
+    done = run_world(cluster, world)   # nothing raises, nobody stays parked
+    assert fired == [last_exit(world)]
+    (rec,) = world.reconfigurations
+    assert rec.completed_at > rec.barrier_at >= 2.0
+    if grown:
+        assert rec.succeeded and rec.new_size == 3 and len(done) == 3
+        assert tally(done)[1] == unreshaped_tally(("ws1", "ws2"))[1]
+    else:
+        assert not rec.succeeded and rec.failure == "ship failed: ws3"
+        assert rec.new_size == 2 and len(world.all_runtimes) == 2
+        # The ranks resumed with the states they parked with.
+        assert tally(done) == unreshaped_tally(("ws1", "ws2"))
+
+
+def test_shrink_outlives_a_survivor_crash():
+    """The retiree's share cannot reach rank 0 on ws1.  (ws1 comes back
+    before the job ends: ``Host.crash()`` only unplugs the NIC, and the
+    final allreduce needs it.)"""
+    hosts = ("ws1", "ws2", "ws3")
+    cluster, mpi = setup()
+    world = launch_pi(mpi, cluster, hosts=hosts)
+    shrink_at(cluster, world, world.runtimes[2], when=2.0)
+    crash_at(cluster, "ws1", 2.2, back=2.4)
+    done = run_world(cluster, world)
+    (rec,) = world.reconfigurations
+    assert not rec.succeeded and rec.failure == "ship failed: ws1"
+    assert rec.completed_at > 2.0
+    assert rec.new_size == 3 and len(done) == 3   # nobody retired
+    assert tally(done) == unreshaped_tally(hosts)
 
 
 def test_expand_then_shrink_round_trip():
@@ -260,6 +332,29 @@ def test_finished_waits_for_the_slow_rank_of_an_uneven_world():
     assert not world.finished.triggered
     cluster.env.run(until=world.finished)
     assert fired == [last_exit(world)] == [world.all_runtimes[0].finished_at]
+
+
+class UnpicklableApp(UnevenApp):
+    """Both ranks run the same hundred steps; the state holds a lambda."""
+
+    name = "unpicklable"
+
+    def create_state(self, params: dict, rng):
+        return {"steps": 0, "total": 100, "hook": lambda: None}
+
+
+def test_unpicklable_state_fails_the_reshape_not_the_world():
+    cluster, mpi = setup()
+    world = launch_malleable_world(
+        mpi, UnpicklableApp, [cluster["ws1"], cluster["ws2"]], params={},
+    )
+    expand_at(cluster, world, ("ws3",), when=2.0)
+    done = run_world(cluster, world)
+    (rec,) = world.reconfigurations
+    assert not rec.succeeded
+    assert rec.failure.startswith("capture_all failed: ")
+    assert len(done) == 2
+    assert [rt.state["steps"] for rt in done] == [100, 100]
 
 
 class FailingRankApp(UnevenApp):
