@@ -126,14 +126,14 @@ def _add_analytic_hosts(cluster: Cluster, hosts: int) -> None:
     vectorized fold per tick, so fig5-style cells scale to mega-cluster
     host counts without changing the two instrumented workstations.
     """
-    rng = cluster.rng.stream("analytic-hosts")
-    for i in range(3, hosts + 1):
-        cluster.add_analytic_host(
-            f"ws{i}",
-            mean_load=0.05 + 0.5 * float(rng.random()),
-            period=2.0,
-            phase=2.0 * float(rng.random()),
-        )
+    draws = cluster.rng.stream("analytic-hosts").random(
+        2 * (hosts - 2)).reshape(-1, 2)
+    cluster.add_analytic_hosts(
+        [f"ws{i}" for i in range(3, hosts + 1)],
+        mean_load=0.05 + 0.5 * draws[:, 0],
+        period=2.0,
+        phase=2.0 * draws[:, 1],
+    )
 
 
 def _run_once(

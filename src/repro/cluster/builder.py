@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..sim.kernel import Environment
 from ..sim.rng import RngRegistry
@@ -61,6 +61,35 @@ class Cluster:
         self.hosts[name] = host
         return host
 
+    def add_analytic_hosts(
+        self,
+        names: Iterable[str],
+        mean_load: Any = 0.0,
+        period: Any = 2.0,
+        phase: Any = 0.0,
+        **kwargs: Any,
+    ) -> None:
+        """Attach hosts whose background load is modelled in closed
+        form by the host plane — no per-host sim processes at all.
+
+        These are the mega-cluster rows: a duty cycle of ``mean_load``
+        (on ``mean_load * period`` wall-seconds per ``period``, offset
+        by ``phase``; each one value for the batch or one per name)
+        contributes to the run queue analytically, so thousands of
+        these cost one batched fold per tick, not thousands of events —
+        and one batched append to build.  Each is a name, a plane row
+        and the batch's one :class:`HostSpec`; a :class:`Host` is built
+        the first time someone asks for it (:meth:`host`) — a
+        commander, an application launch, a migration destination.
+        """
+        names = list(names)
+        spec = HostSpec(**kwargs)
+        self.plane.add_analytic_rows(
+            names, mean_load=mean_load, period=period, phase=phase,
+            static=spec.idle_sensors(),
+        )
+        self._deferred.update(dict.fromkeys(names, spec))
+
     def add_analytic_host(
         self,
         name: str,
@@ -69,24 +98,8 @@ class Cluster:
         phase: float = 0.0,
         **kwargs: Any,
     ) -> None:
-        """Attach a host whose background load is modelled in closed
-        form by the host plane — no per-host sim processes at all.
-
-        This is the mega-cluster row: a duty cycle of ``mean_load``
-        (on ``mean_load * period`` wall-seconds per ``period``, offset
-        by ``phase``) contributes to the run queue analytically, so
-        thousands of these cost one batched fold per tick, not
-        thousands of events.  The row is a name, a plane row and a
-        :class:`HostSpec`; a :class:`Host` is built the first time
-        someone asks for it (:meth:`host`) — a commander, an
-        application launch, a migration destination.
-        """
-        spec = HostSpec(**kwargs)
-        self.plane.add_analytic(
-            name, mean_load=mean_load, period=period, phase=phase,
-            static=spec.idle_sensors(),
-        )
-        self._deferred[name] = spec
+        """:meth:`add_analytic_hosts` for one name."""
+        self.add_analytic_hosts([name], mean_load, period, phase, **kwargs)
 
     def names(self) -> list:
         """Every host name in builder order (builds no host)."""

@@ -7,6 +7,7 @@ average, plus the static description the paper's monitor registers once
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -153,7 +154,5 @@ def _auto_ip(name: str) -> str:
 
     Uses CRC32 (not ``hash``, which is salted per interpreter run).
     """
-    import zlib
-
     h = zlib.crc32(name.encode("utf-8"))
     return f"10.{(h >> 16) % 256}.{(h >> 8) % 256}.{h % 254 + 1}"

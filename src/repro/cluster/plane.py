@@ -60,7 +60,8 @@ BASE_SOCKETS = 25
 class ClusterStateArrays:
     """Columnar per-host sensor state, one row per host in builder order.
 
-    Growable float64 columns (doubling, like
+    Growable float64 columns (doubling, or straight to the size a
+    batch needs, like
     :class:`~repro.registry.hostmatrix.HostStateMatrix`).  Owned and
     written by :class:`HostPlane`; everyone else treats the column
     views as read-only.
@@ -99,8 +100,9 @@ class ClusterStateArrays:
         return self._hosts[row]
 
     # -- mutation -------------------------------------------------------
-    def _grow(self) -> None:
-        cap = max(1, self._analytic.shape[0]) * 2
+    def _grow(self, need: int) -> None:
+        """Reallocate once, to at least double and at least ``need``."""
+        cap = max(2 * self._analytic.shape[0], need)
         for name in self._COLUMNS:
             attr = "_" + name
             col = np.zeros(cap)
@@ -110,18 +112,31 @@ class ClusterStateArrays:
         analytic[: self._n] = self._analytic[: self._n]
         self._analytic = analytic
 
+    def add_rows(self, hosts: List[str]) -> int:
+        """Append one row of zeros per name (rows are never removed,
+        so the columns past ``n`` are still as allocated); returns the
+        first new row.  A name that already has a row, or repeats,
+        refuses the whole batch."""
+        fresh = set(hosts)
+        if len(fresh) != len(hosts) or not self._index.keys().isdisjoint(
+                fresh):
+            seen = set(self._index)
+            for host in hosts:
+                if host in seen:
+                    raise ValueError(f"host {host!r} already has a row")
+                seen.add(host)
+        first = self._n
+        n = first + len(hosts)
+        if n > self._analytic.shape[0]:
+            self._grow(n)
+        self._hosts.extend(hosts)
+        self._index.update(zip(hosts, range(first, n)))
+        self._n = n
+        return first
+
     def add_row(self, host: str) -> int:
-        """Append a row of zeros (rows are never removed, so the
-        columns past ``n`` are still as allocated)."""
-        if host in self._index:
-            raise ValueError(f"host {host!r} already has a row")
-        if self._n == self._analytic.shape[0]:
-            self._grow()
-        row = self._n
-        self._n += 1
-        self._hosts.append(host)
-        self._index[host] = row
-        return row
+        """:meth:`add_rows` for one name."""
+        return self.add_rows([host])
 
     # -- column views ---------------------------------------------------
     def col(self, name: str) -> np.ndarray:
@@ -184,6 +199,41 @@ class HostPlane:
             self._proc = self.env.process(self._run(), name="hostplane")
         return loadavg
 
+    def add_analytic_rows(
+        self,
+        names: List[str],
+        mean_load: Any = 0.0,
+        period: Any = 2.0,
+        phase: Any = 0.0,
+        static: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Append rows whose load is modelled in closed form.
+
+        ``mean_load``/``period``/``phase`` describe the background duty
+        cycle (busy ``mean_load * period`` wall-seconds per period) and
+        ``static`` pins the memory/disk sensor columns; each is one
+        value for the whole batch or one per row.  The batch is checked
+        before any row is added.  The rows fold on the tick process the
+        cluster's first backed host started.
+        """
+        mean_load, period, phase = (
+            np.asarray(v, dtype=float) for v in (mean_load, period, phase))
+        if not ((0 <= mean_load) & (mean_load < 1)).all():
+            raise ValueError("mean_load must lie in [0, 1)")
+        if (period <= 0).any():
+            raise ValueError("period must be positive")
+        if any(v.ndim and v.shape != (len(names),)
+               for v in (mean_load, period, phase)):
+            raise ValueError("per-row values must be one per name")
+        a = self.arrays
+        rows = slice(a.add_rows(names), a.n)
+        a.analytic[rows] = True
+        a.col("duty_busy")[rows] = mean_load * period
+        a.col("duty_period")[rows] = period
+        a.col("duty_phase")[rows] = phase
+        for key, value in (static or {}).items():
+            a.col(key)[rows] = value
+
     def add_analytic(
         self,
         name: str,
@@ -192,25 +242,8 @@ class HostPlane:
         phase: float = 0.0,
         static: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Append a row whose load is modelled in closed form.
-
-        ``mean_load``/``period``/``phase`` describe the background duty
-        cycle (busy ``mean_load * period`` wall-seconds per period);
-        ``static`` pins the memory/disk sensor columns.  The row folds
-        on the tick process the cluster's first backed host started.
-        """
-        if not 0 <= mean_load < 1:
-            raise ValueError("mean_load must lie in [0, 1)")
-        if period <= 0:
-            raise ValueError("period must be positive")
-        a = self.arrays
-        row = a.add_row(name)
-        a.analytic[row] = True
-        a.col("duty_busy")[row] = float(mean_load) * float(period)
-        a.col("duty_period")[row] = period
-        a.col("duty_phase")[row] = phase
-        for key, value in (static or {}).items():
-            a.col(key)[row] = value
+        """:meth:`add_analytic_rows` for one name."""
+        self.add_analytic_rows([name], mean_load, period, phase, static)
 
     def set_monitor_duty(
         self, rows: np.ndarray, busy: float, period: float,

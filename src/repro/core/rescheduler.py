@@ -113,19 +113,19 @@ class Rescheduler:
         # The paper's first fit scans "the machine list": seed the
         # registry's table in deployment order so the scan order is the
         # configured list, not the race of first Register arrivals.
-        for name in host_names:
-            self.registry.table.register(
-                name, cluster.static_info(name).as_dict()
-            )
+        self.registry.table.register_many(host_names, [
+            cluster.static_info(name).as_dict() for name in host_names
+        ])
         # Partition the host list: analytic plane rows are monitored in
         # batch by one MonitorHub; backed hosts get the per-host
         # monitor/commander pair.
         plane = cluster.plane
         analytic_names: List[str] = []
         backed_names: List[str] = []
+        row_of, analytic = plane.arrays.row_of, plane.arrays.analytic
         for name in host_names:
-            row = plane.arrays.row_of(name)
-            is_analytic = row is not None and plane.arrays.analytic[row]
+            row = row_of(name)
+            is_analytic = row is not None and analytic[row]
             (analytic_names if is_analytic else backed_names).append(name)
         self.hub: Optional[MonitorHub] = None
         if analytic_names:

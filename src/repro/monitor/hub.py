@@ -119,9 +119,10 @@ class MonitorHub:
         #: Host name → hub row.
         self._index = {name: i for i, name in enumerate(self.hosts)}
         self._rows = np.empty(n, dtype=np.intp)
+        row_of, analytic = plane.arrays.row_of, plane.arrays.analytic
         for i, name in enumerate(self.hosts):
-            row = plane.arrays.row_of(name)
-            if row is None or not plane.arrays.analytic[row]:
+            row = row_of(name)
+            if row is None or not analytic[row]:
                 raise ValueError(f"{name!r} is not an analytic row")
             self._rows[i] = row
         self._names = np.array(self.hosts, dtype=object)

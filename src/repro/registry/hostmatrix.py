@@ -214,39 +214,57 @@ class HostStateMatrix:
         return metrics
 
     # -- mutation (called by SoftStateTable only) -------------------------
-    def _grow(self) -> None:
-        cap = self._state.shape[0] * 2
-        # Rows past ``_n`` are scratch: ``add_row`` initialises every
-        # column of the row it hands out.
+    def _grow(self, need: int) -> None:
+        """Reallocate once, to at least double and at least ``need``."""
+        cap = max(2 * self._state.shape[0], need)
+        # Rows past ``_n`` are scratch: ``add_rows`` initialises every
+        # column of the rows it hands out.
         for attr in self._COLUMNS:
             setattr(self, attr, np.resize(getattr(self, attr), cap))
         self._metrics = np.resize(self._metrics,
                                   (cap, len(METRIC_COLUMNS)))
 
-    def add_row(self, host: str, static: dict, now: float) -> int:
-        """Append a newly-registered host; returns its row."""
-        if host in self._index:
-            raise ValueError(f"host {host!r} already has a row")
-        if self._n == self._state.shape[0]:
-            self._grow()
-        row = self._n
-        self._n += 1
-        self._hosts.append(host)
-        self._index[host] = row
-        self._views.append(HostRecord(self, host))
-        static = dict(static)
-        self._static.append(static)
-        self._features.append(_parse_features(static))
-        self._state[row] = FREE
-        self._last_update[row] = now
-        self._registered_at[row] = now
-        self._updates[row] = 0
-        self._expiry_traced[row] = False
-        self._cpu_speed[row] = self._static_speed(static)
-        self._metrics[row] = np.nan
+    def add_rows(self, hosts: List[str], statics: List[dict],
+                 now: float) -> int:
+        """Append newly-registered hosts (``statics`` row-aligned with
+        ``hosts``); returns the first new row.  A name that already has
+        a row, or repeats, refuses the whole batch."""
+        fresh = set(hosts)
+        if len(fresh) != len(hosts) or not self._index.keys().isdisjoint(
+                fresh):
+            seen = set(self._index)
+            for host in hosts:
+                if host in seen:
+                    raise ValueError(f"host {host!r} already has a row")
+                seen.add(host)
+        statics = [dict(static) for static in statics]
+        features = [_parse_features(static) for static in statics]
+        speeds = [self._static_speed(static) for static in statics]
+        first = self._n
+        n = first + len(hosts)
+        if n > self._state.shape[0]:
+            self._grow(n)
+        self._hosts.extend(hosts)
+        self._index.update(zip(hosts, range(first, n)))
+        self._views.extend([HostRecord(self, host) for host in hosts])
+        self._static.extend(statics)
+        self._features.extend(features)
+        rows = slice(first, n)
+        self._state[rows] = FREE
+        self._last_update[rows] = now
+        self._registered_at[rows] = now
+        self._updates[rows] = 0
+        self._expiry_traced[rows] = False
+        self._cpu_speed[rows] = speeds
+        self._metrics[rows] = np.nan
+        self._n = n
         self._hosts_arr = None
         self._registry_mask = None
-        return row
+        return first
+
+    def add_row(self, host: str, static: dict, now: float) -> int:
+        """:meth:`add_rows` for one host."""
+        return self.add_rows([host], [static], now)
 
     @staticmethod
     def _static_speed(static: dict) -> float:

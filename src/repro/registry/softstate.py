@@ -45,6 +45,18 @@ class SoftStateTable:
             matrix.add_row(host, static_info, self.env.now)
         return matrix.view(host)
 
+    def register_many(self, hosts: List[str],
+                      statics: List[dict]) -> None:
+        """:meth:`register` for a whole row-aligned batch, appended by
+        column.  A batch that names a registered host (or one host
+        twice) is refused whole by the matrix and registered host by
+        host instead, so a re-registration keeps its row."""
+        try:
+            self.matrix.add_rows(hosts, statics, self.env.now)
+        except ValueError:
+            for host, static in zip(hosts, statics):
+                self.register(host, static)
+
     def update(
         self,
         host: str,

@@ -1,5 +1,6 @@
 """Reference implementations the cluster model is held to: load-average
-sampling with one process per host, and max-min filling over sets.
+sampling with one process per host, max-min filling over sets, and a
+mega-cluster built one host at a time.
 
 **Load average.**  The model the batched host plane replaces — every
 host owns a sampler process that wakes each ``sample_interval``
@@ -14,6 +15,12 @@ keyed by ``(direction, host)``, the unfrozen flows in a set, a
 flow indices instead of ``Flow`` objects) so the counted filling that
 replaced it can be required to return the same floats, not merely
 close ones.
+
+**Building analytic hosts.**  ``add_analytic_hosts_one_by_one`` is the
+loop ``analysis/overhead.py::_add_analytic_hosts`` ran until PR 23 —
+two scalar draws and one ``add_analytic_host`` call per host — kept so
+the batch append that replaced it can be required to leave the same
+columns, the same specs and the random stream at the same position.
 """
 
 import math
@@ -47,6 +54,18 @@ def per_host_samplers(cluster):
         )
         for host in cluster
     }
+
+
+def add_analytic_hosts_one_by_one(cluster, hosts):
+    """Grow ``cluster`` to ``hosts`` rows, ws3..wsN, one call each."""
+    rng = cluster.rng.stream("analytic-hosts")
+    for i in range(3, hosts + 1):
+        cluster.add_analytic_host(
+            f"ws{i}",
+            mean_load=0.05 + 0.5 * float(rng.random()),
+            period=2.0,
+            phase=2.0 * float(rng.random()),
+        )
 
 
 _EPS = 1e-9

@@ -18,6 +18,7 @@ from repro.cluster.loadavg import decay_factors
 from repro.monitor.sensors import BASE_SOCKETS
 from repro.rules.vocabulary import METRICS
 
+from ..callcount import count_calls
 from .reference import per_host_samplers
 
 
@@ -276,6 +277,43 @@ def test_set_analytic_validation():
     assert cluster.names() == ["ws1"]
 
 
+@pytest.mark.parametrize("kwargs, names, match", [
+    ({"mean_load": [0.1, 1.0, 0.2]}, ["an0", "an1", "an2"], "mean_load"),
+    ({"mean_load": [0.1, math.nan, 0.2]}, ["an0", "an1", "an2"],
+     "mean_load"),
+    ({"mean_load": 0.2, "period": [2.0, 0.0, 2.0]},
+     ["an0", "an1", "an2"], "period"),
+    ({"mean_load": 0.2}, ["an0", "an1", "an0"], "'an0' already"),
+    ({"mean_load": 0.2}, ["an0", "ws1", "an2"], "'ws1' already"),
+    # A per-row array that does not fit the batch.
+    ({"mean_load": [0.1, 0.2]}, ["an0", "an1", "an2"], "one per name"),
+    ({"mean_load": 0.2, "phase": [[0.0, 0.1, 0.2]]},
+     ["an0", "an1", "an2"], "one per name"),
+])
+def test_a_refused_batch_leaves_nothing_behind(kwargs, names, match):
+    """The batch is checked whole before any row is added: the singular
+    call's message, and a cluster exactly as it was."""
+    cluster = Cluster(n_hosts=2, seed=0)
+    cluster.add_analytic_hosts(["pre0", "pre1"], mean_load=[0.1, 0.3])
+    a = cluster.plane.arrays
+    columns = {name: a.col(name).copy() for name in a._COLUMNS}
+    analytic, hosts = a.analytic.copy(), list(a.hosts)
+    deferred = dict(cluster._deferred)
+    with pytest.raises(ValueError, match=match):
+        cluster.add_analytic_hosts(names, **kwargs)
+    assert len(cluster) == 4 and a.n == 4
+    assert a.hosts == hosts == cluster.names()
+    assert all(a.row_of(n) is None for n in names if n != "ws1")
+    assert cluster._deferred == deferred
+    for name, before in columns.items():
+        assert np.array_equal(a.col(name), before), name
+    assert np.array_equal(a.analytic, analytic)
+    # ...and still takes the batch once it is right.
+    cluster.add_analytic_hosts(["an0", "an1", "an2"], mean_load=0.2)
+    assert cluster.names()[4:] == ["an0", "an1", "an2"]
+    assert a.col("duty_busy")[4:].tolist() == [0.4, 0.4, 0.4]
+
+
 def test_hog_validation():
     cluster = Cluster(n_hosts=1, seed=0)
     with pytest.raises(KeyError):
@@ -299,6 +337,39 @@ def test_arrays_growth_and_duplicates():
     with pytest.raises(KeyError):
         arrays.col("no_such_column")
     assert arrays.col("load1").shape == (9,)
+
+
+def test_a_batch_reserves_its_capacity_in_one_step():
+    """One reallocation however far the batch overshoots; single
+    appends keep doubling."""
+    arrays = ClusterStateArrays(capacity=2)
+    grown = []
+    grow = arrays._grow
+    arrays._grow = lambda need: (grown.append(need), grow(need))
+    assert arrays.add_rows([f"h{i}" for i in range(1000)]) == 0
+    assert grown == [1000] and arrays._analytic.shape == (1000,)
+    assert arrays.add_row("one-more") == 1000
+    assert grown == [1000, 1001] and arrays._analytic.shape == (2000,)
+    assert arrays.add_rows([]) == 1001 and len(arrays) == 1001
+    assert arrays.row_of("h999") == 999
+    assert arrays.col("load1").shape == (1001,)
+    assert not arrays.col("load1").any()
+
+
+def test_call_count_of_building_analytic_hosts_is_flat_in_rows():
+    """A batch of analytic hosts is built by column: 4 096 names make
+    at most twice the calls 64 names do (measured: 107 at either size;
+    the per-host loop this replaced made 22 calls per host, 90 602)."""
+    counts = {}
+    for n_hosts in (64, 4096):
+        cluster = Cluster(n_hosts=2, seed=0)
+        names = [f"an{i}" for i in range(n_hosts)]
+        loads = np.linspace(0.05, 0.5, n_hosts)
+        counts[n_hosts] = count_calls(lambda: cluster.add_analytic_hosts(
+            names, mean_load=loads, period=2.0, phase=2.0 * loads))
+        assert len(cluster) == n_hosts + 2
+        assert len(cluster._deferred) == n_hosts
+    assert counts[4096] <= 2 * counts[64], counts
 
 
 def test_auto_mode_single_plane_process():

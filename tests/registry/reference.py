@@ -15,6 +15,15 @@ two disagree, this side is the specification.
 from repro.rules.states import SystemState
 
 
+# -- registration, one host at a time ----------------------------------
+def register_one_by_one(table, hosts, statics):
+    """The deployment loop ``Rescheduler.__init__`` ran until PR 23:
+    one ``register`` per host, in list order.  ``register_many`` must
+    leave the table this leaves."""
+    for host, static in zip(hosts, statics):
+        table.register(host, static)
+
+
 # -- eligibility, one record at a time ---------------------------------
 def free_hosts(table):
     """Records currently in the FREE state, lease expiry applied."""

@@ -1,6 +1,7 @@
 """Batched status pushes: ``push_many`` ≡ per-host ``update`` loops."""
 
 import numpy as np
+import pytest
 
 from repro.registry import SoftStateTable
 from repro.registry.hostmatrix import METRIC_COLUMNS
@@ -8,6 +9,7 @@ from repro.rules import SystemState
 from repro.sim import Environment
 
 from ..callcount import count_calls
+from .reference import register_one_by_one
 
 HOSTS = ["ws1", "ws2", "ws3", "ws4", "ws5"]
 STATES = [
@@ -208,3 +210,135 @@ def test_call_count_of_push_many_is_flat_in_rows():
         np.testing.assert_array_equal(
             table.matrix.metric_column("loadavg5"), cols["loadavg5"])
     assert abs(counts[2048] - counts[64]) <= 4, counts
+
+
+# ------------------------------------------------------- register_many
+_STATICS = (
+    {"cpu_speed": 1.5, "features": "gpu,infiniband", "os": "SunOS 5.8"},
+    {},
+    {"cpu_speed": "2", "features": ""},
+    {"features": "gpu"},
+)
+
+
+def _statics(n):
+    return [dict(_STATICS[i % len(_STATICS)], hostname=f"ws{i}")
+            for i in range(n)]
+
+
+def _assert_same_table(table, ref):
+    m, r = table.matrix, ref.matrix
+    assert m.hosts == r.hosts and m.n == r.n
+    for attr in m._COLUMNS:
+        np.testing.assert_array_equal(getattr(m, attr)[:m.n],
+                                      getattr(r, attr)[:r.n], attr)
+    np.testing.assert_array_equal(m._metrics[:m.n], r._metrics[:r.n])
+    assert m._static == r._static and m._features == r._features
+    assert m._index == r._index
+    np.testing.assert_array_equal(m.registry_mask, r.registry_mask)
+    np.testing.assert_array_equal(m.hosts_array, r.hosts_array)
+    assert [v.host for v in m.views()] == m.hosts
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 15, 16, 17, 300])
+def test_register_many_equals_register_one_by_one(n_rows):
+    """One column append leaves the table a ``register`` loop leaves,
+    on top of rows that were there before and at a later clock."""
+    tables = []
+    for register in (SoftStateTable.register_many, register_one_by_one):
+        env = Environment()
+        table = SoftStateTable(env, lease=35.0)
+        table.register("old", {"cpu_speed": 3.0})
+        table.update("old", SystemState.BUSY, {"loadavg1": 0.7})
+        env.run(until=12.5)
+        register(table, [f"ws{i}" for i in range(n_rows)] + ["r@child"],
+                 _statics(n_rows + 1))
+        tables.append(table)
+    _assert_same_table(*tables)
+    m = tables[0].matrix
+    assert m.registry_mask.tolist() == [False] * (n_rows + 1) + [True]
+    assert m._registered_at[:m.n].tolist() == [0.0] + [12.5] * (n_rows + 1)
+    # The batch's static dicts are copies, as ``register``'s are.
+    statics = _statics(2)
+    tables[0].register_many(["x", "y"], statics)
+    statics[0]["cpu_speed"] = 99.0
+    assert tables[0].get("x").static_info["cpu_speed"] == 1.5
+
+
+@pytest.mark.parametrize("hosts", [
+    ["ws5", "ws1", "ws6"],          # ws1 is registered already
+    ["ws5", "ws6", "ws5"],          # ws5 named twice
+])
+def test_register_many_naming_a_known_host_degrades_to_register(hosts):
+    """Re-registration inside a batch keeps the host's row and its
+    status; the new names are appended in batch order."""
+    tables = []
+    for register in (SoftStateTable.register_many, register_one_by_one):
+        env = Environment()
+        table = SoftStateTable(env, lease=35.0)
+        register_one_by_one(table, ["ws0", "ws1", "ws2"], _statics(3))
+        table.update("ws1", SystemState.BUSY, {"loadavg1": 0.7})
+        env.run(until=20.0)
+        register(table, hosts, [{"cpu_speed": 4.0 + i}
+                                for i in range(len(hosts))])
+        tables.append(table)
+    _assert_same_table(*tables)
+    table = tables[0]
+    assert table.matrix.hosts[:3] == ["ws0", "ws1", "ws2"]
+    assert table.get("ws1").state is SystemState.BUSY
+    assert table.get("ws1").updates_received == 1
+
+
+def test_a_refused_add_rows_leaves_nothing_behind():
+    table = _fresh_table()
+    m = table.matrix
+    before = (list(m.hosts), dict(m._index), list(m._static),
+              list(m._features), list(m.views()))
+    hosts_array = m.hosts_array
+    columns = {a: getattr(m, a)[:m.n].copy() for a in m._COLUMNS}
+    metrics = m._metrics[:m.n].copy()
+    for hosts, clash in ((["a", "ws2", "b"], "ws2"),
+                         (["a", "b", "a"], "a")):
+        with pytest.raises(ValueError,
+                           match=f"host {clash!r} already has a row"):
+            m.add_rows(hosts, [{}] * 3, 5.0)
+        assert (m.hosts, m._index, m._static, m._features,
+                m.views()) == before
+        assert m.n == 5 and "a" not in m and "b" not in m
+        # The membership caches were not even invalidated.
+        assert m.hosts_array is hosts_array
+        for attr, col in columns.items():
+            np.testing.assert_array_equal(getattr(m, attr)[:m.n], col)
+        np.testing.assert_array_equal(m._metrics[:m.n], metrics)
+    with pytest.raises(ValueError, match="already has a row"):
+        m.add_row("ws2", {}, 5.0)
+
+
+def test_a_batch_reserves_its_capacity_in_one_step():
+    m = SoftStateTable(Environment(), lease=35.0).matrix
+    grown = []
+    grow = m._grow
+    m._grow = lambda need: (grown.append(need), grow(need))
+    m.add_rows([f"h{i}" for i in range(5000)], [{}] * 5000, 0.0)
+    assert grown == [5000] and m._state.shape == (5000,)
+    m.add_row("one-more", {}, 0.0)
+    assert grown == [5000, 5001] and m._metrics.shape[0] == 10000
+    assert np.isnan(m._metrics[:m.n]).all() and m.n == 5001
+
+
+def test_call_count_of_registering_is_flat_in_rows():
+    """``register_many`` writes its columns once per batch.  What stays
+    per host is the static description — a ``HostRecord``, a copy of
+    the static dict, its feature set and its speed — at most 8 calls a
+    host at 4 096 hosts, and fewer per host than at 64."""
+    per_host = {}
+    for n_rows in (64, 4096):
+        table = SoftStateTable(Environment(), lease=35.0)
+        hosts = [f"ws{i}" for i in range(n_rows)]
+        statics = [{"hostname": h, "cpu_speed": 1.0, "features": ""}
+                   for h in hosts]
+        per_host[n_rows] = count_calls(
+            lambda: table.register_many(hosts, statics)) / n_rows
+        assert len(table) == n_rows
+    assert per_host[4096] <= 8, per_host
+    assert per_host[4096] < per_host[64], per_host
