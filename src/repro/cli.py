@@ -361,6 +361,7 @@ def _live(args) -> int:
         sqrt_sum_expected,
         sqrt_sum_state,
     )
+    from .rules.states import FREE
 
     policy = MigrationPolicy(
         name="live-demo",
@@ -393,20 +394,37 @@ def _live(args) -> int:
               + (f" (parent {top.address})" if top else ""))
         for node in nodes + extra:
             print(f"  {node.name} on {node.address}")
+        deadline = time.monotonic() + args.timeout
+
+        def settle(ready) -> None:
+            while time.monotonic() < deadline and not ready():
+                time.sleep(0.05)
+
+        def folded(reg, node, loaded=False) -> bool:
+            record = reg.table.get(node.address)
+            return (record is not None and record.updates_received > 0
+                    and not (loaded and record.state == FREE))
+
+        # Overload only once every registry has folded its nodes' first
+        # heartbeat: a decision taken earlier finds no destination.
+        members = [(registry, n) for n in nodes] + [(top, n) for n in extra]
+        settle(lambda: all(folded(reg, n) for reg, n in members))
         source = nodes[0]
+        if top is not None:
+            # Saturate the local peers, and let the registry see it,
+            # so the decision must escalate.
+            for node in nodes[1:]:
+                node.inject_load(3.0)
+            settle(lambda: all(folded(registry, n, loaded=True)
+                               for n in nodes[1:]))
         task = source.submit(
             "sqrt_sum", sqrt_sum_state(n=args.n, chunk=args.n // 40),
             est_seconds=120.0,
         )
         source.inject_load(3.0)
-        if top is not None:
-            # Saturate the local peers so the decision must escalate.
-            for node in nodes[1:]:
-                node.inject_load(3.0)
         print(f"task {task.task_id} started on {source.name}; "
               f"source load injected — waiting for the migration ...")
         finished = None
-        deadline = time.monotonic() + args.timeout
         while time.monotonic() < deadline and finished is None:
             time.sleep(0.1)
             for node in nodes + extra:
@@ -454,7 +472,7 @@ def _lint(args) -> int:
 
     try:
         diags = lint_paths(args.paths, select=_codes(args.select),
-                           ignore=_codes(args.ignore), jobs=args.jobs)
+                           ignore=_codes(args.ignore))
     except LintUsageError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -556,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="text", help="report format (default text)")
     lint.add_argument("--strict", action="store_true",
                       help="treat warnings as errors")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="parse Python sources across N processes "
-                           "(same findings, same order; default 1)")
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="report only codes matching these "
                            "comma-separated prefixes (e.g. D3,T505)")

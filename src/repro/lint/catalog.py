@@ -2,18 +2,14 @@
 
 Everything that needs the full code vocabulary reads it from here —
 ``KNOWN_CODES`` (suppression validation, L005), the ``--select`` /
-``--ignore`` prefix check (L006), the SARIF reporter's per-rule
-``shortDescription``/``helpUri`` metadata, and the X902 drift pass
-that keeps this table and the ``docs/linting.md`` catalogue in sync
-in both directions.
+``--ignore`` prefix check (L006) and the SARIF reporter's per-rule
+``shortDescription``/``helpUri`` metadata.
+``tests/docs/test_inventories.py`` keeps this table and the
+``docs/linting.md`` catalogue in sync in both directions.
 
-Keeping the registry in one flat literal is deliberate: the X900
-passes constant-fold it straight out of the AST, so a code added to a
-pass but not registered here (or registered but never documented)
-is a lint finding, not a silent gap.  The first X902 run earned its
-keep exactly that way: P107–P109 and S204–S206 were emitted and
-documented but missing from the old hand-maintained ``KNOWN_CODES``
-set, so suppressing them tripped a bogus L005.
+One table, so a code cannot be emitted and documented yet unknown to
+suppression validation (a hand-kept set once missed P107–P109 and
+S204–S206, and suppressing them tripped a bogus L005).
 """
 
 from __future__ import annotations
@@ -29,11 +25,8 @@ FAMILY_ANCHORS: Dict[str, str] = {
     "D": "d-codes",
     "E": "e-codes",
     "T": "t-codes",
-    "W": "w-codes",
     "C": "c-codes",
     "M": "m-codes",
-    "V": "v-codes",
-    "X": "x-codes",
     "L": "l-codes",
 }
 
@@ -92,15 +85,8 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "E404": ("error", "core module yields a non-effect call"),
     # trace discipline
     "T501": ("error", "emit site names an uncatalogued event"),
-    "T502": ("error", "catalogue entry never emitted or referenced"),
-    "T503": ("error", "EV_* constant and catalogue mismatch"),
     "T504": ("error", "event kind does not match the emit style"),
     "T505": ("error", "span opened but never ended"),
-    # wire protocol
-    "W601": ("error", "message class not registered in MESSAGE_TYPES"),
-    "W602": ("error", "message class missing body()/from_body()"),
-    "W603": ("error", "duplicate TYPE wire string"),
-    "W604": ("error", "message class never isinstance-handled"),
     # concurrency
     "C701": ("error", "shared attribute raced across thread contexts"),
     "C702": ("error", "blocking call while a lock is held"),
@@ -110,14 +96,6 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "M802": ("error", "request message with no reply path"),
     "M803": ("warning", "message handled but never constructed"),
     "M804": ("error", "sim and live handle different message sets"),
-    # parity
-    "V905": ("error", "effect pumped by one runtime's driver only"),
-    # cross-artifact drift
-    "X901": ("error", "dataclass field missing from its codec key set"),
-    "X902": ("error", "registered code and docs/linting.md disagree"),
-    "X903": ("error", "committed BENCH_*.json orphaned or uninventoried"),
-    "X904": ("warning", "CLI subcommand/flag undocumented in README/docs"),
-    "X905": ("warning", "lint fixture directory no test references"),
 }
 
 #: Every code any ``repro lint`` pass can emit — config passes, the

@@ -162,8 +162,8 @@ def render_sarif(diags: Sequence[Diagnostic]) -> str:
                 "defaultConfiguration": {"level": level},
             })
         else:
-            # Unregistered code in the findings (should be caught by
-            # X902 first): still a valid rule entry.
+            # Unregistered code in the findings (a pass emitting a code
+            # missing from the catalog): still a valid rule entry.
             level = _SARIF_LEVELS[max(
                 (d.severity for d in diags if d.code == code),
                 key=lambda s: s.rank,

@@ -15,7 +15,8 @@ analyzer:
   against them (S201).
 
 Python sources (``*.py``) route to the source-contract passes in
-:mod:`.srclint` (determinism, effect/trace/wire exhaustiveness);
+:mod:`.srclint` (determinism, effects, trace discipline, concurrency,
+message flow);
 everything else (docs, CSVs, …) is skipped.  Driver-level problems use
 the ``Lxxx`` codes: ``L001`` unreadable file, ``L002`` invalid JSON,
 ``L003`` nothing lintable found, ``L004`` unparsable Python source,
@@ -161,7 +162,7 @@ def _unknown_prefix_diags(
 ) -> List[Diagnostic]:
     """L006: a filter prefix no registered code starts with is a typo
     that would otherwise produce a silently-green (or silently-full)
-    run — ``--select V91`` when the only V code is V905 must fail
+    run — ``--select M81`` when the M codes are M801–M804 must fail
     loudly, not report nothing."""
     diags: List[Diagnostic] = []
     for prefix in prefixes or ():
@@ -182,20 +183,15 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> List[Diagnostic]:
     """Lint every configuration and Python source under ``paths``.
 
     ``select``/``ignore`` are code prefixes (``("D3", "T505")``):
     with ``select``, only matching codes are reported; ``ignore``
-    drops matching codes afterwards.  ``jobs > 1`` parallelizes the
-    Python-source parse across processes; the diagnostic list is
-    identical to a serial run (plan-order collection).
+    drops matching codes afterwards.
     """
     if not paths:
         raise LintUsageError("no paths given")
-    if jobs < 1:
-        raise LintUsageError("--jobs must be >= 1")
     files = collect_files(paths)
 
     diags: List[Diagnostic] = []
@@ -252,7 +248,7 @@ def lint_paths(
     if pysources:
         from .srclint import lint_sources
 
-        diags.extend(lint_sources(pysources, jobs=jobs))
+        diags.extend(lint_sources(pysources))
     select_prefixes = _parse_code_prefixes(select)
     ignore_prefixes = _parse_code_prefixes(ignore)
     diags = filter_codes(

@@ -2,7 +2,7 @@
 
 Where the config passes (R/P/S) check what operators *write*, these
 passes check what we *implement*: the cross-layer invariants the
-runtime only holds together by convention.  Four families:
+runtime only holds together by convention.  Three per-module families:
 
 * **D300** — determinism sanitizer over sim-reachable modules
   (:mod:`.determinism`): the golden-trace gate's static half.
@@ -10,14 +10,13 @@ runtime only holds together by convention.  Four families:
   (:mod:`.effects`).
 * **T500** — trace discipline against the EVENTS catalogue
   (:mod:`.tracedisc`).
-* **W600** — wire-protocol exhaustiveness (:mod:`.wire`).
 
 Findings can be silenced per line with ``# repro-lint: skip`` (all
 codes) or ``# repro-lint: skip[D301,T505]``; a suppression naming a
 code nothing emits is itself a warning (L005).  See
 ``docs/linting.md`` for the full catalogue.
 
-Two families added by PR 6 are *whole-project* passes: they run over a
+Two families are *whole-project* passes: they run over a
 :class:`~.model.ProjectModel` (resolved import edges) built once per
 lint run:
 
@@ -26,17 +25,7 @@ lint run:
 * **M800** — message-flow analyzer over the send→handler graph
   (:mod:`.msgflow`): the static twin of the decision-parity tests.
 
-PR 10 adds the parity-and-drift layer:
-
-* **V900** — parity of the one contract the decision plane states in
-  two places, the sim/live effect dispatch (:mod:`.parity`,
-  whole-project: V905 splits effect pumps by runtime the way M804
-  splits handlers).
-* **X900** — cross-artifact drift between code and its codecs, docs,
-  benchmark baselines and fixtures (:mod:`.drift`).
-
-The full code vocabulary lives in :mod:`repro.lint.catalog`; X902
-keeps it and the ``docs/linting.md`` tables pointing at each other.
+The full code vocabulary lives in :mod:`repro.lint.catalog`.
 """
 
 from __future__ import annotations
@@ -47,7 +36,6 @@ from ..catalog import KNOWN_CODES
 from ..diagnostics import Diagnostic
 from .concurrency import lint_concurrency
 from .determinism import in_sim_scope, lint_determinism
-from .drift import lint_drift
 from .effects import lint_effects
 from .model import (
     ProjectModel,
@@ -57,38 +45,29 @@ from .model import (
     suppression_warnings,
 )
 from .msgflow import lint_message_flow
-from .parity import lint_parity
 from .tracedisc import lint_trace_discipline
-from .wire import lint_wire_protocol
 
 _PASSES = (
     lint_determinism,
     lint_effects,
     lint_trace_discipline,
-    lint_wire_protocol,
-    lint_drift,
 )
 
 #: Passes that consume the whole-project model (import edges).
 _PROJECT_PASSES = (
     lint_concurrency,
     lint_message_flow,
-    lint_parity,
 )
 
 
-def lint_sources(
-    files: Sequence[Tuple[str, str]],
-    jobs: int = 1,
-) -> List[Diagnostic]:
+def lint_sources(files: Sequence[Tuple[str, str]]) -> List[Diagnostic]:
     """Run every source pass over ``(path, text)`` pairs.
 
     Inline ``# repro-lint: skip[...]`` suppressions are applied to the
     pass findings (never to L004 parse errors), and unknown-code
-    suppressions come back as L005 warnings.  ``jobs`` fans the
-    per-file parse over a process pool (diagnostic order unchanged).
+    suppressions come back as L005 warnings.
     """
-    modules, diags = parse_sources(files, jobs=jobs)
+    modules, diags = parse_sources(files)
     by_path = {m.path: m for m in modules}
     project = build_project(modules)
 
@@ -116,12 +95,9 @@ __all__ = [
     "in_sim_scope",
     "lint_concurrency",
     "lint_determinism",
-    "lint_drift",
     "lint_effects",
     "lint_message_flow",
-    "lint_parity",
     "lint_sources",
     "lint_trace_discipline",
-    "lint_wire_protocol",
     "parse_sources",
 ]

@@ -175,7 +175,8 @@ def _check_user(
     }
 
     # E402: a module that isinstance-dispatches on at least one effect
-    # is a driver and must perform them all (V905's unit of "handles").
+    # is a driver and must perform them all — so neither runtime's
+    # driver can drop an effect the other still pumps.
     handled = isinstance_targets(module.tree, local_effects)
     missing = sorted(contract.effects - handled)
     if handled and missing:

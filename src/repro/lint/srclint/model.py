@@ -112,11 +112,9 @@ def _collect_suppressions(text: str) -> List[Suppression]:
 
 
 def _parse_one(
-    item: Tuple[str, str],
+    path: str, text: str,
 ) -> Tuple[Optional[PyModule], Optional[Diagnostic]]:
-    """Parse one ``(path, text)`` pair (module-level: picklable, so
-    ``parse_sources`` can fan it across a process pool)."""
-    path, text = item
+    """Parse one source file; a syntax error becomes L004."""
     try:
         tree = ast.parse(text, filename=path)
     except SyntaxError as exc:
@@ -134,25 +132,9 @@ def _parse_one(
 
 def parse_sources(
     files: Sequence[Tuple[str, str]],
-    jobs: int = 1,
 ) -> Tuple[List[PyModule], List[Diagnostic]]:
-    """Parse ``(path, text)`` pairs; syntax errors become L004.
-
-    With ``jobs > 1`` the per-file parse fans out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; results are
-    collected in *plan order* (the order of ``files``), so parallel
-    runs produce byte-identical diagnostics — the same contract
-    ``perf/sweep.py`` keeps for experiment cells.
-    """
-    parsed: List[Tuple[Optional[PyModule], Optional[Diagnostic]]]
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_parse_one, item) for item in files]
-            parsed = [f.result() for f in futures]  # plan order
-    else:
-        parsed = [_parse_one(item) for item in files]
+    """Parse ``(path, text)`` pairs; syntax errors become L004."""
+    parsed = [_parse_one(path, text) for path, text in files]
     modules = [m for m, _ in parsed if m is not None]
     diags = [d for _, d in parsed if d is not None]
     return modules, diags
@@ -222,16 +204,9 @@ def str_const(node: ast.AST) -> Optional[str]:
     return None
 
 
-def top_level_classes(module: PyModule) -> List[ast.ClassDef]:
-    return [n for n in module.tree.body if isinstance(n, ast.ClassDef)]
-
-
 def is_dataclass_def(node: ast.ClassDef) -> bool:
     """True when the class carries a ``@dataclass`` decorator (bare,
-    called, or ``dataclasses.dataclass`` attribute form).
-
-    Shared by the effect-contract discovery (E400) and the
-    codec-pairing check (X901)."""
+    called, or ``dataclasses.dataclass`` attribute form)."""
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         if isinstance(target, ast.Name) and target.id == "dataclass":
@@ -239,19 +214,6 @@ def is_dataclass_def(node: ast.ClassDef) -> bool:
         if isinstance(target, ast.Attribute) and target.attr == "dataclass":
             return True
     return False
-
-
-def dataclass_fields(node: ast.ClassDef) -> Dict[str, int]:
-    """Annotated field name → line number, in declaration order.
-
-    Dunder/ClassVar-style plumbing is the caller's concern; this is
-    the raw ``name: type`` surface of the class body."""
-    fields: Dict[str, int] = {}
-    for stmt in node.body:
-        if (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)):
-            fields[stmt.target.id] = stmt.lineno
-    return fields
 
 
 def module_basename(module: PyModule) -> str:
@@ -266,7 +228,7 @@ def isinstance_targets(
     isinstance-dispatches on (second argument, tuples included).
 
     The one definition of "this module handles that class" shared by
-    the wire (W604), effect (E402) and message-flow (M80x) passes.
+    the effect (E402) and message-flow (M80x) passes.
     """
     found: Set[str] = set()
     for node in ast.walk(body):

@@ -1,9 +1,12 @@
 """M800 — message-flow analyzer: the protocol's send→handler graph.
 
-W600 checks each message class can *cross* the wire; this family
-checks it *arrives somewhere useful*.  From the wire contract
-(``protocol/messages.py`` by shape), every constructor call outside
-the contract module is an emit site and every isinstance dispatch is a
+That each message class can *cross* the wire is held by the wire tests
+(``tests/protocol/test_wire_golden.py``: every class registered, every
+class encoded and decoded); this family checks it *arrives somewhere
+useful*.  From the wire contract (``protocol/messages.py`` by shape:
+at least two top-level classes with a string ``TYPE`` plus a
+``MESSAGE_TYPES`` registry), every constructor call outside the
+contract module is an emit site and every isinstance dispatch is a
 handler; the project model's import edges then split the handlers into
 the simulation's view and the live runtime's view — the static twin of
 the PR 4 decision-parity tests.
@@ -41,6 +44,7 @@ sides; M801/M803 are silent when no module imports the contract at all
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from pathlib import PurePath
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,10 +54,70 @@ from .model import (
     ProjectModel,
     PyModule,
     build_project,
+    imports_from,
     isinstance_targets,
     module_basename,
+    str_const,
 )
-from .wire import WireContract, find_wire_contract, handler_local_names
+
+
+@dataclass
+class MessageClass:
+    name: str
+    lineno: int
+    wire_type: str
+
+
+@dataclass
+class WireContract:
+    module: PyModule
+    classes: List[MessageClass]
+
+
+def _message_class(node: ast.ClassDef) -> Optional[MessageClass]:
+    for stmt in node.body:
+        if (isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id == "TYPE"):
+            wire_type = str_const(stmt.value)
+            if wire_type is not None:
+                return MessageClass(node.name, node.lineno, wire_type)
+    return None
+
+
+def find_wire_contract(module: PyModule) -> Optional[WireContract]:
+    classes = [
+        mc for mc in (
+            _message_class(n) for n in module.tree.body
+            if isinstance(n, ast.ClassDef)
+        )
+        if mc is not None
+    ]
+    has_registry = any(
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id == "MESSAGE_TYPES"
+        for node in module.tree.body
+    )
+    if len(classes) < 2 or not has_registry:
+        return None
+    return WireContract(module=module, classes=classes)
+
+
+def handler_local_names(
+    importer: PyModule, contract: WireContract
+) -> Dict[str, str]:
+    """Local name → class name for contract classes ``importer`` sees."""
+    class_names = {mc.name for mc in contract.classes}
+    return {
+        local: orig
+        for local, orig in imports_from(
+            importer, module_basename(contract.module)
+        ).items()
+        if orig in class_names
+    }
 
 
 def _is_live(path: str) -> bool:

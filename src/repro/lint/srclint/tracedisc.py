@@ -1,22 +1,17 @@
 """T500 — trace discipline against the stable event catalogue.
 
 PR 2's tracing contract: every emitted record names an ``EVENTS``
-catalogue entry, every catalogue entry is emitted somewhere, and the
-``kind`` declared in the catalogue matches how the site emits it
-(``.event()`` for instants, ``.begin()``/``.span()`` for spans).
-``tests/trace/test_docs_catalogue.py`` diffs the catalogue against the
-docs at test time; this pass promotes the code-side half of that diff
-to a static check and adds span open/close pairing (T505), which no
-test covers.
+catalogue entry, and the ``kind`` declared in the catalogue matches
+how the site emits it (``.event()`` for instants, ``.begin()``/
+``.span()`` for spans).  That every ``EV_*`` constant is catalogued
+and emitted somewhere is held by ``tests/trace/test_docs_catalogue.py``;
+this pass checks the emit sites themselves and adds span open/close
+pairing (T505), which no test covers.
 
 ========  ========  =====================================================
 code      severity  finding
 ========  ========  =====================================================
 T501      error     emit site names an event missing from the catalogue
-T502      error     catalogue entry never emitted or referenced
-T503      error     ``EV_*`` constant ↔ catalogue mismatch (constant
-                    never catalogued, or catalogue references an
-                    undefined constant)
 T504      error     kind mismatch: ``.event()`` on a span, or
                     ``.begin()``/``.span()`` on an instant event
 T505      error     span leak: ``tracer.begin(...)`` bound to a local
@@ -25,15 +20,14 @@ T505      error     span leak: ``tracer.begin(...)`` bound to a local
 
 The catalogue module is discovered by shape (an ``EVENTS`` dict
 comprehension over spec constructor calls plus ``EV_*`` string
-constants); T501–T504 stay silent when no catalogue is in the linted
+constants); T501/T504 stay silent when no catalogue is in the linted
 file set.  T505 is purely local and always runs.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import PurePath
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..diagnostics import Diagnostic, Severity
@@ -56,22 +50,13 @@ class EventCatalogue:
     module: PyModule
     #: event name → declared kind.
     kinds: Dict[str, str]
-    #: event name → line of its spec entry.
-    linenos: Dict[str, int]
     #: EV_ constant → event name (top-level string assignments).
     constants: Dict[str, str]
-    #: EV_ constants referenced inside the EVENTS construction.
-    catalogued_constants: Set[str] = field(default_factory=set)
-    #: EV_ constant → line of its assignment.
-    const_linenos: Dict[str, int] = field(default_factory=dict)
-    events_lineno: int = 0
 
 
 def find_event_catalogue(module: PyModule) -> Optional[EventCatalogue]:
     constants: Dict[str, str] = {}
-    const_linenos: Dict[str, int] = {}
     events_value: Optional[ast.AST] = None
-    events_lineno = 0
     for node in module.tree.body:
         if not (isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -81,16 +66,12 @@ def find_event_catalogue(module: PyModule) -> Optional[EventCatalogue]:
         value = str_const(node.value)
         if target.startswith("EV_") and value is not None:
             constants[target] = value
-            const_linenos[target] = node.lineno
         elif target == "EVENTS":
             events_value = node.value
-            events_lineno = node.lineno
     if events_value is None or not constants:
         return None
 
     kinds: Dict[str, str] = {}
-    linenos: Dict[str, int] = {}
-    catalogued: Set[str] = set()
     for node in ast.walk(events_value):
         if not (isinstance(node, ast.Call) and len(node.args) >= 2):
             continue
@@ -98,34 +79,22 @@ def find_event_catalogue(module: PyModule) -> Optional[EventCatalogue]:
         if kind not in _KINDS:
             continue
         first = node.args[0]
-        name: Optional[str] = None
         if isinstance(first, ast.Name):
-            catalogued.add(first.id)
             name = constants.get(first.id)
         else:
             name = str_const(first)
         if name is not None:
             kinds[name] = kind
-            linenos[name] = node.lineno
     if not kinds:
         return None
-    return EventCatalogue(
-        module=module, kinds=kinds, linenos=linenos,
-        constants=constants, catalogued_constants=catalogued,
-        const_linenos=const_linenos, events_lineno=events_lineno,
-    )
+    return EventCatalogue(module=module, kinds=kinds, constants=constants)
 
 
 @dataclass
 class EmitSite:
-    module: PyModule
     lineno: int
     attr: str  # event | begin | span
-    #: Resolved event name, or None when the argument is a local
-    #: variable we cannot follow.
-    name: Optional[str]
-    #: EV_ constant the site referenced, when it used one.
-    constant: Optional[str]
+    name: str
 
 
 def _is_tracerish(node: ast.AST) -> bool:
@@ -145,10 +114,9 @@ def _collect_emit_sites(
     module: PyModule, ev_imports: Dict[str, str],
     constants: Dict[str, str],
 ) -> List[EmitSite]:
+    """Tracer emit sites whose event name resolves statically: a string
+    literal, or an imported ``EV_*`` constant."""
     sites: List[EmitSite] = []
-    local_consts = dict(ev_imports)
-    # Inside the catalogue's own package the constants are in scope
-    # without an import.
     for node in ast.walk(module.tree):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -159,18 +127,13 @@ def _collect_emit_sites(
             continue
         first = node.args[0]
         name: Optional[str] = str_const(first)
-        constant: Optional[str] = None
         if name is None and isinstance(first, ast.Name):
-            constant = local_consts.get(first.id)
-            if constant is not None:
-                name = constants.get(constant)
-            else:
-                continue  # a local variable; not statically resolvable
-        elif name is None:
-            continue
+            constant = ev_imports.get(first.id)
+            name = constants.get(constant) if constant else None
+        if name is None:
+            continue  # a local variable; not statically resolvable
         sites.append(EmitSite(
-            module=module, lineno=node.lineno, attr=node.func.attr,
-            name=name, constant=constant,
+            lineno=node.lineno, attr=node.func.attr, name=name,
         ))
     return sites
 
@@ -295,57 +258,14 @@ def lint_trace_discipline(
         for const, name in cat.constants.items():
             constants.setdefault(const, name)
 
-    # T503 per catalogue: constants vs catalogue, both directions.
-    for cat in catalogues:
-        for const in sorted(set(cat.constants) - cat.catalogued_constants):
-            # A constant whose *value* appears as a catalogued name via
-            # another constant is still uncatalogued by itself.
-            diags.append(Diagnostic(
-                code="T503", severity=Severity.ERROR,
-                message=(
-                    f"event constant '{const}' is never entered into "
-                    "the EVENTS catalogue"
-                ),
-                file=cat.module.path,
-                line=cat.const_linenos.get(const), obj=const,
-            ))
-        for const in sorted(cat.catalogued_constants - set(cat.constants)):
-            diags.append(Diagnostic(
-                code="T503", severity=Severity.ERROR,
-                message=(
-                    f"EVENTS catalogue references undefined constant "
-                    f"'{const}'"
-                ),
-                file=cat.module.path, line=cat.events_lineno, obj=const,
-            ))
-
-    # Collect emit sites and constant references across all modules.
-    emit_names: Set[str] = set()
-    referenced_constants: Set[str] = set()
     cat_basenames = {module_basename(c.module) for c in catalogues}
-    cat_dirs = {
-        str(PurePath(c.module.path).parent) for c in catalogues
-    }
     for module in modules:
         ev_imports: Dict[str, str] = {}
         for basename in cat_basenames:
             for local, orig in imports_from(module, basename).items():
                 if orig.startswith("EV_"):
                     ev_imports[local] = orig
-        is_catalogue_init = (
-            module_basename(module) == "__init__"
-            and str(PurePath(module.path).parent) in cat_dirs
-        )
-        if not is_catalogue_init:
-            # Re-exports in the catalogue's package __init__ don't
-            # count as "emitted" (T502 would never fire otherwise).
-            referenced_constants.update(ev_imports.values())
         for site in _collect_emit_sites(module, ev_imports, constants):
-            if site.name is None:
-                continue
-            emit_names.add(site.name)
-            if site.constant:
-                referenced_constants.add(site.constant)
             if site.name not in kinds:
                 diags.append(Diagnostic(
                     code="T501", severity=Severity.ERROR,
@@ -356,51 +276,28 @@ def lint_trace_discipline(
                     ),
                     file=module.path, line=site.lineno, obj=site.name,
                 ))
-            else:
-                kind = kinds[site.name]
-                if site.attr == "event" and kind == "span":
-                    diags.append(Diagnostic(
-                        code="T504", severity=Severity.ERROR,
-                        message=(
-                            f"'{site.name}' is catalogued as a span "
-                            "but emitted with .event(); use "
-                            ".begin()/.span()"
-                        ),
-                        file=module.path, line=site.lineno,
-                        obj=site.name,
-                    ))
-                elif site.attr in _SPAN_EMITS and kind == "event":
-                    diags.append(Diagnostic(
-                        code="T504", severity=Severity.ERROR,
-                        message=(
-                            f"'{site.name}' is catalogued as an "
-                            "instant event but opened with "
-                            f".{site.attr}(); use .event()"
-                        ),
-                        file=module.path, line=site.lineno,
-                        obj=site.name,
-                    ))
-
-    # T502: a catalogued event nothing ever emits or references.
-    # With no reference to the catalogue anywhere in the file set
-    # (single-file lint run), the information is absent — stay silent.
-    if not emit_names and not referenced_constants:
-        return diags
-    for cat in catalogues:
-        name_for = {v: k for k, v in cat.constants.items()}
-        for name in sorted(cat.kinds):
-            const = name_for.get(name)
-            if name in emit_names:
                 continue
-            if const is not None and const in referenced_constants:
-                continue
-            diags.append(Diagnostic(
-                code="T502", severity=Severity.ERROR,
-                message=(
-                    f"catalogued event '{name}' is never emitted or "
-                    "referenced outside the catalogue; dead weight"
-                ),
-                file=cat.module.path,
-                line=cat.linenos.get(name), obj=name,
-            ))
+            kind = kinds[site.name]
+            if site.attr == "event" and kind == "span":
+                diags.append(Diagnostic(
+                    code="T504", severity=Severity.ERROR,
+                    message=(
+                        f"'{site.name}' is catalogued as a span "
+                        "but emitted with .event(); use "
+                        ".begin()/.span()"
+                    ),
+                    file=module.path, line=site.lineno,
+                    obj=site.name,
+                ))
+            elif site.attr in _SPAN_EMITS and kind == "event":
+                diags.append(Diagnostic(
+                    code="T504", severity=Severity.ERROR,
+                    message=(
+                        f"'{site.name}' is catalogued as an "
+                        "instant event but opened with "
+                        f".{site.attr}(); use .event()"
+                    ),
+                    file=module.path, line=site.lineno,
+                    obj=site.name,
+                ))
     return diags

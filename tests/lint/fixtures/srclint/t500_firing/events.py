@@ -1,10 +1,8 @@
-"""Fixture catalogue: a stray constant and a dead entry."""
+"""Fixture catalogue: one instant event and one span."""
 
 from dataclasses import dataclass
 
 EV_PING = "demo.ping"
-EV_PONG = "demo.pong"   # T503: never entered into the catalogue
-EV_IDLE = "demo.idle"   # T502: catalogued below but never emitted
 EV_WORK = "demo.work"
 
 
@@ -18,7 +16,6 @@ EVENTS = {
     spec.name: spec
     for spec in (
         EventSpec(EV_PING, "event"),
-        EventSpec(EV_IDLE, "event"),
         EventSpec(EV_WORK, "span"),
     )
 }

@@ -83,7 +83,7 @@ def test_no_contract_module_means_silence():
     assert lint_effects(modules) == []
 
 
-def test_real_tree_contract_is_discovered():
+def _real_tree_files():
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
         "src", "repro",
@@ -96,7 +96,28 @@ def test_real_tree_contract_is_discovered():
                 path = os.path.join(base, name)
                 with open(path, encoding="utf-8") as fh:
                     files.append((path, fh.read()))
+    return files
+
+
+def test_dropping_the_live_deliver_dispatch_is_e402():
+    # The live registry stops performing Deliver effects: E402 names
+    # the live driver (this is the mutation the retired V905 chased).
+    target = os.path.join("live", "registry.py")
+    files = []
+    for path, text in _real_tree_files():
+        if path.endswith(target):
+            assert "(effect, Deliver)" in text
+            text = text.replace("(effect, Deliver)", "(effect, ())")
+        files.append((path, text))
     modules, _ = parse_sources(files)
+    diags = lint_effects(modules)
+    assert _codes(diags) == ["E402"]
+    assert diags[0].file.endswith(target)
+    assert "Deliver" in diags[0].message
+
+
+def test_real_tree_contract_is_discovered():
+    modules, _ = parse_sources(_real_tree_files())
     from repro.lint.srclint.effects import find_effect_contract
 
     contracts = [

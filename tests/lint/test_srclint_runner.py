@@ -132,38 +132,17 @@ def test_symlink_directory_cycle_terminates(tmp_path):
     assert files == [str(sub / "a.rules")]
 
 
-# ------------------------------------------------------------- --jobs
-def test_parallel_parse_matches_serial_run():
-    fixtures = os.path.join(os.path.dirname(__file__), "fixtures",
-                            "srclint")
-    serial = lint_paths([fixtures])
-    parallel = lint_paths([fixtures], jobs=4)
-    assert serial == parallel  # plan-order collection: identical list
-
-
-def test_cli_jobs_flag(capsys):
-    rc = main(["lint", _fixture("d300_firing"), "--jobs", "2"])
-    assert rc == 1
-    assert "D301" in capsys.readouterr().out
-
-
-def test_jobs_must_be_positive(capsys):
-    rc = main(["lint", _fixture("d300_firing"), "--jobs", "0"])
-    assert rc == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
 # --------------------------------------------------------------- L006
 def test_valid_prefixes_pass_quietly():
-    diags = lint_paths([_fixture("d300_firing")], select=["D", "V90"])
+    diags = lint_paths([_fixture("d300_firing")], select=["D", "M80"])
     assert "L006" not in _codes(diags)
 
 
 def test_unknown_select_prefix_is_l006(capsys):
-    rc = main(["lint", _fixture("d300_clean"), "--select", "V99"])
+    rc = main(["lint", _fixture("d300_clean"), "--select", "M89"])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "L006" in out and "'V99'" in out
+    assert "L006" in out and "'M89'" in out
 
 
 def test_unknown_ignore_prefix_is_l006():
@@ -213,17 +192,16 @@ def test_partial_suppression_keeps_the_other_family(tmp_path):
 
 
 def test_suppression_reaches_project_passes(tmp_path):
-    # V905 comes from a project-wide pass (lint_parity) and is reported
-    # at the outbox contract, not in the lagging driver; skip[V905] on
-    # that line must silence it all the same.
+    # M804 comes from a project-wide pass (lint_message_flow) and is
+    # reported at the message contract, not in the lagging driver;
+    # skip[M804] on that line must silence it all the same.
     tree = tmp_path / "tree"
-    shutil.copytree(_fixture("v900_firing"), tree)
-    assert [d.code for d in lint_paths([str(tree)], select=["V"])] == [
-        "V905"]
-    outbox = tree / "entity" / "outbox.py"
-    outbox.write_text(outbox.read_text().replace(
-        "class Expand:", "class Expand:  # repro-lint: skip[V905]"))
-    assert lint_paths([str(tree)], select=["V"]) == []
+    shutil.copytree(_fixture("m800_firing"), tree)
+    assert _codes(lint_paths([str(tree)], select=["M804"])) == ["M804"]
+    messages = tree / "protocol" / "messages.py"
+    messages.write_text(messages.read_text().replace(
+        "class Beat:", "class Beat:  # repro-lint: skip[M804]"))
+    assert lint_paths([str(tree)], select=["M804"]) == []
 
 
 # ---------------------------------------------------------- self-lint

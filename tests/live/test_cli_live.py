@@ -1,6 +1,12 @@
 """The ``repro live`` subcommand: bounded end-to-end demo."""
 
+import re
+
 from repro.cli import main
+
+#: A decision-log row whose dest column is ``-``: the registry decided
+#: before it knew of any destination.
+_NO_DEST = re.compile(r"\| -\s+\|")
 
 
 def test_repro_live_runs_one_migration(capsys):
@@ -10,6 +16,7 @@ def test_repro_live_runs_one_migration(capsys):
     assert rc == 0, out
     assert "decision log" in out
     assert "result correct" in out
+    assert not _NO_DEST.search(out), out
 
 
 def test_repro_live_hierarchy_escalates(capsys):
@@ -19,3 +26,4 @@ def test_repro_live_hierarchy_escalates(capsys):
     assert rc == 0, out
     assert "yes" in out  # an escalated decision in the log
     assert "result correct" in out
+    assert not _NO_DEST.search(out), out

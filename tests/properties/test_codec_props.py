@@ -1,14 +1,19 @@
 """Property-based tests: codec round-trips for the malleability surface.
 
-The X901 drift lint proves every dataclass field *appears* in its
-codec; these properties prove the codecs are actually inverse of each
-other — for every generated policy/schema, including all the PR 9
-malleability fields (grow/shrink triggers, grow_step, world bounds,
-min_efficiency, efficiency_curve), encode→decode is the identity.
+The codecs are inverse of each other — for every generated
+policy/schema/process report, including all the malleability
+fields (grow/shrink triggers, grow_step, world bounds, min_efficiency,
+efficiency_curve), encode→decode is the identity.  Identity is
+stronger than "every field appears in the codec": a field dropped from
+either direction decodes to its default and breaks the equality — as
+long as the strategy draws that field at all, which
+``test_round_trips_draw_every_field`` holds for every dataclass field.
 """
 
+import dataclasses
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import (
@@ -18,6 +23,7 @@ from repro.core.policy import (
     policy_from_dict,
     policy_to_dict,
 )
+from repro.monitor.selector import ProcessInfo
 from repro.schema.appschema import (
     ApplicationSchema,
     Characteristics,
@@ -36,8 +42,7 @@ _predicates = st.builds(
 )
 _pred_tuples = st.lists(_predicates, max_size=3).map(tuple)
 
-_policies = st.builds(
-    MigrationPolicy,
+_POLICY_FIELDS = dict(
     name=_names,
     enabled=st.booleans(),
     triggers=_pred_tuples,
@@ -53,6 +58,7 @@ _policies = st.builds(
         min_value=0.0, max_value=1.0, allow_nan=False
     ),
 )
+_policies = st.builds(MigrationPolicy, **_POLICY_FIELDS)
 
 
 # ----------------------------------------------------- policy ↔ JSON
@@ -98,8 +104,7 @@ _requirements = st.builds(
     ).map(tuple),
 )
 
-_schemas = st.builds(
-    ApplicationSchema,
+_SCHEMA_FIELDS = dict(
     name=_names,
     characteristics=st.sampled_from(list(Characteristics)),
     est_comm_bytes=st.integers(min_value=0, max_value=2**40),
@@ -122,6 +127,7 @@ _schemas = st.builds(
         max_size=6,
     ).map(tuple),
 )
+_schemas = st.builds(ApplicationSchema, **_SCHEMA_FIELDS)
 
 
 @given(_schemas)
@@ -141,3 +147,50 @@ def test_malleability_elements_ride_only_when_declared(schema):
     assert ("<minWorld>" in xml) == (schema.min_world != 1)
     assert ("<maxWorld>" in xml) == (schema.max_world != 1)
     assert ("<efficiencyCurve>" in xml) == bool(schema.efficiency_curve)
+
+
+# ---------------------------------------------- process report ↔ dict
+#: Every field away from its default, so a field the decoder drops
+#: (and so reads back as its default) can never compare equal.
+_PROCESS_FIELDS = dict(
+    pid=st.integers(min_value=1, max_value=2**31),
+    name=_names,
+    start_time=st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
+    est_completion=st.floats(
+        min_value=0.001, max_value=1e6, allow_nan=False
+    ),
+    data_locality=st.floats(min_value=0.01, max_value=1.0),
+    min_memory_bytes=st.integers(min_value=1, max_value=2**40),
+    min_disk_bytes=st.integers(min_value=1, max_value=2**40),
+    min_cpu_speed=st.floats(min_value=0.01, max_value=1e4),
+    features=st.lists(
+        st.sampled_from(["fpu", "large-pages", "sse", "rdma"]),
+        min_size=1, max_size=3, unique=True,
+    ).map(tuple),
+    world_size=st.integers(min_value=2, max_value=64),
+    min_world=st.integers(min_value=2, max_value=16),
+    max_world=st.integers(min_value=2, max_value=64),
+    efficiency_curve=st.lists(
+        st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=6,
+    ).map(tuple),
+)
+_process_infos = st.builds(ProcessInfo, **_PROCESS_FIELDS)
+
+
+@given(_process_infos)
+@settings(max_examples=80, deadline=None)
+def test_process_info_dict_round_trip(info):
+    """What a monitor reports is what the registry reads back."""
+    assert ProcessInfo.from_dict(info.as_dict()) == info
+
+
+@pytest.mark.parametrize("cls, drawn", [
+    (MigrationPolicy, _POLICY_FIELDS),
+    (ApplicationSchema, _SCHEMA_FIELDS),
+    (ProcessInfo, _PROCESS_FIELDS),
+], ids=["policy", "schema", "process_info"])
+def test_round_trips_draw_every_field(cls, drawn):
+    """A field the strategy leaves at its default is a field the
+    round trip cannot see the codec drop: a new dataclass field must
+    be drawn here too."""
+    assert set(drawn) == {f.name for f in dataclasses.fields(cls)}

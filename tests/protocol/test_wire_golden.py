@@ -6,11 +6,12 @@ encodes and decodes today has to reproduce it, whichever
 ``ElementTree`` the interpreter ships.
 """
 
+import inspect
 import json
 
 import pytest
 
-from repro.protocol import MESSAGE_TYPES, decode, encode
+from repro.protocol import MESSAGE_TYPES, decode, encode, messages
 
 from .wire_cases import CASES, FIXTURE
 
@@ -21,6 +22,20 @@ with open(FIXTURE, encoding="ascii") as _fh:
 def test_fixture_and_cases_are_the_same_list():
     assert [line["msg"] for line in GOLDEN] == [repr(c[0]) for c in CASES]
     assert {type(c[0]) for c in CASES} == set(MESSAGE_TYPES.values())
+
+
+def test_every_message_class_is_registered_once():
+    """Read from the module, not from ``CASES``: a class left out of
+    ``MESSAGE_TYPES`` (and out of the golden cases) encodes fine and
+    fails only at the peer's decode; a duplicate ``TYPE`` silently
+    shadows the earlier class."""
+    classes = [
+        cls for cls in vars(messages).values()
+        if inspect.isclass(cls) and cls.__module__ == messages.__name__
+        and hasattr(cls, "TYPE")
+    ]
+    assert set(classes) <= set(MESSAGE_TYPES.values())
+    assert len(MESSAGE_TYPES) == len(classes)
 
 
 @pytest.mark.parametrize(
