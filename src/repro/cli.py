@@ -352,6 +352,7 @@ def _sweep(args) -> int:
 def _live(args) -> int:
     """The live-mode demo: a real registry, N real nodes on localhost
     sockets, one overload, one autonomic migration."""
+    import threading
     import time
 
     from .core import MetricPredicate, MigrationPolicy
@@ -417,13 +418,19 @@ def _live(args) -> int:
                 node.inject_load(3.0)
             settle(lambda: all(folded(registry, n, loaded=True)
                                for n in nodes[1:]))
+        # The task waits at its first poll-point until the command has
+        # reached it: on a loaded box it could otherwise finish before
+        # the decision lands.
+        release = threading.Event()
         task = source.submit(
             "sqrt_sum", sqrt_sum_state(n=args.n, chunk=args.n // 40),
-            est_seconds=120.0,
+            est_seconds=120.0, hold=release,
         )
         source.inject_load(3.0)
         print(f"task {task.task_id} started on {source.name}; "
               f"source load injected — waiting for the migration ...")
+        settle(lambda: task.migrate_to is not None)
+        release.set()
         finished = None
         while time.monotonic() < deadline and finished is None:
             time.sleep(0.1)

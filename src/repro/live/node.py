@@ -175,13 +175,17 @@ class LiveNode:
                est_seconds: float = 60.0,
                world_size: int = 1, min_world: int = 1,
                max_world: int = 1,
-               efficiency_curve: tuple = ()) -> LiveTask:
+               efficiency_curve: tuple = (),
+               hold: Optional[threading.Event] = None) -> LiveTask:
         """Run a checkpointable task on this node.
 
         ``min_world``/``max_world``/``efficiency_curve`` declare the
         task malleable (the live analog of the sim's application
         schema): the registry may then answer overload here with an
         ``ExpandCommand``/``ShrinkCommand`` instead of a migration.
+        With ``hold`` the task is reported at once but waits at its
+        first poll-point until ``hold`` is set, so a caller can wait
+        for a command rather than race the task to it.
         """
         if task_type not in TASK_TYPES:
             raise KeyError(f"unknown task type {task_type!r}")
@@ -198,7 +202,7 @@ class LiveNode:
         )
         with self._lock:
             self.tasks[task.task_id] = task
-        threading.Thread(target=self._run_task, args=(task,),
+        threading.Thread(target=self._run_task, args=(task, hold),
                          name=f"{self.name}-task{task.task_id}",
                          daemon=True).start()
         return task
@@ -227,8 +231,12 @@ class LiveNode:
         self.endpoint.close()
 
     # -- worker ---------------------------------------------------------
-    def _run_task(self, task: LiveTask) -> None:
+    def _run_task(self, task: LiveTask,
+                  hold: Optional[threading.Event] = None) -> None:
         step = TASK_TYPES[task.task_type]
+        while hold is not None and not hold.wait(0.05):
+            if self._stop.is_set():
+                return
         while not self._stop.is_set():
             more = step(task.state)  # one poll-point per iteration
             if more and task.shrink_to is not None:

@@ -6,12 +6,13 @@ round-trips through real XML (plain ASCII, transport-independent); the
 encoded byte length is what the simulated network carries, so protocol
 overhead measurements (Figure 6) reflect genuine message sizes.
 
-``encode`` writes the XML as text (``_tag``) and ``decode`` parses it
-with ElementTree, except that a ``StatusUpdate`` spelled exactly as
-``encode`` spells it -- the heartbeat, nearly all of the traffic -- is
-read by one compiled pattern instead.  Neither shortcut is observable:
-the bytes are those ElementTree's serialiser produced
-(tests/protocol/fixtures/wire_golden.jsonl) and the pattern accepts
+``encode`` writes the XML as text and ``decode`` parses it with
+ElementTree, except that the two messages a live deployment sends most
+-- the heartbeat (``StatusUpdate``) and the ``MigrateCommand`` that
+answers an overload -- are read by one compiled pattern each when spelt
+exactly as ``encode`` spells them.  Neither shortcut is observable: the
+bytes are those ElementTree's serialiser produced
+(tests/protocol/fixtures/wire_golden.jsonl) and the patterns accept
 nothing the parser would read differently (docs/architecture.md).
 """
 
@@ -50,6 +51,15 @@ def _escape_text(text: str) -> str:
     return text.translate(_TEXT_ESCAPES) if _text_special(text) else text
 
 
+def _escape_attrs(values: List[str]) -> List[str]:
+    """``values`` as attribute values: one search over all of them
+    decides, and only a message holding a character to escape pays for
+    the table."""
+    if _attr_special("".join(values)):
+        return [value.translate(_ATTR_ESCAPES) for value in values]
+    return values
+
+
 def _tag(name: str, attrs: Iterable[Tuple[str, str]], inner: str = "") -> str:
     """``<name k="v">inner</name>``, or ``<name k="v" />`` when
     ``inner`` is empty: attributes in the order given and escaped here,
@@ -60,6 +70,54 @@ def _tag(name: str, attrs: Iterable[Tuple[str, str]], inner: str = "") -> str:
             value = value.translate(_ATTR_ESCAPES)
         head += f' {key}="{value}"'
     return f"<{head}>{inner}</{name}>" if inner else f"<{head} />"
+
+
+#: ``<m name="…">`` by metric name, escaped.  A host sends the same few
+#: names every cycle, but names can arrive from the network, so the
+#: cache is emptied whenever it reaches its bound.
+_M_HEADS: Dict[str, str] = {}
+_M_HEADS_MAX = 1024
+
+
+def _m_head(key: str) -> str:
+    """Fill the cache for ``key``.  An entry depends on its key alone,
+    so two threads racing here at worst write the same one twice."""
+    if len(_M_HEADS) >= _M_HEADS_MAX:
+        _M_HEADS.clear()
+    head = _M_HEADS[key] = f'<m name="{_escape_attrs([key])[0]}">'
+    return head
+
+
+def _process_tag(proc: dict) -> str:
+    """One ``<p />`` of a status message, its attributes in
+    ``_process``'s order.  Malleability (world) attributes ride only
+    when declared: rigid processes keep the paper's exact message
+    bytes."""
+    features = proc.get("features", ())
+    if not isinstance(features, str):
+        features = ",".join(features)
+    pid, name = str(proc["pid"]), str(proc["name"])
+    numbers = (f' start="{float(proc["start_time"])!r}"'
+               f' eta="{float(proc["est_completion"])!r}"'
+               f' locality="{float(proc.get("data_locality", 0.0))!r}"'
+               f' minMem="{int(proc.get("min_memory_bytes", 0))}"'
+               f' minDisk="{int(proc.get("min_disk_bytes", 0))}"'
+               f' minCpu="{float(proc.get("min_cpu_speed", 0.0))!r}"')
+    world = int(proc.get("world_size", 1))
+    wmin = int(proc.get("min_world", 1))
+    wmax = int(proc.get("max_world", 1))
+    curve = proc.get("efficiency_curve", "")
+    if not isinstance(curve, str):
+        curve = ",".join([repr(float(v)) for v in curve])
+    pid, name, features, curve = _escape_attrs([pid, name, features, curve])
+    return "".join([
+        f'<p pid="{pid}" name="{name}"', numbers, f' features="{features}"',
+        f' world="{world}"' if world != 1 else "",
+        f' wmin="{wmin}"' if wmin != 1 else "",
+        f' wmax="{wmax}"' if wmax != 1 else "",
+        f' eff="{curve}"' if curve else "",
+        " />",
+    ])
 
 
 def _metrics_from_element(elem: Optional[Element]) -> Dict[str, float]:
@@ -126,48 +184,18 @@ class StatusUpdate:
     TYPE = "status"
 
     def body(self) -> str:
+        heads, values = _M_HEADS, self.metrics
         metrics = "".join([
-            _tag("m", [("name", key)], repr(float(self.metrics[key])))
-            for key in sorted(self.metrics)
+            f"{heads.get(key) or _m_head(key)}{float(values[key])!r}</m>"
+            for key in sorted(values)
         ])
-        procs = []
-        for proc in self.processes:
-            features = proc.get("features", ())
-            if not isinstance(features, str):
-                features = ",".join(features)
-            attrs = [
-                ("pid", str(proc["pid"])),
-                ("name", str(proc["name"])),
-                ("start", repr(float(proc["start_time"]))),
-                ("eta", repr(float(proc["est_completion"]))),
-                ("locality", repr(float(proc.get("data_locality", 0.0)))),
-                ("minMem", str(int(proc.get("min_memory_bytes", 0)))),
-                ("minDisk", str(int(proc.get("min_disk_bytes", 0)))),
-                ("minCpu", repr(float(proc.get("min_cpu_speed", 0.0)))),
-                ("features", features),
-            ]
-            # Malleability (world) attributes ride only when declared:
-            # rigid processes keep the paper's exact message bytes.
-            world = int(proc.get("world_size", 1))
-            wmin = int(proc.get("min_world", 1))
-            wmax = int(proc.get("max_world", 1))
-            curve = proc.get("efficiency_curve", "")
-            if not isinstance(curve, str):
-                curve = ",".join(repr(float(v)) for v in curve)
-            if world != 1:
-                attrs.append(("world", str(world)))
-            if wmin != 1:
-                attrs.append(("wmin", str(wmin)))
-            if wmax != 1:
-                attrs.append(("wmax", str(wmax)))
-            if curve:
-                attrs.append(("eff", curve))
-            procs.append(_tag("p", attrs))
-        return _tag(
-            "status", [("state", self.state.name.lower())],
-            _tag("metrics", (), metrics)
-            + _tag("processes", (), "".join(procs)),
-        )
+        procs = "".join([_process_tag(proc) for proc in self.processes])
+        return "".join([
+            f'<status state="{self.state.name.lower()}">',
+            f"<metrics>{metrics}</metrics>" if metrics else "<metrics />",
+            f"<processes>{procs}</processes>" if procs else "<processes />",
+            "</status>",
+        ])
 
     @classmethod
     def from_body(cls, host: str, elem: Element) -> "StatusUpdate":
@@ -446,38 +474,55 @@ MESSAGE_TYPES = {
 
 def encode(msg, sender: str, timestamp: float) -> bytes:
     """Serialize a message to wire bytes (ASCII XML)."""
-    return _tag("msg", [
-        ("type", msg.TYPE), ("sender", sender), ("host", msg.host),
-        ("ts", repr(float(timestamp))),
-    ], msg.body()).encode("utf-8", "xmlcharrefreplace")
+    ts = repr(float(timestamp))
+    body = msg.body()
+    sender, host = _escape_attrs([sender, msg.host])
+    return (f'<msg type="{msg.TYPE}" sender="{sender}" host="{host}"'
+            f' ts="{ts}">{body}</msg>').encode("utf-8", "xmlcharrefreplace")
 
 
-# -- the canonical heartbeat, read in one pass -----------------------------
-# ``StatusUpdate`` is the message every host sends every cycle.  The
-# pattern below accepts exactly the bytes ``encode`` writes for one and
-# nothing else; whatever it declines -- other types, and every other
-# spelling of a status message XML allows -- is parsed by ElementTree.
-# The two readers must not be tellable apart, which is why a value is
-# printable ASCII without ``" & < >`` and not ``[^"]*``: expat resolves
-# entities, turns a literal tab or newline in an attribute into a space,
-# rejects most control characters and decodes UTF-8, and a value free of
-# all of those is one expat hands over unchanged.
+# -- the canonical heartbeat and command, read in one pass ----------------
+# ``StatusUpdate`` is the message every host sends every cycle, and
+# ``MigrateCommand`` the registry's answer to an overload.  Each pattern
+# below accepts exactly the bytes ``encode`` writes for one and nothing
+# else; whatever both decline -- other types, and every other spelling
+# XML allows -- is parsed by ElementTree.  The readers must not be
+# tellable apart, which is why a value is printable ASCII without
+# ``" & < >`` and not ``[^"]*``: expat resolves entities, turns a literal
+# tab or newline in an attribute into a space, rejects most control
+# characters and decodes UTF-8, and a value free of all of those is one
+# expat hands over unchanged.  It also means ``"`` and ``<`` occur only
+# as markup, so a matched group is taken apart by splitting on markup,
+# with no second pattern.
 _CHAR = "[ !#-%'-;=?-~]"
 _V = f"{_CHAR}*"
 _STATES = {state.name.lower(): state for state in SystemState}
-_ATTR = re.compile(f' ([A-Za-z]+)="({_V})"')
-_M = re.compile(f'<m name="({_V})">({_CHAR}+)</m>')
+_M = f'<m name="{_V}">{_CHAR}+</m>'
 _P = (f'<p pid="{_V}" name="{_V}" start="{_V}" eta="{_V}" locality="{_V}"'
       f' minMem="{_V}" minDisk="{_V}" minCpu="{_V}" features="{_V}"'
       f'(?: world="{_V}")?(?: wmin="{_V}")?(?: wmax="{_V}")?'
       f'(?: eff="{_V}")? />')
+_HEAD = f'sender="({_V})" host="({_V})" ts="({_V})">'
 _STATUS = re.compile(
-    f'<msg type="status" sender="({_V})" host="({_V})" ts="({_V})">'
-    f'<status state="({"|".join(_STATES)})">'
-    f'(?:<metrics>((?:{_M.pattern.replace("(", "(?:")})+)</metrics>'
-    f"|<metrics />)(?:<processes>((?:{_P})+)</processes>|<processes />)"
+    f'<msg type="status" {_HEAD}<status state="({"|".join(_STATES)})">'
+    f"(?:<metrics>((?:{_M})+)</metrics>|<metrics />)"
+    f"(?:<processes>((?:{_P})+)</processes>|<processes />)"
     "</status></msg>"
 )
+_MIGRATE = re.compile(
+    f'<msg type="migrate" {_HEAD}<migrate pid="({_V})" dest="({_V})"'
+    f' reason="({_V})" decision="({_V})" /></msg>'
+)
+#: Between a metric's name and its value, and between two metrics.
+_M_SEP = '</m><m name="'
+
+
+def _attributes(p: str) -> Dict[str, str]:
+    """A matched ``<p>``'s attributes from ``a="1" b="2``, the text
+    inside its outer quotes."""
+    parts = p.split('"')  # a=, 1, ' b=', 2
+    names = "".join(parts[::2])[:-1].split("= ")  # 'a= b=' -> a, b
+    return dict(zip(names, parts[1::2]))
 
 
 def decode(data: bytes):
@@ -487,19 +532,32 @@ def decode(data: bytes):
     message: bad XML, an unknown type, a missing or unreadable value.
     """
     # Latin-1 cannot fail and maps every non-ASCII byte to a character
-    # the pattern's alphabet excludes.
-    canonical = _STATUS.fullmatch(data.decode("latin-1"))
+    # the patterns' alphabet excludes.
+    text = data.decode("latin-1")
     try:
-        if canonical is None:
-            return _decode_xml(data)
-        sender, host, ts, state, metrics, procs = canonical.groups("")
-        return StatusUpdate(
-            host=host,
-            state=_STATES[state],
-            metrics={k: float(v) for k, v in _M.findall(metrics)},
-            processes=[_process(dict(_ATTR.findall(p)).get)
-                       for p in procs.split("<p")[1:]],
-        ), sender, float(ts)
+        status = _STATUS.fullmatch(text)
+        if status is not None:
+            sender, host, ts, state, metrics, procs = status.groups("")
+            # '<m name="k1">v1</m><m name="k2">v2</m>' -> k1, v1, k2, v2
+            # ('' -> '', no value: no metric)
+            fields = metrics[9:-4].replace('">', _M_SEP).split(_M_SEP)
+            return StatusUpdate(
+                host=host,
+                state=_STATES[state],
+                metrics=dict(zip(fields[::2], map(float, fields[1::2]))),
+                processes=[
+                    _process(_attributes(p).get)
+                    for p in procs[3:-4].split('" /><p ')
+                ] if procs else [],
+            ), sender, float(ts)
+        command = _MIGRATE.fullmatch(text)
+        if command is not None:
+            sender, host, ts, pid, dest, reason, decision = command.groups()
+            return MigrateCommand(
+                host=host, pid=int(pid), dest=dest, reason=reason,
+                decision_seconds=float(decision),
+            ), sender, float(ts)
+        return _decode_xml(data)
     except ProtocolError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,6 +13,8 @@ from repro.sim import Environment
 
 from ..callcount import count_calls
 
+pytestmark = pytest.mark.costguard
+
 
 def _coupled_pair():
     """Two coupled hosts, one compute job on the source, clock at 1 s."""

@@ -193,6 +193,7 @@ def test_plane_base_sockets_matches_sensors():
     assert PLANE_BASE_SOCKETS == BASE_SOCKETS
 
 
+@pytest.mark.costguard
 def test_analytic_hosts_are_rows_not_objects(monkeypatch):
     """An analytic host is a name, a plane row and a spec until
     somebody asks for the ``Host``; then exactly one is built, on the
@@ -356,6 +357,7 @@ def test_a_batch_reserves_its_capacity_in_one_step():
     assert not arrays.col("load1").any()
 
 
+@pytest.mark.costguard
 def test_call_count_of_building_analytic_hosts_is_flat_in_rows():
     """A batch of analytic hosts is built by column: 4 096 names make
     at most twice the calls 64 names do (measured: 107 at either size;

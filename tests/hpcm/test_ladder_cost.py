@@ -7,11 +7,15 @@ literals were counted through the kernel's own ``trace_hook`` at the
 commit before the ladder.
 """
 
+import pytest
+
 from repro.analysis.horizon import run_until_finished
 from repro.hpcm import launch
 from repro.workloads import TestTreeApp
 
 from . import test_migration, test_world
+
+pytestmark = pytest.mark.costguard
 
 
 def _count_dispatches(env):

@@ -27,3 +27,14 @@ def test_repro_live_hierarchy_escalates(capsys):
     assert "yes" in out  # an escalated decision in the log
     assert "result correct" in out
     assert not _NO_DEST.search(out), out
+
+
+def test_repro_live_hierarchy_waits_for_the_command(capsys):
+    """A task a hundred times shorter than the demo's finishes long
+    before an escalated decision can land; held at its first
+    poll-point, it migrates anyway."""
+    rc = main(["live", "--n", "40000", "--timeout", "45",
+               "--interval", "0.1", "--hierarchy"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "task finished on remote0 after 1 hop(s)" in out, out

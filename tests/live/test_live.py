@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -165,6 +166,22 @@ def test_task_runs_to_completion():
         assert task.done.wait(timeout=20.0)
         assert task.result["acc"] == pytest.approx(sqrt_sum_expected(n))
         assert task.task_id not in node.tasks
+    finally:
+        node.stop()
+
+
+def test_a_held_task_waits_at_its_first_poll_point():
+    node = LiveNode("n1", base_load=0.1)
+    try:
+        release = threading.Event()
+        task = node.submit("sqrt_sum", sqrt_sum_state(n=1000, chunk=1000),
+                           hold=release)
+        assert not task.done.wait(timeout=0.3)
+        assert task.state["i"] == 0
+        assert node.current_load() == pytest.approx(1.1)
+        release.set()
+        assert task.done.wait(timeout=20.0)
+        assert task.result["acc"] == pytest.approx(sqrt_sum_expected(1000))
     finally:
         node.stop()
 

@@ -14,6 +14,8 @@ import struct
 import threading
 import time
 
+import pytest
+
 from repro.live import LiveEndpoint, LiveRegistry
 from repro.live import transport
 from repro.protocol import (
@@ -146,6 +148,7 @@ def test_open_loop_heartbeats_all_fold():
 
 
 # -------------------------------------------- connections and threads
+@pytest.mark.costguard
 def test_heartbeats_cost_one_connection_and_no_thread(monkeypatch):
     """The connection-count guard: 1 000 heartbeats from one endpoint
     dial once and start nothing."""
@@ -170,6 +173,7 @@ def test_heartbeats_cost_one_connection_and_no_thread(monkeypatch):
         registry.stop()
 
 
+@pytest.mark.costguard
 def test_registry_serves_64_peers_on_one_thread():
     before = threading.active_count()
     registry = LiveRegistry(lease=3600.0)

@@ -329,6 +329,7 @@ def test_sustain_columns_match_apply_sustain(sustain, steps):
         assert hub.streak.tolist() == [c._overload_streak for c in cores]
 
 
+@pytest.mark.costguard
 def test_call_count_of_a_hub_tick_is_flat_in_rows():
     """No per-row Python in a tick: with every row due and none
     OVERLOADED, 2048 rows cost the calls 64 rows do."""
@@ -371,6 +372,7 @@ class HashedName(str):
         return str.__hash__(self)
 
 
+@pytest.mark.costguard
 def test_call_count_of_rescheduler_init_is_linear_in_hosts():
     """Deploying over 32× the hosts costs at most 40× the calls (a
     per-host rebuild of a host-list set costs ~1000×).  Measured: 28

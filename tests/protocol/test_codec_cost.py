@@ -1,19 +1,23 @@
-"""What the hot message costs, as machine-independent counts.
+"""What the hot messages cost, as machine-independent counts.
 
-A ``StatusUpdate`` is written as text and a canonical one is read in
-one pass; ElementTree builds no tree for any message on the way out and
-parses nothing on the way in for a canonical heartbeat.
+A ``StatusUpdate`` is written as one string and a canonical one -- or a
+canonical ``MigrateCommand`` -- is read in one pass; ElementTree builds
+no tree for any message on the way out and parses nothing on the way in
+for either.
 """
 
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.protocol import StatusUpdate, decode, encode
+from repro.protocol import MigrateCommand, StatusUpdate, decode, encode
+from repro.protocol.messages import _decode_xml
 from repro.rules import SystemState
 
 from ..callcount import count_calls
 from .wire_cases import CASES, HEARTBEAT, MALLEABLE, RIGID
+
+pytestmark = pytest.mark.costguard
 
 #: The ledger's ``live_ingest`` heartbeat: ten metrics, no process.
 BEAT = (StatusUpdate(host="h000", state=SystemState.FREE,
@@ -22,13 +26,39 @@ BEAT = (StatusUpdate(host="h000", state=SystemState.FREE,
 REPORT = (StatusUpdate(host="h001", state=SystemState.OVERLOADED,
                        metrics=HEARTBEAT, processes=[RIGID, MALLEABLE]),
           "127.0.0.1:40001", 1.5e9)
+#: ... and the registry's answer to it.
+COMMAND = (MigrateCommand(host="127.0.0.1:40001", pid=7,
+                          dest="127.0.0.1:40100",
+                          reason="127.0.0.1:40001 overloaded",
+                          decision_seconds=0.000123456),
+           "127.0.0.1:39999", 1.5e9)
+
+
+def _counts(case):
+    """Calls to encode ``case`` and to decode its bytes."""
+    data = encode(*case)
+    return count_calls(lambda: encode(*case)), count_calls(
+        lambda: decode(data))
 
 
 def test_call_count_of_a_heartbeat_through_the_codec():
-    """452 calls to encode and 33 to decode through ElementTree."""
-    data = encode(*BEAT)
-    assert count_calls(lambda: encode(*BEAT)) <= 60
-    assert count_calls(lambda: decode(data)) <= 24
+    """452 calls to encode and 33 to decode through ElementTree; 52 and
+    11 with a ``_tag`` per metric and a second pattern over them."""
+    encoded, decoded = _counts(BEAT)
+    assert encoded <= 28
+    assert decoded <= 10
+
+
+def test_call_count_of_a_report_through_the_codec():
+    """121 and 41 with a ``_tag`` per metric and per process."""
+    encoded, decoded = _counts(REPORT)
+    assert encoded <= 66
+    assert decoded <= 47
+
+
+def test_call_count_of_a_command_decode():
+    """21 through ElementTree."""
+    assert _counts(COMMAND)[1] <= 8
 
 
 def _refuse(*args, **kwargs):
@@ -45,14 +75,20 @@ def test_no_message_is_encoded_through_an_elementtree(monkeypatch):
         assert encode(*case).startswith(b"<msg ")
 
 
-@pytest.mark.parametrize("case", [BEAT, REPORT], ids=["beat", "report"])
+@pytest.mark.parametrize("case", [BEAT, REPORT, COMMAND],
+                         ids=["beat", "report", "command"])
 def test_a_canonical_heartbeat_is_decoded_without_a_parser(
         case, monkeypatch):
     data = encode(*case)
+    parsed = _decode_xml(data)
     monkeypatch.setattr(ET, "fromstring", _refuse)
     msg, sender, ts = decode(data)
     assert (sender, ts) == case[1:]
-    assert (msg.host, msg.state, msg.metrics) == (
-        case[0].host, case[0].state, HEARTBEAT)
-    assert [p["pid"] for p in msg.processes] == [
-        p["pid"] for p in case[0].processes]
+    assert (msg, sender, ts) == parsed
+    assert msg.host == case[0].host
+    if isinstance(msg, MigrateCommand):
+        assert msg == case[0]
+    else:
+        assert (msg.state, msg.metrics) == (case[0].state, HEARTBEAT)
+        assert [p["pid"] for p in msg.processes] == [
+            p["pid"] for p in case[0].processes]

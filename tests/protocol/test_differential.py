@@ -1,10 +1,10 @@
 """Differential tests: the direct writer against the ElementTree
-encoder it replaced, and the one-pass heartbeat reader against the
-ElementTree decoder it sits in front of.
+encoder it replaced, and the one-pass heartbeat and command readers
+against the ElementTree decoder they sit in front of.
 
 Neither pair may be tellable apart: ``encode`` equals
 ``reference.encode`` byte for byte on every message, and ``decode``
-gives, for *any* bytes, what it gives with the one-pass reader switched
+gives, for *any* bytes, what it gives with the one-pass readers switched
 off -- the same value or the same refusal.
 """
 
@@ -77,6 +77,9 @@ _status_updates = st.builds(
     metrics=st.dictionaries(_text, _floats, max_size=5),
     processes=st.lists(_processes, max_size=3),
 )
+_migrate_commands = st.builds(
+    MigrateCommand, host=_text, pid=st.integers(), dest=_text,
+    reason=_text, decision_seconds=_floats)
 #: Namespace-free: ElementTree hoists ``xmlns`` declarations to the root
 #: it serialises, which is ``<msg>`` for the reference and the fragment
 #: for the writer (CHANGES.md, PR 18).
@@ -100,8 +103,7 @@ _messages = st.one_of(
         hops=st.integers(min_value=-1, max_value=99), exclude=_names),
     st.builds(CandidateReply, host=_text, dest=st.none() | _text,
               req_id=_text),
-    st.builds(MigrateCommand, host=_text, pid=st.integers(), dest=_text,
-              reason=_text, decision_seconds=_floats),
+    _migrate_commands,
     st.builds(ExpandCommand, host=_text, pid=st.integers(), dests=_names,
               reason=_text, decision_seconds=_floats),
     st.builds(ShrinkCommand, host=_text, pid=st.integers(), dest=_text,
@@ -139,6 +141,18 @@ def test_writer_is_the_elementtree_encoder_byte_for_byte(msg, sender, ts):
     assert not isinstance(expected, type) or msg.TYPE == "candidate-request"
 
 
+def test_the_metric_name_cache_is_bounded_and_changes_no_byte():
+    """Metric names can arrive from the network: the writer's cache of
+    ``<m name="…">`` heads stays bounded, and a name written before or
+    after the cache empties itself is written the same."""
+    for start in range(0, 3000, 500):
+        msg = StatusUpdate(host="h", state=SystemState.FREE, metrics={
+            f"m{i % 1100}&<": float(i) for i in range(start, start + 500)})
+        assert messages.encode(msg, "s", 1.0) == reference.encode(
+            msg, "s", 1.0)
+        assert len(messages._M_HEADS) <= messages._M_HEADS_MAX
+
+
 def test_writer_refuses_a_non_string_value_like_elementtree():
     msg = MigrateCommand(host="ws1", pid=1, dest=None)
     for encode in (messages.encode, reference.encode):
@@ -151,8 +165,9 @@ _NEVER = re.compile("(?!)")
 
 
 def generic_decode(data):
-    """``decode`` with the one-pass reader switched off."""
-    with mock.patch.object(messages, "_STATUS", _NEVER):
+    """``decode`` with the one-pass readers switched off."""
+    with mock.patch.object(messages, "_STATUS", _NEVER), \
+            mock.patch.object(messages, "_MIGRATE", _NEVER):
         return messages.decode(data)
 
 
@@ -236,7 +251,7 @@ MUTATIONS = [
 _indexes = st.integers(min_value=0, max_value=10 ** 6)
 
 
-@given(_status_updates | _messages, _text, _floats,
+@given(_status_updates | _migrate_commands | _messages, _text, _floats,
        st.sampled_from(MUTATIONS), _indexes, _indexes)
 @settings(max_examples=600, deadline=None)
 def test_one_pass_reader_and_elementtree_agree_on_any_bytes(
@@ -250,21 +265,31 @@ def test_one_pass_reader_and_elementtree_agree_on_any_bytes(
 
 _CANONICAL = [
     messages.encode(msg, sender, ts) for msg, sender, ts in CASES
-    if msg.TYPE == "status"
+    if msg.TYPE in ("status", "migrate")
 ] + [
     messages.encode(
         StatusUpdate(host="ws1", state=SystemState.OVERLOADED,
                      metrics=HEARTBEAT, processes=[RIGID, MALLEABLE]),
         "monitor@ws1", 12.5),
+    messages.encode(
+        MigrateCommand(host="127.0.0.1:40001", pid=7, dest="127.0.0.1:40100",
+                       reason="127.0.0.1:40001 overloaded",
+                       decision_seconds=0.000123456),
+        "127.0.0.1:39999", 1760000000.123456),
 ]
 
 
+def _read_in_one_pass(pattern):
+    return sum(pattern.fullmatch(data.decode("latin-1")) is not None
+               for data in _CANONICAL)
+
+
 def test_every_single_byte_damage_to_a_heartbeat_reads_the_same():
-    """Exhaustive where hypothesis samples: each canonical report
-    truncated at every offset, and with every byte replaced by each
-    character the two readers could disagree about."""
-    assert sum(messages._STATUS.fullmatch(d.decode("latin-1")) is not None
-               for d in _CANONICAL) >= 7
+    """Exhaustive where hypothesis samples: each canonical report and
+    command truncated at every offset, and with every byte replaced by
+    each character the two readers could disagree about."""
+    assert _read_in_one_pass(messages._STATUS) >= 7
+    assert _read_in_one_pass(messages._MIGRATE) >= 2
     for data in _CANONICAL:
         assert_readers_agree(data)
         for at in range(len(data)):
@@ -307,3 +332,28 @@ def test_values_the_reader_must_not_normalise_differently():
     decoded, _, ts = messages.decode(
         frame.format(**dict(fields, ts=" 1_0 ", v="nan")).encode())
     assert ts == 10.0 and math.isnan(decoded.metrics["x"])
+
+
+def test_command_values_the_reader_must_not_normalise_differently():
+    frame = ('<msg type="migrate" sender="s" host="h" ts="{ts}">'
+             '<migrate pid="{pid}" dest="{dest}" reason="{reason}"'
+             ' decision="{decision}" /></msg>')
+    fields = {"ts": "0.0", "pid": "1", "dest": "d", "reason": "",
+              "decision": "0.5"}
+    for field, values in {
+        "ts": ["", " 1 ", "1_0", "nan", "-inf", "1e400", "0x10"],
+        "pid": ["", " 7 ", "+7", "-7", "1_0", "7.0", "0x7", "99" * 20],
+        "dest": ["", " ", "a b", "ws1=", "x'y", "\\"],
+        "reason": ["", "  ", "a/b", "ws1 overloaded"],
+        "decision": ["", " 2.5 ", "1_000.5", "NaN", "infinity", "1,5"],
+    }.items():
+        for value in values:
+            data = frame.format(**dict(fields, **{field: value}))
+            assert_readers_agree(data.encode("utf-8"))
+    for spelling in ('<migrate dest="d" pid="1" reason="" decision="0" />',
+                     '<migrate pid="1" dest="d" reason="" />',
+                     '<migrate pid="1" dest="d" reason="" decision="0">'
+                     '</migrate>'):
+        assert_readers_agree(
+            f'<msg type="migrate" sender="s" host="h" ts="1">{spelling}'
+            "</msg>".encode())

@@ -188,6 +188,7 @@ def test_push_many_clears_side_tables_of_pushed_rows_only():
     assert table.get("ws3").metrics == {"loadavg1": 4.0, "hosts": 2.0}
 
 
+@pytest.mark.costguard
 def test_call_count_of_push_many_is_flat_in_rows():
     """No per-host Python in the real table's batch fold: 2048 rows
     cost the calls 64 rows do."""
@@ -326,6 +327,7 @@ def test_a_batch_reserves_its_capacity_in_one_step():
     assert np.isnan(m._metrics[:m.n]).all() and m.n == 5001
 
 
+@pytest.mark.costguard
 def test_call_count_of_registering_is_flat_in_rows():
     """``register_many`` writes its columns once per batch.  What stays
     per host is the static description — a ``HostRecord``, a copy of

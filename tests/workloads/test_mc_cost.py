@@ -15,6 +15,8 @@ from repro.analysis.horizon import DRAIN_SECONDS
 from ..callcount import count_calls
 from .test_montecarlo_kernel import make_state, step
 
+pytestmark = pytest.mark.costguard
+
 BATCH = 3000
 #: The draw itself: 3000 points x 2 coordinates x 8 bytes.
 DRAW_BYTES = BATCH * 2 * 8
