@@ -19,6 +19,7 @@ from .policies import (
     run_policy_experiment,
     run_table2,
 )
+from .scenarios import run_lease, run_orders, run_overload
 from .states import StateRow, run_table1
 
 __all__ = [
@@ -35,7 +36,10 @@ __all__ = [
     "export_series",
     "export_table2",
     "run_efficiency_experiment",
+    "run_lease",
     "run_malleability_experiment",
+    "run_orders",
+    "run_overload",
     "run_overhead_experiment",
     "run_policy_experiment",
     "run_table1",

@@ -1,8 +1,8 @@
 """CSV export of experiment results (for plotting with external tools).
 
-The benchmarks print ASCII summaries; these helpers dump the raw
-series/tables so a downstream user can regenerate publication-quality
-figures.
+``repro run`` prints ASCII summaries and EXPERIMENTS.json pins the
+sweep cells' summaries; these helpers dump the raw series/tables so a
+downstream user can regenerate publication-quality figures.
 """
 
 from __future__ import annotations

@@ -154,6 +154,48 @@ def cell_malleability(config: Dict[str, Any],
     }
 
 
+def cell_table1(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Table 1 — system-state semantics (§4)."""
+    from ..analysis import run_table1
+
+    rows = run_table1(seed=seed)
+    return {
+        "states": {
+            name: {"loaded": rows[name].loaded,
+                   "migrate_in": rows[name].migrate_in,
+                   "migrate_out": rows[name].migrate_out}
+            for name in ("free", "busy", "overloaded")
+        },
+        "observed": {host: state.name.lower()
+                     for host, state in rows["_observed_states"].items()},
+        "migrated_to": rows["_migrated_to"],
+    }
+
+
+def cell_overload(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Ablations on an overloaded host: warm-up, monitoring frequency,
+    destination strategy, push vs pull, central vs hierarchical."""
+    from ..analysis import run_overload
+
+    return run_overload(seed=seed,
+                        **_axis_kwargs(CELL_AXES["overload"], config))
+
+
+def cell_order(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Ablations on direct migration orders: poll-point density and
+    pre-initialization."""
+    from ..analysis import run_orders
+
+    return run_orders(seed=seed, **_axis_kwargs(CELL_AXES["order"], config))
+
+
+def cell_lease(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Ablation of the soft-state lease: crash detection vs traffic."""
+    from ..analysis import run_lease
+
+    return run_lease(seed=seed, **_axis_kwargs(CELL_AXES["lease"], config))
+
+
 #: Cell name → runner.  Keys are the ``repro sweep`` experiment names.
 CELLS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
     "fig5": cell_fig5,
@@ -162,6 +204,10 @@ CELLS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
     "fig8": cell_fig8,
     "table2": cell_table2,
     "malleability": cell_malleability,
+    "table1": cell_table1,
+    "overload": cell_overload,
+    "order": cell_order,
+    "lease": cell_lease,
 }
 
 #: The config keys each cell actually reads — the valid ``--set`` axes.
@@ -185,6 +231,13 @@ CELL_AXES: Dict[str, frozenset] = {
         "params", "hosts", "load_at", "hogs", "sustain", "grow_at",
         "shrink_at", "min_efficiency", "max_duration",
     }),
+    "table1": frozenset(),
+    "overload": frozenset({
+        "hosts", "params", "inject_at", "spike", "domains", "background",
+        "interval", "sustain", "strategy", "mode",
+    }),
+    "order": frozenset({"hosts", "params", "orders", "preinit"}),
+    "lease": frozenset({"interval", "lease"}),
 }
 
 

@@ -9,7 +9,6 @@ from repro.analysis import (
 )
 from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
 from repro.core.policy import policy_1
-from repro.perf.experiments import run_cell
 from repro.sim import Environment
 from repro.workloads import MonteCarloPiApp
 
@@ -122,16 +121,3 @@ def test_a_failed_rank_reports_the_cap_and_does_not_raise(monkeypatch):
     for run in (result.rigid, result.malleable):
         assert run.completed_at == 300.0
         assert run.pi_estimate is None and not run.pi_ok
-
-
-def test_storm_cell_is_pinned():
-    """Stopping the clock early must not move a simulated number."""
-    cell = run_cell("malleability", {}, 0)
-    assert cell["rigid_s"] == 1449.1240408230913
-    assert cell["malleable_s"] == 765.5962474601756
-    assert cell["pi_ok"] and cell["peak_world"] == 8
-    assert cell["migrations_rigid"] == 2
-    assert [(r["kind"], r["old_size"], r["new_size"], r["succeeded"])
-            for r in cell["reshapes"]] == [
-        ("expand", n, n + 1, True) for n in range(2, 8)
-    ]

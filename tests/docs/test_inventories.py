@@ -1,8 +1,8 @@
 """Artifacts that exist in pairs must agree: each diagnostic code and
-its row in docs/linting.md, each committed benchmark baseline and the
-script that writes it plus its docs/performance.md row, each CLI
-subcommand and flag and its mention in README.md or docs/, and each
-srclint fixture directory and a test that reads it."""
+its row in docs/linting.md, each CLI subcommand and flag and its
+mention in README.md or docs/, and each srclint fixture directory and
+a test that reads it.  EXPERIMENTS.md and EXPERIMENTS.json are checked
+in ``test_experiments_md.py``."""
 
 import argparse
 import re
@@ -38,41 +38,6 @@ def test_deleting_a_registered_code_is_caught():
     for code in CODE_DETAILS:
         rest = [c for c in CODE_DETAILS if c != code]
         assert _code_drift(rest, linting_md) == ([], [code])
-
-
-def _bench_gaps(bench, inventory):
-    """(baselines no ``bench_*.py`` writes, baselines not in ``inventory``)."""
-    scripts = "\n".join(p.read_text(encoding="utf-8")
-                        for p in bench.glob("bench_*.py"))
-    baselines = sorted(p.name for p in bench.glob("BENCH_*.json"))
-    return ([b for b in baselines if b not in scripts],
-            [b for b in baselines if b not in inventory])
-
-
-def test_every_bench_baseline_is_written_and_inventoried():
-    unwritten, uninventoried = _bench_gaps(REPO / "benchmarks",
-                                           _read("docs", "performance.md"))
-    assert unwritten == [], "no bench_*.py writes these"
-    assert uninventoried == [], "not in docs/performance.md"
-
-
-def _one_baseline(tmp_path, written):
-    (tmp_path / "BENCH_grid.json").write_text("{}\n", encoding="utf-8")
-    (tmp_path / "bench_grid.py").write_text(f'OUT = "{written}"\n',
-                                            encoding="utf-8")
-    return tmp_path
-
-
-def test_dropping_the_inventory_row_is_caught(tmp_path):
-    bench = _one_baseline(tmp_path, "BENCH_grid.json")
-    assert _bench_gaps(bench, "| BENCH_grid.json | a row |") == ([], [])
-    assert _bench_gaps(bench, "") == ([], ["BENCH_grid.json"])
-
-
-def test_unregistering_a_bench_baseline_is_caught(tmp_path):
-    bench = _one_baseline(tmp_path, "BENCH_other.json")
-    assert _bench_gaps(bench, "| BENCH_grid.json | a row |") == (
-        ["BENCH_grid.json"], [])
 
 
 def test_every_cli_subcommand_and_flag_is_documented():

@@ -67,19 +67,3 @@ def test_docs_index_links_every_doc_page():
         if page.name == "README.md":
             continue
         assert page.name in index, f"docs/README.md misses {page.name}"
-
-
-def test_docs_name_every_committed_benchmark_baseline():
-    """Every committed ``benchmarks/BENCH_*.json`` baseline must be
-    named in the docs index and in docs/performance.md's inventory, so
-    a new baseline cannot land undocumented."""
-    baselines = sorted((REPO / "benchmarks").glob("BENCH_*.json"))
-    assert baselines, "no committed benchmark baselines found"
-    index = (REPO / "docs" / "README.md").read_text(encoding="utf-8")
-    performance = (REPO / "docs" / "performance.md").read_text(
-        encoding="utf-8")
-    for baseline in baselines:
-        assert baseline.name in index, (
-            f"docs/README.md misses {baseline.name}")
-        assert baseline.name in performance, (
-            f"docs/performance.md misses {baseline.name}")

@@ -198,3 +198,18 @@ def test_launch_requires_hosts():
     cluster, rt = make_runtime()
     with pytest.raises(ValueError):
         rt.launch(lambda ctx: iter(()), [])
+
+
+def test_a_thousand_messages_arrive_in_order():
+    def entry(ctx):
+        if ctx.rank == 0:
+            for i in range(1000):
+                yield from ctx.comm.send(i, dest=1)
+            return None
+        received = []
+        for _ in range(1000):
+            received.append((yield from ctx.comm.recv()))
+        return received
+
+    result, _ = run_app(entry)
+    assert result.values()[1] == list(range(1000))

@@ -74,6 +74,11 @@ LIST_AXES_ROWS = {
                     "min_efficiency, params, shrink_at, sustain",
     "table2": "bulk_rate, hogs, load_at, max_duration, params, sustain, "
               "ws3_load",
+    "table1": "",
+    "overload": "background, domains, hosts, inject_at, interval, mode, "
+                "params, spike, strategy, sustain",
+    "order": "hosts, orders, params, preinit",
+    "lease": "interval, lease",
 }
 CACHE_KEYS = {
     "fig5": "8850915327fcadaf596f824e43b5a77fe852e8835904e1a494e0e2bca7a6b81d",
@@ -118,14 +123,26 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
                         capture("malleability"))
     monkeypatch.setattr(analysis, "run_efficiency_experiment",
                         capture("fig7"))
-    config = {"hosts": 4, "sustain": 2, "interval": 5.0, "chunks": 3}
-    for name in ("table2", "malleability", "fig7"):
+    monkeypatch.setattr(analysis, "run_table1", capture("table1"))
+    monkeypatch.setattr(analysis, "run_overload", capture("overload"))
+    monkeypatch.setattr(analysis, "run_orders", capture("order"))
+    monkeypatch.setattr(analysis, "run_lease", capture("lease"))
+    config = {"hosts": 4, "sustain": 2, "interval": 5.0, "chunks": 3,
+              "strategy": "best_fit", "lease": 7.0, "orders": 2,
+              "preinit": True}
+    for name in ("table2", "malleability", "fig7", "table1", "overload",
+                 "order", "lease"):
         with pytest.raises(LookupError):
             run_cell(name, config, seed=1)
         assert seen[name] == {
             k: v for k, v in config.items() if k in CELL_AXES[name]}
     assert seen["table2"] == {"sustain": 2}
     assert seen["fig7"] == {"sustain": 2, "chunks": 3}
+    assert seen["table1"] == {}
+    assert seen["overload"] == {"hosts": 4, "sustain": 2, "interval": 5.0,
+                                "strategy": "best_fit"}
+    assert seen["order"] == {"hosts": 4, "orders": 2, "preinit": True}
+    assert seen["lease"] == {"interval": 5.0, "lease": 7.0}
 
 
 def test_parallel_sweep_matches_serial():

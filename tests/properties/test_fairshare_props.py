@@ -2,7 +2,7 @@
 
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Environment, FairShareServer
 
@@ -32,6 +32,8 @@ def test_simultaneous_jobs_conserve_work(demands, rate):
 
 
 @given(_demands, _arrival_gaps, _rates)
+# Churn: 2000 jobs of 0.1 s arriving at twice the server's capacity.
+@example([0.1] * 2000, [0.05] * 1999, 1.0)
 @settings(max_examples=60, deadline=None)
 def test_staggered_jobs_work_conservation(demands, gaps, rate):
     """With staggered arrivals the server never idles while work

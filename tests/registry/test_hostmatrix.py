@@ -25,6 +25,7 @@ from repro.rules import VectorRuleEvaluator, paper_ruleset
 from repro.rules.states import SystemState
 from repro.schema import ResourceRequirements
 
+from ..callcount import count_calls
 from . import reference
 
 
@@ -266,3 +267,29 @@ def test_matrix_rejects_duplicate_rows():
     m.add_row("ws0", {}, 0.0)
     with pytest.raises(ValueError):
         m.add_row("ws0", {}, 1.0)
+
+
+@pytest.mark.costguard
+def test_call_count_of_a_rule_sweep_is_flat_in_rows():
+    """The paper's rule set classifies every row of the matrix in one
+    call whose cost does not grow with rows: 4096 hosts make the calls
+    64 do (the guard that replaced the "≥ 10× the per-host evaluator"
+    wall-clock ratio)."""
+    counts = {}
+    for n_rows in (64, 4096):
+        rng = np.random.default_rng(2026)
+        table = SoftStateTable(ManualClock(), lease=35.0)
+        hosts = [f"ws{i}" for i in range(n_rows)]
+        table.register_many(hosts, [{} for _ in hosts])
+        table.push_many(hosts, rng.integers(0, 3, n_rows).astype(np.int8), {
+            "cpu_idle_pct": rng.uniform(0.0, 100.0, n_rows),
+            "socket_count": rng.uniform(0.0, 1200.0, n_rows),
+            "loadavg1": rng.uniform(0.0, 4.0, n_rows),
+            "proc_count": rng.uniform(0.0, 300.0, n_rows),
+        })
+        evaluator = VectorRuleEvaluator(
+            paper_ruleset(), matrix_column_engine(table.matrix))
+        states = evaluator.evaluate_host_states()
+        assert len(states) == n_rows
+        counts[n_rows] = count_calls(evaluator.evaluate_host_states)
+    assert counts[4096] == counts[64], counts

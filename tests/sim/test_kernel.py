@@ -469,3 +469,16 @@ def test_process_requires_generator():
     env = Environment()
     with pytest.raises(TypeError):
         env.process(lambda: None)
+
+
+def test_ten_tickers_of_2000_steps_end_together():
+    env = Environment()
+
+    def ticker(env, n):
+        for _ in range(n):
+            yield env.timeout(1.0)
+
+    for _ in range(10):
+        env.process(ticker(env, 2000))
+    env.run()
+    assert env.now == 2000.0
