@@ -22,37 +22,19 @@ The package layers, bottom-up:
   experiment drivers that regenerate every figure and table.
 """
 
-from .cluster import Cluster
-from .core import (
-    MetricPredicate,
-    MigrationPolicy,
-    Rescheduler,
-    ReschedulerConfig,
-    policy_1,
-    policy_2,
-    policy_3,
-)
-from .hpcm import HpcmRuntime, MigratableApp, MigrationOrder
-from .mpi import MpiRuntime
-from .rules import SystemState
-from .schema import ApplicationSchema
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ApplicationSchema",
-    "Cluster",
-    "HpcmRuntime",
-    "MetricPredicate",
-    "MigratableApp",
-    "MigrationOrder",
-    "MigrationPolicy",
-    "MpiRuntime",
-    "Rescheduler",
-    "ReschedulerConfig",
-    "SystemState",
-    "policy_1",
-    "policy_2",
-    "policy_3",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cluster": ("Cluster",),
+    "core": (
+        "MetricPredicate", "MigrationPolicy", "Rescheduler",
+        "ReschedulerConfig", "policy_1", "policy_2", "policy_3",
+    ),
+    "hpcm": ("HpcmRuntime", "MigratableApp", "MigrationOrder"),
+    "mpi": ("MpiRuntime",),
+    "rules": ("SystemState",),
+    "schema": ("ApplicationSchema",),
+})
+__all__ += ["__version__"]

@@ -37,12 +37,11 @@ import os
 import sys
 from typing import Optional
 
-from .metrics import ascii_plot, format_table
-
 
 def _fig5(args) -> int:
     from .analysis import run_overhead_experiment
     from .analysis.export import export_overhead
+    from .metrics import ascii_plot, format_table
 
     r = run_overhead_experiment(duration=args.duration, seed=args.seed)
     print(format_table(
@@ -69,6 +68,7 @@ def _fig5(args) -> int:
 def _fig6(args) -> int:
     from .analysis import run_overhead_experiment
     from .analysis.export import export_overhead
+    from .metrics import format_table
 
     r = run_overhead_experiment(duration=args.duration, seed=args.seed)
     print(format_table(
@@ -91,6 +91,7 @@ def _fig6(args) -> int:
 def _fig7(args) -> int:
     from .analysis import run_efficiency_experiment
     from .analysis.export import export_efficiency
+    from .metrics import ascii_plot, format_table
 
     r = run_efficiency_experiment(seed=args.seed)
     phases = r.phase_summary()
@@ -120,6 +121,7 @@ def _fig7(args) -> int:
 def _fig8(args) -> int:
     from .analysis import run_efficiency_experiment
     from .analysis.export import export_efficiency
+    from .metrics import ascii_plot
 
     r = run_efficiency_experiment(seed=args.seed)
     print(ascii_plot(
@@ -138,6 +140,7 @@ def _fig8(args) -> int:
 
 def _table1(args) -> int:
     from .analysis import run_table1
+    from .metrics import format_table
 
     rows = run_table1(seed=args.seed)
 
@@ -159,6 +162,7 @@ def _table1(args) -> int:
 def _table2(args) -> int:
     from .analysis import run_table2
     from .analysis.export import export_table2
+    from .metrics import format_table
 
     results = run_table2(seed=args.seed)
     print(format_table(
@@ -276,6 +280,7 @@ def _parse_overrides(items) -> dict:
 def _sweep(args) -> int:
     import json
 
+    from .metrics import format_table
     from .perf import CELLS, ResultCache, plan_sweep, run_sweep
 
     if args.list_axes:
@@ -362,6 +367,7 @@ def _live(args) -> int:
         sqrt_sum_expected,
         sqrt_sum_state,
     )
+    from .metrics import format_table
     from .rules.states import FREE
 
     policy = MigrationPolicy(
@@ -540,12 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan experiment replicas across a process pool, with "
              "deterministic seeding and result caching",
     )
-    from .perf.experiments import CELLS as _sweep_cells
-
     sweep.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
-                       help="experiments to sweep: "
-                            f"{', '.join(sorted(_sweep_cells))}, "
-                            "or 'all' for every one")
+                       help="experiments to sweep (--list-axes names "
+                            "them), or 'all' for every one")
     sweep.add_argument("--list-axes", action="store_true",
                        help="print each cell's valid --set axes and exit")
     sweep.add_argument("--replicas", type=int, default=1,

@@ -1,5 +1,7 @@
 """Per-host commander: delivers migration commands to processes."""
 
-from .commander import Commander, CommandLog
+from .._lazy import lazy_exports
 
-__all__ = ["Commander", "CommandLog"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "commander": ("Commander", "CommandLog"),
+})

@@ -1,38 +1,14 @@
 """The paper's primary contribution: the autonomic rescheduling runtime."""
 
-from .policy import (
-    KNOWN_METRICS,
-    MetricPredicate,
-    MigrationPolicy,
-    PAPER_POLICIES,
-    load_policy_file,
-    malleable_policy,
-    policy_1,
-    policy_2,
-    policy_3,
-    policy_from_dict,
-    policy_to_dict,
-    predicate_from_dict,
-)
-from .rescheduler import Rescheduler, ReschedulerConfig
-from .timeline import TraceEvent, build_timeline, format_timeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KNOWN_METRICS",
-    "MetricPredicate",
-    "MigrationPolicy",
-    "PAPER_POLICIES",
-    "Rescheduler",
-    "ReschedulerConfig",
-    "TraceEvent",
-    "build_timeline",
-    "format_timeline",
-    "load_policy_file",
-    "malleable_policy",
-    "policy_1",
-    "policy_2",
-    "policy_3",
-    "policy_from_dict",
-    "policy_to_dict",
-    "predicate_from_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "policy": (
+        "KNOWN_METRICS", "MetricPredicate", "MigrationPolicy",
+        "PAPER_POLICIES", "load_policy_file", "malleable_policy", "policy_1",
+        "policy_2", "policy_3", "policy_from_dict", "policy_to_dict",
+        "predicate_from_dict",
+    ),
+    "rescheduler": ("Rescheduler", "ReschedulerConfig"),
+    "timeline": ("TraceEvent", "build_timeline", "format_timeline"),
+})

@@ -1,31 +1,17 @@
 """Measurement: time series, host recorders, plain-text reports,
 and per-phase breakdowns computed from trace spans."""
 
-from .recorder import (
-    ClusterRecorder,
-    DEFAULT_RECORD_INTERVAL,
-    HostRecorder,
-    RECORDED_METRICS,
-)
-from .report import ascii_plot, format_table
-from .timeseries import TimeSeries
-from .tracestats import (
-    format_phase_table,
-    migration_phases,
-    phase_breakdown,
-    span_durations,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterRecorder",
-    "DEFAULT_RECORD_INTERVAL",
-    "HostRecorder",
-    "RECORDED_METRICS",
-    "TimeSeries",
-    "ascii_plot",
-    "format_table",
-    "format_phase_table",
-    "migration_phases",
-    "phase_breakdown",
-    "span_durations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "recorder": (
+        "ClusterRecorder", "DEFAULT_RECORD_INTERVAL", "HostRecorder",
+        "RECORDED_METRICS",
+    ),
+    "report": ("ascii_plot", "format_table"),
+    "timeseries": ("TimeSeries",),
+    "tracestats": (
+        "format_phase_table", "migration_phases", "phase_breakdown",
+        "span_durations",
+    ),
+})

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-
-from .timeseries import TimeSeries
+if TYPE_CHECKING:
+    from .timeseries import TimeSeries
 
 
 def format_table(

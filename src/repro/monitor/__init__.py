@@ -1,21 +1,12 @@
 """Per-host monitoring: sensors, scripts, database, monitor entity."""
 
-from .database import MonitoringDatabase
-from .hub import MonitorHub
-from .monitor import DEFAULT_CYCLE_COST, DEFAULT_INTERVAL, Monitor
-from .scripts import SimScriptEngine
-from .selector import ProcessInfo, collect_process_info, select_victim
-from .sensors import SensorSuite
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CYCLE_COST",
-    "DEFAULT_INTERVAL",
-    "Monitor",
-    "MonitorHub",
-    "MonitoringDatabase",
-    "ProcessInfo",
-    "SensorSuite",
-    "SimScriptEngine",
-    "collect_process_info",
-    "select_victim",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "database": ("MonitoringDatabase",),
+    "hub": ("MonitorHub",),
+    "monitor": ("DEFAULT_CYCLE_COST", "DEFAULT_INTERVAL", "Monitor"),
+    "scripts": ("SimScriptEngine",),
+    "selector": ("ProcessInfo", "collect_process_info", "select_victim"),
+    "sensors": ("SensorSuite",),
+})

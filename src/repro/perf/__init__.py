@@ -18,19 +18,11 @@ numbers:
 See ``docs/performance.md`` for usage and cache semantics.
 """
 
-from .cache import ResultCache, cache_key
-from .experiments import CELLS, run_cell
-from .seeds import derive_seed
-from .sweep import SweepCell, SweepOutcome, plan_sweep, run_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CELLS",
-    "ResultCache",
-    "SweepCell",
-    "SweepOutcome",
-    "cache_key",
-    "derive_seed",
-    "plan_sweep",
-    "run_cell",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "cache_key"),
+    "experiments": ("CELLS", "run_cell"),
+    "seeds": ("derive_seed",),
+    "sweep": ("SweepCell", "SweepOutcome", "plan_sweep", "run_sweep"),
+})

@@ -7,39 +7,14 @@ types in :mod:`~repro.protocol.messages`, simulated-TCP endpoints in
 sockets in :mod:`repro.live.transport`.
 """
 
-from .messages import (
-    Ack,
-    CandidateReply,
-    CandidateRequest,
-    ExpandCommand,
-    MESSAGE_TYPES,
-    MigrateCommand,
-    ProtocolError,
-    Register,
-    ShrinkCommand,
-    StatusQuery,
-    StatusUpdate,
-    Unregister,
-    decode,
-    encode,
-)
-from .transport import Endpoint, EndpointRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Ack",
-    "CandidateReply",
-    "CandidateRequest",
-    "Endpoint",
-    "EndpointRegistry",
-    "ExpandCommand",
-    "MESSAGE_TYPES",
-    "MigrateCommand",
-    "ProtocolError",
-    "Register",
-    "ShrinkCommand",
-    "StatusQuery",
-    "StatusUpdate",
-    "Unregister",
-    "decode",
-    "encode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "messages": (
+        "Ack", "CandidateReply", "CandidateRequest", "ExpandCommand",
+        "MESSAGE_TYPES", "MigrateCommand", "ProtocolError", "Register",
+        "ShrinkCommand", "StatusQuery", "StatusUpdate", "Unregister",
+        "decode", "encode",
+    ),
+    "transport": ("Endpoint", "EndpointRegistry"),
+})

@@ -1,40 +1,16 @@
 """Registry/scheduler: soft-state registration + migration decisions."""
 
-from .hostmatrix import (
-    METRIC_COLUMNS,
-    HostStateMatrix,
-    dest_mask,
-    matrix_column_engine,
-    requirements_mask,
-)
-from .registry import (
-    DEFAULT_COMMAND_COOLDOWN,
-    DEFAULT_DECISION_COST,
-    Reconfigure,
-    RegistryScheduler,
-)
-from .softstate import HostRecord, SoftStateTable
-from .strategies import (
-    STRATEGIES,
-    best_fit,
-    first_fit,
-    random_fit,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_COMMAND_COOLDOWN",
-    "DEFAULT_DECISION_COST",
-    "HostRecord",
-    "HostStateMatrix",
-    "METRIC_COLUMNS",
-    "Reconfigure",
-    "RegistryScheduler",
-    "STRATEGIES",
-    "SoftStateTable",
-    "best_fit",
-    "dest_mask",
-    "first_fit",
-    "matrix_column_engine",
-    "random_fit",
-    "requirements_mask",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "hostmatrix": (
+        "METRIC_COLUMNS", "HostStateMatrix", "dest_mask",
+        "matrix_column_engine", "requirements_mask",
+    ),
+    "registry": (
+        "DEFAULT_COMMAND_COOLDOWN", "DEFAULT_DECISION_COST", "Reconfigure",
+        "RegistryScheduler",
+    ),
+    "softstate": ("HostRecord", "SoftStateTable"),
+    "strategies": ("STRATEGIES", "best_fit", "first_fit", "random_fit"),
+})

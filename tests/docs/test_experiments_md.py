@@ -92,6 +92,16 @@ ROWS = (
 )
 
 
+#: Numbers EXPERIMENTS.md quotes in prose, as the sentences it prints.
+PROSE = (
+    "the rescheduler migrates the app to ws2 (~{fig7[memory_mb]:.0f} MB of "
+    "real pickled tree state).",
+    "Our decision time ({decision_ms:.0f} ms vs 2 ms) reflects",
+    "(the app runs ~half speed on ws2: dest {p2[dest_s]:.0f} s vs "
+    "{p3[dest_s]:.0f} s on ws4).",
+)
+
+
 def _pct(fig):
     return {k: 100 * v for k, v in fig.items() if isinstance(v, float)}
 
@@ -116,6 +126,7 @@ def quoted():
         "fig5": fig5, "fig5_pct": _pct(fig5),
         "fig6": fig6, "fig6_pct": _pct(fig6),
         "fig7": summary("fig7"),
+        "decision_ms": 1000 * summary("fig7")["decision_s"],
         "burst_kbs": TimeSeries.from_points(fig8["series"]["recv_dest"]).max(
             t_min=fig8["ordered_at"], t_max=fig8["completed_at"] + 15),
         "overlap_s": fig8["completed_at"] - fig8["resumed_at"],
@@ -172,3 +183,23 @@ def test_one_edited_number_is_caught(tmp_path):
     stale, missing = _quote_drift(copy, quoted())
     assert len(stale) == len(missing) == 1
     assert "990.96" in stale[0] and "990.95" in missing[0]
+
+
+def _prose_drift(path, values):
+    """Rendered prose sentences the file does not contain."""
+    text = " ".join(path.read_text(encoding="utf-8").split())
+    return [line for line in (p.format(**values) for p in PROSE)
+            if line not in text]
+
+
+def test_experiments_md_prose_quotes_the_pinned_summaries():
+    assert _prose_drift(REPO / "EXPERIMENTS.md", quoted()) == []
+
+
+def test_one_edited_prose_number_is_caught(tmp_path):
+    markdown = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    copy = tmp_path / "EXPERIMENTS.md"
+    copy.write_text(markdown.replace("dest 340 s", "dest 341 s"),
+                    encoding="utf-8")
+    (missing,) = _prose_drift(copy, quoted())
+    assert "dest 340 s vs 173 s" in missing

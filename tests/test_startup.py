@@ -1,0 +1,71 @@
+"""A process imports what it runs, counted in fresh interpreters.
+
+Package ``__init__``s resolve their public names on first use, so a
+live registry or node never loads the simulator, and ``repro --help``
+loads neither the simulator nor numpy.  Each check reads
+``sys.modules`` of a new interpreter after it ran one entry point.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+pytestmark = pytest.mark.costguard
+
+REPO = Path(repro.__file__).resolve().parents[2]
+
+#: What only the simulator, its experiments and their reports use.
+SIMULATOR = ("analysis", "cluster", "core", "hpcm", "mpi", "perf",
+             "metrics", "schema", "sim", "workloads")
+
+#: ``python -m repro <args>``, inside the interpreter that reports.
+CLI = """\
+import runpy, sys
+sys.argv = ["repro", *{args!r}]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+"""
+
+
+def _loaded(code):
+    """Module names a fresh interpreter holds after running *code*."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _within(modules, packages):
+    return sorted(m for m in modules for p in packages
+                  if m == f"repro.{p}" or m.startswith(f"repro.{p}."))
+
+
+def test_a_live_process_and_the_cli_import_no_simulator():
+    """87 ``repro`` modules for the live import and 92 plus numpy for
+    ``--help`` when every package ``__init__`` imported its siblings."""
+    live = _loaded(
+        "from repro.live import LiveEndpoint, LiveNode, LiveRegistry")
+    assert "repro.live.registry" in live
+    assert _within(live, SIMULATOR) == []
+    for args in (["--help"], ["list"]):
+        cli = _loaded(CLI.format(args=args))
+        assert "repro.cli" in cli
+        assert "numpy" not in cli
+        assert _within(cli, SIMULATOR) == []
+    lint = _loaded(CLI.format(args=["lint", "examples/configs", "--strict"]))
+    assert "repro.lint.runner" in lint
+    assert _within(lint, ("cluster", "sim", "hpcm", "mpi", "analysis")) == []
