@@ -37,23 +37,56 @@ import os
 import sys
 from typing import Optional
 
+#: What the paper reports, by experiment, as ``(row, quote)`` pairs worded
+#: as EXPERIMENTS.md's paper column (tests/docs holds them to it).
+PAPER = {
+    "fig5": (
+        ("1-min load, without rescheduler", "0.256"),
+        ("1-min load, with rescheduler", "0.266"),
+        ("1-min load overhead", "3.9 %"),
+        ("5-min load overhead", "0.4 %"),
+        ("CPU-utilization overhead", "3.46 %"),
+    ),
+    "fig6": (
+        ("send KB/s (without → with)", "5.82 → 5.82"),
+        ("recv KB/s (without → with)", "5.99 → 5.99"),
+        ("communication overhead", '"almost no overhead"'),
+    ),
+    "fig7": (
+        ("warm-up (injection → decision)", "72 s"),
+        ("decision", "0.002 s"),
+        ("initialized process up (LAM DPM spawn)", "0.3 s"),
+        ("reach nearest poll-point", "1.4 s"),
+        ("resume execution on destination", "< 1 s"),
+        ("migration complete", "7.5 s"),
+    ),
+    "table2": (
+        ("1 (no migration)", "983.60"),
+        ("2 (comm-blind)", "433.27 → ws2"),
+        ("3 (comm-aware)", "329.71 → ws4"),
+    ),
+}
+
+
+def _versus(name: str, measured, title: str, first: str = "quantity"):
+    """``PAPER[name]`` beside ``measured`` (one value per row)."""
+    from .metrics import format_table
+
+    rows = [(*quoted, value) for quoted, value in zip(PAPER[name], measured)]
+    return format_table([first, "paper", "measured"], rows, title=title)
+
 
 def _fig5(args) -> int:
     from .analysis import run_overhead_experiment
     from .analysis.export import export_overhead
-    from .metrics import ascii_plot, format_table
+    from .metrics import ascii_plot
 
     r = run_overhead_experiment(duration=args.duration, seed=args.seed)
-    print(format_table(
-        ["quantity", "paper", "measured"],
-        [
-            ("1-min load, without", 0.256, round(r.load1_without, 3)),
-            ("1-min load, with", 0.266, round(r.load1_with, 3)),
-            ("load overhead %", 3.9, round(100 * r.load1_overhead, 2)),
-            ("CPU util overhead %", 3.46, round(100 * r.cpu_overhead, 2)),
-        ],
-        title="Figure 5 — rescheduler overhead (load average)",
-    ))
+    print(_versus("fig5", [
+        f"{r.load1_without:.3f}", f"{r.load1_with:.3f}",
+        f"{100 * r.load1_overhead:.2f} %", f"{100 * r.load5_overhead:.2f} %",
+        f"{100 * r.cpu_overhead:.2f} %",
+    ], "Figure 5 — rescheduler overhead (load average)"))
     print(ascii_plot(
         [r.without_rs.load1, r.with_rs.load1],
         title="1-minute load average",
@@ -68,20 +101,13 @@ def _fig5(args) -> int:
 def _fig6(args) -> int:
     from .analysis import run_overhead_experiment
     from .analysis.export import export_overhead
-    from .metrics import format_table
 
     r = run_overhead_experiment(duration=args.duration, seed=args.seed)
-    print(format_table(
-        ["quantity", "paper", "measured"],
-        [
-            ("send KB/s, without", 5.82, round(r.send_kbs_without, 2)),
-            ("send KB/s, with", 5.82, round(r.send_kbs_with, 2)),
-            ("recv KB/s, without", 5.99, round(r.recv_kbs_without, 2)),
-            ("recv KB/s, with", 5.99, round(r.recv_kbs_with, 2)),
-            ("comm overhead %", 0.0, round(100 * r.comm_overhead, 2)),
-        ],
-        title="Figure 6 — rescheduler overhead (communication)",
-    ))
+    print(_versus("fig6", [
+        f"{r.send_kbs_without:.2f} → {r.send_kbs_with:.2f}",
+        f"{r.recv_kbs_without:.2f} → {r.recv_kbs_with:.2f}",
+        f"{100 * r.comm_overhead:.2f} %",
+    ], "Figure 6 — rescheduler overhead (communication)"))
     if args.out:
         export_overhead(r, args.out)
         print(f"\nCSV written under {args.out}")
@@ -91,22 +117,15 @@ def _fig6(args) -> int:
 def _fig7(args) -> int:
     from .analysis import run_efficiency_experiment
     from .analysis.export import export_efficiency
-    from .metrics import ascii_plot, format_table
+    from .metrics import ascii_plot
 
     r = run_efficiency_experiment(seed=args.seed)
     phases = r.phase_summary()
-    print(format_table(
-        ["phase", "paper", "measured"],
-        [
-            ("warm-up s", 72.0, round(phases["warmup_s"], 1)),
-            ("decision s", 0.002, round(phases["decision_s"], 4)),
-            ("init (spawn) s", 0.3, round(phases["init_s"], 3)),
-            ("to poll-point s", 1.4, round(phases["to_pollpoint_s"], 2)),
-            ("resume s", 1.0, round(phases["resume_s"], 2)),
-            ("total s", 7.5, round(phases["total_s"], 2)),
-        ],
-        title="Figure 7 — migration phases",
-    ))
+    print(_versus("fig7", [
+        f"{phases['warmup_s']:.1f} s", f"{phases['decision_s']:.3f} s",
+        f"{phases['init_s']:.2f} s", f"{phases['to_pollpoint_s']:.2f} s",
+        f"{phases['resume_s']:.2f} s", f"{phases['total_s']:.2f} s",
+    ], "Figure 7 — migration phases", first="phase"))
     print(ascii_plot(
         [r.cpu_source, r.cpu_dest],
         title="CPU utilization around the migration",
@@ -168,8 +187,8 @@ def _table2(args) -> int:
     print(format_table(
         ["policy", "total s", "to", "source s", "dest s", "migration s"],
         [results[i].row() for i in (1, 2, 3)],
-        title="Table 2 — policy comparison "
-              "(paper: 983.6 / 433.27→ws2 / 329.71→ws4)",
+        title="Table 2 — policy comparison (paper: "
+              + " / ".join(quote for _, quote in PAPER["table2"]) + ")",
     ))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

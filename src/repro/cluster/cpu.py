@@ -1,8 +1,8 @@
 """Processor model: fair-share scheduling plus network-processing load.
 
-A :class:`Cpu` wraps a :class:`~repro.sim.fairshare.FairShareServer`
-whose rate is the host's compute speed in *work units per second* (one
-work unit == one CPU-second on a reference 1.0-speed machine).
+A :class:`Cpu` is a :class:`~repro.sim.fairshare.FairShareServer`
+whose full rate is the host's compute speed in *work units per second*
+(one work unit == one CPU-second on a reference 1.0-speed machine).
 
 In 2004-era systems, moving bytes through the TCP stack consumed
 significant CPU.  The network layer reports each host's aggregate flow
@@ -25,41 +25,31 @@ from ..sim.fairshare import FairShareServer, ShareJob
 MAX_COMM_LOAD = 8.0
 
 
-class Cpu:
-    """One host's processor."""
+class Cpu(FairShareServer):
+    """One host's processor: one server owns the jobs, the rate and the
+    comm term, so a change integrates, re-splits and re-arms once."""
 
     def __init__(self, env: Any, speed: float = 1.0, name: str = "cpu"):
         if speed <= 0:
             raise ValueError("speed must be positive")
-        self.env = env
+        super().__init__(env, rate=speed, name=name)
         self.speed = float(speed)
-        self.name = name
-        self._server = FairShareServer(env, rate=speed, name=name)
-        self._server.on_jobs_changed = self._rebalance
         self._comm_load = 0.0
         self._comm_busy = 0.0   # ∫ busy-fraction-from-comm-alone dt
         self._comm_queue = 0.0  # ∫ comm demand dt (load contribution)
-        self._comm_last = env.now
+        self._comm_last = env._now
 
     # -- compute jobs -------------------------------------------------------
     def execute(
         self, work: float, weight: float = 1.0, label: str = ""
     ) -> ShareJob:
         """Submit ``work`` CPU-seconds of compute; returns completion event."""
-        return self._server.submit(work, weight=weight, label=label)
+        return self.submit(work, weight=weight, label=label)
 
     @property
     def run_queue(self) -> float:
         """Instantaneous load: compute jobs plus protocol-processing load."""
-        return self._server.active_jobs + self._comm_load
-
-    @property
-    def active_jobs(self) -> int:
-        return self._server.active_jobs
-
-    @property
-    def jobs(self) -> list:
-        return self._server.jobs
+        return len(self._jobs) + self._comm_load
 
     # -- network-processing coupling -------------------------------------
     @property
@@ -79,27 +69,21 @@ class Cpu:
         self._accumulate_comm()
         if load != self._comm_load:
             self._comm_load = load
-            self._share()
+            n = len(self._jobs)
+            rate = self.speed * n / (n + load) if n else self.speed
+            if rate != self.rate:
+                self._advance()
+                self.rate = rate
+                self._reschedule()
 
-    def _rebalance(self) -> None:
-        """The job set changed: integrate up to now, then re-split."""
+    def _jobs_changed(self) -> None:
+        """Re-sum, integrate comm, re-split: ``n`` jobs under comm demand
+        ``f`` receive ``n / (n + f)`` of the CPU (with none, it is moot)."""
+        jobs = self._jobs
+        self._total_weight = sum([j.weight for j in jobs])
         self._accumulate_comm()
-        self._share()
-
-    def _share(self) -> None:
-        """Re-split the CPU between comm processing and compute jobs.
-
-        With ``n`` jobs and comm demand ``f``, jobs receive the fraction
-        ``n / (n + f)`` of the CPU (equal-weight processor sharing with
-        the protocol work).
-        """
-        n = self._server.active_jobs
-        if n == 0:
-            rate = self.speed  # no jobs to serve; rate is moot
-        else:
-            rate = self.speed * n / (n + self._comm_load)
-        if rate != self._server.rate:
-            self._server.set_rate(rate)
+        n = len(jobs)
+        self.rate = self.speed * n / (n + self._comm_load) if n else self.speed
 
     def _accumulate_comm(self) -> None:
         """Integrate the busy time contributed by comm processing.
@@ -108,13 +92,13 @@ class Cpu:
         own busy integral covers it; comm contributes extra busy time
         only while no compute job is active.
         """
-        now = self.env.now
+        now = self.env._now
         load = self._comm_load
         if load:  # a zero load integrates to exactly nothing
             dt = now - self._comm_last
             if dt > 0:
                 self._comm_queue += load * dt
-                if self._server.active_jobs == 0:
+                if not self._jobs:
                     self._comm_busy += (load if load < 1.0 else 1.0) * dt
         self._comm_last = now
 
@@ -122,22 +106,19 @@ class Cpu:
     def busy_time(self) -> float:
         """Cumulative CPU-busy time (compute presence + comm-only time)."""
         self._accumulate_comm()
-        return self._server.busy_time() + self._comm_busy
+        self._advance()
+        return self._busy_time + self._comm_busy
 
-    def compute_busy_time(self) -> float:
-        """Cumulative time with at least one compute job."""
-        return self._server.busy_time()
-
-    def work_done(self) -> float:
-        """Total compute work served (reference CPU-seconds)."""
-        return self._server.work_done()
+    #: Cumulative time with at least one compute job.
+    compute_busy_time = FairShareServer.busy_time
 
     def load_time(self) -> float:
         """Cumulative ∫ run-queue dt — the exact quantity the Unix
         load average estimates by sampling.  Differencing two reads
         gives a noise-free mean load over an interval."""
         self._accumulate_comm()
-        return self._server.queue_time() + self._comm_queue
+        self._advance()
+        return self._queue_time + self._comm_queue
 
     def utilization_sample(self, state: Optional[dict]) -> tuple:
         """Incremental utilization since the previous sample.
@@ -146,7 +127,7 @@ class Cpu:
         ``None`` for the first); returns ``(utilization, new_state)``.
         """
         busy = self.busy_time()
-        now = self.env.now
+        now = self.env._now
         if state is None:
             return 0.0, {"busy": busy, "now": now}
         dt = now - state["now"]

@@ -156,7 +156,7 @@ class Network:
         #: recompute (the only ones, besides flow endpoints, that a
         #: recompute must revisit), in the order flows first loaded them.
         self._loaded: list[_HostPort] = []
-        self._last_update = env.now
+        self._last_update = env._now
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
 
@@ -301,7 +301,7 @@ class Network:
 
     def _advance(self) -> None:
         """Account bytes moved since the last update at current rates."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
         self._last_update = now
         if dt <= 0:
@@ -409,7 +409,7 @@ class Network:
             self._wakeup = None
             self._wakeup_time = math.inf
             return
-        when = self.env.now + delay
+        when = self.env._now + delay
         if (
             self._wakeup is not None
             and not self._wakeup.processed

@@ -3,11 +3,12 @@
 A :class:`FairShareServer` serves any number of concurrent *jobs*, each
 with a fixed total service demand, dividing its service rate among them
 in proportion to their weights.  It is this project's model of a CPU
-(:class:`repro.cluster.cpu.Cpu`): the rate is "work units per second",
-the sharing is time slicing between the application and background
-tasks.  The network is not one — a flow holds two NIC directions at
-once, so :mod:`repro.cluster.network` shares them max-min fairly by
-progressive filling.
+(:class:`repro.cluster.cpu.Cpu` is one, re-splitting its rate with the
+NIC's protocol load): the rate is "work units per second", the sharing
+is time slicing between the application and background tasks.  The
+network is not one — a flow holds two NIC directions at once, so
+:mod:`repro.cluster.network` shares them max-min fairly by progressive
+filling.
 
 The server also keeps the accounting the paper's monitors need:
 cumulative busy time (→ CPU utilization), the current number of active
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 _EPS = 1e-9
 
@@ -28,7 +29,8 @@ class ShareJob(Event):
     """One job on a :class:`FairShareServer`.
 
     The job is an event: it succeeds when its demand has been fully
-    served.  ``cancel()`` removes it early.
+    served.  ``cancel()`` removes it early.  Its ``Event`` slots are set
+    inline, as :class:`~repro.sim.events.Timeout` sets them.
     """
 
     __slots__ = ("server", "demand", "remaining", "weight", "started_at",
@@ -45,13 +47,17 @@ class ShareJob(Event):
             raise ValueError(f"negative demand {demand}")
         if weight <= 0:
             raise ValueError(f"non-positive weight {weight}")
-        super().__init__(server.env)
+        self.env = env = server.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.server = server
         self.demand = float(demand)
         self.remaining = float(demand)
         self.weight = float(weight)
         self.label = label
-        self.started_at = server.env._now
+        self.started_at = env._now
         self.finished_at: Optional[float] = None
         self._cancelled = False
 
@@ -67,7 +73,7 @@ class ShareJob(Event):
         if self.triggered or self._cancelled:
             return
         self._cancelled = True
-        self.server._remove(self, completed=False)
+        self.server._remove(self)
 
 
 class FairShareServer:
@@ -90,16 +96,14 @@ class FairShareServer:
         self.rate = float(rate)
         self.name = name
         self._jobs: list[ShareJob] = []
-        self._last_update = env.now
+        self._total_weight = 0.0   # of ``_jobs``, re-summed when they change
+        self._last_update = env._now
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
         # Accounting
         self._busy_time = 0.0      # integral of 1{jobs > 0} dt
         self._queue_time = 0.0     # integral of njobs dt (mean queue length)
         self._work_done = 0.0      # total demand served
-        #: Optional hook invoked after the active-job set changes
-        #: (lets an owner adjust the rate, e.g. CPU ↔ comm balancing).
-        self.on_jobs_changed = None
 
     # -- public accounting -------------------------------------------------
     @property
@@ -134,14 +138,6 @@ class FairShareServer:
             return 0.0
         return (self.busy_time() - since_busy) / dt
 
-    def set_rate(self, rate: float) -> None:
-        """Change the service rate (accounts for work served so far)."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self._advance()
-        self.rate = float(rate)
-        self._reschedule()
-
     # -- job management ----------------------------------------------------
     def submit(
         self, demand: float, weight: float = 1.0, label: str = ""
@@ -157,23 +153,21 @@ class FairShareServer:
             job.succeed()
             return job
         self._jobs.append(job)
-        self._notify_jobs_changed()
+        self._jobs_changed()
         self._reschedule()
         return job
 
-    def _remove(self, job: ShareJob, completed: bool) -> None:
+    def _remove(self, job: ShareJob) -> None:
         self._advance()
         if job in self._jobs:
             self._jobs.remove(job)
-            self._notify_jobs_changed()
-        if completed:
-            job.finished_at = self.env._now
-            job.succeed()
+            self._jobs_changed()
         self._reschedule()
 
-    def _notify_jobs_changed(self) -> None:
-        if self.on_jobs_changed is not None:
-            self.on_jobs_changed()
+    def _jobs_changed(self) -> None:
+        """The job set changed: re-sum the weights (a server whose rate
+        depends on its jobs re-splits it here)."""
+        self._total_weight = sum([j.weight for j in self._jobs])
 
     # -- internals -----------------------------------------------------
     def _advance(self) -> None:
@@ -186,7 +180,7 @@ class FairShareServer:
             return
         self._busy_time += dt
         self._queue_time += dt * len(jobs)
-        total_w = sum([j.weight for j in jobs])
+        total_w = self._total_weight
         step = dt * self.rate
         for job in jobs:
             served = step * (job.weight / total_w)
@@ -203,13 +197,14 @@ class FairShareServer:
             self._wakeup_time = math.inf
             return
         rate = self.rate
-        total_w = sum([j.weight for j in jobs])
+        total_w = self._total_weight
         delay = min([j.remaining / (rate * (j.weight / total_w))
                      for j in jobs])
         when = self.env._now + delay
-        if self._wakeup is not None and not self._wakeup.processed:
-            # An earlier wake-up that is still pending: keep it only if it
-            # is not later than needed; stale wake-ups are ignored on fire.
+        if self._wakeup is not None and self._wakeup.callbacks is not None:
+            # An earlier wake-up that is still pending (not processed):
+            # keep it only if it is not later than needed; stale
+            # wake-ups are ignored on fire.
             if self._wakeup_time <= when + _EPS:
                 return
         wakeup = self.env.timeout(max(delay, 0.0))
@@ -236,7 +231,7 @@ class FairShareServer:
             job.finished_at = self.env._now
             job.succeed()
         if finished:
-            self._notify_jobs_changed()
+            self._jobs_changed()
         self._reschedule()
 
     def __repr__(self) -> str:

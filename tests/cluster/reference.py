@@ -21,12 +21,25 @@ loop ``analysis/overhead.py::_add_analytic_hosts`` ran until PR 23 —
 two scalar draws and one ``add_analytic_host`` call per host — kept so
 the batch append that replaced it can be required to leave the same
 columns, the same specs and the random stream at the same position.
+
+**The CPU.**  ``ReferenceCpu`` is the processor ``cluster/cpu.py`` had
+while it was two objects: a ``Cpu`` wrapping a ``FairShareServer`` and
+listening on its ``on_jobs_changed`` hook, so that one coupled submit ran
+``_advance`` → ``_rebalance`` → ``_share`` → ``set_rate`` →
+``_advance`` → ``_reschedule`` → ``_reschedule``.  Both classes are
+kept line for line (only renamed) so the one processor-sharing server
+that replaced the pair can be required to finish every job at the same
+float, integrate the same busy and load times and dispatch the same
+kernel events at the same instants.
 """
 
 import math
+from typing import Any, Optional
 
+from repro.cluster.cpu import MAX_COMM_LOAD
 from repro.cluster.loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage
 from repro.cluster.network import ETHERNET_100MBPS
+from repro.sim.events import Event
 
 
 def sampled_loadavg(env, runqueue_fn,
@@ -132,3 +145,307 @@ def reference_maxmin(flows, ports, default_bandwidth=ETHERNET_100MBPS):
             break
         unfrozen -= newly_frozen
     return rate
+
+
+class _ReferenceJob(Event):
+    """``ShareJob`` as it was (its ``Event`` slots set by ``super()``)."""
+
+    __slots__ = ("server", "demand", "remaining", "weight", "started_at",
+                 "finished_at", "label", "_cancelled")
+
+    def __init__(
+        self,
+        server: "_ReferenceServer",
+        demand: float,
+        weight: float = 1.0,
+        label: str = "",
+    ):
+        if demand < 0:
+            raise ValueError(f"negative demand {demand}")
+        if weight <= 0:
+            raise ValueError(f"non-positive weight {weight}")
+        super().__init__(server.env)
+        self.server = server
+        self.demand = float(demand)
+        self.remaining = float(demand)
+        self.weight = float(weight)
+        self.label = label
+        self.started_at = server.env._now
+        self.finished_at: Optional[float] = None
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        """Remove the job from the server without completing it."""
+        if self.triggered or self._cancelled:
+            return
+        self._cancelled = True
+        self.server._remove(self, completed=False)
+
+
+class _ReferenceServer:
+    """``FairShareServer`` as it was, with its ``on_jobs_changed`` hook."""
+
+    def __init__(self, env: Any, rate: float, name: str = ""):
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        self.env = env
+        self.rate = float(rate)
+        self.name = name
+        self._jobs: list = []
+        self._last_update = env.now
+        self._wakeup: Optional[Event] = None
+        self._wakeup_time = math.inf
+        # Accounting
+        self._busy_time = 0.0      # integral of 1{jobs > 0} dt
+        self._queue_time = 0.0     # integral of njobs dt (mean queue length)
+        self._work_done = 0.0      # total demand served
+        #: Optional hook invoked after the active-job set changes
+        #: (lets an owner adjust the rate, e.g. CPU ↔ comm balancing).
+        self.on_jobs_changed = None
+
+    # -- public accounting -------------------------------------------------
+    @property
+    def active_jobs(self) -> int:
+        """Number of jobs currently being served (run-queue length)."""
+        return len(self._jobs)
+
+    @property
+    def jobs(self) -> list:
+        """Snapshot of the active jobs."""
+        return list(self._jobs)
+
+    def busy_time(self) -> float:
+        """Cumulative time with at least one active job."""
+        self._advance()
+        return self._busy_time
+
+    def queue_time(self) -> float:
+        """Cumulative integral of the run-queue length over time."""
+        self._advance()
+        return self._queue_time
+
+    def work_done(self) -> float:
+        """Total demand served since creation."""
+        self._advance()
+        return self._work_done
+
+    def set_rate(self, rate: float) -> None:
+        """Change the service rate (accounts for work served so far)."""
+        if rate <= 0:
+            raise ValueError(f"rate must be positive, got {rate}")
+        self._advance()
+        self.rate = float(rate)
+        self._reschedule()
+
+    # -- job management ----------------------------------------------------
+    def submit(
+        self, demand: float, weight: float = 1.0, label: str = ""
+    ) -> _ReferenceJob:
+        """Add a job with ``demand`` work units; returns its completion event.
+
+        Zero-demand jobs complete immediately.
+        """
+        self._advance()
+        job = _ReferenceJob(self, demand, weight=weight, label=label)
+        if job.remaining <= _EPS:
+            job.finished_at = self.env._now
+            job.succeed()
+            return job
+        self._jobs.append(job)
+        self._notify_jobs_changed()
+        self._reschedule()
+        return job
+
+    def _remove(self, job: _ReferenceJob, completed: bool) -> None:
+        self._advance()
+        if job in self._jobs:
+            self._jobs.remove(job)
+            self._notify_jobs_changed()
+        if completed:
+            job.finished_at = self.env._now
+            job.succeed()
+        self._reschedule()
+
+    def _notify_jobs_changed(self) -> None:
+        if self.on_jobs_changed is not None:
+            self.on_jobs_changed()
+
+    # -- internals -----------------------------------------------------
+    def _advance(self) -> None:
+        """Account for service performed since the last update."""
+        now = self.env._now
+        dt = now - self._last_update
+        self._last_update = now
+        jobs = self._jobs
+        if dt <= 0 or not jobs:
+            return
+        self._busy_time += dt
+        self._queue_time += dt * len(jobs)
+        total_w = sum([j.weight for j in jobs])
+        step = dt * self.rate
+        for job in jobs:
+            served = step * (job.weight / total_w)
+            if job.remaining < served:
+                served = job.remaining
+            job.remaining -= served
+            self._work_done += served
+
+    def _reschedule(self) -> None:
+        """(Re)arm the wake-up for the earliest completion, if any."""
+        jobs = self._jobs
+        if not jobs:
+            self._wakeup = None
+            self._wakeup_time = math.inf
+            return
+        rate = self.rate
+        total_w = sum([j.weight for j in jobs])
+        delay = min([j.remaining / (rate * (j.weight / total_w))
+                     for j in jobs])
+        when = self.env._now + delay
+        if self._wakeup is not None and not self._wakeup.processed:
+            # An earlier wake-up that is still pending: keep it only if it
+            # is not later than needed; stale wake-ups are ignored on fire.
+            if self._wakeup_time <= when + _EPS:
+                return
+        wakeup = self.env.timeout(max(delay, 0.0))
+        wakeup.callbacks.append(self._on_wakeup)
+        self._wakeup = wakeup
+        self._wakeup_time = when
+
+    def _finished(self, job: _ReferenceJob) -> bool:
+        """Done when under a nanosecond of full-rate service remains
+        (absorbs float residue from ulp-sized clock errors at large
+        simulation times)."""
+        return job.remaining <= max(
+            _EPS * max(1.0, job.demand), 1e-9 * self.rate
+        )
+
+    def _on_wakeup(self, event: Event) -> None:
+        if event is not self._wakeup:
+            return  # stale timer
+        self._advance()
+        finished = [j for j in self._jobs if self._finished(j)]
+        for job in finished:
+            self._jobs.remove(job)
+            job.remaining = 0.0
+            job.finished_at = self.env._now
+            job.succeed()
+        if finished:
+            self._notify_jobs_changed()
+        self._reschedule()
+
+
+class ReferenceCpu:
+    """``Cpu`` as it was: a wrapper re-splitting its server's rate from
+    the server's hook and from :meth:`set_comm_load`."""
+
+    def __init__(self, env: Any, speed: float = 1.0, name: str = "cpu"):
+        if speed <= 0:
+            raise ValueError("speed must be positive")
+        self.env = env
+        self.speed = float(speed)
+        self.name = name
+        self._server = _ReferenceServer(env, rate=speed, name=name)
+        self._server.on_jobs_changed = self._rebalance
+        self._comm_load = 0.0
+        self._comm_busy = 0.0   # ∫ busy-fraction-from-comm-alone dt
+        self._comm_queue = 0.0  # ∫ comm demand dt (load contribution)
+        self._comm_last = env.now
+
+    # -- compute jobs -------------------------------------------------------
+    def execute(
+        self, work: float, weight: float = 1.0, label: str = ""
+    ) -> _ReferenceJob:
+        """Submit ``work`` CPU-seconds of compute; returns completion event."""
+        return self._server.submit(work, weight=weight, label=label)
+
+    @property
+    def run_queue(self) -> float:
+        """Instantaneous load: compute jobs plus protocol-processing load."""
+        return self._server.active_jobs + self._comm_load
+
+    @property
+    def active_jobs(self) -> int:
+        return self._server.active_jobs
+
+    @property
+    def jobs(self) -> list:
+        return self._server.jobs
+
+    # -- network-processing coupling -------------------------------------
+    @property
+    def comm_load(self) -> float:
+        """Current protocol-processing demand (CPU-seconds per second)."""
+        return self._comm_load
+
+    def set_comm_load(self, load: float) -> None:
+        """Set the protocol-processing demand; 0 clears it."""
+        load = float(load)
+        if not load > 0.0:
+            if not self._comm_load:
+                return  # idle stays idle: nothing to integrate
+            load = 0.0
+        elif load > MAX_COMM_LOAD:
+            load = MAX_COMM_LOAD
+        self._accumulate_comm()
+        if load != self._comm_load:
+            self._comm_load = load
+            self._share()
+
+    def _rebalance(self) -> None:
+        """The job set changed: integrate up to now, then re-split."""
+        self._accumulate_comm()
+        self._share()
+
+    def _share(self) -> None:
+        """Re-split the CPU between comm processing and compute jobs.
+
+        With ``n`` jobs and comm demand ``f``, jobs receive the fraction
+        ``n / (n + f)`` of the CPU (equal-weight processor sharing with
+        the protocol work).
+        """
+        n = self._server.active_jobs
+        if n == 0:
+            rate = self.speed  # no jobs to serve; rate is moot
+        else:
+            rate = self.speed * n / (n + self._comm_load)
+        if rate != self._server.rate:
+            self._server.set_rate(rate)
+
+    def _accumulate_comm(self) -> None:
+        """Integrate the busy time contributed by comm processing.
+
+        While compute jobs run, the CPU is fully busy and the server's
+        own busy integral covers it; comm contributes extra busy time
+        only while no compute job is active.
+        """
+        now = self.env.now
+        load = self._comm_load
+        if load:  # a zero load integrates to exactly nothing
+            dt = now - self._comm_last
+            if dt > 0:
+                self._comm_queue += load * dt
+                if self._server.active_jobs == 0:
+                    self._comm_busy += (load if load < 1.0 else 1.0) * dt
+        self._comm_last = now
+
+    # -- accounting ---------------------------------------------------------
+    def busy_time(self) -> float:
+        """Cumulative CPU-busy time (compute presence + comm-only time)."""
+        self._accumulate_comm()
+        return self._server.busy_time() + self._comm_busy
+
+    def compute_busy_time(self) -> float:
+        """Cumulative time with at least one compute job."""
+        return self._server.busy_time()
+
+    def work_done(self) -> float:
+        """Total compute work served (reference CPU-seconds)."""
+        return self._server.work_done()
+
+    def load_time(self) -> float:
+        """Cumulative ∫ run-queue dt — the exact quantity the Unix
+        load average estimates by sampling.  Differencing two reads
+        gives a noise-free mean load over an interval."""
+        self._accumulate_comm()
+        return self._server.queue_time() + self._comm_queue

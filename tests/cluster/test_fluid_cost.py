@@ -3,6 +3,8 @@
 A transfer is a callback chain — latency timeout, the network's
 completion wake-up, ``flow.done``, the returned event — not a process,
 and max-min filling over no flow or one flow builds no dict and no set.
+A CPU carrying a comm load is one processor-sharing server: a submit or
+a comm-load change integrates once, re-splits once and re-arms once.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.cluster import Cpu, Network
 from repro.cluster import network as network_module
 from repro.sim import Environment
+from repro.sim.events import Timeout
 
 from ..callcount import count_calls
 
@@ -44,10 +47,40 @@ def test_a_transfer_dispatches_four_kernel_events():
 
 
 def test_call_count_of_a_transfer():
-    """202 calls with a process per transfer and set-building filling."""
+    """202 calls with a process per transfer and set-building filling,
+    119 while the CPU was a wrapper re-splitting its server's rate from
+    a hook; 88 as one server."""
     env, net = _coupled_pair()
     _one_transfer(env, net)
-    assert count_calls(lambda: _one_transfer(env, net)) <= 135
+    assert count_calls(lambda: _one_transfer(env, net)) <= 95
+
+
+def _pushed(env, fn):
+    """Calls ``fn()`` makes, and the events it leaves on the heap."""
+    seq = env._seq
+    calls = count_calls(fn)
+    return calls, [e for _t, _p, s, e in env._queue if s > seq]
+
+
+def test_a_coupled_cpu_rearms_once_per_change():
+    """A submit on a CPU carrying a comm load made 38 calls and a
+    comm-load change 21 while the CPU wrapped a server (integrate, hook,
+    re-split, ``set_rate``, integrate again, re-arm, re-arm again); one
+    server makes 20 and 10.  The submit brings the next completion
+    forward, so it pushes one wake-up; the heavier comm load delays it,
+    so the pending wake-up stays and nothing is pushed."""
+    env = Environment()
+    cpu = Cpu(env)
+    cpu.set_comm_load(0.5)
+    cpu.execute(100.0)
+    env.run(until=1.0)
+    calls, pushed = _pushed(env, lambda: cpu.execute(1.0))
+    assert calls <= 22
+    assert [type(e) for e in pushed] == [Timeout]
+    env.run(until=1.5)
+    calls, pushed = _pushed(env, lambda: cpu.set_comm_load(1.0))
+    assert calls <= 12
+    assert pushed == []
 
 
 def _refuse(*args, **kwargs):

@@ -43,7 +43,7 @@ def test_fig5_command_short_duration(capsys):
     assert main(["fig5", "--duration", "1500"]) == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out
-    assert "load overhead %" in out
+    assert "1-min load overhead" in out
 
 
 def test_unknown_experiment_rejected():

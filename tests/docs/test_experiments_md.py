@@ -203,3 +203,27 @@ def test_one_edited_prose_number_is_caught(tmp_path):
                     encoding="utf-8")
     (missing,) = _prose_drift(copy, quoted())
     assert "dest 340 s vs 173 s" in missing
+
+
+def _paper_column(markdown):
+    """Each table row's paper quote by its first cell; a Table 2 row's
+    with the paper's destination (``433.27 → ws2``)."""
+    quotes = {}
+    for row in _table_rows(markdown):
+        cells = [c.strip().replace("**", "") for c in row.split("|")[1:-1]]
+        quote = cells[1]
+        if len(cells) == 5 and " / " in cells[3]:
+            dest = cells[3].split(" / ")[0]
+            quote += "" if dest == "—" else f" → {dest}"
+        quotes[cells[0]] = quote
+    return quotes
+
+
+def test_repro_run_quotes_the_paper_as_experiments_md_does():
+    from repro.cli import PAPER
+
+    column = _paper_column(
+        (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8"))
+    quoted_by_cli = {row: quote for rows in PAPER.values()
+                     for row, quote in rows}
+    assert {row: column.get(row) for row in quoted_by_cli} == quoted_by_cli
