@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Any, Iterable, Optional
 
 from ..sim.kernel import Environment
 from ..sim.rng import RngRegistry
-from .host import Host, HostSpec, StaticInfo
+from .host import Host, HostSpec, StaticInfo, _auto_ip
 from .network import ETHERNET_100MBPS, Network
 from .plane import HostPlane
 
@@ -111,6 +112,21 @@ class Cluster:
         if host is not None:
             return host.static_info
         return self._deferred[name].static_info(name)
+
+    def static_dicts(self, names: Iterable[str]) -> list:
+        """``[static_info(name).as_dict() for name in names]`` with no
+        :class:`StaticInfo` per analytic row: a run of one spec's rows
+        shares its dict, led by each row's ``hostname`` and ``ip``."""
+        dicts: list = []
+        for spec, run in groupby(names, self._deferred.get):
+            if spec is None:
+                dicts += [self.hosts[n].static_info.as_dict() for n in run]
+                continue
+            template = spec.static_info("").as_dict()
+            del template["hostname"], template["ip"]
+            dicts += [{"hostname": n, "ip": spec.ip or _auto_ip(n),
+                       **template} for n in run]
+        return dicts
 
     def host(self, name: str) -> Host:
         host = self.hosts.get(name)

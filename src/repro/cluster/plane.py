@@ -46,6 +46,7 @@ both producers to it.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -98,6 +99,11 @@ class ClusterStateArrays:
 
     def host_at(self, row: int) -> str:
         return self._hosts[row]
+
+    def rows_of(self, hosts: List[str]) -> np.ndarray:
+        """Row indices of a whole list of hosts, -1 where none."""
+        return np.fromiter(map(self._index.get, hosts, repeat(-1)),
+                           dtype=np.intp, count=len(hosts))
 
     # -- mutation -------------------------------------------------------
     def _grow(self, need: int) -> None:
@@ -233,17 +239,6 @@ class HostPlane:
         a.col("duty_phase")[rows] = phase
         for key, value in (static or {}).items():
             a.col(key)[rows] = value
-
-    def add_analytic(
-        self,
-        name: str,
-        mean_load: float = 0.0,
-        period: float = 2.0,
-        phase: float = 0.0,
-        static: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """:meth:`add_analytic_rows` for one name."""
-        self.add_analytic_rows([name], mean_load, period, phase, static)
 
     def set_monitor_duty(
         self, rows: np.ndarray, busy: float, period: float,

@@ -9,6 +9,7 @@ its management.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional
 
 from ..cluster.builder import Cluster
@@ -113,20 +114,16 @@ class Rescheduler:
         # The paper's first fit scans "the machine list": seed the
         # registry's table in deployment order so the scan order is the
         # configured list, not the race of first Register arrivals.
-        self.registry.table.register_many(host_names, [
-            cluster.static_info(name).as_dict() for name in host_names
-        ])
+        self.registry.table.register_many(
+            host_names, cluster.static_dicts(host_names))
         # Partition the host list: analytic plane rows are monitored in
         # batch by one MonitorHub; backed hosts get the per-host
         # monitor/commander pair.
         plane = cluster.plane
-        analytic_names: List[str] = []
-        backed_names: List[str] = []
-        row_of, analytic = plane.arrays.row_of, plane.arrays.analytic
-        for name in host_names:
-            row = row_of(name)
-            is_analytic = row is not None and analytic[row]
-            (analytic_names if is_analytic else backed_names).append(name)
+        rows = plane.arrays.rows_of(host_names)
+        analytic = (rows >= 0) & plane.arrays.analytic[rows]
+        analytic_names = list(compress(host_names, analytic.tolist()))
+        backed_names = list(compress(host_names, (~analytic).tolist()))
         self.hub: Optional[MonitorHub] = None
         if analytic_names:
             self.hub = MonitorHub(

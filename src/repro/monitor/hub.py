@@ -118,14 +118,14 @@ class MonitorHub:
         n = len(self.hosts)
         #: Host name → hub row.
         self._index = {name: i for i, name in enumerate(self.hosts)}
-        self._rows = np.empty(n, dtype=np.intp)
-        row_of, analytic = plane.arrays.row_of, plane.arrays.analytic
-        for i, name in enumerate(self.hosts):
-            row = row_of(name)
-            if row is None or not analytic[row]:
-                raise ValueError(f"{name!r} is not an analytic row")
-            self._rows[i] = row
+        self._rows = plane.arrays.rows_of(self.hosts)
+        bad = (self._rows < 0) | ~plane.arrays.analytic[self._rows]
+        if bad.any():
+            name = self.hosts[int(np.argmax(bad))]
+            raise ValueError(f"{name!r} is not an analytic row")
         self._names = np.array(self.hosts, dtype=object)
+        #: The hosts' registry rows, and the table layout they are for.
+        self._registry_rows, self._registry_layout = None, -1
         # ``MonitorCore``'s per-host fields, one column each.
         self.sustain = int(sustain)
         self.streak = np.zeros(n, dtype=np.int64)
@@ -227,11 +227,11 @@ class MonitorHub:
         self._next_due[due] = now + interval
 
         keep = reported != OVERLOADED
-        if keep.any():
-            self.table.push_many(
-                self._names[due[keep]].tolist(), reported[keep],
-                {name: col[keep] for name, col in cols.items()},
-            )
+        if keep.all():
+            self._push(due, reported, cols)
+        elif keep.any():
+            self._push(due[keep], reported[keep],
+                       {name: col[keep] for name, col in cols.items()})
         # Overload reports travel the real wire so decisions, traces
         # and cooldowns flow through RegistryCore.handle unchanged.
         for j in np.flatnonzero(~keep).tolist():
@@ -243,3 +243,17 @@ class MonitorHub:
                 processes=self.processes_for(host),
             ))
         self.cycles += 1
+
+    def _push(self, rows: np.ndarray, states: np.ndarray,
+              cols: Dict[str, np.ndarray]) -> None:
+        """``push_many`` of hub ``rows``, hinted with their registry rows."""
+        matrix = self.table.matrix
+        if self._registry_layout != matrix.layout:
+            self._registry_layout = matrix.layout
+            try:
+                self._registry_rows = matrix.rows_of(self.hosts)
+            except KeyError:  # unregistered: push_many re-registers it
+                self._registry_rows = None
+        hint = (None if self._registry_rows is None
+                else (matrix.layout, self._registry_rows[rows]))
+        self.table.push_many(self._names[rows], states, cols, hint)

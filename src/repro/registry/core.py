@@ -188,6 +188,8 @@ class RegistryCore:
         #: OVERLOADED reports not decided on because the source was in
         #: its cooldown or already had a decision in flight.
         self.reports_guarded = 0
+        #: Register messages whose static description did not parse.
+        self.registers_refused = 0
         #: Victims above this schema data-locality weight stay put
         #: ("a process [that] involves a lot in a local data access is
         #: not to be migrated", §5.3).
@@ -205,7 +207,11 @@ class RegistryCore:
         """Fold one incoming message in; returns the effects to run."""
         tracer = get_tracer()
         if isinstance(msg, Register):
-            self.table.register(msg.host, msg.static_info)
+            try:
+                self.table.register(msg.host, msg.static_info)
+            except ValueError:
+                self.registers_refused += 1
+                return []
             if tracer.enabled:
                 tracer.event(EV_REGISTRY_REGISTER, t=self.clock.now,
                              host=msg.host, registry=self.label)

@@ -36,6 +36,7 @@ a record never declared does not disqualify it.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -49,13 +50,29 @@ from ..rules.vocabulary import (
 _COL_INDEX = {name: j for j, name in enumerate(METRIC_COLUMNS)}
 
 
-def _parse_features(static: dict) -> Optional[frozenset]:
-    """The record's offered feature set, or ``None`` when undeclared
+def _features(raw: Any) -> Optional[frozenset]:
+    """The offered feature set, or ``None`` when undeclared
     (undeclared static fields are not held against a candidate)."""
-    raw = static.get("features")
     if raw is None:
         return None
     return frozenset(f for f in str(raw).split(",") if f)
+
+
+def _speed(raw: Any) -> float:
+    """A ``cpu_speed`` value as a float; NaN when undeclared."""
+    return float(raw) if raw is not None else np.nan
+
+
+def _parse(statics: List[dict], key: str, parse: Callable) -> list:
+    """``[parse(static.get(key)) for static in statics]``, parsing each
+    distinct (hashable) value once."""
+    raws = list(map(methodcaller("get", key), statics))
+    parsed = {raw: parse(raw) for raw in dict.fromkeys(raws)}
+    return list(map(parsed.__getitem__, raws))
+
+
+class HostExists(ValueError):
+    """A batch named a host that has a row, or one host twice."""
 
 
 class HostRecord:
@@ -153,6 +170,8 @@ class HostStateMatrix:
         self.processes: Dict[int, List[dict]] = {}
         #: Row → the last push's metrics outside :data:`METRIC_COLUMNS`.
         self._extras: Dict[int, Dict[str, float]] = {}
+        #: Bumped when the row set changes (resolved rows hold till then).
+        self.layout = 0
         # Membership caches (rebuilt lazily after row-set changes).
         self._hosts_arr: Optional[np.ndarray] = None
         self._registry_mask: Optional[np.ndarray] = None
@@ -227,19 +246,20 @@ class HostStateMatrix:
     def add_rows(self, hosts: List[str], statics: List[dict],
                  now: float) -> int:
         """Append newly-registered hosts (``statics`` row-aligned with
-        ``hosts``); returns the first new row.  A name that already has
-        a row, or repeats, refuses the whole batch."""
+        ``hosts``); returns the first new row.  A ``cpu_speed`` that is
+        not a number, or a name that already has a row or repeats
+        (:class:`HostExists`), refuses the whole batch."""
+        speeds = _parse(statics, "cpu_speed", _speed)
+        features = _parse(statics, "features", _features)
         fresh = set(hosts)
         if len(fresh) != len(hosts) or not self._index.keys().isdisjoint(
                 fresh):
             seen = set(self._index)
             for host in hosts:
                 if host in seen:
-                    raise ValueError(f"host {host!r} already has a row")
+                    raise HostExists(f"host {host!r} already has a row")
                 seen.add(host)
-        statics = [dict(static) for static in statics]
-        features = [_parse_features(static) for static in statics]
-        speeds = [self._static_speed(static) for static in statics]
+        statics = list(map(dict, statics))
         first = self._n
         n = first + len(hosts)
         if n > self._state.shape[0]:
@@ -258,6 +278,7 @@ class HostStateMatrix:
         self._cpu_speed[rows] = speeds
         self._metrics[rows] = np.nan
         self._n = n
+        self.layout += 1
         self._hosts_arr = None
         self._registry_mask = None
         return first
@@ -266,17 +287,12 @@ class HostStateMatrix:
         """:meth:`add_rows` for one host."""
         return self.add_rows([host], [static], now)
 
-    @staticmethod
-    def _static_speed(static: dict) -> float:
-        speed = static.get("cpu_speed")
-        return float(speed) if speed is not None else np.nan
-
     def set_static(self, host: str, static: dict, now: float) -> None:
         """Refresh a re-registering host's static info + lease."""
         row = self._index[host]
-        static = self._static[row] = dict(static)
-        self._features[row] = _parse_features(static)
-        self._cpu_speed[row] = self._static_speed(static)
+        self._cpu_speed[row] = _speed(static.get("cpu_speed"))
+        self._features[row] = _features(static.get("features"))
+        self._static[row] = dict(static)
         self._last_update[row] = now
         self._expiry_traced[row] = False
 
@@ -379,6 +395,7 @@ class HostStateMatrix:
                     r - (r > row): v for r, v in side.items() if r != row
                 })
         self._n = n - 1
+        self.layout += 1
         self._hosts_arr = None
         self._registry_mask = None
 

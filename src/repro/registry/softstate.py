@@ -11,14 +11,14 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..rules.states import FREE, SystemState
 from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
-from .hostmatrix import HostRecord, HostStateMatrix
+from .hostmatrix import HostExists, HostRecord, HostStateMatrix
 
 __all__ = ["HostRecord", "SoftStateTable"]
 
@@ -53,7 +53,7 @@ class SoftStateTable:
         host instead, so a re-registration keeps its row."""
         try:
             self.matrix.add_rows(hosts, statics, self.env.now)
-        except ValueError:
+        except HostExists:
             for host, static in zip(hosts, statics):
                 self.register(host, static)
 
@@ -76,6 +76,7 @@ class SoftStateTable:
         hosts: List[str],
         states: Any,
         columns: Dict[str, Any],
+        rows: Optional[Tuple[int, np.ndarray]] = None,
     ) -> None:
         """Fold in a whole batch of status pushes in one call.
 
@@ -87,11 +88,15 @@ class SoftStateTable:
         per-host Python and no ``EV_REGISTRY_UPDATE`` trace event is
         emitted per row — batch pushes are sim-internal delivery, not
         wire messages (see ``repro.monitor.hub``).
+        ``rows``, a ``(matrix.layout, rows of hosts)`` hint, skips the
+        name lookup while that layout holds.
         """
         if not len(hosts):
             return
         matrix = self.matrix
         now = self.env.now
+        if rows is not None and rows[0] == matrix.layout:
+            return matrix.set_status_rows(rows[1], states, columns, now)
         try:
             rows = matrix.rows_of(hosts)
         except KeyError:

@@ -21,7 +21,8 @@ from repro.live import (
 )
 from repro.live.proc_sensors import CpuIdleSampler, NetRateSampler
 from repro.live.transport import MAX_FRAME_BYTES
-from repro.protocol import Ack
+from repro.protocol import Ack, Register, StatusUpdate
+from repro.rules import SystemState
 
 
 def wait_for(predicate, timeout=10.0, interval=0.05):
@@ -220,6 +221,29 @@ def test_node_registers_and_pushes_status():
         assert rec.metrics["loadavg1"] >= 0
     finally:
         node.stop()
+        registry.stop()
+
+
+def test_a_register_the_table_cannot_read_leaves_the_loop_serving():
+    """Over real sockets: a ``Register`` whose ``cpu_speed`` is not a
+    number is refused and counted, and the registry's loop thread
+    lives on to fold the heartbeat sent after it."""
+    registry = LiveRegistry(lease=5.0)
+    client = LiveEndpoint("client")
+    try:
+        assert client.send_message(registry.address, Register(
+            host="h1", static_info={"cpu_speed": "fast"}), timestamp=1.0)
+        assert wait_for(lambda: registry.core.registers_refused == 1)
+        assert "h1" not in registry.table
+        assert client.send_message(registry.address, StatusUpdate(
+            host="h1", state=SystemState.FREE, metrics={"loadavg1": 0.5}),
+            timestamp=2.0)
+        assert wait_for(lambda: registry.table.get("h1") is not None)
+        rec = registry.table.get("h1")
+        assert rec.updates_received == 1
+        assert rec.metrics["loadavg1"] == 0.5
+    finally:
+        client.close()
         registry.stop()
 
 

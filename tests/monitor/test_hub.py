@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
+from repro.cluster.host import StaticInfo
 from repro.monitor.core import MonitorCore
 from repro.monitor.hub import MonitorHub
 from repro.protocol.transport import EndpointRegistry
+from repro.registry import SoftStateTable
 from repro.rules import RuleSet, SimpleRule, SystemState, paper_ruleset
 from repro.rules.states import OVERLOADED
 
@@ -37,14 +39,27 @@ def deploy(n_analytic=4, seed=4, ruleset=None, sustain=3,
     return cluster, rs
 
 
-class BatchLog:
-    """A stand-in soft-state table: records ``push_many`` batches."""
+def check_row_hint(matrix, hosts, rows):
+    """A ``push_many`` row hint that is still current names the rows
+    the pushed hosts have (read off the row order, not by name)."""
+    if rows is not None and rows[0] == matrix.layout:
+        names = np.array(matrix.hosts, dtype=object)[rows[1]]
+        assert names.tolist() == list(hosts), "stale row hint"
 
-    def __init__(self):
+
+class BatchLog(SoftStateTable):
+    """A soft-state table over the hub's hosts that records its
+    ``push_many`` batches and checks each row hint."""
+
+    def __init__(self, env, hosts):
+        super().__init__(env)
+        self.register_many(hosts, [{} for _ in hosts])
         self.batches = []
 
-    def push_many(self, hosts, states, columns):
-        self.batches.append((hosts, states, columns))
+    def push_many(self, hosts, states, columns, rows=None):
+        check_row_hint(self.matrix, hosts, rows)
+        self.batches.append((list(hosts), states, columns))
+        super().push_many(hosts, states, columns, rows)
 
 
 def bare_hub(n_rows, **kwargs):
@@ -59,7 +74,8 @@ def bare_hub(n_rows, **kwargs):
         )
     hub = MonitorHub(cluster.plane, names, endpoint_host=cluster["ws1"],
                      directory=EndpointRegistry(),
-                     registry_address="registry", table=BatchLog(),
+                     registry_address="registry",
+                     table=BatchLog(cluster.env, names),
                      **kwargs)
     hub.sent = []
     hub.endpoint.send_and_forget = (
@@ -83,9 +99,10 @@ class SideBySide:
         push_many = hub.table.push_many
         send = hub.endpoint.send_and_forget
 
-        def spy_push(hosts, states, columns):
+        def spy_push(hosts, states, columns, rows=None):
+            check_row_hint(hub.table.matrix, hosts, rows)
             self.batches.append((hosts, states, columns))
-            push_many(hosts, states, columns)
+            push_many(hosts, states, columns, rows)
 
         def spy_send(address, msg):
             self.reports.append(msg)
@@ -375,12 +392,11 @@ class HashedName(str):
 @pytest.mark.costguard
 def test_call_count_of_rescheduler_init_is_linear_in_hosts():
     """Deploying over 32× the hosts costs at most 40× the calls (a
-    per-host rebuild of a host-list set costs ~1000×).  Measured: 28
-    calls per extra host as counted here (21 with plain ``str`` names,
-    each of whose hashings is not a call), all of them the static
-    description — ``static_info``, ``as_dict``, the IP, the feature
-    set, a ``HostRecord`` — and the hub/monitor partition; it was 43
-    (34) while each host was also registered by its own call."""
+    per-host rebuild of a host-list set costs ~1000×).  Measured: 11
+    calls per extra host as counted here (4 with plain ``str`` names,
+    each of whose hashings is not a call): the IP and a ``HostRecord``;
+    it was 28 (21) while each host built its own ``StaticInfo``, and
+    43 (34) while each host was also registered by its own call."""
     counts = {}
     for n_hosts in (64, 2048):
         cluster = Cluster(n_hosts=2, seed=0)
@@ -392,6 +408,117 @@ def test_call_count_of_rescheduler_init_is_linear_in_hosts():
             monitored_hosts=["ws1", "ws2"] + names,
         ))
     assert counts[2048] <= 40 * counts[64], counts
+
+
+class CountingIndex(dict):
+    """A host → row index that counts the name lookups made in it."""
+
+    lookups = 0
+
+    def __getitem__(self, host):
+        self.lookups += 1
+        return dict.__getitem__(self, host)
+
+    def get(self, host, default=None):
+        self.lookups += 1
+        return dict.get(self, host, default)
+
+    def __contains__(self, host):
+        self.lookups += 1
+        return dict.__contains__(self, host)
+
+
+@pytest.mark.costguard
+def test_a_hub_tick_looks_up_no_host_name():
+    """The hub resolves its registry rows once per row layout; a tick
+    with no OVERLOADED row then reaches ``push_many`` with rows, not
+    names.  The flat-calls guard cannot see this — ``map(_index.
+    __getitem__, …)`` runs in C — so the index counts itself."""
+    for n_rows in (64, 2048):
+        cluster, hub = bare_hub(n_rows, policy=policy_2(),
+                                ruleset=paper_ruleset(),
+                                rng=np.random.default_rng(0))
+        matrix = hub.table.matrix
+        index = matrix._index = CountingIndex(matrix._index)
+        hub._next_due[:] = hub.env.now
+        hub._tick()
+        assert index.lookups == n_rows  # the one resolution
+        for _ in range(3):
+            index.lookups = 0
+            hub._next_due[:] = hub.env.now
+            hub._tick()
+            assert index.lookups == 0, n_rows
+        assert len(hub.table.batches) == 4 and hub.sent == []
+        assert matrix.updates_received.tolist() == [4] * n_rows
+
+
+@pytest.mark.costguard
+def test_analytic_hosts_register_without_a_static_info_each(monkeypatch):
+    """Deploying over 4096 analytic rows of two specs builds one
+    :class:`StaticInfo` per spec — its template — and no host.
+    Measured: 4.1 calls per host (the name's IP, a ``HostRecord``);
+    it was 22 while every row built its own ``StaticInfo``."""
+    def deploy_4096():
+        cluster = Cluster(n_hosts=2, seed=0)
+        cluster.add_analytic_hosts([f"an{i}" for i in range(2048)])
+        cluster.add_analytic_hosts([f"gp{i}" for i in range(2048)],
+                                   cpu_speed=2.0, features=("gpu",))
+        return cluster, lambda: Rescheduler(
+            cluster, policy=policy_2(), registry_host="ws1")
+
+    deploy_4096()[1]()  # warm: imports and first-use caches
+    cluster, deploy = deploy_4096()
+    built = []
+    init = StaticInfo.__init__
+    monkeypatch.setattr(StaticInfo, "__init__", lambda self, *a, **k: (
+        built.append(a or k), init(self, *a, **k))[1])
+    per_host = count_calls(deploy) / 4096
+    assert len(built) == 2, built
+    assert set(cluster.hosts) == {"ws1", "ws2"}
+    assert per_host <= 5.1, per_host
+
+
+def test_pushes_follow_the_registry_rows_across_unregister_and_register():
+    """Unregister an earlier row mid-run, then register it again: after
+    each, the hub's next pushes land on the rows ``push_many`` finds by
+    name — through the name path while a hub host has no row, through
+    the refreshed row hint once every one has."""
+    cluster, rs = deploy(n_analytic=6)
+    hub, table = rs.hub, rs.registry.table
+    matrix = table.matrix
+    push_many = table.push_many
+    hinted = []
+
+    def spy(hosts, states, columns, rows=None):
+        check_row_hint(matrix, hosts, rows)
+        hinted.append(rows is not None and rows[0] == matrix.layout)
+        push_many(hosts, states, columns, rows)
+        for j, host in enumerate(hosts):
+            row = matrix.row_of(host)
+            assert matrix.last_update[row] == cluster.env.now, host
+            assert (matrix.metric_column("loadavg1")[row]
+                    == columns["loadavg1"][j]), host
+
+    table.push_many = spy
+    cluster.run(until=30.0)
+
+    def tick(*due):
+        del hinted[:]
+        hub._next_due[:] = np.inf
+        hub._next_due[list(due)] = cluster.env.now
+        hub._tick()
+        return hinted
+
+    table.unregister("an1")
+    assert tick(0, 2, 3) == [False] and "an1" not in table
+    assert tick(1, 4) == [False]  # an1 pushed: re-registered by name
+    assert matrix.hosts[-1] == "an1"
+    assert tick(0, 1, 5) == [True]
+    table.unregister("an0")
+    table.register("an0", cluster.static_info("an0").as_dict())
+    assert matrix.hosts[-2:] == ["an1", "an0"]
+    assert tick(0, 1, 2, 3, 4, 5) == [True]
+    assert tick(0, 3) == [True]
 
 
 def test_hub_rejects_empty_and_backed_hosts():

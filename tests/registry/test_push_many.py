@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.registry import SoftStateTable
-from repro.registry.hostmatrix import METRIC_COLUMNS
+from repro.registry.hostmatrix import METRIC_COLUMNS, HostExists
 from repro.rules import SystemState
 from repro.sim import Environment
 
@@ -80,6 +80,27 @@ def test_push_many_implicitly_registers_unknown_hosts():
     assert [r.host for r in table.records()] == ["new1", "new2"]
     assert table.get("new2").state is SystemState.BUSY
     assert table.matrix.row_of("new1") == 0
+
+
+def test_push_many_takes_a_row_hint_only_at_its_layout():
+    """A ``(layout, rows)`` hint is used while the matrix's layout
+    still reads ``layout``; once a row is added or removed the batch
+    goes by name again, implicit registration included."""
+    table = _fresh_table()
+    m = table.matrix
+    hint = (m.layout, m.rows_of(["ws2", "ws4"]))
+    load = {"loadavg1": np.array([0.25, 0.75])}
+    table.push_many(["ws2", "ws4"], [SystemState.FREE] * 2, load, hint)
+    assert m.updates_received.tolist() == [0, 1, 0, 1, 0]
+    table.unregister("ws1")  # every later row moves up by one
+    table.push_many(["ws2", "ws4", "ws9"], [SystemState.BUSY] * 3,
+                    {"loadavg1": np.array([1.0, 2.0, 3.0])},
+                    (hint[0], np.array([1, 3, 4])))
+    assert m.hosts == ["ws2", "ws3", "ws4", "ws5", "ws9"]
+    assert m.updates_received.tolist() == [2, 0, 2, 0, 1]
+    assert m.metric_column("loadavg1")[[0, 2, 4]].tolist() == [1.0, 2.0,
+                                                                3.0]
+    assert table.get("ws5").state is SystemState.FREE
 
 
 def test_push_many_ignores_unknown_metrics():
@@ -291,20 +312,38 @@ def test_register_many_naming_a_known_host_degrades_to_register(hosts):
 
 
 def test_a_refused_add_rows_leaves_nothing_behind():
+    """A batch naming a registered host or one host twice is refused
+    with :class:`HostExists`; one whose static ``cpu_speed`` is not a
+    number is refused outright, by ``register_many`` too — no row of
+    the batch is left behind and the layout does not move."""
     table = _fresh_table()
     m = table.matrix
     before = (list(m.hosts), dict(m._index), list(m._static),
               list(m._features), list(m.views()))
+    layout = m.layout
     hosts_array = m.hosts_array
     columns = {a: getattr(m, a)[:m.n].copy() for a in m._COLUMNS}
     metrics = m._metrics[:m.n].copy()
-    for hosts, clash in ((["a", "ws2", "b"], "ws2"),
-                         (["a", "b", "a"], "a")):
-        with pytest.raises(ValueError,
-                           match=f"host {clash!r} already has a row"):
-            m.add_rows(hosts, [{}] * 3, 5.0)
+    malformed = [{"cpu_speed": 1.0}] * 2 + [{"cpu_speed": "fast"}]
+    for refuse, error, match in (
+        (lambda: m.add_rows(["a", "ws2", "b"], [{}] * 3, 5.0),
+         HostExists, "host 'ws2' already has a row"),
+        (lambda: m.add_rows(["a", "b", "a"], [{}] * 3, 5.0),
+         HostExists, "host 'a' already has a row"),
+        (lambda: m.add_rows(["a", "b", "c"], malformed, 5.0),
+         ValueError, "fast"),
+        (lambda: table.register_many(["a", "b", "c"], malformed),
+         ValueError, "fast"),
+        (lambda: table.register_many(["a", "b", "a"], malformed),
+         ValueError, "fast"),
+    ):
+        with pytest.raises(error, match=match) as refused:
+            refuse()
+        assert (error is HostExists) == isinstance(refused.value,
+                                                   HostExists)
         assert (m.hosts, m._index, m._static, m._features,
                 m.views()) == before
+        assert m.layout == layout
         assert m.n == 5 and "a" not in m and "b" not in m
         # The membership caches were not even invalidated.
         assert m.hosts_array is hosts_array
@@ -313,6 +352,13 @@ def test_a_refused_add_rows_leaves_nothing_behind():
         np.testing.assert_array_equal(m._metrics[:m.n], metrics)
     with pytest.raises(ValueError, match="already has a row"):
         m.add_row("ws2", {}, 5.0)
+    # A re-registration that does not parse changes nothing either.
+    row = m.row_of("ws2")
+    static = m._static[row]
+    with pytest.raises(ValueError, match="fast"):
+        table.register("ws2", {"cpu_speed": "fast", "features": "gpu"})
+    assert m._static[row] is static and m.features_at(row) is None
+    assert m.cpu_speed[row] == 450.0
 
 
 def test_a_batch_reserves_its_capacity_in_one_step():

@@ -67,6 +67,25 @@ def test_register_and_update_populate_table():
     assert rec.metrics["loadavg1"] == 0.1
 
 
+def test_a_register_the_table_cannot_read_is_refused_and_counted():
+    """A ``cpu_speed`` that is not a number refuses the ``Register``
+    (nothing registered, counted) instead of raising out of
+    ``env.run``; the host's next heartbeat still folds."""
+    cluster = Cluster(n_hosts=2, seed=0)
+    directory, registry = deploy(cluster)
+    fake = Endpoint(cluster["ws2"], directory, name="monitor")
+    fake.send_and_forget(registry.address, Register(
+        host="h1", static_info={"cpu_speed": "fast"}))
+    cluster.run(until=2)
+    assert "h1" not in registry.table
+    assert registry.core.registers_refused == 1
+    fake.send_and_forget(registry.address, StatusUpdate(
+        host="h1", state=SystemState.FREE, metrics={"loadavg1": 0.1}))
+    cluster.run(until=5)
+    rec = registry.table.get("h1")
+    assert rec.updates_received == 1 and rec.static_info == {}
+
+
 def test_overloaded_update_triggers_migrate_command():
     cluster = Cluster(n_hosts=3, seed=0)
     directory, registry = deploy(cluster, registry_host="ws3")
