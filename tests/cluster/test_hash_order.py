@@ -7,7 +7,6 @@ has to be the order of the flows, not the iteration order of a set of
 host names — which ``PYTHONHASHSEED`` picks per interpreter.
 """
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -18,7 +17,8 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 
 def dispatch_digest():
-    """sha256 over ``(now, event type, owner)`` of every dispatch.
+    """sha256 over ``(now, event type, owner)`` of every dispatch
+    (:class:`tests.digests.DispatchDigest` with ``owner``).
 
     Six identical hosts run one identical job each; three identical
     transfers between disjoint pairs end in one wake-up, so one
@@ -30,6 +30,8 @@ def dispatch_digest():
     """
     from repro.cluster import Cpu, Network
     from repro.sim import Environment
+
+    from ..digests import DispatchDigest
 
     env = Environment()
     net = Network(env, default_bandwidth=1e5, latency=0.0,
@@ -44,13 +46,11 @@ def dispatch_digest():
     env.run(until=1.0)
     for cpu in cpus:
         cpu.execute(50.0)
-    digest = hashlib.sha256()
+    digest = DispatchDigest(owner=True)
     loaded = []
 
     def hook(now, event):
-        first = event.callbacks[0] if event.callbacks else None
-        owner = getattr(getattr(first, "__self__", None), "name", "")
-        digest.update(f"{now!r}|{type(event).__name__}|{owner}\n".encode())
+        digest(now, event)
         loaded.append(sum(1 for h in HOSTS
                           if net._ports[h].cpu.comm_load > 0))
 
