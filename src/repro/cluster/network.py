@@ -329,7 +329,15 @@ class Network:
         flows by the largest equal increment any of them can take, then
         freezes those at their cap or on a NIC direction that ran out.
         Each direction keeps the number of unfrozen flows on it, so a
-        round is one pass over the directions and one over the flows."""
+        round is one pass over the directions and one over the flows.
+
+        A lone flow takes one round, ``0.0 + max(min(tx / 1, rx / 1,
+        cap - 0.0), 0.0)``, and is set to that float directly."""
+        if len(flows) == 1:
+            flow = flows[0]
+            flow.rate = max(min(flow.tx.capacity, flow.rx.capacity,
+                                flow.rate_cap), 0.0)
+            return
         floor = _EPS * self.default_bandwidth
         nics = []
         for flow in flows:

@@ -64,7 +64,8 @@ class ClusterStateArrays:
     Growable float64 columns (doubling, or straight to the size a
     batch needs, like
     :class:`~repro.registry.hostmatrix.HostStateMatrix`).  Owned and
-    written by :class:`HostPlane`; everyone else treats the column
+    written by :class:`HostPlane`, whose derived cache is only as
+    fresh as its own mutators keep it; everyone else treats the column
     views as read-only.
     """
 
@@ -160,8 +161,94 @@ class ClusterStateArrays:
         return self._hosts
 
 
+class _Derived:
+    """What a tick and a sensor snapshot derive from the columns that
+    change only through a :class:`HostPlane` mutator, for one
+    :attr:`HostPlane.version`.  Arrays a caller may be handed are
+    read-only; the column views are the plane's own.
+
+    A cluster's analytic rows are usually one run of rows (its
+    analytic batch), and its duty families usually cover all of them;
+    then the gathered columns are slices — views that cost no copy —
+    instead of fancy-indexed copies of the same values."""
+
+    __slots__ = ("version", "n", "analytic", "take", "families", "hogs",
+                 "attached", "runq", "load1", "load5", "load15", "sensor")
+
+    def __init__(self, plane: "HostPlane"):
+        a = plane.arrays
+        self.version = plane.version
+        self.n = a.n
+        self.analytic = rows = _frozen(np.flatnonzero(a.analytic))
+        #: The analytic rows as an index: a slice when they are one run.
+        self.take = take = (
+            slice(int(rows[0]), int(rows[-1]) + 1)
+            if rows.size and rows[-1] - rows[0] == rows.size - 1 else rows)
+        #: Per duty family with an active row: those rows (as an index
+        #: into ``analytic``) and their period, busy time and phase.
+        self.families = []
+        for family in ("duty", "mon"):
+            period = a.col(f"{family}_period")[take]
+            active = np.flatnonzero(period > 0)
+            if not active.size:
+                continue
+            active = (slice(None) if active.size == rows.size
+                      else _frozen(active))
+            self.families.append((active,) + tuple(
+                _frozen(a.col(f"{family}_{name}")[take][active])
+                for name in ("period", "busy", "phase")))
+        self.hogs = _frozen(a.col("hog_count")[take])
+        self.attached = _frozen(np.array(plane._attached_rows,
+                                         dtype=np.intp))
+        self.runq = a.col("runq")
+        self.load1, self.load5, self.load15 = (
+            a.col("load1"), a.col("load5"), a.col("load15"))
+        # Full-length sensor columns, in SensorSuite.sample's order:
+        # views of the live ones, the closed-form ones computed here.
+        util = np.zeros(self.n)
+        for family in ("duty", "mon"):
+            period = a.col(f"{family}_period")
+            busy = a.col(f"{family}_busy")
+            active = period > 0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                util[active] += busy[active] / period[active]
+        hogs = a.col("hog_count")
+        util = np.minimum(1.0, util + np.where(hogs > 0, 1.0, 0.0))
+        send, recv = a.col("send_kbs"), a.col("recv_kbs")
+        self.sensor = {
+            "loadavg1": self.load1,
+            "loadavg5": self.load5,
+            "loadavg15": self.load15,
+            "cpu_util": _frozen(util),
+            "cpu_idle_pct": _frozen(100.0 * (1.0 - util)),
+            "proc_count": _frozen(
+                (a.col("duty_period") > 0).astype(float) + hogs),
+            "socket_count": _frozen(np.full(self.n, float(BASE_SOCKETS))),
+            "mem_avail_bytes": a.col("mem_avail_bytes"),
+            "mem_avail_pct": a.col("mem_avail_pct"),
+            "vmem_avail_pct": a.col("vmem_avail_pct"),
+            "disk_avail_bytes": a.col("disk_avail_bytes"),
+            "send_kbs": send,
+            "recv_kbs": recv,
+            "comm_mbs": _frozen((send + recv) / 1024.0),
+        }
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class HostPlane:
-    """The single periodic sampler over :class:`ClusterStateArrays`."""
+    """The single periodic sampler over :class:`ClusterStateArrays`.
+
+    A tick and :meth:`analytic_sensor_columns` read what they derive
+    from rarely-changing columns — the analytic rows, their duty
+    families and hogs, the attached rows, utilisation — from one cache
+    (:class:`_Derived`), rebuilt when :attr:`version` has moved.  Every
+    mutator bumps it, as every register and unregister bumps
+    :attr:`repro.registry.hostmatrix.HostStateMatrix.layout`.
+    """
 
     def __init__(
         self,
@@ -178,6 +265,10 @@ class HostPlane:
         self.ticks = 0
         self.folds = 0
         self._proc = None
+        #: Bumped by every mutator before it writes: the key of the
+        #: derived cache.
+        self.version = 0
+        self._derived = _Derived(self)
         ((self._k1, self._mk1), (self._k5, self._mk5),
          (self._k15, self._mk15)) = decay_factors(self.sample_interval)
 
@@ -194,6 +285,7 @@ class HostPlane:
         row = a.row_of(host.name)
         if row is None:
             row = a.add_row(host.name)
+        self.version += 1
         loadavg = LoadAverage(sample_interval=self.sample_interval)
         loadavg.one, loadavg.five, loadavg.fifteen = (
             float(a.col(name)[row])
@@ -233,6 +325,7 @@ class HostPlane:
             raise ValueError("per-row values must be one per name")
         a = self.arrays
         rows = slice(a.add_rows(names), a.n)
+        self.version += 1
         a.analytic[rows] = True
         a.col("duty_busy")[rows] = mean_load * period
         a.col("duty_period")[rows] = period
@@ -248,27 +341,42 @@ class HostPlane:
         family on analytic rows (the Figure 5 overhead, in closed
         form)."""
         a = self.arrays
+        self.version += 1
         a.col("mon_busy")[rows] = float(busy)
         a.col("mon_period")[rows] = float(period)
         a.col("mon_phase")[rows] = np.asarray(phases, dtype=float)
 
-    def inject_hogs(self, name: str, count: int = 1) -> None:
-        """Add compute-bound background tasks to an analytic row."""
+    def _analytic_row(self, name: str) -> int:
         row = self.arrays.row_of(name)
         if row is None:
             raise KeyError(name)
         if not self.arrays.analytic[row]:
             raise ValueError(f"{name!r} is not an analytic row")
+        return row
+
+    def inject_hogs(self, name: str, count: int = 1) -> None:
+        """Add compute-bound background tasks to an analytic row."""
+        row = self._analytic_row(name)
+        self.version += 1
         self.arrays.col("hog_count")[row] += int(count)
 
     def clear_hogs(self, name: str) -> None:
-        row = self.arrays.row_of(name)
-        if row is None:
-            raise KeyError(name)
+        """Remove an analytic row's hogs (a backed row has none: a
+        tick reads its run queue from its CPU)."""
+        row = self._analytic_row(name)
+        self.version += 1
         self.arrays.col("hog_count")[row] = 0.0
 
+    def _current(self) -> _Derived:
+        """The derived cache, rebuilt if a mutator ran since."""
+        derived = self._derived
+        if derived.version != self.version:
+            derived = self._derived = _Derived(self)
+        return derived
+
     def analytic_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.arrays.analytic)
+        """The analytic rows, ascending (read-only)."""
+        return self._current().analytic
 
     # -- the batched tick -----------------------------------------------
     def _run(self):
@@ -283,7 +391,7 @@ class HostPlane:
         return (busy * np.floor(x / period)
                 + np.minimum(np.mod(x, period), busy))
 
-    def _analytic_runq(self, t: float, rows: np.ndarray) -> np.ndarray:
+    def _analytic_runq(self, t: float, derived: _Derived) -> np.ndarray:
         """Closed-form run queue of analytic rows for the sample ending
         at ``t``: each duty family contributes its **exact mean
         occupancy** over the elapsed sample interval (the integral of
@@ -296,41 +404,30 @@ class HostPlane:
         load unrelated to ``mean_load``; the windowed mean converges to
         ``mean_load`` for every period/phase combination.
         """
-        a = self.arrays
-        q = a.col("hog_count")[rows].copy()
+        q = derived.hogs.copy()
         dt = self.sample_interval
-        for family in ("duty", "mon"):
-            period = a.col(f"{family}_period")[rows]
-            busy = a.col(f"{family}_busy")[rows]
-            phase = a.col(f"{family}_phase")[rows]
-            active = np.flatnonzero(period > 0)
-            if active.size:
-                p, b = period[active], busy[active]
-                x1 = t - phase[active]
-                q[active] += (
-                    self._on_time(x1, p, b)
-                    - self._on_time(x1 - dt, p, b)
-                ) / dt
+        for active, p, b, phase in derived.families:
+            x1 = t - phase
+            q[active] += (
+                self._on_time(x1, p, b)
+                - self._on_time(x1 - dt, p, b)
+            ) / dt
         return q
 
     def _tick(self) -> None:
-        a = self.arrays
-        n = a.n
-        if n == 0:
+        d = self._current()
+        if d.n == 0:
             self.ticks += 1
             return
-        t = self.env.now
-        runq = a.col("runq")
-        hosts, rows = self._attached, self._attached_rows
-        for row, host in zip(rows, hosts):
+        runq = d.runq
+        hosts = self._attached
+        for row, host in zip(self._attached_rows, hosts):
             runq[row] = host.cpu.run_queue
         # Analytic rows stay closed-form, host attached or not.
-        analytic = self.analytic_rows()
-        if analytic.size:
-            runq[analytic] = self._analytic_runq(t, analytic)
+        if d.analytic.size:
+            runq[d.take] = self._analytic_runq(self.env.now, d)
         # The vectorized fold — one statement per window, all hosts.
-        load1, load5, load15 = (a.col("load1"), a.col("load5"),
-                                a.col("load15"))
+        load1, load5, load15 = d.load1, d.load5, d.load15
         load1 *= self._k1
         load1 += runq * self._mk1
         load5 *= self._k5
@@ -338,6 +435,7 @@ class HostPlane:
         load15 *= self._k15
         load15 += runq * self._mk15
         # Write-back: consumers keep reading host.loadavg.{one,five,...}.
+        rows = d.attached
         for host, one, five, fifteen in zip(
             hosts, load1[rows].tolist(), load5[rows].tolist(),
             load15[rows].tolist(),
@@ -347,7 +445,7 @@ class HostPlane:
             view.five = five
             view.fifteen = fifteen
         self.ticks += 1
-        self.folds += n
+        self.folds += d.n
 
     # -- sensor columns for the monitor hub ------------------------------
     def analytic_sensor_columns(
@@ -357,38 +455,8 @@ class HostPlane:
         exact metric vocabulary of ``SensorSuite.sample``.
 
         Utilization is the closed-form mean: duty fraction plus
-        monitor-cost fraction, saturated to 1 when hogs run.
+        monitor-cost fraction, saturated to 1 when hogs run.  Each
+        column is a cached full-length column indexed by ``rows``.
         """
-        a = self.arrays
-        util = np.zeros(rows.shape[0])
-        for family in ("duty", "mon"):
-            period = a.col(f"{family}_period")[rows]
-            busy = a.col(f"{family}_busy")[rows]
-            active = period > 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                util[active] += busy[active] / period[active]
-        util = np.minimum(
-            1.0, util + np.where(a.col("hog_count")[rows] > 0, 1.0, 0.0)
-        )
-        proc_count = (
-            (a.col("duty_period")[rows] > 0).astype(float)
-            + a.col("hog_count")[rows]
-        )
-        send = a.col("send_kbs")[rows]
-        recv = a.col("recv_kbs")[rows]
-        return {
-            "loadavg1": a.col("load1")[rows],
-            "loadavg5": a.col("load5")[rows],
-            "loadavg15": a.col("load15")[rows],
-            "cpu_util": util,
-            "cpu_idle_pct": 100.0 * (1.0 - util),
-            "proc_count": proc_count,
-            "socket_count": np.full(rows.shape[0], float(BASE_SOCKETS)),
-            "mem_avail_bytes": a.col("mem_avail_bytes")[rows],
-            "mem_avail_pct": a.col("mem_avail_pct")[rows],
-            "vmem_avail_pct": a.col("vmem_avail_pct")[rows],
-            "disk_avail_bytes": a.col("disk_avail_bytes")[rows],
-            "send_kbs": send,
-            "recv_kbs": recv,
-            "comm_mbs": (send + recv) / 1024.0,
-        }
+        return {name: col[rows]
+                for name, col in self._current().sensor.items()}

@@ -31,14 +31,27 @@ kept line for line (only renamed) so the one processor-sharing server
 that replaced the pair can be required to finish every job at the same
 float, integrate the same busy and load times and dispatch the same
 kernel events at the same instants.
+
+**The host plane's tick.**  ``ReferencePlane`` is the
+:class:`~repro.cluster.plane.HostPlane` whose tick re-gathered the
+analytic rows, each duty family's ``period`` / ``busy`` / ``phase`` and
+the hog column on every sample, and whose sensor snapshot re-derived
+utilisation from them on every call.  Its ``_tick``,
+``_analytic_runq``, ``analytic_rows`` and ``analytic_sensor_columns``
+are kept line for line so the plane that caches them can be required
+to fold the same run queues and report the same columns, whatever
+mutators run between its ticks.
 """
 
 import math
-from typing import Any, Optional
+from typing import Any, Dict, Optional
+
+import numpy as np
 
 from repro.cluster.cpu import MAX_COMM_LOAD
 from repro.cluster.loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage
 from repro.cluster.network import ETHERNET_100MBPS
+from repro.cluster.plane import BASE_SOCKETS, HostPlane
 from repro.sim.events import Event
 
 
@@ -449,3 +462,98 @@ class ReferenceCpu:
         gives a noise-free mean load over an interval."""
         self._accumulate_comm()
         return self._server.queue_time() + self._comm_queue
+
+
+class ReferencePlane(HostPlane):
+    """The host plane without its derived-column cache."""
+
+    def analytic_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.arrays.analytic)
+
+    def _analytic_runq(self, t: float, rows: np.ndarray) -> np.ndarray:
+        a = self.arrays
+        q = a.col("hog_count")[rows].copy()
+        dt = self.sample_interval
+        for family in ("duty", "mon"):
+            period = a.col(f"{family}_period")[rows]
+            busy = a.col(f"{family}_busy")[rows]
+            phase = a.col(f"{family}_phase")[rows]
+            active = np.flatnonzero(period > 0)
+            if active.size:
+                p, b = period[active], busy[active]
+                x1 = t - phase[active]
+                q[active] += (
+                    self._on_time(x1, p, b)
+                    - self._on_time(x1 - dt, p, b)
+                ) / dt
+        return q
+
+    def _tick(self) -> None:
+        a = self.arrays
+        n = a.n
+        if n == 0:
+            self.ticks += 1
+            return
+        t = self.env.now
+        runq = a.col("runq")
+        hosts, rows = self._attached, self._attached_rows
+        for row, host in zip(rows, hosts):
+            runq[row] = host.cpu.run_queue
+        analytic = self.analytic_rows()
+        if analytic.size:
+            runq[analytic] = self._analytic_runq(t, analytic)
+        load1, load5, load15 = (a.col("load1"), a.col("load5"),
+                                a.col("load15"))
+        load1 *= self._k1
+        load1 += runq * self._mk1
+        load5 *= self._k5
+        load5 += runq * self._mk5
+        load15 *= self._k15
+        load15 += runq * self._mk15
+        for host, one, five, fifteen in zip(
+            hosts, load1[rows].tolist(), load5[rows].tolist(),
+            load15[rows].tolist(),
+        ):
+            view = host.loadavg
+            view.one = one
+            view.five = five
+            view.fifteen = fifteen
+        self.ticks += 1
+        self.folds += n
+
+    def analytic_sensor_columns(
+        self, rows: np.ndarray
+    ) -> Dict[str, np.ndarray]:
+        a = self.arrays
+        util = np.zeros(rows.shape[0])
+        for family in ("duty", "mon"):
+            period = a.col(f"{family}_period")[rows]
+            busy = a.col(f"{family}_busy")[rows]
+            active = period > 0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                util[active] += busy[active] / period[active]
+        util = np.minimum(
+            1.0, util + np.where(a.col("hog_count")[rows] > 0, 1.0, 0.0)
+        )
+        proc_count = (
+            (a.col("duty_period")[rows] > 0).astype(float)
+            + a.col("hog_count")[rows]
+        )
+        send = a.col("send_kbs")[rows]
+        recv = a.col("recv_kbs")[rows]
+        return {
+            "loadavg1": a.col("load1")[rows],
+            "loadavg5": a.col("load5")[rows],
+            "loadavg15": a.col("load15")[rows],
+            "cpu_util": util,
+            "cpu_idle_pct": 100.0 * (1.0 - util),
+            "proc_count": proc_count,
+            "socket_count": np.full(rows.shape[0], float(BASE_SOCKETS)),
+            "mem_avail_bytes": a.col("mem_avail_bytes")[rows],
+            "mem_avail_pct": a.col("mem_avail_pct")[rows],
+            "vmem_avail_pct": a.col("vmem_avail_pct")[rows],
+            "disk_avail_bytes": a.col("disk_avail_bytes")[rows],
+            "send_kbs": send,
+            "recv_kbs": recv,
+            "comm_mbs": (send + recv) / 1024.0,
+        }

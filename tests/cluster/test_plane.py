@@ -323,6 +323,8 @@ def test_hog_validation():
         cluster.plane.inject_hogs("ws1")  # backed row
     with pytest.raises(KeyError):
         cluster.plane.clear_hogs("nope")
+    with pytest.raises(ValueError, match="analytic"):
+        cluster.plane.clear_hogs("ws1")  # backed: no hogs to clear
 
 
 def test_arrays_growth_and_duplicates():
@@ -372,6 +374,55 @@ def test_call_count_of_building_analytic_hosts_is_flat_in_rows():
         assert len(cluster) == n_hosts + 2
         assert len(cluster._deferred) == n_hosts
     assert counts[4096] <= 2 * counts[64], counts
+
+
+def _ticking_plane(n_rows):
+    """A plane past its first tick: two backed hosts, ``n_rows``
+    analytic rows with both duty families and a hog."""
+    cluster = Cluster(n_hosts=2, seed=0)
+    names = [f"an{i}" for i in range(n_rows)]
+    loads = np.linspace(0.05, 0.5, n_rows)
+    cluster.add_analytic_hosts(names, mean_load=loads, period=2.0,
+                               phase=2.0 * loads)
+    plane = cluster.plane
+    monitored = plane.analytic_rows()[::2]
+    plane.set_monitor_duty(monitored, busy=0.01, period=10.0,
+                           phases=np.linspace(0.0, 10.0, monitored.size))
+    plane.inject_hogs("an3", 2)
+    cluster.run(until=6.0)
+    assert plane.ticks == 1
+    return plane
+
+
+@pytest.mark.costguard
+def test_call_count_of_a_tick_is_flat_in_rows(monkeypatch):
+    """After its first tick a tick gathers no column: 4 096 analytic
+    rows cost the calls 64 do (measured: 17 at either size; 77 while
+    every tick re-gathered the duty, hog and utilisation columns)."""
+    counts = {}
+    cols = []
+    col = ClusterStateArrays.col
+    for n_rows in (64, 4096):
+        plane = _ticking_plane(n_rows)
+        monkeypatch.setattr(ClusterStateArrays, "col",
+                            lambda self, name: cols.append(name)
+                            or col(self, name))
+        counts[n_rows] = count_calls(plane._tick)
+        monkeypatch.setattr(ClusterStateArrays, "col", col)
+    assert cols == []
+    assert counts[4096] == counts[64] <= 17, counts
+
+
+@pytest.mark.costguard
+def test_call_count_of_a_sensor_snapshot():
+    """The hub's per-tick snapshot indexes cached full-length columns
+    (measured: 6 calls at 64 or 4 096 rows; 54 while it re-derived
+    utilisation from the duty and hog columns on every call)."""
+    for n_rows in (64, 4096):
+        plane = _ticking_plane(n_rows)
+        rows = plane.analytic_rows()
+        assert count_calls(
+            lambda: plane.analytic_sensor_columns(rows)) <= 6
 
 
 def test_auto_mode_single_plane_process():
