@@ -90,6 +90,12 @@ def _assert_same(plane, reference):
             == [h.loadavg.as_tuple() for h in reference._attached])
 
 
+def _apply_both(planes, op, analytic):
+    added = [_apply(plane, op, analytic) for plane in planes]
+    assert added[0] == added[1]
+    return added[0]
+
+
 def _every_mutator_after_a_tick():
     return [("tick",), ("add", [(0.3, 2.0, 0.5)]), ("tick",),
             ("inject", 0, 2), ("tick",), ("duty", 3, 0.2, 5.0, 1.0),
@@ -121,12 +127,6 @@ def test_a_cached_tick_equals_the_uncached_tick(initial, ops):
         else:
             analytic += _apply_both(planes, op, analytic)
     assert planes[0].ticks == planes[1].ticks
-
-
-def _apply_both(planes, op, analytic):
-    added = [_apply(plane, op, analytic) for plane in planes]
-    assert added[0] == added[1]
-    return added[0]
 
 
 def test_what_a_caller_is_handed_cannot_corrupt_the_cache():

@@ -23,6 +23,7 @@ file from :data:`CELLS` × :data:`SEEDS` and explain the diff::
 import functools
 import hashlib
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -100,11 +101,14 @@ def rerun(pinned: list, jobs: int = 2) -> list:
     """Each entry's digests, simulated now ``jobs`` cells at a time and
     returned in entry order — the fan-out of
     :func:`repro.perf.run_sweep`, whose workers return a summary only,
-    with this module's :func:`digests` as the worker."""
+    with this module's :func:`digests` as the worker (in fresh
+    interpreters: the caller may be running threads)."""
     args = [(e["experiment"], e["config"], e["seed"]) for e in pinned]
     if jobs <= 1:
         return [digests(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(digests, *zip(*args)))
 
 
