@@ -400,16 +400,19 @@ def test_call_count_of_a_tick_is_flat_in_rows(monkeypatch):
     rows cost the calls 64 do (measured: 17 at either size; 77 while
     every tick re-gathered the duty, hog and utilisation columns)."""
     counts = {}
-    cols = []
+    gathered = []
     col = ClusterStateArrays.col
+
+    def counted_col(self, name):
+        gathered.append(name)
+        return col(self, name)
+
     for n_rows in (64, 4096):
         plane = _ticking_plane(n_rows)
-        monkeypatch.setattr(ClusterStateArrays, "col",
-                            lambda self, name: cols.append(name)
-                            or col(self, name))
+        monkeypatch.setattr(ClusterStateArrays, "col", counted_col)
         counts[n_rows] = count_calls(plane._tick)
-        monkeypatch.setattr(ClusterStateArrays, "col", col)
-    assert cols == []
+        monkeypatch.undo()
+    assert gathered == []
     assert counts[4096] == counts[64] <= 17, counts
 
 
