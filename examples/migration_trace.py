@@ -7,7 +7,7 @@ registry decision, commander signal and the HPCM spawn / capture /
 transfer / drain spans.  Prints the phase breakdown (both from the
 migration record and from the trace spans), ASCII plots of CPU
 utilization and network rates around the migration window, and writes
-the full trace as JSONL for inspection with ``repro trace`` tooling or
+the full trace as JSONL for ``load_jsonl`` and ``jq``, or for
 conversion to Chrome/Perfetto format (see docs/tracing.md).
 
 Run:  python examples/migration_trace.py [trace-out.jsonl]

@@ -1,12 +1,6 @@
 """Experiment drivers regenerating every figure and table of §5."""
 
 from .efficiency import EfficiencyResult, run_efficiency_experiment
-from .export import (
-    export_efficiency,
-    export_overhead,
-    export_series,
-    export_table2,
-)
 from .malleability import (
     MalleabilityResult,
     MalleabilityRun,
@@ -31,10 +25,6 @@ __all__ = [
     "OverheadRun",
     "PolicyRunResult",
     "StateRow",
-    "export_efficiency",
-    "export_overhead",
-    "export_series",
-    "export_table2",
     "run_efficiency_experiment",
     "run_lease",
     "run_malleability_experiment",

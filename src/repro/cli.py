@@ -1,33 +1,31 @@
-"""Command-line interface: experiments, tracing, configuration linting.
+"""Command-line interface: experiments, sweeps, linting, live mode.
 
 ::
 
     python -m repro list
     python -m repro run fig5 [--seed N] [--out DIR]
-    python -m repro run fig7 --trace out.jsonl
+    python -m repro run fig7 --trace out.json
     python -m repro run all --out results/
-    python -m repro trace fig7 [--out trace.json] [--format chrome]
     python -m repro sweep fig5 fig7 --replicas 3 --jobs 4 \
         --cache-dir .sweep-cache --out sweep.json
     python -m repro lint examples/ [--format json] [--strict]
     python -m repro live [--nodes N] [--timeout S] [--hierarchy]
 
-``repro run`` regenerates a §5 experiment, prints a paper-vs-measured
-table (and ASCII plots for the figures), and — with ``--out`` —
-exports the raw series as CSV; ``--trace PATH`` additionally records
-the structured migration-lifecycle trace (see ``docs/tracing.md``).
-``repro trace`` runs an experiment purely for its trace and prints the
-per-phase span breakdown.  ``repro sweep`` fans independent replicas
-across a process pool with deterministic per-replica seeds and a
-content-hash result cache (see ``docs/performance.md``).  ``repro
-lint`` statically checks rule files, policy files and application
-schemas (see ``docs/linting.md``).  ``repro live`` runs the whole
-pipeline over real localhost sockets — registry, nodes, an overload,
-one genuine migration — and prints the decision log (see
+``repro run`` regenerates a §5 figure or table: it runs the
+experiment's cell (:func:`repro.perf.experiments.run_cell`; Figures 5
+and 6 share the ``overhead`` cell, Figures 7 and 8 the ``efficiency``
+cell) and prints a paper-vs-measured table, and ASCII plots for the
+figures, from the cell's summary alone.  ``--out DIR`` writes each
+summary to ``DIR/<cell>.json``; ``--trace PATH`` also records the
+structured migration-lifecycle trace and prints its per-phase span
+breakdown (see ``docs/tracing.md``).  ``repro sweep`` fans independent
+replicas across a process pool with deterministic per-replica seeds
+and a content-hash result cache (see ``docs/performance.md``).
+``repro lint`` statically checks rule files, policy files and
+application schemas (see ``docs/linting.md``).  ``repro live`` runs the
+whole pipeline over real localhost sockets — registry, nodes, an
+overload, one genuine migration — and prints the decision log (see
 ``docs/live.md``).
-
-The pre-subcommand spelling ``repro fig5`` still works through a
-back-compat shim.
 """
 
 from __future__ import annotations
@@ -76,92 +74,56 @@ def _versus(name: str, measured, title: str, first: str = "quantity"):
     return format_table([first, "paper", "measured"], rows, title=title)
 
 
-def _fig5(args) -> int:
-    from .analysis import run_overhead_experiment
-    from .analysis.export import export_overhead
-    from .metrics import ascii_plot
+def _plot(s: dict, names: tuple, title: str, labels: list) -> str:
+    """The summary's ``series`` named ``names``, as one ASCII plot."""
+    from .metrics import TimeSeries, ascii_plot
 
-    r = run_overhead_experiment(duration=args.duration, seed=args.seed)
+    return ascii_plot(
+        [TimeSeries.from_points(s["series"][name]) for name in names],
+        title=title, labels=labels,
+    )
+
+
+def _fig5(s: dict) -> None:
     print(_versus("fig5", [
-        f"{r.load1_without:.3f}", f"{r.load1_with:.3f}",
-        f"{100 * r.load1_overhead:.2f} %", f"{100 * r.load5_overhead:.2f} %",
-        f"{100 * r.cpu_overhead:.2f} %",
+        f"{s['load1_without']:.3f}", f"{s['load1_with']:.3f}",
+        f"{100 * s['load1_overhead']:.2f} %",
+        f"{100 * s['load5_overhead']:.2f} %",
+        f"{100 * s['cpu_overhead']:.2f} %",
     ], "Figure 5 — rescheduler overhead (load average)"))
-    print(ascii_plot(
-        [r.without_rs.load1, r.with_rs.load1],
-        title="1-minute load average",
-        labels=["without", "with"],
-    ))
-    if args.out:
-        paths = export_overhead(r, args.out)
-        print(f"\nCSV written: {', '.join(sorted(paths.values()))}")
-    return 0
+    print(_plot(s, ("load1_without", "load1_with"),
+                "1-minute load average", ["without", "with"]))
 
 
-def _fig6(args) -> int:
-    from .analysis import run_overhead_experiment
-    from .analysis.export import export_overhead
-
-    r = run_overhead_experiment(duration=args.duration, seed=args.seed)
+def _fig6(s: dict) -> None:
     print(_versus("fig6", [
-        f"{r.send_kbs_without:.2f} → {r.send_kbs_with:.2f}",
-        f"{r.recv_kbs_without:.2f} → {r.recv_kbs_with:.2f}",
-        f"{100 * r.comm_overhead:.2f} %",
+        f"{s['send_kbs_without']:.2f} → {s['send_kbs_with']:.2f}",
+        f"{s['recv_kbs_without']:.2f} → {s['recv_kbs_with']:.2f}",
+        f"{100 * s['comm_overhead']:.2f} %",
     ], "Figure 6 — rescheduler overhead (communication)"))
-    if args.out:
-        export_overhead(r, args.out)
-        print(f"\nCSV written under {args.out}")
-    return 0
 
 
-def _fig7(args) -> int:
-    from .analysis import run_efficiency_experiment
-    from .analysis.export import export_efficiency
-    from .metrics import ascii_plot
-
-    r = run_efficiency_experiment(seed=args.seed)
-    phases = r.phase_summary()
+def _fig7(s: dict) -> None:
     print(_versus("fig7", [
-        f"{phases['warmup_s']:.1f} s", f"{phases['decision_s']:.3f} s",
-        f"{phases['init_s']:.2f} s", f"{phases['to_pollpoint_s']:.2f} s",
-        f"{phases['resume_s']:.2f} s", f"{phases['total_s']:.2f} s",
+        f"{s['warmup_s']:.1f} s", f"{s['decision_s']:.3f} s",
+        f"{s['init_s']:.2f} s", f"{s['to_pollpoint_s']:.2f} s",
+        f"{s['resume_s']:.2f} s", f"{s['total_s']:.2f} s",
     ], "Figure 7 — migration phases", first="phase"))
-    print(ascii_plot(
-        [r.cpu_source, r.cpu_dest],
-        title="CPU utilization around the migration",
-        labels=["source", "destination"],
-    ))
-    if args.out:
-        paths = export_efficiency(r, args.out)
-        print(f"\nCSV written: {', '.join(sorted(paths.values()))}")
-    return 0
+    print(_plot(s, ("cpu_source", "cpu_dest"),
+                "CPU utilization around the migration",
+                ["source", "destination"]))
 
 
-def _fig8(args) -> int:
-    from .analysis import run_efficiency_experiment
-    from .analysis.export import export_efficiency
-    from .metrics import ascii_plot
-
-    r = run_efficiency_experiment(seed=args.seed)
-    print(ascii_plot(
-        [r.send_source, r.recv_dest],
-        title="Figure 8 — network KB/s (state-transfer burst)",
-        labels=["source send", "destination recv"],
-    ))
-    rec = r.record
-    print(f"\nresume happened {rec.drain_seconds:.2f}s before the "
-          f"transfer completed ({rec.memory_bytes / 2**20:.1f} MB moved)")
-    if args.out:
-        export_efficiency(r, args.out)
-        print(f"CSV written under {args.out}")
-    return 0
+def _fig8(s: dict) -> None:
+    print(_plot(s, ("send_source", "recv_dest"),
+                "Figure 8 — network KB/s (state-transfer burst)",
+                ["source send", "destination recv"]))
+    print(f"\nresume happened {s['drain_s']:.2f}s before the "
+          f"transfer completed ({s['memory_mb']:.1f} MB moved)")
 
 
-def _table1(args) -> int:
-    from .analysis import run_table1
+def _table1(s: dict) -> None:
     from .metrics import format_table
-
-    rows = run_table1(seed=args.seed)
 
     def cell(flag):
         return "yes" if flag else "no"
@@ -169,113 +131,114 @@ def _table1(args) -> int:
     print(format_table(
         ["state", "loaded", "migrate in", "migrate out"],
         [
-            (name, cell(row.loaded), cell(row.migrate_in),
-             cell(row.migrate_out))
-            for name, row in rows.items() if not name.startswith("_")
+            (name, *(cell(s["states"][name][key])
+                     for key in ("loaded", "migrate_in", "migrate_out")))
+            for name in ("overloaded", "busy", "free")
         ],
         title="Table 1 — system state behaviour (observed)",
     ))
-    return 0
 
 
-def _table2(args) -> int:
-    from .analysis import run_table2
-    from .analysis.export import export_table2
+def _table2(s: dict) -> None:
     from .metrics import format_table
 
-    results = run_table2(seed=args.seed)
+    def row(i):
+        p = s[f"policy{i}"]
+        migration = p["migration_s"]
+        return (f"policy-{i}", round(p["total_s"], 2),
+                p["migrated_to"] or "-", round(p["source_s"], 2),
+                round(p["dest_s"], 2),
+                "-" if migration is None else round(migration, 2))
+
     print(format_table(
         ["policy", "total s", "to", "source s", "dest s", "migration s"],
-        [results[i].row() for i in (1, 2, 3)],
+        [row(i) for i in (1, 2, 3)],
         title="Table 2 — policy comparison (paper: "
               + " / ".join(quote for _, quote in PAPER["table2"]) + ")",
     ))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = export_table2(results,
-                             os.path.join(args.out, "table2.csv"))
-        print(f"\nCSV written: {path}")
-    return 0
 
 
-def _all(args) -> int:
-    rc = 0
-    for name in ("fig5", "fig6", "fig7", "fig8", "table1", "table2"):
-        print(f"\n=== {name} ===")
-        rc |= COMMANDS[name](args)
-    return rc
-
-
-def _list(args) -> int:
-    print("available experiments:")
-    for name in sorted(COMMANDS):
-        if name != "all":
-            print(f"  {name}")
-    print("  all    — run everything")
-    return 0
-
-
-#: Experiment name → handler (the ``repro run`` subcommand).
-COMMANDS = {
+#: Figure or table → its printer, which reads only the cell summary.
+#: A figure's cell is ``repro.perf.experiments.FIGURES[name]``; a
+#: table is a cell of its own.
+PRINTERS = {
     "fig5": _fig5,
     "fig6": _fig6,
     "fig7": _fig7,
     "fig8": _fig8,
     "table1": _table1,
     "table2": _table2,
-    "all": _all,
 }
 
 
-def _export_trace(tracer, path: str, fmt: Optional[str] = None) -> None:
-    """Write a collected trace; format from ``fmt`` or the extension
-    (``.json`` → Chrome/Perfetto, anything else → JSONL)."""
+def _list(args) -> int:
+    print("available experiments:")
+    for name in sorted(PRINTERS):
+        print(f"  {name}")
+    print("  all    — run everything")
+    return 0
+
+
+def _export_trace(tracer, path: str) -> None:
+    """Write a collected trace; ``.json`` → Chrome/Perfetto, anything
+    else → JSONL."""
     from .trace.exporters import export_chrome, export_jsonl
 
-    if fmt is None:
-        fmt = "chrome" if path.endswith(".json") else "jsonl"
+    chrome = path.endswith(".json")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    if fmt == "chrome":
-        n = export_chrome(tracer.records, path)
-    else:
-        n = export_jsonl(tracer.records, path)
-    print(f"trace written: {path} ({n} records, {fmt} format)")
+    n = (export_chrome if chrome else export_jsonl)(tracer.records, path)
+    print(f"trace written: {path} ({n} records, "
+          f"{'chrome' if chrome else 'jsonl'} format)")
+
+
+def _summaries(names: list, args) -> dict:
+    """Each named experiment's cell, run once: cell → summary."""
+    from .perf.experiments import FIGURES, run_cell
+
+    summaries: dict = {}
+    for name in names:
+        cell = FIGURES.get(name, name)
+        if cell not in summaries:
+            config = {"duration": args.duration} if cell == "overhead" else {}
+            summaries[cell] = run_cell(cell, config, args.seed)
+    return summaries
 
 
 def _run(args) -> int:
+    import json
+
+    from .perf.experiments import FIGURES
+
+    names = list(PRINTERS) if args.experiment == "all" else [args.experiment]
+    if args.trace:
+        from .trace import Tracer, use
+
+        tracer = Tracer()
+        with use(tracer):
+            summaries = _summaries(names, args)
+    else:
+        summaries = _summaries(names, args)
+    for name in names:
+        if len(names) > 1:
+            print(f"\n=== {name} ===")
+        PRINTERS[name](summaries[FIGURES.get(name, name)])
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    trace_path = getattr(args, "trace", None)
-    if not trace_path:
-        return COMMANDS[args.experiment](args)
-    from .trace import Tracer, use
+        for cell, summary in summaries.items():
+            path = os.path.join(args.out, f"{cell}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"summary JSON written: {path}")
+    if args.trace:
+        from .metrics.tracestats import format_phase_table
 
-    tracer = Tracer()
-    with use(tracer):
-        rc = COMMANDS[args.experiment](args)
-    _export_trace(tracer, trace_path)
-    return rc
-
-
-def _trace(args) -> int:
-    from .metrics.tracestats import format_phase_table
-    from .trace import Tracer, use
-
-    # The experiment handlers read seed/duration/out; out here names
-    # the trace file, so the handler sees no CSV directory.
-    handler_args = argparse.Namespace(
-        experiment=args.experiment, seed=args.seed,
-        duration=args.duration, out=None,
-    )
-    tracer = Tracer()
-    with use(tracer):
-        rc = COMMANDS[args.experiment](handler_args)
-    _export_trace(tracer, args.out, fmt=args.format)
-    print()
-    print(format_phase_table(tracer.records))
-    return rc
+        _export_trace(tracer, args.trace)
+        print()
+        print(format_phase_table(tracer.records))
+    return 0
 
 
 def _parse_overrides(items) -> dict:
@@ -300,7 +263,8 @@ def _sweep(args) -> int:
     import json
 
     from .metrics import format_table
-    from .perf import CELLS, ResultCache, plan_sweep, run_sweep
+    from .perf import ResultCache, plan_sweep, run_sweep
+    from .perf.experiments import CELLS, FIGURES
 
     if args.list_axes:
         from .perf.experiments import CELL_AXES
@@ -318,12 +282,14 @@ def _sweep(args) -> int:
             "repro sweep: name at least one experiment "
             "(or use --list-axes)"
         )
-    unknown = [e for e in experiments if e != "all" and e not in CELLS]
+    unknown = [e for e in experiments
+               if e != "all" and FIGURES.get(e, e) not in CELLS]
     if unknown:
         raise SystemExit(
             f"repro sweep: unknown experiment(s) "
             f"{', '.join(sorted(unknown))}; "
-            f"choose from {', '.join(sorted(CELLS))}, all"
+            f"choose from {', '.join(sorted(CELLS))}, "
+            f"{', '.join(sorted(FIGURES))}, all"
         )
     if "all" in experiments:
         experiments = sorted(CELLS)
@@ -354,22 +320,14 @@ def _sweep(args) -> int:
         title=f"sweep — {outcome.executed} ran, "
               f"{outcome.cache_hits} from cache",
     ))
-    payload = outcome.as_payload()
     if args.out:
         parent = os.path.dirname(args.out)
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(outcome.as_payload(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"summary JSON written: {args.out}")
-    if args.csv:
-        from .analysis.export import export_sweep
-
-        parent = os.path.dirname(args.csv)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        print(f"summary CSV written: {export_sweep(payload, args.csv)}")
     return 0
 
 
@@ -528,37 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="regenerate one of the paper's experiments"
     )
-    run.add_argument("experiment", choices=sorted(COMMANDS),
+    run.add_argument("experiment", choices=sorted(PRINTERS) + ["all"],
                      help="which experiment to run")
     run.add_argument("--seed", type=int, default=0,
                      help="random seed (default 0)")
     run.add_argument("--duration", type=float, default=3600.0,
                      help="overhead-experiment horizon in simulated "
                           "seconds (default 3600)")
-    run.add_argument("--out", default=None,
-                     help="directory for CSV export (created if missing)")
+    run.add_argument("--out", default=None, metavar="DIR",
+                     help="write each cell's summary to DIR/<cell>.json "
+                          "(created if missing)")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="also record a structured trace to PATH "
-                          "(.json → Chrome/Perfetto, else JSONL)")
+                          "(.json → Chrome/Perfetto, else JSONL) and "
+                          "print its per-phase breakdown")
     run.set_defaults(func=_run)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run an experiment with tracing on and export the trace",
-    )
-    trace.add_argument("experiment", choices=sorted(COMMANDS),
-                       help="which experiment to trace")
-    trace.add_argument("--seed", type=int, default=0,
-                       help="random seed (default 0)")
-    trace.add_argument("--duration", type=float, default=3600.0,
-                       help="overhead-experiment horizon in simulated "
-                            "seconds (default 3600)")
-    trace.add_argument("--out", default="trace.jsonl", metavar="PATH",
-                       help="trace output path (default trace.jsonl)")
-    trace.add_argument("--format", choices=("jsonl", "chrome"),
-                       default=None,
-                       help="trace format (default: from extension)")
-    trace.set_defaults(func=_trace)
 
     sweep = sub.add_parser(
         "sweep",
@@ -585,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable; values parsed as JSON)")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help="write the full summary JSON here")
-    sweep.add_argument("--csv", default=None, metavar="PATH",
-                       help="also flatten scalar metrics to CSV")
     sweep.add_argument("--dry-run", action="store_true",
                        help="print the plan (and cache status) "
                             "without running anything")
@@ -638,16 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shim(argv: list) -> list:
-    """Back-compat: ``repro fig5 --seed 1`` → ``repro run fig5 --seed 1``."""
-    if argv and argv[0] in COMMANDS:
-        return ["run"] + argv
-    return argv
-
-
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_shim(argv))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -6,8 +6,8 @@ The paper's §5.2 attributes migration cost phase by phase — decision
 breakdown from a structured trace (:mod:`repro.trace`) instead of from
 :class:`~repro.hpcm.record.MigrationRecord` bookkeeping, and renders
 it through the existing report path (:func:`~repro.metrics.report
-.format_table`) — so ``repro trace fig7`` prints a Figure-7-style
-phase table straight out of the trace file.
+.format_table`) — so ``repro run fig7 --trace PATH`` prints a
+Figure-7-style phase table straight out of the trace.
 
 Records are duck-typed (``name`` / ``t`` / ``dur`` / ``host`` /
 ``attrs``): both live :class:`~repro.trace.TraceRecord` lists and

@@ -22,7 +22,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cache": ("ResultCache", "cache_key"),
-    "experiments": ("CELLS", "run_cell"),
+    "experiments": ("CELLS", "FIGURES", "run_cell"),
     "seeds": ("derive_seed",),
     "sweep": ("SweepCell", "SweepOutcome", "plan_sweep", "run_sweep"),
 })

@@ -25,8 +25,9 @@ def _axis_kwargs(axes: frozenset, config: Dict[str, Any]) -> Dict[str, Any]:
     return {key: value for key, value in config.items() if key in axes}
 
 
-def cell_fig5(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Figure 5 — rescheduler load/CPU overhead (§5.1)."""
+def cell_overhead(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Rescheduler overhead, read as load and CPU (Figure 5) and as
+    communication (Figure 6) — §5.1."""
     from ..analysis import run_overhead_experiment
 
     r = run_overhead_experiment(
@@ -43,66 +44,30 @@ def cell_fig5(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "load1_overhead": r.load1_overhead,
         "load5_overhead": r.load5_overhead,
         "cpu_overhead": r.cpu_overhead,
-        "series": {
-            "load1_without": _points(r.without_rs.load1),
-            "load1_with": _points(r.with_rs.load1),
-        },
-    }
-
-
-def cell_fig6(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Figure 6 — rescheduler communication overhead (§5.1)."""
-    from ..analysis import run_overhead_experiment
-
-    r = run_overhead_experiment(
-        duration=config.get("duration", 3600.0),
-        seed=seed,
-        interval=config.get("interval", 10.0),
-        cycle_cost=config.get("cycle_cost"),
-        settle=config.get("settle", 900.0),
-        hosts=config.get("hosts", 2),
-    )
-    return {
         "send_kbs_without": r.send_kbs_without,
         "send_kbs_with": r.send_kbs_with,
         "recv_kbs_without": r.recv_kbs_without,
         "recv_kbs_with": r.recv_kbs_with,
         "comm_overhead": r.comm_overhead,
         "series": {
+            "load1_without": _points(r.without_rs.load1),
+            "load1_with": _points(r.with_rs.load1),
             "send_without": _points(r.without_rs.send_kbs),
             "send_with": _points(r.with_rs.send_kbs),
         },
     }
 
 
-def _efficiency(config: Dict[str, Any], seed: int):
+def cell_efficiency(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """One migration, read as phases and CPU (Figure 7) and as the
+    state-transfer burst on the network (Figure 8) — §5.2."""
     from ..analysis import run_efficiency_experiment
 
-    kwargs = _axis_kwargs(_EFFICIENCY_AXES, config)
-    return run_efficiency_experiment(seed=seed, **kwargs)
-
-
-def cell_fig7(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Figure 7 — migration phases, CPU view (§5.2)."""
-    r = _efficiency(config, seed)
-    summary: Dict[str, Any] = dict(r.phase_summary())
-    summary["checksum_ok"] = r.checksum_ok
-    summary["succeeded"] = r.record.succeeded
-    summary["completed_at"] = r.record.completed_at
-    summary["series"] = {
-        "cpu_source": _points(r.cpu_source),
-        "cpu_dest": _points(r.cpu_dest),
-    }
-    return summary
-
-
-def cell_fig8(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Figure 8 — migration state-transfer burst, network view (§5.2)."""
-    r = _efficiency(config, seed)
+    r = run_efficiency_experiment(
+        seed=seed, **_axis_kwargs(CELL_AXES["efficiency"], config))
     rec = r.record
-    return {
-        "drain_s": rec.drain_seconds,
-        "memory_mb": rec.memory_bytes / 2**20,
+    summary: Dict[str, Any] = dict(r.phase_summary())
+    summary.update({
         "checksum_ok": r.checksum_ok,
         "succeeded": rec.succeeded,
         "ordered_at": rec.ordered_at,
@@ -111,10 +76,13 @@ def cell_fig8(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "app_started_at": r.app_started_at,
         "load_injected_at": r.load_injected_at,
         "series": {
+            "cpu_source": _points(r.cpu_source),
+            "cpu_dest": _points(r.cpu_dest),
             "send_source": _points(r.send_source),
             "recv_dest": _points(r.recv_dest),
         },
-    }
+    })
+    return summary
 
 
 def cell_table2(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
@@ -196,12 +164,10 @@ def cell_lease(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return run_lease(seed=seed, **_axis_kwargs(CELL_AXES["lease"], config))
 
 
-#: Cell name → runner.  Keys are the ``repro sweep`` experiment names.
+#: Cell name → runner: one cell per experiment.
 CELLS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
-    "fig5": cell_fig5,
-    "fig6": cell_fig6,
-    "fig7": cell_fig7,
-    "fig8": cell_fig8,
+    "overhead": cell_overhead,
+    "efficiency": cell_efficiency,
     "table2": cell_table2,
     "malleability": cell_malleability,
     "table1": cell_table1,
@@ -214,17 +180,14 @@ CELLS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
 #: ``plan_sweep`` validates overrides against the union for the planned
 #: experiments, so a typo'd or mis-plumbed axis fails at plan time
 #: instead of silently riding along in every cache key.
-_EFFICIENCY_AXES = frozenset({
-    "app_start", "load_at", "duration", "hogs", "sustain", "levels",
-    "trees", "node_cost", "serialize_rate", "chunks", "resume_fraction",
-})
 CELL_AXES: Dict[str, frozenset] = {
-    "fig5": frozenset({"duration", "interval", "cycle_cost", "settle",
-                       "hosts"}),
-    "fig6": frozenset({"duration", "interval", "cycle_cost", "settle",
-                       "hosts"}),
-    "fig7": _EFFICIENCY_AXES,
-    "fig8": _EFFICIENCY_AXES,
+    "overhead": frozenset({"duration", "interval", "cycle_cost", "settle",
+                           "hosts"}),
+    "efficiency": frozenset({
+        "app_start", "load_at", "duration", "hogs", "sustain", "levels",
+        "trees", "node_cost", "serialize_rate", "chunks",
+        "resume_fraction",
+    }),
     "table2": frozenset({"params", "load_at", "hogs", "sustain",
                          "bulk_rate", "ws3_load", "max_duration"}),
     "malleability": frozenset({
@@ -241,16 +204,32 @@ CELL_AXES: Dict[str, frozenset] = {
 }
 
 
+#: Figure name → the cell whose summary holds it.  The paper reads one
+#: overhead run two ways (§5.1) and one migration two ways (§5.2).
+FIGURES: Dict[str, str] = {
+    "fig5": "overhead",
+    "fig6": "overhead",
+    "fig7": "efficiency",
+    "fig8": "efficiency",
+}
+
+
+def resolve(experiment: str) -> str:
+    """The cell an experiment name runs: a figure's cell, or the cell
+    itself; :class:`ValueError` for a name that is neither."""
+    cell = FIGURES.get(experiment, experiment)
+    if cell not in CELLS:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; "
+            f"choose from {sorted(CELLS)} or {sorted(FIGURES)}"
+        )
+    return cell
+
+
 def run_cell(
     experiment: str, config: Dict[str, Any], seed: int
 ) -> Dict[str, Any]:
-    """Run one cell by name.  Module-level (picklable), so it is the
-    function the process pool ships to workers."""
-    try:
-        cell = CELLS[experiment]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; "
-            f"choose from {sorted(CELLS)}"
-        ) from None
-    return cell(dict(config), seed)
+    """Run one cell, by its name or a figure's.  Module-level
+    (picklable), so it is the function the process pool ships to
+    workers."""
+    return CELLS[resolve(experiment)](dict(config), seed)

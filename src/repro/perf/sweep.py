@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache, cache_key
-from .experiments import CELL_AXES, CELLS, run_cell
+from .experiments import CELL_AXES, CELLS, FIGURES, resolve, run_cell
 from .seeds import derive_seed
 
 
@@ -84,10 +84,12 @@ def plan_sweep(
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    unknown = sorted(set(experiments) - set(CELLS))
+    unknown = sorted(e for e in set(experiments)
+                     if FIGURES.get(e, e) not in CELLS)
     if unknown:
         raise ValueError(
-            f"unknown experiments {unknown}; choose from {sorted(CELLS)}"
+            f"unknown experiments {unknown}; choose from {sorted(CELLS)} "
+            f"or {sorted(FIGURES)}"
         )
     config = dict(config or {})
     # Overrides must be axes some planned cell actually reads —
@@ -95,7 +97,7 @@ def plan_sweep(
     # key while changing nothing.
     valid_axes: set = set()
     for experiment in set(experiments):
-        valid_axes |= CELL_AXES.get(experiment, frozenset())
+        valid_axes |= CELL_AXES[resolve(experiment)]
     bad_axes = sorted(set(config) - valid_axes)
     if bad_axes:
         raise ValueError(
@@ -103,13 +105,18 @@ def plan_sweep(
             f"{sorted(set(experiments))}; valid axes: "
             f"{sorted(valid_axes)}"
         )
-    return [
-        SweepCell(experiment=experiment, replica=replica,
-                  seed=derive_seed(base_seed, experiment, replica),
-                  config=config)
-        for experiment in experiments
-        for replica in range(replicas)
-    ]
+    # A figure plans its cell, seeded by the name asked for (so
+    # ``fig5`` runs what it ran before cells were merged); a second
+    # request for the same run is dropped.
+    cells: Dict[str, SweepCell] = {}
+    for experiment in experiments:
+        for replica in range(replicas):
+            cell = SweepCell(
+                experiment=resolve(experiment), replica=replica,
+                seed=derive_seed(base_seed, experiment, replica),
+                config=config)
+            cells.setdefault(cell.key, cell)
+    return list(cells.values())
 
 
 def _execute(cell: SweepCell) -> Dict[str, Any]:

@@ -16,8 +16,8 @@ set()
 The ambient tracer defaults to a disabled :class:`NullTracer`; see
 :mod:`repro.trace.tracer` for the overhead contract and
 :mod:`repro.trace.exporters` for the JSONL and Chrome/Perfetto output
-formats.  ``repro trace <experiment>`` and ``repro run <experiment>
---trace out.jsonl`` drive the whole pipeline from the command line.
+formats.  ``repro run <experiment> --trace out.jsonl`` drives the whole
+pipeline from the command line and prints the per-phase breakdown.
 """
 
 from __future__ import annotations

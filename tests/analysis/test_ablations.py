@@ -23,7 +23,7 @@ def test_warmup_window_trades_false_migrations_for_reaction_time():
 
 
 def test_faster_monitoring_costs_load_and_buys_reaction():
-    overhead = {i: summary("fig5", duration=2400.0, settle=600.0,
+    overhead = {i: summary("overhead", duration=2400.0, settle=600.0,
                            interval=i)["load1_overhead"]
                 for i in (2.0, 10.0, 30.0)}
     reaction = {i: summary("overload", interval=i)["reaction_s"]

@@ -14,15 +14,16 @@ from repro.perf.experiments import CELL_AXES
 
 from ..pinned import entries, rerun
 
-#: The cells whose axes are pinned here first; fig5–8, table2 and
-#: malleability predate EXPERIMENTS.json.
+#: The cells whose axes are pinned here first; overhead, efficiency,
+#: table2 and malleability predate EXPERIMENTS.json.
 NEW_CELLS = ("table1", "overload", "order", "lease")
 
 
 def _label(entry):
     return entry["experiment"] + "".join(
         f",{key}={json.dumps(value, separators=(',', ':'))}"
-        for key, value in sorted(entry["config"].items()))
+        for key, value in sorted(entry["config"].items())) + (
+        f"-{entry['seed']}" if entry["seed"] else "")
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
 """The command-line interface."""
 
-import csv
-import os
+import json
 
 import pytest
 
+import repro.perf.experiments as experiments
 from repro.cli import build_parser, main
+from repro.perf.experiments import run_cell
+
+from ..pinned import summary
 
 
 def test_list_command(capsys):
@@ -16,31 +19,31 @@ def test_list_command(capsys):
 
 
 def test_table1_command(capsys):
-    assert main(["table1"]) == 0
+    assert main(["run", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "overloaded" in out
 
 
 def test_table2_command_with_export(tmp_path, capsys):
-    assert main(["table2", "--out", str(tmp_path)]) == 0
+    assert main(["run", "table2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "policy-1" in out and "ws4" in out
-    with open(tmp_path / "table2.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "policy"
-    assert len(rows) == 4
+    written = json.loads((tmp_path / "table2.json").read_text())
+    assert written == json.loads(json.dumps(run_cell("table2", {}, 0)))
 
 
 def test_fig7_command_with_export(tmp_path, capsys):
-    assert main(["fig7", "--out", str(tmp_path)]) == 0
+    assert main(["run", "fig7", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "warm-up" in out
-    assert os.path.exists(tmp_path / "migration_phases.csv")
+    written = json.loads((tmp_path / "efficiency.json").read_text())
+    assert written == json.loads(json.dumps(run_cell("efficiency", {}, 0)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["efficiency.json"]
 
 
 def test_fig5_command_short_duration(capsys):
-    assert main(["fig5", "--duration", "1500"]) == 0
+    assert main(["run", "fig5", "--duration", "1500"]) == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out
     assert "1-min load overhead" in out
@@ -52,19 +55,13 @@ def test_unknown_experiment_rejected():
 
 
 def test_seed_flag_changes_nothing_structural(capsys):
-    assert main(["table1", "--seed", "3"]) == 0
+    assert main(["run", "table1", "--seed", "3"]) == 0
     assert "Table 1" in capsys.readouterr().out
 
 
 # ------------------------------------------------- subcommand interface
 def test_run_subcommand(capsys):
     assert main(["run", "table1"]) == 0
-    assert "Table 1" in capsys.readouterr().out
-
-
-def test_backcompat_shim_maps_bare_experiment(capsys):
-    # `repro table1 --seed 1` keeps working as `repro run table1 --seed 1`.
-    assert main(["table1", "--seed", "1"]) == 0
     assert "Table 1" in capsys.readouterr().out
 
 
@@ -81,7 +78,94 @@ def test_no_command_rejected():
 def test_out_directory_is_created(tmp_path, capsys):
     target = tmp_path / "deeply" / "nested"
     assert main(["run", "table2", "--out", str(target)]) == 0
-    assert (target / "table2.csv").exists()
+    assert (target / "table2.json").exists()
+
+
+# ---------------------------------------------------- the one driver
+def _percent(value):
+    return f"{100 * value:.2f} %"
+
+
+#: What each printer shows of its cell's summary, at the precision it
+#: prints it.
+SHOWN = {
+    "fig5": lambda s: [
+        f"{s['load1_without']:.3f}", f"{s['load1_with']:.3f}",
+        _percent(s["load1_overhead"]), _percent(s["load5_overhead"]),
+        _percent(s["cpu_overhead"])],
+    "fig6": lambda s: [
+        f"{s['send_kbs_without']:.2f} → {s['send_kbs_with']:.2f}",
+        f"{s['recv_kbs_without']:.2f} → {s['recv_kbs_with']:.2f}",
+        _percent(s["comm_overhead"])],
+    "fig7": lambda s: [
+        f"{s['warmup_s']:.1f} s", f"{s['decision_s']:.3f} s",
+        f"{s['init_s']:.2f} s", f"{s['to_pollpoint_s']:.2f} s",
+        f"{s['resume_s']:.2f} s", f"{s['total_s']:.2f} s"],
+    "fig8": lambda s: [
+        f"{s['drain_s']:.2f}s before the transfer completed "
+        f"({s['memory_mb']:.1f} MB moved)"],
+    "table1": lambda s: [
+        " | ".join([state] + ["yes" if row[key] else "no"
+                              for key in ("loaded", "migrate_in",
+                                          "migrate_out")])
+        for state, row in s["states"].items()],
+    "table2": lambda s: [
+        " | ".join([f"policy-{i}", f"{p['total_s']:.2f}",
+                    p["migrated_to"] or "-", f"{p['source_s']:.2f}",
+                    f"{p['dest_s']:.2f}" if p["dest_s"] else "0",
+                    "-" if p["migration_s"] is None
+                    else f"{p['migration_s']:.2f}"])
+        for i, p in ((i, s[f"policy{i}"]) for i in (1, 2, 3))],
+}
+
+#: The runs EXPERIMENTS.md quotes: ``(figure, seed, cell, config)``.
+QUOTED = (
+    ("fig5", 0, "overhead", {"duration": 3600.0}),
+    ("fig6", 1, "overhead", {"duration": 3600.0}),
+    ("fig7", 0, "efficiency", {}),
+    ("fig8", 0, "efficiency", {}),
+    ("table1", 0, "table1", {}),
+    ("table2", 0, "table2", {}),
+)
+
+
+def _squeezed(text):
+    """``text`` with each table's column padding dropped."""
+    return "\n".join(" | ".join(cell.strip() for cell in line.split("|"))
+                     for line in text.splitlines())
+
+
+@pytest.mark.parametrize("figure, seed, cell, config", QUOTED,
+                         ids=[q[0] for q in QUOTED])
+def test_run_prints_the_pinned_summary(figure, seed, cell, config, capsys):
+    assert main(["run", figure, "--seed", str(seed)]) == 0
+    out = _squeezed(capsys.readouterr().out)
+    for shown in SHOWN[figure](summary(cell, seed, **config)):
+        assert shown in out, (figure, shown)
+
+
+def test_run_all_runs_each_cell_once(tmp_path, monkeypatch, capsys):
+    """``repro run all`` prints six figures and tables from four cell
+    runs — served here from the pinned summaries — and ``--out``
+    writes each summary as it came back."""
+    calls = []
+
+    def pinned(cell, config, seed):
+        calls.append(cell)
+        return summary(cell, seed, **config)
+
+    monkeypatch.setattr(experiments, "run_cell", pinned)
+    assert main(["run", "all", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["efficiency", "overhead", "table1", "table2"]
+    out = _squeezed(capsys.readouterr().out)
+    for figure, seed, cell, config in QUOTED:
+        assert f"=== {figure} ===" in out
+        if seed == 0:
+            pinned_summary = summary(cell, seed, **config)
+            for shown in SHOWN[figure](pinned_summary):
+                assert shown in out, (figure, shown)
+            written = json.loads((tmp_path / f"{cell}.json").read_text())
+            assert written == pinned_summary
 
 
 def test_lint_subcommand_wired(tmp_path, capsys):
@@ -101,7 +185,7 @@ def test_sweep_list_axes(capsys):
     assert "sweep axes" in out
     # Every cell is listed, including the malleability one with its
     # reshape-ladder knobs.
-    for name in ("fig5", "table2", "malleability"):
+    for name in ("overhead", "efficiency", "table2", "malleability"):
         assert name in out
     for axis in ("grow_at", "shrink_at", "min_efficiency"):
         assert axis in out

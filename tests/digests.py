@@ -12,6 +12,10 @@ Each entry is one ``repro.perf.experiments`` cell —
 The cells are ``table2``, ``fig5`` at 2 hosts (1200/300 s) and at 4096
 hosts (120/40 s), ``malleability``, ``fig6`` and ``fig7``, each at seeds
 0, 5 and 7919, less the runs ``EXPERIMENTS.json`` already pins whole.
+They keep the figure names the ledger's workloads use: ``run_cell``
+resolves each through :data:`repro.perf.experiments.FIGURES`, so
+``fig5`` and ``fig6`` run the ``overhead`` cell and ``fig7`` the
+``efficiency`` cell, and the gate also pins that resolution.
 Tier-1 re-runs every one and compares with ``==``; a change that is
 meant to leave every simulated number alone must leave this file
 byte-identical.  After a deliberate behaviour change, rewrite the
@@ -28,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.perf.experiments import run_cell
+from repro.perf.experiments import FIGURES, run_cell
 from repro.sim import Environment
 
 PATH = Path(__file__).resolve().parent / "digests.json"
@@ -117,12 +121,15 @@ def cells() -> list:
     ``EXPERIMENTS.json`` does not already pin."""
     from .pinned import entries as experiments
 
-    pinned = {(e["experiment"], json.dumps(e["config"], sort_keys=True),
-               e["seed"]) for e in experiments()}
+    def run(experiment, config, seed):
+        return (FIGURES.get(experiment, experiment),
+                json.dumps(config, sort_keys=True), seed)
+
+    pinned = {run(e["experiment"], e["config"], e["seed"])
+              for e in experiments()}
     return [(experiment, config, seed)
             for experiment, config in CELLS for seed in SEEDS
-            if (experiment, json.dumps(config, sort_keys=True), seed)
-            not in pinned]
+            if run(experiment, config, seed) not in pinned]
 
 
 def write(pinned: list) -> None:

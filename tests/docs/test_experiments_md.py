@@ -61,7 +61,7 @@ ROWS = (
     "`7`, with and without `spike=25` | sustain=1 false-migrates on a 25 s "
     "spike; sustain=7 never does but reacts in {sustain7[reaction_s]:.0f} s "
     "vs {sustain1[reaction_s]:.0f} s |",
-    "| monitoring frequency (§3.1) | `fig5` · `duration=2400 settle=600 "
+    "| monitoring frequency (§3.1) | `overhead` · `duration=2400 settle=600 "
     "interval=2` / `10` / `30` for the load; `overload` · `interval=2` / "
     "`10` / `30` for the reaction | 2 s interval: {load_pct[2]:.0f} % load "
     "overhead, {reaction[2]:.0f} s reaction; 30 s: {load_pct[30]:.1f} % "
@@ -112,9 +112,9 @@ def _yes_no(row):
 
 def quoted():
     """The format fields of :data:`ROWS`, from the pinned summaries."""
-    fig5 = summary("fig5", duration=3600.0)
-    fig6 = summary("fig6", seed=1, duration=3600.0)
-    fig8 = summary("fig8")
+    fig5 = summary("overhead", duration=3600.0)
+    fig6 = summary("overhead", seed=1, duration=3600.0)
+    fig7 = fig8 = summary("efficiency")
     table1 = summary("table1")
     table2 = summary("table2")
     central, hier = (summary("overload", hosts=12, inject_at=40.0, domains=d)
@@ -125,8 +125,8 @@ def quoted():
     return {
         "fig5": fig5, "fig5_pct": _pct(fig5),
         "fig6": fig6, "fig6_pct": _pct(fig6),
-        "fig7": summary("fig7"),
-        "decision_ms": 1000 * summary("fig7")["decision_s"],
+        "fig7": fig7,
+        "decision_ms": 1000 * fig7["decision_s"],
         "burst_kbs": TimeSeries.from_points(fig8["series"]["recv_dest"]).max(
             t_min=fig8["ordered_at"], t_max=fig8["completed_at"] + 15),
         "overlap_s": fig8["completed_at"] - fig8["resumed_at"],
@@ -137,7 +137,7 @@ def quoted():
         "warm": summary("order", preinit=True),
         "sustain1": sustain[1], "sustain7": sustain[7],
         "load_pct": {int(i): 100 * summary(
-            "fig5", duration=2400.0, settle=600.0,
+            "overhead", duration=2400.0, settle=600.0,
             interval=i)["load1_overhead"] for i in (2.0, 10.0, 30.0)},
         "reaction": {int(i): summary("overload", interval=i)["reaction_s"]
                      for i in (2.0, 10.0, 30.0)},

@@ -22,9 +22,22 @@ def test_plan_expands_experiments_by_replicas():
     cells = plan_sweep(["fig5", "fig6"], replicas=3, base_seed=9,
                        config=QUICK)
     assert len(cells) == 6
-    assert [c.experiment for c in cells] == ["fig5"] * 3 + ["fig6"] * 3
+    # Both figures plan their one cell, seeded by the name asked for.
+    assert [c.experiment for c in cells] == ["overhead"] * 6
     assert cells[1].seed == derive_seed(9, "fig5", 1)
+    assert cells[4].seed == derive_seed(9, "fig6", 1)
     assert cells[0].seed != cells[1].seed
+
+
+def test_plan_drops_a_second_request_for_the_same_run():
+    assert len(plan_sweep(["fig5", "fig5", "overhead"], config=QUICK)) == 2
+    assert len(plan_sweep(["fig7", "fig8", "fig7"], replicas=2)) == 4
+
+
+def test_figure_runs_what_it_ran_before_cells_merged():
+    cell, = plan_sweep(["fig5"], base_seed=3)
+    assert (cell.experiment, cell.seed) == ("overhead",
+                                            derive_seed(3, "fig5", 0))
 
 
 def test_plan_rejects_unknown_experiment():
@@ -64,12 +77,9 @@ def test_plan_axis_union_across_experiments():
 #: kwargs comprehension); deriving the kwargs from ``CELL_AXES`` must
 #: move neither.
 LIST_AXES_ROWS = {
-    "fig5": "cycle_cost, duration, hosts, interval, settle",
-    "fig6": "cycle_cost, duration, hosts, interval, settle",
-    "fig7": "app_start, chunks, duration, hogs, levels, load_at, node_cost, "
-            "resume_fraction, serialize_rate, sustain, trees",
-    "fig8": "app_start, chunks, duration, hogs, levels, load_at, node_cost, "
-            "resume_fraction, serialize_rate, sustain, trees",
+    "overhead": "cycle_cost, duration, hosts, interval, settle",
+    "efficiency": "app_start, chunks, duration, hogs, levels, load_at, "
+                  "node_cost, resume_fraction, serialize_rate, sustain, trees",
     "malleability": "grow_at, hogs, hosts, load_at, max_duration, "
                     "min_efficiency, params, shrink_at, sustain",
     "table2": "bulk_rate, hogs, load_at, max_duration, params, sustain, "
@@ -80,9 +90,13 @@ LIST_AXES_ROWS = {
     "order": "hosts, orders, params, preinit",
     "lease": "interval, lease",
 }
+#: The ``overhead`` and ``efficiency`` keys are the merged cells' own; a
+#: cache written when ``fig5`` … ``fig8`` were cells misses them.
 CACHE_KEYS = {
-    "fig5": "8850915327fcadaf596f824e43b5a77fe852e8835904e1a494e0e2bca7a6b81d",
-    "fig7": "cf9081644167b970fbd594396a16e959e6d295fe5a35d93296dd1e835c846d3d",
+    "overhead":
+        "b2d315bb2048426a3b966b0c5860bf4ffbcc315dd2f281f24bcda7240688d974",
+    "efficiency":
+        "cd06c52bb96ef9db2d5b859dbf7235bc2f65c6ecebdfbc5eb6a95a93af70a84c",
     "table2":
         "c5a8417b74ff73f43ca2a1710d69b1673d808a038008af9b76ab3b12e76ea7ae",
     "malleability":
@@ -122,7 +136,7 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
     monkeypatch.setattr(analysis, "run_malleability_experiment",
                         capture("malleability"))
     monkeypatch.setattr(analysis, "run_efficiency_experiment",
-                        capture("fig7"))
+                        capture("efficiency"))
     monkeypatch.setattr(analysis, "run_table1", capture("table1"))
     monkeypatch.setattr(analysis, "run_overload", capture("overload"))
     monkeypatch.setattr(analysis, "run_orders", capture("order"))
@@ -130,14 +144,14 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
     config = {"hosts": 4, "sustain": 2, "interval": 5.0, "chunks": 3,
               "strategy": "best_fit", "lease": 7.0, "orders": 2,
               "preinit": True}
-    for name in ("table2", "malleability", "fig7", "table1", "overload",
+    for name in ("table2", "malleability", "efficiency", "table1", "overload",
                  "order", "lease"):
         with pytest.raises(LookupError):
             run_cell(name, config, seed=1)
         assert seen[name] == {
             k: v for k, v in config.items() if k in CELL_AXES[name]}
     assert seen["table2"] == {"sustain": 2}
-    assert seen["fig7"] == {"sustain": 2, "chunks": 3}
+    assert seen["efficiency"] == {"sustain": 2, "chunks": 3}
     assert seen["table1"] == {}
     assert seen["overload"] == {"hosts": 4, "sustain": 2, "interval": 5.0,
                                 "strategy": "best_fit"}
@@ -197,17 +211,13 @@ def test_cli_dry_run_executes_nothing(tmp_path, capsys):
 
 def test_cli_sweep_writes_outputs_and_reuses_cache(tmp_path, capsys):
     out_json = tmp_path / "sweep.json"
-    out_csv = tmp_path / "sweep.csv"
-    assert main(_sweep_args(tmp_path, "--out", str(out_json),
-                            "--csv", str(out_csv))) == 0
+    assert main(_sweep_args(tmp_path, "--out", str(out_json))) == 0
     first = capsys.readouterr().out
     assert "2 ran, 0 from cache" in first
 
     payload = json.loads(out_json.read_text())
     assert len(payload["cells"]) == 2
     assert payload["cells"][0]["summary"]["load1_overhead"] > 0
-    header = out_csv.read_text().splitlines()[0]
-    assert header == "experiment,replica,seed,metric,value"
 
     assert main(_sweep_args(tmp_path)) == 0
     second = capsys.readouterr().out
@@ -220,7 +230,7 @@ def test_cli_sweep_writes_outputs_and_reuses_cache(tmp_path, capsys):
 def test_cli_sweep_all_expands(tmp_path, capsys):
     assert main(["sweep", "all", "--dry-run"]) == 0
     out = capsys.readouterr().out
-    for name in ("fig5", "fig6", "fig7", "fig8", "table2"):
+    for name in ("overhead", "efficiency", "table1", "table2"):
         assert name in out
 
 

@@ -126,24 +126,24 @@ def test_run_subcommand_with_trace_flag(tmp_path, capsys):
     path = tmp_path / "fig7.jsonl"
     assert main(["run", "fig7", "--trace", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "trace written" in out
+    assert "trace written" in out and "per-phase span durations" in out
     records = load_jsonl(str(path))
     names = {r.name for r in records}
     assert EV_HPCM_MIGRATION in names and EV_MONITOR_SAMPLE in names
 
 
-def test_trace_subcommand_chrome_output(tmp_path, capsys):
+def test_run_trace_json_extension_writes_chrome(tmp_path, capsys):
     path = tmp_path / "fig7.json"
-    assert main(["trace", "fig7", "--out", str(path)]) == 0
+    assert main(["run", "fig7", "--trace", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "per-phase span durations" in out
+    assert "chrome format" in out and "per-phase span durations" in out
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
 
 
-def test_trace_subcommand_format_override(tmp_path):
+def test_run_trace_other_extension_writes_jsonl(tmp_path, capsys):
     path = tmp_path / "fig7.trace"
-    assert main(["trace", "fig7", "--out", str(path),
-                 "--format", "jsonl"]) == 0
+    assert main(["run", "fig7", "--trace", str(path)]) == 0
+    assert "jsonl format" in capsys.readouterr().out
     assert load_jsonl(str(path))
