@@ -38,6 +38,7 @@ class Cpu(FairShareServer):
         self._comm_busy = 0.0   # ∫ busy-fraction-from-comm-alone dt
         self._comm_queue = 0.0  # ∫ comm demand dt (load contribution)
         self._comm_last = env._now
+        self._comm_idle = True  # no job since ``_comm_last``
 
     # -- compute jobs -------------------------------------------------------
     def execute(
@@ -90,7 +91,9 @@ class Cpu(FairShareServer):
 
         While compute jobs run, the CPU is fully busy and the server's
         own busy integral covers it; comm contributes extra busy time
-        only while no compute job is active.
+        only while no compute job is active.  A job-set change calls
+        this after the change, so the interval up to it is judged by
+        the job set that held during it, not the one that starts now.
         """
         now = self.env._now
         load = self._comm_load
@@ -98,9 +101,10 @@ class Cpu(FairShareServer):
             dt = now - self._comm_last
             if dt > 0:
                 self._comm_queue += load * dt
-                if not self._jobs:
+                if self._comm_idle:
                     self._comm_busy += (load if load < 1.0 else 1.0) * dt
         self._comm_last = now
+        self._comm_idle = not self._jobs
 
     # -- accounting ---------------------------------------------------------
     def busy_time(self) -> float:

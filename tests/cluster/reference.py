@@ -364,6 +364,7 @@ class ReferenceCpu:
         self._comm_busy = 0.0   # ∫ busy-fraction-from-comm-alone dt
         self._comm_queue = 0.0  # ∫ comm demand dt (load contribution)
         self._comm_last = env.now
+        self._comm_idle = True  # no job since ``_comm_last``
 
     # -- compute jobs -------------------------------------------------------
     def execute(
@@ -430,7 +431,8 @@ class ReferenceCpu:
 
         While compute jobs run, the CPU is fully busy and the server's
         own busy integral covers it; comm contributes extra busy time
-        only while no compute job is active.
+        only while no compute job is active — judged by the job set that
+        held since the last call, not the one a change has just made.
         """
         now = self.env.now
         load = self._comm_load
@@ -438,9 +440,10 @@ class ReferenceCpu:
             dt = now - self._comm_last
             if dt > 0:
                 self._comm_queue += load * dt
-                if self._server.active_jobs == 0:
+                if self._comm_idle:
                     self._comm_busy += (load if load < 1.0 else 1.0) * dt
         self._comm_last = now
+        self._comm_idle = self._server.active_jobs == 0
 
     # -- accounting ---------------------------------------------------------
     def busy_time(self) -> float:

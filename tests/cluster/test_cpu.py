@@ -130,6 +130,21 @@ def test_busy_time_includes_comm():
     assert cpu.compute_busy_time() == pytest.approx(0.0)
 
 
+def test_comm_only_time_is_judged_by_the_job_set_that_held():
+    """Comm alone for 10 s, then one job: the 10 s count once, as
+    comm-only, and the job's 1.5 s count once, as compute."""
+    env = Environment()
+    cpu = Cpu(env, speed=1.0)
+    cpu.set_comm_load(0.5)
+    env.run(until=10)
+    job = cpu.execute(1.0)
+    assert cpu.busy_time() == pytest.approx(5.0)
+    env.run()
+    assert job.finished_at == pytest.approx(11.5)
+    assert cpu.busy_time() == pytest.approx(6.5)
+    assert cpu.compute_busy_time() == pytest.approx(1.5)
+
+
 def test_utilization_sampling():
     env = Environment()
     cpu = Cpu(env, speed=1.0)
