@@ -214,22 +214,17 @@ FIGURES: Dict[str, str] = {
 }
 
 
-def resolve(experiment: str) -> str:
-    """The cell an experiment name runs: a figure's cell, or the cell
-    itself; :class:`ValueError` for a name that is neither."""
-    cell = FIGURES.get(experiment, experiment)
-    if cell not in CELLS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; "
-            f"choose from {sorted(CELLS)} or {sorted(FIGURES)}"
-        )
-    return cell
-
-
 def run_cell(
     experiment: str, config: Dict[str, Any], seed: int
 ) -> Dict[str, Any]:
     """Run one cell, by its name or a figure's.  Module-level
     (picklable), so it is the function the process pool ships to
     workers."""
-    return CELLS[resolve(experiment)](dict(config), seed)
+    try:
+        cell = CELLS[FIGURES.get(experiment, experiment)]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; "
+            f"choose from {sorted(CELLS)} or {sorted(FIGURES)}"
+        ) from None
+    return cell(dict(config), seed)

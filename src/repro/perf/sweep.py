@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache, cache_key
-from .experiments import CELL_AXES, CELLS, FIGURES, resolve, run_cell
+from .experiments import CELL_AXES, CELLS, FIGURES, run_cell
 from .seeds import derive_seed
 
 
@@ -97,7 +97,7 @@ def plan_sweep(
     # key while changing nothing.
     valid_axes: set = set()
     for experiment in set(experiments):
-        valid_axes |= CELL_AXES[resolve(experiment)]
+        valid_axes |= CELL_AXES[FIGURES.get(experiment, experiment)]
     bad_axes = sorted(set(config) - valid_axes)
     if bad_axes:
         raise ValueError(
@@ -105,14 +105,15 @@ def plan_sweep(
             f"{sorted(set(experiments))}; valid axes: "
             f"{sorted(valid_axes)}"
         )
-    # A figure plans its cell, seeded by the name asked for (so
-    # ``fig5`` runs what it ran before cells were merged); a second
-    # request for the same run is dropped.
+    # A figure plans its cell seeded from the name asked for, so its
+    # derived seeds do not depend on which cell holds it; a second
+    # request for the same (cell, config, seed) is dropped.
     cells: Dict[str, SweepCell] = {}
     for experiment in experiments:
         for replica in range(replicas):
             cell = SweepCell(
-                experiment=resolve(experiment), replica=replica,
+                experiment=FIGURES.get(experiment, experiment),
+                replica=replica,
                 seed=derive_seed(base_seed, experiment, replica),
                 config=config)
             cells.setdefault(cell.key, cell)

@@ -34,12 +34,6 @@ def test_plan_drops_a_second_request_for_the_same_run():
     assert len(plan_sweep(["fig7", "fig8", "fig7"], replicas=2)) == 4
 
 
-def test_figure_runs_what_it_ran_before_cells_merged():
-    cell, = plan_sweep(["fig5"], base_seed=3)
-    assert (cell.experiment, cell.seed) == ("overhead",
-                                            derive_seed(3, "fig5", 0))
-
-
 def test_plan_rejects_unknown_experiment():
     with pytest.raises(ValueError, match="unknown experiments"):
         plan_sweep(["fig5", "warp"])
@@ -90,8 +84,6 @@ LIST_AXES_ROWS = {
     "order": "hosts, orders, params, preinit",
     "lease": "interval, lease",
 }
-#: The ``overhead`` and ``efficiency`` keys are the merged cells' own; a
-#: cache written when ``fig5`` … ``fig8`` were cells misses them.
 CACHE_KEYS = {
     "overhead":
         "b2d315bb2048426a3b966b0c5860bf4ffbcc315dd2f281f24bcda7240688d974",
