@@ -6,8 +6,7 @@
     python -m repro run fig5 [--seed N] [--out DIR]
     python -m repro run fig7 --trace out.json
     python -m repro run all --out results/
-    python -m repro sweep fig5 fig7 --replicas 3 --jobs 4 \
-        --cache-dir .sweep-cache --out sweep.json
+    python -m repro sweep fig5 fig7 --replicas 3 --jobs 4 --out sweep.json
     python -m repro lint examples/ [--format json] [--strict]
     python -m repro live [--nodes N] [--timeout S] [--hierarchy]
 
@@ -19,8 +18,8 @@ figures, from the cell's summary alone.  ``--out DIR`` writes each
 summary to ``DIR/<cell>.json``; ``--trace PATH`` also records the
 structured migration-lifecycle trace and prints its per-phase span
 breakdown (see ``docs/tracing.md``).  ``repro sweep`` fans independent
-replicas across a process pool with deterministic per-replica seeds
-and a content-hash result cache (see ``docs/performance.md``).
+replicas across a process pool with deterministic per-replica seeds,
+simulating every cell on every run (see ``docs/performance.md``).
 ``repro lint`` statically checks rule files, policy files and
 application schemas (see ``docs/linting.md``).  ``repro live`` runs the
 whole pipeline over real localhost sockets — registry, nodes, an
@@ -263,7 +262,7 @@ def _sweep(args) -> int:
     import json
 
     from .metrics import format_table
-    from .perf import ResultCache, plan_sweep, run_sweep
+    from .perf import plan_sweep, run_sweep
     from .perf.experiments import CELLS, FIGURES
 
     if args.list_axes:
@@ -296,36 +295,26 @@ def _sweep(args) -> int:
     cells = plan_sweep(experiments, replicas=args.replicas,
                        base_seed=args.seed,
                        config=_parse_overrides(args.set))
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-
+    rows = [(cell.experiment, cell.replica, cell.seed) for cell in cells]
+    header = ["experiment", "replica", "seed"]
     if args.dry_run:
-        rows = [
-            (cell.experiment, cell.replica, cell.seed,
-             "cached" if cache is not None and cache.contains(cell.key)
-             else "would run")
-            for cell in cells
-        ]
-        print(format_table(["experiment", "replica", "seed", "status"],
-                           rows, title=f"sweep plan — {len(cells)} cells"))
+        print(format_table(header, rows,
+                           title=f"sweep plan — {len(cells)} cells"))
         return 0
 
-    outcome = run_sweep(cells, jobs=args.jobs, cache=cache, log=print)
-    rows = [
-        (cell.experiment, cell.replica, cell.seed,
-         "cache" if hit else "ran")
-        for cell, hit in zip(outcome.cells, outcome.cached)
-    ]
-    print(format_table(
-        ["experiment", "replica", "seed", "source"], rows,
-        title=f"sweep — {outcome.executed} ran, "
-              f"{outcome.cache_hits} from cache",
-    ))
+    summaries = run_sweep(cells, jobs=args.jobs, log=print)
+    print(format_table(header, rows, title=f"sweep — {len(cells)} ran"))
     if args.out:
+        payload = {"cells": [
+            {"experiment": cell.experiment, "replica": cell.replica,
+             "seed": cell.seed, "config": cell.config, "summary": summary}
+            for cell, summary in zip(cells, summaries)
+        ]}
         parent = os.path.dirname(args.out)
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(outcome.as_payload(), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"summary JSON written: {args.out}")
     return 0
@@ -505,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="fan experiment replicas across a process pool, with "
-             "deterministic seeding and result caching",
+             "deterministic seeding",
     )
     sweep.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
                        help="experiments to sweep (--list-axes names "
@@ -519,17 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "content hash (default 0)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default 1 = serial)")
-    sweep.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="JSON result cache; warm re-runs skip "
-                            "completed cells")
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override passed to every cell "
                             "(repeatable; values parsed as JSON)")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help="write the full summary JSON here")
     sweep.add_argument("--dry-run", action="store_true",
-                       help="print the plan (and cache status) "
-                            "without running anything")
+                       help="print the plan without running anything")
     sweep.set_defaults(func=_sweep)
 
     lint = sub.add_parser(

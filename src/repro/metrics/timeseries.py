@@ -25,7 +25,7 @@ class TimeSeries:
         cls, points: "List[Tuple[float, float]]", name: str = ""
     ) -> "TimeSeries":
         """Rebuild a series from ``points()`` output (e.g. after a
-        round-trip through a JSON sweep-cache summary)."""
+        round-trip through a ``repro sweep --out`` summary)."""
         ts = cls(name)
         for t, value in points:
             ts.append(t, value)

@@ -2,11 +2,10 @@
 
 Each cell is a **pure function of ``(config, seed)``** — no ambient
 state, no wall-clock, no filesystem — so the sweep runner may execute
-it in any worker process (or skip it on a cache hit) and still produce
-exactly the result of a serial run.  Summaries hold scalars plus the
-``points()`` form of the figure series, so plots can be rebuilt from a
-cached cell with :meth:`repro.metrics.TimeSeries.from_points` without
-re-simulating.
+it in any worker process and still produce exactly the result of a
+serial run.  Summaries hold scalars plus the ``points()`` form of the
+figure series, so plots can be rebuilt from a saved summary with
+:meth:`repro.metrics.TimeSeries.from_points` without re-simulating.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ CELLS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, Any]]] = {
 #: The config keys each cell actually reads — the valid ``--set`` axes.
 #: ``plan_sweep`` validates overrides against the union for the planned
 #: experiments, so a typo'd or mis-plumbed axis fails at plan time
-#: instead of silently riding along in every cache key.
+#: instead of silently riding along in every cell's config.
 CELL_AXES: Dict[str, frozenset] = {
     "overhead": frozenset({"duration", "interval", "cycle_cost", "settle",
                            "hosts"}),

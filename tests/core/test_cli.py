@@ -206,4 +206,4 @@ def test_sweep_dry_run_plans_malleability_cells(capsys):
                  "--replicas", "2"]) == 0
     out = capsys.readouterr().out
     assert "2 cells" in out
-    assert out.count("would run") == 2
+    assert out.count("malleability") == 2

@@ -32,7 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.perf.experiments import FIGURES, run_cell
+from repro.perf.experiments import run_cell
+from repro.perf.sweep import same_run
 from repro.sim import Environment
 
 PATH = Path(__file__).resolve().parent / "digests.json"
@@ -121,15 +122,11 @@ def cells() -> list:
     ``EXPERIMENTS.json`` does not already pin."""
     from .pinned import entries as experiments
 
-    def run(experiment, config, seed):
-        return (FIGURES.get(experiment, experiment),
-                json.dumps(config, sort_keys=True), seed)
-
-    pinned = {run(e["experiment"], e["config"], e["seed"])
+    pinned = {same_run(e["experiment"], e["config"], e["seed"])
               for e in experiments()}
     return [(experiment, config, seed)
             for experiment, config in CELLS for seed in SEEDS
-            if run(experiment, config, seed) not in pinned]
+            if same_run(experiment, config, seed) not in pinned]
 
 
 def write(pinned: list) -> None:

@@ -1,4 +1,4 @@
-"""Sweep runner: planning, serial/parallel equivalence, caching, CLI."""
+"""Sweep runner: planning, serial/parallel equivalence, CLI."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.perf import (
-    ResultCache,
     derive_seed,
     plan_sweep,
     run_cell,
@@ -46,7 +45,7 @@ def test_plan_rejects_bad_replicas():
 
 def test_plan_rejects_config_keys_no_cell_reads():
     # The classic typo: "host" for "hosts" — must fail loudly instead
-    # of silently polluting every cache key.
+    # of silently changing nothing.
     with pytest.raises(ValueError, match="host"):
         plan_sweep(["fig5"], config={"host": 256})
     with pytest.raises(ValueError, match="valid axes"):
@@ -66,8 +65,8 @@ def test_plan_axis_union_across_experiments():
 
 
 # ------------------------------------------------- serial ≡ parallel
-#: ``repro sweep --list-axes`` and the cache keys as they were when the
-#: axes were still listed twice (in ``CELL_AXES`` and in each cell's
+#: ``repro sweep --list-axes`` and the planned runs as they were when
+#: the axes were still listed twice (in ``CELL_AXES`` and in each cell's
 #: kwargs comprehension); deriving the kwargs from ``CELL_AXES`` must
 #: move neither.
 LIST_AXES_ROWS = {
@@ -84,19 +83,15 @@ LIST_AXES_ROWS = {
     "order": "hosts, orders, params, preinit",
     "lease": "interval, lease",
 }
-CACHE_KEYS = {
-    "overhead":
-        "b2d315bb2048426a3b966b0c5860bf4ffbcc315dd2f281f24bcda7240688d974",
-    "efficiency":
-        "cd06c52bb96ef9db2d5b859dbf7235bc2f65c6ecebdfbc5eb6a95a93af70a84c",
-    "table2":
-        "c5a8417b74ff73f43ca2a1710d69b1673d808a038008af9b76ab3b12e76ea7ae",
-    "malleability":
-        "f2ccf8dbcf991a0f08dc1de4f3648db2623e7be93dd35be06119eb3157d4179d",
-}
+PLANNED_RUNS = [
+    ("overhead", {"hosts": 4, "sustain": 2}, 546381096244434316),
+    ("efficiency", {"hosts": 4, "sustain": 2}, 9096819765559051879),
+    ("table2", {"hosts": 4, "sustain": 2}, 5989314037624585697),
+    ("malleability", {"hosts": 4, "sustain": 2}, 3929463603901928400),
+]
 
 
-def test_axes_listing_and_cache_keys_are_unchanged(capsys):
+def test_axes_listing_and_planned_runs_are_unchanged(capsys):
     assert main(["sweep", "--list-axes"]) == 0
     rows = {
         name.strip(): axes.strip()
@@ -106,8 +101,9 @@ def test_axes_listing_and_cache_keys_are_unchanged(capsys):
     }
     for name, axes in LIST_AXES_ROWS.items():
         assert rows[name] == axes
-    cells = plan_sweep(list(CACHE_KEYS), config={"hosts": 4, "sustain": 2})
-    assert {c.experiment: c.key for c in cells} == CACHE_KEYS
+    cells = plan_sweep([name for name, _, _ in PLANNED_RUNS],
+                       config={"hosts": 4, "sustain": 2})
+    assert [(c.experiment, c.config, c.seed) for c in cells] == PLANNED_RUNS
 
 
 def test_cells_forward_exactly_their_axes(monkeypatch):
@@ -154,69 +150,41 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
 def test_parallel_sweep_matches_serial():
     cells = plan_sweep(["fig5"], replicas=2, base_seed=3, config=QUICK)
     serial = run_sweep(cells, jobs=1)
-    parallel = run_sweep(cells, jobs=2)
-    assert serial.summaries == parallel.summaries
-    assert serial.executed == parallel.executed == 2
+    assert run_sweep(cells, jobs=2) == serial
+    assert len(serial) == 2
 
 
 def test_sweep_matches_direct_cell_run():
     cells = plan_sweep(["fig5"], replicas=1, base_seed=3, config=QUICK)
-    outcome = run_sweep(cells, jobs=1)
     direct = run_cell("fig5", QUICK, cells[0].seed)
-    assert outcome.summaries == [direct]
-
-
-# ------------------------------------------------------------ caching
-def test_warm_cache_skips_completed_cells(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cells = plan_sweep(["fig5"], replicas=2, base_seed=1, config=QUICK)
-    cold = run_sweep(cells, cache=cache)
-    assert cold.executed == 2 and cold.cache_hits == 0
-    warm = run_sweep(cells, cache=cache)
-    assert warm.executed == 0 and warm.cache_hits == 2
-    assert warm.summaries == cold.summaries
-
-
-def test_config_change_invalidates_cache(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    run_sweep(plan_sweep(["fig5"], base_seed=1, config=QUICK),
-              cache=cache)
-    other = dict(QUICK, duration=100.0)
-    outcome = run_sweep(plan_sweep(["fig5"], base_seed=1, config=other),
-                        cache=cache)
-    assert outcome.executed == 1  # different key → no hit
+    assert run_sweep(cells, jobs=1) == [direct]
 
 
 # ---------------------------------------------------------------- CLI
-def _sweep_args(tmp_path, *extra):
+def _sweep_args(*extra):
     return ["sweep", "fig5", "--replicas", "2",
-            "--cache-dir", str(tmp_path / "cache"),
             "--set", "duration=80", "--set", "settle=20", *extra]
 
 
-def test_cli_dry_run_executes_nothing(tmp_path, capsys):
-    assert main(_sweep_args(tmp_path, "--dry-run")) == 0
+def test_cli_dry_run_executes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_sweep_args("--dry-run", "--out", "sweep.json")) == 0
     out = capsys.readouterr().out
-    assert "sweep plan" in out and "would run" in out
-    assert not (tmp_path / "cache").exists()
+    assert "sweep plan — 2 cells" in out and "ran " not in out
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_sweep_writes_outputs_and_reuses_cache(tmp_path, capsys):
-    out_json = tmp_path / "sweep.json"
-    assert main(_sweep_args(tmp_path, "--out", str(out_json))) == 0
-    first = capsys.readouterr().out
-    assert "2 ran, 0 from cache" in first
+def test_cli_sweep_simulates_every_cell_on_every_run(tmp_path, capsys):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out_json in outs:
+        assert main(_sweep_args("--out", str(out_json))) == 0
+        assert "sweep — 2 ran" in capsys.readouterr().out
 
-    payload = json.loads(out_json.read_text())
-    assert len(payload["cells"]) == 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    payload = json.loads(outs[0].read_text())
+    assert [sorted(cell) for cell in payload["cells"]] == [
+        ["config", "experiment", "replica", "seed", "summary"]] * 2
     assert payload["cells"][0]["summary"]["load1_overhead"] > 0
-
-    assert main(_sweep_args(tmp_path)) == 0
-    second = capsys.readouterr().out
-    assert "0 ran, 2 from cache" in second
-    # And the dry run now reports the cells as cached.
-    assert main(_sweep_args(tmp_path, "--dry-run")) == 0
-    assert "cached" in capsys.readouterr().out
 
 
 def test_cli_sweep_all_expands(tmp_path, capsys):
@@ -226,6 +194,6 @@ def test_cli_sweep_all_expands(tmp_path, capsys):
         assert name in out
 
 
-def test_cli_bad_set_value_rejected(tmp_path):
+def test_cli_bad_set_value_rejected():
     with pytest.raises(SystemExit):
-        main(_sweep_args(tmp_path, "--set", "broken"))
+        main(_sweep_args("--set", "broken"))

@@ -35,7 +35,7 @@ def rerun(pinned: list, jobs: int = 2) -> list:
     cells = [SweepCell(e["experiment"], 0, e["seed"], e["config"])
              for e in pinned]
     return [json.loads(json.dumps(summary))
-            for summary in run_sweep(cells, jobs=jobs).summaries]
+            for summary in run_sweep(cells, jobs=jobs)]
 
 
 def summary(experiment: str, seed: int = 0, **config) -> dict:
