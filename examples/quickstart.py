@@ -13,29 +13,33 @@ Run:  python examples/quickstart.py
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster import CpuHog
+from repro.metrics import format_phase_table
+from repro.trace import Tracer, use
 from repro.workloads import TestTreeApp
 
 
 def main() -> None:
-    cluster = Cluster(n_hosts=3, seed=0)
-    rescheduler = Rescheduler(
-        cluster,
-        policy=policy_2(),  # load > 2 or procs > 150 → migrate
-        config=ReschedulerConfig(interval=10.0, sustain=3),
-    )
+    tracer = Tracer()
+    with use(tracer):
+        cluster = Cluster(n_hosts=3, seed=0)
+        rescheduler = Rescheduler(
+            cluster,
+            policy=policy_2(),  # load > 2 or procs > 150 → migrate
+            config=ReschedulerConfig(interval=10.0, sustain=3),
+        )
 
-    params = {"levels": 11, "trees": 60, "node_cost": 2e-4, "seed": 1}
-    app = rescheduler.launch_app(TestTreeApp(), "ws1", params=params)
-    print(f"test_tree started on ws1 "
-          f"(~{TestTreeApp.total_work(params):.0f} CPU-seconds of work)")
+        params = {"levels": 11, "trees": 60, "node_cost": 2e-4, "seed": 1}
+        app = rescheduler.launch_app(TestTreeApp(), "ws1", params=params)
+        print(f"test_tree started on ws1 "
+              f"(~{TestTreeApp.total_work(params):.0f} CPU-seconds of work)")
 
-    def inject(env):
-        yield env.timeout(60)
-        CpuHog(cluster["ws1"], count=4, name="surprise-load")
-        print(f"[t={env.now:7.1f}s] four CPU hogs land on ws1")
+        def inject(env):
+            yield env.timeout(60)
+            CpuHog(cluster["ws1"], count=4, name="surprise-load")
+            print(f"[t={env.now:7.1f}s] four CPU hogs land on ws1")
 
-    cluster.env.process(inject(cluster.env))
-    cluster.env.run(until=app.done)
+        cluster.env.process(inject(cluster.env))
+        cluster.env.run(until=app.done)
 
     print(f"[t={app.finished_at:7.1f}s] application finished on "
           f"{app.host.name}")
@@ -50,15 +54,14 @@ def main() -> None:
               f"(spawn {record.init_seconds:.2f}s, "
               f"resume {record.resume_seconds:.2f}s)")
 
+    print()
+    print(format_phase_table(tracer.records))
+    print()
+
     expected = TestTreeApp.expected_checksum(params)
     status = "OK" if abs(app.result - expected) < 1e-6 else "MISMATCH"
     print(f"checksum {app.result:.6f} vs unmigrated ground truth "
           f"{expected:.6f} -> {status}")
-
-    from repro.core import build_timeline, format_timeline
-
-    print("\nfull event timeline:")
-    print(format_timeline(build_timeline(rescheduler)))
 
 
 if __name__ == "__main__":

@@ -19,58 +19,14 @@ Timeline of the paper's run (10-second sample points):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict
 
 from ..cluster.background import CpuHog, DutyCycleLoad
 from ..cluster.builder import Cluster
 from ..core.policy import policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
-from ..hpcm.record import MigrationRecord
 from ..metrics.recorder import HostRecorder
-from ..metrics.timeseries import TimeSeries
-from ..registry.registry import Reconfigure
 from ..workloads.test_tree import TestTreeApp
-
-
-@dataclass
-class EfficiencyResult:
-    """Everything Figures 7 and 8 plot, plus the phase breakdown."""
-
-    #: CPU utilization of source and destination (Figure 7).
-    cpu_source: TimeSeries
-    cpu_dest: TimeSeries
-    #: Network rates around the migration (Figure 8).
-    send_source: TimeSeries
-    recv_dest: TimeSeries
-    app_started_at: float
-    load_injected_at: float
-    decision: Optional[Reconfigure]
-    record: Optional[MigrationRecord]
-    app_finished_at: float
-    checksum_ok: bool
-
-    @property
-    def warmup_seconds(self) -> float:
-        """Injection → decision (the paper's 72 s)."""
-        if self.decision is None:
-            raise ValueError("no migration decision was made")
-        return self.decision.at - self.load_injected_at
-
-    def phase_summary(self) -> dict:
-        rec = self.record
-        if rec is None:
-            raise ValueError("no migration happened")
-        return {
-            "warmup_s": self.warmup_seconds,
-            "decision_s": rec.decision_seconds,
-            "to_pollpoint_s": rec.time_to_pollpoint,
-            "init_s": rec.init_seconds,
-            "resume_s": rec.resume_seconds,
-            "drain_s": rec.drain_seconds,
-            "total_s": rec.total_seconds,
-            "memory_mb": rec.memory_bytes / 2**20,
-        }
 
 
 def run_efficiency_experiment(
@@ -86,13 +42,19 @@ def run_efficiency_experiment(
     serialize_rate: float = 250e6,
     chunks: int = 16,
     resume_fraction: float = 0.1,
-) -> EfficiencyResult:
-    """Run the §5.2 scenario and collect the Figure 7/8 series.
+) -> Dict[str, Any]:
+    """Run the §5.2 scenario: the ``efficiency`` cell's summary — the
+    migration's phase breakdown and timestamps, and the Figure 7/8 CPU
+    and network series of source and destination as ``points()`` lists.
 
     Default workload: ~900 reference CPU-seconds of test_tree with
     ~40 MB of tree state resident during the sort phase, so the state
     transfer is long enough to show restoration overlapping execution.
     """
+    if not 0.0 <= app_start <= load_at:
+        raise ValueError("app_start must lie between 0 and load_at")
+    if duration <= load_at:
+        raise ValueError("duration must exceed load_at")
     cluster = Cluster(n_hosts=2, seed=seed)
     ws1, ws2 = cluster["ws1"], cluster["ws2"]
     DutyCycleLoad(ws1, mean_load=0.08, period=2.0, jitter=0.35,
@@ -127,23 +89,41 @@ def run_efficiency_experiment(
     cluster.run(until=duration)
     app = holder["app"]
 
-    record = next((m for m in app.migrations if m.succeeded), None)
+    rec = next((m for m in app.migrations if m.succeeded), None)
+    if rec is None:
+        raise ValueError("no migration happened")
     decision = next(
         (d for d in rs.decisions if d.dest is not None), None
     )
+    if decision is None:
+        raise ValueError("no migration decision was made")
     checksum_ok = (
         app.status == "done"
         and abs(app.result - TestTreeApp.expected_checksum(params)) < 1e-5
     )
-    return EfficiencyResult(
-        cpu_source=rec1["cpu_util"],
-        cpu_dest=rec2["cpu_util"],
-        send_source=rec1["send_kbs"],
-        recv_dest=rec2["recv_kbs"],
-        app_started_at=app_start,
-        load_injected_at=load_at,
-        decision=decision,
-        record=record,
-        app_finished_at=app.finished_at or float("nan"),
-        checksum_ok=checksum_ok,
-    )
+    return {
+        "warmup_s": decision.at - load_at,
+        "decision_s": rec.decision_seconds,
+        "to_pollpoint_s": rec.time_to_pollpoint,
+        "init_s": rec.init_seconds,
+        "resume_s": rec.resume_seconds,
+        "drain_s": rec.drain_seconds,
+        "total_s": rec.total_seconds,
+        "memory_mb": rec.memory_bytes / 2**20,
+        "checksum_ok": checksum_ok,
+        "succeeded": rec.succeeded,
+        "ordered_at": rec.ordered_at,
+        "resumed_at": rec.resumed_at,
+        "completed_at": rec.completed_at,
+        "app_started_at": app_start,
+        "load_injected_at": load_at,
+        "series": {
+            name: [list(p) for p in recorder[metric].points()]
+            for name, recorder, metric in (
+                ("cpu_source", rec1, "cpu_util"),
+                ("cpu_dest", rec2, "cpu_util"),
+                ("send_source", rec1, "send_kbs"),
+                ("recv_dest", rec2, "recv_kbs"),
+            )
+        },
+    }

@@ -22,8 +22,7 @@ sweep cell can pin both the speedup and the schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, Optional
 
 from ..cluster.background import CpuHog
 from ..cluster.builder import Cluster
@@ -38,34 +37,6 @@ DEFAULT_PARAMS = {
 }
 
 
-@dataclass
-class MalleabilityRun:
-    """One run (rigid or malleable) of the storm scenario."""
-
-    policy_name: str
-    completed_at: float
-    pi_estimate: Optional[float]
-    pi_ok: bool
-    #: Largest world size the run reached (2 when never reshaped).
-    peak_world: int
-    migrations: int
-    reshapes: List[dict] = field(default_factory=list)
-
-
-@dataclass
-class MalleabilityResult:
-    """Rigid vs malleable on the identical scenario."""
-
-    rigid: MalleabilityRun
-    malleable: MalleabilityRun
-
-    @property
-    def speedup(self) -> float:
-        if self.malleable.completed_at <= 0:
-            return 0.0
-        return self.rigid.completed_at / self.malleable.completed_at
-
-
 def _run_once(
     policy: MigrationPolicy,
     malleable: bool,
@@ -76,7 +47,10 @@ def _run_once(
     sustain: int,
     seed: int,
     max_duration: float,
-) -> MalleabilityRun:
+) -> Dict[str, Any]:
+    """One run of the storm scenario: its completion time, whether pi
+    came out right, its largest world (2 when never reshaped), its 1:1
+    migrations and its reshape records."""
     cluster = Cluster(n_hosts=hosts, seed=seed)
     rs = Rescheduler(
         cluster,
@@ -116,15 +90,14 @@ def _run_once(
         rec.new_size for rec in rs.reconfiguration_records()
         if rec.succeeded
     ]
-    return MalleabilityRun(
-        policy_name=policy.name,
-        completed_at=completed_at,
-        pi_estimate=pi,
-        pi_ok=(pi is not None and abs(pi - math.pi) < 0.05),
-        peak_world=max([2] + reshaped),
-        migrations=len([r for r in rs.migration_records() if r.succeeded]),
-        reshapes=[rec.summary() for rec in rs.reconfiguration_records()],
-    )
+    return {
+        "completed_at": completed_at,
+        "pi_ok": pi is not None and abs(pi - math.pi) < 0.05,
+        "peak_world": max([2] + reshaped),
+        "migrations": len([r for r in rs.migration_records()
+                           if r.succeeded]),
+        "reshapes": [rec.summary() for rec in rs.reconfiguration_records()],
+    }
 
 
 def run_malleability_experiment(
@@ -138,8 +111,9 @@ def run_malleability_experiment(
     shrink_at: float = 4.0,
     min_efficiency: float = 0.5,
     max_duration: float = 4000.0,
-) -> MalleabilityResult:
-    """The storm scenario under the rigid and the malleable policy."""
+) -> Dict[str, Any]:
+    """The storm scenario under the rigid and the malleable policy: the
+    ``malleability`` cell's summary."""
     params = dict(params or DEFAULT_PARAMS)
     common = dict(
         params=params, hosts=hosts, load_at=load_at, hogs=hogs,
@@ -151,4 +125,13 @@ def run_malleability_experiment(
                          min_efficiency=min_efficiency),
         malleable=True, **common,
     )
-    return MalleabilityResult(rigid=rigid, malleable=grown)
+    rigid_s, malleable_s = rigid["completed_at"], grown["completed_at"]
+    return {
+        "rigid_s": rigid_s,
+        "malleable_s": malleable_s,
+        "speedup": rigid_s / malleable_s if malleable_s > 0 else 0.0,
+        "pi_ok": rigid["pi_ok"] and grown["pi_ok"],
+        "peak_world": grown["peak_world"],
+        "migrations_rigid": rigid["migrations"],
+        "reshapes": grown["reshapes"],
+    }

@@ -14,8 +14,7 @@ Paper values: 1-minute load 0.256 → 0.266 (+3.9 %), 5-minute load
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from ..cluster.background import ChatterLoad, DutyCycleLoad
 from ..cluster.builder import Cluster
@@ -23,82 +22,6 @@ from ..core.policy import policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
 from ..metrics.recorder import HostRecorder
 from ..metrics.timeseries import TimeSeries
-
-
-@dataclass
-class OverheadRun:
-    """Measured series of one configuration (with or without)."""
-
-    load1: TimeSeries
-    load5: TimeSeries
-    load_true: TimeSeries
-    cpu_util: TimeSeries
-    send_kbs: TimeSeries
-    recv_kbs: TimeSeries
-
-
-@dataclass
-class OverheadResult:
-    """Figures 5 + 6, both configurations plus derived overheads."""
-
-    with_rs: OverheadRun
-    without_rs: OverheadRun
-    #: Measurement window start (lets load averages converge first).
-    settle: float
-
-    def _mean(self, series: TimeSeries) -> float:
-        return series.mean(t_min=self.settle)
-
-    # -- Figure 5 numbers -------------------------------------------------
-    # Means come from the exact run-queue time integral (`load_true`):
-    # the sampled 1/5-minute load averages estimate the same quantity
-    # but their point-sampling noise (~±10 % here) would swamp a ~4 %
-    # overhead.  The sampled series remain available for plotting.
-    @property
-    def load1_with(self) -> float:
-        return self._mean(self.with_rs.load_true)
-
-    @property
-    def load1_without(self) -> float:
-        return self._mean(self.without_rs.load_true)
-
-    @property
-    def load1_overhead(self) -> float:
-        return self.load1_with / self.load1_without - 1.0
-
-    @property
-    def load5_overhead(self) -> float:
-        """With exact integrals the 1- and 5-minute estimates coincide;
-        kept for report symmetry with the paper's two numbers."""
-        return self.load1_overhead
-
-    @property
-    def cpu_overhead(self) -> float:
-        return (self._mean(self.with_rs.cpu_util)
-                / self._mean(self.without_rs.cpu_util) - 1.0)
-
-    # -- Figure 6 numbers -------------------------------------------------
-    @property
-    def send_kbs_with(self) -> float:
-        return self._mean(self.with_rs.send_kbs)
-
-    @property
-    def send_kbs_without(self) -> float:
-        return self._mean(self.without_rs.send_kbs)
-
-    @property
-    def recv_kbs_with(self) -> float:
-        return self._mean(self.with_rs.recv_kbs)
-
-    @property
-    def recv_kbs_without(self) -> float:
-        return self._mean(self.without_rs.recv_kbs)
-
-    @property
-    def comm_overhead(self) -> float:
-        base = self.send_kbs_without + self.recv_kbs_without
-        loaded = self.send_kbs_with + self.recv_kbs_with
-        return loaded / base - 1.0
 
 
 def _build_baseline(cluster: Cluster) -> None:
@@ -143,7 +66,7 @@ def _run_once(
     interval: float,
     cycle_cost: Optional[float],
     hosts: int = 2,
-) -> OverheadRun:
+) -> Dict[str, TimeSeries]:
     cluster = Cluster(n_hosts=2, seed=seed)
     _build_baseline(cluster)
     if hosts > 2:
@@ -156,14 +79,8 @@ def _run_once(
                     registry_host="ws1")
     recorder = HostRecorder(cluster["ws1"], interval=10.0)
     cluster.run(until=duration)
-    return OverheadRun(
-        load1=recorder["loadavg1"],
-        load5=recorder["loadavg5"],
-        load_true=recorder["load_true"],
-        cpu_util=recorder["cpu_util"],
-        send_kbs=recorder["send_kbs"],
-        recv_kbs=recorder["recv_kbs"],
-    )
+    return {name: recorder[name] for name in
+            ("loadavg1", "load_true", "cpu_util", "send_kbs", "recv_kbs")}
 
 
 def run_overhead_experiment(
@@ -173,8 +90,10 @@ def run_overhead_experiment(
     cycle_cost: Optional[float] = None,
     settle: float = 900.0,
     hosts: int = 2,
-) -> OverheadResult:
-    """Run both configurations and derive the Figure 5/6 quantities.
+) -> Dict[str, Any]:
+    """Run both configurations and derive the Figure 5/6 quantities:
+    the ``overhead`` cell's summary, with the sampled 1-minute load and
+    send-rate series of both runs as ``points()`` lists.
 
     ``hosts`` > 2 surrounds the two instrumented workstations with
     analytic plane hosts (the ``--set hosts=N`` sweep axis) — the
@@ -185,10 +104,48 @@ def run_overhead_experiment(
         raise ValueError("duration must exceed the settle window")
     if hosts < 2:
         raise ValueError("the overhead experiment needs >= 2 hosts")
-    return OverheadResult(
-        with_rs=_run_once(True, duration, seed, interval, cycle_cost,
-                          hosts=hosts),
-        without_rs=_run_once(False, duration, seed, interval, cycle_cost,
-                             hosts=hosts),
-        settle=settle,
-    )
+    with_rs = _run_once(True, duration, seed, interval, cycle_cost,
+                        hosts=hosts)
+    without_rs = _run_once(False, duration, seed, interval, cycle_cost,
+                           hosts=hosts)
+
+    def mean(run: Dict[str, TimeSeries], name: str) -> float:
+        return run[name].mean(t_min=settle)
+
+    # Load means come from the exact run-queue time integral
+    # (``load_true``): the sampled 1/5-minute load averages estimate the
+    # same quantity, but their point-sampling noise (~±10 % here) would
+    # swamp a ~4 % overhead.  The sampled series remain for plotting.
+    load1_without = mean(without_rs, "load_true")
+    load1_with = mean(with_rs, "load_true")
+    load1_overhead = load1_with / load1_without - 1.0
+    send_kbs_without = mean(without_rs, "send_kbs")
+    send_kbs_with = mean(with_rs, "send_kbs")
+    recv_kbs_without = mean(without_rs, "recv_kbs")
+    recv_kbs_with = mean(with_rs, "recv_kbs")
+    base = send_kbs_without + recv_kbs_without
+    loaded = send_kbs_with + recv_kbs_with
+    return {
+        "load1_without": load1_without,
+        "load1_with": load1_with,
+        "load1_overhead": load1_overhead,
+        # With exact integrals the 1- and 5-minute estimates coincide;
+        # kept for report symmetry with the paper's two numbers.
+        "load5_overhead": load1_overhead,
+        "cpu_overhead": (mean(with_rs, "cpu_util")
+                         / mean(without_rs, "cpu_util") - 1.0),
+        "send_kbs_without": send_kbs_without,
+        "send_kbs_with": send_kbs_with,
+        "recv_kbs_without": recv_kbs_without,
+        "recv_kbs_with": recv_kbs_with,
+        "comm_overhead": loaded / base - 1.0,
+        "series": {
+            name: [list(p) for p in run[series].points()]
+            for name, run, series in (
+                ("load1_without", without_rs, "loadavg1"),
+                ("load1_with", with_rs, "loadavg1"),
+                ("send_without", without_rs, "send_kbs"),
+                ("send_with", with_rs, "send_kbs"),
+            )
+        },
+    }

@@ -23,8 +23,7 @@ policy total (s)  migrate→  source (s)   dest (s)     migration (s)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..cluster.background import BulkTransferLoad, CpuHog, DutyCycleLoad
 from ..cluster.builder import Cluster
@@ -40,31 +39,6 @@ DEFAULT_PARAMS = {
 }
 
 
-@dataclass
-class PolicyRunResult:
-    """One row of Table 2."""
-
-    policy_name: str
-    total_seconds: float
-    migrated_to: Optional[str]
-    source_seconds: float
-    dest_seconds: float
-    migration_seconds: Optional[float]
-    checksum_ok: bool
-    decision_at: Optional[float]
-
-    def row(self) -> tuple:
-        return (
-            self.policy_name,
-            round(self.total_seconds, 2),
-            self.migrated_to or "-",
-            round(self.source_seconds, 2),
-            round(self.dest_seconds, 2),
-            round(self.migration_seconds, 2)
-            if self.migration_seconds is not None else "-",
-        )
-
-
 def run_policy_experiment(
     policy: MigrationPolicy,
     params: Optional[dict] = None,
@@ -75,13 +49,14 @@ def run_policy_experiment(
     bulk_rate: float = 7.25e6,
     ws3_load: float = 2.52,
     max_duration: float = 4000.0,
-) -> PolicyRunResult:
-    """Run the Table 2 scenario under one policy.
+) -> Dict[str, Any]:
+    """Run the Table 2 scenario under one policy: its row of the
+    ``table2`` cell's summary.
 
     The clock stops ``DRAIN_SECONDS`` after the job ends, or at
     ``max_duration`` if that comes first.  A job cut off by the cap
-    reports the cap as ``total_seconds`` and ``checksum_ok`` false;
-    its residency split counts only hosts it had already left.
+    reports the cap as ``total_s`` and ``checksum_ok`` false; its
+    residency split counts only hosts it had already left.
     """
     params = dict(params or DEFAULT_PARAMS)
     cluster = Cluster(n_hosts=5, seed=seed)
@@ -110,33 +85,27 @@ def run_policy_experiment(
     run_until_finished(cluster.env, app.done, max_duration)
 
     record = next((m for m in app.migrations if m.succeeded), None)
-    decision = next((d for d in rs.decisions if d.dest is not None), None)
     dest = record.dest if record else None
     done = app.status == "done"
-    checksum_ok = done and (
-        abs(app.result - TestTreeApp.expected_checksum(params)) < 1e-5
-    )
-    return PolicyRunResult(
-        policy_name=policy.name,
-        total_seconds=app.finished_at if done else float(max_duration),
-        migrated_to=dest,
-        source_seconds=app.residency.get("ws1", 0.0),
-        dest_seconds=app.residency.get(dest, 0.0) if dest else 0.0,
-        migration_seconds=record.total_seconds if record else None,
-        checksum_ok=checksum_ok,
-        decision_at=decision.at if decision else None,
-    )
+    return {
+        "total_s": app.finished_at if done else float(max_duration),
+        "migrated_to": dest,
+        "source_s": app.residency.get("ws1", 0.0),
+        "dest_s": app.residency.get(dest, 0.0) if dest else 0.0,
+        "migration_s": record.total_seconds if record else None,
+        "checksum_ok": done and (
+            abs(app.result - TestTreeApp.expected_checksum(params)) < 1e-5
+        ),
+    }
 
 
 def run_table2(
     params: Optional[dict] = None, seed: int = 0, **kwargs
-) -> Dict[int, PolicyRunResult]:
-    """All three policies on identical scenarios (Table 2)."""
+) -> Dict[str, Dict[str, Any]]:
+    """All three policies on identical scenarios: the ``table2`` cell's
+    summary, one :func:`run_policy_experiment` row per policy."""
     return {
-        1: run_policy_experiment(policy_1(), params=params, seed=seed,
-                                 **kwargs),
-        2: run_policy_experiment(policy_2(), params=params, seed=seed,
-                                 **kwargs),
-        3: run_policy_experiment(policy_3(), params=params, seed=seed,
-                                 **kwargs),
+        f"policy{i}": run_policy_experiment(policy(), params=params,
+                                            seed=seed, **kwargs)
+        for i, policy in ((1, policy_1), (2, policy_2), (3, policy_3))
     }

@@ -40,7 +40,11 @@ ORDER_PARAMS = {"levels": 12, "trees": 40, "node_cost": 2e-4, "seed": 3}
 
 def _config(knobs: Dict[str, Any]) -> ReschedulerConfig:
     if "strategy" in knobs:
-        knobs = {**knobs, "strategy": STRATEGIES[knobs["strategy"]]}
+        name = knobs["strategy"]
+        if name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}; choose from "
+                             f"{', '.join(STRATEGIES)}")
+        knobs = {**knobs, "strategy": STRATEGIES[name]}
     return ReschedulerConfig(**knobs)
 
 
@@ -138,6 +142,8 @@ def run_orders(
     destination.  Phase times are means over the successful
     migrations.
     """
+    if hosts < 2:
+        raise ValueError("the order experiment needs hosts >= 2")
     cluster = Cluster(n_hosts=hosts, seed=seed)
     rt = launch(MpiRuntime(cluster), TestTreeApp(), cluster["ws1"],
                 params=params or ORDER_PARAMS)

@@ -9,25 +9,13 @@ reports what actually happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 from ..cluster.background import CpuHog
 from ..cluster.builder import Cluster
 from ..core.policy import MetricPredicate, MigrationPolicy
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
-from ..rules.states import SystemState
 from ..workloads.test_tree import TestTreeApp
-
-
-@dataclass
-class StateRow:
-    """Observed behaviour of one host state."""
-
-    state: SystemState
-    loaded: bool
-    migrate_in: bool
-    migrate_out: bool
 
 
 def _policy() -> MigrationPolicy:
@@ -38,8 +26,10 @@ def _policy() -> MigrationPolicy:
     )
 
 
-def run_table1(seed: int = 0) -> Dict[str, StateRow]:
-    """Demonstrate each Table 1 row on a live 3-host deployment.
+def run_table1(seed: int = 0) -> Dict[str, Any]:
+    """Demonstrate each Table 1 row on a live 3-host deployment: the
+    ``table1`` cell's summary — each state's observed behaviour, the
+    state each host last reported, and where the app went.
 
     * ws1 is overloaded (source of a migration-enabled app + hogs);
     * ws2 is busy (a steady single-job load keeps it between the busy
@@ -71,31 +61,22 @@ def run_table1(seed: int = 0) -> Dict[str, StateRow]:
     app = rs.launch_app(TestTreeApp(), "ws1", params=params)
     cluster.env.run(until=app.done)
 
-    reported = {
-        name: rs.monitors[name].reported_state for name in
-        ("ws1", "ws2", "ws3")
-    }
     migrated_to = app.host.name
-    rows = {
-        "overloaded": StateRow(
-            state=SystemState.OVERLOADED,
-            loaded=True,
-            migrate_in=False,
-            migrate_out=(migrated_to != "ws1"),
-        ),
-        "busy": StateRow(
-            state=SystemState.BUSY,
-            loaded=True,
-            migrate_in=(migrated_to == "ws2"),
-            migrate_out=False,
-        ),
-        "free": StateRow(
-            state=SystemState.FREE,
-            loaded=False,
-            migrate_in=(migrated_to == "ws3"),
-            migrate_out=False,
-        ),
+    return {
+        "states": {
+            "free": {"loaded": False,
+                     "migrate_in": migrated_to == "ws3",
+                     "migrate_out": False},
+            "busy": {"loaded": True,
+                     "migrate_in": migrated_to == "ws2",
+                     "migrate_out": False},
+            "overloaded": {"loaded": True,
+                           "migrate_in": False,
+                           "migrate_out": migrated_to != "ws1"},
+        },
+        "observed": {
+            name: rs.monitors[name].reported_state.name.lower()
+            for name in ("ws1", "ws2", "ws3")
+        },
+        "migrated_to": migrated_to,
     }
-    rows["_observed_states"] = reported  # extra diagnostics
-    rows["_migrated_to"] = migrated_to
-    return rows

@@ -10,5 +10,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "predicate_from_dict",
     ),
     "rescheduler": ("Rescheduler", "ReschedulerConfig"),
-    "timeline": ("TraceEvent", "build_timeline", "format_timeline"),
 })

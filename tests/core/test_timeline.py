@@ -1,10 +1,19 @@
-"""Merged event timelines."""
+"""A migration's timeline, read from the trace records of its run."""
 
 import pytest
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster import CpuHog
-from repro.core import build_timeline, format_timeline
+from repro.trace import Tracer, use
+from repro.trace.events import (
+    EV_APP_FINISH,
+    EV_APP_START,
+    EV_HPCM_MIGRATION,
+    EV_HPCM_POLLPOINT,
+    EV_HPCM_RESUME,
+    EV_REGISTRY_COMMAND,
+    EV_REGISTRY_DECIDE,
+)
 from repro.workloads import TestTreeApp
 
 PARAMS = {"levels": 10, "trees": 50, "node_cost": 2e-3, "seed": 1}
@@ -12,86 +21,39 @@ PARAMS = {"levels": 10, "trees": 50, "node_cost": 2e-3, "seed": 1}
 
 @pytest.fixture(scope="module")
 def deployment():
-    cluster = Cluster(n_hosts=3, seed=0)
-    rs = Rescheduler(cluster, policy=policy_2(),
-                     config=ReschedulerConfig(interval=10.0, sustain=3))
-    app = rs.launch_app(TestTreeApp(), "ws1", params=PARAMS)
+    tracer = Tracer()
+    with use(tracer):
+        cluster = Cluster(n_hosts=3, seed=0)
+        rs = Rescheduler(cluster, policy=policy_2(),
+                         config=ReschedulerConfig(interval=10.0, sustain=3))
+        app = rs.launch_app(TestTreeApp(), "ws1", params=PARAMS)
 
-    def inject(env):
-        yield env.timeout(50)
-        CpuHog(cluster["ws1"], count=4, name="extra")
+        def inject(env):
+            yield env.timeout(50)
+            CpuHog(cluster["ws1"], count=4, name="extra")
 
-    cluster.env.process(inject(cluster.env))
-    cluster.env.run(until=app.done)
-    cluster.env.run(until=cluster.env.now + 30)  # drain
-    return rs, app
-
-
-def test_timeline_is_time_ordered(deployment):
-    rs, app = deployment
-    events = build_timeline(rs)
-    times = [e.t for e in events]
-    assert times == sorted(times)
-    assert len(events) >= 5
-
-
-def test_timeline_contains_full_story(deployment):
-    rs, app = deployment
-    kinds = [e.kind for e in build_timeline(rs)]
-    for expected in ("app-start", "decision", "command",
-                     "migration-start", "migration-resume",
-                     "migration-done", "app-finish"):
-        assert expected in kinds, expected
+        cluster.env.process(inject(cluster.env))
+        cluster.env.run(until=app.done)
+        cluster.env.run(until=cluster.env.now + 30)  # drain
+    return tracer, app
 
 
 def test_timeline_causality(deployment):
-    rs, app = deployment
-    by_kind = {}
-    for event in build_timeline(rs):
-        by_kind.setdefault(event.kind, event)
-    assert (by_kind["app-start"].t <= by_kind["decision"].t
-            <= by_kind["command"].t <= by_kind["migration-start"].t
-            <= by_kind["migration-resume"].t
-            <= by_kind["migration-done"].t <= by_kind["app-finish"].t)
-
-
-def test_timeline_hosts_and_details(deployment):
-    rs, app = deployment
-    events = build_timeline(rs)
-    start = next(e for e in events if e.kind == "app-start")
-    assert start.host == "ws1"
-    done = next(e for e in events if e.kind == "migration-done")
-    assert done.host == app.host.name
-    assert done.detail["total_s"] > 0
-
-
-def test_format_timeline_filtering(deployment):
-    rs, app = deployment
-    events = build_timeline(rs)
-    text = format_timeline(events)
-    assert "migration-done" in text and "[t=" in text
-    only = format_timeline(events, kinds={"decision"})
-    assert "decision" in only and "migration" not in only
-    assert format_timeline([]) == "(no events)"
-
-
-def test_failed_migration_appears():
-    cluster = Cluster(n_hosts=2, seed=0)
-    rs = Rescheduler(cluster, policy=policy_2(),
-                     config=ReschedulerConfig(interval=10.0, sustain=3))
-    cluster.run(until=15)
-    cluster["ws2"].crash()
-    app = rs.launch_app(TestTreeApp(), "ws1", params=PARAMS)
-
-    def inject(env):
-        yield env.timeout(20)
-        CpuHog(cluster["ws1"], count=4, name="extra")
-
-    cluster.env.process(inject(cluster.env))
-    cluster.env.run(until=app.done)
-    kinds = [e.kind for e in build_timeline(rs)]
-    # ws2's lease may not have expired at decision time → a command may
-    # have been issued toward a dead host → failed migration recorded;
-    # either way the app finished without moving.
-    assert "app-finish" in kinds
-    assert app.host.name == "ws1"
+    """App start ≤ decision ≤ command ≤ migration start ≤ resume ≤
+    migration done ≤ app finish, each at its first record."""
+    tracer, app = deployment
+    first = {}
+    for record in tracer.records:
+        first.setdefault(record.name, record)
+    times = [
+        first[EV_APP_START].t,
+        first[EV_REGISTRY_DECIDE].end_t,
+        first[EV_REGISTRY_COMMAND].t,
+        first[EV_HPCM_POLLPOINT].t,
+        first[EV_HPCM_RESUME].t,
+        first[EV_HPCM_MIGRATION].end_t,
+        first[EV_APP_FINISH].t,
+    ]
+    assert times == sorted(times)
+    assert first[EV_APP_START].host == "ws1"
+    assert first[EV_APP_FINISH].host == app.host.name != "ws1"

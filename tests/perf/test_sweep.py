@@ -120,6 +120,8 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
             raise LookupError(name)  # the summary is not under test
         return runner
 
+    monkeypatch.setattr(analysis, "run_overhead_experiment",
+                        capture("overhead"))
     monkeypatch.setattr(analysis, "run_table2", capture("table2"))
     monkeypatch.setattr(analysis, "run_malleability_experiment",
                         capture("malleability"))
@@ -132,12 +134,13 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
     config = {"hosts": 4, "sustain": 2, "interval": 5.0, "chunks": 3,
               "strategy": "best_fit", "lease": 7.0, "orders": 2,
               "preinit": True}
-    for name in ("table2", "malleability", "efficiency", "table1", "overload",
-                 "order", "lease"):
+    for name in ("overhead", "table2", "malleability", "efficiency", "table1",
+                 "overload", "order", "lease"):
         with pytest.raises(LookupError):
             run_cell(name, config, seed=1)
         assert seen[name] == {
             k: v for k, v in config.items() if k in CELL_AXES[name]}
+    assert seen["overhead"] == {"hosts": 4, "interval": 5.0}
     assert seen["table2"] == {"sustain": 2}
     assert seen["efficiency"] == {"sustain": 2, "chunks": 3}
     assert seen["table1"] == {}
@@ -145,6 +148,21 @@ def test_cells_forward_exactly_their_axes(monkeypatch):
                                 "strategy": "best_fit"}
     assert seen["order"] == {"hosts": 4, "orders": 2, "preinit": True}
     assert seen["lease"] == {"interval": 5.0, "lease": 7.0}
+
+
+@pytest.mark.parametrize("experiment, config, axis", [
+    ("efficiency", {"duration": 100.0}, "duration"),
+    ("efficiency", {"app_start": 500.0}, "app_start"),
+    ("order", {"hosts": 1}, "hosts"),
+    ("overload", {"strategy": "nope"},
+     "strategy 'nope'; choose from first_fit, best_fit, random_fit"),
+], ids=["efficiency-duration", "efficiency-app_start", "order-hosts",
+        "overload-strategy"])
+def test_unusable_axis_value_fails_up_front(experiment, config, axis):
+    """A value the runner cannot use is rejected before the simulation
+    starts, by a ``ValueError`` that names the axis."""
+    with pytest.raises(ValueError, match=axis):
+        run_cell(experiment, config, seed=0)
 
 
 def test_parallel_sweep_matches_serial():

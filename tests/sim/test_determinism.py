@@ -3,27 +3,29 @@
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster import CpuHog
-from repro.core import build_timeline
+from repro.trace import Tracer, use
 from repro.workloads import TestTreeApp
 
 PARAMS = {"levels": 10, "trees": 40, "node_cost": 2e-3, "seed": 1}
 
 
 def run(seed: int):
-    cluster = Cluster(n_hosts=3, seed=seed)
-    rs = Rescheduler(cluster, policy=policy_2(),
-                     config=ReschedulerConfig(interval=10.0, sustain=3))
-    app = rs.launch_app(TestTreeApp(), "ws1", params=PARAMS)
+    tracer = Tracer()
+    with use(tracer):
+        cluster = Cluster(n_hosts=3, seed=seed)
+        rs = Rescheduler(cluster, policy=policy_2(),
+                         config=ReschedulerConfig(interval=10.0, sustain=3))
+        app = rs.launch_app(TestTreeApp(), "ws1", params=PARAMS)
 
-    def inject(env):
-        yield env.timeout(50)
-        CpuHog(cluster["ws1"], count=4, name="extra")
+        def inject(env):
+            yield env.timeout(50)
+            CpuHog(cluster["ws1"], count=4, name="extra")
 
-    cluster.env.process(inject(cluster.env))
-    cluster.env.run(until=app.done)
-    cluster.env.run(until=cluster.env.now + 30)
-    timeline = [(e.t, e.kind, e.host) for e in build_timeline(rs)]
-    return app.finished_at, app.result, timeline
+        cluster.env.process(inject(cluster.env))
+        cluster.env.run(until=app.done)
+        cluster.env.run(until=cluster.env.now + 30)
+    trace = [(r.t, r.name, r.host) for r in tracer.records]
+    return app.finished_at, app.result, trace
 
 
 def test_identical_seeds_identical_runs():
@@ -46,5 +48,4 @@ def test_overhead_experiment_is_reproducible():
 
     r1 = run_overhead_experiment(duration=1500, settle=600, seed=3)
     r2 = run_overhead_experiment(duration=1500, settle=600, seed=3)
-    assert r1.load1_overhead == r2.load1_overhead
-    assert list(r1.with_rs.load1.values) == list(r2.with_rs.load1.values)
+    assert r1 == r2  # every overhead and every sampled series point

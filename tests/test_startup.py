@@ -69,3 +69,11 @@ def test_a_live_process_and_the_cli_import_no_simulator():
     lint = _loaded(CLI.format(args=["lint", "examples/configs", "--strict"]))
     assert "repro.lint.runner" in lint
     assert _within(lint, ("cluster", "sim", "hpcm", "mpi", "analysis")) == []
+
+
+def test_planning_a_sweep_imports_no_runner():
+    """``run_cell`` looks its runner up when a cell runs, so planning a
+    sweep (``--dry-run``, ``--list-axes``) loads no simulator."""
+    cells = _loaded("import repro.perf.experiments")
+    assert "repro.perf.experiments" in cells
+    assert _within(cells, ("analysis",)) == []

@@ -63,10 +63,9 @@ def test_trace_names_all_catalogued(traced_run):
 
 def test_migration_span_matches_the_record(traced_run):
     tracer, result = traced_run
-    rec = result.record
     (mig,) = [r for r in tracer.by_name(EV_HPCM_MIGRATION) if r.is_span]
     assert mig.attrs["succeeded"] is True
-    assert mig.dur == pytest.approx(rec.total_seconds, abs=1e-6)
+    assert mig.dur == pytest.approx(result["total_s"], abs=1e-6)
     # sub-phase spans nest inside the migration window
     for name in (EV_HPCM_SPAWN, EV_HPCM_CAPTURE, EV_HPCM_TRANSFER):
         for span in tracer.by_name(name):

@@ -69,10 +69,11 @@ def test_a_storm_run_folds_no_heartbeat_after_the_drain(reschedulers):
     params = dict(malleability.DEFAULT_PARAMS, batches=800)
     result = malleability.run_malleability_experiment(params=params, seed=11)
     rigid_rs, malleable_rs = reschedulers
-    for run, rs in ((result.rigid, rigid_rs),
-                    (result.malleable, malleable_rs)):
-        assert run.pi_ok and run.completed_at < 1000.0
-        stop = run.completed_at + DRAIN_SECONDS
+    assert result["pi_ok"]
+    for completed_at, rs in ((result["rigid_s"], rigid_rs),
+                             (result["malleable_s"], malleable_rs)):
+        assert completed_at < 1000.0
+        stop = completed_at + DRAIN_SECONDS
         assert rs.env.now == stop
         assert rs.registry.table.matrix.last_update.max() <= stop
         interval = rs.config.interval
