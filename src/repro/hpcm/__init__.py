@@ -35,7 +35,7 @@ from .runtime import (
     launch,
     launch_world,
 )
-from .statexfer import capture, chunk, join, restore
+from .statexfer import capture, chunk, restore
 from .world import HpcmWorld, launch_malleable_world
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "StateCaptureError",
     "capture",
     "chunk",
-    "join",
     "launch",
     "launch_malleable_world",
     "launch_world",

@@ -95,16 +95,20 @@ def read_checkpoint(path: str) -> tuple:
     if not data.startswith(_MAGIC):
         raise CheckpointError(f"{path!r} is not a checkpoint file")
     offset = len(_MAGIC)
-    version, header_len = struct.unpack_from(">II", data, offset)
+    try:
+        version, header_len = struct.unpack_from(">II", data, offset)
+    except struct.error as exc:
+        raise CheckpointError(f"{path!r}: truncated header") from exc
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     offset += 8
     try:
         header = json.loads(data[offset:offset + header_len])
-    except ValueError as exc:
+        meta = CheckpointMeta(**header)
+    except (ValueError, TypeError) as exc:
         raise CheckpointError("corrupt checkpoint header") from exc
-    blob = data[offset + header_len:]
-    meta = CheckpointMeta(**header)
+    # A view, so the state is not copied out of the file's bytes.
+    blob = memoryview(data)[offset + header_len:]
     if hashlib.sha256(blob).hexdigest() != meta.digest:
         raise CheckpointError(f"{path!r}: state digest mismatch")
     return meta, statexfer.restore(blob)

@@ -89,6 +89,8 @@ class HpcmRuntime:
             raise ValueError("chunks must be >= 1")
         if not 0 < resume_fraction <= 1:
             raise ValueError("resume_fraction must lie in (0, 1]")
+        if not serialize_rate > 0:
+            raise ValueError("serialize_rate must be > 0")
         self.mpi = mpi
         self.env = mpi.env
         self.app = app
@@ -382,10 +384,10 @@ class HpcmRuntime:
         source-side process exits however that ends."""
         try:
             yield att.streamer
-            blob = yield att.transfer_done
+            pieces = yield att.transfer_done
         finally:
             att.old_proc.exit()
-        if blob != att.blob:  # pragma: no cover - invariant
+        if not statexfer.intact(pieces, att.blob):  # pragma: no cover
             raise HpcmError("state corrupted in transit")
 
     # -- bookkeeping ----------------------------------------------------
@@ -437,7 +439,7 @@ def _make_receiver(ready, transfer_done):
     The receiver fires ``ready`` (with its :class:`MpiProcess`) once the
     execution state plus the initial fraction of memory chunks has
     arrived — the resume point — and ``transfer_done`` (with the
-    reassembled byte stream) when everything has drained.
+    pieces in arrival order, not joined) when everything has drained.
     """
     def receiver(ctx):
         exec_state = yield from ctx.parent.recv(tag=TAG_EXEC_STATE)
@@ -449,7 +451,7 @@ def _make_receiver(ready, transfer_done):
             buf.append(piece)
             if i + 1 == resume_after:
                 ready.succeed(ctx.process)
-        transfer_done.succeed(statexfer.join(buf))
+        transfer_done.succeed(buf)
 
     return receiver
 

@@ -288,17 +288,19 @@ class HpcmWorld:
             yield helper
 
     def _capture_all(self, att: Attempt):
-        """Pickle every rank's state, paying CPU in parallel."""
-        att.blobs = [statexfer.capture(rt.state) for rt in self.runtimes]
+        """Pickle every rank's state, paying CPU in parallel.  Only the
+        pickles' lengths are kept."""
+        att.sizes = [len(statexfer.capture(rt.state))
+                     for rt in self.runtimes]
 
-        def _pay(rt, blob):
-            work = len(blob) / rt.serialize_rate
+        def _pay(rt, nbytes):
+            work = nbytes / rt.serialize_rate
             if work > 0:
                 yield rt.host.cpu.execute(work, label="hpcm-reshape-capture")
 
         yield from self._helpers([
-            (f"reshape-capture:{i}", _pay(rt, blob))
-            for i, (rt, blob) in enumerate(zip(self.runtimes, att.blobs))
+            (f"reshape-capture:{i}", _pay(rt, nbytes))
+            for i, (rt, nbytes) in enumerate(zip(self.runtimes, att.sizes))
         ])
 
     def _repartition(self, att: Attempt) -> None:
@@ -333,23 +335,22 @@ class HpcmWorld:
     def _ship_shares(self, att: Attempt):
         """Each fresh rank's share leaves rank 0's host (real pickled
         size), all of them in parallel."""
-        shares = [statexfer.capture(state)
-                  for state in att.states[len(self.runtimes):]]
+        sizes = [len(statexfer.capture(state))
+                 for state in att.states[len(self.runtimes):]]
         src = self.runtimes[0].host
         yield from self._helpers([
-            (f"reshape-ship:{host.name}",
-             self._move(att, src, host, len(blob)))
-            for host, blob in zip(att.hosts, shares)
+            (f"reshape-ship:{host.name}", self._move(att, src, host, nbytes))
+            for host, nbytes in zip(att.hosts, sizes)
         ])
-        att.rec.moved_bytes = sum(len(blob) for blob in shares)
+        att.rec.moved_bytes = sum(sizes)
 
     def _ship_retired(self, att: Attempt):
         """The retired rank's share travels to the first survivor."""
         retiree = att.retiree
-        blob = att.blobs[self.runtimes.index(retiree)]
+        nbytes = att.sizes[self.runtimes.index(retiree)]
         peer = next(rt for rt in self.runtimes if rt is not retiree)
-        yield from self._move(att, retiree.host, peer.host, len(blob))
-        att.rec.moved_bytes = len(blob)
+        yield from self._move(att, retiree.host, peer.host, nbytes)
+        att.rec.moved_bytes = nbytes
 
     def _join(self, att: Attempt) -> None:
         """Survivors take their new shares; fresh ranks join the group."""

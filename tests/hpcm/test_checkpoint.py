@@ -1,5 +1,8 @@
 """Checkpoint/restart: crash-survival via the poll-point contract."""
 
+import json
+import struct
+
 import pytest
 
 from repro.cluster import Cluster
@@ -47,6 +50,35 @@ def test_corrupted_state_detected(tmp_path):
     data[-1] ^= 0xFF  # flip a state byte
     open(path, "wb").write(bytes(data))
     with pytest.raises(CheckpointError, match="digest mismatch"):
+        read_checkpoint(path)
+
+
+def _with_header(tmp_path, header):
+    """A checkpoint file whose JSON header is ``header``."""
+    raw = json.dumps(header).encode("utf-8")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"HPCMCKPT" + struct.pack(">II", 1, len(raw)) + raw)
+    return str(path)
+
+
+def test_read_file_cut_after_the_magic(tmp_path):
+    path = str(tmp_path / "state.ckpt")
+    write_checkpoint(path, "x", {"k": 1}, step_count=1, sim_time=0.0)
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:len(b"HPCMCKPT") + 3])
+    with pytest.raises(CheckpointError, match="truncated header"):
+        read_checkpoint(path)
+
+
+def test_read_header_that_is_not_an_object(tmp_path):
+    path = _with_header(tmp_path, ["x", 1, 0.0, "", "00"])
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+        read_checkpoint(path)
+
+
+def test_read_header_with_missing_keys(tmp_path):
+    path = _with_header(tmp_path, {"app_name": "x"})
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
         read_checkpoint(path)
 
 

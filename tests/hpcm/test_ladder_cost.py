@@ -1,16 +1,22 @@
-"""The ladder executor costs no kernel event.
+"""What a reconfiguration costs beyond the work it models.
 
 ``climb`` is a generator the carrying process drives with ``yield
 from`` — not a process per rung — so a reconfiguration dispatches
 exactly the events it did when its steps were written out inline.  The
 literals were counted through the kernel's own ``trace_hook`` at the
 commit before the ladder.
+
+A migration holds one pickle of the state besides the source and
+restored objects: its chunks are views of that pickle and the drain
+checks them in place.
 """
+
+import tracemalloc
 
 import pytest
 
 from repro.analysis.horizon import run_until_finished
-from repro.hpcm import launch
+from repro.hpcm import MigrationOrder, launch
 from repro.workloads import TestTreeApp
 
 from . import test_migration, test_world
@@ -44,3 +50,30 @@ def test_an_expand_dispatches_the_kernel_events_it_always_did():
     run_until_finished(cluster.env, world.finished, 3000.0)
     assert [rec.succeeded for rec in world.reconfigurations] == [True]
     assert len(seen) == 249
+
+
+def test_a_migration_allocates_one_pickle_and_one_restored_state():
+    """Ordered once the 40 trees are built (a 2.5 MB pickle), the
+    migration's allocations peak at the pickle plus the restored state,
+    about twice the pickle.  A byte copy of every chunk and a joined
+    copy of the arrived stream made it four times."""
+    cluster, mpi = test_migration.setup()
+    params = dict(test_migration.PARAMS, levels=13, trees=40)
+    rt = launch(mpi, TestTreeApp(), cluster["ws1"], params=params)
+    env = cluster.env
+    while rt.state is None or rt.state.phase == "build":
+        env.run(until=env.now + 1.0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        rt.request_migration(MigrationOrder(dest_host="ws2",
+                                            issued_at=env.now))
+        while not rt.migrations:
+            env.run(until=env.now + 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (rec,) = rt.migrations
+    assert rec.succeeded
+    assert rec.memory_bytes > 2_500_000
+    assert peak - before <= 2.5 * rec.memory_bytes

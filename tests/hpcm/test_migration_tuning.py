@@ -65,6 +65,17 @@ def test_parameter_validation():
                resume_fraction=1.5)
 
 
+@pytest.mark.parametrize("rate", [0, -1])
+def test_serialize_rate_must_be_positive(rate):
+    """Zero failed every capture on a division; a negative rate
+    charged no CPU.  Both are refused when the rank is built."""
+    cluster = Cluster(n_hosts=1, seed=0)
+    mpi = MpiRuntime(cluster)
+    with pytest.raises(ValueError, match="serialize_rate"):
+        launch(mpi, TestTreeApp(), cluster["ws1"], params=BIG,
+               serialize_rate=rate)
+
+
 def test_heterogeneous_bandwidth_affects_transfer():
     def run(bandwidth):
         cluster = Cluster(n_hosts=1, seed=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.hpcm import capture, chunk, join, restore
+from repro.hpcm import capture, chunk, restore
 from repro.protocol import StatusUpdate, decode, encode
 from repro.rules import SystemState
 from repro.schema import ApplicationSchema, Characteristics
@@ -47,7 +47,7 @@ def test_capture_restore_arrays(arr):
 def test_chunk_join_roundtrip(blob, n):
     pieces = chunk(blob, n)
     assert len(pieces) <= max(n, 1) or blob == b""
-    assert join(pieces) == blob
+    assert b"".join(pieces) == blob
 
 
 @given(
