@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="treat warnings as errors")
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="report only codes matching these "
-                           "comma-separated prefixes (e.g. D3,T505)")
+                           "comma-separated prefixes (e.g. D3,C701)")
     lint.add_argument("--ignore", default=None, metavar="CODES",
                       help="drop codes matching these comma-separated "
                            "prefixes")

@@ -23,10 +23,7 @@ FAMILY_ANCHORS: Dict[str, str] = {
     "P": "p-codes",
     "S": "s-codes",
     "D": "d-codes",
-    "E": "e-codes",
-    "T": "t-codes",
     "C": "c-codes",
-    "M": "m-codes",
     "L": "l-codes",
 }
 
@@ -78,24 +75,10 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "D304": ("warning", "ad-hoc RNG construction outside sim/rng.py"),
     "D305": ("warning", "order-sensitive iteration over a set expression"),
     "D306": ("warning", "time.sleep inside virtual time"),
-    # effects
-    "E401": ("error", "effect class and Effect union disagree"),
-    "E402": ("error", "driver module does not cover every effect type"),
-    "E403": ("error", "Query effect yielded as a bare statement"),
-    "E404": ("error", "core module yields a non-effect call"),
-    # trace discipline
-    "T501": ("error", "emit site names an uncatalogued event"),
-    "T504": ("error", "event kind does not match the emit style"),
-    "T505": ("error", "span opened but never ended"),
     # concurrency
     "C701": ("error", "shared attribute raced across thread contexts"),
     "C702": ("error", "blocking call while a lock is held"),
     "C705": ("warning", "mutable module global mutated under threads"),
-    # message flow
-    "M801": ("error", "message emitted but handled nowhere"),
-    "M802": ("error", "request message with no reply path"),
-    "M803": ("warning", "message handled but never constructed"),
-    "M804": ("error", "sim and live handle different message sets"),
 }
 
 #: Every code any ``repro lint`` pass can emit — config passes, the

@@ -162,7 +162,7 @@ def _unknown_prefix_diags(
 ) -> List[Diagnostic]:
     """L006: a filter prefix no registered code starts with is a typo
     that would otherwise produce a silently-green (or silently-full)
-    run — ``--select M81`` when the M codes are M801–M804 must fail
+    run — ``--select C71`` when the C codes are C701–C705 must fail
     loudly, not report nothing."""
     diags: List[Diagnostic] = []
     for prefix in prefixes or ():
@@ -186,7 +186,7 @@ def lint_paths(
 ) -> List[Diagnostic]:
     """Lint every configuration and Python source under ``paths``.
 
-    ``select``/``ignore`` are code prefixes (``("D3", "T505")``):
+    ``select``/``ignore`` are code prefixes (``("D3", "C701")``):
     with ``select``, only matching codes are reported; ``ignore``
     drops matching codes afterwards.
     """

@@ -439,9 +439,7 @@ def _check_module_state(module: PyModule) -> List[Diagnostic]:
     return diags
 
 
-def lint_concurrency(
-    modules: Sequence[PyModule], project=None,
-) -> List[Diagnostic]:
+def lint_concurrency(modules: Sequence[PyModule]) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for module in modules:
         diags.extend(_check_module_state(module))

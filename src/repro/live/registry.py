@@ -145,6 +145,8 @@ class LiveRegistry:
                 self.endpoint.call_later(
                     effect.timeout, self._resume, effect.req_id, None)
                 return
+            else:
+                raise TypeError(f"unknown effect {effect!r}")
 
     def _resume(self, req_id: str, reply: Any) -> None:
         """A ``Query`` ends, by its reply or (``None``) its timeout —

@@ -136,6 +136,8 @@ class RegistryScheduler:
                 waiter = self._pending_replies.pop(effect.req_id, None)
                 if waiter is not None and not waiter.triggered:
                     waiter.succeed(effect.reply)
+            else:
+                raise TypeError(f"unknown effect {effect!r}")
 
     def _pump(self, gen):
         """Drive one core task generator as a kernel process."""
@@ -162,6 +164,8 @@ class RegistryScheduler:
                 yield self.env.any_of([waiter, timeout])
                 self._pending_replies.pop(effect.req_id, None)
                 value = waiter.value if waiter.triggered else None
+            else:
+                raise TypeError(f"unknown effect {effect!r}")
 
     # -- main loop ------------------------------------------------------
     def _run(self):

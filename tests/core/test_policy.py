@@ -10,6 +10,9 @@ from repro.core import (
     policy_3,
 )
 from repro.rules import ComplexRule
+from repro.trace.events import EV_RULE_FIRE
+
+from ..catalogued import catalogued
 
 
 def test_predicate_operators():
@@ -76,6 +79,7 @@ def test_policy_3_adds_comm_awareness():
     assert not all(c.holds(busy_comm) for c in p.dest_conditions)
 
 
+@catalogued(EV_RULE_FIRE)
 def test_policy_to_rules_round_trips_through_rule_engine():
     """Policies are expressible as §4 rules: the generated OR rule goes
     overloaded exactly when a trigger fires."""

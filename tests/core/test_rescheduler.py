@@ -10,7 +10,10 @@ from repro import (
     policy_2,
 )
 from repro.cluster import CpuHog
+from repro.trace.events import EV_RESCHEDULER_STOP
 from repro.workloads import MonteCarloPiApp, TestTreeApp
+
+from ..catalogued import catalogued
 
 PARAMS = {"levels": 10, "trees": 40, "node_cost": 2e-3, "seed": 1}
 
@@ -141,6 +144,7 @@ def test_multirank_app_under_rescheduler():
     assert rts[0].result == pytest.approx(rts[1].result)
 
 
+@catalogued(EV_RESCHEDULER_STOP)
 def test_stop_unregisters_monitored_hosts():
     cluster, rs = deploy()
     cluster.run(until=30)

@@ -5,8 +5,10 @@ import pytest
 from repro.cluster import Cluster, CpuHog
 from repro.hpcm import MigrationOrder, launch, launch_world
 from repro.mpi import MpiRuntime
+from repro.trace.events import EV_APP_FINISH
 from repro.workloads import MonteCarloPiApp, TestTreeApp
 
+from ..catalogued import catalogued
 from .records import assert_terminal
 
 PARAMS = {"levels": 8, "trees": 6, "node_cost": 1e-4, "seed": 3}
@@ -268,6 +270,7 @@ def test_schema_updated_after_run():
     assert rt.schema.est_exec_time > 0
 
 
+@catalogued(EV_APP_FINISH)
 def test_app_exception_fails_runtime_not_simulation():
     class Exploding(TestTreeApp):
         def run_step(self, state, ctx):

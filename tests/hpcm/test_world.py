@@ -9,8 +9,10 @@ from repro.cluster import Cluster, CpuHog
 from repro.hpcm import ReconfigureOrder, launch_malleable_world
 from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
+from repro.trace.events import EV_APP_FINISH, EV_APP_SHRINK
 from repro.workloads import MonteCarloPiApp
 
+from ..catalogued import catalogued
 from .records import assert_terminal
 
 PI_PARAMS = {
@@ -133,6 +135,7 @@ def test_expand_adds_ranks_and_preserves_the_estimate():
     assert total == 2 * PI_PARAMS["batches"] * PI_PARAMS["batch_size"]
 
 
+@catalogued(EV_APP_FINISH, EV_APP_SHRINK)
 def test_shrink_retires_the_contended_rank():
     cluster, mpi = setup()
     world = launch_pi(mpi, cluster, hosts=("ws1", "ws2", "ws3"))

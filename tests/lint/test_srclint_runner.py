@@ -6,7 +6,6 @@ self-lint gate over ``src/``.
 """
 
 import os
-import shutil
 
 from repro.cli import main
 from repro.lint import lint_paths
@@ -134,15 +133,15 @@ def test_symlink_directory_cycle_terminates(tmp_path):
 
 # --------------------------------------------------------------- L006
 def test_valid_prefixes_pass_quietly():
-    diags = lint_paths([_fixture("d300_firing")], select=["D", "M80"])
+    diags = lint_paths([_fixture("d300_firing")], select=["D", "C70"])
     assert "L006" not in _codes(diags)
 
 
 def test_unknown_select_prefix_is_l006(capsys):
-    rc = main(["lint", _fixture("d300_clean"), "--select", "M89"])
+    rc = main(["lint", _fixture("d300_clean"), "--select", "C79"])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "L006" in out and "'M89'" in out
+    assert "L006" in out and "'C79'" in out
 
 
 def test_unknown_ignore_prefix_is_l006():
@@ -159,49 +158,41 @@ def test_l006_survives_its_own_filter():
 
 
 # ------------------------------ multi-family same-line suppressions
-def _span_probe(tmp_path, suffix):
+def _sleep_probe(tmp_path, suffix):
     # One line carrying two diagnostics from different families:
-    # T505 (span leak) and D301 (wall clock in sim scope).
+    # D306 (a real sleep in sim scope) and C702 (blocking under a lock).
     mod = tmp_path / "sim" / "probe.py"
     mod.parent.mkdir()
     mod.write_text(
+        "import threading\n"
         "import time\n\n\n"
-        "def probe(tracer):\n"
-        f'    handle = tracer.begin("x", ts=time.time()){suffix}\n'
-        "    return None\n"
+        "class Probe:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        threading.Thread(target=self.run).start()\n\n"
+        "    def run(self):\n"
+        "        with self._lock:\n"
+        f"            time.sleep(0.1){suffix}\n"
     )
     return str(tmp_path)
 
 
 def test_one_line_can_carry_two_families(tmp_path):
-    diags = lint_paths([_span_probe(tmp_path, "")])
-    assert sorted(_codes(diags)) == ["D301", "T505"]
-    assert {d.line for d in diags} == {5}
+    diags = lint_paths([_sleep_probe(tmp_path, "")])
+    assert sorted(_codes(diags)) == ["C702", "D306"]
+    assert {d.line for d in diags} == {12}
 
 
 def test_multi_family_suppression_silences_both(tmp_path):
-    diags = lint_paths([_span_probe(
-        tmp_path, "  # repro-lint: skip[T505,D301]")])
+    diags = lint_paths([_sleep_probe(
+        tmp_path, "  # repro-lint: skip[C702,D306]")])
     assert diags == []
 
 
 def test_partial_suppression_keeps_the_other_family(tmp_path):
-    diags = lint_paths([_span_probe(
-        tmp_path, "  # repro-lint: skip[T505]")])
-    assert _codes(diags) == ["D301"]
-
-
-def test_suppression_reaches_project_passes(tmp_path):
-    # M804 comes from a project-wide pass (lint_message_flow) and is
-    # reported at the message contract, not in the lagging driver;
-    # skip[M804] on that line must silence it all the same.
-    tree = tmp_path / "tree"
-    shutil.copytree(_fixture("m800_firing"), tree)
-    assert _codes(lint_paths([str(tree)], select=["M804"])) == ["M804"]
-    messages = tree / "protocol" / "messages.py"
-    messages.write_text(messages.read_text().replace(
-        "class Beat:", "class Beat:  # repro-lint: skip[M804]"))
-    assert lint_paths([str(tree)], select=["M804"]) == []
+    diags = lint_paths([_sleep_probe(
+        tmp_path, "  # repro-lint: skip[C702]")])
+    assert _codes(diags) == ["D306"]
 
 
 # ---------------------------------------------------------- self-lint
@@ -214,9 +205,9 @@ def test_src_tree_passes_strict_self_lint(capsys):
 
 
 def test_src_tree_self_lint_covers_new_families(capsys):
-    # C700/M800 run as part of the default pass set: narrowing to
+    # C700 and D300 run as part of the default pass set: narrowing to
     # them still exercises the whole tree and must stay clean.
     src = os.path.join(_repo_root(), "src")
-    rc = main(["lint", src, "--strict", "--select", "C7,M8"])
+    rc = main(["lint", src, "--strict", "--select", "C7,D3"])
     out = capsys.readouterr().out
     assert rc == 0, out

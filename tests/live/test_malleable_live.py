@@ -20,6 +20,9 @@ from repro.live import (
     sqrt_sum_state,
 )
 from repro.protocol import ExpandCommand, ShrinkCommand
+from repro.trace.events import EV_LIVE_RESUME, EV_LIVE_SHIP
+
+from ..catalogued import catalogued
 
 
 def wait_for(predicate, timeout=10.0, interval=0.05):
@@ -73,6 +76,7 @@ def test_expand_command_shards_across_nodes():
         peer.stop()
 
 
+@catalogued(EV_LIVE_RESUME, EV_LIVE_SHIP)
 def test_shrink_command_merges_the_shard_back():
     node, peer = LiveNode("m1"), LiveNode("m2")
     try:

@@ -4,8 +4,9 @@ Many client threads hammer one :class:`LiveRegistry` with concurrent
 heartbeats and candidate queries; the assertions are exactly the
 properties the concurrency sanitizer argues for statically — no lost
 updates, no torn reads, no duplicate or corrupt decision-log entries.
-The StatusQuery pull path (the M804 fix) gets the same treatment on a
-:class:`LiveNode`.
+The StatusQuery pull path gets the same treatment on a
+:class:`LiveNode`: it holds the sim and live runtimes to answering
+the same message.
 """
 
 import os
@@ -180,8 +181,8 @@ def test_concurrent_overload_yields_exactly_one_decision():
 
 
 def test_status_query_pull_path_under_contention():
-    # Regression for the M804 divergence this PR fixed: live nodes now
-    # answer the registry's pull-model StatusQuery (§3.2), and the
+    # Live nodes answer the registry's pull-model StatusQuery (§3.2)
+    # as the sim monitor does (they once dropped it), and the
     # monitor core stays coherent when the periodic push and several
     # concurrent pulls pump it at once (_mon_lock).
     node = LiveNode("n1", registry_address=None, interval=30.0)

@@ -26,6 +26,7 @@ from repro.rules.states import SystemState
 from repro.schema import ResourceRequirements
 
 from ..callcount import count_calls
+from ..catalogued import assert_catalogued
 from . import reference
 
 
@@ -172,6 +173,7 @@ def test_free_mask_traces_expiry_once_like_scalar():
         with use(tracer):
             query(table)
             query(table)  # second query: no second expiry event
+        assert_catalogued(tracer.records)
         return [r for r in tracer.records if r.name == EV_REGISTRY_EXPIRE]
 
     by_record = expiry_events(reference.free_hosts)

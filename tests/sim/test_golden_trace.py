@@ -12,10 +12,12 @@ must emit a byte-identical JSONL trace.  Regenerate (only when an
 import io
 import os
 
+import pytest
+
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster import CpuHog
-from repro.trace import Tracer, use
-from repro.trace.exporters import export_jsonl
+from repro.trace import EVENTS, Tracer, use
+from repro.trace.exporters import export_jsonl, load_jsonl
 from repro.workloads import TestTreeApp
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.jsonl")
@@ -46,18 +48,30 @@ def run_traced(seed: int = 7) -> str:
     return buf.getvalue()
 
 
-def test_trace_matches_golden_fixture():
+@pytest.fixture(scope="module")
+def traced_text():
+    return run_traced()
+
+
+def test_trace_matches_golden_fixture(traced_text):
     with open(GOLDEN, "r", encoding="utf-8", newline="") as fh:
         golden = fh.read()
-    assert run_traced() == golden
+    assert traced_text == golden
 
 
-def test_golden_run_actually_migrates():
+def test_records_name_catalogued_events_of_their_kind(traced_text):
+    # This module also runs as a script (fixture regeneration), so
+    # the check is spelled out here, not imported from tests/.
+    for rec in load_jsonl(io.StringIO(traced_text)):
+        assert rec.name in EVENTS, rec.name
+        assert rec.is_span == (EVENTS[rec.name].kind == "span"), rec.name
+
+
+def test_golden_run_actually_migrates(traced_text):
     # Guard against the fixture silently degenerating into a run where
     # nothing happens: the scenario must include a full migration.
-    text = run_traced()
-    assert '"hpcm.migration"' in text
-    assert '"registry.decide"' in text
+    assert '"hpcm.migration"' in traced_text
+    assert '"registry.decide"' in traced_text
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration

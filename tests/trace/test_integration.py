@@ -9,7 +9,6 @@ from repro.cli import main
 from repro.metrics import migration_phases, span_durations
 from repro.sim.kernel import Environment
 from repro.trace import (
-    EVENTS,
     Tracer,
     attach_kernel,
     detach_kernel,
@@ -33,6 +32,8 @@ from repro.trace.events import (
     EV_RULE_EVALUATE,
     EV_SIM_DISPATCH,
 )
+
+from ..catalogued import assert_catalogued
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def test_every_layer_appears_in_the_trace(traced_run):
 
 def test_trace_names_all_catalogued(traced_run):
     tracer, _ = traced_run
-    assert tracer.names() <= set(EVENTS)
+    assert_catalogued(tracer.records)
 
 
 def test_migration_span_matches_the_record(traced_run):
