@@ -39,11 +39,12 @@ def run(disturb: bool) -> dict:
     )
     params = {"rows": 32, "cols": 32, "iterations": 120,
               "cell_cost": 2e-3, "seed": 0}
-    ranks = rs.launch_mpi_app(
+    world = rs.launch_mpi_app(
         lambda r: StencilApp(r),
         ["ws1", "ws2", "ws3", "ws4"],
         params=params,
     )
+    ranks = world.all_runtimes
 
     if disturb:
         def inject(env):
@@ -53,8 +54,7 @@ def run(disturb: bool) -> dict:
 
         cluster.env.process(inject(cluster.env))
 
-    done = cluster.env.all_of([rt.done for rt in ranks])
-    cluster.env.run(until=done)
+    cluster.env.run(until=world.finished)
     return {
         "result": ranks[0].result,
         "hosts": [rt.host.name for rt in ranks],

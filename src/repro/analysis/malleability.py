@@ -57,28 +57,21 @@ def _run_once(
         policy=policy,
         config=ReschedulerConfig(interval=10.0, sustain=sustain),
     )
-    if malleable:
-        world = rs.launch_malleable_app(
-            MonteCarloPiApp, ["ws1", "ws2"], params=params
-        )
-        runtimes = world.all_runtimes
-        finished = world.finished
-    else:
-        runtimes = rs.launch_mpi_app(
-            MonteCarloPiApp, ["ws1", "ws2"], params=params
-        )
-        finished = cluster.env.all_of([rt.done for rt in runtimes])
+    world = rs.launch_mpi_app(
+        MonteCarloPiApp, ["ws1", "ws2"], params=params,
+        schema=MonteCarloPiApp(0).malleable_schema() if malleable else None,
+    )
 
     def inject(env):
         yield env.timeout(load_at)
         CpuHog(cluster["ws1"], count=hogs, name="additional-tasks")
 
     cluster.env.process(inject(cluster.env))
-    run_until_finished(cluster.env, finished, max_duration)
+    run_until_finished(cluster.env, world.finished, max_duration)
 
-    # ``runtimes`` grows during the run when the world expands; read it
-    # only after the clock stops.
-    live = list(runtimes)
+    # ``all_runtimes`` grows during the run when the world expands;
+    # read it only after the clock stops.
+    live = list(world.all_runtimes)
     done = [rt for rt in live if rt.status == "done"]
     completed = all(rt.status in ("done", "retired") for rt in live)
     completed_at = (

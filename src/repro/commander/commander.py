@@ -102,9 +102,9 @@ class Commander:
 
     def _deliver_reshape(self, msg: Any, runtime: Any) -> tuple:
         """Route an expand/shrink order to the process's world."""
-        world = getattr(runtime, "world", None)
-        if world is None:
+        if not runtime.schema.malleable:
             return False, f"pid {msg.pid} is not malleable"
+        world = runtime.world
         if isinstance(msg, ExpandCommand):
             order = ReconfigureOrder(
                 kind="expand",

@@ -15,9 +15,8 @@ from typing import Any, Callable, Dict, List, Optional
 from ..cluster.builder import Cluster
 from ..commander.commander import Commander
 from ..hpcm.app import MigratableApp
-from ..hpcm.runtime import HpcmRuntime, launch as hpcm_launch
-from ..hpcm.runtime import launch_world as hpcm_launch_world
-from ..hpcm.world import HpcmWorld, launch_malleable_world
+from ..hpcm.runtime import HpcmRuntime
+from ..hpcm.world import HpcmWorld, launch as hpcm_launch, launch_world
 from ..monitor.hub import MonitorHub
 from ..monitor.monitor import DEFAULT_CYCLE_COST, DEFAULT_INTERVAL, Monitor
 from ..monitor.selector import collect_process_info
@@ -226,34 +225,16 @@ class Rescheduler:
         host_names: List[str],
         params: Optional[dict] = None,
         **kwargs: Any,
-    ) -> List[HpcmRuntime]:
-        """Start a multi-rank migration-enabled MPI application."""
-        runtimes = hpcm_launch_world(
-            self.mpi,
-            app_factory,
-            [self.cluster.host(name) for name in host_names],
-            params=params,
-            rng=self.cluster.rng.stream(f"mpi-app:{len(self.apps)}"),
-            **kwargs,
-        )
-        self.apps.extend(runtimes)
-        return runtimes
-
-    def launch_malleable_app(
-        self,
-        app_factory: Callable[[int], MigratableApp],
-        host_names: List[str],
-        params: Optional[dict] = None,
-        **kwargs: Any,
     ) -> HpcmWorld:
-        """Start a multi-rank application whose world can be reshaped.
+        """Start a multi-rank migration-enabled MPI application.
 
-        The registry may answer overload on a member host with an
+        With a malleable schema (``schema=app_factory(0).malleable_schema()``)
+        the registry may answer overload on a member host with an
         ``ExpandCommand``/``ShrinkCommand`` instead of (or before) a
         1:1 migration; the returned :class:`~repro.hpcm.world.HpcmWorld`
         records every reshape in ``world.reconfigurations``.
         """
-        world = launch_malleable_world(
+        world = launch_world(
             self.mpi,
             app_factory,
             [self.cluster.host(name) for name in host_names],

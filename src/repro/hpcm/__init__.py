@@ -4,7 +4,8 @@ Applications keep all live state in one picklable object and advance in
 steps (the gaps are poll-points); the runtime captures, streams and
 restores that state to move a running process between hosts, re-pointing
 its MPI rank and mailbox, with restoration overlapping resumed
-execution.
+execution.  Every application runs as a world of ranks
+(:class:`HpcmWorld`), a single-process one as a world of one.
 """
 
 from .app import MigratableApp
@@ -32,11 +33,9 @@ from .runtime import (
     DEFAULT_RESUME_FRACTION,
     DEFAULT_SERIALIZE_RATE,
     HpcmRuntime,
-    launch,
-    launch_world,
 )
 from .statexfer import capture, chunk, restore
-from .world import HpcmWorld, launch_malleable_world
+from .world import HpcmWorld, launch, launch_world
 
 __all__ = [
     "AppContext",
@@ -61,7 +60,6 @@ __all__ = [
     "capture",
     "chunk",
     "launch",
-    "launch_malleable_world",
     "launch_world",
     "restore",
 ]

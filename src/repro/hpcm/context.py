@@ -57,13 +57,7 @@ class AppContext:
     @property
     def comm(self):
         """The application's world communicator handle (rank-aware)."""
-        comm = self._rt.comm
-        if comm is None:
-            raise RuntimeError(
-                f"app {self._rt.app.name!r} was launched without an MPI "
-                "world; use launch_world for multi-rank apps"
-            )
-        return comm
+        return self._rt.comm
 
     @property
     def rank(self) -> int:
@@ -71,15 +65,5 @@ class AppContext:
 
     @property
     def size(self) -> int:
+        """World size (1 for a single-process application)."""
         return self.comm.size
-
-    @property
-    def world_size(self) -> int:
-        """World size, or 1 for an app launched without an MPI world.
-
-        Unlike :attr:`size` this never raises, so applications can
-        scale per-step behaviour (e.g. shared-I/O contention) whether
-        or not they run multi-rank.
-        """
-        comm = self._rt.comm
-        return comm.size if comm is not None else 1

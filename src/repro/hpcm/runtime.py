@@ -25,12 +25,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from ..mpi.comm import Comm
-from ..mpi.group import CommGroup
 from ..mpi.process import MpiProcess
-from ..mpi.runtime import MpiRuntime
 from ..schema import ApplicationSchema
 from ..trace import get_tracer
 from ..trace.events import (
@@ -67,21 +65,19 @@ DEFAULT_RESUME_FRACTION = 0.25
 
 
 class HpcmRuntime:
-    """Runs one migration-enabled process (one MPI rank)."""
+    """Runs one migration-enabled process: one rank of ``world``."""
 
     def __init__(
         self,
-        mpi: MpiRuntime,
+        world: Any,
         app: MigratableApp,
         process: MpiProcess,
         params: Optional[dict] = None,
         schema: Optional[ApplicationSchema] = None,
-        comm: Optional[Comm] = None,
         rng: Any = None,
         chunks: int = DEFAULT_CHUNKS,
         resume_fraction: float = DEFAULT_RESUME_FRACTION,
         serialize_rate: float = DEFAULT_SERIALIZE_RATE,
-        world: Any = None,
         initial_state: Any = None,
         initial_step: int = 0,
     ):
@@ -91,19 +87,20 @@ class HpcmRuntime:
             raise ValueError("resume_fraction must lie in (0, 1]")
         if not serialize_rate > 0:
             raise ValueError("serialize_rate must be > 0")
-        self.mpi = mpi
-        self.env = mpi.env
+        self.mpi = world.mpi
+        self.env = world.env
         self.app = app
         self.params = dict(params or {})
         self.schema = schema or app.default_schema()
         self.process = process
-        self.comm = comm
+        #: This rank's handle onto the world communicator.
+        self.comm = Comm(world.group, process)
         self.rng = rng
         self.chunks = int(chunks)
         self.resume_fraction = float(resume_fraction)
         self.serialize_rate = float(serialize_rate)
-        #: The :class:`~repro.hpcm.world.HpcmWorld` reshape coordinator,
-        #: or ``None`` for a rigid (1:1-migration-only) process.
+        #: The :class:`~repro.hpcm.world.HpcmWorld` this rank belongs to
+        #: (a one-rank world for a single-process application).
         self.world = world
         #: A fresh rank joining mid-run starts from a repartitioned
         #: state instead of ``create_state``.
@@ -201,7 +198,7 @@ class HpcmRuntime:
                 if order is not None:
                     self._pending_order = None
                     yield from climb(self._attempt(order), MIGRATION)
-                if self.world is not None and self.world.reshape_pending:
+                if self.world.reshape_pending:
                     directive = yield from self.world.park(self)
                     if directive == "retire":
                         self._retire(tracer)
@@ -218,8 +215,7 @@ class HpcmRuntime:
                              host=self.host.name, app=self.app.name,
                              status="failed")
             self.process.exit()
-            if self.world is not None:
-                self.world.rank_done(self)
+            self.world.rank_done(self)
             # Waiters on `done` see the exception; defusing keeps an
             # unobserved failure from aborting the whole simulation.
             self.done.fail(exc)
@@ -239,8 +235,7 @@ class HpcmRuntime:
         )
         self.done.succeed(self.result)
         self.process.exit()
-        if self.world is not None:
-            self.world.rank_done(self)
+        self.world.rank_done(self)
 
     def _retire(self, tracer) -> None:
         """This rank's world shrank away from under it: exit cleanly.
@@ -369,8 +364,7 @@ class HpcmRuntime:
         self._unbind(old_proc)
         self._bind(receiver_proc)
         self.state = restored
-        if self.comm is not None:
-            self.comm = self.comm.handle_for(receiver_proc)
+        self.comm = self.comm.handle_for(receiver_proc)
         att.undos.clear()
         tracer = get_tracer()
         if tracer.enabled:
@@ -454,58 +448,3 @@ def _make_receiver(ready, transfer_done):
         transfer_done.succeed(buf)
 
     return receiver
-
-
-def launch(
-    mpi: MpiRuntime,
-    app: MigratableApp,
-    host: Any,
-    params: Optional[dict] = None,
-    schema: Optional[ApplicationSchema] = None,
-    rng: Any = None,
-    **kwargs: Any,
-) -> HpcmRuntime:
-    """Start a single-process migratable application on ``host``."""
-    proc = MpiProcess(mpi, host, name=app.name)
-    return HpcmRuntime(
-        mpi, app, proc, params=params, schema=schema, rng=rng, **kwargs
-    )
-
-
-def launch_world(
-    mpi: MpiRuntime,
-    app_factory: Callable[[int], MigratableApp],
-    hosts: list,
-    params: Optional[dict] = None,
-    schema: Optional[ApplicationSchema] = None,
-    rng: Any = None,
-    **kwargs: Any,
-) -> List[HpcmRuntime]:
-    """Start a multi-rank migratable MPI application.
-
-    ``app_factory(rank)`` builds the per-rank application object; all
-    ranks share a world communicator reachable as ``ctx.comm``.
-    """
-    if not hosts:
-        raise ValueError("need at least one host")
-    name = app_factory(0).name
-    procs = [
-        MpiProcess(mpi, host, name=f"{name}[{i}]")
-        for i, host in enumerate(hosts)
-    ]
-    world = CommGroup(mpi, procs, label=f"{name}.world")
-    runtimes = []
-    for rank, proc in enumerate(procs):
-        runtimes.append(
-            HpcmRuntime(
-                mpi,
-                app_factory(rank),
-                proc,
-                params=params,
-                schema=schema,
-                comm=Comm(world, proc),
-                rng=rng,
-                **kwargs,
-            )
-        )
-    return runtimes

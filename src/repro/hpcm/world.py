@@ -1,8 +1,11 @@
-"""The malleable world: N:M reconfiguration at poll-point barriers.
+"""The world of an MPI job, and its N:M reconfiguration at poll-point
+barriers.
 
-A :class:`HpcmWorld` coordinates the ranks of one multi-rank
-migratable application so the whole world can be *reshaped* — grown
-onto fresh hosts (``Expand``) or shrunk off an overloaded one
+Every job is a :class:`HpcmWorld`: :func:`launch_world` starts one rank
+per host, :func:`launch` a single-process application as the only rank
+of a one-rank world.  A world whose schema is malleable
+(:attr:`~repro.schema.ApplicationSchema.malleable`) can be *reshaped*
+— grown onto fresh hosts (``Expand``) or shrunk off an overloaded one
 (``Shrink``) — rather than only migrated 1:1.  The protocol reuses the
 poll-point contract migration rests on:
 
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional
 
-from ..mpi.comm import Comm
 from ..mpi.group import CommGroup
 from ..mpi.process import MpiProcess
 from ..mpi.runtime import MpiRuntime
@@ -46,17 +48,19 @@ from ..trace.events import (
     EV_APP_SHRINK,
     EV_HPCM_REPARTITION,
 )
+from .app import MigratableApp
 from .errors import RepartitionError
 from .ladder import Attempt, Refusal, Rung, climb, leave
 from .record import ReconfigRecord, ReconfigureOrder
 from .runtime import HpcmRuntime
 from . import statexfer
 
-__all__ = ["HpcmWorld", "launch_malleable_world"]
+__all__ = ["HpcmWorld", "launch", "launch_world"]
 
 
 class HpcmWorld:
-    """Reshape coordinator shared by the ranks of one application."""
+    """The ranks of one application: its communicator, its end, and
+    the coordinator of its reshapes."""
 
     def __init__(
         self,
@@ -74,6 +78,8 @@ class HpcmWorld:
         self.app_factory = app_factory
         self.group = group
         self.params = dict(params or {})
+        #: Every rank's schema; ``None`` leaves each rank its app's
+        #: rigid ``default_schema()``.
         self.schema = schema
         self.rng = rng
         self.runtime_kwargs = dict(runtime_kwargs or {})
@@ -112,14 +118,12 @@ class HpcmWorld:
         group — the one way a rank of this world is built, at launch
         and when an Expand joins (``start``: its state share and step)."""
         runtime = HpcmRuntime(
-            self.mpi,
+            self,
             self.app_factory(self.group.rank_of(proc)),
             proc,
             params=self.params,
             schema=self.schema,
-            comm=Comm(self.group, proc),
             rng=self.rng,
-            world=self,
             **start,
             **self.runtime_kwargs,
         )
@@ -204,7 +208,9 @@ class HpcmWorld:
         group: removing it would renumber the surviving ranks under
         messages already routed by rank index.  Only a shrink — at an
         assembled barrier, with no traffic in flight — edits
-        membership.
+        membership.  A failed rank is dropped like a finished one, so
+        survivors blocked on it in a collective keep ``finished`` from
+        firing, rigid world or malleable alike.
         """
         if runtime in self.runtimes:
             self.runtimes.remove(runtime)
@@ -417,9 +423,9 @@ RESHAPE = {
 }
 
 
-def launch_malleable_world(
+def launch_world(
     mpi: MpiRuntime,
-    app_factory: Callable[[int], Any],
+    app_factory: Callable[[int], MigratableApp],
     hosts: list,
     params: Optional[dict] = None,
     schema: Optional[ApplicationSchema] = None,
@@ -427,30 +433,55 @@ def launch_malleable_world(
     barrier_timeout: float = 60.0,
     **kwargs: Any,
 ) -> HpcmWorld:
-    """Start a multi-rank application whose world can be reshaped.
+    """Start a multi-rank application, one rank per host, in host order.
 
-    Like :func:`~repro.hpcm.runtime.launch_world`, but wires every rank
-    to a shared :class:`HpcmWorld` and defaults the schema to the
-    application's :meth:`~repro.hpcm.app.MigratableApp.malleable_schema`
-    so the registry knows the reshape envelope.  Returns the world; the
+    ``app_factory(rank)`` builds the per-rank application object; all
+    ranks share the world communicator reachable as ``ctx.comm``.  The
+    schema defaults to each rank's
+    :meth:`~repro.hpcm.app.MigratableApp.default_schema` (rigid); pass
+    ``app_factory(0).malleable_schema()`` to let the registry reshape
+    the world.  ``kwargs`` go to every rank's
+    :class:`~repro.hpcm.runtime.HpcmRuntime`.  Returns the world; the
     runtimes are ``world.runtimes``.
     """
     if not hosts:
         raise ValueError("need at least one host")
-    app0 = app_factory(0)
-    if schema is None:
-        schema = app0.malleable_schema()
-    name = app0.name
+    name = app_factory(0).name
     procs = [
         MpiProcess(mpi, host, name=f"{name}[{i}]")
         for i, host in enumerate(hosts)
     ]
+    return _start(mpi, app_factory, procs, name, params=params,
+                  schema=schema, rng=rng, runtime_kwargs=kwargs,
+                  barrier_timeout=barrier_timeout)
+
+
+def launch(
+    mpi: MpiRuntime,
+    app: MigratableApp,
+    host: Any,
+    params: Optional[dict] = None,
+    schema: Optional[ApplicationSchema] = None,
+    rng: Any = None,
+    **kwargs: Any,
+) -> HpcmRuntime:
+    """Start a single-process application on ``host``: the only rank of
+    a one-rank world, whose process keeps the name ``app.name``.
+
+    Every rank of this world is ``app`` itself, so a world that should
+    grow is started with :func:`launch_world` and a per-rank factory.
+    """
+    proc = MpiProcess(mpi, host, name=app.name)
+    world = _start(mpi, lambda rank: app, [proc], app.name, params=params,
+                   schema=schema, rng=rng, runtime_kwargs=kwargs)
+    return world.runtimes[0]
+
+
+def _start(mpi: MpiRuntime, app_factory: Callable[[int], Any],
+           procs: list, name: str, **world_kw: Any) -> HpcmWorld:
+    """A world over ``procs``, one rank each, all started."""
     group = CommGroup(mpi, procs, label=f"{name}.world")
-    world = HpcmWorld(
-        mpi, app_factory, group,
-        params=params, schema=schema, rng=rng, runtime_kwargs=kwargs,
-        barrier_timeout=barrier_timeout,
-    )
+    world = HpcmWorld(mpi, app_factory, group, **world_kw)
     for proc in procs:
         world.add_rank(proc)
     return world

@@ -88,8 +88,8 @@ class LiveEndpoint:
     timestamp))`` items; state blobs as ``("state", (header_dict,
     blob_bytes))`` — in ``inbox``, or handed to the ``serve`` handler
     on the loop thread.  ``frames_in``, ``frames_malformed``,
-    ``sends_refused`` and ``reconnects`` count what would otherwise
-    pass silently.
+    ``handler_errors``, ``sends_refused`` and ``reconnects`` count what
+    would otherwise pass silently.
     """
 
     def __init__(
@@ -111,6 +111,8 @@ class LiveEndpoint:
         self.retry_backoff = float(retry_backoff)
         self.frames_in = 0
         self.frames_malformed = 0
+        #: Served handlers and timers that raised; the loop goes on.
+        self.handler_errors = 0
         self.sends_refused = 0
         self.reconnects = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -175,7 +177,15 @@ class LiveEndpoint:
             if wait > 0:
                 return wait
             _due, _seq, fn, args = heapq.heappop(timers)
+            self._call(fn, *args)
+
+    def _call(self, fn: Callable, *args: Any) -> None:
+        """Run a timer or the served handler on the loop: one that
+        raises is counted, not allowed to end the loop thread."""
+        try:
             fn(*args)
+        except Exception:
+            self.handler_errors += 1
 
     def _take_requests(self) -> None:
         while self._requests:
@@ -222,7 +232,7 @@ class LiveEndpoint:
                 item = self.inbox.get_nowait()
             except queue.Empty:
                 return
-            handler(item)
+            self._call(handler, item)
 
     def _teardown(self) -> None:
         with self._lock:
@@ -299,7 +309,7 @@ class LiveEndpoint:
         if self._handler is None:
             self.inbox.put(item)
         else:
-            self._handler(item)
+            self._call(self._handler, item)
 
     def recv(self, timeout: Optional[float] = None):
         """Next inbox item or None on timeout."""

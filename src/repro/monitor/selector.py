@@ -132,7 +132,6 @@ def collect_process_info(host) -> List[ProcessInfo]:
         runtime = entry.hpcm_runtime
         schema = runtime.schema
         req = schema.requirements
-        world = getattr(runtime, "world", None)
         infos.append(
             ProcessInfo(
                 pid=entry.pid,
@@ -144,7 +143,9 @@ def collect_process_info(host) -> List[ProcessInfo]:
                 min_disk_bytes=req.min_disk_bytes,
                 min_cpu_speed=req.min_cpu_speed,
                 features=tuple(req.features),
-                world_size=(world.size if world is not None else 1),
+                # A rigid world reports the rigid default, which stays
+                # off the wire.
+                world_size=(runtime.world.size if schema.malleable else 1),
                 min_world=schema.min_world,
                 max_world=schema.max_world,
                 efficiency_curve=schema.efficiency_curve,

@@ -1,8 +1,10 @@
 """Simulated MPI-2 runtime.
 
-Communicators with point-to-point and binomial-tree collective
-operations, plus the MPI-2 dynamic process management (spawn /
-intercommunicator merge) that the paper's migration protocol relies on.
+Communicators with blocking point-to-point and the binomial-tree
+collectives the workloads use (bcast, reduce, allreduce, gather), plus
+the MPI-2 dynamic process management (spawn, with an
+intercommunicator to the children) that the paper's migration protocol
+relies on.
 All payloads are real Python objects sized by their actual serialized
 length.
 """

@@ -1,5 +1,9 @@
 """Communicator handles: point-to-point, collectives, dynamic processes.
 
+Only what HPCM and the workloads use: blocking ``send``/``recv``, the
+``bcast``/``reduce``/``allreduce``/``gather`` collectives, and
+``spawn`` with the intercommunicator it returns.
+
 All operations are *generators* to be driven with ``yield from`` inside
 a simulated process, e.g.::
 
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .errors import DeadProcessError, MpiError, RankError, SpawnError
+from .errors import DeadProcessError, RankError, SpawnError
 from .group import CommGroup
 from .message import ANY_SOURCE, ANY_TAG, Message
 from .process import MpiProcess
@@ -56,14 +60,9 @@ class Comm:
     # -- point-to-point -----------------------------------------------------
     def send(self, data: Any, dest: int, tag: int = 0):
         """Blocking send (completes when the message is delivered)."""
-        yield from self._send_to_group(self.group, data, dest, tag)
-
-    def _send_to_group(self, group: CommGroup, data: Any, dest: int,
-                       tag: int):
-        if tag < 0:
-            pass  # internal collective tags use negatives deliberately
+        group = self.group
         target = group.proc_at(dest)  # validates the rank
-        if not target.alive and not _being_replaced(group, dest):
+        if not target.alive:
             raise DeadProcessError(f"rank {dest} of {group.label} has exited")
         nbytes = message_nbytes(data)
         runtime = self.runtime
@@ -98,34 +97,10 @@ class Comm:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload."""
-        msg = yield from self.recv_msg(source, tag)
-        return msg.payload
-
-    def recv_msg(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking receive; returns the full :class:`Message`."""
         msg = yield self.me.mailbox.get(
             lambda m: m.matches(self.group.id, source, tag)
         )
-        return msg
-
-    def isend(self, data: Any, dest: int, tag: int = 0):
-        """Non-blocking send; returns a request event to ``yield`` on."""
-        return self.env.process(
-            self.send(data, dest, tag), name=f"isend:{self.group.label}"
-        )
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Non-blocking receive; the request's value is the payload."""
-        return self.env.process(
-            self.recv(source, tag), name=f"irecv:{self.group.label}"
-        )
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking check for a matching pending message."""
-        return any(
-            m.matches(self.group.id, source, tag)
-            for m in self.me.mailbox.items
-        )
+        return msg.payload
 
     # -- collectives ----------------------------------------------------
     def _coll_tag(self) -> int:
@@ -184,10 +159,6 @@ class Comm:
         result = yield from self.bcast(result, root=0)
         return result
 
-    def barrier(self):
-        """All ranks synchronize (reduce + broadcast of a token)."""
-        yield from self.allreduce(0, op=lambda a, b: 0)
-
     def gather(self, data: Any, root: int = 0):
         """Gather one value per rank; list at root, ``None`` elsewhere."""
         rank, size = self.rank, self.size
@@ -200,70 +171,8 @@ class Comm:
         for src in range(size):
             if src == root:
                 continue
-            msg = yield from self.recv_msg(source=src, tag=tag)
-            out[src] = msg.payload
+            out[src] = yield from self.recv(source=src, tag=tag)
         return out
-
-    def allgather(self, data: Any):
-        gathered = yield from self.gather(data, root=0)
-        gathered = yield from self.bcast(gathered, root=0)
-        return gathered
-
-    def scatter(self, chunks: Optional[list], root: int = 0):
-        """Scatter a list of ``size`` chunks from root; returns own chunk."""
-        rank, size = self.rank, self.size
-        tag = self._coll_tag()
-        if rank == root:
-            if chunks is None or len(chunks) != size:
-                raise MpiError(
-                    f"scatter needs exactly {size} chunks at the root"
-                )
-            for dst in range(size):
-                if dst != root:
-                    yield from self.send(chunks[dst], dest=dst, tag=tag)
-            return chunks[root]
-        chunk = yield from self.recv(source=root, tag=tag)
-        return chunk
-
-    def sendrecv(self, data: Any, dest: int, source: int = ANY_SOURCE,
-                 sendtag: int = 0, recvtag: int = ANY_TAG):
-        """Simultaneous send and receive (deadlock-free exchange)."""
-        req = self.isend(data, dest, tag=sendtag)
-        received = yield from self.recv(source=source, tag=recvtag)
-        yield req
-        return received
-
-    def alltoall(self, chunks: list):
-        """Every rank sends ``chunks[j]`` to rank j; returns the list of
-        chunks received (own chunk passes through locally)."""
-        rank, size = self.rank, self.size
-        if chunks is None or len(chunks) != size:
-            raise MpiError(f"alltoall needs exactly {size} chunks")
-        tag = self._coll_tag()
-        requests = [
-            self.isend(chunks[dst], dest=dst, tag=tag)
-            for dst in range(size) if dst != rank
-        ]
-        out: list = [None] * size
-        out[rank] = chunks[rank]
-        for _ in range(size - 1):
-            msg = yield from self.recv_msg(tag=tag)
-            out[msg.src_rank] = msg.payload
-        for req in requests:
-            yield req
-        return out
-
-    def scan(self, data: Any, op: Callable[[Any, Any], Any]):
-        """Inclusive prefix reduction: rank r gets op over ranks 0..r."""
-        rank, size = self.rank, self.size
-        tag = self._coll_tag()
-        acc = data
-        if rank > 0:
-            prefix = yield from self.recv(source=rank - 1, tag=tag)
-            acc = op(prefix, data)
-        if rank < size - 1:
-            yield from self.send(acc, dest=rank + 1, tag=tag)
-        return acc
 
     # -- dynamic process management (MPI-2) ------------------------------
     def spawn(
@@ -318,7 +227,6 @@ class _IntercommState:
     def __init__(self, group_a: CommGroup, group_b: CommGroup):
         self.group_a = group_a
         self.group_b = group_b
-        self.merged: Optional[CommGroup] = None
         #: Bridge group used for message addressing across the two sides:
         #: ranks 0..|A|-1 are A, |A|.. are B.
         runtime = group_a.runtime
@@ -353,14 +261,6 @@ class Intercomm:
     def rank(self) -> int:
         return self.local_group.rank_of(self.me)
 
-    @property
-    def remote_size(self) -> int:
-        return self.remote_group.size
-
-    @property
-    def env(self):
-        return self.me.env
-
     def _bridge_rank(self, remote_rank: int) -> int:
         offset = (
             0 if self.remote_group is self._state.group_a
@@ -382,25 +282,6 @@ class Intercomm:
             source = self._bridge_rank(source)
         payload = yield from self._local_comm.recv(source=source, tag=tag)
         return payload
-
-    def merge(self, high: bool = False):
-        """Merge both sides into one intracommunicator (``MPI_Intercomm_merge``).
-
-        The side passing ``high=True`` gets the upper ranks.  Each side
-        calls this; they share the resulting group.
-        """
-        state = self._state
-        if state.merged is None:
-            mine = list(self.local_group.procs)
-            theirs = list(self.remote_group.procs)
-            procs = theirs + mine if high else mine + theirs
-            state.merged = CommGroup(
-                self.local_group.runtime,
-                procs,
-                label=f"merged({state.bridge.label})",
-            )
-        yield self.env.timeout(self.local_group.runtime.local_latency)
-        return Comm(state.merged, self.me)
 
 
 class SpawnedContext:
@@ -430,11 +311,3 @@ class SpawnedContext:
     def rank(self) -> int:
         return self.comm.rank
 
-
-def _being_replaced(group: CommGroup, rank: int) -> bool:
-    """Hook for migration: a dead process whose rank will be re-pointed.
-
-    The HPCM middleware replaces ranks atomically before killing the old
-    process, so in practice a dead target here is a real error.
-    """
-    return False

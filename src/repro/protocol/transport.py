@@ -33,9 +33,6 @@ class EndpointRegistry:
         except KeyError:
             raise KeyError(f"no endpoint bound at {address!r}") from None
 
-    def addresses(self) -> list:
-        return sorted(self._endpoints)
-
 
 class Endpoint:
     """One entity's mailbox + sender on a host."""

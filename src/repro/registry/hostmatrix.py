@@ -97,11 +97,6 @@ class HostRecord:
         return SystemState(m._state.item(m._index[self.host]))
 
     @property
-    def registered_at(self) -> float:
-        m = self._m
-        return m._registered_at.item(m._index[self.host])
-
-    @property
     def last_update(self) -> float:
         m = self._m
         return m._last_update.item(m._index[self.host])

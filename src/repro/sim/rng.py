@@ -43,7 +43,3 @@ class RngRegistry:
             gen = np.random.default_rng(ss)
             self._streams[name] = gen
         return gen
-
-    def reset(self) -> None:
-        """Drop all streams (they are recreated fresh on next use)."""
-        self._streams.clear()

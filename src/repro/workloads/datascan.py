@@ -76,8 +76,8 @@ class DataScanApp(MigratableApp):
             (state.digest + int(records.sum())) % (2**63)
         )
         # Past the saturation point extra ranks contend for the shared
-        # storage: each scan slows by world_size / IO_SATURATION.
-        stretch = max(1.0, ctx.world_size / IO_SATURATION)
+        # storage: each scan slows by world size / IO_SATURATION.
+        stretch = max(1.0, ctx.size / IO_SATURATION)
         yield ctx.compute(chunk / state.scan_rate * stretch, label="scan")
         state.offset += chunk
         if state.offset >= state.dataset_bytes:

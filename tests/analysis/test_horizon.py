@@ -104,8 +104,8 @@ def test_malleability_job_that_cannot_finish_reports_the_cap():
 
 
 def test_a_failed_rank_reports_the_cap_and_does_not_raise(monkeypatch):
-    """The rigid wait is an ``all_of`` that fails with its rank; the
-    malleable one never fires (the survivors hang in the allreduce)."""
+    """Both halves wait on ``world.finished``, which never fires: the
+    survivors hang in the allreduce."""
     params = {"batches": 40, "batch_size": 100, "sample_cost": 1e-2,
               "seed": 2}
     run_step = MonteCarloPiApp.run_step

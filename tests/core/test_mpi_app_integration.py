@@ -26,16 +26,16 @@ def run(disturb: bool) -> dict:
     cluster = Cluster(n_hosts=4, seed=0)
     rs = Rescheduler(cluster, policy=POLICY,
                      config=ReschedulerConfig(interval=10.0, sustain=3))
-    ranks = rs.launch_mpi_app(lambda r: StencilApp(r),
+    world = rs.launch_mpi_app(lambda r: StencilApp(r),
                               ["ws1", "ws2"], params=PARAMS)
+    ranks = world.all_runtimes
     if disturb:
         def inject(env):
             yield env.timeout(30)
             CpuHog(cluster["ws2"], count=4, name="surprise")
 
         cluster.env.process(inject(cluster.env))
-    done = cluster.env.all_of([rt.done for rt in ranks])
-    cluster.env.run(until=done)
+    cluster.env.run(until=world.finished)
     return {
         "mean": ranks[0].result["mean"],
         "hosts": [rt.host.name for rt in ranks],

@@ -128,17 +128,17 @@ def test_multirank_app_under_rescheduler():
     cluster, rs = deploy(n_hosts=4)
     params = {"batches": 60, "batch_size": 2000, "sample_cost": 5e-4,
               "seed": 3}
-    rts = rs.launch_mpi_app(
+    world = rs.launch_mpi_app(
         lambda r: MonteCarloPiApp(r), ["ws1", "ws2"], params=params
     )
+    rts = world.all_runtimes
 
     def inject(env):
         yield env.timeout(30)
         CpuHog(cluster["ws1"], count=4, name="extra")
 
     cluster.env.process(inject(cluster.env))
-    done = cluster.env.all_of([rt.done for rt in rts])
-    cluster.env.run(until=done)
+    cluster.env.run(until=world.finished)
     # Rank 0 escaped ws1; both ranks agree on the estimate.
     assert rts[0].host.name != "ws1"
     assert rts[0].result == pytest.approx(rts[1].result)

@@ -297,14 +297,14 @@ def test_multirank_app_with_one_rank_migrating():
     cluster, mpi = setup(n_hosts=4)
     params = {"batches": 10, "batch_size": 5000, "sample_cost": 1e-5,
               "seed": 9}
-    rts = launch_world(
+    world = launch_world(
         mpi, lambda r: MonteCarloPiApp(r),
         [cluster["ws1"], cluster["ws2"]],
         params=params,
     )
+    rts = world.all_runtimes
     order_at(cluster, rts[0], "ws3", when=0.2)
-    done = cluster.env.all_of([rt.done for rt in rts])
-    cluster.env.run(until=done)
+    cluster.env.run(until=world.finished)
     assert rts[0].migration_count == 1
     estimates = [rt.result for rt in rts]
     assert estimates[0] == pytest.approx(estimates[1])
@@ -317,15 +317,15 @@ def test_multirank_results_match_unmigrated_run():
 
     def run(migrate: bool):
         cluster, mpi = setup(n_hosts=3)
-        rts = launch_world(
+        world = launch_world(
             mpi, lambda r: MonteCarloPiApp(r),
             [cluster["ws1"], cluster["ws2"]],
             params=params,
         )
+        rts = world.all_runtimes
         if migrate:
             order_at(cluster, rts[1], "ws3", when=0.1)
-        done = cluster.env.all_of([rt.done for rt in rts])
-        cluster.env.run(until=done)
+        cluster.env.run(until=world.finished)
         return rts[0].result
 
     assert run(True) == pytest.approx(run(False))

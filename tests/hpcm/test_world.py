@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
 from repro.cluster import Cluster, CpuHog
-from repro.hpcm import ReconfigureOrder, launch_malleable_world
+from repro.hpcm import ReconfigureOrder, launch_world
 from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
 from repro.trace.events import EV_APP_FINISH, EV_APP_SHRINK
@@ -26,9 +26,15 @@ def setup(n_hosts=5, **kw):
     return cluster, mpi
 
 
+def launch_malleable(mpi, app_factory, hosts, **kw):
+    """A world whose schema declares the app's reshape envelope."""
+    return launch_world(mpi, app_factory, hosts,
+                        schema=app_factory(0).malleable_schema(), **kw)
+
+
 def launch_pi(mpi, cluster, hosts=("ws1", "ws2"), params=PI_PARAMS,
               **kw):
-    return launch_malleable_world(
+    return launch_malleable(
         mpi, MonteCarloPiApp, [cluster[h] for h in hosts],
         params=dict(params), **kw,
     )
@@ -314,7 +320,7 @@ class UnevenApp(MigratableApp):
 
 def test_reshape_refused_once_a_rank_finished():
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, UnevenApp, [cluster["ws1"], cluster["ws2"]], params={},
     )
     reply = expand_at(cluster, world, ("ws3",), when=2.0)
@@ -326,7 +332,7 @@ def test_reshape_refused_once_a_rank_finished():
 
 def test_finished_waits_for_the_slow_rank_of_an_uneven_world():
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, UnevenApp, [cluster["ws1"], cluster["ws2"]], params={},
     )
     fired = fire_times(cluster, world)
@@ -348,7 +354,7 @@ class UnpicklableApp(UnevenApp):
 
 def test_unpicklable_state_fails_the_reshape_not_the_world():
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, UnpicklableApp, [cluster["ws1"], cluster["ws2"]], params={},
     )
     expand_at(cluster, world, ("ws3",), when=2.0)
@@ -380,7 +386,7 @@ class FailingRankApp(UnevenApp):
 @pytest.mark.parametrize("everyone", [False, True])
 def test_a_failed_rank_has_left_the_world(everyone):
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, FailingRankApp, [cluster["ws1"], cluster["ws2"]],
         params={"all": everyone},
     )
@@ -421,7 +427,7 @@ class StuckRankApp(MigratableApp):
 
 def test_barrier_timeout_aborts_the_reshape():
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, StuckRankApp, [cluster["ws1"], cluster["ws2"]],
         params={}, barrier_timeout=5.0,
     )
@@ -452,7 +458,7 @@ class OneLongStepApp(StuckRankApp):
 
 def test_a_world_aborted_at_the_barrier_still_finishes():
     cluster, mpi = setup()
-    world = launch_malleable_world(
+    world = launch_malleable(
         mpi, OneLongStepApp, [cluster["ws1"], cluster["ws2"]],
         params={}, barrier_timeout=5.0,
     )

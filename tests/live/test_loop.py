@@ -289,6 +289,33 @@ def test_frames_in_and_frames_malformed_count_every_frame():
         b.close()
 
 
+def test_a_raising_timer_or_handler_is_counted_and_the_loop_serves_on():
+    registry = LiveRegistry(lease=3600.0)
+    client = LiveEndpoint("client")
+    handle = registry.core.handle
+
+    def flaky(msg, sender):
+        if msg.host == "boom":
+            raise RuntimeError("handler blew up")
+        return handle(msg, sender)
+
+    def explode():
+        raise RuntimeError("timer blew up")
+
+    registry.core.handle = flaky
+    try:
+        registry.endpoint.call_later(0.0, explode)
+        assert client.send_message(registry.address, heartbeat("boom"),
+                                   time.time())
+        assert wait_for(lambda: registry.endpoint.handler_errors == 2)
+        assert registry.endpoint._thread.is_alive()
+        ingest(client, registry, [heartbeat("after")], window=1)
+        assert registry.table.get("after") is not None
+    finally:
+        client.close()
+        registry.stop()
+
+
 def test_sends_refused_and_reconnects_start_at_zero_and_stay_there():
     a = LiveEndpoint("a")
     b = LiveEndpoint("b")

@@ -121,30 +121,6 @@ def test_spawn_no_hosts_fails():
     assert result.values()[0] == "ok"
 
 
-def test_intercomm_merge_creates_shared_intracomm():
-    cluster, rt = setup()
-    merged_info = {}
-
-    def child(ctx):
-        merged = yield from ctx.parent.merge(high=True)
-        merged_info["child_rank"] = merged.rank
-        merged_info["child_size"] = merged.size
-        data = yield from merged.recv(source=0)
-        yield from merged.send(data + "-pong", dest=0)
-
-    def parent(ctx):
-        icomm = yield from ctx.comm.spawn(child, [cluster["ws2"]])
-        merged = yield from icomm.merge(high=False)
-        yield from merged.send("ping", dest=1)
-        reply = yield from merged.recv(source=1)
-        return (merged.rank, merged.size, reply)
-
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == (0, 2, "ping-pong")
-    assert merged_info == {"child_rank": 1, "child_size": 2}
-
-
 def test_rank_replace_redirects_messages():
     """Group.replace points a rank at a new process; pending and future
     messages reach the replacement — the communication-state-transfer

@@ -22,36 +22,11 @@ def test_intercomm_remote_rank_bounds():
         with pytest.raises(RankError):
             yield from icomm.send("x", dest=5)
         reply = yield from icomm.recv()
-        return (reply, icomm.remote_size, icomm.rank)
+        return (reply, icomm.remote_group.size, icomm.rank)
 
     result = rt.launch(parent, [cluster["ws1"]])
     cluster.env.run(until=result.done)
     assert result.values()[0] == ("ok", 1, 0)
-
-
-def test_merge_child_calls_first():
-    """Whichever side merges first fixes the ordering; high=True from
-    the child still puts the parent low."""
-    cluster, rt = setup()
-    seen = {}
-
-    def child(ctx):
-        merged = yield from ctx.parent.merge(high=True)
-        seen["child_rank"] = merged.rank
-        yield from merged.send("hello", dest=0)
-
-    def parent(ctx):
-        icomm = yield from ctx.comm.spawn(child, [cluster["ws2"]])
-        # Let the child merge first.
-        yield ctx.env.timeout(1.0)
-        merged = yield from icomm.merge(high=False)
-        data = yield from merged.recv(source=1)
-        return (merged.rank, data)
-
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == (0, "hello")
-    assert seen["child_rank"] == 1
 
 
 def test_intercomm_any_source_recv():

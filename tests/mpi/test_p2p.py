@@ -52,18 +52,6 @@ def test_recv_any_source_any_tag():
     assert result.values()[0] == "from-1"
 
 
-def test_message_metadata():
-    def entry(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.send("x", dest=1, tag=5)
-            return None
-        msg = yield from ctx.comm.recv_msg()
-        return (msg.src_rank, msg.tag)
-
-    result, _ = run_app(entry)
-    assert result.values()[1] == (0, 5)
-
-
 def test_tag_matching_out_of_order():
     def entry(ctx):
         if ctx.rank == 0:
@@ -93,20 +81,6 @@ def test_fifo_per_tag():
     assert result.values()[1] == [0, 1, 2, 3, 4]
 
 
-def test_isend_irecv():
-    def entry(ctx):
-        if ctx.rank == 0:
-            req = ctx.comm.isend("async", dest=1)
-            yield req
-            return None
-        req = ctx.comm.irecv(source=0)
-        data = yield req
-        return data
-
-    result, _ = run_app(entry)
-    assert result.values()[1] == "async"
-
-
 def test_send_to_self():
     def entry(ctx):
         yield from ctx.comm.send("loop", dest=0, tag=3)
@@ -115,21 +89,6 @@ def test_send_to_self():
 
     result, _ = run_app(entry, n_hosts=1, n_ranks=1)
     assert result.values()[0] == "loop"
-
-
-def test_probe():
-    def entry(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.send("here", dest=1, tag=9)
-            return None
-        assert not ctx.comm.probe(tag=8)
-        yield ctx.env.timeout(1.0)
-        assert ctx.comm.probe(tag=9)
-        data = yield from ctx.comm.recv(tag=9)
-        return data
-
-    result, _ = run_app(entry)
-    assert result.values()[1] == "here"
 
 
 def test_large_message_takes_longer():

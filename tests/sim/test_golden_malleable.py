@@ -42,8 +42,9 @@ def run_traced(seed: int = 7) -> str:
             cluster, policy=malleable_policy(max_world=4),
             config=ReschedulerConfig(interval=10.0, sustain=3),
         )
-        world = rs.launch_malleable_app(
+        world = rs.launch_mpi_app(
             MonteCarloPiApp, ["ws1", "ws2"], params=PARAMS,
+            schema=MonteCarloPiApp(0).malleable_schema(),
         )
 
         def inject(env):
@@ -83,8 +84,7 @@ def test_golden_run_actually_reshapes(traced_text):
     # Guard against the fixture degenerating into a run where the
     # ladder never fires: the scenario must include a successful
     # expand with its poll-point repartition.
-    assert ('"registry.reshape"' in traced_text
-            or '"app.expand"' in traced_text)
+    assert '"app.expand"' in traced_text
     assert '"hpcm.repartition"' in traced_text
 
 

@@ -26,7 +26,7 @@ def drive(app, state, steps):
     Only valid for apps whose run_step neither communicates nor reads
     the context beyond ``compute`` (mc_pi, data_scan)."""
     class _Ctx:
-        world_size = 1
+        size = 1
 
         @staticmethod
         def compute(cost, label=""):

@@ -119,11 +119,10 @@ def test_stencil_converges_toward_boundary():
     params = {"rows": 16, "cols": 16, "iterations": 30,
               "cell_cost": 1e-7}
     cluster, mpi = setup(n_hosts=2)
-    rts = launch_world(mpi, lambda r: StencilApp(r),
-                       cluster.host_list(), params=params)
-    done = cluster.env.all_of([rt.done for rt in rts])
-    cluster.env.run(until=done)
-    for rt in rts:
+    world = launch_world(mpi, lambda r: StencilApp(r),
+                         cluster.host_list(), params=params)
+    cluster.env.run(until=world.finished)
+    for rt in world.all_runtimes:
         out = rt.result
         assert out["iterations"] == 30
         assert 0 < out["mean"] < 100
@@ -134,7 +133,7 @@ def test_stencil_residual_decreases():
     params = {"rows": 8, "cols": 8, "iterations": 50, "cell_cost": 1e-8}
     cluster, mpi = setup(n_hosts=1)
     (rt,) = launch_world(mpi, lambda r: StencilApp(r),
-                         [cluster["ws1"]], params=params)
+                         [cluster["ws1"]], params=params).runtimes
     cluster.env.run(until=rt.done)
     assert rt.result["residual"] < 1.0  # long runs settle
 
@@ -145,9 +144,10 @@ def test_stencil_migration_preserves_solution():
 
     def run(migrate):
         cluster, mpi = setup(n_hosts=3)
-        rts = launch_world(mpi, lambda r: StencilApp(r),
-                           [cluster["ws1"], cluster["ws2"]],
-                           params=params)
+        world = launch_world(mpi, lambda r: StencilApp(r),
+                             [cluster["ws1"], cluster["ws2"]],
+                             params=params)
+        rts = world.all_runtimes
         if migrate:
             from repro.hpcm import MigrationOrder
 
@@ -158,8 +158,7 @@ def test_stencil_migration_preserves_solution():
                 )
 
             cluster.env.process(order(cluster.env))
-        done = cluster.env.all_of([rt.done for rt in rts])
-        cluster.env.run(until=done)
+        cluster.env.run(until=world.finished)
         return rts[0].result["mean"]
 
     assert run(True) == pytest.approx(run(False))
@@ -175,11 +174,10 @@ def test_pi_estimate_reasonable():
     params = {"batches": 20, "batch_size": 20_000, "sample_cost": 1e-8,
               "seed": 0}
     cluster, mpi = setup(n_hosts=2)
-    rts = launch_world(mpi, lambda r: MonteCarloPiApp(r),
-                       cluster.host_list(), params=params)
-    done = cluster.env.all_of([rt.done for rt in rts])
-    cluster.env.run(until=done)
-    for rt in rts:
+    world = launch_world(mpi, lambda r: MonteCarloPiApp(r),
+                         cluster.host_list(), params=params)
+    cluster.env.run(until=world.finished)
+    for rt in world.all_runtimes:
         assert rt.result == pytest.approx(np.pi, abs=0.02)
 
 
