@@ -69,15 +69,16 @@ class _HostPort:
 class Flow:
     """One active flow between two hosts.
 
-    ``remaining`` is ``inf`` for open-ended streams (``finite`` false).
-    ``done`` is the completion event for finite transfers.  ``tx`` and
-    ``rx`` are the two NIC directions the flow draws on — the source's
-    transmit half and the destination's receive half.
+    ``size`` and ``remaining`` are ``inf`` for open-ended streams
+    (``finite`` false).  ``done`` is the completion event, and a
+    transfer's own.  ``tx`` and ``rx`` are the two NIC directions the
+    flow draws on — the source's transmit half and the destination's
+    receive half.
     """
 
     __slots__ = (
-        "src", "dst", "tx", "rx", "remaining", "finite", "rate_cap",
-        "rate", "label", "done", "bytes_moved", "closed",
+        "src", "dst", "tx", "rx", "size", "remaining", "finite",
+        "rate_cap", "rate", "label", "done", "bytes_moved", "closed",
     )
 
     def __init__(
@@ -99,8 +100,8 @@ class Flow:
         self.dst = dst
         self.tx: Optional[_Nic] = None  # attached by Network._open
         self.rx: Optional[_Nic] = None
-        self.remaining = float(nbytes)
-        self.finite = math.isfinite(self.remaining)
+        self.size = self.remaining = float(nbytes)
+        self.finite = math.isfinite(self.size)
         self.rate_cap = float(rate_cap)
         self.rate = 0.0
         self.label = label
@@ -190,7 +191,8 @@ class Network:
                 flow.closed = True
                 if not flow.done.triggered:
                     flow.done.fail(HostDownError(name))
-                    flow.done.defuse()
+                    if not flow.finite:  # a transfer's is its caller's
+                        flow.done.defuse()
             self._recompute()
 
     def host_is_up(self, name: str) -> bool:
@@ -221,30 +223,24 @@ class Network:
         only, no flow.
 
         A transfer is a callback chain, not a process: latency timeout
-        → flow opened → ``flow.done`` → the returned event.
+        → flow opened → the network's wake-up → ``flow.done``, returned.
         """
         sport = self._port(src)
         dport = self._port(dst)
-        result = Event(self.env)
+        flow = Flow(self.env, src, dst, nbytes, label=label) \
+            if nbytes > 0 else None
+        done = flow.done if flow is not None else Event(self.env)
 
         def _arrived(_tick: Event) -> None:
             if not (sport.up and dport.up):
-                result.fail(HostDownError(dst if sport.up else src))
-            elif nbytes <= 0:
-                result.succeed(0.0)
+                done.fail(HostDownError(dst if sport.up else src))
+            elif flow is None:
+                done.succeed(0.0)
             else:
-                flow = self._open(sport, dport, nbytes, label=label)
-                flow.done.callbacks.append(_landed)
-
-        def _landed(done: Event) -> None:
-            if done.ok:
-                result.succeed(nbytes)
-            else:
-                done.defuse()
-                result.fail(done.value)
+                self._open(flow)
 
         self.env.timeout(self.latency).callbacks.append(_arrived)
-        return result
+        return done
 
     def open_stream(
         self,
@@ -258,8 +254,10 @@ class Network:
         dport = self._port(dst)
         if not (sport.up and dport.up):
             raise HostDownError(dst if sport.up else src)
-        return self._open(sport, dport, math.inf, rate_cap=rate_cap,
-                          label=label)
+        flow = Flow(self.env, src, dst, math.inf, rate_cap=rate_cap,
+                    label=label)
+        self._open(flow)
+        return flow
 
     def close_stream(self, flow: Flow) -> None:
         """Stop an open-ended stream."""
@@ -282,22 +280,13 @@ class Network:
                 f"host {name!r} is not attached to the network"
             ) from None
 
-    def _open(
-        self,
-        sport: _HostPort,
-        dport: _HostPort,
-        nbytes: float,
-        rate_cap: float = math.inf,
-        label: str = "",
-    ) -> Flow:
+    def _open(self, flow: Flow) -> None:
+        """Put ``flow`` on its endpoints' NICs and re-share."""
         self._advance()
-        flow = Flow(self.env, sport.name, dport.name, nbytes,
-                    rate_cap=rate_cap, label=label)
-        flow.tx = sport.tx
-        flow.rx = dport.rx
+        flow.tx = self._ports[flow.src].tx
+        flow.rx = self._ports[flow.dst].rx
         self._flows.append(flow)
         self._recompute()
-        return flow
 
     def _advance(self) -> None:
         """Account bytes moved since the last update at current rates."""
@@ -449,5 +438,5 @@ class Network:
             self._flows.remove(flow)
             flow.closed = True
             flow.remaining = 0.0
-            flow.done.succeed(flow.bytes_moved)
+            flow.done.succeed(flow.size)
         self._recompute()

@@ -257,7 +257,11 @@ class Rescheduler:
         return self.registry.reconfigurations
 
     def migration_records(self) -> list:
-        return [rec for app in self.apps for rec in app.migrations]
+        """Of each runtime once: ``apps``, then every rank any world had."""
+        runtimes = dict.fromkeys(self.apps)
+        for world in self.worlds:
+            runtimes.update(dict.fromkeys(world.all_runtimes))
+        return [rec for rt in runtimes for rec in rt.migrations]
 
     def reconfiguration_records(self) -> list:
         """World-side reshape records, across every malleable world."""

@@ -468,9 +468,12 @@ def launch(
     """Start a single-process application on ``host``: the only rank of
     a one-rank world, whose process keeps the name ``app.name``.
 
-    Every rank of this world is ``app`` itself, so a world that should
-    grow is started with :func:`launch_world` and a per-rank factory.
+    Every rank of this world would be ``app`` itself, so a world that
+    may grow is started with :func:`launch_world` and a factory.
     """
+    if schema is not None and schema.malleable:
+        raise ValueError(f"{app.name}: a malleable schema needs "
+                         "launch_world() and a per-rank app factory")
     proc = MpiProcess(mpi, host, name=app.name)
     world = _start(mpi, lambda rank: app, [proc], app.name, params=params,
                    schema=schema, rng=rng, runtime_kwargs=kwargs)

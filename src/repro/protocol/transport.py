@@ -5,13 +5,16 @@ a message encodes it to real XML bytes, moves those bytes through the
 simulated network (so Figure 6's communication-overhead measurements
 see genuine protocol traffic), and decodes on arrival — a full
 serialization round-trip every hop, which catches anything that would
-not survive a real wire.
+not survive a real wire.  A send is a callback chain, not a process:
+its hop (the transfer, or a same-host latency timeout) decodes into
+the receiver's inbox.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..sim.events import Event
 from ..sim.resources import Store
 from . import messages
 
@@ -55,41 +58,42 @@ class Endpoint:
         directory.register(self)
 
     def send(self, dest_address: str, msg) -> Any:
-        """Send ``msg``; returns an event completing on delivery.
+        """Send ``msg``; returns the hop event, completing on arrival.
 
         Delivery failures (dest host down) fail the event — callers
-        treat the message as lost, soft-state style.
+        treat the message as lost, soft-state style.  Bytes that do not
+        decode are a lost message too: they never reach the inbox.
         """
         dest = self.directory.lookup(dest_address)
         data = messages.encode(msg, sender=self.address,
                                timestamp=self.env.now)
         self.bytes_out += len(data)
+        if dest.host is self.host:
+            hop = self.env.timeout(self.network.latency)
+        else:
+            hop = self.network.transfer(
+                self.host.name, dest.host.name, len(data),
+                label=f"proto:{msg.TYPE}",
+            )
 
-        def _deliver():
-            if dest.host is self.host:
-                yield self.env.timeout(self.network.latency)
-            else:
-                yield self.network.transfer(
-                    self.host.name, dest.host.name, len(data),
-                    label=f"proto:{msg.TYPE}",
-                )
-            decoded, sender, ts = messages.decode(data)
+        def _arrived(event) -> None:
+            if not event._ok:
+                return
+            try:
+                item = messages.decode(data)
+            except messages.ProtocolError:
+                return
             dest.bytes_in += len(data)
-            yield dest.inbox.put((decoded, sender, ts))
-            return True
+            dest.inbox.items.append(item)
+            dest.inbox._trigger()
 
-        return self.env.process(_deliver(), name=f"send:{msg.TYPE}")
+        hop.callbacks.append(_arrived)
+        return hop
 
     def send_and_forget(self, dest_address: str, msg) -> None:
         """Fire-and-forget send; delivery failures are swallowed
         (lost datagram — the soft-state protocol tolerates it)."""
-        proc = self.send(dest_address, msg)
-
-        def _swallow(event):
-            if not event._ok:
-                event._defused = True
-
-        proc.callbacks.append(_swallow)
+        self.send(dest_address, msg).callbacks.append(Event.defuse)
 
     def recv(self):
         """Event yielding the next (message, sender, timestamp)."""

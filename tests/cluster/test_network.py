@@ -1,10 +1,12 @@
 """Network model: transfers, fair sharing, streams, CPU coupling."""
 
 
+import numpy as np
 import pytest
 
 from repro.sim import Environment
-from repro.cluster import Cpu, HostDownError, Network
+from repro.cluster import Cluster, Cpu, HostDownError, Network
+from repro.mpi import MpiRuntime
 
 
 def make_net(env, hosts=("a", "b", "c"), bandwidth=100.0, latency=0.0,
@@ -283,6 +285,8 @@ def test_flow_validation():
     with pytest.raises(ValueError):
         net.open_stream("a", "a")
     with pytest.raises(ValueError):
+        net.transfer("a", "a", 10.0)
+    with pytest.raises(ValueError):
         net.open_stream("a", "b", rate_cap=0)
 
 
@@ -298,3 +302,91 @@ def test_many_flows_work_conservation():
     # a's tx NIC is the bottleneck at 100 B/s for 2700 bytes → 27 s.
     assert env.now == pytest.approx(total / 100.0)
     assert net.bytes_sent("a") == pytest.approx(total)
+
+
+# -- a transfer's event is its flow's own, and its caller's ---------------
+def test_transfer_returns_the_flows_done_event():
+    env = Environment()
+    net, _ = make_net(env, bandwidth=100.0, latency=1.0)
+    done = net.transfer("a", "b", 100.0)
+    env.run(until=1.5)
+    (flow,) = net.active_flows()
+    assert flow.done is done
+    env.run(until=done)
+    assert done.value == 100.0
+    assert env.now == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("nbytes", [0, 100.0])
+def test_unwaited_transfer_to_a_down_host_raises_out_of_run(nbytes):
+    env = Environment()
+    net, _ = make_net(env, latency=0.5)
+    net.set_host_up("b", False)
+    net.transfer("a", "b", nbytes)
+    with pytest.raises(HostDownError) as info:
+        env.run()
+    assert info.value.args == ("b",)
+    assert env.now == pytest.approx(0.5)
+
+
+def test_unwaited_transfer_killed_mid_flow_raises_out_of_run():
+    """Taking a host down must not defuse the event it handed a
+    caller: nobody handled the failure, so the run reports it."""
+    env = Environment()
+    net, _ = make_net(env, bandwidth=100.0)
+    net.transfer("a", "b", 10000.0)
+
+    def killer(env):
+        yield env.timeout(5)
+        net.set_host_up("b", False)
+
+    env.process(killer(env))
+    with pytest.raises(HostDownError) as info:
+        env.run()
+    assert info.value.args == ("b",)
+    assert env.now == pytest.approx(5.0)
+    assert net.active_flows() == []
+
+
+def test_a_stream_killed_by_a_host_going_down_raises_nothing():
+    env = Environment()
+    net, _ = make_net(env, bandwidth=100.0)
+    flow = net.open_stream("a", "b")
+
+    def killer(env):
+        yield env.timeout(5)
+        net.set_host_up("a", False)
+
+    env.process(killer(env))
+    env.run()
+    assert not flow.done.ok
+    assert flow.done.value.args == ("a",)
+    assert flow.closed and net.active_flows() == []
+
+
+def test_mpi_send_fails_when_its_destination_crashes_mid_transfer():
+    """An 8 MB message needs 0.64 s on the 100 Mbps link; the receiver's
+    host crashes at 0.1 s, and the failure reaches the sending rank."""
+    cluster = Cluster(n_hosts=2, cpu_per_byte=0.0)
+    mpi = MpiRuntime(cluster)
+    caught = []
+
+    def entry(ctx):
+        if ctx.rank == 1:
+            yield from ctx.comm.recv(source=0)
+            return
+        try:
+            yield from ctx.comm.send(np.zeros(1_000_000), dest=1)
+        except HostDownError as exc:
+            caught.append((exc.args, ctx.env.now))
+
+    launched = mpi.launch(entry, cluster.host_list())
+
+    def crash(env):
+        yield env.timeout(0.1)
+        cluster["ws2"].crash()
+
+    cluster.env.process(crash(cluster.env))
+    cluster.env.run(until=launched.sim_procs[0])
+    assert caught == [(("ws2",), pytest.approx(0.1))]
+    assert cluster.network.active_flows() == []

@@ -154,3 +154,33 @@ def test_stop_unregisters_monitored_hosts():
     # Monitors sent Unregister on their final tick; the registry
     # processed them before stopping its own pump.
     assert rs.registry.table.get("ws2") is None
+
+
+def test_migration_records_count_the_ranks_an_expand_added(monkeypatch):
+    """The storm scenario's malleable half (seed 0): its two launched
+    ranks are all ``apps`` lists, yet the ranks Expands added migrate
+    1:1 too, and each runtime's records count once."""
+    from repro.analysis import malleability
+    from repro.core.policy import malleable_policy
+
+    built = []
+
+    class Recording(Rescheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(malleability, "Rescheduler", Recording)
+    malleability._run_once(
+        malleable_policy(grow_at=2.0, shrink_at=4.0, min_efficiency=0.5),
+        malleable=True, params=malleability.DEFAULT_PARAMS, hosts=6,
+        load_at=50.0, hogs=3, sustain=2, seed=0, max_duration=4000.0,
+    )
+    (rs,) = built
+    (world,) = rs.worlds
+    assert len(rs.apps) == 2 < len(world.all_runtimes)
+    records = rs.migration_records()
+    assert len({id(rec) for rec in records}) == len(records)
+    assert sorted(map(id, records)) == sorted(
+        id(rec) for rt in world.all_runtimes for rec in rt.migrations)
+    assert len([rec for rec in records if rec.succeeded]) == 11

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
 from repro.cluster import Cluster, CpuHog
-from repro.hpcm import ReconfigureOrder, launch_world
+from repro.hpcm import ReconfigureOrder, launch, launch_world
 from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
 from repro.trace.events import EV_APP_FINISH, EV_APP_SHRINK
@@ -250,6 +250,16 @@ def test_expand_refused_while_reshape_pending():
     assert first["reply"] == (True, "")
     ok, detail = second["reply"]
     assert not ok and "in progress" in detail
+
+
+def test_launch_refuses_a_malleable_schema():
+    """``launch`` hands its one app object to every rank, so a world
+    that may grow must come from ``launch_world`` and a factory."""
+    cluster, mpi = setup()
+    app = MonteCarloPiApp(0)
+    with pytest.raises(ValueError, match="launch_world"):
+        launch(mpi, app, cluster["ws1"], params=dict(PI_PARAMS),
+               schema=app.malleable_schema())
 
 
 def test_expand_order_without_hosts_refused():
