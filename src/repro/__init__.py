@@ -3,8 +3,8 @@ of MPI Programs* (Du, Ghosh, Shankar, Sun; ICPP 2004).
 
 The package layers, bottom-up:
 
-* :mod:`repro.sim` — discrete-event kernel (events, processes,
-  fair-share servers);
+* :mod:`repro.sim` — discrete-event kernel (events, processes, a
+  store with immediate puts, fair-share servers);
 * :mod:`repro.cluster` — hosts, CPUs, load averages, max-min-fair
   network;
 * :mod:`repro.mpi` — simulated MPI-2 with dynamic process management;

@@ -88,7 +88,7 @@ class Comm:
             sent_at=sent_at,
             delivered_at=self.env.now,
         )
-        yield target.mailbox.put(msg)
+        target.mailbox.put(msg)
 
     def _rank_in(self, group: CommGroup) -> int:
         # For intra-comms the sender is a member; intercomm subclasses

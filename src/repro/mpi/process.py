@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim.resources import FilterStore
+from ..sim.resources import Store
 
 
 class MpiProcess:
@@ -24,7 +24,7 @@ class MpiProcess:
         self.env = runtime.env
         self.host = host
         self.name = name
-        self.mailbox = FilterStore(self.env)
+        self.mailbox = Store(self.env)
         self.alive = True
         #: Communicator groups this process belongs to.
         self.groups: list = []
@@ -41,9 +41,9 @@ class MpiProcess:
 
     def adopt_state_from(self, other: "MpiProcess") -> None:
         """Take over ``other``'s pending messages (communication state)."""
-        self.mailbox.items.extend(other.mailbox.items)
+        for msg in other.mailbox.items:
+            self.mailbox.put(msg)
         other.mailbox.items.clear()
-        self.mailbox._trigger()
 
     def __repr__(self) -> str:
         status = "alive" if self.alive else "dead"

@@ -84,8 +84,7 @@ class Endpoint:
             except messages.ProtocolError:
                 return
             dest.bytes_in += len(data)
-            dest.inbox.items.append(item)
-            dest.inbox._trigger()
+            dest.inbox.put(item)
 
         hop.callbacks.append(_arrived)
         return hop

@@ -7,22 +7,6 @@ class SimulationError(Exception):
     """Base class for all simulation-kernel errors."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that was interrupted by another process.
-
-    The interrupting party supplies ``cause``, available as ``exc.cause``.
-    A process may catch :class:`Interrupt` and keep running.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-
 class StopSimulation(Exception):
     """Internal signal used to end :meth:`Environment.run` at an event."""
 

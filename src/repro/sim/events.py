@@ -9,15 +9,15 @@ import-acyclic (events never import the kernel).  The hot triggering
 paths (``succeed``, timeout construction, process resumption) push
 directly onto the environment's heap — the layout of the heap entry
 ``(time, priority, seq, event)`` is shared with
-:meth:`repro.sim.kernel.Environment.schedule` and must stay in sync.
+:meth:`repro.sim.kernel.Environment.run` and must stay in sync.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
-from .errors import Interrupt, SimulationError
+from .errors import SimulationError
 
 #: Sentinel for "event has no value yet".
 PENDING = object()
@@ -88,7 +88,7 @@ class Event:
 
         Waiting processes will have the exception thrown into them.  If no
         process handles a failed event, the kernel re-raises at the end of
-        the step (unless :meth:`defused`).
+        its dispatch (unless :meth:`defused`).
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -101,24 +101,9 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy outcome of another (triggered) event into this one."""
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, NORMAL, seq, self))
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel won't re-raise."""
         self._defused = True
-
-    # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -129,10 +114,10 @@ class Timeout(Event):
 
     Timeouts dominate the kernel's allocation profile (every simulated
     wait is one), so construction is fully inlined: slot writes plus a
-    direct heap push, no ``super().__init__``/``schedule`` call chain.
+    direct heap push, no ``super().__init__`` call.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: Any, delay: float, value: Any = None):
         if delay < 0:
@@ -142,7 +127,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self.delay = delay
         env._seq = seq = env._seq + 1
         heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
@@ -160,42 +144,6 @@ class Initialize(Event):
         self._defused = False
         env._seq = seq = env._seq + 1
         heappush(env._queue, (env._now, URGENT, seq, self))
-
-
-class Interruption(Event):
-    """Immediate event that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any):
-        super().__init__(process.env)
-        if process.processed:
-            raise SimulationError("cannot interrupt a terminated process")
-        if process is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self.process = process
-        self.callbacks.append(self._interrupt)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        proc = self.process
-        if proc.processed:
-            return  # terminated in the meantime; interrupt is a no-op
-        # Detach the process from whatever it currently waits on, then
-        # resume it with the failed (Interrupt) event.
-        if (proc._target is not None
-                and proc._resume_cb in proc._target.callbacks):
-            proc._target.callbacks.remove(proc._resume_cb)
-        if proc._target is proc._sleep_ev and proc._target is not None:
-            # The recycled sleep flyweight now has a stale heap entry
-            # (harmless: its callbacks list is empty) — retire it so
-            # the next bare-delay wait arms a fresh one.
-            proc._sleep_ev = None
-            proc._sleep_cbs = None
-        proc._resume(self)
 
 
 class Sleep(Event):
@@ -230,8 +178,8 @@ class Process(Event):
     (equivalent to ``yield env.timeout(delay)`` but allocation-free).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb",
-                 "_sleep_ev", "_sleep_cbs")
+    __slots__ = ("_generator", "name", "_resume_cb", "_sleep_ev",
+                 "_sleep_cbs")
 
     def __init__(self, env: Any, generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -245,22 +193,11 @@ class Process(Event):
         #: Lazily-created flyweight for bare-delay yields (see Sleep).
         self._sleep_ev: Optional[Sleep] = None
         self._sleep_cbs: Optional[list] = None
-        #: The event this process currently waits on.
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True until the generator has exited."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` (with ``cause``) into the process."""
-        Interruption(self, cause)
+        Initialize(env, self)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
-        env._active_proc = self
         generator = self._generator
         while True:
             try:
@@ -269,24 +206,14 @@ class Process(Event):
                 else:
                     # The waited-on event failed: throw into the generator.
                     event._defused = True
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        next_event = generator.throw(exc)
-                    else:  # pragma: no cover - defensive
-                        next_event = generator.throw(
-                            SimulationError(repr(exc))
-                        )
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
-                self._target = None
-                env._active_proc = None
                 self._ok = True
                 self._value = stop.value
                 env._seq = seq = env._seq + 1
                 heappush(env._queue, (env._now, NORMAL, seq, self))
                 return
             except BaseException as exc:
-                self._target = None
-                env._active_proc = None
                 self._ok = False
                 self._value = exc
                 env._seq = seq = env._seq + 1
@@ -299,8 +226,6 @@ class Process(Event):
             cls = next_event.__class__
             if cls is float or cls is int:
                 if next_event < 0:
-                    self._target = None
-                    env._active_proc = None
                     err = SimulationError(
                         f"process {self.name!r} yielded a negative "
                         f"delay: {next_event!r}"
@@ -316,7 +241,6 @@ class Process(Event):
                     self._sleep_ev = ev
                     self._sleep_cbs = [self._resume_cb]
                 ev.callbacks = self._sleep_cbs
-                self._target = ev
                 env._seq = seq = env._seq + 1
                 heappush(env._queue,
                          (env._now + next_event, NORMAL, seq, ev))
@@ -328,8 +252,6 @@ class Process(Event):
             try:
                 callbacks = next_event.callbacks
             except AttributeError:
-                self._target = None
-                env._active_proc = None
                 err = SimulationError(
                     f"process {self.name!r} yielded a non-event: "
                     f"{next_event!r}"
@@ -343,119 +265,57 @@ class Process(Event):
             if callbacks is not None:
                 # Not yet processed: park on it.
                 callbacks.append(self._resume_cb)
-                self._target = next_event
                 break
             # Already processed: consume its outcome immediately.
             event = next_event
-
-        env._active_proc = None
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
 
 
-class ConditionValue:
-    """Ordered mapping of the events a condition has collected."""
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def keys(self) -> Iterable[Event]:
-        return list(self.events)
-
-    def values(self) -> Iterable[Any]:
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> dict:
-        return dict(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.events == other.events
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
 class Condition(Event):
-    """Waits for a boolean combination of events (``&`` / ``|``)."""
+    """Waits until ``need`` of ``events`` have succeeded, then succeeds
+    with ``None``; fails with the first of them that fails."""
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_need",)
 
-    def __init__(
-        self,
-        env: Any,
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
+    def __init__(self, env: Any, events: Iterable[Event], need_all: bool):
         super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
+        events = list(events)
+        for event in events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
-
-        if not self._events:
-            self.succeed(ConditionValue())
+        self._need = len(events) if need_all else min(1, len(events))
+        if not self._need:
+            self.succeed()
             return
-
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:  # already processed
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            if event.callbacks is None and event._value is not PENDING:
-                value.events.append(event)
-        return value
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return  # already triggered (e.g. by an earlier failure)
-        self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list, count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list, count: int) -> bool:
-        return count > 0 or not events
+            return
+        self._need -= 1
+        if not self._need:
+            self.succeed()
 
 
 class AllOf(Condition):
     """Succeeds when *all* of ``events`` have succeeded."""
 
     def __init__(self, env: Any, events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
+        super().__init__(env, events, need_all=True)
 
 
 class AnyOf(Condition):
     """Succeeds as soon as *any* of ``events`` has succeeded."""
 
     def __init__(self, env: Any, events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)
+        super().__init__(env, events, need_all=False)

@@ -25,18 +25,7 @@ from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional, Union
 
 from .errors import SimulationError, StopSimulation
-from .events import (
-    NORMAL,
-    PENDING,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Timeout,
-)
-
-Infinity = float("inf")
+from .events import PENDING, URGENT, AllOf, AnyOf, Event, Process, Timeout
 
 
 class Environment:
@@ -49,9 +38,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        self._active_proc: Optional[Process] = None
         #: Optional per-dispatch observer ``hook(now, event)`` — used by
-        #: :func:`repro.trace.attach_kernel`; one None-check per step
+        #: :func:`repro.trace.attach_kernel`; one None-check per dispatch
         #: when absent.
         self.trace_hook: Optional[Any] = None
         # C-level constructors shadowing the factory methods below:
@@ -65,11 +53,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     # -- event factories ------------------------------------------------
     # ``event`` and ``timeout`` are declared as methods for the API
@@ -94,44 +77,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling -------------------------------------------------------
-    def schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL
-    ) -> None:
-        """Queue ``event`` for processing after ``delay``."""
-        self._seq = seq = self._seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none)."""
-        return self._queue[0][0] if self._queue else Infinity
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises the event's exception if it failed and nothing defused it.
-        """
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise SimulationError("no scheduled events") from None
-
-        if self.trace_hook is not None:
-            self.trace_hook(self._now, event)
-
-        callbacks = event.callbacks
-        if callbacks is None:  # pragma: no cover - defensive
-            return
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run until the queue empties, time ``until``, or event ``until``.
 
@@ -144,19 +89,20 @@ class Environment:
             # A plain event at `at` with URGENT priority stops the loop
             # before same-time NORMAL events run.
             until = Event(self)
-            until._ok = True
             until._value = None
-            self.schedule(until, delay=at - self._now, priority=URGENT)
+            self._seq = seq = self._seq + 1
+            # Summed as a timeout of ``at - now`` would be.
+            heappush(self._queue,
+                     (self._now + (at - self._now), URGENT, seq, until))
 
         if isinstance(until, Event):
             if until.callbacks is None:  # already processed
                 return until.value
             until.callbacks.append(_stop_simulation)
 
-        # The dispatch loop is :meth:`step` inlined with local bindings:
-        # no per-event method call, no attribute reloads for the queue.
-        # The trace hook is re-read every iteration so attach/detach
-        # from inside a callback still takes effect immediately.
+        # The dispatch loop keeps the queue in a local.  The trace hook
+        # is re-read every iteration so attach/detach from inside a
+        # callback still takes effect immediately.
         queue = self._queue
         try:
             while queue:
@@ -173,11 +119,9 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
 
+                # A failed event nothing waited on or defused.
                 if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
+                    raise event._value
         except StopSimulation as stop:
             return stop.value
 

@@ -56,10 +56,11 @@ def test_counted_filling_equals_reference(capacities, specs):
         if src == dst:
             continue
         if finite:
-            # The latency tick is the earliest event queued: one step
-            # opens the flow (sizes are far too large to finish at t=0).
+            # The latency is 0 and FIFO order pops the latency tick
+            # before the stop event: the run opens the flow (sizes are
+            # far too large to finish at t=0).
             net.transfer(src, dst, 1e12)
-            env.step()
+            env.run(until=env.timeout(0))
         else:
             flow = net.open_stream(src, dst, rate_cap=cap)
             if close:

@@ -5,7 +5,8 @@ from`` — not a process per rung — so a reconfiguration dispatches
 exactly the events it did when its steps were written out inline.  The
 literals were counted through the kernel's own ``trace_hook`` at the
 commit before the ladder, less one event per network transfer since a
-transfer returns ``flow.done`` itself.
+transfer returns ``flow.done`` itself, and less one ``StorePut`` per
+MPI send since a put into a mailbox is immediate.
 
 A migration holds one pickle of the state besides the source and
 restored objects: its chunks are views of that pickle and the drain
@@ -42,8 +43,9 @@ def test_a_migration_dispatches_the_kernel_events_it_always_did():
     assert rt.migration_count == 1
     # 113 dispatches, plus the finish of the one-rank world the
     # application runs in, less the relay event each of its nine
-    # network transfers had before ``transfer`` returned ``flow.done``.
-    assert len(seen) == 105
+    # network transfers had before ``transfer`` returned ``flow.done``,
+    # less the ``StorePut`` of each of its nine MPI sends.
+    assert len(seen) == 96
 
 
 def test_an_expand_dispatches_the_kernel_events_it_always_did():
@@ -53,8 +55,9 @@ def test_an_expand_dispatches_the_kernel_events_it_always_did():
     test_world.expand_at(cluster, world, ("ws3", "ws4"), when=2.0)
     run_until_finished(cluster.env, world.finished, 3000.0)
     assert [rec.succeeded for rec in world.reconfigurations] == [True]
-    # 249 less the relay event of each of its eight transfers.
-    assert len(seen) == 241
+    # 249 less the relay event of each of its eight transfers, less
+    # the ``StorePut`` of each of its six MPI sends.
+    assert len(seen) == 235
 
 
 def test_a_migration_allocates_one_pickle_and_one_restored_state():

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -229,28 +225,6 @@ def test_negative_bare_delay_fails_process():
         env.run()
 
 
-def test_interrupt_during_bare_delay():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield 100.0
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-        yield 1.0  # the retired flyweight must not wedge later sleeps
-        log.append((env.now, "done"))
-
-    def interrupter(env, victim):
-        yield 5.0
-        victim.interrupt(cause="wake")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(5.0, "wake"), (6.0, "done")]
-
-
 def test_same_time_events_fifo_order():
     env = Environment()
     log = []
@@ -263,78 +237,6 @@ def test_same_time_events_fifo_order():
         env.process(proc(env, tag))
     env.run()
     assert log == ["a", "b", "c"]
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            log.append((env.now, exc.cause))
-
-    def attacker(env, victim_proc):
-        yield env.timeout(3)
-        victim_proc.interrupt(cause="move!")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert log == [(3, "move!")]
-
-
-def test_interrupt_can_be_survived():
-    env = Environment()
-
-    def victim(env):
-        total = 0
-        try:
-            yield env.timeout(100)
-            total += 100
-        except Interrupt:
-            pass
-        yield env.timeout(5)
-        return env.now
-
-    def attacker(env, victim_proc):
-        yield env.timeout(2)
-        victim_proc.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert v.value == 7  # interrupted at 2, then slept 5
-
-
-def test_interrupt_terminated_process_raises():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(1)
-
-    v = env.process(victim(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        v.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    errors = []
-
-    def proc(env):
-        me = env.active_process
-        try:
-            me.interrupt()
-        except SimulationError as exc:
-            errors.append(str(exc))
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert errors and "itself" in errors[0]
 
 
 def test_wait_for_another_process():
@@ -359,12 +261,12 @@ def test_all_of_waits_for_all():
     def parent(env):
         t1 = env.timeout(3, value="x")
         t2 = env.timeout(7, value="y")
-        results = yield env.all_of([t1, t2])
-        return (env.now, sorted(results.values()))
+        result = yield env.all_of([t1, t2])
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(parent(env))
     env.run()
-    assert p.value == (7, ["x", "y"])
+    assert p.value == (7, None, True, True)
 
 
 def test_any_of_fires_on_first():
@@ -373,30 +275,12 @@ def test_any_of_fires_on_first():
     def parent(env):
         t1 = env.timeout(3, value="fast")
         t2 = env.timeout(7, value="slow")
-        results = yield env.any_of([t1, t2])
-        return (env.now, list(results.values()))
+        result = yield env.any_of([t1, t2])
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(parent(env))
     env.run()
-    assert p.value == (3, ["fast"])
-
-
-def test_and_or_operators():
-    env = Environment()
-
-    def parent(env):
-        a = env.timeout(1, value=1)
-        b = env.timeout(2, value=2)
-        both = yield a & b
-        assert env.now == 2
-        c = env.timeout(1, value=3)
-        d = env.timeout(5, value=4)
-        first = yield c | d
-        return (env.now, len(both.events), list(first.values()))
-
-    p = env.process(parent(env))
-    env.run()
-    assert p.value == (3, 2, [3])
+    assert p.value == (3, None, True, False)
 
 
 def test_empty_condition_fires_immediately():
@@ -411,31 +295,9 @@ def test_empty_condition_fires_immediately():
     assert p.value == 0
 
 
-def test_peek_and_step():
-    env = Environment()
-    env.timeout(5)
-    assert env.peek() == 5
-    env.step()
-    assert env.now == 5
-    with pytest.raises(SimulationError):
-        env.step()
-
-
 def test_run_empty_queue_returns_none():
     env = Environment()
     assert env.run() is None
-
-
-def test_process_is_alive():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(10)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
 
 
 def test_condition_failure_propagates():
