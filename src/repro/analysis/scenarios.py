@@ -13,13 +13,15 @@ density, pre-initialization) on one of three set-ups:
   timed until the registry stops offering it.
 
 Keyword arguments a scenario does not name itself are
-:class:`~repro.core.rescheduler.ReschedulerConfig` fields; ``strategy``
-is given by its name in :data:`~repro.registry.strategies.STRATEGIES`.
+:class:`~repro.core.rescheduler.ReschedulerConfig` fields, except
+``strategy``: the name in :data:`~repro.registry.strategies.STRATEGIES`
+that the policy selects destinations with.
 Every scenario returns a JSON-safe summary.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from ..cluster import Cluster
@@ -29,7 +31,6 @@ from ..core.rescheduler import Rescheduler, ReschedulerConfig
 from ..hpcm import MigrationOrder, launch
 from ..mpi import MpiRuntime
 from ..protocol import EndpointRegistry
-from ..registry.strategies import STRATEGIES
 from ..rules.states import SystemState
 from ..workloads.test_tree import TestTreeApp
 
@@ -38,33 +39,28 @@ OVERLOAD_PARAMS = {"levels": 10, "trees": 150, "node_cost": 4e-4, "seed": 5}
 ORDER_PARAMS = {"levels": 12, "trees": 40, "node_cost": 2e-4, "seed": 3}
 
 
-def _config(knobs: Dict[str, Any]) -> ReschedulerConfig:
-    if "strategy" in knobs:
-        name = knobs["strategy"]
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}; choose from "
-                             f"{', '.join(STRATEGIES)}")
-        knobs = {**knobs, "strategy": STRATEGIES[name]}
-    return ReschedulerConfig(**knobs)
-
-
 def _deploy(cluster: Cluster, domains: int, knobs: Dict[str, Any]) -> list:
     """One central rescheduler, or a parent registry over ``domains``
     equal domains; the app's rescheduler comes first."""
+    knobs = dict(knobs)
+    policy = replace(policy_2(), strategy=knobs.pop("strategy", "first_fit"))
+
+    def deploy(**where: Any) -> Rescheduler:
+        return Rescheduler(cluster, policy=policy,
+                           config=ReschedulerConfig(**knobs), **where)
+
     if domains == 1:
-        return [Rescheduler(cluster, policy=policy_2(), config=_config(knobs))]
+        return [deploy()]
     names = cluster.names()
     size = len(names) // domains
     directory = EndpointRegistry()
-    parent = Rescheduler(
-        cluster, policy=policy_2(), config=_config(knobs),
+    parent = deploy(
         monitored_hosts=[],  # the parent only coordinates registries
         registry_host=names[0], registry_name="registry-parent",
         directory=directory,
     )
     return [
-        Rescheduler(
-            cluster, policy=policy_2(), config=_config(knobs),
+        deploy(
             monitored_hosts=names[start:start + size],
             registry_host=names[start], directory=directory,
             parent_address=parent.registry.address,
@@ -181,7 +177,8 @@ def run_lease(seed: int = 0, **knobs: Any) -> Dict[str, Any]:
     until its soft state turns unavailable (sampled every second, for
     at most 600 s) and the soft-state push rate before the crash."""
     cluster = Cluster(n_hosts=3, seed=seed)
-    rs = Rescheduler(cluster, policy=policy_2(), config=_config(knobs))
+    rs = Rescheduler(cluster, policy=policy_2(),
+                     config=ReschedulerConfig(**knobs))
     cluster.run(until=300)
     pushed = rs.registry.endpoint.bytes_in
     cluster["ws2"].crash()

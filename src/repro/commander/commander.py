@@ -27,6 +27,10 @@ from .core import CommandLog, CommanderCore
 
 __all__ = ["CommandLog", "Commander"]
 
+#: Seconds from a command's arrival to its signal: local delivery is
+#: fast but not free.
+SIGNAL_LATENCY = 0.001
+
 
 class Commander:
     """Commander entity living on one simulated host."""
@@ -36,13 +40,11 @@ class Commander:
         host: Any,
         directory: EndpointRegistry,
         use_tempfile: bool = False,
-        signal_latency: float = 0.001,
     ):
         self.host = host
         self.env = host.env
         self.endpoint = Endpoint(host, directory, name="commander")
         self.use_tempfile = bool(use_tempfile)
-        self.signal_latency = float(signal_latency)
         self.core = CommanderCore(
             clock=self.env, host_name=host.name, deliver=self._deliver
         )
@@ -67,13 +69,14 @@ class Commander:
             msg, sender, ts = yield self.endpoint.recv()
             if not isinstance(msg, (MigrateCommand, ExpandCommand, ShrinkCommand)):
                 continue
-            # Local signal delivery is fast but not free.
-            if self.signal_latency > 0:
-                yield self.env.timeout(self.signal_latency)
+            yield self.env.timeout(SIGNAL_LATENCY)
             self.endpoint.send_and_forget(sender, self.core.command(msg))
 
     def _deliver(self, msg: Any) -> tuple:
-        """Signal the target process; returns (delivered, detail)."""
+        """Signal the target process; returns (delivered, detail).
+
+        An expand or a shrink goes to the process's world, a migration
+        to the process itself."""
         entry = self.host.procs.get(msg.pid)
         if entry is None:
             return False, f"no such pid {msg.pid}"
@@ -81,7 +84,19 @@ class Commander:
         if runtime is None:
             return False, f"pid {msg.pid} is not migration-enabled"
         if isinstance(msg, (ExpandCommand, ShrinkCommand)):
-            return self._deliver_reshape(msg, runtime)
+            if not runtime.schema.malleable:
+                return False, f"pid {msg.pid} is not malleable"
+            expand = isinstance(msg, ExpandCommand)
+            order = ReconfigureOrder(
+                kind=msg.TYPE,
+                issued_at=self.env.now,
+                hosts=tuple(msg.dests) if expand else (self.host.name,),
+                reason=msg.reason,
+                decision_seconds=msg.decision_seconds,
+            )
+            if expand:
+                return runtime.world.request_expand(order)
+            return runtime.world.request_shrink(runtime, order)
         address_file: Optional[str] = None
         if self.use_tempfile:
             fd, address_file = tempfile.mkstemp(
@@ -99,26 +114,3 @@ class Commander:
             )
         )
         return True, ""
-
-    def _deliver_reshape(self, msg: Any, runtime: Any) -> tuple:
-        """Route an expand/shrink order to the process's world."""
-        if not runtime.schema.malleable:
-            return False, f"pid {msg.pid} is not malleable"
-        world = runtime.world
-        if isinstance(msg, ExpandCommand):
-            order = ReconfigureOrder(
-                kind="expand",
-                issued_at=self.env.now,
-                hosts=tuple(msg.dests),
-                reason=msg.reason,
-                decision_seconds=msg.decision_seconds,
-            )
-            return world.request_expand(order)
-        order = ReconfigureOrder(
-            kind="shrink",
-            issued_at=self.env.now,
-            hosts=(self.host.name,),
-            reason=msg.reason,
-            decision_seconds=msg.decision_seconds,
-        )
-        return world.request_shrink(runtime, order)

@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Tuple
 
-from ..rules.model import ComplexRule, SimpleRule
 from ..rules.vocabulary import (
-    METRIC_SCRIPTS,
     METRICS as KNOWN_METRICS,  # what a predicate may reference
     OPERATORS,
 )
@@ -110,45 +108,6 @@ class MigrationPolicy:
     def world_floor(self, schema_min: int) -> int:
         """Effective min world: the looser of the two floors wins."""
         return max(int(schema_min), self.min_world)
-
-    def to_rules(self, base_number: int = 100) -> list:
-        """Express the triggers in the paper's rule-file vocabulary.
-
-        Returns simple rules (one per trigger) plus a complex OR rule —
-        documentation of how policies and the §4 rule engine are two
-        views of the same mechanism.
-        """
-        rules = []
-        numbers = []
-        for i, trig in enumerate(self.triggers):
-            script, param = METRIC_SCRIPTS.get(
-                trig.metric, (f"{trig.metric}.sh", ""))
-            number = base_number + i
-            numbers.append(number)
-            rules.append(
-                SimpleRule(
-                    number=number,
-                    name=f"{self.name}_t{i}",
-                    script=script,
-                    operator=trig.op if trig.op in ("<", ">") else
-                    ("<" if trig.op == "<=" else ">"),
-                    busy=trig.value,
-                    overloaded=trig.value,
-                    description=str(trig),
-                    param=param,
-                )
-            )
-        if numbers:
-            rules.append(
-                ComplexRule(
-                    number=base_number + len(numbers),
-                    name=f"{self.name}_any",
-                    expression=" | ".join(f"r{n}" for n in numbers),
-                    rule_numbers=tuple(numbers),
-                    description=f"any trigger of {self.name}",
-                )
-            )
-        return rules
 
 
 # ------------------------------------------------------- (de)serialization

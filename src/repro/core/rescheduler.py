@@ -23,7 +23,6 @@ from ..monitor.selector import collect_process_info
 from ..mpi.runtime import MpiRuntime
 from ..protocol.transport import EndpointRegistry
 from ..registry.registry import RegistryScheduler
-from ..registry.strategies import first_fit
 from ..rules.model import RuleSet
 from ..trace import get_tracer
 from ..trace.events import EV_RESCHEDULER_DEPLOY, EV_RESCHEDULER_STOP
@@ -43,8 +42,6 @@ class ReschedulerConfig:
     cycle_cost: float = DEFAULT_CYCLE_COST
     #: Soft-state lease (seconds without a push → unavailable).
     lease: float = 35.0
-    #: Destination-selection strategy.
-    strategy: Callable = first_fit
     #: Seconds between repeat migrate commands for one host.
     command_cooldown: float = 30.0
     #: Write real temp files for destination addresses.
@@ -103,7 +100,6 @@ class Rescheduler:
             name=registry_name,
             lease=self.config.lease,
             policy=self.policy,
-            strategy=self.config.strategy,
             rng=cluster.rng.stream("registry"),
             command_cooldown=self.config.command_cooldown,
             parent_address=parent_address,

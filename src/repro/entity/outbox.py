@@ -33,9 +33,10 @@ Task      run ``gen`` concurrently under ``name`` (a scheduling
           decision, a delegated candidate query, ...)
 ========  ==============================================================
 
-A world reshape (docs/malleability.md) is a ``Send`` like a migration:
-the intent travels in the typed message (``MigrateCommand`` is the 1:1
-special case of ``ExpandCommand``/``ShrinkCommand``) and in
+Every registry decision — a 1:1 migration, an expand or a shrink
+(docs/malleability.md) — leaves the core as one ``Send`` from one tail,
+``RegistryCore._command``: the intent travels in the typed command
+(``MigrateCommand``, ``ExpandCommand``, ``ShrinkCommand``) and in
 ``Reconfigure.effect``, so drivers need no reshape-specific dispatch.
 Each driver's dispatch ends in ``TypeError`` on an effect it does not
 know, and ``tests/registry/test_effect_drivers.py`` drives every member

@@ -27,7 +27,6 @@ from typing import Any, Generator, List, Optional
 from ..entity.clock import WallClock
 from ..entity.outbox import Deliver, Effects, Query, Send, Spend, Task
 from ..registry.core import Reconfigure, RegistryCore
-from ..registry.strategies import first_fit
 from .transport import LiveEndpoint
 
 __all__ = ["LiveRegistry"]
@@ -50,13 +49,11 @@ class LiveRegistry:
         policy: Any = None,
         lease: float = 5.0,
         command_cooldown: float = 2.0,
-        strategy=first_fit,
         port: int = 0,
         name: str = "registry",
         parent_address: Optional[str] = None,
         decision_cost: float = 0.0,
         query_timeout: float = 5.0,
-        max_data_locality: float = 0.5,
         rng: Any = None,
     ):
         self.endpoint = LiveEndpoint(name, port=port)
@@ -67,12 +64,10 @@ class LiveRegistry:
             label=f"{name}@{self.endpoint.address}",
             lease=lease,
             policy=policy,
-            strategy=strategy,
             rng=rng,
             decision_cost=decision_cost,
             command_cooldown=command_cooldown,
             parent_address=parent_address,
-            max_data_locality=max_data_locality,
             query_timeout=query_timeout,
             # The overloaded node itself plays the commander role.
             commander_for=lambda source: source,

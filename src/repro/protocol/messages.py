@@ -303,8 +303,46 @@ class CandidateReply:
                    req_id=cand.get("reqId", ""))
 
 
+class _Command:
+    """The one codec of the three registry → commander commands: a
+    ``<TYPE pid DEST reason decision />`` body, where ``DEST`` is
+    ``dest`` (one host) or ``dests`` (hosts joined by commas)."""
+
+    DEST = "dest"
+
+    def body(self) -> str:
+        dest = getattr(self, self.DEST)
+        return _tag(self.TYPE, [
+            ("pid", str(self.pid)),
+            (self.DEST, dest if self.DEST == "dest" else ",".join(dest)),
+            ("reason", self.reason),
+            ("decision", repr(self.decision_seconds)),
+        ])
+
+    @classmethod
+    def from_body(cls, host: str, elem: Element):
+        cmd = elem.find(cls.TYPE)
+        if cmd is None:
+            raise ProtocolError(
+                f"{cls.TYPE} message without <{cls.TYPE}> body")
+        if cls.DEST == "dests":
+            dest = tuple(
+                name for name in cmd.get("dests", "").split(",") if name)
+        else:
+            # Missing, it reads as the field's default: none for a
+            # migration, which has no default.
+            dest = cmd.get("dest", getattr(cls, "dest", None))
+        return cls(
+            host=host,
+            pid=int(cmd.get("pid")),
+            reason=cmd.get("reason", ""),
+            decision_seconds=float(cmd.get("decision", "0")),
+            **{cls.DEST: dest},
+        )
+
+
 @dataclass(frozen=True)
-class MigrateCommand:
+class MigrateCommand(_Command):
     """Registry → commander: move ``pid`` to ``dest``."""
 
     host: str  # the source host (the commander's host)
@@ -315,29 +353,9 @@ class MigrateCommand:
 
     TYPE = "migrate"
 
-    def body(self) -> str:
-        return _tag("migrate", [
-            ("pid", str(self.pid)), ("dest", self.dest),
-            ("reason", self.reason),
-            ("decision", repr(self.decision_seconds)),
-        ])
-
-    @classmethod
-    def from_body(cls, host: str, elem: Element) -> "MigrateCommand":
-        mig = elem.find("migrate")
-        if mig is None:
-            raise ProtocolError("migrate message without <migrate> body")
-        return cls(
-            host=host,
-            pid=int(mig.get("pid")),
-            dest=mig.get("dest"),
-            reason=mig.get("reason", ""),
-            decision_seconds=float(mig.get("decision", "0")),
-        )
-
 
 @dataclass(frozen=True)
-class ExpandCommand:
+class ExpandCommand(_Command):
     """Registry → commander: grow ``pid``'s world onto ``dests``.
 
     The N:M generalization of :class:`MigrateCommand` — the source
@@ -352,33 +370,11 @@ class ExpandCommand:
     decision_seconds: float = 0.0
 
     TYPE = "expand"
-
-    def body(self) -> str:
-        return _tag("expand", [
-            ("pid", str(self.pid)), ("dests", ",".join(self.dests)),
-            ("reason", self.reason),
-            ("decision", repr(self.decision_seconds)),
-        ])
-
-    @classmethod
-    def from_body(cls, host: str, elem: Element) -> "ExpandCommand":
-        exp = elem.find("expand")
-        if exp is None:
-            raise ProtocolError("expand message without <expand> body")
-        dests = tuple(
-            name for name in exp.get("dests", "").split(",") if name
-        )
-        return cls(
-            host=host,
-            pid=int(exp.get("pid")),
-            dests=dests,
-            reason=exp.get("reason", ""),
-            decision_seconds=float(exp.get("decision", "0")),
-        )
+    DEST = "dests"
 
 
 @dataclass(frozen=True)
-class ShrinkCommand:
+class ShrinkCommand(_Command):
     """Registry → commander: retire ``pid``'s rank from its world.
 
     ``dest`` names a surviving peer host (the merge context the state
@@ -393,26 +389,6 @@ class ShrinkCommand:
     decision_seconds: float = 0.0
 
     TYPE = "shrink"
-
-    def body(self) -> str:
-        return _tag("shrink", [
-            ("pid", str(self.pid)), ("dest", self.dest),
-            ("reason", self.reason),
-            ("decision", repr(self.decision_seconds)),
-        ])
-
-    @classmethod
-    def from_body(cls, host: str, elem: Element) -> "ShrinkCommand":
-        shr = elem.find("shrink")
-        if shr is None:
-            raise ProtocolError("shrink message without <shrink> body")
-        return cls(
-            host=host,
-            pid=int(shr.get("pid")),
-            dest=shr.get("dest", ""),
-            reason=shr.get("reason", ""),
-            decision_seconds=float(shr.get("decision", "0")),
-        )
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 This module is the *one* decision brain both runtimes share.  It holds
 the complete §3.2 logic — soft-state bookkeeping, victim selection
 (latest estimated completion, schema data-locality respected),
-destination choice (first fit over FREE hosts meeting the policy's
-destination conditions and the victim's resource requirements), the
-per-source command cooldown, and hierarchical ``CandidateRequest``
-escalation — with **zero simulation-kernel imports**: time comes from a
+destination choice (the policy's strategy, first fit by default, over
+FREE hosts meeting the policy's destination conditions and the
+victim's resource requirements), the per-source command cooldown, and
+hierarchical ``CandidateRequest`` escalation — with **zero
+simulation-kernel imports**: time comes from a
 :class:`~repro.entity.clock.Clock`, and everything the core wants done
 to the world comes back as :mod:`~repro.entity.outbox` effects.
 
@@ -58,7 +59,7 @@ from ..trace.events import (
 )
 from .hostmatrix import dest_mask, exclude_rows, requirements_mask
 from .softstate import SoftStateTable
-from .strategies import first_fit
+from .strategies import STRATEGIES
 
 #: CPU-seconds one scheduling decision costs; the paper measures the
 #: decision itself at ~0.002 s.
@@ -73,6 +74,11 @@ MAX_HOPS = 4
 
 #: Seconds a delegated candidate query waits for its reply.
 QUERY_TIMEOUT = 10.0
+
+#: Victims above this schema data-locality weight stay put ("a process
+#: [that] involves a lot in a local data access is not to be migrated",
+#: §5.3).
+MAX_DATA_LOCALITY = 0.5
 
 
 def _requirements_xml(req: Any) -> str:
@@ -150,12 +156,10 @@ class RegistryCore:
         label: str,
         lease: float = 35.0,
         policy: Any = None,
-        strategy: Callable = first_fit,
         rng: Any = None,
         decision_cost: float = DEFAULT_DECISION_COST,
         command_cooldown: float = DEFAULT_COMMAND_COOLDOWN,
         parent_address: Optional[str] = None,
-        max_data_locality: float = 0.5,
         query_timeout: float = QUERY_TIMEOUT,
         commander_for: Optional[Callable[[str], str]] = None,
     ):
@@ -165,7 +169,13 @@ class RegistryCore:
         self.label = label
         self.table = SoftStateTable(clock, lease=lease)
         self.policy = policy
-        self.strategy = strategy
+        #: The policy's destination-selection strategy; first fit
+        #: without a policy.
+        name = getattr(policy, "strategy", "first_fit")
+        if name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}; choose from "
+                             f"{', '.join(STRATEGIES)}")
+        self.strategy = STRATEGIES[name]
         self.rng = rng
         self.decision_cost = float(decision_cost)
         self.command_cooldown = float(command_cooldown)
@@ -190,10 +200,6 @@ class RegistryCore:
         self.reports_guarded = 0
         #: Register messages whose static description did not parse.
         self.registers_refused = 0
-        #: Victims above this schema data-locality weight stay put
-        #: ("a process [that] involves a lot in a local data access is
-        #: not to be migrated", §5.3).
-        self.max_data_locality = float(max_data_locality)
 
     @property
     def decisions(self) -> List[Reconfigure]:
@@ -255,7 +261,7 @@ class RegistryCore:
             self.reports_guarded += 1
             return
         victim = select_victim(
-            update.processes, max_data_locality=self.max_data_locality
+            update.processes, max_data_locality=MAX_DATA_LOCALITY
         )
         if victim is None:
             return
@@ -274,56 +280,86 @@ class RegistryCore:
         ) if tracer.enabled else None
         if self.decision_cost > 0:
             yield Spend(self.decision_cost, label="registry-decide")
-        app_name = victim.name
         # N:M first: a malleable policy may reshape the victim's world
         # instead of moving it; on no applicable reshape (or no hosts
         # for one) the decision falls through to the paper's 1:1 path.
-        reshape = self._plan_reshape(update, victim)
-        if reshape is not None:
-            handled = yield from self._decide_reshape(
-                reshape, source, victim, t0, span, tracer
+        effect = self._plan_reshape(update, victim)
+        dests: tuple = ()
+        if effect == "shrink":
+            # The retiring rank's state folds into a surviving peer's
+            # world — find one from the soft-state process reports.
+            peer = self._find_world_peer(victim.name, exclude=(source,))
+            dests = (peer,) if peer is not None else ()
+        elif effect == "expand":
+            policy = self.policy
+            cap = policy.world_cap(victim.max_world)
+            k = min(max(1, policy.grow_step), cap - victim.world_size)
+            # Child-registry records are skipped rather than delegated
+            # to: an N:M reshape stays within this registry's domain
+            # (see docs/malleability.md).
+            dests = tuple(self._pick_destinations(
+                k, exclude=(source, self.label), requirements=victim,
+                children=False,
+            ))
+        escalated = False
+        if not dests:
+            effect = "migrate"
+            dest, escalated = yield from self._resolve_destination(
+                exclude=(source, self.label), app_name=victim.name,
+                hops=0, requirements=victim,
             )
-            if handled:
-                return
-        dest, escalated = yield from self._resolve_destination(
-            exclude=(source, self.label), app_name=app_name, hops=0,
-            requirements=victim,
-        )
-        decision_seconds = self.clock.now - t0
+            dests = (dest,) if dest is not None else ()
+        yield from self._command(effect, source, victim, dests, escalated,
+                                 t0, span)
+
+    def _command(self, effect: str, source: str, victim, dests: tuple,
+                 escalated: bool, t0: float, span):
+        """Record, stamp, trace and send one decision — a migration, an
+        expand or a shrink alike.  A migration with no destination is
+        recorded but sends nothing."""
+        now = self.clock.now
+        decision_seconds = now - t0
+        if effect == "migrate":
+            reason = f"{source} overloaded"
+            trace_dest = dests[0] if dests else None
+        else:
+            verb = "grow" if effect == "expand" else "shrink"
+            reason = f"{source} overloaded; {verb} {victim.name}"
+            trace_dest = f"{effect}:{','.join(dests)}"
         if span is not None:
-            span.end(t=self.clock.now, dest=dest, escalated=escalated)
+            span.end(t=now, dest=trace_dest, escalated=escalated)
         self.reconfigurations.append(
             Reconfigure(
-                at=self.clock.now,
-                effect="migrate",
+                at=now,
+                effect=effect,
                 source=source,
-                dests=(dest,) if dest is not None else (),
+                dests=dests,
                 pid=victim.pid,
-                app=app_name,
-                reason=f"{source} overloaded",
+                app=victim.name,
+                reason=reason,
                 decision_seconds=decision_seconds,
                 escalated=escalated,
             )
         )
-        if dest is None:
+        if not dests:
             return
-        self._last_command[source] = self.clock.now
+        self._last_command[source] = now
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
-                EV_REGISTRY_COMMAND, t=self.clock.now, host=source,
-                pid=victim.pid, dest=dest,
+                EV_REGISTRY_COMMAND, t=now, host=source,
+                pid=victim.pid, dest=trace_dest,
                 decision_s=decision_seconds,
             )
-        yield Send(
-            self.commander_for(source),
-            MigrateCommand(
-                host=source,
-                pid=victim.pid,
-                dest=dest,
-                reason=f"{source} overloaded",
-                decision_seconds=decision_seconds,
-            ),
-        )
+        common = dict(host=source, pid=victim.pid, reason=reason,
+                      decision_seconds=decision_seconds)
+        if effect == "expand":
+            command = ExpandCommand(dests=dests, **common)
+        elif effect == "shrink":
+            command = ShrinkCommand(dest=dests[0], **common)
+        else:
+            command = MigrateCommand(dest=dests[0], **common)
+        yield Send(self.commander_for(source), command)
 
     # -- N:M reshape (docs/malleability.md) -------------------------------
     def _plan_reshape(self, update: StatusUpdate, victim) -> Optional[str]:
@@ -354,64 +390,6 @@ class RegistryCore:
                 return "expand"
         return None
 
-    def _decide_reshape(self, kind: str, source: str, victim,
-                        t0: float, span, tracer):
-        """Issue an Expand/Shrink decision; False ⇒ fall back to 1:1."""
-        policy = self.policy
-        if kind == "shrink":
-            # The retiring rank's state folds into a surviving peer's
-            # world — find one from the soft-state process reports.
-            peer = self._find_world_peer(victim.name, exclude=(source,))
-            if peer is None:
-                return False
-            dests = (peer,)
-            reason = f"{source} overloaded; shrink {victim.name}"
-        else:
-            cap = policy.world_cap(victim.max_world)
-            k = min(max(1, policy.grow_step), cap - victim.world_size)
-            # Child-registry records are skipped rather than delegated
-            # to: an N:M reshape stays within this registry's domain
-            # (see docs/malleability.md).
-            dests = tuple(self._pick_destinations(
-                k, exclude=(source, self.label), requirements=victim,
-                children=False,
-            ))
-            if not dests:
-                return False
-            reason = f"{source} overloaded; grow {victim.name}"
-        decision_seconds = self.clock.now - t0
-        wire_dest = f"{kind}:{','.join(dests)}"
-        if span is not None:
-            span.end(t=self.clock.now, dest=wire_dest, escalated=False)
-        self.reconfigurations.append(
-            Reconfigure(
-                at=self.clock.now,
-                effect=kind,
-                source=source,
-                dests=dests,
-                pid=victim.pid,
-                app=victim.name,
-                reason=reason,
-                decision_seconds=decision_seconds,
-            )
-        )
-        self._last_command[source] = self.clock.now
-        if tracer.enabled:
-            tracer.event(
-                EV_REGISTRY_COMMAND, t=self.clock.now, host=source,
-                pid=victim.pid, dest=wire_dest,
-                decision_s=decision_seconds,
-            )
-        common = dict(host=source, pid=victim.pid, reason=reason,
-                      decision_seconds=decision_seconds)
-        yield Send(
-            to=self.commander_for(source),
-            msg=(ShrinkCommand(dest=dests[0], **common)
-                 if kind == "shrink"
-                 else ExpandCommand(dests=dests, **common)),
-        )
-        return True
-
     def _find_world_peer(self, app_name: str,
                          exclude: tuple) -> Optional[str]:
         """First host (registration order) whose process report names
@@ -430,7 +408,7 @@ class RegistryCore:
                            requirements: Any,
                            children: bool) -> List[str]:
         """Up to ``k`` destination hosts in preference order: the
-        configured strategy over the FREE hosts that meet the policy's
+        policy's strategy over the FREE hosts that meet the policy's
         destination conditions and own all the resources required
         (paper §3.2).
 
@@ -462,12 +440,16 @@ class RegistryCore:
         Returns ``(dest_or_None, escalated)``.  Local records whose name
         contains ``@`` are child registries: the query is forwarded so
         the child answers with one of *its* hosts.  With no local
-        candidate at all, the query escalates to the parent.
+        candidate at all, the query escalates to the parent.  A query
+        that has already travelled ``MAX_HOPS`` is neither forwarded
+        nor escalated: a child-registry pick then answers ``None``.
         """
         picked = self._pick_destinations(1, exclude, requirements,
                                          children=True)
         dest = picked[0] if picked else None
         if dest is not None and "@" in dest:
+            if hops >= MAX_HOPS:
+                return None, False
             dest = yield from self._query(
                 dest, app_name, exclude, hops + 1, requirements
             )
@@ -503,18 +485,10 @@ class RegistryCore:
 
     def _serve_candidate_request(self, msg: CandidateRequest, sender: str):
         """Answer a destination query from a child or sibling registry."""
-        requirements = _requirements_from_xml(msg.requirements_xml)
-        if msg.hops >= MAX_HOPS:
-            picked = self._pick_destinations(1, msg.exclude, requirements,
-                                             children=True)
-            dest = picked[0] if picked else None
-            if dest is not None and "@" in dest:
-                dest = None  # hop budget exhausted; can't delegate
-        else:
-            dest, _ = yield from self._resolve_destination(
-                exclude=msg.exclude, app_name=msg.app_name,
-                hops=msg.hops, requirements=requirements,
-            )
+        dest, _ = yield from self._resolve_destination(
+            exclude=msg.exclude, app_name=msg.app_name, hops=msg.hops,
+            requirements=_requirements_from_xml(msg.requirements_xml),
+        )
         yield Send(
             sender,
             CandidateReply(host=self.label, dest=dest, req_id=msg.req_id),

@@ -13,7 +13,7 @@ world (``Spend`` → CPU execution, ``Send`` → the simulated network,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..entity.outbox import Deliver, Query, Send, Spend, Task
 from ..protocol.transport import Endpoint, EndpointRegistry
@@ -26,7 +26,6 @@ from .core import (
     _requirements_from_xml,
     _requirements_xml,
 )
-from .strategies import first_fit
 
 __all__ = [
     "DEFAULT_COMMAND_COOLDOWN",
@@ -47,7 +46,6 @@ class RegistryScheduler:
         name: str = "registry",
         lease: float = 35.0,
         policy: Any = None,
-        strategy: Callable = first_fit,
         rng: Any = None,
         decision_cost: float = DEFAULT_DECISION_COST,
         command_cooldown: float = DEFAULT_COMMAND_COOLDOWN,
@@ -55,7 +53,6 @@ class RegistryScheduler:
         label: Optional[str] = None,
         mode: str = "push",
         poll_interval: float = 10.0,
-        max_data_locality: float = 0.5,
     ):
         if mode not in ("push", "pull"):
             raise ValueError(f"mode must be push or pull, got {mode!r}")
@@ -70,12 +67,10 @@ class RegistryScheduler:
             label=label or f"{name}@{host.name}",
             lease=lease,
             policy=policy,
-            strategy=strategy,
             rng=rng,
             decision_cost=decision_cost,
             command_cooldown=command_cooldown,
             parent_address=parent_address,
-            max_data_locality=max_data_locality,
             commander_for=lambda source: f"commander@{source}",
         )
         self._pending_replies: dict = {}

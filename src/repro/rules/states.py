@@ -19,6 +19,10 @@ free        no      yes        no
 busy        yes     no         no
 overloaded  yes     no         yes
 =========== ======= ========== ===========
+
+The registry reads the last two columns directly: only FREE hosts are
+destinations (``SoftStateTable.free_mask``), and an OVERLOADED report
+starts a decision (``RegistryCore.handle``).
 """
 
 from __future__ import annotations
@@ -40,16 +44,6 @@ class SystemState(IntEnum):
     def loaded(self) -> bool:
         """Is the host carrying load?"""
         return self in (SystemState.BUSY, SystemState.OVERLOADED)
-
-    @property
-    def accepts_migration(self) -> bool:
-        """May HPCM applications migrate *in*?"""
-        return self is SystemState.FREE
-
-    @property
-    def wants_migration_out(self) -> bool:
-        """Should the host offload its migration-enabled applications?"""
-        return self is SystemState.OVERLOADED
 
     @classmethod
     def from_level(cls, level: float, n_levels: int = 3) -> "SystemState":

@@ -138,15 +138,3 @@ def test_tempfile_mechanism():
         f for f in os.listdir("/tmp") if f.startswith("hpcm-dest-")
     ]
     assert leftovers == []
-
-
-def test_signal_latency_configurable():
-    cluster = Cluster(n_hosts=2, seed=0)
-    directory = EndpointRegistry()
-    commander = Commander(cluster["ws1"], directory, signal_latency=1.0)
-    sender = Endpoint(cluster["ws2"], directory, name="registry")
-    sender.send_and_forget(
-        commander.address, MigrateCommand(host="ws1", pid=1, dest="ws2")
-    )
-    cluster.run(until=5)
-    assert commander.log[0].at >= 1.0

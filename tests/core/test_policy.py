@@ -4,15 +4,10 @@ import pytest
 
 from repro.core import (
     MetricPredicate,
-    MigrationPolicy,
     policy_1,
     policy_2,
     policy_3,
 )
-from repro.rules import ComplexRule
-from repro.trace.events import EV_RULE_FIRE
-
-from ..catalogued import catalogued
 
 
 def test_predicate_operators():
@@ -77,52 +72,3 @@ def test_policy_3_adds_comm_awareness():
     busy_comm = {"loadavg1": 0.97, "proc_count": 10, "comm_mbs": 13.8}
     assert all(c.holds(busy_comm) for c in policy_2().dest_conditions)
     assert not all(c.holds(busy_comm) for c in p.dest_conditions)
-
-
-@catalogued(EV_RULE_FIRE)
-def test_policy_to_rules_round_trips_through_rule_engine():
-    """Policies are expressible as §4 rules: the generated OR rule goes
-    overloaded exactly when a trigger fires."""
-    from repro.rules import RuleEvaluator, RuleSet, SystemState
-
-    p = policy_2()
-    rules = p.to_rules(base_number=100)
-    assert isinstance(rules[-1], ComplexRule)
-    ruleset = RuleSet()
-    for rule in rules:
-        ruleset.add(rule)
-
-    values = {"loadAvg.sh": 2.5, "procCount.sh": 10}
-
-    def engine(script, param):
-        return values[script]
-
-    ev = RuleEvaluator(ruleset, engine)
-    assert ev.evaluate_rule(rules[-1].number) is SystemState.OVERLOADED
-    values["loadAvg.sh"] = 0.5
-    assert ev.evaluate_rule(rules[-1].number) is SystemState.FREE
-    values["procCount.sh"] = 500
-    assert ev.evaluate_rule(rules[-1].number) is SystemState.OVERLOADED
-
-
-def test_to_rules_names_a_real_script_for_every_scripted_metric():
-    """The generated simple rule, fired through the script engine over
-    a sampled snapshot, reads exactly the trigger's metric."""
-    from repro.cluster import Cluster
-    from repro.monitor import SimScriptEngine
-    from repro.rules.vocabulary import METRIC_SCRIPTS, METRICS
-
-    cluster = Cluster(n_hosts=2, seed=0)
-    engine = SimScriptEngine(cluster["ws1"])
-    cluster.run(until=20)
-    snapshot = engine.refresh()
-    for metric in METRICS:
-        policy = MigrationPolicy(
-            name="p", triggers=(MetricPredicate(metric, ">", 0.0),))
-        rule = policy.to_rules()[0]
-        if metric in METRIC_SCRIPTS:
-            assert engine(rule.script, rule.param) == snapshot[metric]
-        else:  # no script reads it: the historical placeholder name
-            assert (rule.script, rule.param) == (f"{metric}.sh", "")
-    assert set(METRICS) - set(METRIC_SCRIPTS) == {
-        "cpu_util", "mem_avail_bytes", "send_kbs", "recv_kbs"}

@@ -1,10 +1,17 @@
 """Registry/scheduler: decision flow, policies, hierarchy."""
 
+from dataclasses import replace
+
+import pytest
 
 from repro.cluster import Cluster
-from repro.core import MetricPredicate, MigrationPolicy
+from repro.core import MetricPredicate, MigrationPolicy, policy_2
+from repro.entity.clock import ManualClock
+from repro.entity.outbox import Query, Send
 from repro.monitor import ProcessInfo
 from repro.protocol import (
+    CandidateReply,
+    CandidateRequest,
     Endpoint,
     EndpointRegistry,
     MigrateCommand,
@@ -12,6 +19,7 @@ from repro.protocol import (
     StatusUpdate,
 )
 from repro.registry import RegistryScheduler
+from repro.registry.core import MAX_HOPS, RegistryCore
 from repro.rules import SystemState
 
 
@@ -363,3 +371,56 @@ def test_request_ids_do_not_leak_process_history_into_sim_time():
     for _ in range(10_000):
         next(other._query("parent", "app", (), hops=1))
     assert escalated_migration() == first
+
+
+def test_the_policy_strategy_picks_the_destination():
+    """A policy naming best fit sends the victim to the least-loaded
+    eligible host, not to the first one in the machine list."""
+    cluster = Cluster(n_hosts=4, seed=0)
+    directory, registry = deploy(
+        cluster, registry_host="ws4",
+        policy=replace(policy_2(), strategy="best_fit"))
+    updates = [
+        (1.0, StatusUpdate(host="ws2", state=SystemState.FREE,
+                           metrics={"loadavg1": 0.8, "proc_count": 10})),
+        (0.0, StatusUpdate(host="ws3", state=SystemState.FREE,
+                           metrics={"loadavg1": 0.1, "proc_count": 10})),
+        (1.0, StatusUpdate(host="ws1", state=SystemState.OVERLOADED,
+                           metrics={"loadavg1": 3.0},
+                           processes=[proc_info()])),
+    ]
+    commands = feed(cluster, directory, registry, updates)
+    cluster.run(until=10)
+    assert [cmd.dest for _, cmd in commands] == ["ws3"]
+
+
+def test_an_unknown_policy_strategy_fails_when_the_registry_is_built():
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        RegistryCore(ManualClock(), "registry",
+                     policy=replace(policy_2(), strategy="nope"))
+
+
+def serve(hosts, hops):
+    """The effects a registry whose table lists ``hosts`` (all FREE, in
+    that order) yields answering a ``CandidateRequest`` of ``hops``."""
+    core = RegistryCore(ManualClock(), "registry")
+    for host in hosts:
+        core.table.register(host, {})
+        core.table.update(host, SystemState.FREE, {"loadavg1": 0.0})
+    request = CandidateRequest(host="parent", app_name="app",
+                               req_id="q1", hops=hops)
+    (task,) = core.handle(request, "parent")
+    return list(task.gen)
+
+
+def test_a_served_request_at_the_hop_budget_does_not_delegate():
+    """At ``MAX_HOPS`` a child-registry pick is answered with no
+    destination; a local FREE host is still offered, and below the
+    budget the child is asked."""
+    reply = CandidateReply(host="registry", dest=None, req_id="q1")
+    assert serve(["reg@child"], MAX_HOPS) == [Send("parent", reply)]
+    assert serve(["ws2", "reg@child"], MAX_HOPS) == [
+        Send("parent", replace(reply, dest="ws2"))]
+    query, answer = serve(["reg@child"], MAX_HOPS - 1)
+    assert isinstance(query, Query) and query.to == "reg@child"
+    assert answer == Send("parent", reply)

@@ -257,7 +257,7 @@ def test_k_destination_verify_mode_runs_clean():
 
 
 def test_k_destinations_degenerate_cases():
-    core = RegistryCore(ManualClock(), "registry", strategy=first_fit,
+    core = RegistryCore(ManualClock(), "registry",
                         rng=seeded_generator(1))
     for name in ("a", "b", "c"):
         core.table.register(name, {})

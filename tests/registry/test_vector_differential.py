@@ -12,10 +12,12 @@ loadavg1) are exactly where a lexsort and a Python ``max``/``min``
 could silently part ways.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import malleable_policy
+from repro.core import MigrationPolicy, malleable_policy
 from repro.core.policy import PAPER_POLICIES
 from repro.entity.clock import ManualClock
 from repro.monitor.selector import ProcessInfo, select_victim
@@ -50,11 +52,14 @@ def random_metrics(rng):
 
 
 def random_core(seed, strategy, policy=None):
-    """A RegistryCore over a randomized soft-state registry."""
+    """A RegistryCore over a randomized soft-state registry, choosing
+    with ``strategy`` (no policy: one without conditions)."""
     rng = seeded_generator(seed)
+    policy = replace(policy or MigrationPolicy(name="any"),
+                     strategy=strategy.__name__)
     core = RegistryCore(
         ManualClock(), "registry", lease=LEASE, policy=policy,
-        strategy=strategy, rng=seeded_generator(seed + 1),
+        rng=seeded_generator(seed + 1),
     )
     n = int(rng.integers(2, 25))
     for i in range(n):
@@ -214,7 +219,7 @@ def test_victim_lexsort_matches_scalar_max(processes, max_locality):
 def test_first_fit_vector_respects_machine_list_order():
     """The paper's first fit scans the machine list in registration
     order; the first rows of the mask must preserve that."""
-    core = RegistryCore(ManualClock(), "registry", strategy=first_fit)
+    core = RegistryCore(ManualClock(), "registry")
     for name in ("late", "alpha", "zulu"):
         core.table.register(name, {})
         core.table.update(name, SystemState.FREE, {})

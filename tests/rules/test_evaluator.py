@@ -10,6 +10,9 @@ from repro.rules import (
     classify,
     parse_rule_file,
 )
+from repro.trace.events import EV_RULE_FIRE
+
+from ..catalogued import catalogued
 
 F, B, O = SystemState.FREE, SystemState.BUSY, SystemState.OVERLOADED
 
@@ -83,6 +86,7 @@ def test_param_passed_to_engine():
     assert seen["ntStatIpv4.sh"] == "ESTABLISHED"
 
 
+@catalogued(EV_RULE_FIRE)
 def test_complex_rule_end_to_end():
     # procs overloaded (r4=O), idle overloaded (r1=O), load free (r3=F)
     # → weighted 1.4 → busy; sockets busy (r2=B) → busy & busy = busy.

@@ -12,22 +12,16 @@ def test_severity_ordering():
 def test_table1_free():
     s = SystemState.FREE
     assert not s.loaded
-    assert s.accepts_migration
-    assert not s.wants_migration_out
 
 
 def test_table1_busy():
     s = SystemState.BUSY
     assert s.loaded
-    assert not s.accepts_migration
-    assert not s.wants_migration_out
 
 
 def test_table1_overloaded():
     s = SystemState.OVERLOADED
     assert s.loaded
-    assert not s.accepts_migration
-    assert s.wants_migration_out
 
 
 def test_combine_and_paper_semantics():
