@@ -22,12 +22,16 @@ from repro.cluster import CpuHog
 from repro.workloads import StencilApp
 
 #: Like policy 2, but a destination must host no application process at
-#: all.  (A load threshold would misfire here: ranks blocked in halo
-#: waits let their hosts' load averages decay, making them look idle.)
+#: all.  (A load threshold alone would misfire here: ranks blocked in
+#: halo waits let their hosts' load averages decay, making them look
+#: idle.)  The load bound only keeps a destination out of the trigger's
+#: range, so a moved rank never wants to move straight back (the
+#: ping-pong the policy check refuses, P101).
 POLICY = MigrationPolicy(
     name="stencil-demo",
     triggers=(MetricPredicate("loadavg1", ">", 2.0),),
-    dest_conditions=(MetricPredicate("proc_count", "<", 1.0),),
+    dest_conditions=(MetricPredicate("proc_count", "<", 1.0),
+                     MetricPredicate("loadavg1", "<=", 2.0)),
 )
 
 

@@ -112,12 +112,11 @@ def run_malleability_experiment(
         params=params, hosts=hosts, load_at=load_at, hogs=hogs,
         sustain=sustain, seed=seed, max_duration=max_duration,
     )
+    # Built first: a refused policy stops the cell before either run.
+    policy = malleable_policy(grow_at=grow_at, shrink_at=shrink_at,
+                              min_efficiency=min_efficiency)
     rigid = _run_once(policy_2(), malleable=False, **common)
-    grown = _run_once(
-        malleable_policy(grow_at=grow_at, shrink_at=shrink_at,
-                         min_efficiency=min_efficiency),
-        malleable=True, **common,
-    )
+    grown = _run_once(policy, malleable=True, **common)
     rigid_s, malleable_s = rigid["completed_at"], grown["completed_at"]
     return {
         "rigid_s": rigid_s,

@@ -564,9 +564,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one subcommand.  A configuration the runtime refuses is one
+    ``repro: CODE: message`` line per error and exit status 2."""
+    from .findings import ConfigError
+
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for d in exc.errors:
+            print(f"repro: {d.code}: {d.message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,10 +19,14 @@ communication-busy workstation 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Tuple
+from typing import Any, List, Mapping, Tuple
 
+from ..findings import Diagnostic, error, refuse_errors, warning
+from ..registry.strategies import STRATEGIES
 from ..rules.vocabulary import (
+    METRIC_DOMAINS,
     METRICS as KNOWN_METRICS,  # what a predicate may reference
     OPERATORS,
 )
@@ -84,14 +88,98 @@ class MigrationPolicy:
     grow_step: int = 1
     #: Policy-level world bounds, intersected with the application
     #: schema's own ``min_world``/``max_world``; ``max_world=0`` means
-    #: "no policy cap" (the schema alone rules).  Deliberately *not*
-    #: validated here — ``repro lint`` flags min>max as P107 so a bad
-    #: policy file is a finding, not a stack trace.
+    #: "no policy cap" (the schema alone rules).
     min_world: int = 1
     max_world: int = 0
     #: Expand only while the victim's declared parallel efficiency at
     #: the grown size stays at or above this floor.
     min_efficiency: float = 0.0
+
+    def __post_init__(self):
+        refuse_errors(self.findings())
+
+    def findings(self) -> List[Diagnostic]:
+        """What the policy gets wrong (P101–P109; P106 is a warning).
+
+        Each predicate cuts an interval out of its metric's value
+        domain, and interval arithmetic answers what would otherwise
+        surface mid-migration.  A disabled policy only names its
+        strategy."""
+        found: List[Diagnostic] = []
+
+        def report(code, message, make=error):
+            found.append(make(code, message, obj=self.name))
+
+        if self.strategy not in STRATEGIES:
+            report("P103", f"unknown strategy {self.strategy!r}; choose "
+                           f"from {', '.join(STRATEGIES)}")
+        if not self.enabled:
+            return found
+        dests = self.dest_conditions
+        for metric in sorted({p.metric for p in dests}):
+            if _empty(_region(dests, metric)):
+                report("P102", f"destination conditions on {metric} are "
+                               f"unsatisfiable within its domain "
+                               f"{_render(_domain(metric))}")
+        for metric in sorted({p.metric for p in self.source_guards}):
+            if _empty(_region(self.source_guards, metric)):
+                report("P104", f"source guards on {metric} are "
+                               f"unsatisfiable: triggers may fire but "
+                               f"migration can never be allowed")
+        # P101: a trigger region an eligible destination can sit in is
+        # a ping-pong — the migrated process at once wants to move again.
+        for trig in self.triggers:
+            fires = _region((trig,), trig.metric)
+            if _empty(fires):
+                report("P106", f"trigger '{trig}' can never fire within "
+                               f"the metric domain "
+                               f"{_render(_domain(trig.metric))}", warning)
+                continue
+            overlap = _intersect(fires, _region(dests, trig.metric))
+            if not _empty(overlap):
+                detail = (f"hosts with {trig.metric} in {_render(overlap)} "
+                          f"are eligible destinations yet already satisfy "
+                          f"the source trigger '{trig}'")
+                if not any(p.metric == trig.metric for p in dests):
+                    detail += (" (no destination condition bounds "
+                               f"{trig.metric} at all)")
+                report("P101", f"migration ping-pong: {detail}")
+        # -- malleability (docs/malleability.md) --------------------------
+        if self.max_world and self.min_world > self.max_world:
+            report("P107", f"inverted world bounds: min_world="
+                           f"{self.min_world} > max_world={self.max_world}, "
+                           f"no world size is ever legal")
+        if self.malleable:
+            if self.grow_step < 1:
+                report("P109", f"grow_step={self.grow_step} but an Expand "
+                               f"must request at least one host")
+            if not 0.0 <= self.min_efficiency <= 1.0:
+                report("P109", f"min_efficiency={self.min_efficiency:g} "
+                               f"lies outside [0, 1], the range of a "
+                               f"parallel-efficiency value")
+        # P108: the runtime checks shrink first, so a shrink region
+        # *strictly inside* the grow region is the intended escalation
+        # ladder (severe contention ⇒ vacate, moderate ⇒ widen).  Any
+        # other overlap coincides, shadows grow, or crosses: the N:M
+        # form of the P101 ping-pong.
+        for grow in self.grow_triggers:
+            grows = _region((grow,), grow.metric)
+            for shrink in self.shrink_triggers:
+                if grow.metric != shrink.metric:
+                    continue
+                shrinks = _region((shrink,), shrink.metric)
+                overlap = _intersect(grows, shrinks)
+                if _empty(overlap) or (overlap == shrinks
+                                       and shrinks != grows):
+                    continue
+                report("P108", f"reshape ambiguity: {grow.metric} in "
+                               f"{_render(overlap)} satisfies both the grow "
+                               f"trigger '{grow}' and the shrink trigger "
+                               f"'{shrink}' without forming a "
+                               f"shrink-inside-grow escalation ladder; "
+                               f"separate or nest the bands so a host "
+                               f"argues for one reshape at a time")
+        return found
 
     @property
     def malleable(self) -> bool:
@@ -108,6 +196,55 @@ class MigrationPolicy:
     def world_floor(self, schema_min: int) -> int:
         """Effective min world: the looser of the two floors wins."""
         return max(int(schema_min), self.min_world)
+
+
+# ------------------------------------------------- interval arithmetic
+#: Interval: (lo, lo_inclusive, hi, hi_inclusive).
+_Interval = Tuple[float, bool, float, bool]
+
+
+def _domain(metric: str) -> _Interval:
+    lo, hi = METRIC_DOMAINS[metric]
+    return (lo, True, hi, True)
+
+
+def _interval(pred: MetricPredicate) -> _Interval:
+    closed = pred.op.endswith("=")
+    if pred.op.startswith("<"):
+        return (-math.inf, False, pred.value, closed)
+    return (pred.value, closed, math.inf, False)
+
+
+def _intersect(a: _Interval, b: _Interval) -> _Interval:
+    # Pick the tighter bound on each side; on ties an exclusive bound wins.
+    if a[0] != b[0]:
+        lo, lo_inc = max((a[0], a[1]), (b[0], b[1]))
+    else:
+        lo, lo_inc = a[0], a[1] and b[1]
+    if a[2] != b[2]:
+        hi, hi_inc = min((a[2], a[3]), (b[2], b[3]))
+    else:
+        hi, hi_inc = a[2], a[3] and b[3]
+    return (lo, lo_inc, hi, hi_inc)
+
+
+def _region(preds, metric: str) -> _Interval:
+    """Where ``metric`` may lie under all of ``preds`` that name it."""
+    region = _domain(metric)
+    for pred in preds:
+        if pred.metric == metric:
+            region = _intersect(region, _interval(pred))
+    return region
+
+
+def _empty(iv: _Interval) -> bool:
+    lo, lo_inc, hi, hi_inc = iv
+    return lo > hi or (lo == hi and not (lo_inc and hi_inc))
+
+
+def _render(iv: _Interval) -> str:
+    lo, lo_inc, hi, hi_inc = iv
+    return f"{'[' if lo_inc else '('}{lo:g}, {hi:g}{']' if hi_inc else ')'}"
 
 
 # ------------------------------------------------------- (de)serialization

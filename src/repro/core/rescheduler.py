@@ -22,7 +22,11 @@ from ..monitor.monitor import DEFAULT_CYCLE_COST, DEFAULT_INTERVAL, Monitor
 from ..monitor.selector import collect_process_info
 from ..mpi.runtime import MpiRuntime
 from ..protocol.transport import EndpointRegistry
-from ..registry.registry import RegistryScheduler
+from ..registry.registry import (
+    DEFAULT_COMMAND_COOLDOWN,
+    DEFAULT_LEASE,
+    RegistryScheduler,
+)
 from ..rules.model import RuleSet
 from ..trace import get_tracer
 from ..trace.events import EV_RESCHEDULER_DEPLOY, EV_RESCHEDULER_STOP
@@ -41,9 +45,9 @@ class ReschedulerConfig:
     #: CPU-seconds one monitoring cycle costs.
     cycle_cost: float = DEFAULT_CYCLE_COST
     #: Soft-state lease (seconds without a push → unavailable).
-    lease: float = 35.0
+    lease: float = DEFAULT_LEASE
     #: Seconds between repeat migrate commands for one host.
-    command_cooldown: float = 30.0
+    command_cooldown: float = DEFAULT_COMMAND_COOLDOWN
     #: Write real temp files for destination addresses.
     use_tempfile: bool = False
     #: Extra rule set evaluated by every monitor.

@@ -1,10 +1,11 @@
 """``repro lint`` — static analysis for rules, policies and schemas.
 
-Catches the configuration errors that otherwise only surface at
-runtime, mid-migration: typo'd ``rN`` references, cyclic complex
-rules, contradictory thresholds, ping-pong policies, unsatisfiable
-destination conditions, and schemas no configured host can host.
-See ``docs/linting.md`` for the full diagnostic catalogue.
+Reports, file by file, what the runtime's loaders refuse — typo'd
+``rN`` references, cyclic complex rules, contradictory thresholds,
+ping-pong policies, unsatisfiable destination conditions — and their
+warnings, plus the one check no loader can make: schemas no configured
+host can host (S201).  See ``docs/linting.md`` for the full diagnostic
+catalogue.
 """
 
 from .diagnostics import (
@@ -20,9 +21,13 @@ from .diagnostics import (
     summarize,
 )
 from .catalog import CODE_DETAILS, KNOWN_CODES
-from .policylint import METRIC_DOMAINS, lint_policy
-from .rulelint import SCRIPT_DOMAINS, lint_rule_text, lint_ruleset
-from .runner import LintUsageError, classify_file, collect_files, lint_paths
+from .runner import (
+    LintUsageError,
+    classify_file,
+    collect_files,
+    lint_paths,
+    lint_rule_text,
+)
 from .schemalint import HostClass, lint_schema
 from .srclint import lint_sources
 
@@ -33,17 +38,13 @@ __all__ = [
     "JSON_REPORT_VERSION",
     "KNOWN_CODES",
     "LintUsageError",
-    "METRIC_DOMAINS",
-    "SCRIPT_DOMAINS",
     "Severity",
     "classify_file",
     "collect_files",
     "exit_code",
     "filter_codes",
     "lint_paths",
-    "lint_policy",
     "lint_rule_text",
-    "lint_ruleset",
     "lint_schema",
     "lint_sources",
     "render_json",

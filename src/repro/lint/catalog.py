@@ -44,7 +44,7 @@ CODE_DETAILS: Dict[str, Tuple[str, str]] = {
     "R002": ("error", "complex-rule references form a cycle"),
     "R003": ("error", "duplicate rl_number shadows an earlier rule"),
     "R004": ("error", "weighted-sum weights do not total 100%"),
-    "R005": ("error", "dead rule: defined but never used/unreachable"),
+    "R005": ("error", "dead rule: listed in rl_ruleNo but never used"),
     "R006": ("error", "threshold contradiction: overloaded unreachable"),
     "R007": ("warning", "rl_busy equals rl_overLd: empty busy band"),
     "R008": ("error", "expression references a rule missing from rl_ruleNo"),

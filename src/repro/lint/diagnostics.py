@@ -1,6 +1,7 @@
 """The diagnostic framework behind ``repro lint``.
 
-Every finding is a :class:`Diagnostic` with a **stable code** —
+Every finding is a :class:`~repro.findings.Diagnostic` (defined beside
+the loaders that make most of them) with a **stable code** —
 ``Rxxx`` for rule-graph checks, ``Pxxx`` for policy checks, ``Sxxx``
 for application-schema checks, ``Lxxx`` for the lint driver itself —
 a severity, a message and an optional file/line/object location.
@@ -14,58 +15,12 @@ consumption; :func:`exit_code` maps findings onto the CI contract
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, List, Optional, Sequence
+
+from ..findings import Diagnostic, Severity  # beside the loaders
 
 #: Version of the JSON report layout; bump on incompatible change.
 JSON_REPORT_VERSION = 1
-
-
-class Severity(str, Enum):
-    """How bad a finding is; orders error > warning > info."""
-
-    ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 2, "warning": 1, "info": 0}[self.value]
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One lint finding with a stable, documented code."""
-
-    code: str  # e.g. "R001"
-    severity: Severity
-    message: str
-    file: Optional[str] = None
-    line: Optional[int] = None
-    #: The rule/policy/schema the finding is about, when nameable.
-    obj: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        """Stable JSON form (key order fixed, all keys always present)."""
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "file": self.file,
-            "line": self.line,
-            "object": self.obj,
-            "message": self.message,
-        }
-
-    def render(self) -> str:
-        location = self.file or "<input>"
-        if self.line is not None:
-            location += f":{self.line}"
-        subject = f" [{self.obj}]" if self.obj else ""
-        return (
-            f"{location}: {self.severity.value} {self.code}: "
-            f"{self.message}{subject}"
-        )
 
 
 def sort_diagnostics(diags: Iterable[Diagnostic]) -> List[Diagnostic]:

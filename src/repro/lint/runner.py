@@ -5,14 +5,20 @@ what each configuration file is, and routes it to the matching
 analyzer:
 
 * rule files — ``*.rules``, or any text file whose body contains an
-  ``rl_number:`` line → :mod:`.rulelint`;
+  ``rl_number:`` line → :func:`repro.rules.parser.rule_file_findings`;
 * application schemas — ``*.xml`` with an ``applicationSchema`` root
-  → :mod:`.schemalint`;
+  → :class:`repro.schema.ApplicationSchema`, then :mod:`.schemalint`;
 * policies — ``*.json`` carrying a ``policy`` object (or
-  triggers/dest_conditions keys) → :mod:`.policylint`;
+  triggers/dest_conditions keys) → :func:`repro.core.policy_from_dict`;
 * cluster descriptions — ``*.json`` with a ``host_classes`` list,
   collected first so every schema in the same lint run is checked
   against them (S201).
+
+Each configuration file goes through the loader the runtime uses: what
+the loader refuses (:class:`~repro.findings.ConfigError`) is reported
+finding by finding, and a file that loads reports its warnings.  Lint
+adds only S201, which needs the cluster's host classes, and the
+"cannot load at all" codes (P100, S200).
 
 Python sources (``*.py``) route to the source-contract passes in
 :mod:`.srclint` (determinism, effects, trace discipline, concurrency,
@@ -33,9 +39,12 @@ from __future__ import annotations
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.policy import policy_from_dict
+from ..findings import try_build
+from ..rules.parser import rule_file_findings
 from ..schema import ApplicationSchema
 from .catalog import KNOWN_CODES
 from .diagnostics import (
@@ -44,8 +53,6 @@ from .diagnostics import (
     filter_codes,
     sort_diagnostics,
 )
-from .policylint import lint_policy
-from .rulelint import lint_rule_text
 from .schemalint import HostClass, lint_schema
 
 
@@ -260,6 +267,15 @@ def lint_paths(
     return sort_diagnostics(diags)
 
 
+def lint_rule_text(
+    text: str, filename: Optional[str] = None
+) -> List[Diagnostic]:
+    """A rule file's findings, as :func:`~repro.rules.parse_rule_file`
+    refuses them (R007 is a warning)."""
+    _, found = rule_file_findings(text)
+    return [replace(d, file=filename) for d in found]
+
+
 def _lint_schema_file(
     path: str, text: str, host_classes: Iterable[HostClass]
 ) -> List[Diagnostic]:
@@ -273,21 +289,24 @@ def _lint_schema_file(
     if root_tag != "applicationSchema":
         return []  # some other XML; not ours to judge
     try:
-        schema = ApplicationSchema.from_xml(text)
+        schema, found = try_build(lambda: ApplicationSchema.from_xml(text))
     except ValueError as exc:
         return [Diagnostic(
             code="S200", severity=Severity.ERROR,
             message=f"invalid application schema: {exc}", file=path,
         )]
+    if schema is None:
+        return [replace(d, file=path) for d in found]
     return lint_schema(schema, tuple(host_classes), filename=path)
 
 
 def _lint_policy_file(path: str, text: str) -> List[Diagnostic]:
     try:
-        policy = policy_from_dict(json.loads(text))
+        policy, found = try_build(
+            lambda: policy_from_dict(json.loads(text)))
     except ValueError as exc:
         return [Diagnostic(
             code="P100", severity=Severity.ERROR,
             message=f"cannot load policy: {exc}", file=path,
         )]
-    return lint_policy(policy, filename=path)
+    return [replace(d, file=path) for d in found]

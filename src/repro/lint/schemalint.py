@@ -1,38 +1,23 @@
-"""Static analysis of application schemas (diagnostics ``S200``–``S206``).
+"""Application schemas against the cluster's host classes (``S201``).
 
-The XML application schema (paper §3.3) travels with a migratable
-process; a schema whose resource requirements no host can meet, or
-that declares no poll-points, produces a process the registry can
-never place or HPCM can never capture — findable before launch:
-
-======  =========  =====================================================
-code    severity   finding
-======  =========  =====================================================
-S200    error      schema file is not readable/valid XML
-S201    error      resource requirements no configured host class meets
-S202    error      schema declares **zero** poll-points (warning when
-                   poll-points are simply undeclared)
-S203    warning    undeclared transfer data: the app is migratable but
-                   ``estCommBytes`` is 0, so migration cost is unknown
-S204    warning    the declared parallel-efficiency curve is not
-                   non-increasing: efficiency that *rises* with world
-                   size defeats the registry's min-efficiency guard
-S205    error      efficiency-curve values outside (0, 1]
-S206    error      inverted world bounds (min_world > max_world)
-======  =========  =====================================================
-
-``S201`` needs the cluster's host classes; the lint driver collects
-them from ``*.json`` files bearing a top-level ``host_classes`` list
-(see ``examples/configs/cluster.json``).
+Every other S code is the schema's own check
+(:meth:`repro.schema.ApplicationSchema.findings`): the loader refuses
+its errors and lint reports them.  S201 is the one error the loader
+cannot see — whether *some* host can run the application depends on
+the cluster, not on the schema — so it is checked here, against the
+host classes the lint driver collects from ``*.json`` files bearing a
+top-level ``host_classes`` list (see ``examples/configs/cluster.json``).
+A schema no configured host class meets produces a process the
+registry can never place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
+from ..findings import Diagnostic, error
 from ..schema import ApplicationSchema
-from .diagnostics import Diagnostic, Severity
 
 
 @dataclass(frozen=True)
@@ -78,75 +63,18 @@ def lint_schema(
     host_classes: Sequence[HostClass] = (),
     filename: Optional[str] = None,
 ) -> List[Diagnostic]:
-    """Lint one application schema against the configured host classes."""
-    diags: List[Diagnostic] = []
-
-    def report(code, message, severity=Severity.ERROR):
-        diags.append(Diagnostic(
-            code=code, severity=severity, message=message, file=filename,
+    """A loaded schema's findings (its warnings) plus S201 against the
+    configured host classes."""
+    diags = schema.findings()
+    if host_classes and not any(hc.meets(schema) for hc in host_classes):
+        req = schema.requirements
+        diags.append(error(
+            "S201",
+            f"no configured host class meets the requirements "
+            f"(cpu_speed >= {req.min_cpu_speed:g}, memory >= "
+            f"{req.min_memory_bytes}, disk >= {req.min_disk_bytes}, "
+            f"features {sorted(req.features)}); classes checked: "
+            f"{', '.join(hc.name for hc in host_classes)}",
             obj=schema.name or None,
         ))
-
-    if host_classes:
-        fitting = [hc for hc in host_classes if hc.meets(schema)]
-        if not fitting:
-            req = schema.requirements
-            report(
-                "S201",
-                f"no configured host class meets the requirements "
-                f"(cpu_speed >= {req.min_cpu_speed:g}, memory >= "
-                f"{req.min_memory_bytes}, disk >= {req.min_disk_bytes}, "
-                f"features {sorted(req.features)}); classes checked: "
-                f"{', '.join(hc.name for hc in host_classes)}",
-            )
-
-    if schema.poll_points == 0:
-        report(
-            "S202",
-            "schema declares zero poll-points: HPCM can never capture "
-            "state, so the application can never migrate",
-        )
-    elif schema.poll_points is None:
-        report(
-            "S202",
-            "schema does not declare poll-points; add <pollPoints> so "
-            "migratability is auditable",
-            severity=Severity.WARNING,
-        )
-
-    migratable = schema.poll_points is not None and schema.poll_points > 0
-    if migratable and schema.est_comm_bytes == 0:
-        report(
-            "S203",
-            "undeclared transfer data: the application is migratable "
-            "but estCommBytes is 0, so state-transfer cost is unknown "
-            "to the scheduler",
-            severity=Severity.WARNING,
-        )
-
-    # -- malleability declaration (docs/malleability.md) --------------
-    curve = schema.efficiency_curve
-    bad = [v for v in curve if not 0.0 < v <= 1.0]
-    if bad:
-        report(
-            "S205",
-            f"efficiency-curve values {[f'{v:g}' for v in bad]} lie "
-            f"outside (0, 1]; parallel efficiency is a fraction of "
-            f"linear speedup",
-        )
-    elif any(b > a for a, b in zip(curve, curve[1:])):
-        report(
-            "S204",
-            "parallel-efficiency curve is not non-increasing: "
-            f"{tuple(f'{v:g}' for v in curve)} — efficiency that rises "
-            "with world size defeats the registry's min-efficiency "
-            "guard (it would always allow one more grow)",
-            severity=Severity.WARNING,
-        )
-    if schema.min_world > schema.max_world:
-        report(
-            "S206",
-            f"inverted world bounds: minWorld={schema.min_world} > "
-            f"maxWorld={schema.max_world}, no world size is ever legal",
-        )
-    return diags
+    return [replace(d, file=filename) for d in diags]

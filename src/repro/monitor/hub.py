@@ -169,7 +169,7 @@ class MonitorHub:
         """``MonitorCore.classify`` over columns (int8 codes): a set
         with no top-level rule classifies FREE, like the per-host
         evaluator."""
-        if self.root_rule is not None or self._vec._top_level_rules():
+        if self.root_rule is not None or self._vec._checked_rules():
             states = self._vec.evaluate_host_states(self.root_rule)
         else:
             states = np.full(n, np.int8(FREE))

@@ -8,8 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "matrix_column_engine", "requirements_mask",
     ),
     "registry": (
-        "DEFAULT_COMMAND_COOLDOWN", "DEFAULT_DECISION_COST", "Reconfigure",
-        "RegistryScheduler",
+        "DEFAULT_COMMAND_COOLDOWN", "DEFAULT_DECISION_COST", "DEFAULT_LEASE",
+        "Reconfigure", "RegistryScheduler",
     ),
     "softstate": ("HostRecord", "SoftStateTable"),
     "strategies": ("STRATEGIES", "best_fit", "first_fit", "random_fit"),

@@ -58,7 +58,7 @@ from ..trace.events import (
     EV_REGISTRY_UPDATE,
 )
 from .hostmatrix import dest_mask, exclude_rows, requirements_mask
-from .softstate import SoftStateTable
+from .softstate import DEFAULT_LEASE, SoftStateTable
 from .strategies import STRATEGIES
 
 #: CPU-seconds one scheduling decision costs; the paper measures the
@@ -68,6 +68,7 @@ DEFAULT_DECISION_COST = 0.002
 #: Suppress repeat commands for the same host while one migration is in
 #: flight (a fresh status push arrives every cycle).
 DEFAULT_COMMAND_COOLDOWN = 30.0
+# The default lease, ``DEFAULT_LEASE``, is the soft-state table's.
 
 #: Escalation bound through the hierarchy.
 MAX_HOPS = 4
@@ -154,7 +155,7 @@ class RegistryCore:
         self,
         clock: Any,
         label: str,
-        lease: float = 35.0,
+        lease: float = DEFAULT_LEASE,
         policy: Any = None,
         rng: Any = None,
         decision_cost: float = DEFAULT_DECISION_COST,
@@ -169,13 +170,9 @@ class RegistryCore:
         self.label = label
         self.table = SoftStateTable(clock, lease=lease)
         self.policy = policy
-        #: The policy's destination-selection strategy; first fit
-        #: without a policy.
-        name = getattr(policy, "strategy", "first_fit")
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}; choose from "
-                             f"{', '.join(STRATEGIES)}")
-        self.strategy = STRATEGIES[name]
+        #: The policy's destination-selection strategy (a policy names
+        #: a known one, P103); first fit without a policy.
+        self.strategy = STRATEGIES[getattr(policy, "strategy", "first_fit")]
         self.rng = rng
         self.decision_cost = float(decision_cost)
         self.command_cooldown = float(command_cooldown)

@@ -20,6 +20,7 @@ from ..protocol.transport import Endpoint, EndpointRegistry
 from .core import (
     DEFAULT_COMMAND_COOLDOWN,
     DEFAULT_DECISION_COST,
+    DEFAULT_LEASE,
     MAX_HOPS,
     Reconfigure,
     RegistryCore,
@@ -30,6 +31,7 @@ from .core import (
 __all__ = [
     "DEFAULT_COMMAND_COOLDOWN",
     "DEFAULT_DECISION_COST",
+    "DEFAULT_LEASE",
     "MAX_HOPS",
     "Reconfigure",
     "RegistryScheduler",
@@ -44,7 +46,7 @@ class RegistryScheduler:
         host: Any,
         directory: EndpointRegistry,
         name: str = "registry",
-        lease: float = 35.0,
+        lease: float = DEFAULT_LEASE,
         policy: Any = None,
         rng: Any = None,
         decision_cost: float = DEFAULT_DECISION_COST,

@@ -20,7 +20,11 @@ from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
 from .hostmatrix import HostExists, HostRecord, HostStateMatrix
 
-__all__ = ["HostRecord", "SoftStateTable"]
+__all__ = ["DEFAULT_LEASE", "HostRecord", "SoftStateTable"]
+
+#: Seconds without a push after which a registration lapses: every
+#: registry's default lease.
+DEFAULT_LEASE = 35.0
 
 
 class SoftStateTable:
@@ -28,7 +32,7 @@ class SoftStateTable:
     expiry trace over a :class:`HostStateMatrix`, which holds the
     data (docs/decision_plane.md)."""
 
-    def __init__(self, env: Any, lease: float = 35.0):
+    def __init__(self, env: Any, lease: float = DEFAULT_LEASE):
         if lease <= 0:
             raise ValueError("lease must be positive")
         self.env = env

@@ -20,6 +20,7 @@ from . import expr as expr_mod
 from .model import ComplexRule, RuleSet, SimpleRule
 from .states import BUSY, FREE, OVERLOADED, SystemState
 from .vocabulary import OPERATORS
+from ..findings import refuse_errors
 from ..trace import get_tracer
 from ..trace.events import EV_RULE_EVALUATE, EV_RULE_FIRE
 
@@ -34,13 +35,14 @@ class RuleEvaluator:
     ``script_engine(script_name, param) -> float`` returns the current
     measurement for a rule.
 
-    Complex-rule expressions are parsed **and compiled to closures**
-    once per evaluator (:func:`repro.rules.expr.compile_node`), and the
+    Building an evaluator refuses a rule set whose references are wrong
+    (:meth:`RuleSet.findings`), so an evaluation cannot meet an
+    undefined rule or a cycle.  Complex-rule expressions, parsed when
+    each rule was built, are **compiled to closures** once per
+    evaluator (:func:`repro.rules.expr.compile_node`), and the
     top-level-rule partition of the set is cached, so the per-monitor-
     interval cost is only the leaf script calls — no AST walks, no
-    re-parsing, no rule-number re-resolution.  The caches key on the
-    rule-set size; :meth:`RuleSet.add` is append-only, so a size change
-    is the only way the set can evolve.
+    re-parsing, no rule-number re-resolution.
 
     Internally every rule evaluates to a severity *level* in ``xp``'s
     own arithmetic; only the public methods wrap levels as states.
@@ -58,11 +60,34 @@ class RuleEvaluator:
         self.ruleset = ruleset
         self.script_engine = script_engine
         self.n_levels = n_levels
-        self._expr_cache: Dict[int, expr_mod.Node] = {}
         #: rule number → compiled ``fn(resolve) -> level`` closure.
         self._compiled: Dict[int, Callable] = {}
-        #: Cached (ruleset size, top-level rules) partition.
-        self._top_level: Optional[Tuple[int, List]] = None
+        #: (ruleset size, top-level rules) as of the last check.
+        self._top_level: Tuple[int, List] = (-1, [])
+        self._checked_rules()
+
+    def _checked_rules(self) -> List:
+        """The top-level rules, after refusing a set whose references
+        are wrong (:meth:`RuleSet.findings`: undefined, cyclic, ...).
+        Checked when the evaluator is built and again only when the
+        set has grown since — :meth:`RuleSet.add` is append-only, so a
+        size change is the only way the set can evolve.
+
+        Rules referenced by complex rules are sub-rules; top-level
+        rules are the rest.
+        """
+        version, top = self._top_level
+        if version == len(self.ruleset.rules):
+            return top
+        refuse_errors(self.ruleset.findings())
+        referenced: set = set()
+        for rule in self.ruleset:
+            if isinstance(rule, ComplexRule):
+                referenced |= rule.ast.references()
+        top = [rule for rule in self.ruleset
+               if rule.number not in referenced]
+        self._top_level = (len(self.ruleset.rules), top)
+        return top
 
     # -- what a width decides (VectorRuleEvaluator overrides these) -------
     def _measure(self, script: str, param: str) -> float:
@@ -89,20 +114,15 @@ class RuleEvaluator:
         self, rule: Union[SimpleRule, ComplexRule, int]
     ) -> Any:
         """Evaluate one rule (by object or number) to a state."""
-        return self._as_state(self._rule_level(rule, frozenset()))
+        self._checked_rules()
+        return self._as_state(self._rule_level(rule))
 
-    def _rule_level(
-        self, rule: Union[SimpleRule, ComplexRule, int], stack: frozenset
-    ) -> Any:
+    def _rule_level(self, rule: Union[SimpleRule, ComplexRule, int]) -> Any:
         if isinstance(rule, int):
             rule = self.ruleset.get(rule)
-        if rule.number in stack:
-            raise ValueError(
-                f"rule {rule.number} participates in a reference cycle"
-            )
         if isinstance(rule, SimpleRule):
             return self._evaluate_simple(rule)
-        return self._evaluate_complex(rule, stack | {rule.number})
+        return self._evaluate_complex(rule)
 
     def _evaluate_simple(self, rule: SimpleRule) -> Any:
         try:
@@ -114,68 +134,32 @@ class RuleEvaluator:
         self._trace_fire(rule, value, level)
         return level
 
-    def _ast(self, rule: ComplexRule) -> expr_mod.Node:
-        """Parse (once) and validate a complex rule's expression."""
-        ast = self._expr_cache.get(rule.number)
-        if ast is None:
-            ast = expr_mod.parse_expression(rule.expression)
-            undeclared = ast.references() - set(rule.rule_numbers)
-            if rule.rule_numbers and undeclared:
-                raise ValueError(
-                    f"rule {rule.name!r} references {sorted(undeclared)} "
-                    f"not listed in rl_ruleNo"
-                )
-            self._expr_cache[rule.number] = ast
-        return ast
-
-    def _evaluate_complex(self, rule: ComplexRule, stack: frozenset) -> Any:
+    def _evaluate_complex(self, rule: ComplexRule) -> Any:
         run = self._compiled.get(rule.number)
         if run is None:
-            run = expr_mod.compile_node(self._ast(rule), self.xp)
+            run = expr_mod.compile_node(rule.ast, self.xp)
             self._compiled[rule.number] = run
-
-        def resolve(number: int) -> Any:
-            return self._rule_level(number, stack)
-
         return expr_mod.states_from_levels(
             self.xp,
-            expr_mod.round_levels(self.xp, run(resolve), self.n_levels),
+            expr_mod.round_levels(self.xp, run(self._rule_level),
+                                  self.n_levels),
             self.n_levels,
         )
 
     # -- whole-host state -------------------------------------------------
-    def _top_level_rules(self) -> List:
-        """Rules not referenced by any complex rule, cached per set size.
-
-        Rules referenced by complex rules are sub-rules; top-level
-        rules are the rest.
-        """
-        cached = self._top_level
-        version = len(self.ruleset.rules)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        referenced: set = set()
-        for rule in self.ruleset:
-            if isinstance(rule, ComplexRule):
-                referenced |= self._ast(rule).references()
-        top = [rule for rule in self.ruleset
-               if rule.number not in referenced]
-        self._top_level = (version, top)
-        return top
-
     def _host_level(self, root_rule: Optional[int]) -> Tuple[Any, int]:
         """A designated root rule's level, or the most severe level
         across all top-level rules (FREE when there is none), and how
         many rules that took."""
+        top = self._checked_rules()
         if root_rule is not None:
-            return self._rule_level(root_rule, frozenset()), 1
-        top = self._top_level_rules()
+            return self._rule_level(root_rule), 1
         if not top:
             return FREE, 0
         maximum = self.xp.maximum
-        level = self._rule_level(top[0], frozenset())
+        level = self._rule_level(top[0])
         for rule in top[1:]:
-            level = maximum(level, self._rule_level(rule, frozenset()))
+            level = maximum(level, self._rule_level(rule))
         return level, len(top)
 
     def evaluate_host_state(

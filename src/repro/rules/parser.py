@@ -26,51 +26,39 @@ expression in ``rl_script``::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple, Union
 
+from ..findings import ConfigError, Diagnostic, error, refuse_errors, try_build
 from .model import ComplexRule, RuleSet, SimpleRule
 
+#: What a refused rule file raises (a ``ValueError``).
+RuleParseError = ConfigError
 
-class RuleParseError(ValueError):
-    """The rule file is malformed."""
+Rule = Union[SimpleRule, ComplexRule]
 
 
 @dataclass
 class RuleBlock:
-    """One raw ``rl_*`` block plus where its lines live in the file.
-
-    The strict parser only needs :attr:`fields`; ``repro lint`` uses
-    the line map to attach diagnostics to source locations.
-    """
+    """One raw ``rl_*`` block plus where its lines live in the file."""
 
     fields: dict = field(default_factory=dict)
     #: Line number of the block's ``rl_number`` line (or first line).
     start_line: int = 0
-    #: key → line number, for per-field diagnostics.
+    #: key → line number, for per-field findings.
     lines: dict = field(default_factory=dict)
 
-    def line_of(self, key: str) -> int:
+    def line_of(self, key: Optional[str]) -> int:
         return self.lines.get(key, self.start_line)
 
 
-def scan_blocks(
-    text: str, errors: Optional[List[Tuple[int, str]]] = None
-) -> List[RuleBlock]:
+def scan_blocks(text: str, findings: List[Diagnostic]) -> List[RuleBlock]:
     """Split a rule file into raw :class:`RuleBlock`\\ s.
 
     Line-level problems (missing ``:``, non-``rl_`` keys, duplicate
-    keys within one block) raise :class:`RuleParseError` — unless an
-    ``errors`` list is supplied, in which case they are appended as
-    ``(lineno, message)`` and scanning continues (the lint pass wants
-    every problem, not just the first).
+    keys within one block) are appended to ``findings`` as R010 and
+    the line is skipped.
     """
-
-    def problem(lineno: int, message: str) -> None:
-        if errors is None:
-            raise RuleParseError(f"line {lineno}: {message}")
-        errors.append((lineno, message))
-
     blocks: List[RuleBlock] = []
     current: Optional[RuleBlock] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,13 +66,17 @@ def scan_blocks(
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            problem(lineno, "expected 'key: value'")
+            findings.append(error("R010", "expected 'key: value'",
+                                  line=lineno))
             continue
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
         if not key.startswith("rl_"):
-            problem(lineno, f"unknown key {key!r} (must start with rl_)")
+            findings.append(error(
+                "R010", f"unknown key {key!r} (must start with rl_)",
+                line=lineno,
+            ))
             continue
         if key == "rl_number":
             if current is not None:
@@ -93,7 +85,10 @@ def scan_blocks(
         if current is None:
             current = RuleBlock(start_line=lineno)
         if key in current.fields:
-            problem(lineno, f"duplicate key {key!r} within one rule")
+            findings.append(error(
+                "R010", f"duplicate key {key!r} within one rule",
+                line=lineno,
+            ))
             continue
         current.fields[key] = value
         current.lines[key] = lineno
@@ -103,69 +98,112 @@ def scan_blocks(
 
 
 def parse_rule_file(text: str) -> RuleSet:
-    """Parse a whole rule file into a :class:`RuleSet`."""
-    ruleset = RuleSet()
-    for rule in parse_rules(text):
-        ruleset.add(rule)
+    """Parse a whole rule file into a :class:`RuleSet`; refuse it
+    (:class:`~repro.findings.ConfigError`) when
+    :func:`rule_file_findings` holds an error."""
+    ruleset, findings = rule_file_findings(text)
+    refuse_errors(findings)
     return ruleset
 
 
-def parse_rules(text: str) -> List[Union[SimpleRule, ComplexRule]]:
-    """Parse the raw ``rl_*`` blocks into rule objects."""
-    return [_build(block.fields) for block in scan_blocks(text)]
+def parse_rules(text: str) -> List[Rule]:
+    """Parse the raw ``rl_*`` blocks into rule objects, each checked
+    on its own (no references between them)."""
+    built, findings = _read(text)
+    refuse_errors(findings)
+    return [rule for _, rule in built]
 
 
-def _require(block: dict, key: str) -> str:
-    try:
-        return block[key]
-    except KeyError:
-        name = block.get("rl_name", block.get("rl_number", "?"))
-        raise RuleParseError(f"rule {name}: missing {key}") from None
-
-
-def _numeric(block: dict, key: str, convert) -> float:
-    value = _require(block, key)
-    try:
-        return convert(value)
-    except ValueError:
-        name = block.get("rl_name", block.get("rl_number", "?"))
-        raise RuleParseError(
-            f"rule {name}: {key} must be numeric, got {value!r}"
-        ) from None
-
-
-def _build(block: dict) -> Union[SimpleRule, ComplexRule]:
-    number = int(_numeric(block, "rl_number", int))
-    name = _require(block, "rl_name")
-    rtype = block.get("rl_type", "simple").lower()
-    if rtype == "simple":
-        return SimpleRule(
-            number=number,
-            name=name,
-            script=_require(block, "rl_script"),
-            operator=_require(block, "rl_operator"),
-            busy=_numeric(block, "rl_busy", float),
-            overloaded=_numeric(block, "rl_overLd", float),
-            description=block.get("rl_desc", ""),
-            param=block.get("rl_param", ""),
-        )
-    if rtype == "complex":
-        tokens = block.get("rl_ruleNo", "").split()
+def rule_file_findings(text: str) -> Tuple[RuleSet, List[Diagnostic]]:
+    """Every finding about a rule file, each at its line, and the rules
+    that loaded: every block's own problems, duplicate numbers (R003)
+    and the references between rules (:meth:`RuleSet.findings`)."""
+    built, findings = _read(text)
+    ruleset = RuleSet()
+    block_of = {}
+    for block, rule in built:
         try:
-            rule_numbers = tuple(int(tok) for tok in tokens)
+            ruleset.add(rule)
+        except ConfigError as exc:
+            findings += _at(block, "rl_number", exc.findings)
+        else:
+            block_of[rule.number] = block
+    findings += ruleset.findings(
+        line=lambda number, key: block_of[number].line_of(key))
+    return ruleset, findings
+
+
+def _read(text: str) -> Tuple[List[Tuple[RuleBlock, Rule]],
+                              List[Diagnostic]]:
+    findings: List[Diagnostic] = []
+    built = []
+    for block in scan_blocks(text, findings):
+        rule = _build(block, findings)
+        if rule is not None:
+            built.append((block, rule))
+    return built, findings
+
+
+def _at(block: RuleBlock, key: str, found) -> List[Diagnostic]:
+    return [replace(d, line=block.line_of(key)) for d in found]
+
+
+def _build(block: RuleBlock, findings: List[Diagnostic]) -> Optional[Rule]:
+    """One block's rule, or ``None`` after appending why not (R010,
+    or what the rule refuses itself: R006, R011)."""
+    fields = block.fields
+    name = fields.get("rl_name")
+    problems: List[Diagnostic] = []
+
+    def problem(message: str, key: Optional[str] = None) -> None:
+        problems.append(error("R010", message, line=block.line_of(key),
+                              obj=name))
+
+    def require(key: str, convert=str, what: str = ""):
+        if key not in fields:
+            problem(f"missing {key}")
+            return None
+        try:
+            return convert(fields[key])
         except ValueError:
-            raise RuleParseError(
-                f"rule {name}: rl_ruleNo must list rule numbers, "
-                f"got {block['rl_ruleNo']!r}"
-            ) from None
-        return ComplexRule(
-            number=number,
-            name=name,
-            expression=_require(block, "rl_script"),
-            rule_numbers=rule_numbers,
-            description=block.get("rl_desc", ""),
+            problem(f"{key} must be {what}, got {fields[key]!r}", key)
+            return None
+
+    number = require("rl_number", int, "an integer")
+    require("rl_name")
+    rtype = fields.get("rl_type", "simple").lower()
+    if rtype == "simple":
+        kw = dict(
+            script=require("rl_script"),
+            operator=require("rl_operator"),
+            busy=require("rl_busy", float, "numeric"),
+            overloaded=require("rl_overLd", float, "numeric"),
+            description=fields.get("rl_desc", ""),
+            param=fields.get("rl_param", ""),
         )
-    raise RuleParseError(f"rule {name}: unknown rl_type {rtype!r}")
+        build, key = SimpleRule, "rl_operator"
+    elif rtype == "complex":
+        numbers = []
+        for token in fields.get("rl_ruleNo", "").split():
+            try:
+                numbers.append(int(token))
+            except ValueError:
+                problem(f"rl_ruleNo must list rule numbers, got "
+                        f"{token!r}", "rl_ruleNo")
+        kw = dict(
+            expression=require("rl_script"),
+            rule_numbers=tuple(numbers),
+            description=fields.get("rl_desc", ""),
+        )
+        build, key = ComplexRule, "rl_script"
+    else:
+        problem(f"unknown rl_type {rtype!r}", "rl_type")
+    findings += problems
+    if problems:
+        return None
+    rule, found = try_build(lambda: build(number=number, name=name, **kw))
+    findings += _at(block, key, found)
+    return rule
 
 
 def dump_rule(rule: Union[SimpleRule, ComplexRule]) -> str:

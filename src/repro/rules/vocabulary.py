@@ -42,8 +42,7 @@ METRIC_DOMAINS: Dict[str, Tuple[float, float]] = {
 
 METRICS: Tuple[str, ...] = tuple(METRIC_DOMAINS)
 
-#: Script → {legal parameter → metric}.  ``""`` (no ``rl_param``) comes
-#: first so that the explicit spelling wins in :data:`METRIC_SCRIPTS`.
+#: Script → {legal parameter → metric}; ``""`` is no ``rl_param``.
 SCRIPT_PARAMS: Dict[str, Dict[str, str]] = {
     "processorStatus.sh": {"": "cpu_idle_pct"},
     "loadAvg.sh": {"": "loadavg1", "1": "loadavg1", "5": "loadavg5",
@@ -57,14 +56,6 @@ SCRIPT_PARAMS: Dict[str, Dict[str, str]] = {
 
 _METRIC_OF = {
     (script, param.casefold()): metric
-    for script, params in SCRIPT_PARAMS.items()
-    for param, metric in params.items()
-}
-
-#: The derived inverse: metric → the ``(script, param)`` that reads it
-#: (metrics no script reads are absent).
-METRIC_SCRIPTS: Dict[str, Tuple[str, str]] = {
-    metric: (script, param)
     for script, params in SCRIPT_PARAMS.items()
     for param, metric in params.items()
 }
@@ -86,6 +77,14 @@ def script_metric(script: str, param: str = "") -> str:
             f"{script}: illegal parameter {param!r} "
             f"(legal: {sorted(SCRIPT_PARAMS[script])})"
         ) from None
+
+
+#: Script → the value domain of the metric it reads without a
+#: parameter: what rule R006 checks a threshold against.  Unknown
+#: scripts have no domain.
+SCRIPT_DOMAINS: Dict[str, Tuple[float, float]] = {
+    script: METRIC_DOMAINS[script_metric(script)] for script in SCRIPT_PARAMS
+}
 
 
 #: The comparison operators of ``rl_operator`` and policy predicates.

@@ -15,8 +15,9 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import List, Optional
 
+from ..findings import Diagnostic, error, refuse_errors, warning
 
 class Characteristics(str, Enum):
     """What dominates the application's resource usage."""
@@ -94,8 +95,7 @@ class ApplicationSchema:
     max_world: int = 1
     #: Declared parallel efficiency at world sizes 1..len(curve); the
     #: last point extends rightward, an empty curve reads as perfectly
-    #: scalable.  Values outside (0, 1] and non-monotone curves are
-    #: *lint* findings (S204/S205), not construction errors.
+    #: scalable.
     efficiency_curve: tuple = ()
 
     def __post_init__(self):
@@ -113,6 +113,50 @@ class ApplicationSchema:
             self, "efficiency_curve",
             tuple(float(v) for v in self.efficiency_curve),
         )
+        refuse_errors(self.findings())
+
+    def findings(self) -> List[Diagnostic]:
+        """What the schema gets wrong: S202 zero poll-points (a warning
+        when undeclared), S203 (warning) no transfer estimate for a
+        migratable app, S205 efficiencies outside (0, 1], S204
+        (warning) a rising efficiency curve, S206 inverted world
+        bounds."""
+        found: List[Diagnostic] = []
+
+        def report(code, message, make=error):
+            found.append(make(code, message, obj=self.name or None))
+
+        if self.poll_points == 0:
+            report("S202", "schema declares zero poll-points: HPCM can "
+                           "never capture state, so the application can "
+                           "never migrate")
+        elif self.poll_points is None:
+            report("S202", "schema does not declare poll-points; add "
+                           "<pollPoints> so migratability is auditable",
+                   warning)
+        elif self.est_comm_bytes == 0:
+            report("S203", "undeclared transfer data: the application is "
+                           "migratable but estCommBytes is 0, so "
+                           "state-transfer cost is unknown to the "
+                           "scheduler", warning)
+        curve = self.efficiency_curve
+        bad = [v for v in curve if not 0.0 < v <= 1.0]
+        if bad:
+            report("S205", f"efficiency-curve values "
+                           f"{[f'{v:g}' for v in bad]} lie outside (0, 1]; "
+                           f"parallel efficiency is a fraction of linear "
+                           f"speedup")
+        elif any(b > a for a, b in zip(curve, curve[1:])):
+            report("S204", "parallel-efficiency curve is not "
+                           f"non-increasing: {tuple(f'{v:g}' for v in curve)}"
+                           " — efficiency that rises with world size "
+                           "defeats the registry's min-efficiency guard (it "
+                           "would always allow one more grow)", warning)
+        if self.min_world > self.max_world:
+            report("S206", f"inverted world bounds: minWorld="
+                           f"{self.min_world} > maxWorld={self.max_world}, "
+                           f"no world size is ever legal")
+        return found
 
     # -- malleability ----------------------------------------------------
     @property

@@ -15,7 +15,8 @@ from repro.workloads import StencilApp
 POLICY = MigrationPolicy(
     name="stencil-test",
     triggers=(MetricPredicate("loadavg1", ">", 2.0),),
-    dest_conditions=(MetricPredicate("proc_count", "<", 1.0),),
+    dest_conditions=(MetricPredicate("proc_count", "<", 1.0),
+                     MetricPredicate("loadavg1", "<=", 2.0)),
 )
 
 PARAMS = {"rows": 16, "cols": 16, "iterations": 80, "cell_cost": 4e-3,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.lint import Severity, lint_rule_text, lint_ruleset
-from repro.rules import PAPER_RULE_FILE, parse_rule_file
+from repro.lint import Severity, lint_rule_text
+from repro.rules import PAPER_RULE_FILE
 
 
 def _lint_fixture(fixture_path, name):
@@ -69,14 +69,6 @@ def test_r005_dead_rule(fixture_path):
     assert "r3" in d.message
 
 
-def test_r005_unreachable_from_root():
-    ruleset = parse_rule_file(PAPER_RULE_FILE)
-    diags = lint_ruleset(ruleset, root=1)
-    dead = {d.code for d in diags}
-    assert "R005" in dead  # rules 2-5 are unreachable from rule 1 alone
-    assert sum(1 for d in diags if d.code == "R005") == 4
-
-
 def test_r006_threshold_domain_contradiction(fixture_path):
     diags = _lint_fixture(fixture_path, "r006_threshold.rules")
     assert _codes(diags) == {"R006"}
@@ -137,11 +129,6 @@ def test_diagnostics_carry_lines(fixture_path):
     diags = _lint_fixture(fixture_path, "r001_undefined_ref.rules")
     assert diags[0].line == 12  # the rl_script line of rule 2
     assert diags[0].file == "r001_undefined_ref.rules"
-
-
-def test_lint_ruleset_on_model_objects():
-    ruleset = parse_rule_file(PAPER_RULE_FILE)
-    assert lint_ruleset(ruleset) == []
 
 
 @pytest.mark.parametrize("name", [

@@ -1,5 +1,11 @@
-"""Schema analyzer: host-class fit, poll-points, transfer data."""
+"""Schema checks: host-class fit, poll-points, transfer data.
 
+A schema checks itself when it is built (``ApplicationSchema.findings``):
+``_findings`` is what refused one, or the warnings it was built with;
+``lint_schema`` adds the host-class fit (S201).
+"""
+
+from repro.findings import try_build
 from repro.lint import HostClass, Severity, lint_schema
 from repro.schema import ApplicationSchema, ResourceRequirements
 
@@ -17,6 +23,10 @@ def _schema(**kw):
     defaults = dict(name="app", est_comm_bytes=1 << 20, poll_points=16)
     defaults.update(kw)
     return ApplicationSchema(**defaults)
+
+
+def _findings(**kw):
+    return try_build(lambda: _schema(**kw))[1]
 
 
 def _codes(diags):
@@ -57,7 +67,7 @@ def test_s201_skipped_without_host_classes():
 
 
 def test_s202_zero_poll_points_is_error():
-    diags = lint_schema(_schema(poll_points=0), CLASSES)
+    diags = _findings(poll_points=0)
     assert _codes(diags) == {"S202"}
     (d,) = diags
     assert d.severity is Severity.ERROR
@@ -81,7 +91,7 @@ def test_s203_undeclared_transfer_data():
 def test_s203_not_raised_for_non_migratable():
     # Zero poll-points already makes the app non-migratable; the missing
     # transfer estimate is then moot.
-    diags = lint_schema(_schema(poll_points=0, est_comm_bytes=0), CLASSES)
+    diags = _findings(poll_points=0, est_comm_bytes=0)
     assert _codes(diags) == {"S202"}
 
 
@@ -98,27 +108,21 @@ def test_s204_rising_efficiency_curve_is_warning():
 
 
 def test_s205_efficiency_values_out_of_range():
-    diags = lint_schema(
-        _schema(min_world=1, max_world=4,
-                efficiency_curve=(1.0, 0.0, 1.2)),
-        CLASSES,
-    )
+    diags = _findings(min_world=1, max_world=4,
+                      efficiency_curve=(1.0, 0.0, 1.2))
     assert _codes(diags) == {"S205"}
     assert "'0'" in diags[0].message and "'1.2'" in diags[0].message
 
 
 def test_s205_shadows_s204():
     # An out-of-range value makes monotonicity analysis meaningless.
-    diags = lint_schema(
-        _schema(min_world=1, max_world=4,
-                efficiency_curve=(0.5, 1.2)),
-        CLASSES,
-    )
+    diags = _findings(min_world=1, max_world=4,
+                      efficiency_curve=(0.5, 1.2))
     assert _codes(diags) == {"S205"}
 
 
 def test_s206_inverted_world_bounds():
-    diags = lint_schema(_schema(min_world=4, max_world=2), CLASSES)
+    diags = _findings(min_world=4, max_world=2)
     assert _codes(diags) == {"S206"}
     assert "minWorld=4 > maxWorld=2" in diags[0].message
 

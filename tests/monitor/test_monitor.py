@@ -59,6 +59,7 @@ def test_policy_trigger_marks_overloaded_after_sustain():
     CpuHog(cluster["ws1"], count=4)
     policy = MigrationPolicy(
         name="t", triggers=(MetricPredicate("loadavg1", ">", 2.0),),
+        dest_conditions=(MetricPredicate("loadavg1", "<", 1.0),),
     )
     monitor, sink = deploy(cluster, policy=policy, interval=10.0,
                            sustain=3)
@@ -78,6 +79,7 @@ def test_source_guard_demotes_to_busy():
         name="g",
         triggers=(MetricPredicate("loadavg1", ">", 2.0),),
         source_guards=(MetricPredicate("proc_count", ">", 1000.0),),
+        dest_conditions=(MetricPredicate("loadavg1", "<", 1.0),),
     )
     monitor, sink = deploy(cluster, policy=policy, interval=10.0,
                            sustain=1)
@@ -93,6 +95,7 @@ def test_sustain_suppresses_short_spikes():
     cluster = Cluster(n_hosts=2, seed=0)
     policy = MigrationPolicy(
         name="t", triggers=(MetricPredicate("loadavg1", ">", 2.0),),
+        dest_conditions=(MetricPredicate("loadavg1", "<", 1.0),),
     )
     monitor, sink = deploy(cluster, policy=policy, interval=10.0,
                            sustain=5)
@@ -128,6 +131,7 @@ def test_per_state_monitoring_frequency():
     CpuHog(cluster["ws1"], count=4)
     policy = MigrationPolicy(
         name="t", triggers=(MetricPredicate("loadavg1", ">", 2.0),),
+        dest_conditions=(MetricPredicate("loadavg1", "<", 1.0),),
     )
     monitor, sink = deploy(
         cluster, policy=policy, interval=20.0, sustain=1,

@@ -23,6 +23,7 @@ from repro.core.policy import (
     policy_from_dict,
     policy_to_dict,
 )
+from repro.findings import ConfigError
 from repro.monitor.selector import ProcessInfo
 from repro.schema.appschema import (
     ApplicationSchema,
@@ -48,7 +49,7 @@ _POLICY_FIELDS = dict(
     triggers=_pred_tuples,
     source_guards=_pred_tuples,
     dest_conditions=_pred_tuples,
-    strategy=_names,
+    strategy=st.sampled_from(["best_fit", "first_fit", "random_fit"]),
     grow_triggers=_pred_tuples,
     shrink_triggers=_pred_tuples,
     grow_step=st.integers(min_value=1, max_value=8),
@@ -58,7 +59,19 @@ _POLICY_FIELDS = dict(
         min_value=0.0, max_value=1.0, allow_nan=False
     ),
 )
-_policies = st.builds(MigrationPolicy, **_POLICY_FIELDS)
+
+
+def _policy(fields):
+    """The drawn policy; one the policy check refuses (random triggers
+    mostly ping-pong, P101) is drawn again disabled, which it accepts
+    with every other field intact."""
+    try:
+        return MigrationPolicy(**fields)
+    except ConfigError:
+        return MigrationPolicy(**dict(fields, enabled=False))
+
+
+_policies = st.fixed_dictionaries(_POLICY_FIELDS).map(_policy)
 
 
 # ----------------------------------------------------- policy ↔ JSON
@@ -119,7 +132,7 @@ _SCHEMA_FIELDS = dict(
         min_value=0.0, max_value=1.0, allow_nan=False
     ),
     run_count=st.integers(min_value=0, max_value=1000),
-    poll_points=st.none() | st.integers(min_value=0, max_value=100),
+    poll_points=st.none() | st.integers(min_value=1, max_value=100),
     min_world=st.integers(min_value=1, max_value=16),
     max_world=st.integers(min_value=1, max_value=64),
     efficiency_curve=st.lists(
@@ -127,7 +140,10 @@ _SCHEMA_FIELDS = dict(
         max_size=6,
     ).map(tuple),
 )
-_schemas = st.builds(ApplicationSchema, **_SCHEMA_FIELDS)
+#: Zero poll-points (S202) and min > max (S206) are refused.
+_schemas = st.fixed_dictionaries(_SCHEMA_FIELDS).filter(
+    lambda f: f["min_world"] <= f["max_world"]
+).map(lambda f: ApplicationSchema(**f))
 
 
 @given(_schemas)

@@ -116,16 +116,21 @@ def test_missing_script_raises():
 
 
 def test_undeclared_reference_rejected():
+    # Refused when the evaluator is built, before any evaluation.
     from repro.rules import ComplexRule, RuleSet, SimpleRule
 
     rs = RuleSet()
-    rs.add(SimpleRule(number=1, name="a", script="a.sh", operator=">",
-                      busy=1, overloaded=2))
-    rs.add(ComplexRule(number=2, name="c", expression="r1 & r9",
+    for number in (1, 2):
+        rs.add(SimpleRule(number=number, name=f"s{number}", script="a.sh",
+                          operator=">", busy=1, overloaded=2))
+    rs.add(ComplexRule(number=3, name="c", expression="r1 & r2",
                        rule_numbers=(1,)))
-    ev = RuleEvaluator(rs, engine_from({"a.sh": 0}))
-    with pytest.raises(ValueError, match="not listed"):
-        ev.evaluate_rule(2)
+    with pytest.raises(ValueError, match="R008: .* r2 .*missing from "
+                                         "rl_ruleNo"):
+        RuleEvaluator(rs, engine_from({"a.sh": 0}))
+    rs.add(ComplexRule(number=4, name="d", expression="r1 & r9"))
+    with pytest.raises(ValueError, match="R001: .* undefined rule r9"):
+        RuleEvaluator(rs, engine_from({"a.sh": 0}))
 
 
 def test_reference_cycle_detected():
@@ -136,8 +141,22 @@ def test_reference_cycle_detected():
                        rule_numbers=(2,)))
     rs.add(ComplexRule(number=2, name="b", expression="r1",
                        rule_numbers=(1,)))
-    ev = RuleEvaluator(rs, engine_from({}))
     with pytest.raises(ValueError, match="cycle"):
+        RuleEvaluator(rs, engine_from({}))
+
+
+def test_a_rule_added_later_is_checked_before_it_is_evaluated():
+    from repro.rules import ComplexRule, RuleSet, SimpleRule
+
+    rs = RuleSet()
+    rs.add(SimpleRule(number=1, name="a", script="a.sh", operator=">",
+                      busy=1, overloaded=2))
+    ev = RuleEvaluator(rs, engine_from({"a.sh": 5}))
+    assert ev.evaluate_host_state() is O
+    rs.add(ComplexRule(number=2, name="ouro", expression="r2 | r1"))
+    with pytest.raises(ValueError, match="R002: reference cycle: r2 -> r2"):
+        ev.evaluate_host_state()
+    with pytest.raises(ValueError, match="R002"):
         ev.evaluate_rule(1)
 
 

@@ -79,7 +79,7 @@ def test_duplicate_key_in_rule_rejected():
 
 def test_duplicate_rule_number_rejected():
     two = PAPER_RULE_FILE.split("\n\n")[0]
-    with pytest.raises(ValueError, match="duplicate rule number"):
+    with pytest.raises(ValueError, match="R003: duplicate rl_number 1"):
         parse_rule_file(two + "\n\n" + two)
 
 
@@ -105,14 +105,15 @@ def test_operator_validation():
 
 
 def test_empty_complex_expression_rejected():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="R011: unparsable expression"):
         ComplexRule(number=1, name="bad", expression="  ")
 
 
 # --------------------------------------------------- error paths (lint PR)
 def test_non_numeric_rule_number():
     text = "rl_number: one\nrl_name: x\nrl_type: complex\nrl_script: r1\n"
-    with pytest.raises(RuleParseError, match="rl_number must be numeric"):
+    with pytest.raises(RuleParseError,
+                       match="rl_number must be an integer"):
         parse_rules(text)
 
 
@@ -162,23 +163,32 @@ def test_scan_blocks_collects_errors_leniently():
         "rl_number: 1\nrl_name: a\nbogus: 1\nrl_name: dup\n"
         "no colon here\nrl_number: 2\nrl_name: b\n"
     )
-    errors = []
-    blocks = scan_blocks(text, errors=errors)
+    findings = []
+    blocks = scan_blocks(text, findings)
     assert len(blocks) == 2
     assert blocks[0].fields["rl_name"] == "a"
     assert blocks[1].start_line == 6
-    messages = [m for _, m in errors]
+    messages = [d.message for d in findings]
     assert any("unknown key" in m for m in messages)
     assert any("duplicate key" in m for m in messages)
     assert any("key: value" in m for m in messages)
-    assert [lineno for lineno, _ in errors] == [3, 4, 5]
+    assert [d.line for d in findings] == [3, 4, 5]
+    assert {d.code for d in findings} == {"R010"}
 
 
-def test_scan_blocks_strict_raises_on_first_error():
-    from repro.rules.parser import scan_blocks
-
-    with pytest.raises(RuleParseError, match="line 1"):
-        scan_blocks("bogus: 1\n")
+def test_a_refused_file_carries_every_block_problem():
+    text = (
+        "bogus: 1\n"
+        "rl_number: 1\nrl_name: a\nrl_type: simple\nrl_script: a.sh\n"
+        "\n"
+        "rl_number: two\nrl_name: b\nrl_type: complex\nrl_script: r1 &\n"
+    )
+    with pytest.raises(RuleParseError, match="line 1: R010") as refused:
+        parse_rules(text)
+    found = {(d.code, d.line) for d in refused.value.findings}
+    assert ("R010", 1) in found  # the bad line
+    assert ("R010", 2) in found  # rule 1 misses its operator/thresholds
+    assert ("R010", 7) in found  # rule "b" has no integer number
 
 
 def test_round_trip_keeps_ruleno_order():

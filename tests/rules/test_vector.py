@@ -144,21 +144,20 @@ def test_cycle_detection_matches_scalar():
                        rule_numbers=(1,)))
     engine = _column_engine({})
     with pytest.raises(ValueError, match="cycle"):
-        VectorRuleEvaluator(rs, engine).evaluate_rule(1)
+        VectorRuleEvaluator(rs, engine)
     with pytest.raises(ValueError, match="cycle"):
-        RuleEvaluator(rs, lambda s, p="": 0.0).evaluate_rule(1)
+        RuleEvaluator(rs, lambda s, p="": 0.0)
 
 
 def test_undeclared_reference_rejected():
     rs = RuleSet()
-    rs.add(SimpleRule(number=1, name="a", script="a.sh", operator=">",
-                      busy=1.0, overloaded=2.0))
+    for number in (1, 7):
+        rs.add(SimpleRule(number=number, name=f"s{number}", script="a.sh",
+                          operator=">", busy=1.0, overloaded=2.0))
     rs.add(ComplexRule(number=2, name="bad", expression="r1 & r7",
                        rule_numbers=(1,)))
-    with pytest.raises(ValueError, match="not listed"):
-        VectorRuleEvaluator(
-            rs, _column_engine({"a.sh": np.zeros(2)})
-        ).evaluate_rule(2)
+    with pytest.raises(ValueError, match="R008"):
+        VectorRuleEvaluator(rs, _column_engine({"a.sh": np.zeros(2)}))
 
 
 def test_unknown_script_raises_scriptnotfound():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Cluster
 from repro.core.policy import MetricPredicate, MigrationPolicy
 from repro.entity.clock import ManualClock
+from repro.findings import try_build
 from repro.live import proc_sensors
 from repro.monitor import SensorSuite, SimScriptEngine
 from repro.monitor.hub import MonitorHub
@@ -41,7 +42,6 @@ from repro.rules import (
 )
 from repro.rules.vocabulary import (
     METRIC_DOMAINS,
-    METRIC_SCRIPTS,
     METRICS,
     OPERATORS,
     SCRIPT_PARAMS,
@@ -70,17 +70,6 @@ def test_unknown_script_is_a_keyerror_and_bad_parameter_a_valueerror():
         script_metric("loadAvg.sh", "7")
     with pytest.raises(ValueError):
         script_metric("ntStatIpv4.sh", "TIME_WAIT")
-
-
-def test_inverse_map_round_trips_and_names_the_unscripted_metrics():
-    for metric, (script, param) in METRIC_SCRIPTS.items():
-        assert script_metric(script, param) == metric
-    assert set(METRICS) - set(METRIC_SCRIPTS) == {
-        "cpu_util", "mem_avail_bytes", "send_kbs", "recv_kbs"}
-    assert METRIC_SCRIPTS["loadavg15"] == ("loadAvg.sh", "15")
-    assert METRIC_SCRIPTS["vmem_avail_pct"] == ("memInfo.sh", "virtual")
-    assert METRIC_SCRIPTS["socket_count"] == ("ntStatIpv4.sh",
-                                              "ESTABLISHED")
 
 
 def test_every_producer_carries_exactly_the_metric_tuple():
@@ -202,7 +191,12 @@ def test_every_comparison_path_agrees(op, value, a, b):
                                (over, state == SystemState.OVERLOADED)):
         pred = MetricPredicate(metric, op, threshold)
         assert pred.holds(reading) == reached
-        policy = MigrationPolicy(name="p", dest_conditions=(pred,))
+        policy, found = try_build(
+            lambda: MigrationPolicy(name="p", dest_conditions=(pred,)))
+        if policy is None:
+            # No load average satisfies it: refused, never masked.
+            assert [d.code for d in found] == ["P102"]
+            continue
         assert dest_mask(table.matrix, policy).tolist() == [reached]
 
 
