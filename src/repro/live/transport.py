@@ -21,6 +21,7 @@ import itertools
 import json
 import queue
 import random
+import select
 import selectors
 import socket
 import struct
@@ -34,7 +35,7 @@ from ..protocol import messages
 FRAME_MESSAGE = b"M"
 FRAME_STATE = b"S"
 
-#: Connect timeout (seconds) when none is configured.
+#: Connect timeout (seconds) of each attempt.
 DEFAULT_CONNECT_TIMEOUT = 5.0
 #: Re-attempts after a failed connect (total tries = retries + 1).
 DEFAULT_CONNECT_RETRIES = 2
@@ -52,6 +53,10 @@ MAX_FRAME_BYTES = 64 << 20
 #: this a send to it is refused (``False``) instead of queued.
 MAX_OUT_BUFFER_BYTES = 4 << 20
 
+#: Parsed send targets an endpoint remembers; emptied at the bound,
+#: as addresses can arrive from the network.
+_TARGETS_MAX = 1024
+
 _RECV_BYTES = 1 << 16
 _HEADER = struct.Struct(">cI")
 
@@ -59,7 +64,7 @@ _HEADER = struct.Struct(">cI")
 class _Peer:
     """One outbound connection and the bytes the kernel has not taken."""
 
-    __slots__ = ("sock", "target", "out", "watched", "broken")
+    __slots__ = ("sock", "target", "out", "watched", "broken", "hung_up")
 
     def __init__(self, sock: socket.socket, target: Tuple[str, int]):
         self.sock = sock
@@ -67,18 +72,12 @@ class _Peer:
         self.out = bytearray()
         self.watched = False  # registered for EVENT_WRITE (loop only)
         self.broken = False
-
-
-def _hung_up(sock: socket.socket) -> bool:
-    """Nobody answers on a connection we opened, so anything readable
-    on it is the peer's close."""
-    try:
-        sock.recv(1)
-    except BlockingIOError:
-        return False
-    except OSError:
-        pass
-    return True
+        # Nobody answers on a connection we opened, so anything readable
+        # on it is the peer's close: ``hung_up(0)`` -- a poll that does
+        # not wait -- is non-empty then.
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        self.hung_up = poller.poll
 
 
 class LiveEndpoint:
@@ -92,23 +91,8 @@ class LiveEndpoint:
     would otherwise pass silently.
     """
 
-    def __init__(
-        self,
-        name: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        connect_retries: int = DEFAULT_CONNECT_RETRIES,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    ):
-        if connect_timeout <= 0:
-            raise ValueError("connect_timeout must be positive")
-        if connect_retries < 0:
-            raise ValueError("connect_retries must be >= 0")
+    def __init__(self, name: str, host: str = "127.0.0.1", port: int = 0):
         self.name = name
-        self.connect_timeout = float(connect_timeout)
-        self.connect_retries = int(connect_retries)
-        self.retry_backoff = float(retry_backoff)
         self.frames_in = 0
         self.frames_malformed = 0
         #: Served handlers and timers that raised; the loop goes on.
@@ -121,12 +105,15 @@ class LiveEndpoint:
         self._listener.listen(socket.SOMAXCONN)
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()
+        self.address = f"{self.host}:{self.port}"
         self.inbox: "queue.Queue" = queue.Queue()
         self._handler: Optional[Callable] = None
         #: Guards ``_peers`` and every peer's socket writes and buffer.
         self._lock = threading.Lock()
         #: ``(host, port)`` → its connection; ``None`` once one was lost.
         self._peers: dict = {}
+        #: Send address → its ``(host, port)``, up to ``_TARGETS_MAX``.
+        self._targets: dict = {}
         self._timers: list = []  # heap of (due, seq, fn, args); loop only
         self._seq = itertools.count()
         #: What other threads ask of the loop: a ``_Peer`` to watch or
@@ -143,10 +130,6 @@ class LiveEndpoint:
             target=self._run, name=f"endpoint:{name}", daemon=True
         )
         self._thread.start()
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
 
     # -- the loop -------------------------------------------------------
     def _run(self) -> None:
@@ -347,14 +330,19 @@ class LiveEndpoint:
         """Write one frame on the peer's connection, (re)connecting
         with bounded retry and jittered exponential backoff; False once
         every attempt failed or the peer's backlog is over its cap."""
-        try:
-            target = self._parse(address)
-        except ValueError:
-            return False  # unroutable name, e.g. a bare logical host
+        target = self._targets.get(address)
+        if target is None:
+            try:
+                target = self._parse(address)
+            except ValueError:
+                return False  # unroutable name, e.g. a bare logical host
+            if len(self._targets) >= _TARGETS_MAX:
+                self._targets.clear()
+            self._targets[address] = target
         frame = b"".join(
             (_HEADER.pack(kind, sum(map(len, parts))), *parts))
-        delay = self.retry_backoff
-        for attempt in range(self.connect_retries + 1):
+        delay = DEFAULT_RETRY_BACKOFF
+        for attempt in range(DEFAULT_CONNECT_RETRIES + 1):
             if self._closing.is_set():
                 return False
             peer = None
@@ -364,7 +352,7 @@ class LiveEndpoint:
             except OSError:  # refused, timed out, reset
                 if peer is not None:
                     self._retire(peer)
-                if attempt < self.connect_retries:
+                if attempt < DEFAULT_CONNECT_RETRIES:
                     time.sleep(delay * (1.0 + RETRY_JITTER * random.random()))
                     delay *= 2.0
         return False
@@ -374,11 +362,14 @@ class LiveEndpoint:
         or the peer hung the last one up."""
         with self._lock:
             peer = self._peers.get(target)
-        if peer is not None:
-            if not _hung_up(peer.sock):
+            # Under the lock: one poll object takes one caller at a
+            # time, and the loop closes no socket of ``_peers`` here.
+            if peer is not None and not peer.hung_up(0):
                 return peer
+        if peer is not None:
             self._retire(peer)
-        sock = socket.create_connection(target, timeout=self.connect_timeout)
+        sock = socket.create_connection(target,
+                                        timeout=DEFAULT_CONNECT_TIMEOUT)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         with self._lock:
@@ -457,4 +448,4 @@ class LiveEndpoint:
         self._closing.set()
         self._wake()
         if threading.current_thread() is not self._thread:
-            self._thread.join(timeout=self.connect_timeout)
+            self._thread.join(timeout=DEFAULT_CONNECT_TIMEOUT)

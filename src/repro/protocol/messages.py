@@ -72,20 +72,28 @@ def _tag(name: str, attrs: Iterable[Tuple[str, str]], inner: str = "") -> str:
     return f"<{head}>{inner}</{name}>" if inner else f"<{head} />"
 
 
-#: ``<m name="…">`` by metric name, escaped.  A host sends the same few
-#: names every cycle, but names can arrive from the network, so the
-#: cache is emptied whenever it reaches its bound.
-_M_HEADS: Dict[str, str] = {}
-_M_HEADS_MAX = 1024
+#: ``<metrics>`` as one ``%r`` template, and the names in the order its
+#: values fill it, by the order of a metrics dict's names.  A host sends
+#: the same names in the same order every cycle, but names can arrive
+#: from the network, so the cache is emptied whenever it reaches its
+#: bound.
+_TEMPLATES: Dict[tuple, Tuple[str, tuple]] = {}
+_TEMPLATES_MAX = 1024
 
 
-def _m_head(key: str) -> str:
-    """Fill the cache for ``key``.  An entry depends on its key alone,
-    so two threads racing here at worst write the same one twice."""
-    if len(_M_HEADS) >= _M_HEADS_MAX:
-        _M_HEADS.clear()
-    head = _M_HEADS[key] = f'<m name="{_escape_attrs([key])[0]}">'
-    return head
+def _template(order: tuple) -> Tuple[str, tuple]:
+    """Fill the cache for the metric names ``order``.  An entry depends
+    on its key alone, so two threads racing here at worst write the
+    same one twice."""
+    if len(_TEMPLATES) >= _TEMPLATES_MAX:
+        _TEMPLATES.clear()
+    names = tuple(sorted(order))
+    heads = _escape_attrs(list(names))
+    template = "".join([
+        f'<m name="{head.replace("%", "%%")}">%r</m>' for head in heads])
+    entry = _TEMPLATES[order] = (
+        f"<metrics>{template}</metrics>" if names else "<metrics />", names)
+    return entry
 
 
 def _process_tag(proc: dict) -> str:
@@ -183,16 +191,25 @@ class StatusUpdate:
 
     TYPE = "status"
 
+    def __init__(self, host: str, state: SystemState,
+                 metrics: Optional[Dict[str, float]] = None,
+                 processes: Optional[List[dict]] = None):
+        # One store instead of the frozen dataclass's setattr per field.
+        object.__setattr__(self, "__dict__", {
+            "host": host, "state": state,
+            "metrics": {} if metrics is None else metrics,
+            "processes": [] if processes is None else processes,
+        })
+
     def body(self) -> str:
-        heads, values = _M_HEADS, self.metrics
-        metrics = "".join([
-            f"{heads.get(key) or _m_head(key)}{float(values[key])!r}</m>"
-            for key in sorted(values)
-        ])
+        values = self.metrics
+        order = tuple(values)
+        template, names = _TEMPLATES.get(order) or _template(order)
+        metrics = template % tuple(map(float, map(values.__getitem__,
+                                                  names)))
         procs = "".join([_process_tag(proc) for proc in self.processes])
         return "".join([
-            f'<status state="{self.state.name.lower()}">',
-            f"<metrics>{metrics}</metrics>" if metrics else "<metrics />",
+            f'<status state="{self.state.name.lower()}">', metrics,
             f"<processes>{procs}</processes>" if procs else "<processes />",
             "</status>",
         ])

@@ -31,3 +31,21 @@ def count_calls(fn):
         if enabled:
             gc.enable()
     return calls
+
+
+def exceptions_raised(fn):
+    """Types of the exceptions raised while ``fn()`` runs in this
+    thread, those caught on the way included."""
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return raised

@@ -272,7 +272,7 @@ def test_live_autonomic_migration_end_to_end():
         source.inject_load(3.0)
         # The migration must eventually arrive and finish at the dest.
         assert wait_for(lambda: dest.migrations_in == 1, timeout=30.0)
-        assert source.migrations_out == 1
+        assert wait_for(lambda: source.migrations_out == 1)
         assert wait_for(lambda: len(dest.completed) == 1, timeout=60.0)
         resumed = dest.completed[0]
         assert resumed.result["acc"] == pytest.approx(

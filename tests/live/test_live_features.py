@@ -18,7 +18,7 @@ from repro.live import (
     sqrt_sum_expected,
     sqrt_sum_state,
 )
-from repro.live import proc_sensors
+from repro.live import proc_sensors, transport
 from repro.monitor.scripts import SnapshotScriptEngine
 from repro.protocol import Ack
 from repro.rules import SystemState
@@ -64,33 +64,28 @@ def test_send_to_unroutable_name_returns_false():
 
 # ---------------------------------------------------- transport retry
 def test_connect_retries_back_off_exponentially():
-    a = LiveEndpoint("a", connect_retries=3, retry_backoff=0.05)
+    a = LiveEndpoint("a")
     try:
         t0 = time.monotonic()
         assert not a.send_message("127.0.0.1:1", Ack(host="a"),
                                   timestamp=0.0)
-        # 3 retries → backoffs of 0.05 + 0.1 + 0.2 s between attempts.
-        assert time.monotonic() - t0 >= 0.35
+        # 2 retries → backoffs of 0.05 + 0.1 s between attempts.
+        assert time.monotonic() - t0 >= 0.15
     finally:
         a.close()
 
 
-def test_zero_retries_fails_fast():
-    a = LiveEndpoint("a", connect_retries=0)
+def test_zero_retries_fails_fast(monkeypatch):
+    monkeypatch.setattr(transport, "DEFAULT_CONNECT_RETRIES", 0)
+    a = LiveEndpoint("a")
     try:
         t0 = time.monotonic()
         assert not a.send_message("127.0.0.1:1", Ack(host="a"),
                                   timestamp=0.0)
-        assert time.monotonic() - t0 < 1.0
+        # The default schedule would sleep 0.05 + 0.1 s at least.
+        assert time.monotonic() - t0 < 0.15
     finally:
         a.close()
-
-
-def test_transport_config_validation():
-    with pytest.raises(ValueError):
-        LiveEndpoint("a", connect_timeout=0.0)
-    with pytest.raises(ValueError):
-        LiveEndpoint("a", connect_retries=-1)
 
 
 # ------------------------------------------------ rule engine in live mode

@@ -11,6 +11,7 @@ saying so.  All over real localhost sockets.
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -26,6 +27,8 @@ from repro.protocol import (
     messages,
 )
 from repro.rules.states import SystemState
+
+from ..callcount import count_calls, exceptions_raised
 
 
 def wait_for(predicate, timeout=10.0, interval=0.001):
@@ -174,6 +177,30 @@ def test_heartbeats_cost_one_connection_and_no_thread(monkeypatch):
 
 
 @pytest.mark.costguard
+def test_a_send_to_a_connected_peer_is_bounded_and_raises_nothing():
+    """A heartbeat on an open connection: the target is parsed once per
+    endpoint and the hang-up probe is a poll, so the send makes a fixed
+    number of calls and no exception is raised and caught on the way:
+    40 calls and a ``BlockingIOError`` with a ``recv(1)`` probe and a
+    parse per send."""
+    registry = LiveRegistry(lease=3600.0)
+    client = LiveEndpoint("client")
+    try:
+        beat = heartbeat("h")
+        ingest(client, registry, [beat], window=1)  # dials
+
+        def send():
+            assert client.send_message(registry.address, beat, 0.0)
+
+        assert count_calls(send) <= 32
+        assert exceptions_raised(send) == []
+        assert wait_for(lambda: folded(registry) == 3)
+    finally:
+        client.close()
+        registry.stop()
+
+
+@pytest.mark.costguard
 def test_registry_serves_64_peers_on_one_thread():
     before = threading.active_count()
     registry = LiveRegistry(lease=3600.0)
@@ -195,6 +222,54 @@ def test_registry_serves_64_peers_on_one_thread():
 
 
 # ------------------------------------------------ reconnect and hygiene
+def test_the_send_target_memo_is_bounded():
+    """Send addresses can arrive from the network: an endpoint's memo
+    of parsed targets stays bounded, and every send is delivered
+    before and after it empties itself."""
+    a, b = LiveEndpoint("a"), LiveEndpoint("b")
+    try:
+        sends = transport._TARGETS_MAX + 100
+        for i in range(sends):
+            assert a.send_message(f"n{i}@{b.address}", Ack(host="a"), 0.0)
+            assert len(a._targets) <= transport._TARGETS_MAX
+        assert wait_for(lambda: b.frames_in == sends)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_concurrent_senders_share_one_connection_and_its_probe():
+    """Threads sending to one peer at once share its connection and its
+    hang-up probe (one poll object, one caller at a time): every frame
+    arrives, no send fails and nothing is redialled."""
+    a, b = LiveEndpoint("a"), LiveEndpoint("b")
+    results = []
+
+    def sender():
+        results.append(all([
+            a.send_message(b.address, Ack(host="a"), 0.0)
+            for _ in range(500)]))
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sender) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 4
+        assert wait_for(lambda: b.frames_in == 2000)
+        assert a.reconnects == 0
+    finally:
+        a.close()
+        b.close()
+
+
 def test_send_reconnects_after_registry_restart():
     registry = LiveRegistry(lease=3600.0)
     client = LiveEndpoint("client")

@@ -57,7 +57,9 @@ def test_expand_command_shards_across_nodes():
         ))
         assert ack.ok
         assert wait_for(lambda: peer.migrations_in == 1, timeout=30.0)
-        assert node.expands_out == 1
+        # The sender counts a shard once its send returns, which can be
+        # after the receiver has taken it in.
+        assert wait_for(lambda: node.expands_out == 1)
         assert task.world_size == 2
         shard = next(iter(peer.tasks.values()), None)
         if shard is not None:  # may already have finished
@@ -93,7 +95,7 @@ def test_shrink_command_merges_the_shard_back():
         ))
         assert ack.ok
         assert wait_for(lambda: node.merges_in == 1, timeout=30.0)
-        assert peer.shrinks_out == 1
+        assert wait_for(lambda: peer.shrinks_out == 1)
         assert task.done.wait(timeout=60.0)
         # The round trip conserves every term: the shard's partial acc
         # and its unfinished range both fold back into the owner.

@@ -143,14 +143,19 @@ def test_writer_is_the_elementtree_encoder_byte_for_byte(msg, sender, ts):
 
 def test_the_metric_name_cache_is_bounded_and_changes_no_byte():
     """Metric names can arrive from the network: the writer's cache of
-    ``<m name="…">`` heads stays bounded, and a name written before or
-    after the cache empties itself is written the same."""
-    for start in range(0, 3000, 500):
+    ``<metrics>`` templates, one per order of names, stays bounded, and
+    a message written before or after the cache empties itself is
+    written the same -- ``%`` in a name included."""
+    bound = messages._TEMPLATES_MAX
+    for i in range(2 * bound + 100):
+        names = [f"m{i % (bound + 76)}&<", "%r%%", f"{i % 3}%"]
+        if i % 2:
+            names.reverse()
         msg = StatusUpdate(host="h", state=SystemState.FREE, metrics={
-            f"m{i % 1100}&<": float(i) for i in range(start, start + 500)})
+            name: float(i) for name in names})
         assert messages.encode(msg, "s", 1.0) == reference.encode(
             msg, "s", 1.0)
-        assert len(messages._M_HEADS) <= messages._M_HEADS_MAX
+        assert len(messages._TEMPLATES) <= bound
 
 
 def test_writer_refuses_a_non_string_value_like_elementtree():
