@@ -25,6 +25,7 @@ from ..cluster.background import CpuHog, DutyCycleLoad
 from ..cluster.builder import Cluster
 from ..core.policy import policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
+from ..findings import CellArgumentError
 from ..metrics.recorder import HostRecorder
 from ..workloads.test_tree import TestTreeApp
 
@@ -52,9 +53,9 @@ def run_efficiency_experiment(
     transfer is long enough to show restoration overlapping execution.
     """
     if not 0.0 <= app_start <= load_at:
-        raise ValueError("app_start must lie between 0 and load_at")
+        raise CellArgumentError("app_start must lie between 0 and load_at")
     if duration <= load_at:
-        raise ValueError("duration must exceed load_at")
+        raise CellArgumentError("duration must exceed load_at")
     cluster = Cluster(n_hosts=2, seed=seed)
     ws1, ws2 = cluster["ws1"], cluster["ws2"]
     DutyCycleLoad(ws1, mean_load=0.08, period=2.0, jitter=0.35,

@@ -20,6 +20,7 @@ from ..cluster.background import ChatterLoad, DutyCycleLoad
 from ..cluster.builder import Cluster
 from ..core.policy import policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
+from ..findings import CellArgumentError
 from ..metrics.recorder import HostRecorder
 from ..metrics.timeseries import TimeSeries
 
@@ -101,9 +102,9 @@ def run_overhead_experiment(
     and monitor hub carry an N-host cluster.
     """
     if duration <= settle:
-        raise ValueError("duration must exceed the settle window")
+        raise CellArgumentError("duration must exceed the settle window")
     if hosts < 2:
-        raise ValueError("the overhead experiment needs >= 2 hosts")
+        raise CellArgumentError("the overhead experiment needs >= 2 hosts")
     with_rs = _run_once(True, duration, seed, interval, cycle_cost,
                         hosts=hosts)
     without_rs = _run_once(False, duration, seed, interval, cycle_cost,

@@ -28,6 +28,7 @@ from ..cluster import Cluster
 from ..cluster.background import CpuHog, DutyCycleLoad
 from ..core.policy import policy_2
 from ..core.rescheduler import Rescheduler, ReschedulerConfig
+from ..findings import CellArgumentError
 from ..hpcm import MigrationOrder, launch
 from ..mpi import MpiRuntime
 from ..protocol import EndpointRegistry
@@ -139,7 +140,7 @@ def run_orders(
     migrations.
     """
     if hosts < 2:
-        raise ValueError("the order experiment needs hosts >= 2")
+        raise CellArgumentError("the order experiment needs hosts >= 2")
     cluster = Cluster(n_hosts=hosts, seed=seed)
     rt = launch(MpiRuntime(cluster), TestTreeApp(), cluster["ws1"],
                 params=params or ORDER_PARAMS)

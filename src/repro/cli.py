@@ -565,8 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     """Run one subcommand.  A configuration the runtime refuses is one
-    ``repro: CODE: message`` line per error and exit status 2."""
-    from .findings import ConfigError
+    ``repro: CODE: message`` line per error and exit status 2; so is
+    an experiment argument outside the range its cell can run, in one
+    ``repro: message`` line."""
+    from .findings import CellArgumentError, ConfigError
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -575,6 +577,9 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         for d in exc.errors:
             print(f"repro: {d.code}: {d.message}", file=sys.stderr)
+        return 2
+    except CellArgumentError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
         return 2
 
 

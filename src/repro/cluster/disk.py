@@ -1,8 +1,8 @@
 """Disk / mount-point model.
 
 The paper's monitor "gathers the disk usage parameters of the various
-mount points" (§3.1).  A :class:`Disk` is a mount point with capacity
-accounting; a host owns several.
+mount points" (§3.1).  A :class:`Disk` is a mount point with its capacity
+and use; a host owns several.
 """
 
 from __future__ import annotations
@@ -27,20 +27,6 @@ class Disk:
     @property
     def used_pct(self) -> float:
         return 100.0 * self.used / self.total
-
-    def write(self, nbytes: int) -> None:
-        """Consume ``nbytes``; raises :class:`OSError` when full."""
-        if nbytes < 0:
-            raise ValueError("cannot write a negative amount")
-        if nbytes > self.available:
-            raise OSError(f"disk full on {self.mount}")
-        self.used += nbytes
-
-    def delete(self, nbytes: int) -> None:
-        """Release ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("cannot delete a negative amount")
-        self.used = max(0, self.used - nbytes)
 
     def __repr__(self) -> str:
         return f"<Disk {self.mount} {self.used}/{self.total}>"

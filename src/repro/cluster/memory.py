@@ -1,9 +1,9 @@
 """Host memory model.
 
-Simple reservation accounting: processes claim and release bytes of
-physical and virtual memory.  The monitor's memory sensors (paper §3.1:
-"available memory and percentage of available memory for both virtual
-and physical memory") read these counters.
+Physical and virtual (physical + swap) capacity and use.  The
+monitor's memory sensors (paper §3.1: "available memory and percentage
+of available memory for both virtual and physical memory") read these
+counters, which nothing changes once a host is built.
 """
 
 from __future__ import annotations
@@ -48,36 +48,6 @@ class Memory:
     @property
     def virtual_available_pct(self) -> float:
         return 100.0 * self.virtual_available / self.virtual_total
-
-    # -- reservations -------------------------------------------------------
-    def allocate(self, nbytes: int) -> None:
-        """Claim ``nbytes``; spills to swap when physical memory is full.
-
-        Raises :class:`MemoryError` when virtual memory is exhausted.
-        """
-        if nbytes < 0:
-            raise ValueError("cannot allocate a negative amount")
-        physical = min(nbytes, self.physical_available)
-        swap = nbytes - physical
-        if swap > self.swap_total - self.swap_used:
-            raise MemoryError(
-                f"out of virtual memory: need {nbytes}, "
-                f"available {self.virtual_available}"
-            )
-        self.physical_used += physical
-        self.swap_used += swap
-
-    def free(self, nbytes: int) -> None:
-        """Release ``nbytes`` (swap first, mirroring allocation spill)."""
-        if nbytes < 0:
-            raise ValueError("cannot free a negative amount")
-        from_swap = min(nbytes, self.swap_used)
-        self.swap_used -= from_swap
-        self.physical_used = max(0, self.physical_used - (nbytes - from_swap))
-
-    def can_fit(self, nbytes: int) -> bool:
-        """Would ``allocate(nbytes)`` succeed?"""
-        return nbytes <= self.virtual_available
 
     def __repr__(self) -> str:
         return (

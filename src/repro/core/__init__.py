@@ -5,9 +5,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "policy": (
         "KNOWN_METRICS", "MetricPredicate", "MigrationPolicy",
-        "PAPER_POLICIES", "load_policy_file", "malleable_policy", "policy_1",
-        "policy_2", "policy_3", "policy_from_dict", "policy_to_dict",
-        "predicate_from_dict",
+        "PAPER_POLICIES", "malleable_policy", "policy_1", "policy_2",
+        "policy_3", "policy_from_dict", "predicate_from_dict",
     ),
     "rescheduler": ("Rescheduler", "ReschedulerConfig"),
 })

@@ -295,47 +295,6 @@ def policy_from_dict(d: dict) -> MigrationPolicy:
     )
 
 
-def policy_to_dict(policy: MigrationPolicy) -> dict:
-    """Inverse of :func:`policy_from_dict` (round-trip stable)."""
-
-    def preds(ps):
-        return [
-            {"metric": p.metric, "op": p.op, "value": p.value} for p in ps
-        ]
-
-    d = {
-        "name": policy.name,
-        "enabled": policy.enabled,
-        "triggers": preds(policy.triggers),
-        "source_guards": preds(policy.source_guards),
-        "dest_conditions": preds(policy.dest_conditions),
-        "strategy": policy.strategy,
-    }
-    # Malleability keys ride only when used, so rigid policy files
-    # round-trip to their historical byte-for-byte JSON form.
-    if policy.grow_triggers:
-        d["grow_triggers"] = preds(policy.grow_triggers)
-    if policy.shrink_triggers:
-        d["shrink_triggers"] = preds(policy.shrink_triggers)
-    if policy.grow_step != 1:
-        d["grow_step"] = policy.grow_step
-    if policy.min_world != 1:
-        d["min_world"] = policy.min_world
-    if policy.max_world != 0:
-        d["max_world"] = policy.max_world
-    if policy.min_efficiency != 0.0:
-        d["min_efficiency"] = policy.min_efficiency
-    return d
-
-
-def load_policy_file(path: str) -> MigrationPolicy:
-    """Read a ``*.policy.json`` file into a :class:`MigrationPolicy`."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))
-
-
 def policy_1() -> MigrationPolicy:
     """Policy 1: No migration."""
     return MigrationPolicy(name="policy-1", enabled=False)

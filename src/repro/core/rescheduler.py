@@ -73,7 +73,6 @@ class Rescheduler:
         parent_address: Optional[str] = None,
         mpi: Optional[MpiRuntime] = None,
         registry_name: str = "registry",
-        schema_store: Optional[Any] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
@@ -87,8 +86,6 @@ class Rescheduler:
         self.config = config or ReschedulerConfig()
         self.directory = directory or EndpointRegistry()
         self.mpi = mpi or MpiRuntime(cluster)
-        #: Optional cross-run schema persistence (self-adjustment).
-        self.schema_store = schema_store
 
         host_names = (
             monitored_hosts if monitored_hosts is not None
@@ -190,19 +187,7 @@ class Rescheduler:
         params: Optional[dict] = None,
         **kwargs: Any,
     ) -> HpcmRuntime:
-        """Start a migration-enabled application under management.
-
-        With a :class:`~repro.schema.SchemaStore` configured, the
-        freshest schema for the application (folding in the statistics
-        of previous runs) is used unless the caller passes one, and the
-        post-run schema is recorded back — the paper's self-adjustment
-        loop.
-        """
-        store = self.schema_store
-        if store is not None and "schema" not in kwargs:
-            stored = store.get(app.name)
-            if stored is not None:
-                kwargs["schema"] = stored
+        """Start a migration-enabled application under management."""
         runtime = hpcm_launch(
             self.mpi,
             app,
@@ -212,11 +197,6 @@ class Rescheduler:
             **kwargs,
         )
         self.apps.append(runtime)
-        if store is not None:
-            def _record(event):
-                if event._ok:
-                    store.record_run(runtime.schema)
-            runtime.done.callbacks.append(_record)
         return runtime
 
     def launch_mpi_app(

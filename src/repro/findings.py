@@ -95,6 +95,13 @@ class ConfigError(ValueError):
         )
 
 
+class CellArgumentError(ValueError):
+    """An experiment argument outside the range its cell can run
+    (``repro run fig5 --duration 300``: no settle window is left).
+    Raised before anything is simulated; the CLI refuses it like a
+    :class:`ConfigError`, in one ``repro: …`` line."""
+
+
 def refuse_errors(findings: Sequence[Diagnostic]) -> None:
     """Raise :class:`ConfigError` when any finding is an error."""
     if any(d.severity is Severity.ERROR for d in findings):

@@ -9,13 +9,6 @@ execution.  Every application runs as a world of ranks
 """
 
 from .app import MigratableApp
-from .checkpoint import (
-    CheckpointError,
-    CheckpointingApp,
-    CheckpointMeta,
-    read_checkpoint,
-    write_checkpoint,
-)
 from .context import AppContext
 from .errors import (
     HpcmError,
@@ -39,11 +32,6 @@ from .world import HpcmWorld, launch, launch_world
 
 __all__ = [
     "AppContext",
-    "CheckpointError",
-    "CheckpointingApp",
-    "CheckpointMeta",
-    "read_checkpoint",
-    "write_checkpoint",
     "DEFAULT_CHUNKS",
     "DEFAULT_RESUME_FRACTION",
     "DEFAULT_SERIALIZE_RATE",

@@ -5,13 +5,11 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "recorder": (
-        "ClusterRecorder", "DEFAULT_RECORD_INTERVAL", "HostRecorder",
-        "RECORDED_METRICS",
+        "DEFAULT_RECORD_INTERVAL", "HostRecorder", "RECORDED_METRICS",
     ),
     "report": ("ascii_plot", "format_table"),
     "timeseries": ("TimeSeries",),
     "tracestats": (
-        "format_phase_table", "migration_phases", "phase_breakdown",
-        "span_durations",
+        "format_phase_table", "phase_breakdown", "span_durations",
     ),
 })

@@ -10,7 +10,7 @@ system under test.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .timeseries import TimeSeries
 
@@ -125,23 +125,3 @@ class HostRecorder:
     def __getitem__(self, metric: str) -> TimeSeries:
         self._flush(metric)
         return self._series[metric]
-
-
-class ClusterRecorder:
-    """One :class:`HostRecorder` per host."""
-
-    def __init__(self, cluster: Any,
-                 interval: float = DEFAULT_RECORD_INTERVAL,
-                 hosts: Optional[List[str]] = None):
-        names = hosts or [h.name for h in cluster]
-        self.recorders: Dict[str, HostRecorder] = {
-            name: HostRecorder(cluster.host(name), interval=interval)
-            for name in names
-        }
-
-    def __getitem__(self, host: str) -> HostRecorder:
-        return self.recorders[host]
-
-    def stop(self) -> None:
-        for rec in self.recorders.values():
-            rec.stop()

@@ -95,34 +95,7 @@ class TimeSeries:
             raise ValueError(f"no samples in [{t_min}, {t_max}]")
         return float(sel.mean())
 
-    def max(self, t_min: float = -np.inf, t_max: float = np.inf) -> float:
-        sel = self._select(t_min, t_max)
-        if not sel.size:
-            raise ValueError(f"no samples in [{t_min}, {t_max}]")
-        return float(sel.max())
-
-    def min(self, t_min: float = -np.inf, t_max: float = np.inf) -> float:
-        sel = self._select(t_min, t_max)
-        if not sel.size:
-            raise ValueError(f"no samples in [{t_min}, {t_max}]")
-        return float(sel.min())
-
     def _select(self, t_min: float, t_max: float) -> np.ndarray:
         t = self.times
         mask = (t >= t_min) & (t <= t_max)
         return self.values[mask]
-
-    def value_at(self, t: float) -> Optional[float]:
-        """Last sample at or before ``t`` (step interpolation)."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            return None
-        return self._values[idx]
-
-    def overhead_vs(self, baseline: "TimeSeries") -> float:
-        """Relative mean increase over a baseline series (Figure 5's
-        'overhead is 3.9%' metric)."""
-        base = baseline.mean()
-        if base == 0:
-            raise ValueError("baseline mean is zero")
-        return (self.mean() - base) / base

@@ -20,14 +20,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from .report import format_table
 
-#: hpcm.* span name → short phase label used in per-migration rows.
-_PHASE_LABELS = {
-    "hpcm.spawn": "spawn_s",
-    "hpcm.capture": "capture_s",
-    "hpcm.transfer": "transfer_s",
-    "hpcm.drain": "drain_s",
-}
-
 
 def span_durations(records: Iterable) -> Dict[str, List[float]]:
     """Span name → list of durations (seconds), in trace order."""
@@ -58,35 +50,3 @@ def format_phase_table(records: Iterable,
         return "(no spans in trace)"
     return format_table(["span", "count", "total s", "mean s"], rows,
                         title=title)
-
-
-def migration_phases(records: Iterable) -> List[dict]:
-    """One phase-cost dict per ``hpcm.migration`` span in the trace.
-
-    Sub-phase spans (spawn/capture/transfer/drain) are matched to
-    their migration by application name and time containment, so the
-    result mirrors :meth:`~repro.hpcm.record.MigrationRecord.summary`
-    but is computable from a trace file alone.
-    """
-    recs = list(records)
-    migrations = [r for r in recs if r.name == "hpcm.migration"]
-    phases = [r for r in recs if r.name in _PHASE_LABELS]
-    out = []
-    for mig in migrations:
-        end = mig.t + (mig.dur or 0.0)
-        row = {
-            "app": mig.attrs.get("app"),
-            "source": mig.attrs.get("source"),
-            "dest": mig.attrs.get("dest"),
-            "succeeded": mig.attrs.get("succeeded", False),
-            "total_s": mig.dur,
-        }
-        for span in phases:
-            if span.attrs.get("app") != row["app"]:
-                continue
-            if not (mig.t <= span.t and span.t + (span.dur or 0.0)
-                    <= end + 1e-9):
-                continue
-            row[_PHASE_LABELS[span.name]] = span.dur
-        out.append(row)
-    return out

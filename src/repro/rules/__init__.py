@@ -20,8 +20,6 @@ from .vector import VectorRuleEvaluator, classify_column
 from .model import ComplexRule, RuleSet, SimpleRule
 from .parser import (
     RuleParseError,
-    dump_rule,
-    dump_rule_file,
     parse_rule_file,
     parse_rules,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "classify_column",
     "combine_and",
     "combine_or",
-    "dump_rule",
-    "dump_rule_file",
     "paper_ruleset",
     "parse_expression",
     "parse_rule_file",

@@ -81,10 +81,6 @@ class SimpleRule:
             ))
         return found
 
-    @property
-    def rule_type(self) -> str:
-        return "simple"
-
 
 @dataclass(frozen=True)
 class ComplexRule:
@@ -115,10 +111,6 @@ class ComplexRule:
 
     def findings(self) -> List[Diagnostic]:
         return []
-
-    @property
-    def rule_type(self) -> str:
-        return "complex"
 
 
 def _no_line(number: int, key: str) -> Optional[int]:

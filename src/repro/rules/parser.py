@@ -27,7 +27,7 @@ expression in ``rl_script``::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..findings import ConfigError, Diagnostic, error, refuse_errors, try_build
 from .model import ComplexRule, RuleSet, SimpleRule
@@ -204,29 +204,3 @@ def _build(block: RuleBlock, findings: List[Diagnostic]) -> Optional[Rule]:
     rule, found = try_build(lambda: build(number=number, name=name, **kw))
     findings += _at(block, key, found)
     return rule
-
-
-def dump_rule(rule: Union[SimpleRule, ComplexRule]) -> str:
-    """Serialize a rule back to the file format (round-trip support)."""
-    lines = [f"rl_number: {rule.number}", f"rl_name: {rule.name}",
-             f"rl_type: {rule.rule_type}"]
-    if isinstance(rule, SimpleRule):
-        lines += [
-            f"rl_script: {rule.script}",
-            f"rl_desc: {rule.description}",
-            f"rl_operator: {rule.operator}",
-            f"rl_param: {rule.param}",
-            f"rl_busy: {rule.busy:g}",
-            f"rl_overLd: {rule.overloaded:g}",
-        ]
-    else:
-        lines += [
-            f"rl_desc: {rule.description}",
-            "rl_ruleNo: " + " ".join(str(n) for n in rule.rule_numbers),
-            f"rl_script: {rule.expression}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-def dump_rule_file(rules: Iterable) -> str:
-    return "\n".join(dump_rule(rule) for rule in rules)

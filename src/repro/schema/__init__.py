@@ -7,11 +7,9 @@ actual executions".
 """
 
 from .appschema import ApplicationSchema, Characteristics, ResourceRequirements
-from .store import SchemaStore
 
 __all__ = [
     "ApplicationSchema",
     "Characteristics",
     "ResourceRequirements",
-    "SchemaStore",
 ]

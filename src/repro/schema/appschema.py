@@ -164,13 +164,6 @@ class ApplicationSchema:
         """Can this application's world be reshaped at all?"""
         return self.max_world > self.min_world or self.min_world > 1
 
-    def efficiency_at(self, n: int) -> float:
-        """Declared parallel efficiency at world size ``n`` (the last
-        curve point extends rightward; undeclared curves read 1.0)."""
-        if not self.efficiency_curve or n <= 0:
-            return 1.0
-        return self.efficiency_curve[min(n, len(self.efficiency_curve)) - 1]
-
     # -- estimates ------------------------------------------------------
     def estimated_time_on(self, cpu_speed: float) -> float:
         """Scale the reference execution time to a host's speed."""

@@ -38,9 +38,9 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        #: Optional per-dispatch observer ``hook(now, event)`` — used by
-        #: :func:`repro.trace.attach_kernel`; one None-check per dispatch
-        #: when absent.
+        #: Optional per-dispatch observer ``hook(now, event)`` — the
+        #: dispatch digest of ``tests/digests.py`` and the ledger's event
+        #: count install one; one None-check per dispatch when absent.
         self.trace_hook: Optional[Any] = None
         # C-level constructors shadowing the factory methods below:
         # ``env.timeout(...)`` is the single hottest allocation site of

@@ -34,7 +34,6 @@ from .exporters import (
     to_chrome,
     to_jsonl_lines,
 )
-from .kernel import attach_kernel, detach_kernel
 from .tracer import NullTracer, SpanHandle, TraceRecord, Tracer
 
 #: The permanent disabled tracer the ambient slot falls back to.
@@ -73,8 +72,6 @@ __all__ = [
     "SpanHandle",
     "TraceRecord",
     "Tracer",
-    "attach_kernel",
-    "detach_kernel",
     "events",
     "export_chrome",
     "export_jsonl",

@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-# -- simulation kernel ---------------------------------------------------
-EV_SIM_DISPATCH = "sim.dispatch"
-
 # -- monitor (paper §3.1) ------------------------------------------------
 EV_MONITOR_SAMPLE = "monitor.sample"
 EV_MONITOR_REPORT = "monitor.report"
@@ -80,10 +77,6 @@ class EventSpec:
 #: name → spec, the single source of truth for the docs diff test.
 EVENTS = {
     spec.name: spec for spec in (
-        EventSpec(
-            EV_SIM_DISPATCH, "event", "repro.trace.kernel",
-            ("event", "process"),
-            "one kernel event dispatched (opt-in, very chatty)"),
         EventSpec(
             EV_MONITOR_SAMPLE, "span", "repro.monitor.core",
             ("cycle", "state", "reported"),

@@ -10,16 +10,10 @@ timelines (malleability frameworks such as the DMR API lean on the
 same per-phase instrumentation to attribute reconfiguration cost).
 
 Two record shapes share one type: an *instant event* (``dur is None``)
-and a *span* (``dur`` holds the phase length).  Producers emit through
-three APIs:
-
-* explicit ``tracer.event(name, t=..., **attrs)`` /
-  ``handle = tracer.begin(...)`` … ``handle.end(t=...)`` — the form
-  the simulation entities use (they know ``env.now``);
-* ``with tracer.span(name): ...`` — context manager, stamps times from
-  the tracer's clock;
-* ``@tracer.traced(name)`` — decorator wrapping a function call in a
-  span.
+and a *span* (``dur`` holds the phase length).  Producers emit
+``tracer.event(name, t=..., **attrs)`` or ``handle =
+tracer.begin(...)`` … ``handle.end(t=...)``; a time left out is taken
+from the tracer's clock.
 
 The ambient tracer (see :mod:`repro.trace`) defaults to a
 :class:`NullTracer` whose ``enabled`` flag is ``False``; every
@@ -30,7 +24,6 @@ potential record.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,13 +48,9 @@ class TraceRecord:
     def is_span(self) -> bool:
         return self.dur is not None
 
-    @property
-    def end_t(self) -> float:
-        return self.t + (self.dur or 0.0)
-
 
 class SpanHandle:
-    """An open span; close it with :meth:`end` or ``with``."""
+    """An open span; close it with :meth:`end`."""
 
     __slots__ = ("_tracer", "name", "t0", "host", "attrs", "closed")
 
@@ -95,12 +84,6 @@ class SpanHandle:
         self._tracer.records.append(rec)
         return rec
 
-    def __enter__(self) -> "SpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.end(error=repr(exc)) if exc else self.end()
-
 
 class _NullSpan:
     """The span handle a :class:`NullTracer` hands out."""
@@ -109,12 +92,6 @@ class _NullSpan:
     closed = True
 
     def end(self, t: Optional[float] = None, **attrs: Any) -> None:
-        return None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
 
@@ -169,31 +146,6 @@ class Tracer:
         """Open a span; the record is appended when it ends."""
         return SpanHandle(self, name, self._stamp(t), host, attrs)
 
-    def span(self, name: str, t: Optional[float] = None,
-             host: Optional[str] = None, **attrs: Any) -> SpanHandle:
-        """Context-manager form of :meth:`begin`::
-
-            with tracer.span("phase.work", host="ws1"):
-                do_work()
-        """
-        return self.begin(name, t=t, host=host, **attrs)
-
-    def traced(self, name: str,
-               host: Optional[str] = None) -> Callable:
-        """Decorator: wrap every call of ``fn`` in a span."""
-
-        def deco(fn: Callable) -> Callable:
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(name, host=host):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return deco
-
     # -- consuming ------------------------------------------------------
     def clear(self) -> None:
         self.records.clear()
@@ -225,5 +177,3 @@ class NullTracer(Tracer):
     def begin(self, name: str, t: Optional[float] = None,
               host: Optional[str] = None, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
-
-    span = begin

@@ -231,24 +231,3 @@ class TestTreeApp(MigratableApp):
         n = 2 ** levels - 1
         log_n = max(1.0, np.log2(n))
         return trees * (n + n * log_n + n) * node_cost
-
-    @staticmethod
-    def params_for_duration(
-        duration: float, levels: int = 11, step_seconds: float = None
-    ) -> dict:
-        """Parameters giving ~``duration`` reference CPU-seconds.
-
-        Keeps per-step times in the sub-to-few-second range the paper's
-        poll-point measurements imply (≈1.4 s to the nearest
-        poll-point under load).
-        """
-        n = 2 ** levels - 1
-        log_n = max(1.0, np.log2(n))
-        work_per_tree_unitcost = n * (2 + log_n)
-        # Aim for a sort step (the longest) of ~2.5 s free by default.
-        target_sort = step_seconds if step_seconds else 2.5
-        node_cost = target_sort / (n * log_n)
-        trees = max(1, round(duration /
-                             (work_per_tree_unitcost * node_cost)))
-        return {"levels": levels, "trees": int(trees),
-                "node_cost": float(node_cost)}

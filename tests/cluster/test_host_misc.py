@@ -16,60 +16,27 @@ from repro.cluster import (
 
 
 # ----------------------------------------------------------------- Memory
-def test_memory_allocate_and_free():
-    mem = Memory(physical_total=100, swap_total=50)
-    mem.allocate(80)
-    assert mem.physical_used == 80
-    mem.allocate(40)  # 20 physical + 20 swap
-    assert mem.physical_used == 100 and mem.swap_used == 20
-    mem.free(40)
-    assert mem.swap_used == 0 and mem.physical_used == 80
-
-
-def test_memory_exhaustion_raises():
-    mem = Memory(physical_total=100, swap_total=50)
-    with pytest.raises(MemoryError):
-        mem.allocate(200)
-    assert mem.virtual_used == 0  # nothing leaked
-
-
 def test_memory_percentages():
     mem = Memory(physical_total=100, swap_total=100)
-    mem.allocate(50)
+    mem.physical_used = 50
     assert mem.physical_available_pct == pytest.approx(50.0)
     assert mem.virtual_available_pct == pytest.approx(75.0)
-
-
-def test_memory_can_fit():
-    mem = Memory(physical_total=100, swap_total=0)
-    assert mem.can_fit(100)
-    assert not mem.can_fit(101)
 
 
 def test_memory_validation():
     with pytest.raises(ValueError):
         Memory(physical_total=0)
-    mem = Memory(physical_total=10, swap_total=10)
     with pytest.raises(ValueError):
-        mem.allocate(-1)
-    with pytest.raises(ValueError):
-        mem.free(-1)
+        Memory(swap_total=-1)
 
 
 # ------------------------------------------------------------------- Disk
-def test_disk_write_delete():
-    d = Disk("/", total=100)
-    d.write(60)
+def test_disk_accounting():
+    d = Disk("/", total=100, used=60)
     assert d.available == 40
     assert d.used_pct == pytest.approx(60.0)
-    d.delete(30)
-    assert d.used == 30
-
-
-def test_disk_full_raises():
-    d = Disk("/", total=100, used=90)
-    with pytest.raises(OSError):
-        d.write(20)
+    with pytest.raises(ValueError):
+        Disk("/", total=100, used=101)
 
 
 def test_diskset():

@@ -207,3 +207,32 @@ def test_sweep_dry_run_plans_malleability_cells(capsys):
     out = capsys.readouterr().out
     assert "2 cells" in out
     assert out.count("malleability") == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "fig5", "--duration", "300"],
+     "duration must exceed the settle window"),
+    (["sweep", "fig5", "--set", "duration=100"],
+     "duration must exceed the settle window"),
+    (["sweep", "overhead", "--set", "hosts=1"],
+     "the overhead experiment needs >= 2 hosts"),
+    (["sweep", "fig7", "--set", "app_start=900"],
+     "app_start must lie between 0 and load_at"),
+    (["sweep", "efficiency", "--set", "duration=100"],
+     "duration must exceed load_at"),
+    (["sweep", "order", "--set", "hosts=1"],
+     "the order experiment needs hosts >= 2"),
+])
+def test_a_cell_argument_out_of_range_is_one_line_and_exit_2(
+        argv, message, capsys, monkeypatch):
+    """Refused like a P109 config, in ``run`` and ``sweep`` alike:
+    before anything is simulated, with no traceback."""
+    from repro.sim import Environment
+
+    def no_time(*args, **kwargs):
+        raise AssertionError("simulated time passed")
+
+    monkeypatch.setattr(Environment, "run", no_time)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro: {message}\n"

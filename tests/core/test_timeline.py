@@ -38,6 +38,10 @@ def deployment():
     return tracer, app
 
 
+def _end(record):
+    return record.t + (record.dur or 0.0)
+
+
 def test_timeline_causality(deployment):
     """App start ≤ decision ≤ command ≤ migration start ≤ resume ≤
     migration done ≤ app finish, each at its first record."""
@@ -47,11 +51,11 @@ def test_timeline_causality(deployment):
         first.setdefault(record.name, record)
     times = [
         first[EV_APP_START].t,
-        first[EV_REGISTRY_DECIDE].end_t,
+        _end(first[EV_REGISTRY_DECIDE]),
         first[EV_REGISTRY_COMMAND].t,
         first[EV_HPCM_POLLPOINT].t,
         first[EV_HPCM_RESUME].t,
-        first[EV_HPCM_MIGRATION].end_t,
+        _end(first[EV_HPCM_MIGRATION]),
         first[EV_APP_FINISH].t,
     ]
     assert times == sorted(times)

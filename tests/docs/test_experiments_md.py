@@ -5,7 +5,6 @@ an edited, stale or unpinned number fails."""
 from pathlib import Path
 
 import repro
-from repro.metrics import TimeSeries
 
 from ..pinned import by_axis, summary
 
@@ -127,8 +126,9 @@ def quoted():
         "fig6": fig6, "fig6_pct": _pct(fig6),
         "fig7": fig7,
         "decision_ms": 1000 * fig7["decision_s"],
-        "burst_kbs": TimeSeries.from_points(fig8["series"]["recv_dest"]).max(
-            t_min=fig8["ordered_at"], t_max=fig8["completed_at"] + 15),
+        "burst_kbs": max(
+            kbs for t, kbs in fig8["series"]["recv_dest"]
+            if fig8["ordered_at"] <= t <= fig8["completed_at"] + 15),
         "overlap_s": fig8["completed_at"] - fig8["resumed_at"],
         "table1": table1,
         **{name: _yes_no(row) for name, row in table1["states"].items()},

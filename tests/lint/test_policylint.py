@@ -5,6 +5,7 @@ A policy checks itself when it is built (``MigrationPolicy.findings``);
 loaded with.
 """
 
+import dataclasses
 import json
 
 from repro.core import policy_2, policy_3, policy_from_dict
@@ -245,21 +246,19 @@ def test_p109_skipped_for_rigid_policies():
 
 
 def test_malleable_policy_round_trip():
-    from repro.core import malleable_policy, policy_to_dict
+    from repro.core import malleable_policy
 
     policy = malleable_policy(grow_at=1.5, shrink_at=3.5, grow_step=2,
                               min_efficiency=0.6, max_world=8)
-    d = policy_to_dict(policy)
+    d = dataclasses.asdict(policy)
     assert d["grow_step"] == 2 and d["max_world"] == 8
     assert policy_from_dict(d) == policy
 
 
 def test_policy_round_trip():
-    from repro.core import policy_to_dict
-
     for make in (policy_2, policy_3):
         policy = make()
-        assert policy_from_dict(policy_to_dict(policy)) == policy
+        assert policy_from_dict(dataclasses.asdict(policy)) == policy
 
 
 def test_policy_from_dict_rejects_unknown_keys():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import Cluster, CpuHog
 from repro.metrics import (
-    ClusterRecorder,
     HostRecorder,
     TimeSeries,
     ascii_plot,
@@ -50,28 +49,9 @@ def test_non_decreasing_times_enforced():
 def test_statistics():
     ts = make_series([(0, 1.0), (10, 3.0), (20, 5.0)])
     assert ts.mean() == pytest.approx(3.0)
-    assert ts.max() == 5.0
-    assert ts.min() == 1.0
     assert ts.mean(t_min=10) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         ts.mean(t_min=100)
-
-
-def test_value_at_step_interpolation():
-    ts = make_series([(10, 1.0), (20, 2.0)])
-    assert ts.value_at(5) is None
-    assert ts.value_at(10) == 1.0
-    assert ts.value_at(15) == 1.0
-    assert ts.value_at(25) == 2.0
-
-
-def test_overhead_vs():
-    base = make_series([(0, 1.0), (10, 1.0)])
-    loaded = make_series([(0, 1.04), (10, 1.04)])
-    assert loaded.overhead_vs(base) == pytest.approx(0.04)
-    zero = make_series([(0, 0.0)])
-    with pytest.raises(ValueError):
-        loaded.overhead_vs(zero)
 
 
 # -------------------------------------------------------------- recorder
@@ -102,15 +82,6 @@ def test_recorder_stop():
     rec.stop()
     cluster.run(until=200)
     assert len(rec["loadavg1"]) <= n + 1
-
-
-def test_cluster_recorder():
-    cluster = Cluster(n_hosts=3, seed=0)
-    rec = ClusterRecorder(cluster, interval=10.0, hosts=["ws1", "ws3"])
-    cluster.run(until=50)
-    assert len(rec["ws1"]["loadavg1"]) > 0
-    with pytest.raises(KeyError):
-        rec["ws2"]
 
 
 def test_recorder_invalid_interval():

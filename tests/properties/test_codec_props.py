@@ -1,9 +1,10 @@
 """Property-based tests: codec round-trips for the malleability surface.
 
-The codecs are inverse of each other — for every generated
-policy/schema/process report, including all the malleability
-fields (grow/shrink triggers, grow_step, world bounds, min_efficiency,
-efficiency_curve), encode→decode is the identity.  Identity is
+For every generated policy/schema/process report, including all the
+malleability fields (grow/shrink triggers, grow_step, world bounds,
+min_efficiency, efficiency_curve), encode→decode is the identity (a
+policy's encoding is its dataclass as JSON: no program writes policy
+files, ``repro lint`` and the runtime only read them).  Identity is
 stronger than "every field appears in the codec": a field dropped from
 either direction decodes to its default and breaks the equality — as
 long as the strategy draws that field at all, which
@@ -21,7 +22,6 @@ from repro.core.policy import (
     MetricPredicate,
     MigrationPolicy,
     policy_from_dict,
-    policy_to_dict,
 )
 from repro.findings import ConfigError
 from repro.monitor.selector import ProcessInfo
@@ -80,27 +80,14 @@ _policies = st.fixed_dictionaries(_POLICY_FIELDS).map(_policy)
 def test_policy_json_round_trip(policy):
     """Through real JSON text, not just dicts: what a policy file
     holds is exactly what the decision plane reads back."""
-    doc = json.loads(json.dumps(policy_to_dict(policy)))
+    doc = json.loads(json.dumps(dataclasses.asdict(policy)))
     assert policy_from_dict(doc) == policy
 
 
 @given(_policies)
 @settings(max_examples=40, deadline=None)
 def test_policy_wrapper_form_round_trips(policy):
-    assert policy_from_dict({"policy": policy_to_dict(policy)}) == policy
-
-
-@given(_policies)
-@settings(max_examples=40, deadline=None)
-def test_malleability_keys_ride_only_when_used(policy):
-    """Rigid policies keep their historical byte-for-byte JSON form."""
-    d = policy_to_dict(policy)
-    assert ("grow_triggers" in d) == bool(policy.grow_triggers)
-    assert ("shrink_triggers" in d) == bool(policy.shrink_triggers)
-    assert ("grow_step" in d) == (policy.grow_step != 1)
-    assert ("min_world" in d) == (policy.min_world != 1)
-    assert ("max_world" in d) == (policy.max_world != 0)
-    assert ("min_efficiency" in d) == (policy.min_efficiency != 0.0)
+    assert policy_from_dict({"policy": dataclasses.asdict(policy)}) == policy
 
 
 # ------------------------------------------------------ schema ↔ XML

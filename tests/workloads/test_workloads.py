@@ -89,12 +89,6 @@ def test_tree_total_work_formula():
     assert TestTreeApp.total_work(params) == pytest.approx(expected)
 
 
-def test_tree_params_for_duration():
-    params = TestTreeApp.params_for_duration(500.0)
-    assert TestTreeApp.total_work(params) == pytest.approx(500.0,
-                                                           rel=0.15)
-
-
 def test_tree_invalid_params():
     app = TestTreeApp()
     with pytest.raises(ValueError):
