@@ -9,42 +9,24 @@ policies (§5.3) run as real threads exchanging frames over localhost
 TCP, with /proc-backed sensors standing in for the monitoring scripts
 of §3.1, rescheduling genuinely-computing tasks whose pickled state
 moves over the wire.
+
+Each name is imported from its submodule on first use, so each live
+process loads only its own layers: a registry process loads no node,
+monitor, commander or rule engine, and a node process loads no numpy.
 """
 
-from .node import LiveNode, LiveTask, default_ruleset
-from .proc_sensors import (
-    CpuIdleSampler,
-    NetRateSampler,
-    load_averages,
-    memory_info,
-    net_bytes,
-    process_count,
-    snapshot,
-)
-from .registry import LiveRegistry
-from .tasks import (
-    TASK_TYPES,
-    collatz_census_state,
-    sqrt_sum_expected,
-    sqrt_sum_state,
-)
-from .transport import LiveEndpoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CpuIdleSampler",
-    "LiveEndpoint",
-    "LiveNode",
-    "LiveRegistry",
-    "LiveTask",
-    "NetRateSampler",
-    "TASK_TYPES",
-    "collatz_census_state",
-    "default_ruleset",
-    "load_averages",
-    "memory_info",
-    "net_bytes",
-    "process_count",
-    "snapshot",
-    "sqrt_sum_expected",
-    "sqrt_sum_state",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "node": ("LiveNode", "LiveTask", "default_ruleset"),
+    "proc_sensors": (
+        "CpuIdleSampler", "NetRateSampler", "load_averages", "memory_info",
+        "net_bytes", "process_count", "snapshot",
+    ),
+    "registry": ("LiveRegistry",),
+    "tasks": (
+        "TASK_TYPES", "collatz_census_state", "sqrt_sum_expected",
+        "sqrt_sum_state",
+    ),
+    "transport": ("LiveEndpoint",),
+})

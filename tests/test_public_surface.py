@@ -7,8 +7,9 @@ import types
 
 import pytest
 
-LAZY = ("repro", "repro.commander", "repro.core", "repro.metrics",
-        "repro.monitor", "repro.perf", "repro.protocol", "repro.registry")
+LAZY = ("repro", "repro.commander", "repro.core", "repro.live",
+        "repro.metrics", "repro.monitor", "repro.perf", "repro.protocol",
+        "repro.registry", "repro.rules")
 
 
 @pytest.mark.parametrize("name", LAZY)

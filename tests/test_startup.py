@@ -1,9 +1,10 @@
 """A process imports what it runs, counted in fresh interpreters.
 
 Package ``__init__``s resolve their public names on first use, so a
-live registry or node never loads the simulator, and ``repro --help``
-loads neither the simulator nor numpy.  Each check reads
-``sys.modules`` of a new interpreter after it ran one entry point.
+live registry or node never loads the simulator, a live registry loads
+no node, a live node loads no numpy, and ``repro --help`` loads
+neither the simulator nor numpy.  Each check reads ``sys.modules`` of
+a new interpreter after it ran one entry point.
 """
 
 import json
@@ -55,8 +56,9 @@ def _within(modules, packages):
 
 
 def test_a_live_process_and_the_cli_import_no_simulator():
-    """87 ``repro`` modules for the live import and 92 plus numpy for
-    ``--help`` when every package ``__init__`` imported its siblings."""
+    """The live import loads 37 ``repro`` modules (87 when every package
+    ``__init__`` imported its siblings), ``--help`` loads 4 and no
+    numpy (92 plus numpy then)."""
     live = _loaded(
         "from repro.live import LiveEndpoint, LiveNode, LiveRegistry")
     assert "repro.live.registry" in live
@@ -77,3 +79,48 @@ def test_planning_a_sweep_imports_no_runner():
     cells = _loaded("import repro.perf.experiments")
     assert "repro.perf.experiments" in cells
     assert _within(cells, ("analysis",)) == []
+
+
+#: What a live node runs and a live registry does not.
+NODE_ONLY = ("repro.live.node", "repro.live.tasks", "repro.live.proc_sensors",
+             "repro.monitor.core", "repro.commander",
+             *(f"repro.rules.{m}" for m in (
+                 "builtin", "evaluator", "expr", "model", "parser",
+                 "vector")))
+
+
+def test_a_live_registry_loads_no_node():
+    """The ledger worker's live imports: 24 ``repro`` modules, 40 when
+    ``repro.live`` and ``repro.rules`` imported every submodule."""
+    registry = _loaded(
+        "from repro.live import LiveEndpoint, LiveRegistry\n"
+        "from repro.protocol import MigrateCommand, StatusUpdate\n"
+        "from repro.rules.states import SystemState\n")
+    assert "repro.live.registry" in registry
+    assert sorted(registry & set(NODE_ONLY)) == []
+    assert _within(registry, SIMULATOR) == []
+
+
+def test_a_live_node_loads_no_numpy():
+    """A node that ran two monitor cycles holds no numpy (it loaded it
+    twice over, through ``LiveRegistry`` and ``rules.vector``, when
+    both package ``__init__``s were eager)."""
+    node = _loaded("""\
+from repro.live import LiveNode
+from repro.live.transport import LiveEndpoint
+from repro.protocol.messages import StatusQuery
+node = LiveNode("n", registry_address=None, interval=0.05)
+probe = LiveEndpoint("probe")
+try:
+    for _ in range(2):
+        probe.send_message(node.address, StatusQuery(host=node.address),
+                           timestamp=0.0)
+        assert probe.recv(timeout=10.0) is not None
+    assert node.monitor.cycles >= 2, node.monitor.cycles
+finally:
+    probe.close()
+    node.stop()
+""")
+    assert "repro.monitor.core" in node
+    assert "numpy" not in node
+    assert _within(node, SIMULATOR) == []
