@@ -231,11 +231,6 @@ class Rescheduler:
     def decisions(self) -> list:
         return self.registry.decisions
 
-    @property
-    def reconfigurations(self) -> list:
-        """Registry-side reconfiguration records (N:M decisions)."""
-        return self.registry.reconfigurations
-
     def migration_records(self) -> list:
         """Of each runtime once: ``apps``, then every rank any world had."""
         runtimes = dict.fromkeys(self.apps)

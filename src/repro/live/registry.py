@@ -96,10 +96,6 @@ class LiveRegistry:
         return self.core.decisions
 
     @property
-    def reconfigurations(self):
-        return self.core.reconfigurations
-
-    @property
     def policy(self):
         return self.core.policy
 

@@ -22,8 +22,8 @@ enforces.
 from __future__ import annotations
 
 import itertools
-import sys
 import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -114,7 +114,8 @@ class Reconfigure:
     ``effect`` is ``"migrate"``, ``"expand"`` or ``"shrink"``; the
     paper's 1:1 migration is the case with a single destination (none
     when no host was eligible).  Every decision the core takes lands in
-    ``RegistryCore.reconfigurations``.
+    ``RegistryCore.reconfigurations``, a :class:`DecisionLog` that keeps
+    the fields in columns and builds this record when it is read.
     """
 
     at: float
@@ -127,14 +128,6 @@ class Reconfigure:
     decision_seconds: float
     escalated: bool = False
 
-    def __post_init__(self) -> None:
-        # The log outlives every message: a long-running registry keeps
-        # one copy of each host, application and reason, not one per
-        # decision (with ``slots``: 470 → 215 bytes a record).
-        self.source = sys.intern(self.source)
-        self.app = sys.intern(self.app)
-        self.reason = sys.intern(self.reason)
-
     @property
     def dest(self) -> Optional[str]:
         """The first destination, if any — *the* destination of a
@@ -146,6 +139,102 @@ class Reconfigure:
         compare."""
         return (self.effect, self.source, self.dests, self.pid,
                 self.reason, self.escalated)
+
+
+#: ``Reconfigure.effect`` values, in the order of their codes.
+_EFFECTS = ("migrate", "expand", "shrink")
+
+#: What the pid column holds for a decision with no pid.
+_NO_PID = -(1 << 63)
+
+
+class DecisionLog:
+    """Every decision a registry took, in order, kept in columns.
+
+    A long-running registry's soft state grows with the hosts it knows,
+    not with how long it has run (§3.2), so the log holds no object per
+    decision: ``at`` and ``decision_seconds`` are doubles, ``pid`` a
+    64-bit integer (``_NO_PID`` for none), ``effect`` and ``escalated``
+    one byte, and ``source``, ``app``, ``reason`` and ``dests`` indices
+    into one append-only table of the distinct values seen: about 41
+    bytes a decision.  The table grows with distinct hosts and
+    applications, never with decisions.
+
+    Reading builds the :class:`Reconfigure` with the appended field
+    values: ``len``, ``[i]``, ``[start:stop]`` (a list) and iteration
+    (through ``[i]``) behave as on a list of records.  One thread
+    appends; a reader on another sees every row below ``len``, because
+    the column ``len`` counts is appended last.
+    """
+
+    __slots__ = ("_seconds", "_pid", "_kind", "_source", "_app",
+                 "_reason", "_dests", "_values", "_codes", "_at")
+
+    def __init__(self) -> None:
+        self._seconds = array("d")
+        self._pid = array("q")
+        #: ``_EFFECTS`` index times two, plus one when escalated.
+        self._kind = bytearray()
+        self._source = array("I")
+        self._app = array("I")
+        self._reason = array("I")
+        self._dests = array("I")
+        #: The distinct strings and destination tuples, by code.
+        self._values: list = []
+        self._codes: Dict[Any, int] = {}
+        self._at = array("d")
+
+    def _code(self, value: Any) -> int:
+        code = self._codes.get(value)
+        if code is None:
+            code = self._codes[value] = len(self._values)
+            self._values.append(value)
+        return code
+
+    def append(self, rec: Reconfigure) -> None:
+        # Everything that can refuse a value runs before the first
+        # column grows, so a refused record leaves no partial row.
+        kind = 2 * _EFFECTS.index(rec.effect) + bool(rec.escalated)
+        source, app = self._code(rec.source), self._code(rec.app)
+        reason, dests = self._code(rec.reason), self._code(rec.dests)
+        at, seconds = float(rec.at), float(rec.decision_seconds)
+        self._pid.append(_NO_PID if rec.pid is None else rec.pid)
+        self._seconds.append(seconds)
+        self._kind.append(kind)
+        self._source.append(source)
+        self._app.append(app)
+        self._reason.append(reason)
+        self._dests.append(dests)
+        self._at.append(at)
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def _row(self, i: int) -> Reconfigure:
+        values = self._values
+        kind = self._kind[i]
+        pid = self._pid[i]
+        return Reconfigure(
+            at=self._at[i],
+            effect=_EFFECTS[kind >> 1],
+            source=values[self._source[i]],
+            dests=values[self._dests[i]],
+            pid=None if pid == _NO_PID else pid,
+            app=values[self._app[i]],
+            reason=values[self._reason[i]],
+            decision_seconds=self._seconds[i],
+            escalated=bool(kind & 1),
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("decision index out of range")
+        return self._row(index)
 
 
 class RegistryCore:
@@ -184,7 +273,7 @@ class RegistryCore:
         self.commander_for = commander_for or (lambda host: host)
         #: Every decision taken, in order (migrations, expands and
         #: shrinks alike).
-        self.reconfigurations: List[Reconfigure] = []
+        self.reconfigurations = DecisionLog()
         #: Numbers this registry's outgoing candidate queries.  Per
         #: instance: the id goes on the wire and simulated transfer time
         #: grows with message length, so it must not depend on what any

@@ -103,10 +103,6 @@ class RegistryScheduler:
         return self.core.decisions
 
     @property
-    def reconfigurations(self):
-        return self.core.reconfigurations
-
-    @property
     def policy(self):
         return self.core.policy
 

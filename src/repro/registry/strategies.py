@@ -20,24 +20,27 @@ against live in ``tests/registry/reference.py``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .hostmatrix import HostStateMatrix
+    from .hostmatrix import HostStateMatrix
 
 
 def first_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
               k: int) -> np.ndarray:
     """The paper's policy: first eligible rows in registration order."""
-    return np.flatnonzero(mask)[:k]
+    return mask.nonzero()[0][:k]
 
 
 def best_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
              k: int) -> np.ndarray:
     """Least-loaded eligible rows (1-minute load average), ties broken
     on host name; an unreported load ranks as 0.0."""
-    rows = np.flatnonzero(mask)
+    import numpy as np
+
+    rows = mask.nonzero()[0]
     if rows.size == 0:
         return rows
     load = matrix.metric_column("loadavg1")[rows]
@@ -56,7 +59,7 @@ def random_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
     the generator position after them are unchanged; wider requests
     take ``k`` distinct rows with one ``rng.choice``.
     """
-    rows = np.flatnonzero(mask)
+    rows = mask.nonzero()[0]
     if rows.size == 0:
         return rows
     if rng is None:
@@ -64,7 +67,9 @@ def random_fit(matrix: HostStateMatrix, mask: np.ndarray, rng: Any,
     if k == 1:
         return rows[[int(rng.integers(0, rows.size))]]
     take = min(k, rows.size)
-    return rows[np.sort(rng.choice(rows.size, size=take, replace=False))]
+    picks = rng.choice(rows.size, size=take, replace=False)
+    picks.sort()
+    return rows[picks]
 
 
 STRATEGIES = {

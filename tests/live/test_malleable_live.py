@@ -172,7 +172,7 @@ def test_live_autonomic_expand_end_to_end():
         )
         source.inject_load(3.0)
         assert wait_for(lambda: source.expands_out >= 1, timeout=30.0)
-        rec = next(r for r in registry.reconfigurations
+        rec = next(r for r in registry.core.reconfigurations
                    if r.effect == "expand")
         assert rec.source == source.address and rec.dests
         # Every shard — however many times the persistent overload

@@ -116,7 +116,7 @@ def run_sim():
 
     cluster.env.process(sender(cluster.env))
     cluster.run(until=30)
-    return normalize(registry.reconfigurations, {})
+    return normalize(registry.core.reconfigurations, {})
 
 
 def run_live():
@@ -143,7 +143,7 @@ def run_live():
                 assert wait_for(
                     lambda: len(registry.decisions) >= barrier
                 ), f"no decision after {host} overload"
-        return normalize(registry.reconfigurations, names)
+        return normalize(registry.core.reconfigurations, names)
     finally:
         for ep in endpoints.values():
             ep.close()
@@ -227,7 +227,7 @@ def run_sim_reshapes():
 
     cluster.env.process(sender(cluster.env))
     cluster.run(until=30)
-    return normalize(registry.reconfigurations, {})
+    return normalize(registry.core.reconfigurations, {})
 
 
 def run_live_reshapes():
@@ -248,9 +248,9 @@ def run_live_reshapes():
                                 timestamp=time.time())
             if barrier is not None:
                 assert wait_for(
-                    lambda: len(registry.reconfigurations) >= barrier
+                    lambda: len(registry.core.reconfigurations) >= barrier
                 ), f"no reshape decision after {host} overload"
-        return normalize(registry.reconfigurations, names)
+        return normalize(registry.core.reconfigurations, names)
     finally:
         for ep in endpoints.values():
             ep.close()

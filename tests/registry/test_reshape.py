@@ -99,7 +99,7 @@ def test_moderate_overload_grows_the_world():
     assert isinstance(cmd, ExpandCommand)
     assert cmd.pid == 101 and len(cmd.dests) == 1
     assert cmd.dests[0] in ("ws2", "ws3")
-    (rec,) = registry.reconfigurations
+    (rec,) = registry.core.reconfigurations
     assert rec.effect == "expand" and rec.app == "mc_pi"
     assert "grow" in rec.reason
 
@@ -120,7 +120,7 @@ def test_severe_overload_shrinks_onto_a_peer():
     (cmd,) = commands
     assert isinstance(cmd, ShrinkCommand)
     assert cmd.pid == 101 and cmd.dest == "ws2"
-    (rec,) = registry.reconfigurations
+    (rec,) = registry.core.reconfigurations
     assert rec.effect == "shrink" and rec.dests == ("ws2",)
 
 

@@ -124,3 +124,21 @@ finally:
     assert "repro.monitor.core" in node
     assert "numpy" not in node
     assert _within(node, SIMULATOR) == []
+
+
+def test_a_policy_loads_no_numpy():
+    """A node given a ``MigrationPolicy`` and ``repro lint`` of the
+    example configs hold no numpy: the policy checks its strategy name
+    (P103) against ``registry.strategies``, which imports numpy only
+    inside ``best_fit`` (both loaded it through that module before)."""
+    node = _loaded("""\
+from repro.core.policy import policy_1
+from repro.live import LiveNode
+node = LiveNode("n", registry_address=None, policy=policy_1())
+node.stop()
+""")
+    assert "repro.registry.strategies" in node
+    assert "numpy" not in node
+    lint = _loaded(CLI.format(args=["lint", "examples/configs", "--strict"]))
+    assert "repro.registry.strategies" in lint
+    assert "numpy" not in lint

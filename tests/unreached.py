@@ -262,7 +262,6 @@ ALLOWED = {
         "repro.cluster.proctable:ProcessTable.entries",
         "repro.commander.commander:Commander.address",
         "repro.commander.commander:Commander.log",
-        "repro.core.rescheduler:Rescheduler.reconfigurations",
         "repro.hpcm.context:AppContext.env",
         "repro.hpcm.context:AppContext.host",
         "repro.hpcm.context:AppContext.now",
@@ -278,7 +277,6 @@ ALLOWED = {
         "repro.live.registry:LiveRegistry.label",
         "repro.live.registry:LiveRegistry.parent_address",
         "repro.live.registry:LiveRegistry.policy",
-        "repro.live.registry:LiveRegistry.reconfigurations",
         "repro.live.registry:LiveRegistry.reports_guarded",
         "repro.metrics.recorder:HostRecorder.flush",
         "repro.metrics.recorder:HostRecorder.series",
@@ -314,7 +312,6 @@ ALLOWED = {
         "repro.registry.registry:RegistryScheduler.label",
         "repro.registry.registry:RegistryScheduler.parent_address",
         "repro.registry.registry:RegistryScheduler.policy",
-        "repro.registry.registry:RegistryScheduler.reconfigurations",
         "repro.registry.softstate:SoftStateTable.available",
         "repro.rules.model:RuleSet.by_name",
         "repro.rules.states:SystemState.loaded",
