@@ -8,6 +8,7 @@ its management.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Dict, List, Optional
@@ -228,7 +229,7 @@ class Rescheduler:
 
     # -- observability ----------------------------------------------------
     @property
-    def decisions(self) -> list:
+    def decisions(self) -> Sequence:
         return self.registry.decisions
 
     def migration_records(self) -> list:

@@ -22,11 +22,11 @@ before the next frame is read.
 from __future__ import annotations
 
 import time
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
 from ..entity.clock import WallClock
 from ..entity.outbox import Deliver, Effects, Query, Send, Spend, Task
-from ..registry.core import Reconfigure, RegistryCore
+from ..registry.core import Migrations, RegistryCore
 from .transport import LiveEndpoint
 
 __all__ = ["LiveRegistry"]
@@ -92,7 +92,7 @@ class LiveRegistry:
         return self.core.table
 
     @property
-    def decisions(self) -> List[Reconfigure]:
+    def decisions(self) -> Migrations:
         return self.core.decisions
 
     @property

@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 import xml.etree.ElementTree as ET
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
 
 from ..entity.outbox import (
     Deliver,
@@ -164,11 +163,13 @@ class DecisionLog:
     values: ``len``, ``[i]``, ``[start:stop]`` (a list) and iteration
     (through ``[i]``) behave as on a list of records.  One thread
     appends; a reader on another sees every row below ``len``, because
-    the column ``len`` counts is appended last.
+    the column ``len`` counts is appended last.  The migrations are
+    counted as they are appended (:class:`Migrations`).
     """
 
     __slots__ = ("_seconds", "_pid", "_kind", "_source", "_app",
-                 "_reason", "_dests", "_values", "_codes", "_at")
+                 "_reason", "_dests", "_values", "_codes", "_at",
+                 "_migrations")
 
     def __init__(self) -> None:
         self._seconds = array("d")
@@ -183,6 +184,8 @@ class DecisionLog:
         self._values: list = []
         self._codes: Dict[Any, int] = {}
         self._at = array("d")
+        #: How many rows are ``"migrate"`` decisions.
+        self._migrations = 0
 
     def _code(self, value: Any) -> int:
         code = self._codes.get(value)
@@ -206,6 +209,8 @@ class DecisionLog:
         self._reason.append(reason)
         self._dests.append(dests)
         self._at.append(at)
+        if kind < 2:  # a migration, counted once its row is readable
+            self._migrations += 1
 
     def __len__(self) -> int:
         return len(self._at)
@@ -235,6 +240,51 @@ class DecisionLog:
         if not 0 <= index < n:
             raise IndexError("decision index out of range")
         return self._row(index)
+
+
+class Migrations(Sequence):
+    """The ``"migrate"`` decisions of a :class:`DecisionLog`, in order,
+    read in place.
+
+    ``len`` is the count the log keeps, so counting builds no record.
+    ``[i]`` builds the one record it returns; it finds the record's row
+    by a scan of the log's effect codes that resumes where the previous
+    read stopped, so iteration (the :class:`Sequence` mixin's, by
+    index) reads each row once.  Compares equal to a list of the same
+    records.
+    """
+
+    __slots__ = ("_log", "_cursor")
+
+    def __init__(self, log: DecisionLog):
+        self._log = log
+        #: ``(i, row)``: migration ``i`` is the log's row ``row``.
+        self._cursor = (-1, -1)
+
+    def __len__(self) -> int:
+        return self._log._migrations
+
+    def __getitem__(self, index: int) -> Reconfigure:
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("migration index out of range")
+        i, row = self._cursor
+        if index < i:
+            i, row = -1, -1
+        kind = self._log._kind
+        while i < index:
+            row += 1
+            if kind[row] < 2:
+                i += 1
+        self._cursor = (i, row)
+        return self._log._row(row)
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 class RegistryCore:
@@ -288,11 +338,10 @@ class RegistryCore:
         self.registers_refused = 0
 
     @property
-    def decisions(self) -> List[Reconfigure]:
+    def decisions(self) -> Migrations:
         """The migration decisions, in order — a read-only view of
         :attr:`reconfigurations`."""
-        return [r for r in self.reconfigurations
-                if r.effect == "migrate"]
+        return Migrations(self.reconfigurations)
 
     # -- the message interface --------------------------------------------
     def handle(self, msg: Any, sender: str) -> Effects:
@@ -601,6 +650,8 @@ class RegistryCore:
         """
         if not self.parent_address:
             return None
+        import numpy as np
+
         matrix = self.table.matrix
         available = np.flatnonzero(self.table.available_mask())
         if available.size:

@@ -1,7 +1,7 @@
 """The host table: the registry's soft state, one row per host.
 
 Everything the registry knows about a host lives here once, as a set of
-numpy columns — one row per registered host, in registration order (the
+columns — one row per registered host, in registration order (the
 paper's "machine list" order that makes first fit deterministic) — so
 the decision plane evaluates **all hosts at once**: policy destination
 conditions are column comparisons, destination selection is a strategy
@@ -11,13 +11,23 @@ rule sets compile to column evaluators (:mod:`repro.rules.vector`).
 trace layer over it; a :class:`HostRecord` is a read-only view of one
 row for the callers that want to talk about one host.
 
+The columns are stdlib :mod:`array` buffers, so a registry that only
+folds pushes — every scalar path: register, status push, unregister,
+a :class:`HostRecord` read — never imports numpy.  The column API
+(``state_codes``, ``metric_column``, the mask builders …) hands out
+zero-copy numpy views of those buffers, built on first use and cached
+until :meth:`HostStateMatrix._grow` replaces the buffers.  Only the
+column API imports numpy, so a live registry loads it when it first
+decides.
+
 The full column contract (name, dtype, units, invalidation trigger)
 is documented in ``docs/decision_plane.md``.  In short:
 
 * **Status columns** (``state``, ``last_update``, ``updates_received``,
   ``expiry_traced`` and one float64 column per metric in
   :data:`METRIC_COLUMNS`) are written *in place* on every soft-state
-  push — views over them are always current and never rebuilt.
+  push — views over them stay current until growth replaces the
+  buffers, and a push rebuilds none.
 * **Sparse side tables** hold what only a few rows carry: a process
   report (OVERLOADED pushes) and metric keys outside the vocabulary
   (a child registry's ``"hosts"``), both keyed by row and replaced or
@@ -36,10 +46,10 @@ a record never declared does not disqualify it.
 
 from __future__ import annotations
 
+import math
+from array import array
 from operator import methodcaller
-from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..rules.states import FREE, SystemState
 from ..rules.vocabulary import (
@@ -47,7 +57,32 @@ from ..rules.vocabulary import (
     script_metric,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _COL_INDEX = {name: j for j, name in enumerate(METRIC_COLUMNS)}
+_WIDTH = len(METRIC_COLUMNS)
+
+#: Rows a new table holds before its first growth.
+_CAPACITY = 16
+
+#: The 1-D columns, grown and compacted in lockstep: each one's
+#: :mod:`array` typecode and the dtype of its numpy view.
+_COLUMNS = {
+    "_state": ("b", "int8"),
+    "_last_update": ("d", "float64"),
+    "_registered_at": ("d", "float64"),
+    "_updates": ("q", "int64"),
+    "_expiry_traced": ("b", "bool"),  # 0/1
+    "_cpu_speed": ("d", "float64"),
+}
+
+#: One row of unreported metrics.
+_NAN_ROW = array("d", [math.nan]) * _WIDTH
+
+
+def _zeros(code: str, n: int) -> array:
+    return array(code, bytes(n * array(code).itemsize))
 
 
 def _features(raw: Any) -> Optional[frozenset]:
@@ -60,7 +95,7 @@ def _features(raw: Any) -> Optional[frozenset]:
 
 def _speed(raw: Any) -> float:
     """A ``cpu_speed`` value as a float; NaN when undeclared."""
-    return float(raw) if raw is not None else np.nan
+    return float(raw) if raw is not None else math.nan
 
 
 def _parse(statics: List[dict], key: str, parse: Callable) -> list:
@@ -90,26 +125,26 @@ class HostRecord:
         self._m = matrix
         self.host = host
 
-    # ``ndarray.item`` hands back Python scalars.
+    # Indexing an ``array`` hands back Python scalars.
     @property
     def state(self) -> SystemState:
         m = self._m
-        return SystemState(m._state.item(m._index[self.host]))
+        return SystemState(m._state[m._index[self.host]])
 
     @property
     def last_update(self) -> float:
         m = self._m
-        return m._last_update.item(m._index[self.host])
+        return m._last_update[m._index[self.host]]
 
     @property
     def updates_received(self) -> int:
         m = self._m
-        return m._updates.item(m._index[self.host])
+        return m._updates[m._index[self.host]]
 
     @property
     def expiry_traced(self) -> bool:
         m = self._m
-        return m._expiry_traced.item(m._index[self.host])
+        return bool(m._expiry_traced[m._index[self.host]])
 
     @property
     def static_info(self) -> dict:
@@ -139,12 +174,7 @@ class HostStateMatrix:
     read-only views.
     """
 
-    #: The 1-D columns, grown and compacted in lockstep.
-    _COLUMNS = ("_state", "_last_update", "_registered_at", "_updates",
-                "_expiry_traced", "_cpu_speed")
-
-    def __init__(self, capacity: int = 16):
-        capacity = max(1, int(capacity))
+    def __init__(self):
         self._n = 0
         self._hosts: List[str] = []
         self._index: Dict[str, int] = {}
@@ -152,15 +182,17 @@ class HostStateMatrix:
         self._static: List[dict] = []
         #: Per-row offered feature sets (``None`` = undeclared).
         self._features: List[Optional[frozenset]] = []
-        self._state = np.zeros(capacity, dtype=np.int8)
-        self._last_update = np.zeros(capacity, dtype=np.float64)
-        self._registered_at = np.zeros(capacity, dtype=np.float64)
-        self._updates = np.zeros(capacity, dtype=np.int64)
-        #: Expiry already traced for the current lease lapse (reset by
-        #: the next push, so each lapse produces exactly one event).
-        self._expiry_traced = np.zeros(capacity, dtype=bool)
-        self._cpu_speed = np.full(capacity, np.nan)
-        self._metrics = np.full((capacity, len(METRIC_COLUMNS)), np.nan)
+        # ``_expiry_traced``: expiry already traced for the current
+        # lease lapse (reset by the next push, so each lapse produces
+        # exactly one event).
+        for attr, (code, _) in _COLUMNS.items():
+            setattr(self, attr, _zeros(code, _CAPACITY))
+        #: The metric columns, row-major: row ``i``'s metric ``j`` is
+        #: item ``i * len(METRIC_COLUMNS) + j``.
+        self._metrics = _zeros("d", _CAPACITY * _WIDTH)
+        #: Buffer name → its numpy view (see :meth:`_column`); emptied
+        #: when ``_grow`` replaces the buffers.
+        self._arrays: Dict[str, np.ndarray] = {}
         #: Row → process report of the last push that carried one.
         self.processes: Dict[int, List[dict]] = {}
         #: Row → the last push's metrics outside :data:`METRIC_COLUMNS`.
@@ -199,6 +231,8 @@ class HostStateMatrix:
     def rows_of(self, hosts: List[str]) -> np.ndarray:
         """Row indices of a whole list of hosts (``KeyError`` when one
         has no row)."""
+        import numpy as np
+
         return np.fromiter(map(self._index.__getitem__, hosts),
                            dtype=np.intp, count=len(hosts))
 
@@ -216,10 +250,11 @@ class HostStateMatrix:
     def metrics_at(self, row: int) -> Dict[str, float]:
         """The reported metric columns of one row, plus whatever
         off-vocabulary keys its last push carried, as a dict."""
+        base = row * _WIDTH
         metrics = {
             name: value
             for name, value in zip(METRIC_COLUMNS,
-                                   self._metrics[row].tolist())
+                                   self._metrics[base:base + _WIDTH])
             if value == value  # NaN = unreported
         }
         extras = self._extras.get(row)
@@ -228,15 +263,40 @@ class HostStateMatrix:
         return metrics
 
     # -- mutation (called by SoftStateTable only) -------------------------
+    def _column(self, attr: str) -> np.ndarray:
+        """The numpy view of a whole buffer, capacity rows long."""
+        view = self._arrays.get(attr)
+        if view is None:
+            import numpy as np
+
+            if attr == "_metrics":
+                view = np.frombuffer(self._metrics, dtype=np.float64)
+                view = view.reshape(-1, _WIDTH)
+            else:
+                view = np.frombuffer(getattr(self, attr),
+                                     dtype=_COLUMNS[attr][1])
+            self._arrays[attr] = view
+        return view
+
     def _grow(self, need: int) -> None:
-        """Reallocate once, to at least double and at least ``need``."""
-        cap = max(2 * self._state.shape[0], need)
+        """Reallocate once, to at least double and at least ``need``.
+
+        The buffers are replaced, never resized: a view still holds the
+        old buffer, which an in-place resize would refuse
+        (``BufferError``).  Such a view stays readable but no longer
+        sees new writes; the view cache is emptied."""
+        cap = max(2 * len(self._state), need)
+        n = self._n
         # Rows past ``_n`` are scratch: ``add_rows`` initialises every
         # column of the rows it hands out.
-        for attr in self._COLUMNS:
-            setattr(self, attr, np.resize(getattr(self, attr), cap))
-        self._metrics = np.resize(self._metrics,
-                                  (cap, len(METRIC_COLUMNS)))
+        for attr, (code, _) in _COLUMNS.items():
+            grown = getattr(self, attr)[:n]
+            grown.extend(_zeros(code, cap - n))
+            setattr(self, attr, grown)
+        metrics = self._metrics[:n * _WIDTH]
+        metrics.extend(_zeros("d", (cap - n) * _WIDTH))
+        self._metrics = metrics
+        self._arrays = {}
 
     def add_rows(self, hosts: List[str], statics: List[dict],
                  now: float) -> int:
@@ -257,21 +317,21 @@ class HostStateMatrix:
         statics = list(map(dict, statics))
         first = self._n
         n = first + len(hosts)
-        if n > self._state.shape[0]:
+        if n > len(self._state):
             self._grow(n)
         self._hosts.extend(hosts)
         self._index.update(zip(hosts, range(first, n)))
         self._views.extend([HostRecord(self, host) for host in hosts])
         self._static.extend(statics)
         self._features.extend(features)
-        rows = slice(first, n)
-        self._state[rows] = FREE
-        self._last_update[rows] = now
-        self._registered_at[rows] = now
-        self._updates[rows] = 0
-        self._expiry_traced[rows] = False
-        self._cpu_speed[rows] = speeds
-        self._metrics[rows] = np.nan
+        k = n - first
+        self._state[first:n] = array("b", [FREE]) * k
+        self._last_update[first:n] = array("d", [now]) * k
+        self._registered_at[first:n] = array("d", [now]) * k
+        self._updates[first:n] = _zeros("q", k)
+        self._expiry_traced[first:n] = _zeros("b", k)
+        self._cpu_speed[first:n] = array("d", speeds)
+        self._metrics[first * _WIDTH:n * _WIDTH] = _NAN_ROW * k
         self._n = n
         self.layout += 1
         self._hosts_arr = None
@@ -289,7 +349,7 @@ class HostStateMatrix:
         self._features[row] = _features(static.get("features"))
         self._static[row] = dict(static)
         self._last_update[row] = now
-        self._expiry_traced[row] = False
+        self._expiry_traced[row] = 0
 
     def set_status(self, host: str, state: SystemState,
                    metrics: Dict[str, float], now: float,
@@ -298,12 +358,13 @@ class HostStateMatrix:
         single row, as scalar-indexed in-place writes (the hot path of
         every per-host monitor and live heartbeat)."""
         row = self._index[host]
-        self._state[row] = int(state)
+        self._state[row] = state
         self._last_update[row] = now
         self._updates[row] += 1
-        self._expiry_traced[row] = False
-        values = self._metrics[row]
-        values[:] = np.nan
+        self._expiry_traced[row] = 0
+        values = self._metrics
+        base = row * _WIDTH
+        values[base:base + _WIDTH] = _NAN_ROW
         extras = None
         for name, value in metrics.items():
             j = _COL_INDEX.get(name)
@@ -312,7 +373,7 @@ class HostStateMatrix:
                     extras = {}
                 extras[name] = value
             elif value is not None:
-                values[j] = value
+                values[base + j] = value
         if extras:
             self._extras[row] = extras
         elif self._extras:
@@ -340,12 +401,15 @@ class HostStateMatrix:
         side-table entries are dropped, as a scalar push without
         ``processes`` drops them.
         """
+        import numpy as np
+
+        column = self._column
         rows = np.asarray(rows, dtype=np.intp)
-        self._state[rows] = np.asarray(codes, dtype=np.int8)
-        self._last_update[rows] = now
-        np.add.at(self._updates, rows, 1)
-        self._expiry_traced[rows] = False
-        block = np.full((rows.shape[0], len(METRIC_COLUMNS)), np.nan)
+        column("_state")[rows] = np.asarray(codes, dtype=np.int8)
+        column("_last_update")[rows] = now
+        np.add.at(column("_updates"), rows, 1)
+        column("_expiry_traced")[rows] = False
+        block = np.full((rows.shape[0], _WIDTH), np.nan)
         unknown = {}
         for name, values in columns.items():
             j = _COL_INDEX.get(name)
@@ -353,7 +417,7 @@ class HostStateMatrix:
                 unknown[name] = np.asarray(values, dtype=float).tolist()
             else:
                 block[:, j] = values
-        self._metrics[rows] = block
+        column("_metrics")[rows] = block
         if self.processes or self._extras:
             pushed = set(rows.tolist())
             for side in (self.processes, self._extras):
@@ -377,10 +441,13 @@ class HostStateMatrix:
         self._features.pop(row)
         self._views.pop(row)
         if row < n - 1:
-            for attr in self._COLUMNS:
+            # Equal-length slice moves: no buffer changes size.
+            for attr in _COLUMNS:
                 col = getattr(self, attr)
                 col[row:n - 1] = col[row + 1:n]
-            self._metrics[row:n - 1] = self._metrics[row + 1:n]
+            metrics = self._metrics
+            metrics[row * _WIDTH:(n - 1) * _WIDTH] = \
+                metrics[(row + 1) * _WIDTH:n * _WIDTH]
             for h in self._hosts[row:]:
                 self._index[h] -= 1
         for attr in ("processes", "_extras"):
@@ -394,46 +461,55 @@ class HostStateMatrix:
         self._hosts_arr = None
         self._registry_mask = None
 
+    def mark_expiry_traced(self, rows: List[int]) -> None:
+        """Flag the current lease lapse of ``rows`` traced (their next
+        push clears it)."""
+        traced = self._expiry_traced
+        for row in rows:
+            traced[row] = 1
+
     # -- column views -----------------------------------------------------
     @property
     def state_codes(self) -> np.ndarray:
         """int8 :class:`SystemState` codes as last pushed (lease
         freshness is *not* applied here — see ``free_mask``)."""
-        return self._state[: self._n]
+        return self._column("_state")[: self._n]
 
     @property
     def last_update(self) -> np.ndarray:
         """float64 clock seconds of each row's last register/push."""
-        return self._last_update[: self._n]
+        return self._column("_last_update")[: self._n]
 
     @property
     def updates_received(self) -> np.ndarray:
         """int64 count of status pushes folded into each row."""
-        return self._updates[: self._n]
+        return self._column("_updates")[: self._n]
 
     @property
     def expiry_traced(self) -> np.ndarray:
         """bool: the row's current lease lapse has been traced."""
-        return self._expiry_traced[: self._n]
+        return self._column("_expiry_traced")[: self._n]
 
     @property
     def cpu_speed(self) -> np.ndarray:
         """float64 static CPU speed; NaN = undeclared."""
-        return self._cpu_speed[: self._n]
+        return self._column("_cpu_speed")[: self._n]
 
     def metric_column(self, name: str) -> np.ndarray:
         """float64 view of one metric column; NaN = unreported.
 
         Raises ``KeyError`` for names outside :data:`METRIC_COLUMNS`.
         """
-        return self._metrics[: self._n, _COL_INDEX[name]]
+        return self._column("_metrics")[: self._n, _COL_INDEX[name]]
 
     def get(self, name: str, default: Any = None) -> Any:
         """The mapping-of-columns read ``MetricPredicate.holds`` makes:
         :meth:`metric_column`, ``default`` for names outside
         :data:`METRIC_COLUMNS`."""
         j = _COL_INDEX.get(name)
-        return default if j is None else self._metrics[: self._n, j]
+        if j is None:
+            return default
+        return self._column("_metrics")[: self._n, j]
 
     def features_at(self, row: int) -> Optional[frozenset]:
         return self._features[row]
@@ -444,6 +520,8 @@ class HostStateMatrix:
         tie-breaks); cached until the row set changes."""
         arr = self._hosts_arr
         if arr is None:
+            import numpy as np
+
             arr = self._hosts_arr = np.array(self._hosts, dtype=str)
         return arr
 
@@ -453,6 +531,8 @@ class HostStateMatrix:
         cached until the row set changes."""
         mask = self._registry_mask
         if mask is None:
+            import numpy as np
+
             mask = self._registry_mask = np.fromiter(
                 ("@" in h for h in self._hosts), dtype=bool,
                 count=self._n,
@@ -477,6 +557,8 @@ def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
     predicates must hold, and an unreported metric (NaN) fails its
     predicate.
     """
+    import numpy as np
+
     n = matrix.n
     mask = np.ones(n, dtype=bool)
     if policy is None or not getattr(policy, "enabled", True):
@@ -497,6 +579,8 @@ def requirements_mask(matrix: HostStateMatrix, req: Any) -> np.ndarray:
     metrics fail a positive requirement — 'ready and owns all the
     resources required' is checked, not assumed.
     """
+    import numpy as np
+
     n = matrix.n
     mask = np.ones(n, dtype=bool)
     if req is None:

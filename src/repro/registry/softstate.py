@@ -11,14 +11,15 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..rules.states import FREE, SystemState
 from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
 from .hostmatrix import HostExists, HostRecord, HostStateMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DEFAULT_LEASE", "HostRecord", "SoftStateTable"]
 
@@ -118,20 +119,23 @@ class SoftStateTable:
         """Mark the current lease lapse of ``rows`` traced: one
         ``EV_REGISTRY_EXPIRE`` each, until their next push."""
         matrix = self.matrix
-        matrix.expiry_traced[rows] = True
+        matrix.mark_expiry_traced(rows)
         tracer = get_tracer()
         if tracer.enabled:
+            records = matrix.views()
             for row in rows:
+                record = records[row]
                 tracer.event(
                     EV_REGISTRY_EXPIRE, t=self.env.now,
-                    host=matrix.host_at(row),
-                    last_update=float(matrix.last_update[row]),
+                    host=record.host, last_update=record.last_update,
                     lease=self.lease,
                 )
 
     def _stale(self) -> np.ndarray:
         """Boolean column: rows whose lease has lapsed.  Owns the
         once-per-lapse expiry trace for every column query."""
+        import numpy as np
+
         matrix = self.matrix
         stale = self.env.now - matrix.last_update > self.lease
         if stale.any():
@@ -142,11 +146,9 @@ class SoftStateTable:
 
     def effective_state(self, record: HostRecord) -> SystemState:
         """The record's state, demoted to UNAVAILABLE on lease expiry."""
-        matrix = self.matrix
-        row = matrix.row_of(record.host)
-        if self.env.now - matrix.last_update[row] > self.lease:
-            if not matrix.expiry_traced[row]:
-                self._trace_expiry([row])
+        if self.env.now - record.last_update > self.lease:
+            if not record.expiry_traced:
+                self._trace_expiry([self.matrix.row_of(record.host)])
             return SystemState.UNAVAILABLE
         return record.state
 
@@ -168,6 +170,8 @@ class SoftStateTable:
 
     def available(self) -> List[HostRecord]:
         """Records whose lease is current."""
+        import numpy as np
+
         records = self.records()
         return [records[row]
                 for row in np.flatnonzero(self.available_mask()).tolist()]

@@ -16,7 +16,7 @@ from repro.analysis.overhead import _add_analytic_hosts, _build_baseline
 from repro.cluster import Cluster, ClusterStateArrays
 from repro.core.policy import policy_2
 from repro.core.rescheduler import Rescheduler
-from repro.registry.hostmatrix import HostStateMatrix
+from repro.registry.hostmatrix import _COLUMNS, HostStateMatrix
 from repro.registry.softstate import SoftStateTable
 
 from ..registry.reference import register_one_by_one
@@ -56,11 +56,11 @@ def test_batch_build_equals_one_by_one(hosts, seed):
         table, names, [ref.static_info(n).as_dict() for n in names])
     m, r = rs.registry.table.matrix, table.matrix
     assert m.hosts == r.hosts == names
-    for attr in HostStateMatrix._COLUMNS:
-        assert np.array_equal(getattr(m, attr)[:m.n],
-                              getattr(r, attr)[:r.n]), attr
-    assert np.array_equal(m._metrics[:m.n], r._metrics[:r.n],
-                          equal_nan=True)
+    for attr in _COLUMNS:
+        assert np.array_equal(m._column(attr)[:m.n],
+                              r._column(attr)[:r.n]), attr
+    assert np.array_equal(m._column("_metrics")[:m.n],
+                          r._column("_metrics")[:r.n], equal_nan=True)
     assert m._static == r._static
     assert m._features == r._features
     assert np.array_equal(m.registry_mask, r.registry_mask)

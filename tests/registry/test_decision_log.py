@@ -143,3 +143,46 @@ def test_a_decision_costs_the_registry_a_fixed_few_dozen_bytes(
     assert len(core.decisions) == WARM + DECISIONS
     assert core.decisions[-1].dest == "free0"
     assert grown / DECISIONS < 48, grown / DECISIONS
+
+
+@pytest.mark.costguard
+def test_counting_migrations_builds_none():
+    """``len(core.decisions)`` over 100 000 logged decisions is the
+    count the log keeps: under 1 KB allocated (0.30 s and 17.6 MB when
+    it listed a record per migration), and the count a list of the
+    migration records has."""
+    core = RegistryCore(ManualClock(), "registry")
+    plain = records()
+    for k in range(100_000):
+        core.reconfigurations.append(plain[k % len(plain)])
+    tracemalloc.start()
+    try:
+        before = _traced_bytes()
+        tracemalloc.reset_peak()
+        counted = len(core.decisions)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1024, grown
+    assert counted == len([r for r in core.reconfigurations
+                           if r.effect == "migrate"])
+
+
+def test_migrations_read_as_a_list():
+    core = RegistryCore(ManualClock(), "registry")
+    plain = records()
+    for rec in plain:
+        core.reconfigurations.append(rec)
+    migrations = [r for r in plain if r.effect == "migrate"]
+    decisions = core.decisions
+    assert len(decisions) == len(migrations) == 4
+    assert decisions == migrations and migrations == decisions
+    assert decisions != migrations[:-1] and decisions != tuple(migrations)
+    assert list(decisions) == migrations
+    for i in range(-4, 4):
+        assert decisions[i] == migrations[i], i
+    assert decisions.index(migrations[2]) == 2 and migrations[0] in decisions
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            decisions[i]
+    assert RegistryCore(ManualClock(), "r").decisions == []

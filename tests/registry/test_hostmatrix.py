@@ -120,6 +120,101 @@ def test_growth_past_initial_capacity():
     assert m.metric_column("loadavg1")[0] == 0.0
 
 
+def test_a_column_view_outlives_growth_and_compaction():
+    """The columns are ``array`` buffers under numpy views.  Growth
+    replaces the buffers, so a view taken before it stays readable but
+    no longer sees new writes; compaction moves rows in place, under
+    the view.  Neither raises
+    ``BufferError``, which an in-place resize of a viewed buffer
+    would."""
+    table = make_table()
+    for i in range(16):
+        table.register(f"ws{i}", {})
+    m = table.matrix
+    loads = m.metric_column("loadavg1")
+    codes = m.state_codes
+    table.update("ws0", SystemState.BUSY, {"loadavg1": 1.5})
+    assert loads[0] == 1.5 and codes[0] == int(SystemState.BUSY)
+    table.register("ws16", {})  # past the first capacity
+    table.update("ws0", SystemState.OVERLOADED, {"loadavg1": 2.5})
+    assert codes.tolist() == [int(SystemState.BUSY)] + [0] * 15
+    assert loads[0] == 1.5
+    assert m.metric_column("loadavg1")[0] == 2.5
+    fresh = m.metric_column("loadavg1")
+    table.unregister("ws0")
+    assert fresh.shape == (17,) and np.isnan(fresh[0])
+    for i in range(17, 80):  # grows again with views alive
+        table.register(f"ws{i}", {})
+    assert m.n == 79 and np.isnan(fresh).all()
+    assert m.state_codes.tolist() == [0] * 79
+
+
+def test_scalar_and_batch_pushes_agree_after_growth():
+    hosts = [f"ws{i}" for i in range(40)]
+    codes = np.array([i % 3 for i in range(40)], dtype=np.int8)
+    loads = np.linspace(0.0, 3.9, 40)
+    tables = []
+    for batch in (False, True):
+        table = make_table()
+        table.register_many(hosts[:10], [{}] * 10)
+        table.register_many(hosts[10:], [{}] * 30)
+        table.env.set(4.0)
+        if batch:
+            table.push_many(hosts, codes, {"loadavg1": loads})
+        else:
+            for host, code, load in zip(hosts, codes.tolist(),
+                                        loads.tolist()):
+                table.update(host, SystemState(code), {"loadavg1": load})
+        tables.append(table.matrix)
+    scalar, batch = tables
+    for name in ("state_codes", "last_update", "updates_received",
+                 "expiry_traced", "cpu_speed"):
+        np.testing.assert_array_equal(getattr(scalar, name),
+                                      getattr(batch, name), name)
+    for name in ("loadavg1", "loadavg5"):
+        np.testing.assert_array_equal(scalar.metric_column(name),
+                                      batch.metric_column(name), name)
+    assert [r.metrics for r in scalar.views()] == [
+        r.metrics for r in batch.views()]
+
+
+@pytest.mark.parametrize("value", [
+    7, -3, 2**53 + 1, 10**300, True, -0.0, float("inf"), float("nan"),
+    np.float64(0.1), np.float32(0.1), np.int64(2**62 + 1), None,
+], ids=repr)
+def test_a_metric_value_stores_as_a_float64_column_stored_it(value):
+    table = make_table()
+    table.register("ws0", {})
+    table.update("ws0", SystemState.FREE, {"loadavg1": value})
+    ref = np.full(1, np.nan)
+    if value is not None:  # an unreported metric stays NaN
+        ref[0] = value
+    stored = table.matrix.metric_column("loadavg1")[:1]
+    assert stored.tobytes() == ref.tobytes()
+    assert table.get("ws0").metrics == (
+        {} if np.isnan(ref[0]) else {"loadavg1": ref[0].item()})
+    with pytest.raises(OverflowError):
+        table.update("ws0", SystemState.FREE, {"loadavg1": 10**400})
+    with pytest.raises(OverflowError):
+        ref[0] = 10**400
+
+
+def test_a_record_reads_python_scalars():
+    table = make_table()
+    table.register("ws0", {"cpu_speed": 2})
+    table.env.set(2.5)
+    table.update("ws0", SystemState.BUSY, {"loadavg1": 1})
+    rec = table.get("ws0")
+    assert type(rec.state) is SystemState and rec.state is SystemState.BUSY
+    assert type(rec.updates_received) is int and rec.updates_received == 1
+    assert type(rec.expiry_traced) is bool and rec.expiry_traced is False
+    assert type(rec.last_update) is float and rec.last_update == 2.5
+    assert type(rec.metrics["loadavg1"]) is float
+    table.env.set(100.0)
+    assert table.effective_state(rec) is SystemState.UNAVAILABLE
+    assert rec.expiry_traced is True
+
+
 def test_membership_caches_invalidate_on_row_changes_only():
     table = make_table()
     table.register("ws0", {})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.registry import SoftStateTable
-from repro.registry.hostmatrix import METRIC_COLUMNS, HostExists
+from repro.registry.hostmatrix import _COLUMNS, METRIC_COLUMNS, HostExists
 from repro.rules import SystemState
 from repro.sim import Environment
 
@@ -251,10 +251,9 @@ def _statics(n):
 def _assert_same_table(table, ref):
     m, r = table.matrix, ref.matrix
     assert m.hosts == r.hosts and m.n == r.n
-    for attr in m._COLUMNS:
-        np.testing.assert_array_equal(getattr(m, attr)[:m.n],
-                                      getattr(r, attr)[:r.n], attr)
-    np.testing.assert_array_equal(m._metrics[:m.n], r._metrics[:r.n])
+    for attr in [*_COLUMNS, "_metrics"]:
+        np.testing.assert_array_equal(m._column(attr)[:m.n],
+                                      r._column(attr)[:r.n], attr)
     assert m._static == r._static and m._features == r._features
     assert m._index == r._index
     np.testing.assert_array_equal(m.registry_mask, r.registry_mask)
@@ -322,8 +321,8 @@ def test_a_refused_add_rows_leaves_nothing_behind():
               list(m._features), list(m.views()))
     layout = m.layout
     hosts_array = m.hosts_array
-    columns = {a: getattr(m, a)[:m.n].copy() for a in m._COLUMNS}
-    metrics = m._metrics[:m.n].copy()
+    columns = {a: m._column(a)[:m.n].copy() for a in _COLUMNS}
+    metrics = m._column("_metrics")[:m.n].copy()
     malformed = [{"cpu_speed": 1.0}] * 2 + [{"cpu_speed": "fast"}]
     for refuse, error, match in (
         (lambda: m.add_rows(["a", "ws2", "b"], [{}] * 3, 5.0),
@@ -348,8 +347,9 @@ def test_a_refused_add_rows_leaves_nothing_behind():
         # The membership caches were not even invalidated.
         assert m.hosts_array is hosts_array
         for attr, col in columns.items():
-            np.testing.assert_array_equal(getattr(m, attr)[:m.n], col)
-        np.testing.assert_array_equal(m._metrics[:m.n], metrics)
+            np.testing.assert_array_equal(m._column(attr)[:m.n], col)
+        np.testing.assert_array_equal(m._column("_metrics")[:m.n],
+                                      metrics)
     with pytest.raises(ValueError, match="already has a row"):
         m.add_row("ws2", {}, 5.0)
     # A re-registration that does not parse changes nothing either.
@@ -367,10 +367,10 @@ def test_a_batch_reserves_its_capacity_in_one_step():
     grow = m._grow
     m._grow = lambda need: (grown.append(need), grow(need))
     m.add_rows([f"h{i}" for i in range(5000)], [{}] * 5000, 0.0)
-    assert grown == [5000] and m._state.shape == (5000,)
+    assert grown == [5000] and len(m._state) == 5000
     m.add_row("one-more", {}, 0.0)
-    assert grown == [5000, 5001] and m._metrics.shape[0] == 10000
-    assert np.isnan(m._metrics[:m.n]).all() and m.n == 5001
+    assert grown == [5000, 5001] and m._column("_metrics").shape[0] == 10000
+    assert np.isnan(m._column("_metrics")[:m.n]).all() and m.n == 5001
 
 
 @pytest.mark.costguard

@@ -142,3 +142,56 @@ node.stop()
     lint = _loaded(CLI.format(args=["lint", "examples/configs", "--strict"]))
     assert "repro.registry.strategies" in lint
     assert "numpy" not in lint
+
+
+def test_a_live_registry_loads_numpy_when_it_first_decides():
+    """A live registry that took 64 registrations over the wire and a
+    FREE heartbeat from each host holds no numpy (its host columns
+    loaded it at import before); the first OVERLOADED report loads it,
+    and is answered with a migration to the first registered host."""
+    registry = _loaded("""\
+import sys, time
+from repro.live import LiveEndpoint, LiveRegistry
+from repro.protocol import MigrateCommand, Register, StatusUpdate
+from repro.rules.states import SystemState
+
+def wait_for(predicate):
+    deadline = time.monotonic() + 30.0
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+registry = LiveRegistry(lease=3600.0, command_cooldown=0.0)
+client = LiveEndpoint("client")
+try:
+    hosts = [f"h{i}" for i in range(64)]
+    for n, host in enumerate(hosts, 1):  # one at a time: row order
+        assert client.send_message(registry.address, Register(
+            host=host, static_info={"cpu_speed": 1.0}), timestamp=0.0)
+        wait_for(lambda: len(registry.table) == n)
+    for host in hosts:
+        assert client.send_message(registry.address, StatusUpdate(
+            host=host, state=SystemState.FREE,
+            metrics={"loadavg1": 0.1}), timestamp=1.0)
+    wait_for(lambda: sum(r.updates_received
+                         for r in registry.table.records()) == 64)
+    assert "numpy" not in sys.modules
+    process = {"pid": 7, "name": "sqrt_sum", "start_time": 0.0,
+               "est_completion": 60.0, "data_locality": 0.0}
+    assert client.send_message(registry.address, StatusUpdate(
+        host=client.address, state=SystemState.OVERLOADED,
+        metrics={"loadavg1": 3.0}, processes=[process]), timestamp=2.0)
+    while True:
+        kind, payload = client.recv(timeout=30.0)
+        if kind == "msg" and isinstance(payload[0], MigrateCommand):
+            break
+    command = payload[0]
+    assert (command.host, command.pid, command.dest) == (
+        client.address, 7, "h0"), command
+    assert len(registry.decisions) == 1
+finally:
+    client.close()
+    registry.stop()
+""")
+    assert "repro.registry.hostmatrix" in registry
+    assert "numpy" in registry

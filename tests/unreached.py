@@ -230,7 +230,7 @@ ALLOWED = {
         "repro.sim.events:Process.__repr__",
     ),
     **_each(
-        "container protocol (len, in, iter, bool) that only tests use",
+        "container protocol (len, in, iter, bool, ==) that only tests use",
         "repro.cluster.builder:Cluster.__len__",
         "repro.cluster.disk:DiskSet.__contains__",
         "repro.cluster.disk:DiskSet.__iter__",
@@ -240,6 +240,7 @@ ALLOWED = {
         "repro.cluster.proctable:ProcessTable.__len__",
         "repro.metrics.timeseries:TimeSeries.__bool__",
         "repro.monitor.database:MonitoringDatabase.__contains__",
+        "repro.registry.core:Migrations.__eq__",
         "repro.registry.hostmatrix:HostStateMatrix.__len__",
         "repro.registry.softstate:SoftStateTable.__contains__",
         "repro.registry.softstate:SoftStateTable.__len__",
@@ -302,8 +303,6 @@ ALLOWED = {
         "repro.mpi.comm:SpawnedContext.host",
         "repro.mpi.comm:SpawnedContext.rank",
         "repro.registry.core:Reconfigure.key",
-        "repro.registry.hostmatrix:HostRecord.expiry_traced",
-        "repro.registry.hostmatrix:HostRecord.last_update",
         "repro.registry.hostmatrix:HostRecord.processes",
         "repro.registry.hostmatrix:HostRecord.static_info",
         "repro.registry.hostmatrix:HostStateMatrix.cpu_speed",
