@@ -2,23 +2,19 @@
 
 "After receiving the message, the source machine's local commander
 issues a command to the migrating process to start the process
-migration."  The mechanism is faithful: "the address and the port of
-the destination machine are written to a temporary file and are read by
-the migrating process.  We defined this command as a user-defined
-signal."
+migration."  The paper's commander writes the destination's address
+and port to a temporary file and raises a user-defined signal; here
+the signal is :meth:`HpcmRuntime.request_migration`, and the order it
+delivers carries the destination itself, so no file is written.
 
 The logging/tracing/acknowledgement contract lives in the
 driver-agnostic :class:`~repro.commander.core.CommanderCore`; this
-module supplies the simulation's delivery mechanism — the 'signal' is
-:meth:`HpcmRuntime.request_migration`, and the temp file is a *real*
-file on disk when ``use_tempfile`` is on.
+module supplies the simulation's delivery mechanism.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from typing import Any, Optional
+from typing import Any
 
 from ..hpcm.record import MigrationOrder, ReconfigureOrder
 from ..protocol.messages import ExpandCommand, MigrateCommand, ShrinkCommand
@@ -39,12 +35,10 @@ class Commander:
         self,
         host: Any,
         directory: EndpointRegistry,
-        use_tempfile: bool = False,
     ):
         self.host = host
         self.env = host.env
         self.endpoint = Endpoint(host, directory, name="commander")
-        self.use_tempfile = bool(use_tempfile)
         self.core = CommanderCore(
             clock=self.env, host_name=host.name, deliver=self._deliver
         )
@@ -97,20 +91,12 @@ class Commander:
             if expand:
                 return runtime.world.request_expand(order)
             return runtime.world.request_shrink(runtime, order)
-        address_file: Optional[str] = None
-        if self.use_tempfile:
-            fd, address_file = tempfile.mkstemp(
-                prefix="hpcm-dest-", suffix=".addr", text=True
-            )
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(f"{msg.dest} 7777\n")
         runtime.request_migration(
             MigrationOrder(
                 dest_host=msg.dest,
                 issued_at=self.env.now,
                 reason=msg.reason,
                 decision_seconds=msg.decision_seconds,
-                address_file=address_file,
             )
         )
         return True, ""

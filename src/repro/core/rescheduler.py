@@ -49,8 +49,6 @@ class ReschedulerConfig:
     lease: float = DEFAULT_LEASE
     #: Seconds between repeat migrate commands for one host.
     command_cooldown: float = DEFAULT_COMMAND_COOLDOWN
-    #: Write real temp files for destination addresses.
-    use_tempfile: bool = False
     #: Extra rule set evaluated by every monitor.
     ruleset: Optional[RuleSet] = None
     #: Per-state monitoring intervals (overrides ``interval``).
@@ -156,11 +154,7 @@ class Rescheduler:
                 rng=cluster.rng.stream(f"monitor:{name}"),
                 mode=self.config.mode,
             )
-            self.commanders[name] = Commander(
-                host,
-                self.directory,
-                use_tempfile=self.config.use_tempfile,
-            )
+            self.commanders[name] = Commander(host, self.directory)
         self.apps: List[HpcmRuntime] = []
         self.worlds: List[HpcmWorld] = []
         if tracer.enabled:

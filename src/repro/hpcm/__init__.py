@@ -14,6 +14,7 @@ from .errors import (
     HpcmError,
     RepartitionError,
     StateCaptureError,
+    WorldAborted,
 )
 from .record import (
     MigrationOrder,
@@ -45,6 +46,7 @@ __all__ = [
     "ReconfigureOrder",
     "RepartitionError",
     "StateCaptureError",
+    "WorldAborted",
     "capture",
     "chunk",
     "launch",

@@ -10,22 +10,18 @@ completion (~7.5 s).  Every migration produces one record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass
 class MigrationOrder:
-    """The command delivered to a migrating process (the 'user signal'
-    plus the temp file carrying the destination address)."""
+    """The command delivered to a migrating process (the 'user
+    signal'), destination included."""
 
     dest_host: str
     issued_at: float
     reason: str = ""
     #: Decision latency measured by the registry/scheduler.
     decision_seconds: float = 0.0
-    #: Optional path of a real temp file holding "host port" (paper
-    #: fidelity: the commander writes it, the process reads it).
-    address_file: Optional[str] = None
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 The migration protocol follows paper §3/§5.2 exactly:
 
-1. the commander delivers a migration order (user-defined signal; the
-   destination address travels in a temp file);
+1. the commander delivers a migration order (the user-defined signal,
+   carrying the destination);
 2. the application continues to its **nearest poll-point** (a step
    boundary);
 3. the migrating process creates the *initialized process* on the
@@ -23,7 +23,6 @@ The migration protocol follows paper §3/§5.2 exactly:
 from __future__ import annotations
 
 import math
-import os
 import pickle
 from typing import Any, List, Optional
 
@@ -194,6 +193,8 @@ class HpcmRuntime:
                 self.state = self.app.create_state(self.params, self.rng)
             more = True
             while more:
+                if self.world.aborted is not None:
+                    raise self.world.aborted
                 order = self._pending_order
                 if order is not None:
                     self._pending_order = None
@@ -273,18 +274,8 @@ class HpcmRuntime:
             app=self.app.name, source=rec.source, dest=rec.dest)
 
     def _resolve(self, att: Attempt) -> None:
-        """Find the destination Host (reads the temp address file when
-        the commander used one, per the paper's mechanism)."""
-        order, rec = att.order, att.rec
-        if order.address_file:
-            try:
-                with open(order.address_file, "r", encoding="ascii") as fh:
-                    rec.dest = fh.read().split()[0]
-            finally:
-                try:
-                    os.unlink(order.address_file)
-                except OSError:
-                    pass
+        """Find the destination Host the order names."""
+        rec = att.rec
         att.dest = self.mpi.cluster.host(rec.dest)
         tracer = get_tracer()
         if tracer.enabled:

@@ -49,7 +49,7 @@ from ..trace.events import (
     EV_HPCM_REPARTITION,
 )
 from .app import MigratableApp
-from .errors import RepartitionError
+from .errors import RepartitionError, WorldAborted
 from .ladder import Attempt, Refusal, Rung, climb, leave
 from .record import ReconfigRecord, ReconfigureOrder
 from .runtime import HpcmRuntime
@@ -97,6 +97,9 @@ class HpcmWorld:
         #: failed; ranks a later Expand adds count too): the event to
         #: wait on for the whole job, ``env.run(until=world.finished)``.
         self.finished = self.env.event()
+        #: What every surviving rank fails with once the first rank has
+        #: failed; ``None`` while none has.
+        self.aborted: Optional[WorldAborted] = None
         #: The open reshape attempt — its record, order and retiree —
         #: from the accepted command until the terminal record; ``None``
         #: when idle.
@@ -208,12 +211,21 @@ class HpcmWorld:
         group: removing it would renumber the surviving ranks under
         messages already routed by rank index.  Only a shrink — at an
         assembled barrier, with no traffic in flight — edits
-        membership.  A failed rank is dropped like a finished one, so
-        survivors blocked on it in a collective keep ``finished`` from
-        firing, rigid world or malleable alike.
+        membership.
+
+        The first rank that fails aborts the world: every survivor's
+        mailbox closes with :attr:`aborted`, which fails a rank blocked
+        in a receive, and a computing rank raises it at its next
+        poll-point (``HpcmRuntime._main``).
         """
         if runtime in self.runtimes:
             self.runtimes.remove(runtime)
+            if runtime.status == "failed" and self.aborted is None:
+                self.aborted = WorldAborted(
+                    f"{runtime.app.name}: the rank on {runtime.host.name} "
+                    f"failed: {runtime.error!r}")
+                for survivor in self.runtimes:
+                    survivor.process.mailbox.close(self.aborted)
             if not self.runtimes:
                 self.finished.succeed()
         self._parked.pop(id(runtime), None)

@@ -107,8 +107,6 @@ class LiveNode:
         policy: Any = None,
         sustain: int = 1,
         intervals_by_state: Optional[dict] = None,
-        root_rule: Optional[int] = None,
-        n_levels: int = 3,
     ):
         self.name = name
         self.endpoint = LiveEndpoint(name, port=port)
@@ -143,8 +141,6 @@ class LiveNode:
             interval=interval,
             intervals_by_state=intervals_by_state,
             sustain=sustain,
-            root_rule=root_rule,
-            n_levels=n_levels,
         )
         self.commander = CommanderCore(
             clock=clock, host_name=self.endpoint.address,

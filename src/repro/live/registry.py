@@ -34,6 +34,12 @@ __all__ = ["LiveRegistry"]
 #: Seconds between aggregate soft-state reports to a parent registry.
 PARENT_UPDATE_S = 1.0
 
+#: A live decision's cost is the real time it takes: no simulated spend.
+DECISION_COST_S = 0.0
+
+#: Seconds a delegated candidate query waits for its reply.
+QUERY_TIMEOUT_S = 5.0
+
 
 def _each(effects: Effects) -> Generator:
     """The effects of one handled message, as a task that never waits."""
@@ -52,8 +58,6 @@ class LiveRegistry:
         port: int = 0,
         name: str = "registry",
         parent_address: Optional[str] = None,
-        decision_cost: float = 0.0,
-        query_timeout: float = 5.0,
         rng: Any = None,
     ):
         self.endpoint = LiveEndpoint(name, port=port)
@@ -65,10 +69,10 @@ class LiveRegistry:
             lease=lease,
             policy=policy,
             rng=rng,
-            decision_cost=decision_cost,
+            decision_cost=DECISION_COST_S,
             command_cooldown=command_cooldown,
             parent_address=parent_address,
-            query_timeout=query_timeout,
+            query_timeout=QUERY_TIMEOUT_S,
             # The overloaded node itself plays the commander role.
             commander_for=lambda source: source,
         )

@@ -91,30 +91,21 @@ class MonitorCore:
         interval: float = DEFAULT_INTERVAL,
         intervals_by_state: Optional[Dict[SystemState, float]] = None,
         sustain: int = 3,
-        root_rule: Optional[int] = None,
-        n_levels: int = 3,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if sustain < 1:
             raise ValueError("sustain must be >= 1")
-        if n_levels < 2:
-            raise ValueError("need at least two state levels")
         self.clock = clock
         self.host_name = host_name
         self.registry_address = registry_address
         self.ruleset = RuleSet() if ruleset is None else ruleset
-        # Fine-granularity support (§4): complex-rule evaluation rounds
-        # onto an ``n_levels``-deep severity lattice; the named
-        # three-state view is its presentation layer.
-        self.evaluator = RuleEvaluator(self.ruleset, script_engine,
-                                       n_levels=n_levels)
+        self.evaluator = RuleEvaluator(self.ruleset, script_engine)
         self.database = MonitoringDatabase()
         self.policy = policy
         self.interval = float(interval)
         self.intervals_by_state = intervals_by_state or {}
         self.sustain = int(sustain)
-        self.root_rule = root_rule
         self.state = SystemState.FREE
         self.reported_state = SystemState.FREE
         self.cycles = 0
@@ -164,7 +155,7 @@ class MonitorCore:
 
     def classify(self, snapshot: Dict[str, float]) -> SystemState:
         """Rule evaluation plus policy trigger/guard sharpening."""
-        state = self.evaluator.evaluate_host_state(self.root_rule)
+        state = self.evaluator.evaluate_host_state()
         return SystemState(sharpen(scalar, state, self.policy, snapshot))
 
     def apply_sustain(self, state: SystemState) -> SystemState:

@@ -9,14 +9,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
+#: Samples each metric's series keeps; older ones fall off.
+MAX_SAMPLES = 1024
+
 
 class MonitoringDatabase:
     """Ring-buffered time series per metric."""
 
-    def __init__(self, max_samples: int = 1024):
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self.max_samples = max_samples
+    def __init__(self):
         self._series: Dict[str, deque] = {}
 
     def record(self, timestamp: float, snapshot: Dict[str, float]) -> None:
@@ -24,7 +24,7 @@ class MonitoringDatabase:
         for metric, value in snapshot.items():
             series = self._series.get(metric)
             if series is None:
-                series = deque(maxlen=self.max_samples)
+                series = deque(maxlen=MAX_SAMPLES)
                 self._series[metric] = series
             series.append((timestamp, float(value)))
 

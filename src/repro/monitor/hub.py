@@ -58,6 +58,11 @@ from .monitor import DEFAULT_CYCLE_COST
 #: sub-cadence instead of one wake-up per host per cycle.
 TICKS_PER_INTERVAL = 8
 
+#: Snapshots each hub row keeps for :meth:`MonitorHub.history`.  Not
+#: the per-host database's ``MAX_SAMPLES``: at 4096 rows that depth
+#: would hold 4096 × 1024 snapshots.
+HISTORY_SAMPLES = 4
+
 
 class MonitorHub:
     """Batched monitoring of the host plane's analytic rows."""
@@ -76,10 +81,7 @@ class MonitorHub:
         intervals_by_state: Optional[Dict[SystemState, float]] = None,
         sustain: int = 3,
         cycle_cost: float = DEFAULT_CYCLE_COST,
-        root_rule: Optional[int] = None,
         rng: Any = None,
-        n_levels: int = 3,
-        database_max_samples: int = 4,
         processes_for: Optional[Callable[[str], List[dict]]] = None,
     ):
         if not hosts:
@@ -88,8 +90,6 @@ class MonitorHub:
             raise ValueError("interval must be positive")
         if sustain < 1:
             raise ValueError("sustain must be >= 1")
-        if n_levels < 2:
-            raise ValueError("need at least two state levels")
         self.plane = plane
         self.env = plane.env
         self.hosts = list(hosts)
@@ -101,7 +101,6 @@ class MonitorHub:
         self.policy = policy
         self.interval = float(interval)
         self.intervals_by_state = intervals_by_state or {}
-        self.root_rule = root_rule
         self.rng = rng
         self.cycle_cost = float(cycle_cost)
         #: Host name → process report dicts.  Called only when a report
@@ -138,14 +137,13 @@ class MonitorHub:
             for state in SystemState
         ], dtype=float)
         # The monitoring database (Figure 2): each row's latest
-        # snapshots, cycle *c* in slot ``c % database_max_samples``.
+        # snapshots, cycle *c* in slot ``c % HISTORY_SAMPLES``.
         self._metrics = list(plane.analytic_sensor_columns(self._rows[:0]))
-        self._ring = np.empty((database_max_samples, n, len(self._metrics)))
-        self._ring_t = np.empty((database_max_samples, n))
+        self._ring = np.empty((HISTORY_SAMPLES, n, len(self._metrics)))
+        self._ring_t = np.empty((HISTORY_SAMPLES, n))
         # Vectorized classification over the current tick's columns.
         self._cols: Dict[str, np.ndarray] = {}
-        self._vec = VectorRuleEvaluator(self.ruleset, self._column_engine,
-                                        n_levels=n_levels)
+        self._vec = VectorRuleEvaluator(self.ruleset, self._column_engine)
         # Per-row cycle phases: the same decorrelating random start a
         # per-host monitor draws, as one array draw.
         phases = (
@@ -169,8 +167,8 @@ class MonitorHub:
         """``MonitorCore.classify`` over columns (int8 codes): a set
         with no top-level rule classifies FREE, like the per-host
         evaluator."""
-        if self.root_rule is not None or self._vec._checked_rules():
-            states = self._vec.evaluate_host_states(self.root_rule)
+        if self._vec._checked_rules():
+            states = self._vec.evaluate_host_states()
         else:
             states = np.full(n, np.int8(FREE))
         return sharpen(np, states, self.policy, cols)

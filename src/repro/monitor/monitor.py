@@ -46,10 +46,8 @@ class Monitor:
         intervals_by_state: Optional[Dict[SystemState, float]] = None,
         sustain: int = 3,
         cycle_cost: float = DEFAULT_CYCLE_COST,
-        root_rule: Optional[int] = None,
         rng: Any = None,
         mode: str = "push",
-        n_levels: int = 3,
     ):
         if mode not in ("push", "pull"):
             raise ValueError(f"mode must be push or pull, got {mode!r}")
@@ -67,8 +65,6 @@ class Monitor:
             interval=interval,
             intervals_by_state=intervals_by_state,
             sustain=sustain,
-            root_rule=root_rule,
-            n_levels=n_levels,
         )
         self.cycle_cost = float(cycle_cost)
         self.rng = rng

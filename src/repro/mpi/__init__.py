@@ -14,13 +14,7 @@ from .errors import DeadProcessError, MpiError, RankError, SpawnError
 from .group import CommGroup
 from .message import ANY_SOURCE, ANY_TAG, Message
 from .process import MpiProcess
-from .runtime import (
-    DEFAULT_LOCAL_LATENCY,
-    DEFAULT_SPAWN_LATENCY,
-    LaunchResult,
-    MpiContext,
-    MpiRuntime,
-)
+from .runtime import DEFAULT_LOCAL_LATENCY, DEFAULT_SPAWN_LATENCY, MpiRuntime
 from .sizeof import ENVELOPE_BYTES, message_nbytes, payload_nbytes
 
 __all__ = [
@@ -33,9 +27,7 @@ __all__ = [
     "DeadProcessError",
     "ENVELOPE_BYTES",
     "Intercomm",
-    "LaunchResult",
     "Message",
-    "MpiContext",
     "MpiError",
     "MpiProcess",
     "MpiRuntime",

@@ -187,7 +187,7 @@ class Comm:
         ``entry(ctx)`` must be a generator factory; each child receives a
         :class:`SpawnedContext` with its child-world communicator and the
         parent intercommunicator.  Mirrors ``MPI_Comm_spawn``; the
-        configurable ``spawn_latency`` reproduces LAM/MPI's slow dynamic
+        runtime's ``spawn_latency`` reproduces LAM/MPI's slow dynamic
         process management (the paper measures ~0.3 s).
 
         ``latency`` overrides the runtime's spawn latency (e.g. 0 for a

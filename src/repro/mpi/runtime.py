@@ -1,8 +1,8 @@
-"""MPI runtime: world launch and global parameters (the `mpirun` analog)."""
+"""MPI runtime: the installation's global parameters."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from .comm import Comm
 from .group import CommGroup
@@ -16,94 +16,20 @@ DEFAULT_SPAWN_LATENCY = 0.3
 DEFAULT_LOCAL_LATENCY = 2e-5
 
 
-class MpiContext:
-    """Per-process context handed to application entry functions."""
-
-    def __init__(self, runtime: "MpiRuntime", process: MpiProcess,
-                 comm: Comm):
-        self.runtime = runtime
-        self.process = process
-        self.comm = comm
-
-    @property
-    def env(self):
-        return self.process.env
-
-    @property
-    def host(self):
-        return self.process.host
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-
-class LaunchResult:
-    """Everything `mpirun` started: contexts, sim processes, the world."""
-
-    def __init__(self, contexts: list, sim_procs: list, world: CommGroup):
-        self.contexts = contexts
-        self.sim_procs = sim_procs
-        self.world = world
-
-    @property
-    def done(self):
-        """Event: all ranks' generators have returned."""
-        env = self.world.runtime.env
-        return env.all_of(self.sim_procs)
-
-    def values(self) -> list:
-        """Return values of all ranks (after completion)."""
-        return [p.value for p in self.sim_procs]
-
-
 class MpiRuntime:
     """The simulated MPI-2 installation on a cluster."""
 
-    def __init__(
-        self,
-        cluster: Any,
-        spawn_latency: float = DEFAULT_SPAWN_LATENCY,
-        local_latency: float = DEFAULT_LOCAL_LATENCY,
-    ):
-        if spawn_latency < 0 or local_latency < 0:
-            raise ValueError("latencies must be non-negative")
+    spawn_latency = DEFAULT_SPAWN_LATENCY
+    local_latency = DEFAULT_LOCAL_LATENCY
+
+    def __init__(self, cluster: Any):
         self.cluster = cluster
         self.env = cluster.env
         self.network = cluster.network
-        self.spawn_latency = float(spawn_latency)
-        self.local_latency = float(local_latency)
 
     def start(self, generator, name: str = "mpi-proc"):
         """Run a generator as a simulation process."""
         return self.env.process(generator, name=name)
-
-    def launch(
-        self,
-        entry: Callable,
-        hosts: Iterable[Any],
-        name: str = "app",
-    ) -> LaunchResult:
-        """Start ``entry(ctx)`` on each host; ranks follow host order."""
-        hosts = list(hosts)
-        if not hosts:
-            raise ValueError("need at least one host")
-        procs = [
-            MpiProcess(self, host, name=f"{name}[{i}]")
-            for i, host in enumerate(hosts)
-        ]
-        world = CommGroup(self, procs, label=f"{name}.world")
-        contexts = []
-        sim_procs = []
-        for proc in procs:
-            ctx = MpiContext(self, proc, Comm(world, proc))
-            contexts.append(ctx)
-            sim_procs.append(self.start(entry(ctx), name=proc.name))
-        return LaunchResult(contexts, sim_procs, world)
 
     def comm_self(self, process: MpiProcess) -> Comm:
         """A COMM_SELF-style single-member communicator for ``process``."""

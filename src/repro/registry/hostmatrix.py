@@ -203,7 +203,8 @@ class HostStateMatrix:
         self._hosts_arr: Optional[np.ndarray] = None
         self._registry_mask: Optional[np.ndarray] = None
         #: Row-aligned :class:`HostRecord` handles, one per host for as
-        #: long as it is registered.
+        #: long as it is registered; built on the first read, so they
+        #: cover a prefix of the rows.
         self._views: List[HostRecord] = []
 
     # -- shape ------------------------------------------------------------
@@ -240,12 +241,20 @@ class HostStateMatrix:
     def view(self, host: str) -> Optional[HostRecord]:
         """The host's :class:`HostRecord` handle, or ``None``."""
         row = self._index.get(host)
-        return None if row is None else self._views[row]
+        return None if row is None else self._views_to(row + 1)[row]
 
     def views(self) -> List[HostRecord]:
         """Every row's handle in row order: the table's own list,
         which callers must treat as read-only."""
-        return self._views
+        return self._views_to(self._n)
+
+    def _views_to(self, stop: int) -> List[HostRecord]:
+        """The handle list, built out to cover rows ``[0, stop)``."""
+        views = self._views
+        if len(views) < stop:
+            views.extend([HostRecord(self, host)
+                          for host in self._hosts[len(views):stop]])
+        return views
 
     def metrics_at(self, row: int) -> Dict[str, float]:
         """The reported metric columns of one row, plus whatever
@@ -321,7 +330,6 @@ class HostStateMatrix:
             self._grow(n)
         self._hosts.extend(hosts)
         self._index.update(zip(hosts, range(first, n)))
-        self._views.extend([HostRecord(self, host) for host in hosts])
         self._static.extend(statics)
         self._features.extend(features)
         k = n - first
@@ -439,7 +447,8 @@ class HostStateMatrix:
         self._hosts.pop(row)
         self._static.pop(row)
         self._features.pop(row)
-        self._views.pop(row)
+        if row < len(self._views):
+            self._views.pop(row)
         if row < n - 1:
             # Equal-length slice moves: no buffer changes size.
             for attr in _COLUMNS:

@@ -49,10 +49,8 @@ class RegistryScheduler:
         lease: float = DEFAULT_LEASE,
         policy: Any = None,
         rng: Any = None,
-        decision_cost: float = DEFAULT_DECISION_COST,
         command_cooldown: float = DEFAULT_COMMAND_COOLDOWN,
         parent_address: Optional[str] = None,
-        label: Optional[str] = None,
         mode: str = "push",
         poll_interval: float = 10.0,
     ):
@@ -66,11 +64,10 @@ class RegistryScheduler:
         #: registry records).
         self.core = RegistryCore(
             clock=self.env,
-            label=label or f"{name}@{host.name}",
+            label=f"{name}@{host.name}",
             lease=lease,
             policy=policy,
             rng=rng,
-            decision_cost=decision_cost,
             command_cooldown=command_cooldown,
             parent_address=parent_address,
             commander_for=lambda source: f"commander@{source}",

@@ -14,7 +14,7 @@ sets ``xp = numpy`` and overrides only what differs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from . import expr as expr_mod
 from .model import ComplexRule, RuleSet, SimpleRule
@@ -55,11 +55,9 @@ class RuleEvaluator:
         self,
         ruleset: RuleSet,
         script_engine: Callable[[str, str], Any],
-        n_levels: int = 3,
     ):
         self.ruleset = ruleset
         self.script_engine = script_engine
-        self.n_levels = n_levels
         #: rule number → compiled ``fn(resolve) -> level`` closure.
         self._compiled: Dict[int, Callable] = {}
         #: (ruleset size, top-level rules) as of the last check.
@@ -139,21 +137,13 @@ class RuleEvaluator:
         if run is None:
             run = expr_mod.compile_node(rule.ast, self.xp)
             self._compiled[rule.number] = run
-        return expr_mod.states_from_levels(
-            self.xp,
-            expr_mod.round_levels(self.xp, run(self._rule_level),
-                                  self.n_levels),
-            self.n_levels,
-        )
+        return expr_mod.round_levels(self.xp, run(self._rule_level))
 
     # -- whole-host state -------------------------------------------------
-    def _host_level(self, root_rule: Optional[int]) -> Tuple[Any, int]:
-        """A designated root rule's level, or the most severe level
-        across all top-level rules (FREE when there is none), and how
-        many rules that took."""
+    def _host_level(self) -> Tuple[Any, int]:
+        """The most severe level across all top-level rules (FREE when
+        there is none), and how many rules that took."""
         top = self._checked_rules()
-        if root_rule is not None:
-            return self._rule_level(root_rule), 1
         if not top:
             return FREE, 0
         maximum = self.xp.maximum
@@ -162,17 +152,14 @@ class RuleEvaluator:
             level = maximum(level, self._rule_level(rule))
         return level, len(top)
 
-    def evaluate_host_state(
-        self, root_rule: Optional[int] = None
-    ) -> SystemState:
-        """The host's state: a designated root rule, or the most severe
-        outcome across all top-level rules."""
-        level, rules = self._host_level(root_rule)
+    def evaluate_host_state(self) -> SystemState:
+        """The host's state: the most severe outcome across all
+        top-level rules."""
+        level, rules = self._host_level()
         state = SystemState(level)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.event(EV_RULE_EVALUATE, state=state.name,
-                         root=root_rule, rules=rules)
+            tracer.event(EV_RULE_EVALUATE, state=state.name, rules=rules)
         return state
 
 

@@ -10,7 +10,7 @@ rule 4, as the paper's Figure 4 mixes the two)::
     ref        := 'r' NUMBER
 
 Evaluation maps every node to a *severity level* (free=0, busy=1,
-overloaded=2 in the default three-state lattice):
+overloaded=2):
 
 * a weighted sum computes ``Σ wᵢ·levelᵢ`` and rounds to the nearest
   level;
@@ -21,7 +21,6 @@ overloaded=2 in the default three-state lattice):
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -177,27 +176,18 @@ def parse_expression(text: str) -> Node:
 scalar = SimpleNamespace(
     minimum=min,
     maximum=max,
-    floor=math.floor,
     where=lambda cond, a, b: a if cond else b,
-    clip=lambda value, lo, hi: max(lo, min(value, hi)),
 )
 
 
-def round_levels(xp: Any, levels: Any, n_levels: int = 3) -> Any:
-    """Severity levels → the nearest level of an ``n_levels``-deep
-    lattice, clamped (the ``int(level + 0.5)`` of one host, elementwise
-    over a column).  Levels are non-negative (weights and states are),
-    so truncation and floor agree."""
-    return xp.clip(xp.floor(levels + 0.5), 0, n_levels - 1)
-
-
-def states_from_levels(xp: Any, levels: Any, n_levels: int = 3) -> Any:
-    """:meth:`SystemState.from_level` at either width: severity levels
-    → named state codes via the same thirds split (identity when
-    ``n_levels == 3``)."""
-    scaled = xp.clip(levels, 0, n_levels - 1) / (n_levels - 1)
-    return xp.where(scaled < 1 / 3, FREE,
-                    xp.where(scaled < 2 / 3, BUSY, OVERLOADED))
+def round_levels(xp: Any, levels: Any) -> Any:
+    """Severity levels → the nearest state code, clamped to FREE..
+    OVERLOADED (``floor(level + 0.5)`` for one host, elementwise over a
+    column).  An int code at either width: ``SystemState(code)`` for
+    one host, ``.astype(np.int8)`` for a column."""
+    rounded = levels + 0.5  # floor(rounded) < k  ⇔  rounded < k
+    return xp.where(rounded < 1, FREE,
+                    xp.where(rounded < 2, BUSY, OVERLOADED))
 
 
 # ------------------------------------------------------------- compiler

@@ -6,9 +6,9 @@ Three named states order by severity::
 
 plus ``unavailable`` for hosts whose soft-state lease expired.  The
 paper classifies "with a fine granularity using a series of numbers to
-support more complex migration rules" — severity levels are plain
-integers, so finer lattices (0..N) drop in; the named three-state view
-is the presentation layer.
+support more complex migration rules": a complex rule computes a
+numeric severity level (a weighted sum of its rules' levels), rounded
+onto the three states (``repro.rules.expr.round_levels``).
 
 Table 1 semantics:
 
@@ -44,23 +44,6 @@ class SystemState(IntEnum):
     def loaded(self) -> bool:
         """Is the host carrying load?"""
         return self in (SystemState.BUSY, SystemState.OVERLOADED)
-
-    @classmethod
-    def from_level(cls, level: float, n_levels: int = 3) -> "SystemState":
-        """Map a fine-granularity severity level onto the named states.
-
-        ``level`` in ``[0, n_levels - 1]`` divides into thirds: the
-        lowest third is free, the middle busy, the top overloaded.
-        """
-        if n_levels < 2:
-            raise ValueError("need at least two levels")
-        level = max(0.0, min(float(level), n_levels - 1))
-        scaled = level / (n_levels - 1)  # → [0, 1]
-        if scaled < 1 / 3:
-            return cls.FREE
-        if scaled < 2 / 3:
-            return cls.BUSY
-        return cls.OVERLOADED
 
 
 #: Plain-int codes of the named states: what the judgement code computes

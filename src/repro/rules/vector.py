@@ -27,7 +27,7 @@ still holds the two equal differentially.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -71,12 +71,10 @@ class VectorRuleEvaluator(RuleEvaluator):
         bulk sweep would drown a trace), which is why the one-host
         width remains the oracle wherever traces matter."""
 
-    def evaluate_host_states(
-        self, root_rule: Optional[int] = None
-    ) -> np.ndarray:
-        """Every host's state in one pass: a designated root rule, or
-        the elementwise most severe outcome across top-level rules."""
-        level, rules = self._host_level(root_rule)
+    def evaluate_host_states(self) -> np.ndarray:
+        """Every host's state in one pass: the elementwise most severe
+        outcome across top-level rules."""
+        level, rules = self._host_level()
         if not rules:
             raise ValueError(
                 "empty rule set has no host width; evaluate at least "

@@ -2,6 +2,7 @@
 
 An unbounded item buffer.  A put is immediate; a get is an event, and
 may select items by predicate (MPI matches messages by source and tag).
+A closed store fails its waiting gets, and every later one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class Store:
         self.env = env
         self.items: list = []
         self._getters: list = []
+        #: What every get fails with once the store is closed.
+        self._closed: Optional[BaseException] = None
 
     def put(self, item: Any) -> None:
         """Hand ``item`` to the oldest waiting getter it matches, or
@@ -47,6 +50,8 @@ class Store:
         """Event that succeeds with the oldest item, or the oldest one
         ``filter`` matches."""
         event = StoreGet(self.env, filter)
+        if self._closed is not None:
+            return event.fail(self._closed)
         for i, item in enumerate(self.items):
             if filter is None or filter(item):
                 del self.items[i]
@@ -54,6 +59,14 @@ class Store:
                 return event
         self._getters.append(event)
         return event
+
+    def close(self, exc: BaseException) -> None:
+        """Fail every waiting get, and every later one, with ``exc``:
+        how an abort reaches a process blocked on this store."""
+        self._closed = exc
+        getters, self._getters = self._getters, []
+        for getter in getters:
+            getter.fail(exc)
 
     def __len__(self) -> int:
         return len(self.items)

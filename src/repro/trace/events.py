@@ -92,7 +92,7 @@ EVENTS = {
             "one simple rule evaluated: measured value vs thresholds"),
         EventSpec(
             EV_RULE_EVALUATE, "event", "repro.rules.evaluator",
-            ("state", "root", "rules"),
+            ("state", "rules"),
             "whole-host rule evaluation produced a state"),
         EventSpec(
             EV_REGISTRY_REGISTER, "event", "repro.registry.core",

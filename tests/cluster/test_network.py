@@ -8,6 +8,8 @@ from repro.sim import Environment
 from repro.cluster import Cluster, Cpu, HostDownError, Network
 from repro.mpi import MpiRuntime
 
+from ..mpi.world import launch
+
 
 def make_net(env, hosts=("a", "b", "c"), bandwidth=100.0, latency=0.0,
              cpu_per_byte=0.0):
@@ -380,13 +382,13 @@ def test_mpi_send_fails_when_its_destination_crashes_mid_transfer():
         except HostDownError as exc:
             caught.append((exc.args, ctx.env.now))
 
-    launched = mpi.launch(entry, cluster.host_list())
+    _, ranks = launch(mpi, entry, cluster.host_list())
 
     def crash(env):
         yield env.timeout(0.1)
         cluster["ws2"].crash()
 
     cluster.env.process(crash(cluster.env))
-    cluster.env.run(until=launched.sim_procs[0])
+    cluster.env.run(until=ranks[0])
     assert caught == [(("ws2",), pytest.approx(0.1))]
     assert cluster.network.active_flows() == []

@@ -1,6 +1,4 @@
-"""Commander: signal delivery, temp files, error paths."""
-
-import os
+"""Commander: signal delivery and error paths."""
 
 import pytest
 
@@ -23,12 +21,11 @@ PI_PARAMS = {"batches": 10, "batch_size": 500, "sample_cost": 1e-4,
              "seed": 1}
 
 
-def deploy(use_tempfile=False, n_hosts=2):
+def deploy(n_hosts=2):
     cluster = Cluster(n_hosts=n_hosts, seed=0)
     mpi = MpiRuntime(cluster)
     directory = EndpointRegistry()
-    commander = Commander(cluster["ws1"], directory,
-                          use_tempfile=use_tempfile)
+    commander = Commander(cluster["ws1"], directory)
     sender = Endpoint(cluster["ws2"], directory, name="registry")
     return cluster, mpi, commander, sender
 
@@ -116,25 +113,3 @@ def test_reshape_of_a_rigid_app_is_refused(kind, ranks):
         (False, f"pid {pid} is not malleable")]
     assert world.reconfigurations == []
     assert [rt.status for rt in world.all_runtimes] == ["done"] * ranks
-
-
-def test_tempfile_mechanism():
-    """The paper's design: the destination address travels via a real
-    temp file written by the commander and read (then removed) by the
-    migrating process."""
-    cluster, mpi, commander, sender = deploy(use_tempfile=True)
-    rt = launch(mpi, TestTreeApp(), cluster["ws1"], params=PARAMS)
-    sender.send_and_forget(
-        commander.address,
-        MigrateCommand(host="ws1", pid=rt.process.proc_entry.pid,
-                       dest="ws2"),
-    )
-    cluster.env.run(until=rt.done)
-    assert rt.host.name == "ws2"
-    # The temp file must be gone after the process consumed it.
-    (rec,) = rt.migrations
-    assert rec.dest == "ws2"
-    leftovers = [
-        f for f in os.listdir("/tmp") if f.startswith("hpcm-dest-")
-    ]
-    assert leftovers == []

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
-from repro.cluster import Cluster, CpuHog
-from repro.hpcm import ReconfigureOrder, launch, launch_world
+from repro.cluster import Cluster, CpuHog, HostDownError
+from repro.hpcm import ReconfigureOrder, WorldAborted, launch, launch_world
 from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
 from repro.trace.events import EV_APP_FINISH, EV_APP_SHRINK
@@ -404,12 +404,50 @@ def test_a_failed_rank_has_left_the_world(everyone):
     # ``finished`` succeeds — a failed rank does not raise out of the wait.
     cluster.env.run(until=world.finished)
     assert world.finished.ok
+    # The first failure aborts the world: rank 0 fails with it at its
+    # next poll-point unless it failed on its own.
     statuses = [rt.status for rt in world.all_runtimes]
-    assert statuses == (["failed", "failed"] if everyone
-                        else ["done", "failed"])
+    assert statuses == ["failed", "failed"]
+    assert [type(rt.error) for rt in world.all_runtimes] == [
+        RuntimeError if everyone else WorldAborted, RuntimeError]
     assert fired == [last_exit(world)] == [cluster.env.now]
     cluster.env.run(until=cluster.env.now + 5.0)
     assert len(fired) == 1
+
+
+@pytest.mark.parametrize("crashed", ["ws2", "ws1"])
+def test_a_crash_that_fails_a_rank_aborts_the_world(crashed):
+    """MPI's default: a world that loses a rank aborts.  The crash
+    fails one rank in the closing collective at 8.0 s; the other rank,
+    blocked in a receive, fails with it, and ``finished`` fires long
+    before the cap.  The rank that fails first is ws2's whichever host
+    crashed: the crash takes the host off the network only, so which
+    peer sees it first is a matter of the collective's shape."""
+    cluster, mpi = setup()
+    world = launch_pi(mpi, cluster)
+    crash_at(cluster, crashed, 3.0)
+    run_until_finished(cluster.env, world.finished, 3000.0)
+    assert world.finished.ok
+    assert cluster.env.now == pytest.approx(8.0 + DRAIN_SECONDS, abs=0.01)
+    assert [(rt.host.name, rt.status, type(rt.error))
+            for rt in world.all_runtimes] == [
+        ("ws1", "failed", WorldAborted), ("ws2", "failed", HostDownError)]
+    assert str(world.aborted).startswith("mc_pi: the rank on ws2 failed")
+
+
+def test_a_crash_after_an_expand_aborts_every_rank():
+    """The probe of a grown world: ws3, one of the two ranks an expand
+    added, crashes; all four ranks end failed by 5.8 s."""
+    cluster, mpi = setup()
+    world = launch_pi(mpi, cluster)
+    expand_at(cluster, world, ("ws3", "ws4"), 2.0)
+    crash_at(cluster, "ws3", 4.0)
+    run_until_finished(cluster.env, world.finished, 3000.0)
+    assert world.finished.ok
+    assert [rt.status for rt in world.all_runtimes] == ["failed"] * 4
+    assert last_exit(world) == pytest.approx(5.8, abs=0.01)
+    assert cluster.env.now == pytest.approx(
+        last_exit(world) + DRAIN_SECONDS)
 
 
 class StuckRankApp(MigratableApp):

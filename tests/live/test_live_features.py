@@ -157,7 +157,7 @@ def test_live_node_accepts_an_empty_ruleset():
 
 
 def test_live_complex_rule_classification():
-    node = LiveNode("n1", ruleset=complex_ruleset(1.5), root_rule=3)
+    node = LiveNode("n1", ruleset=complex_ruleset(1.5))
     try:
         assert node._status_update().state is SystemState.FREE
         # One task → occupancy overloaded, load busy → rounds to busy.
@@ -186,7 +186,7 @@ def test_live_complex_rule_policy_with_hierarchical_escalation():
                          parent_address=top.address)
     source = LiveNode("source", registry_address=child.address,
                       interval=0.1, ruleset=complex_ruleset(1.5),
-                      root_rule=3, sustain=2)
+                      sustain=2)
     remote = LiveNode("remote", registry_address=top.address,
                       interval=0.1)
     try:

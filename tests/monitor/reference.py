@@ -18,7 +18,6 @@ two disagree, this side is the specification.
 import copy
 
 from repro.monitor.core import MonitorCore
-from repro.monitor.database import MonitoringDatabase
 from repro.monitor.scripts import SnapshotScriptEngine
 from repro.rules.states import SystemState
 
@@ -26,7 +25,7 @@ from repro.rules.states import SystemState
 class RowPump:
     """The hub's schedule and reports, pumped row by row."""
 
-    def __init__(self, hub, n_levels=3, database_max_samples=4):
+    def __init__(self, hub):
         self.hub = hub
         # The hub's own generator, cloned after the phase draw: both
         # sides see the same jitter stream from here on.
@@ -44,11 +43,7 @@ class RowPump:
                 interval=hub.interval,
                 intervals_by_state=hub.intervals_by_state,
                 sustain=hub.sustain,
-                root_rule=hub.root_rule,
-                n_levels=n_levels,
             )
-            core.database = MonitoringDatabase(
-                max_samples=database_max_samples)
             self.cores.append(core)
 
     def tick(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.monitor import MonitoringDatabase, ProcessInfo, select_victim
+from repro.monitor.database import MAX_SAMPLES
 
 
 # ------------------------------------------------------------ database
@@ -37,11 +38,11 @@ def test_mean():
 
 
 def test_ring_buffer_bound():
-    db = MonitoringDatabase(max_samples=5)
-    for t in range(10):
+    db = MonitoringDatabase()
+    for t in range(MAX_SAMPLES + 5):
         db.record(float(t), {"x": float(t)})
     series = db.series("x")
-    assert len(series) == 5
+    assert len(series) == MAX_SAMPLES
     assert series[0] == (5.0, 5.0)
 
 
@@ -50,11 +51,6 @@ def test_metrics_listing_and_contains():
     db.record(0.0, {"b": 1.0, "a": 2.0})
     assert list(db.metrics()) == ["a", "b"]
     assert "a" in db and "z" not in db
-
-
-def test_invalid_max_samples():
-    with pytest.raises(ValueError):
-        MonitoringDatabase(max_samples=0)
 
 
 # ------------------------------------------------------------ selector

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster.host import StaticInfo
+from repro.monitor import hub as hub_module
 from repro.monitor.core import MonitorCore
 from repro.monitor.hub import MonitorHub
 from repro.protocol.transport import EndpointRegistry
@@ -88,9 +89,9 @@ class SideBySide:
     wake-up, off the same plane columns, and requires the same per-row
     state, the same ``push_many`` batch and the same wire reports."""
 
-    def __init__(self, hub, **pump_kwargs):
+    def __init__(self, hub):
         self.hub = hub
-        self.pump = RowPump(hub, **pump_kwargs)
+        self.pump = RowPump(hub)
         self.batches = []
         self.reports = []
         self.wire = []  # every report of the run
@@ -164,11 +165,14 @@ class SideBySide:
         self.seen.update(hub.state.tolist())
 
     def check_history(self):
-        """``hub.history`` ≡ each reference core's own database."""
+        """``hub.history`` ≡ the newest ``HISTORY_SAMPLES`` of each
+        reference core's own database."""
+        depth = hub_module.HISTORY_SAMPLES
         for name, core in zip(self.hub.hosts, self.pump.cores):
             for metric in core.database.metrics():
                 assert (self.hub.history(name, metric)
-                        == core.database.series(metric)), (name, metric)
+                        == core.database.series(metric)[-depth:]), (
+                    name, metric)
 
 
 def test_hub_owns_analytic_rows_monitors_own_backed():
@@ -299,11 +303,14 @@ def test_hub_matches_row_pump_tick_for_tick(sustain):
 
 
 @pytest.mark.parametrize("samples", [1, 3])
-def test_history_ring_matches_database_across_wraparound(samples):
-    """``hub.history`` ≡ a ``MonitoringDatabase(max_samples=k)`` fed
-    the same snapshots: before the ring fills, and after it wraps."""
-    cluster, hub = bare_hub(5, database_max_samples=samples)
-    side = SideBySide(hub, database_max_samples=samples)
+def test_history_ring_matches_database_across_wraparound(samples,
+                                                         monkeypatch):
+    """``hub.history`` ≡ the tail of a ``MonitoringDatabase`` fed the
+    same snapshots, before the ring fills and after it wraps, at ring
+    depths below the shipped ``HISTORY_SAMPLES``."""
+    monkeypatch.setattr(hub_module, "HISTORY_SAMPLES", samples)
+    cluster, hub = bare_hub(5)
+    side = SideBySide(hub)
     assert hub.history("an2", "loadavg1") == []
     for until in (12.0, 25.0, 70.0):
         cluster.run(until=until)

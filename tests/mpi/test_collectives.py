@@ -7,16 +7,16 @@ import pytest
 from repro.cluster import Cluster
 from repro.mpi import MpiRuntime
 
+from .world import launch, run
+
 
 def run_collective(entry, n_ranks=4):
     cluster = Cluster(n_hosts=n_ranks, cpu_per_byte=0.0)
     rt = MpiRuntime(cluster)
-    result = rt.launch(entry, cluster.host_list())
-    cluster.env.run(until=result.done)
-    assert all(p.ok for p in result.sim_procs), [
-        p.value for p in result.sim_procs if not p.ok
-    ]
-    return result.values()
+    _, ranks = launch(rt, entry, cluster.host_list())
+    values = run(cluster, ranks)
+    assert all(p.ok for p in ranks), [p.value for p in ranks if not p.ok]
+    return values
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13])

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.mpi import Comm, MpiRuntime, SpawnError
 
+from .world import launch, run
+
 
 def setup():
     cluster = Cluster(n_hosts=3, cpu_per_byte=0.0)
@@ -29,9 +31,9 @@ def test_spawn_child_runs_on_target_host():
         result = yield from icomm.recv(source=0)
         return result
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == 42
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == 42
     assert seen["host"] == "ws2"
 
 
@@ -46,27 +48,29 @@ def test_spawn_latency_applied():
         yield from icomm.recv()
         return ctx.env.now
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
     # Default LAM-like spawn latency is 0.3 s.
-    assert result.values()[0] >= 0.3
+    assert values[0] >= 0.3
 
 
 def test_spawn_custom_latency():
-    cluster = Cluster(n_hosts=2, cpu_per_byte=0.0)
-    rt = MpiRuntime(cluster, spawn_latency=0.0)
+    """A spawn's own ``latency`` (a pre-initialized standby's 0)
+    replaces the runtime's."""
+    cluster, rt = setup()
 
     def child(ctx):
         yield from ctx.parent.send("ready", dest=0)
 
     def parent(ctx):
-        icomm = yield from ctx.comm.spawn(child, [cluster["ws2"]])
+        icomm = yield from ctx.comm.spawn(child, [cluster["ws2"]],
+                                          latency=0.0)
         yield from icomm.recv()
         return ctx.env.now
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] < 0.01
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] < 0.01
 
 
 def test_spawn_multiple_children():
@@ -86,9 +90,9 @@ def test_spawn_multiple_children():
         result = yield from icomm.recv(source=0)
         return result
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == 3  # 1 + 2
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == 3  # 1 + 2
 
 
 def test_spawn_to_down_host_fails():
@@ -103,9 +107,9 @@ def test_spawn_to_down_host_fails():
             yield from ctx.comm.spawn(child, [cluster["ws2"]])
         return "survived"
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == "survived"
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == "survived"
 
 
 def test_spawn_no_hosts_fails():
@@ -116,9 +120,9 @@ def test_spawn_no_hosts_fails():
             yield from ctx.comm.spawn(lambda c: iter(()), [])
         return "ok"
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == "ok"
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == "ok"
 
 
 def test_rank_replace_redirects_messages():
@@ -139,14 +143,13 @@ def test_rank_replace_redirects_messages():
         # Simulates the pre-migration half: receives nothing, is replaced.
         yield ctx.env.timeout(1000)
 
-    result = rt.launch(
-        lambda ctx: sender(ctx) if ctx.rank == 0 else receiver(ctx),
+    world, _ = launch(
+        rt, lambda ctx: sender(ctx) if ctx.rank == 0 else receiver(ctx),
         [cluster["ws1"], cluster["ws2"]],
     )
 
     def migrator(env):
         yield env.timeout(2)
-        world = result.world
         old = world.procs[1]
         new = MpiProcess(rt, cluster["ws3"], name="replacement")
         world.replace(old, new)

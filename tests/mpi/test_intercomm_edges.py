@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.mpi import ANY_SOURCE, MpiRuntime, RankError
 
+from .world import launch, run
+
 
 def setup():
     cluster = Cluster(n_hosts=3, cpu_per_byte=0.0)
@@ -24,9 +26,9 @@ def test_intercomm_remote_rank_bounds():
         reply = yield from icomm.recv()
         return (reply, icomm.remote_group.size, icomm.rank)
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == ("ok", 1, 0)
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == ("ok", 1, 0)
 
 
 def test_intercomm_any_source_recv():
@@ -44,9 +46,9 @@ def test_intercomm_any_source_recv():
             got.add((yield from icomm.recv(source=ANY_SOURCE)))
         return got
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == {"child0", "child1"}
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == {"child0", "child1"}
 
 
 def test_nested_spawn():
@@ -66,9 +68,9 @@ def test_nested_spawn():
         reply = yield from icomm.recv()
         return reply
 
-    result = rt.launch(parent, [cluster["ws1"]])
-    cluster.env.run(until=result.done)
-    assert result.values()[0] == "child+gc"
+    _, ranks = launch(rt, parent, [cluster["ws1"]])
+    values = run(cluster, ranks)
+    assert values[0] == "child+gc"
 
 
 def test_comm_handle_for_other_member():
@@ -83,6 +85,6 @@ def test_comm_handle_for_other_member():
             out["same_group"] = handle.group is ctx.comm.group
         yield ctx.env.timeout(0)
 
-    result = rt.launch(entry, [cluster["ws1"], cluster["ws2"]])
-    cluster.env.run(until=result.done)
+    _, ranks = launch(rt, entry, [cluster["ws1"], cluster["ws2"]])
+    run(cluster, ranks)
     assert out == {"other_rank": 1, "same_group": True}

@@ -15,6 +15,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.mpi import MpiRuntime
 
+from .world import launch, run
+
 pytestmark = pytest.mark.costguard
 
 
@@ -37,10 +39,9 @@ def _dispatches(dest_host):
         env.trace_hook = None
         return data
 
-    result = MpiRuntime(cluster).launch(
-        entry, [cluster["ws1"], cluster[dest_host]])
-    env.run(until=result.done)
-    assert result.values() == [None, "ping"]
+    _, ranks = launch(MpiRuntime(cluster), entry,
+                      [cluster["ws1"], cluster[dest_host]])
+    assert run(cluster, ranks) == [None, "ping"]
     return seen
 
 

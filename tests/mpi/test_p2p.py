@@ -13,20 +13,15 @@ from repro.mpi import (
     payload_nbytes,
 )
 
+from .world import launch, run
 
-def make_runtime(n_hosts=3, **kw):
+
+def run_app(entry, n_hosts=2, n_ranks=None):
+    """The ranks' return values, and their sim processes."""
     cluster = Cluster(n_hosts=n_hosts, cpu_per_byte=0.0)
-    return cluster, MpiRuntime(cluster, **kw)
-
-
-def run_app(entry, n_hosts=2, n_ranks=None, **kw):
-    cluster, rt = make_runtime(n_hosts=n_hosts, **kw)
     hosts = cluster.host_list()[: (n_ranks or n_hosts)]
-    result = rt.launch(entry, hosts)
-    # Hosts run infinite samplers, so run until the app finishes rather
-    # than until the queue drains.
-    cluster.env.run(until=result.done)
-    return result, cluster
+    _, ranks = launch(MpiRuntime(cluster), entry, hosts)
+    return run(cluster, ranks), ranks
 
 
 def test_send_recv_roundtrip():
@@ -37,8 +32,8 @@ def test_send_recv_roundtrip():
         data = yield from ctx.comm.recv(source=0, tag=11)
         return data
 
-    result, _ = run_app(entry)
-    assert result.values()[1] == {"a": 7, "b": 3.14}
+    values, ranks = run_app(entry)
+    assert values[1] == {"a": 7, "b": 3.14}
 
 
 def test_recv_any_source_any_tag():
@@ -48,8 +43,8 @@ def test_recv_any_source_any_tag():
             return data
         yield from ctx.comm.send(f"from-{ctx.rank}", dest=0, tag=ctx.rank)
 
-    result, _ = run_app(entry, n_hosts=2)
-    assert result.values()[0] == "from-1"
+    values, ranks = run_app(entry, n_hosts=2)
+    assert values[0] == "from-1"
 
 
 def test_tag_matching_out_of_order():
@@ -62,8 +57,8 @@ def test_tag_matching_out_of_order():
         a = yield from ctx.comm.recv(source=0, tag=1)
         return (a, b)
 
-    result, _ = run_app(entry)
-    assert result.values()[1] == ("first", "second")
+    values, ranks = run_app(entry)
+    assert values[1] == ("first", "second")
 
 
 def test_fifo_per_tag():
@@ -77,8 +72,8 @@ def test_fifo_per_tag():
             got.append((yield from ctx.comm.recv(source=0, tag=0)))
         return got
 
-    result, _ = run_app(entry)
-    assert result.values()[1] == [0, 1, 2, 3, 4]
+    values, ranks = run_app(entry)
+    assert values[1] == [0, 1, 2, 3, 4]
 
 
 def test_send_to_self():
@@ -87,8 +82,8 @@ def test_send_to_self():
         data = yield from ctx.comm.recv(source=0, tag=3)
         return data
 
-    result, _ = run_app(entry, n_hosts=1, n_ranks=1)
-    assert result.values()[0] == "loop"
+    values, ranks = run_app(entry, n_hosts=1, n_ranks=1)
+    assert values[0] == "loop"
 
 
 def test_large_message_takes_longer():
@@ -120,8 +115,8 @@ def test_transfer_time_matches_bandwidth():
             yield from ctx.comm.recv()
             return ctx.env.now
 
-    result, _ = run_app(entry)
-    assert result.values()[1] == pytest.approx(1.0, rel=0.01)
+    values, ranks = run_app(entry)
+    assert values[1] == pytest.approx(1.0, rel=0.01)
 
 
 def test_invalid_rank_raises():
@@ -129,8 +124,8 @@ def test_invalid_rank_raises():
         with pytest.raises(RankError):
             yield from ctx.comm.send("x", dest=99)
 
-    result, _ = run_app(entry, n_hosts=1, n_ranks=1)
-    assert all(p.ok for p in result.sim_procs)
+    values, ranks = run_app(entry, n_hosts=1, n_ranks=1)
+    assert all(p.ok for p in ranks)
 
 
 def test_send_to_dead_process_raises():
@@ -142,8 +137,8 @@ def test_send_to_dead_process_raises():
         with pytest.raises(DeadProcessError):
             yield from ctx.comm.send("x", dest=1)
 
-    result, _ = run_app(entry)
-    assert all(p.ok for p in result.sim_procs)
+    values, ranks = run_app(entry)
+    assert all(p.ok for p in ranks)
 
 
 def test_payload_nbytes():
@@ -151,12 +146,6 @@ def test_payload_nbytes():
     assert payload_nbytes(b"12345") == 5
     assert payload_nbytes(np.zeros(10, dtype=np.float64)) == 80
     assert payload_nbytes({"k": 1}) > 0
-
-
-def test_launch_requires_hosts():
-    cluster, rt = make_runtime()
-    with pytest.raises(ValueError):
-        rt.launch(lambda ctx: iter(()), [])
 
 
 def test_a_thousand_messages_arrive_in_order():
@@ -170,5 +159,5 @@ def test_a_thousand_messages_arrive_in_order():
             received.append((yield from ctx.comm.recv()))
         return received
 
-    result, _ = run_app(entry)
-    assert result.values()[1] == list(range(1000))
+    values, ranks = run_app(entry)
+    assert values[1] == list(range(1000))

@@ -359,6 +359,24 @@ def test_matrix_column_engine_drives_vector_rules():
         engine("unknown.sh", "")
 
 
+def test_row_handles_are_built_on_first_read():
+    """``add_rows`` builds no :class:`HostRecord`; ``view`` builds the
+    handles up to its row, ``views`` the rest, each once, and a removal
+    outside the built ones leaves them aligned."""
+    m = HostStateMatrix()
+    m.add_rows([f"h{i}" for i in range(6)], [{} for _ in range(6)], 0.0)
+    assert m._views == []
+    first = m.view("h1")
+    assert len(m._views) == 2
+    m.remove("h4")  # a row no handle covers yet
+    views = m.views()
+    assert views is m.views() and views[1] is first
+    assert [v.host for v in views] == ["h0", "h1", "h2", "h3", "h5"]
+    m.remove("h0")
+    assert [v.host for v in m.views()] == ["h1", "h2", "h3", "h5"]
+    assert m.view("h5") is views[-1] and m.view("h0") is None
+
+
 def test_matrix_rejects_duplicate_rows():
     m = HostStateMatrix()
     m.add_row("ws0", {}, 0.0)

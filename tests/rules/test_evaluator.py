@@ -172,11 +172,6 @@ def test_host_state_most_severe_top_level():
     assert ev.evaluate_host_state() is F
 
 
-def test_host_state_with_root_rule():
-    ev = paper_evaluator({"processorStatus.sh": 10.0})
-    assert ev.evaluate_host_state(root_rule=1) is O
-
-
 def test_host_state_empty_ruleset_is_free():
     from repro.rules import RuleSet
 

@@ -12,7 +12,6 @@ from repro.rules.expr import (
     compile_node,
     round_levels,
     scalar,
-    states_from_levels,
 )
 
 from .reference import evaluate
@@ -147,25 +146,19 @@ def test_and_or_lattice_laws(a, b):
 @given(expressions(),
        st.lists(st.dictionaries(st.integers(1, 9), _states,
                                 min_size=9, max_size=9),
-                min_size=1, max_size=6),
-       st.sampled_from([3, 5, 9]))
+                min_size=1, max_size=6))
 def test_compiled_expression_matches_tree_walk_at_both_widths(
-        expr_refs, hosts, n_levels):
+        expr_refs, hosts):
     """``compile_node(node, scalar)`` host by host and
     ``compile_node(node, numpy)`` over all hosts at once both equal
     the reference tree walk on random ASTs."""
     node = parse_expression(expr_refs[0])
-    expected = [evaluate(node, make_resolver(states), n_levels=n_levels)
-                for states in hosts]
-
-    def finish(xp, levels):
-        return states_from_levels(
-            xp, round_levels(xp, levels, n_levels), n_levels)
+    expected = [evaluate(node, make_resolver(states)) for states in hosts]
 
     run = compile_node(node, scalar)
-    one_by_one = [finish(scalar, run(lambda n: int(states[n])))
+    one_by_one = [round_levels(scalar, run(lambda n: int(states[n])))
                   for states in hosts]
     assert one_by_one == expected
-    column = finish(np, compile_node(node, np)(
+    column = round_levels(np, compile_node(node, np)(
         lambda n: np.array([int(states[n]) for states in hosts])))
     assert column.tolist() == expected

@@ -1,8 +1,9 @@
 """System-state lattice and Table 1 semantics."""
 
-import pytest
+import numpy as np
 
 from repro.rules import SystemState, combine_and, combine_or
+from repro.rules.expr import round_levels, scalar
 
 
 def test_severity_ordering():
@@ -43,24 +44,16 @@ def test_combine_or_escalates():
 
 
 def test_from_level_three_states():
-    assert SystemState.from_level(0) is SystemState.FREE
-    assert SystemState.from_level(1) is SystemState.BUSY
-    assert SystemState.from_level(2) is SystemState.OVERLOADED
-
-
-def test_from_level_fine_granularity():
-    # A 10-level lattice maps onto thirds.
-    assert SystemState.from_level(0, n_levels=10) is SystemState.FREE
-    assert SystemState.from_level(2, n_levels=10) is SystemState.FREE
-    assert SystemState.from_level(4, n_levels=10) is SystemState.BUSY
-    assert SystemState.from_level(9, n_levels=10) is SystemState.OVERLOADED
+    """A level's state (``round_levels``): the three levels are the
+    three state codes, at both widths."""
+    assert [SystemState(round_levels(scalar, x)) for x in (0, 1, 2)] == [
+        SystemState.FREE, SystemState.BUSY, SystemState.OVERLOADED]
+    assert round_levels(np, np.array([0, 1, 2])).tolist() == [0, 1, 2]
 
 
 def test_from_level_clamps():
-    assert SystemState.from_level(-5) is SystemState.FREE
-    assert SystemState.from_level(99) is SystemState.OVERLOADED
-
-
-def test_from_level_validation():
-    with pytest.raises(ValueError):
-        SystemState.from_level(0, n_levels=1)
+    """Levels round to the nearest state code and clamp to 0..2."""
+    levels = [-5.0, 0.4, 0.5, 1.49, 1.5, 2.4, 99.0]
+    expected = [0, 0, 1, 1, 2, 2, 2]
+    assert [round_levels(scalar, x) for x in levels] == expected
+    assert round_levels(np, np.array(levels)).tolist() == expected

@@ -3,8 +3,8 @@
 ``classify_column`` against ``classify`` on every operator's boundary
 values; ``VectorRuleEvaluator`` against a per-host ``RuleEvaluator``
 loop on randomized measurement columns (paper ruleset and synthetic
-sets, n_levels=3 and 5); and the same error surface (cycles,
-undeclared references, unknown scripts).
+sets) and on every combination of complex-rule inputs; and the same
+error surface (cycles, undeclared references, unknown scripts).
 """
 
 import numpy as np
@@ -17,15 +17,10 @@ from repro.rules import (
     RuleSet,
     ScriptNotFound,
     SimpleRule,
-    SystemState,
     VectorRuleEvaluator,
     classify,
     classify_column,
     paper_ruleset,
-)
-from repro.rules.expr import (
-    round_levels,
-    states_from_levels,
 )
 from repro.sim.rng import seeded_generator
 
@@ -61,17 +56,18 @@ def _scalar_engine(columns, row):
     return lambda script, param="": float(columns[script][row])
 
 
-def _assert_equiv(ruleset, columns, n_levels=3, root_rule=None):
+def _assert_equiv(ruleset, columns):
+    """Both widths agree row by row; returns the column's codes."""
     width = len(next(iter(columns.values())))
     vector = VectorRuleEvaluator(
-        ruleset, _column_engine(columns), n_levels=n_levels
-    ).evaluate_host_states(root_rule=root_rule)
+        ruleset, _column_engine(columns)).evaluate_host_states()
     assert vector.shape == (width,)
+    assert vector.dtype == np.int8
     for row in range(width):
-        scalar = RuleEvaluator(
-            ruleset, _scalar_engine(columns, row), n_levels=n_levels
-        ).evaluate_host_state(root_rule=root_rule)
-        assert vector[row] == int(scalar), f"host row {row}"
+        state = RuleEvaluator(
+            ruleset, _scalar_engine(columns, row)).evaluate_host_state()
+        assert vector[row] == int(state), f"host row {row}"
+    return vector.tolist()
 
 
 def test_paper_ruleset_equivalence_on_random_columns():
@@ -83,8 +79,6 @@ def test_paper_ruleset_equivalence_on_random_columns():
         "procCount.sh": rng.uniform(0, 300, size=64),
     }
     _assert_equiv(paper_ruleset(), columns)
-    # Designated-root evaluation too (the Figure 4 complex rule).
-    _assert_equiv(paper_ruleset(), columns, root_rule=5)
 
 
 def _synthetic_ruleset():
@@ -99,14 +93,14 @@ def _synthetic_ruleset():
     return rs
 
 
-@pytest.mark.parametrize("n_levels", [3, 5])
-def test_synthetic_ruleset_equivalence(n_levels):
-    rng = seeded_generator(23 + n_levels)
+@pytest.mark.parametrize("seed", [3, 5])
+def test_synthetic_ruleset_equivalence(seed):
+    rng = seeded_generator(23 + seed)
     columns = {
         "a.sh": rng.uniform(0, 3, size=40),
         "b.sh": rng.uniform(0, 8, size=40),
     }
-    _assert_equiv(_synthetic_ruleset(), columns, n_levels=n_levels)
+    _assert_equiv(_synthetic_ruleset(), columns)
 
 
 @given(st.lists(st.floats(0, 100), min_size=1, max_size=32))
@@ -122,18 +116,43 @@ def test_weighted_sum_rounding_equivalence(values):
     _assert_equiv(paper_ruleset(), columns)
 
 
-def test_round_levels_and_states_from_levels():
-    levels = np.array([-1.0, 0.4, 0.5, 1.49, 1.5, 2.4, 9.0])
-    assert round_levels(np, levels).tolist() == [0, 0, 1, 1, 2, 2, 2]
-    assert states_from_levels(np, np.array([0, 1, 2])).tolist() == [
-        int(SystemState.FREE), int(SystemState.BUSY),
-        int(SystemState.OVERLOADED)]
-    # 5-level sets collapse onto thirds exactly like
-    # SystemState.from_level.
-    got = states_from_levels(np, np.arange(5), n_levels=5)
-    expected = [int(SystemState.from_level(i, n_levels=5))
-                for i in range(5)]
-    assert got.tolist() == expected
+#: Complex rules over rules 1-3, each input level in 0..2, with the
+#: state codes both widths returned for them before the level-to-state
+#: step was folded into ``round_levels``: one digit per input
+#: combination, rule 1's level the most significant.
+PINNED_COMPLEX = {
+    "( 40% * r1 + 30% * r2 + 30% * r3 )": "001011111011111112111112122",
+    "( 50% * r1 + 50% * r2 ) & r3": "000011011011011012011012012",
+    "r1 | ( 60% * r2 + 40% * r3 )": "001111122111111122222222222",
+    "( 70% * ( r1 & r2 ) + 30% * r3 ) | r1":
+        "001001001111111111222222222",
+    "( 25% * r1 + 75% * r2 ) & ( 50% * r3 + 50% * r1 )":
+        "000011011000111112111111122",
+}
+
+
+@pytest.mark.parametrize("expression", sorted(PINNED_COMPLEX))
+def test_complex_rule_codes_at_both_widths(expression):
+    """Weighted sums and ``&``/``|`` over every combination of input
+    levels: both widths return the pinned codes, and a complex rule's
+    level is an int state code at either width."""
+    rs = RuleSet()
+    for number in (1, 2, 3):
+        rs.add(SimpleRule(number=number, name=f"x{number}",
+                          script=f"x{number}.sh", operator=">",
+                          busy=0.5, overloaded=1.5))
+    rs.add(ComplexRule(number=4, name="c", expression=expression,
+                       rule_numbers=(1, 2, 3)))
+    combos = np.array([(a, b, c) for a in range(3) for b in range(3)
+                       for c in range(3)], dtype=float)
+    columns = {f"x{i + 1}.sh": combos[:, i] for i in range(3)}
+    codes = _assert_equiv(rs, columns)
+    assert "".join(map(str, codes)) == PINNED_COMPLEX[expression]
+    level = VectorRuleEvaluator(rs, _column_engine(columns))._rule_level(4)
+    assert np.issubdtype(level.dtype, np.integer)
+    for row in range(len(combos)):
+        one = RuleEvaluator(rs, _scalar_engine(columns, row))._rule_level(4)
+        assert type(one) is int and one == codes[row]
 
 
 def test_cycle_detection_matches_scalar():

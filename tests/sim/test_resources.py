@@ -1,4 +1,4 @@
-"""Unit tests for Store: immediate puts, FIFO and filtered gets."""
+"""Unit tests for Store: immediate puts, FIFO and filtered gets, close."""
 
 from repro.sim import Environment, Store
 
@@ -119,3 +119,34 @@ def test_filter_store_blocked_getter_does_not_stall_others():
     env.run()
     assert got == [("eager", "yes", 1)]
     assert len(store) == 0
+
+
+def test_close_fails_waiting_and_later_gets():
+    env = Environment()
+    store = Store(env)
+    store.put("kept")
+    boom = RuntimeError("closed")
+    seen = []
+
+    def waiter(env):
+        try:
+            yield store.get(lambda item: item == "never")
+        except RuntimeError as exc:
+            seen.append(("waiting", env.now, exc))
+
+    def late(env):
+        yield env.timeout(2)
+        try:
+            yield store.get()
+        except RuntimeError as exc:
+            seen.append(("later", env.now, exc))
+
+    def closer(env):
+        yield env.timeout(1)
+        store.close(boom)
+
+    for proc in (waiter, late, closer):
+        env.process(proc(env))
+    env.run()
+    # Even a get that an item would have matched fails once closed.
+    assert seen == [("waiting", 1, boom), ("later", 2, boom)]

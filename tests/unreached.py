@@ -103,28 +103,11 @@ ALLOWED = {
         "repro.rules.states:combine_or",
     ),
     **_each(
-        "test oracle for fine-granularity states (n_levels > 3), which no "
-        "cell uses",
-        "repro.rules.states:SystemState.from_level",
-    ),
-    **_each(
         "NullTracer safety: a call not guarded by `enabled` must record "
         "nothing",
         "repro.trace.tracer:NullTracer.begin",
         "repro.trace.tracer:NullTracer.event",
         "repro.trace.tracer:_NullSpan.end",
-    ),
-    **_each(
-        "MpiRuntime.launch, the raw-rank launcher of tests/mpi",
-        "repro.mpi.runtime:LaunchResult.__init__",
-        "repro.mpi.runtime:LaunchResult.done",
-        "repro.mpi.runtime:LaunchResult.values",
-        "repro.mpi.runtime:MpiContext.__init__",
-        "repro.mpi.runtime:MpiContext.env",
-        "repro.mpi.runtime:MpiContext.host",
-        "repro.mpi.runtime:MpiContext.rank",
-        "repro.mpi.runtime:MpiContext.size",
-        "repro.mpi.runtime:MpiRuntime.launch",
     ),
     **_each(
         "interface method that every shipped implementation overrides",
@@ -173,6 +156,11 @@ ALLOWED = {
     **_each(
         "a crashed host coming back; no program recovers a host (item 1)",
         "repro.cluster.host:Host.recover",
+    ),
+    **_each(
+        "item 6: a world aborting on a failed rank; no program's crash "
+        "lands on a host that runs a rank",
+        "repro.sim.resources:Store.close",
     ),
     **_each(
         "rollback of a migration that fails after its spawn; no program's "
