@@ -155,11 +155,6 @@ class BulkTransferLoad:
             )
         self._stopped = False
 
-    @property
-    def current_rate(self) -> float:
-        """Aggregate achieved rate across the flow directions."""
-        return sum(f.rate for f in self.flows)
-
     def stop(self) -> None:
         if self._stopped:
             return

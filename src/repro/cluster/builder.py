@@ -8,7 +8,7 @@ from typing import Any, Iterable, Optional
 from ..sim.kernel import Environment
 from ..sim.rng import RngRegistry
 from .host import Host, HostSpec, StaticInfo, _auto_ip
-from .network import ETHERNET_100MBPS, Network
+from .network import Network
 from .plane import HostPlane
 
 #: Default protocol-processing cost: tuned so that a ~7.25 MB/s
@@ -24,23 +24,15 @@ class Cluster:
         self,
         n_hosts: int = 2,
         seed: int = 0,
-        bandwidth: float = ETHERNET_100MBPS,
-        latency: float = 1e-4,
         cpu_per_byte: float = DEFAULT_CPU_PER_BYTE,
         cpu_speed: float = 1.0,
-        host_prefix: str = "ws",
         env: Optional[Environment] = None,
     ):
         if n_hosts < 1:
             raise ValueError("need at least one host")
         self.env = env or Environment()
         self.rng = RngRegistry(seed)
-        self.network = Network(
-            self.env,
-            default_bandwidth=bandwidth,
-            latency=latency,
-            cpu_per_byte=cpu_per_byte,
-        )
+        self.network = Network(self.env, cpu_per_byte=cpu_per_byte)
         # The batched host plane: one periodic fold process for the
         # whole cluster (see repro.cluster.plane).  Its rows, in
         # builder order, are the cluster's host list.
@@ -51,7 +43,7 @@ class Cluster:
         self.hosts: dict[str, Host] = {}
         self._deferred: dict[str, HostSpec] = {}
         for i in range(1, n_hosts + 1):
-            self.add_host(f"{host_prefix}{i}", cpu_speed=cpu_speed)
+            self.add_host(f"ws{i}", cpu_speed=cpu_speed)
 
     def add_host(self, name: str, **kwargs: Any) -> Host:
         """Attach an extra host (heterogeneous parameters welcome)."""
@@ -145,9 +137,6 @@ class Cluster:
 
     def __getitem__(self, name: str) -> Host:
         return self.host(name)
-
-    def __len__(self) -> int:
-        return len(self.plane.arrays)
 
     def __iter__(self):
         return iter(self.host_list())

@@ -41,11 +41,9 @@ class Cpu(FairShareServer):
         self._comm_idle = True  # no job since ``_comm_last``
 
     # -- compute jobs -------------------------------------------------------
-    def execute(
-        self, work: float, weight: float = 1.0, label: str = ""
-    ) -> ShareJob:
+    def execute(self, work: float, label: str = "") -> ShareJob:
         """Submit ``work`` CPU-seconds of compute; returns completion event."""
-        return self.submit(work, weight=weight, label=label)
+        return self.submit(work, label=label)
 
     @property
     def run_queue(self) -> float:
@@ -53,11 +51,6 @@ class Cpu(FairShareServer):
         return len(self._jobs) + self._comm_load
 
     # -- network-processing coupling -------------------------------------
-    @property
-    def comm_load(self) -> float:
-        """Current protocol-processing demand (CPU-seconds per second)."""
-        return self._comm_load
-
     def set_comm_load(self, load: float) -> None:
         """Set the protocol-processing demand; 0 clears it."""
         load = float(load)
@@ -78,12 +71,10 @@ class Cpu(FairShareServer):
                 self._reschedule()
 
     def _jobs_changed(self) -> None:
-        """Re-sum, integrate comm, re-split: ``n`` jobs under comm demand
-        ``f`` receive ``n / (n + f)`` of the CPU (with none, it is moot)."""
-        jobs = self._jobs
-        self._total_weight = sum([j.weight for j in jobs])
+        """Integrate comm, re-split: ``n`` jobs under comm demand ``f``
+        receive ``n / (n + f)`` of the CPU (with none, it is moot)."""
         self._accumulate_comm()
-        n = len(jobs)
+        n = len(self._jobs)
         self.rate = self.speed * n / (n + self._comm_load) if n else self.speed
 
     def _accumulate_comm(self) -> None:
@@ -137,9 +128,3 @@ class Cpu(FairShareServer):
         dt = now - state["now"]
         util = 0.0 if dt <= 0 else (busy - state["busy"]) / dt
         return min(util, 1.0), {"busy": busy, "now": now}
-
-    def __repr__(self) -> str:
-        return (
-            f"<Cpu {self.name!r} speed={self.speed} "
-            f"jobs={self.active_jobs} comm={self._comm_load:.2f}>"
-        )

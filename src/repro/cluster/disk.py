@@ -24,13 +24,6 @@ class Disk:
     def available(self) -> int:
         return self.total - self.used
 
-    @property
-    def used_pct(self) -> float:
-        return 100.0 * self.used / self.total
-
-    def __repr__(self) -> str:
-        return f"<Disk {self.mount} {self.used}/{self.total}>"
-
 
 class DiskSet:
     """All mount points of a host."""
@@ -45,20 +38,5 @@ class DiskSet:
         self._disks[mount] = disk
         return disk
 
-    def get(self, mount: str) -> Disk:
-        return self._disks[mount]
-
-    def mounts(self) -> list:
-        return sorted(self._disks)
-
     def total_available(self) -> int:
         return sum(d.available for d in self._disks.values())
-
-    def __iter__(self):
-        return iter(self._disks.values())
-
-    def __len__(self) -> int:
-        return len(self._disks)
-
-    def __contains__(self, mount: str) -> bool:
-        return mount in self._disks

@@ -145,9 +145,6 @@ class Host:
     def bytes_received(self) -> float:
         return self.network.bytes_received(self.name)
 
-    def __repr__(self) -> str:
-        return f"<Host {self.name} load={self.loadavg.one:.2f}>"
-
 
 def _auto_ip(name: str) -> str:
     """Deterministic fake IP derived from the host name.

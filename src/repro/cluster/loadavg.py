@@ -86,9 +86,3 @@ class LoadAverage:
     def as_tuple(self) -> tuple:
         """(1-min, 5-min, 15-min) like ``os.getloadavg``."""
         return (self.one, self.five, self.fifteen)
-
-    def __repr__(self) -> str:
-        return (
-            f"<LoadAverage {self.one:.2f} {self.five:.2f} "
-            f"{self.fifteen:.2f}>"
-        )

@@ -48,9 +48,3 @@ class Memory:
     @property
     def virtual_available_pct(self) -> float:
         return 100.0 * self.virtual_available / self.virtual_total
-
-    def __repr__(self) -> str:
-        return (
-            f"<Memory phys {self.physical_used}/{self.physical_total} "
-            f"swap {self.swap_used}/{self.swap_total}>"
-        )

@@ -109,12 +109,6 @@ class Flow:
         self.bytes_moved = 0.0
         self.closed = False
 
-    def __repr__(self) -> str:
-        return (
-            f"<Flow {self.src}->{self.dst} {self.label!r} "
-            f"rate={self.rate:.0f}B/s remaining={self.remaining:.0f}>"
-        )
-
 
 class HostDownError(ConnectionError):
     """A transfer touched a host that is down."""
@@ -171,9 +165,6 @@ class Network:
         self._ports[name] = _HostPort(
             name, bandwidth or self.default_bandwidth, cpu
         )
-
-    def has_host(self, name: str) -> bool:
-        return name in self._ports
 
     def set_host_up(self, name: str, up: bool) -> None:
         """Mark a host up/down. Going down kills all its active flows."""

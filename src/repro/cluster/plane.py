@@ -88,18 +88,12 @@ class ClusterStateArrays:
         self._analytic = np.zeros(capacity, dtype=bool)
 
     # -- shape ----------------------------------------------------------
-    def __len__(self) -> int:
-        return self._n
-
     @property
     def n(self) -> int:
         return self._n
 
     def row_of(self, host: str) -> Optional[int]:
         return self._index.get(host)
-
-    def host_at(self, row: int) -> str:
-        return self._hosts[row]
 
     def rows_of(self, hosts: List[str]) -> np.ndarray:
         """Row indices of a whole list of hosts, -1 where none."""

@@ -77,12 +77,3 @@ class ProcessTable:
     def migratable(self) -> list:
         """All migration-enabled application entries."""
         return [p for p in self._procs.values() if p.migration_enabled]
-
-    def entries(self) -> list:
-        return list(self._procs.values())
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._procs

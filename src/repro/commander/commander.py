@@ -47,14 +47,6 @@ class Commander:
             self._run(), name=f"commander:{host.name}"
         )
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    @property
-    def log(self):
-        return self.core.log
-
     def stop(self) -> None:
         self._stopped = True
 

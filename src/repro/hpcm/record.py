@@ -138,18 +138,3 @@ class MigrationRecord:
     @property
     def total_seconds(self) -> float:
         return self.completed_at - self.ordered_at
-
-    def summary(self) -> dict:
-        return {
-            "source": self.source,
-            "dest": self.dest,
-            "reason": self.reason,
-            "decision_s": self.decision_seconds,
-            "to_pollpoint_s": self.time_to_pollpoint,
-            "init_s": self.init_seconds,
-            "resume_s": self.resume_seconds,
-            "drain_s": self.drain_seconds,
-            "total_s": self.total_seconds,
-            "memory_bytes": self.memory_bytes,
-            "succeeded": self.succeeded,
-        }

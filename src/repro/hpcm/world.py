@@ -57,6 +57,11 @@ from . import statexfer
 
 __all__ = ["HpcmWorld", "launch", "launch_world"]
 
+#: A rank blocked inside a collective cannot park; after this many
+#: seconds an unassembled barrier aborts the reshape, so the world never
+#: deadlocks on its own reconfiguration.
+BARRIER_TIMEOUT = 60.0
+
 
 class HpcmWorld:
     """The ranks of one application: its communicator, its end, and
@@ -71,7 +76,6 @@ class HpcmWorld:
         schema: Optional[ApplicationSchema] = None,
         rng: Any = None,
         runtime_kwargs: Optional[dict] = None,
-        barrier_timeout: float = 60.0,
     ):
         self.mpi = mpi
         self.env = mpi.env
@@ -83,10 +87,6 @@ class HpcmWorld:
         self.schema = schema
         self.rng = rng
         self.runtime_kwargs = dict(runtime_kwargs or {})
-        #: A rank blocked inside a collective cannot park; after this
-        #: many seconds an unassembled barrier aborts the reshape so
-        #: the world never deadlocks on its own reconfiguration.
-        self.barrier_timeout = float(barrier_timeout)
         #: Live runtimes in rank order (mirrors ``group.procs``).
         self.runtimes: List[HpcmRuntime] = []
         #: Every runtime that ever joined (finished and retired ones
@@ -183,7 +183,7 @@ class HpcmWorld:
         att.retiree, att.host = retiree, None
 
         def _watchdog():
-            yield self.env.timeout(self.barrier_timeout)
+            yield self.env.timeout(BARRIER_TIMEOUT)
             if self._attempt is att and not rec.steps:
                 leave(att, ASSEMBLE, Refusal(
                     "barrier timeout: a rank never reached its "
@@ -442,7 +442,6 @@ def launch_world(
     params: Optional[dict] = None,
     schema: Optional[ApplicationSchema] = None,
     rng: Any = None,
-    barrier_timeout: float = 60.0,
     **kwargs: Any,
 ) -> HpcmWorld:
     """Start a multi-rank application, one rank per host, in host order.
@@ -464,8 +463,7 @@ def launch_world(
         for i, host in enumerate(hosts)
     ]
     return _start(mpi, app_factory, procs, name, params=params,
-                  schema=schema, rng=rng, runtime_kwargs=kwargs,
-                  barrier_timeout=barrier_timeout)
+                  schema=schema, rng=rng, runtime_kwargs=kwargs)
 
 
 def launch(

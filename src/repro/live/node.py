@@ -52,6 +52,9 @@ from . import proc_sensors
 from .tasks import TASK_MERGERS, TASK_SPLITTERS, TASK_TYPES
 from .transport import LiveEndpoint
 
+#: The idle node's own load, under its tasks and injected load.
+BASE_LOAD = 0.1
+
 
 @dataclass
 class LiveTask:
@@ -100,7 +103,6 @@ class LiveNode:
         name: str,
         registry_address: Optional[str] = None,
         interval: float = 0.5,
-        base_load: float = 0.1,
         capacity_threshold: float = 1.5,
         port: int = 0,
         ruleset: Optional[RuleSet] = None,
@@ -111,7 +113,6 @@ class LiveNode:
         self.name = name
         self.endpoint = LiveEndpoint(name, port=port)
         self.registry_address = registry_address
-        self.base_load = float(base_load)
         self.capacity_threshold = float(capacity_threshold)
         self.injected_load = 0.0
         self.tasks: Dict[int, LiveTask] = {}
@@ -154,18 +155,6 @@ class LiveNode:
     @property
     def address(self) -> str:
         return self.endpoint.address
-
-    @property
-    def interval(self) -> float:
-        return self.monitor.interval
-
-    @property
-    def state(self):
-        return self.monitor.state
-
-    @property
-    def reported_state(self):
-        return self.monitor.reported_state
 
     def submit(self, task_type: str, state: dict,
                est_seconds: float = 60.0,
@@ -210,7 +199,7 @@ class LiveNode:
 
     def current_load(self) -> float:
         with self._lock:
-            return (self.base_load + len(self.tasks)
+            return (BASE_LOAD + len(self.tasks)
                     + self.injected_load)
 
     def stop(self) -> None:

@@ -88,30 +88,12 @@ class LiveRegistry:
         return self.endpoint.address
 
     @property
-    def label(self) -> str:
-        return self.core.label
-
-    @property
     def table(self):
         return self.core.table
 
     @property
     def decisions(self) -> Migrations:
         return self.core.decisions
-
-    @property
-    def policy(self):
-        return self.core.policy
-
-    @property
-    def parent_address(self):
-        return self.core.parent_address
-
-    @property
-    def reports_guarded(self) -> int:
-        """OVERLOADED reports that met the in-flight guard or the
-        cooldown and were therefore not decided on."""
-        return self.core.reports_guarded
 
     def stop(self) -> None:
         self.endpoint.close()

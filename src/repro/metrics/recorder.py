@@ -111,17 +111,6 @@ class HostRecorder:
             times.clear()
             vals.clear()
 
-    def flush(self) -> None:
-        """Push every buffered sample into its series."""
-        for metric in self._pending:
-            self._flush(metric)
-
-    @property
-    def series(self) -> Dict[str, TimeSeries]:
-        """The recorded series, with all buffered samples flushed."""
-        self.flush()
-        return self._series
-
     def __getitem__(self, metric: str) -> TimeSeries:
         self._flush(metric)
         return self._series[metric]

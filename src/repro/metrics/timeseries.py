@@ -85,9 +85,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self._times)
 
-    def __bool__(self) -> bool:
-        return bool(self._times)
-
     # -- statistics ---------------------------------------------------------
     def mean(self, t_min: float = -np.inf, t_max: float = np.inf) -> float:
         sel = self._select(t_min, t_max)

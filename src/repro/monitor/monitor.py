@@ -79,39 +79,7 @@ class Monitor:
         )
         self.proc = self.env.process(self._run(), name=f"monitor:{host.name}")
 
-    # -- the core's state, exposed for experiments and tests ------------
-    @property
-    def registry_address(self) -> str:
-        return self.core.registry_address
-
-    @property
-    def database(self):
-        return self.core.database
-
-    @property
-    def ruleset(self):
-        return self.core.ruleset
-
-    @property
-    def evaluator(self):
-        return self.core.evaluator
-
-    @property
-    def policy(self):
-        return self.core.policy
-
-    @property
-    def interval(self) -> float:
-        return self.core.interval
-
-    @property
-    def sustain(self) -> int:
-        return self.core.sustain
-
-    @property
-    def state(self) -> SystemState:
-        return self.core.state
-
+    # -- the core's state, read by experiments and the ledger -----------
     @property
     def reported_state(self) -> SystemState:
         return self.core.reported_state

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from ..rules.vocabulary import SCRIPT_PARAMS, script_metric
+from ..rules.vocabulary import script_metric
 from .sensors import SensorSuite
 
 
@@ -43,9 +43,6 @@ class SnapshotScriptEngine:
     def register(self, script: str, handler: Callable[[str], float]) -> None:
         """Plug in an extra script (the engine is configurable, §4)."""
         self._handlers[script] = handler
-
-    def scripts(self) -> list:
-        return sorted(set(SCRIPT_PARAMS) | set(self._handlers))
 
     def metric(self, name: str) -> float:
         """One metric of the current snapshot (taken lazily)."""

@@ -45,11 +45,6 @@ class ProcessInfo:
     #: empty = undeclared (treated as perfectly scalable).
     efficiency_curve: tuple = ()
 
-    @property
-    def malleable(self) -> bool:
-        """Can this process's world be reshaped at all?"""
-        return self.max_world > max(1, self.min_world) or self.world_size > 1
-
     def efficiency_at(self, n: int) -> float:
         """Declared parallel efficiency at world size ``n`` (the last
         curve point extends rightward; undeclared curves read 1.0)."""

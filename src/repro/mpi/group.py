@@ -111,7 +111,3 @@ class CommGroup:
         if old.uid in self._coll_seq:
             self._coll_seq[new.uid] = self._coll_seq.pop(old.uid)
         return rank
-
-    def __repr__(self) -> str:
-        members = ",".join(p.host.name for p in self.procs)
-        return f"<CommGroup {self.label} [{members}]>"

@@ -44,7 +44,3 @@ class MpiProcess:
         for msg in other.mailbox.items:
             self.mailbox.put(msg)
         other.mailbox.items.clear()
-
-    def __repr__(self) -> str:
-        status = "alive" if self.alive else "dead"
-        return f"<MpiProcess {self.name!r}@{self.host.name} {status}>"

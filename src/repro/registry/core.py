@@ -281,11 +281,6 @@ class Migrations(Sequence):
         self._cursor = (i, row)
         return self._log._row(row)
 
-    def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
 
 class RegistryCore:
     """The registry/scheduler's decision brain on one clock."""

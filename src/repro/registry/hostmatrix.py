@@ -162,9 +162,6 @@ class HostRecord:
         m = self._m
         return m.processes.get(m._index[self.host], [])
 
-    def __repr__(self) -> str:
-        return f"<HostRecord {self.host} {self.state.name}>"
-
 
 class HostStateMatrix:
     """The host table, row ``i`` = the ``i``-th registered host.
@@ -208,9 +205,6 @@ class HostStateMatrix:
         self._views: List[HostRecord] = []
 
     # -- shape ------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._n
-
     def __contains__(self, host: str) -> bool:
         return host in self._index
 

@@ -99,18 +99,6 @@ class RegistryScheduler:
     def decisions(self):
         return self.core.decisions
 
-    @property
-    def policy(self):
-        return self.core.policy
-
-    @property
-    def label(self) -> str:
-        return self.core.label
-
-    @property
-    def parent_address(self):
-        return self.core.parent_address
-
     def stop(self) -> None:
         self._stopped = True
 

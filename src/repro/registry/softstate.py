@@ -168,21 +168,7 @@ class SoftStateTable:
         current (and that did not report themselves UNAVAILABLE)."""
         return (self.matrix.state_codes != SystemState.UNAVAILABLE) & ~self._stale()
 
-    def available(self) -> List[HostRecord]:
-        """Records whose lease is current."""
-        import numpy as np
-
-        records = self.records()
-        return [records[row]
-                for row in np.flatnonzero(self.available_mask()).tolist()]
-
     def free_mask(self) -> np.ndarray:
         """Boolean row mask over :attr:`matrix`: hosts currently in
         the FREE state (migration targets), lease expiry applied."""
         return (self.matrix.state_codes == FREE) & ~self._stale()
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-    def __contains__(self, host: str) -> bool:
-        return host in self.matrix

@@ -138,15 +138,6 @@ class RuleSet:
         except KeyError:
             raise KeyError(f"no rule number {number}") from None
 
-    def by_name(self, name: str):
-        for rule in self.rules.values():
-            if rule.name == name:
-                return rule
-        raise KeyError(f"no rule named {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def __iter__(self):
         return iter(sorted(self.rules.values(), key=lambda r: r.number))
 

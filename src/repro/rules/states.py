@@ -39,12 +39,6 @@ class SystemState(IntEnum):
     #: Soft-state lease expired; not a rule outcome but a registry state.
     UNAVAILABLE = 3
 
-    # -- Table 1 ----------------------------------------------------------
-    @property
-    def loaded(self) -> bool:
-        """Is the host carrying load?"""
-        return self in (SystemState.BUSY, SystemState.OVERLOADED)
-
 
 #: Plain-int codes of the named states: what the judgement code computes
 #: with at either width (a Python int for one host, int8 for a column).

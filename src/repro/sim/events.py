@@ -105,9 +105,6 @@ class Event:
         """Mark a failed event as handled so the kernel won't re-raise."""
         self._defused = True
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires after a fixed ``delay``.
@@ -268,9 +265,6 @@ class Process(Event):
                 break
             # Already processed: consume its outcome immediately.
             event = next_event
-
-    def __repr__(self) -> str:
-        return f"<Process {self.name!r} at {id(self):#x}>"
 
 
 class Condition(Event):

@@ -1,8 +1,8 @@
 """Generalized processor-sharing server.
 
 A :class:`FairShareServer` serves any number of concurrent *jobs*, each
-with a fixed total service demand, dividing its service rate among them
-in proportion to their weights.  It is this project's model of a CPU
+with a fixed total service demand, dividing its service rate equally
+among them.  It is this project's model of a CPU
 (:class:`repro.cluster.cpu.Cpu` is one, re-splitting its rate with the
 NIC's protocol load): the rate is "work units per second", the sharing
 is time slicing between the application and background tasks.  The
@@ -33,20 +33,17 @@ class ShareJob(Event):
     inline, as :class:`~repro.sim.events.Timeout` sets them.
     """
 
-    __slots__ = ("server", "demand", "remaining", "weight", "started_at",
+    __slots__ = ("server", "demand", "remaining", "started_at",
                  "finished_at", "label", "_cancelled")
 
     def __init__(
         self,
         server: "FairShareServer",
         demand: float,
-        weight: float = 1.0,
         label: str = "",
     ):
         if demand < 0:
             raise ValueError(f"negative demand {demand}")
-        if weight <= 0:
-            raise ValueError(f"non-positive weight {weight}")
         self.env = env = server.env
         self.callbacks = []
         self._value = PENDING
@@ -55,7 +52,6 @@ class ShareJob(Event):
         self.server = server
         self.demand = float(demand)
         self.remaining = float(demand)
-        self.weight = float(weight)
         self.label = label
         self.started_at = env._now
         self.finished_at: Optional[float] = None
@@ -77,7 +73,7 @@ class ShareJob(Event):
 
 
 class FairShareServer:
-    """Serves concurrent jobs at ``rate``, shared by weight.
+    """Serves concurrent jobs at ``rate``, shared equally.
 
     Parameters
     ----------
@@ -96,7 +92,6 @@ class FairShareServer:
         self.rate = float(rate)
         self.name = name
         self._jobs: list[ShareJob] = []
-        self._total_weight = 0.0   # of ``_jobs``, re-summed when they change
         self._last_update = env._now
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
@@ -139,15 +134,13 @@ class FairShareServer:
         return (self.busy_time() - since_busy) / dt
 
     # -- job management ----------------------------------------------------
-    def submit(
-        self, demand: float, weight: float = 1.0, label: str = ""
-    ) -> ShareJob:
+    def submit(self, demand: float, label: str = "") -> ShareJob:
         """Add a job with ``demand`` work units; returns its completion event.
 
         Zero-demand jobs complete immediately.
         """
         self._advance()
-        job = ShareJob(self, demand, weight=weight, label=label)
+        job = ShareJob(self, demand, label=label)
         if job.remaining <= _EPS:
             job.finished_at = self.env._now
             job.succeed()
@@ -165,9 +158,8 @@ class FairShareServer:
         self._reschedule()
 
     def _jobs_changed(self) -> None:
-        """The job set changed: re-sum the weights (a server whose rate
-        depends on its jobs re-splits it here)."""
-        self._total_weight = sum([j.weight for j in self._jobs])
+        """The job set changed (a server whose rate depends on its jobs
+        re-splits it here)."""
 
     # -- internals -----------------------------------------------------
     def _advance(self) -> None:
@@ -178,12 +170,12 @@ class FairShareServer:
         jobs = self._jobs
         if dt <= 0 or not jobs:
             return
+        n = len(jobs)
         self._busy_time += dt
-        self._queue_time += dt * len(jobs)
-        total_w = self._total_weight
-        step = dt * self.rate
+        self._queue_time += dt * n
+        share = dt * self.rate * (1.0 / n)
         for job in jobs:
-            served = step * (job.weight / total_w)
+            served = share
             if job.remaining < served:
                 served = job.remaining
             job.remaining -= served
@@ -196,10 +188,13 @@ class FairShareServer:
             self._wakeup = None
             self._wakeup_time = math.inf
             return
-        rate = self.rate
-        total_w = self._total_weight
-        delay = min([j.remaining / (rate * (j.weight / total_w))
-                     for j in jobs])
+        # The job with the least work left finishes first; dividing
+        # its work alone rounds as dividing each job's would.
+        least = math.inf
+        for job in jobs:
+            if job.remaining < least:
+                least = job.remaining
+        delay = least / (self.rate * (1.0 / len(jobs)))
         when = self.env._now + delay
         if self._wakeup is not None and self._wakeup.callbacks is not None:
             # An earlier wake-up that is still pending (not processed):

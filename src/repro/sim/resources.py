@@ -67,6 +67,3 @@ class Store:
         getters, self._getters = self._getters, []
         for getter in getters:
             getter.fail(exc)
-
-    def __len__(self) -> int:
-        return len(self.items)

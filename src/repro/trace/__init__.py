@@ -10,8 +10,8 @@ emit records through a process-wide *ambient tracer*:
 >>> tracer = trace.Tracer()
 >>> with trace.use(tracer):
 ...     pass  # deploy a Rescheduler, run the simulation
->>> tracer.names()
-set()
+>>> tracer.records
+[]
 
 The ambient tracer defaults to a disabled :class:`NullTracer`; see
 :mod:`repro.trace.tracer` for the overhead contract and

@@ -73,8 +73,7 @@ def load_jsonl(path_or_file: Union[str, IO]) -> List[TraceRecord]:
     return records
 
 
-def to_chrome(records: Iterable[TraceRecord],
-              label: str = "repro") -> dict:
+def to_chrome(records: Iterable[TraceRecord]) -> dict:
     """The JSON Trace Event Format object Perfetto loads.
 
     Spans become complete ``"X"`` events, instants become ``"i"``
@@ -114,15 +113,14 @@ def to_chrome(records: Iterable[TraceRecord],
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
-        "otherData": {"producer": label},
+        "otherData": {"producer": "repro"},
     }
 
 
 def export_chrome(records: Iterable[TraceRecord],
-                  path_or_file: Union[str, IO],
-                  label: str = "repro") -> int:
+                  path_or_file: Union[str, IO]) -> int:
     """Write the Chrome/Perfetto trace; returns the event count."""
-    doc = to_chrome(records, label=label)
+    doc = to_chrome(records)
     if hasattr(path_or_file, "write"):
         json.dump(doc, path_or_file)
     else:

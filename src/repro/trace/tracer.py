@@ -147,17 +147,9 @@ class Tracer:
         return SpanHandle(self, name, self._stamp(t), host, attrs)
 
     # -- consuming ------------------------------------------------------
-    def clear(self) -> None:
-        self.records.clear()
 
     def by_name(self, name: str) -> List[TraceRecord]:
         return [r for r in self.records if r.name == name]
-
-    def names(self) -> set:
-        return {r.name for r in self.records}
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class NullTracer(Tracer):

@@ -71,11 +71,6 @@ class TreeState:
     def n_nodes(self) -> int:
         return 2 ** self.levels - 1
 
-    @property
-    def resident_bytes(self) -> int:
-        """Current in-memory tree data (the dominant migration payload)."""
-        return sum(t.nbytes for t in self.trees if t is not None)
-
 
 class TestTreeApp(MigratableApp):
     """Build all trees, sort each, sum all — one tree per step."""

@@ -29,7 +29,7 @@ def catalogued(*expected):
             with use(tracer):
                 test(*args, **kwargs)
             assert_catalogued(tracer.records)
-            missing = set(expected) - tracer.names()
+            missing = set(expected) - {r.name for r in tracer.records}
             assert not missing, f"never emitted: {sorted(missing)}"
 
         return traced

@@ -163,25 +163,21 @@ def reference_maxmin(flows, ports, default_bandwidth=ETHERNET_100MBPS):
 class _ReferenceJob(Event):
     """``ShareJob`` as it was (its ``Event`` slots set by ``super()``)."""
 
-    __slots__ = ("server", "demand", "remaining", "weight", "started_at",
+    __slots__ = ("server", "demand", "remaining", "started_at",
                  "finished_at", "label", "_cancelled")
 
     def __init__(
         self,
         server: "_ReferenceServer",
         demand: float,
-        weight: float = 1.0,
         label: str = "",
     ):
         if demand < 0:
             raise ValueError(f"negative demand {demand}")
-        if weight <= 0:
-            raise ValueError(f"non-positive weight {weight}")
         super().__init__(server.env)
         self.server = server
         self.demand = float(demand)
         self.remaining = float(demand)
-        self.weight = float(weight)
         self.label = label
         self.started_at = server.env._now
         self.finished_at: Optional[float] = None
@@ -251,15 +247,13 @@ class _ReferenceServer:
         self._reschedule()
 
     # -- job management ----------------------------------------------------
-    def submit(
-        self, demand: float, weight: float = 1.0, label: str = ""
-    ) -> _ReferenceJob:
+    def submit(self, demand: float, label: str = "") -> _ReferenceJob:
         """Add a job with ``demand`` work units; returns its completion event.
 
         Zero-demand jobs complete immediately.
         """
         self._advance()
-        job = _ReferenceJob(self, demand, weight=weight, label=label)
+        job = _ReferenceJob(self, demand, label=label)
         if job.remaining <= _EPS:
             job.finished_at = self.env._now
             job.succeed()
@@ -294,10 +288,10 @@ class _ReferenceServer:
             return
         self._busy_time += dt
         self._queue_time += dt * len(jobs)
-        total_w = sum([j.weight for j in jobs])
+        share = 1.0 / len(jobs)
         step = dt * self.rate
         for job in jobs:
-            served = step * (job.weight / total_w)
+            served = step * share
             if job.remaining < served:
                 served = job.remaining
             job.remaining -= served
@@ -310,10 +304,8 @@ class _ReferenceServer:
             self._wakeup = None
             self._wakeup_time = math.inf
             return
-        rate = self.rate
-        total_w = sum([j.weight for j in jobs])
-        delay = min([j.remaining / (rate * (j.weight / total_w))
-                     for j in jobs])
+        speed = self.rate * (1.0 / len(jobs))
+        delay = min([j.remaining / speed for j in jobs])
         when = self.env._now + delay
         if self._wakeup is not None and not self._wakeup.processed:
             # An earlier wake-up that is still pending: keep it only if it
@@ -367,11 +359,9 @@ class ReferenceCpu:
         self._comm_idle = True  # no job since ``_comm_last``
 
     # -- compute jobs -------------------------------------------------------
-    def execute(
-        self, work: float, weight: float = 1.0, label: str = ""
-    ) -> _ReferenceJob:
+    def execute(self, work: float, label: str = "") -> _ReferenceJob:
         """Submit ``work`` CPU-seconds of compute; returns completion event."""
-        return self._server.submit(work, weight=weight, label=label)
+        return self._server.submit(work, label=label)
 
     @property
     def run_queue(self) -> float:

@@ -38,7 +38,7 @@ def test_batch_build_equals_one_by_one(hosts, seed):
     ref = build(seed, hosts, add_analytic_hosts_one_by_one)
 
     a, b = batch.plane.arrays, ref.plane.arrays
-    assert a.hosts == b.hosts and len(batch) == len(ref) == hosts
+    assert a.hosts == b.hosts and a.n == b.n == hosts
     for name in ClusterStateArrays._COLUMNS:
         assert np.array_equal(a.col(name), b.col(name)), name
     assert np.array_equal(a.analytic, b.analytic)

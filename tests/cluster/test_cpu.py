@@ -82,7 +82,7 @@ def test_comm_load_clamped():
     env = Environment()
     cpu = Cpu(env, speed=1.0)
     cpu.set_comm_load(100.0)  # silly value
-    assert cpu.comm_load == pytest.approx(8.0)
+    assert cpu.run_queue == pytest.approx(8.0)
     # Compute still progresses (1/9 of the CPU).
     job = cpu.execute(1.0)
     env.run()
@@ -110,7 +110,7 @@ def test_comm_load_negative_clamped():
     env = Environment()
     cpu = Cpu(env, speed=1.0)
     cpu.set_comm_load(-1.0)
-    assert cpu.comm_load == 0.0
+    assert cpu.run_queue == 0.0
 
 
 def test_busy_time_includes_comm():

@@ -51,8 +51,8 @@ def dispatch_digest():
 
     def hook(now, event):
         digest(now, event)
-        loaded.append(sum(1 for h in HOSTS
-                          if net._ports[h].cpu.comm_load > 0))
+        loaded.append(sum(1 for cpu in cpus
+                          if cpu.run_queue > cpu.active_jobs))
 
     env.trace_hook = hook
     env.run()

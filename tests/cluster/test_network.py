@@ -145,9 +145,9 @@ def test_cpu_coupling_sets_comm_load():
     net.open_stream("a", "b", rate_cap=50.0)
     env.run(until=1)
     # 50 B/s * 0.005 = 0.25 CPU fraction on both endpoints.
-    assert cpus["a"].comm_load == pytest.approx(0.25)
-    assert cpus["b"].comm_load == pytest.approx(0.25)
-    assert cpus["c"].comm_load == 0.0
+    assert cpus["a"].run_queue == pytest.approx(0.25)
+    assert cpus["b"].run_queue == pytest.approx(0.25)
+    assert cpus["c"].run_queue == 0.0
 
 
 def test_cpu_coupling_cleared_when_flow_ends():
@@ -155,8 +155,8 @@ def test_cpu_coupling_cleared_when_flow_ends():
     net, cpus = make_net(env, bandwidth=100.0, cpu_per_byte=0.005)
     net.transfer("a", "b", 100.0)
     env.run()
-    assert cpus["a"].comm_load == 0.0
-    assert cpus["b"].comm_load == 0.0
+    assert cpus["a"].run_queue == 0.0
+    assert cpus["b"].run_queue == 0.0
 
 
 def test_transfer_to_unknown_host_raises():
@@ -246,7 +246,7 @@ def test_host_going_down_mid_flow_fails_transfer():
     assert when == pytest.approx(5.0)
     # The bystander shared a's NIC for 4 s, then had it alone.
     assert other.value == 400.0
-    assert cpus["a"].comm_load == cpus["b"].comm_load == 0.0
+    assert cpus["a"].run_queue == cpus["b"].run_queue == 0.0
 
 
 def test_host_down_kills_active_flows():

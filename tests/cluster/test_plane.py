@@ -119,7 +119,8 @@ def test_verify_mode_runs_clean():
         cluster.run(until=float(until))
         verify(cluster, reference)
     assert cluster.plane.ticks >= 17
-    assert cluster.plane.folds == cluster.plane.ticks * len(cluster)
+    assert cluster.plane.folds == (cluster.plane.ticks
+                                   * cluster.plane.arrays.n)
 
 
 def test_verify_mode_catches_corruption():
@@ -232,7 +233,7 @@ def test_analytic_hosts_are_rows_not_objects(monkeypatch):
             phase=0.01 * (i % 50),
         )
     assert not built
-    assert len(cluster) == 2049
+    assert cluster.plane.arrays.n == 2049
     assert cluster.names()[:2] == ["ws1", "an0"]
     assert cluster.static_info("an7").hostname == "an7"
     a = cluster.plane.arrays
@@ -247,8 +248,9 @@ def test_analytic_hosts_are_rows_not_objects(monkeypatch):
     host = cluster.host("an7")
     assert built == {"Host": 1, "Cpu": 1, "Memory": 1, "DiskSet": 1,
                      "ProcessTable": 1, "port": 1}
-    assert cluster.network.has_host("an7")
-    assert not cluster.network.has_host("an8")
+    assert cluster.network.host_is_up("an7")
+    with pytest.raises(KeyError):
+        cluster.network.host_is_up("an8")
     assert a.row_of("an7") == row and a.n == 2049
     # The load average shows the row's current loads from the moment
     # the host exists, not zeros until the next tick.
@@ -302,7 +304,7 @@ def test_a_refused_batch_leaves_nothing_behind(kwargs, names, match):
     deferred = dict(cluster._deferred)
     with pytest.raises(ValueError, match=match):
         cluster.add_analytic_hosts(names, **kwargs)
-    assert len(cluster) == 4 and a.n == 4
+    assert a.n == 4
     assert a.hosts == hosts == cluster.names()
     assert all(a.row_of(n) is None for n in names if n != "ws1")
     assert cluster._deferred == deferred
@@ -331,8 +333,8 @@ def test_arrays_growth_and_duplicates():
     arrays = ClusterStateArrays(capacity=2)
     for i in range(9):
         assert arrays.add_row(f"h{i}") == i
-    assert len(arrays) == 9
-    assert arrays.host_at(4) == "h4"
+    assert arrays.n == 9
+    assert arrays.hosts[4] == "h4"
     assert arrays.row_of("h7") == 7
     assert arrays.row_of("nope") is None
     with pytest.raises(ValueError, match="already"):
@@ -353,7 +355,7 @@ def test_a_batch_reserves_its_capacity_in_one_step():
     assert grown == [1000] and arrays._analytic.shape == (1000,)
     assert arrays.add_row("one-more") == 1000
     assert grown == [1000, 1001] and arrays._analytic.shape == (2000,)
-    assert arrays.add_rows([]) == 1001 and len(arrays) == 1001
+    assert arrays.add_rows([]) == 1001 and arrays.n == 1001
     assert arrays.row_of("h999") == 999
     assert arrays.col("load1").shape == (1001,)
     assert not arrays.col("load1").any()
@@ -371,7 +373,7 @@ def test_call_count_of_building_analytic_hosts_is_flat_in_rows():
         loads = np.linspace(0.05, 0.5, n_hosts)
         counts[n_hosts] = count_calls(lambda: cluster.add_analytic_hosts(
             names, mean_load=loads, period=2.0, phase=2.0 * loads))
-        assert len(cluster) == n_hosts + 2
+        assert cluster.plane.arrays.n == n_hosts + 2
         assert len(cluster._deferred) == n_hosts
     assert counts[4096] <= 2 * counts[64], counts
 

@@ -48,7 +48,7 @@ def test_command_reaches_process_and_migrates():
     rt = launch(mpi, TestTreeApp(), cluster["ws1"], params=PARAMS)
     acks = collect_acks(cluster, sender)
     sender.send_and_forget(
-        commander.address,
+        commander.endpoint.address,
         MigrateCommand(host="ws1", pid=rt.process.proc_entry.pid,
                        dest="ws2", reason="test",
                        decision_seconds=0.002),
@@ -59,14 +59,14 @@ def test_command_reaches_process_and_migrates():
     assert rec.reason == "test"
     assert rec.decision_seconds == 0.002
     assert acks and acks[0].ok
-    assert commander.log[0].delivered
+    assert commander.core.log[0].delivered
 
 
 def test_unknown_pid_nacked():
     cluster, mpi, commander, sender = deploy()
     acks = collect_acks(cluster, sender)
     sender.send_and_forget(
-        commander.address,
+        commander.endpoint.address,
         MigrateCommand(host="ws1", pid=9999, dest="ws2"),
     )
     cluster.run(until=5)
@@ -79,7 +79,7 @@ def test_non_migratable_process_nacked():
     entry = cluster["ws1"].procs.spawn("plain", kind="background")
     acks = collect_acks(cluster, sender)
     sender.send_and_forget(
-        commander.address,
+        commander.endpoint.address,
         MigrateCommand(host="ws1", pid=entry.pid, dest="ws2"),
     )
     cluster.run(until=5)
@@ -103,7 +103,7 @@ def test_reshape_of_a_rigid_app_is_refused(kind, ranks):
     pid = world.runtimes[0].process.proc_entry.pid
     acks = collect_acks(cluster, sender)
     sender.send_and_forget(
-        commander.address,
+        commander.endpoint.address,
         ExpandCommand(host="ws1", pid=pid, dests=("ws3",))
         if kind == "expand" else
         ShrinkCommand(host="ws1", pid=pid, dest="ws2"),

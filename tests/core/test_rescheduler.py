@@ -75,7 +75,7 @@ def test_policy_1_never_migrates():
     cluster.env.run(until=app.done)
     assert app.migrations == []
     assert app.host.name == "ws1"
-    assert rs.decisions == []
+    assert list(rs.decisions) == []
 
 
 def test_migration_beats_no_migration():

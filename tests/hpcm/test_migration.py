@@ -160,7 +160,7 @@ def test_destination_crash_fails_the_rung_it_lands_in(crash, rung, ends_on):
     assert rt.status == "done" and rt.host.name == ends_on
     assert rt.result == pytest.approx(TestTreeApp.expected_checksum(params))
     # A failed attempt leaves no initialized process behind.
-    assert cluster["ws2"].procs.entries() == []
+    assert cluster["ws2"].procs.count() == 0
 
 
 def test_unpicklable_state_fails_the_migration_not_the_rank():
@@ -177,7 +177,7 @@ def test_unpicklable_state_fails_the_migration_not_the_rank():
     assert rt.status == "done" and rt.host.name == "ws1"
     assert rt.result == pytest.approx(TestTreeApp.expected_checksum(PARAMS))
     assert not rec.succeeded and rec.failure.startswith("capture failed")
-    assert cluster["ws2"].procs.entries() == []   # the spawn was undone
+    assert cluster["ws2"].procs.count() == 0   # the spawn was undone
 
 
 def test_migration_to_an_unknown_host_fails_the_attempt():

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.horizon import DRAIN_SECONDS, run_until_finished
 from repro.cluster import Cluster, CpuHog, HostDownError
 from repro.hpcm import ReconfigureOrder, WorldAborted, launch, launch_world
+from repro.hpcm import world as world_module
 from repro.hpcm.app import MigratableApp
 from repro.mpi import MpiRuntime
 from repro.trace.events import EV_APP_FINISH, EV_APP_SHRINK
@@ -473,11 +474,11 @@ class StuckRankApp(MigratableApp):
         ]
 
 
-def test_barrier_timeout_aborts_the_reshape():
+def test_barrier_timeout_aborts_the_reshape(monkeypatch):
+    monkeypatch.setattr(world_module, "BARRIER_TIMEOUT", 5.0)
     cluster, mpi = setup()
     world = launch_malleable(
-        mpi, StuckRankApp, [cluster["ws1"], cluster["ws2"]],
-        params={}, barrier_timeout=5.0,
+        mpi, StuckRankApp, [cluster["ws1"], cluster["ws2"]], params={},
     )
     reply = expand_at(cluster, world, ("ws3",), when=1.0)
     cluster.env.run(until=60.0)
@@ -504,11 +505,11 @@ class OneLongStepApp(StuckRankApp):
         return self.my_rank == 0 and state["steps"] < 100
 
 
-def test_a_world_aborted_at_the_barrier_still_finishes():
+def test_a_world_aborted_at_the_barrier_still_finishes(monkeypatch):
+    monkeypatch.setattr(world_module, "BARRIER_TIMEOUT", 5.0)
     cluster, mpi = setup()
     world = launch_malleable(
-        mpi, OneLongStepApp, [cluster["ws1"], cluster["ws2"]],
-        params={}, barrier_timeout=5.0,
+        mpi, OneLongStepApp, [cluster["ws1"], cluster["ws2"]], params={},
     )
     expand_at(cluster, world, ("ws3",), when=1.0)
     fired = fire_times(cluster, world)

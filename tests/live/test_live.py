@@ -172,7 +172,7 @@ def test_task_runs_to_completion():
 
 
 def test_a_held_task_waits_at_its_first_poll_point():
-    node = LiveNode("n1", base_load=0.1)
+    node = LiveNode("n1")
     try:
         release = threading.Event()
         task = node.submit("sqrt_sum", sqrt_sum_state(n=1000, chunk=1000),
@@ -197,7 +197,7 @@ def test_unknown_task_type_rejected():
 
 
 def test_node_load_tracks_occupancy():
-    node = LiveNode("n1", base_load=0.1)
+    node = LiveNode("n1")
     try:
         base = node.current_load()
         node.submit("sqrt_sum", sqrt_sum_state(n=10**8, chunk=10**5))
@@ -234,7 +234,7 @@ def test_a_register_the_table_cannot_read_leaves_the_loop_serving():
         assert client.send_message(registry.address, Register(
             host="h1", static_info={"cpu_speed": "fast"}), timestamp=1.0)
         assert wait_for(lambda: registry.core.registers_refused == 1)
-        assert "h1" not in registry.table
+        assert registry.table.get("h1") is None
         assert client.send_message(registry.address, StatusUpdate(
             host="h1", state=SystemState.FREE, metrics={"loadavg1": 0.5}),
             timestamp=2.0)

@@ -90,7 +90,7 @@ def test_zero_retries_fails_fast(monkeypatch):
 
 # ------------------------------------------------ rule engine in live mode
 def test_default_ruleset_matches_legacy_thresholds():
-    node = LiveNode("n1", base_load=0.1, capacity_threshold=1.5)
+    node = LiveNode("n1", capacity_threshold=1.5)
     try:
         assert node._status_update().state is SystemState.FREE
         node.inject_load(1.0)  # load 1.1 > 0.9 → busy
@@ -122,7 +122,7 @@ def test_live_per_state_monitoring_interval():
         assert node.monitor.current_interval() == 5.0
         node.inject_load(3.0)
         node._status_update()
-        assert node.reported_state is SystemState.OVERLOADED
+        assert node.monitor.reported_state is SystemState.OVERLOADED
         assert node.monitor.current_interval() == 0.25
     finally:
         node.stop()
@@ -190,7 +190,7 @@ def test_live_complex_rule_policy_with_hierarchical_escalation():
     remote = LiveNode("remote", registry_address=top.address,
                       interval=0.1)
     try:
-        assert "@" in child.label
+        assert "@" in child.core.label
         n = 20_000_000
         source.submit("sqrt_sum", sqrt_sum_state(n=n, chunk=500_000),
                       est_seconds=120.0)

@@ -93,7 +93,7 @@ def test_single_source_overload_reports_are_all_answered():
                 source.address, 7, hosts[0])
             answered += 1
         assert answered == 3000
-        assert registry.reports_guarded == 0
+        assert registry.core.reports_guarded == 0
     finally:
         source.close()
         feeder.close()
@@ -111,7 +111,7 @@ def test_reports_guarded_counts_the_cooldown():
                         "est_completion": 60.0, "data_locality": 0.0}])
         ingest(source, registry, [report] * 5, window=1)
         assert len(registry.decisions) == 1
-        assert registry.reports_guarded == 4
+        assert registry.core.reports_guarded == 4
     finally:
         source.close()
         registry.stop()

@@ -74,7 +74,7 @@ def test_concurrent_heartbeats_lose_no_updates():
         for record in registry.table.records():
             assert record.metrics["seq"] >= UPDATES - 2, record.host
         # Nothing was overloaded: a corrupted fold would surface here.
-        assert registry.decisions == []
+        assert list(registry.decisions) == []
     finally:
         for client in clients:
             client.close()

@@ -1,7 +1,5 @@
 """Monitoring database and victim selection."""
 
-import pytest
-
 from repro.monitor import MonitoringDatabase, ProcessInfo, select_victim
 from repro.monitor.database import MAX_SAMPLES
 
@@ -11,30 +9,17 @@ def test_record_and_latest():
     db = MonitoringDatabase()
     db.record(10.0, {"loadavg1": 0.5, "proc_count": 42})
     db.record(20.0, {"loadavg1": 0.7, "proc_count": 40})
-    assert db.latest("loadavg1") == 0.7
-    assert db.latest_time("loadavg1") == 20.0
-    assert db.latest("nope") is None
+    assert db.series("loadavg1")[-1] == (20.0, 0.7)
+    assert db.series("proc_count") == [(10.0, 42.0), (20.0, 40.0)]
+    assert db.series("nope") == []
 
 
 def test_series_and_window():
     db = MonitoringDatabase()
     for t in range(0, 100, 10):
         db.record(float(t), {"x": float(t)})
-    assert len(db.series("x")) == 10
-    assert db.window("x", since=50.0) == [
-        (50.0, 50.0), (60.0, 60.0), (70.0, 70.0), (80.0, 80.0),
-        (90.0, 90.0),
-    ]
-
-
-def test_mean():
-    db = MonitoringDatabase()
-    for t, v in ((0, 1.0), (10, 2.0), (20, 3.0)):
-        db.record(float(t), {"x": v})
-    assert db.mean("x") == pytest.approx(2.0)
-    assert db.mean("x", since=10) == pytest.approx(2.5)
-    with pytest.raises(KeyError):
-        db.mean("missing")
+    assert db.series("x") == [(float(t), float(t))
+                              for t in range(0, 100, 10)]
 
 
 def test_ring_buffer_bound():
@@ -50,7 +35,6 @@ def test_metrics_listing_and_contains():
     db = MonitoringDatabase()
     db.record(0.0, {"b": 1.0, "a": 2.0})
     assert list(db.metrics()) == ["a", "b"]
-    assert "a" in db and "z" not in db
 
 
 # ------------------------------------------------------------ selector

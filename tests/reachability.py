@@ -90,17 +90,22 @@ def definitions() -> Dict[Tuple[str, int], str]:
     return found
 
 
-@contextlib.contextmanager
-def recording(entered: Dict[int, object]) -> Iterator[None]:
-    """Record every code object entered, on this thread and on every
-    thread started meanwhile.  Entries keep their code objects alive,
-    so no id is reused for another."""
+def entering(entered: Dict[int, object]) -> Callable:
+    """A profile hook that records every code object entered.  Entries
+    keep their code objects alive, so no id is reused for another."""
 
     def hook(frame, event, _arg):
         if event == "call":
             code = frame.f_code
             entered[id(code)] = code
 
+    return hook
+
+
+@contextlib.contextmanager
+def recording(hook: Callable) -> Iterator[None]:
+    """Profile with ``hook`` on this thread and on every thread started
+    meanwhile."""
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
@@ -206,9 +211,9 @@ PROGRAMS: List[Tuple[str, Callable[[Path], None]]] = [
 ]
 
 
-def run_programs(entered: Dict[int, object]) -> None:
-    """Run :data:`PROGRAMS` in a scratch directory, their output held
-    back unless one fails."""
+def run_programs(hook: Callable) -> None:
+    """Run :data:`PROGRAMS` in a scratch directory under the profile
+    ``hook``, their output held back unless one fails."""
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -219,7 +224,7 @@ def run_programs(entered: Dict[int, object]) -> None:
                 try:
                     with contextlib.redirect_stdout(output), \
                             contextlib.redirect_stderr(output), \
-                            recording(entered):
+                            recording(hook):
                         program(Path(tmp))
                 except BaseException:
                     sys.stderr.write(output.getvalue())
@@ -264,7 +269,7 @@ def main() -> int:
     defs = definitions()
     cwd = os.getcwd()
     entered: Dict[int, object] = {}
-    run_programs(entered)
+    run_programs(entering(entered))
 
     from .unreached import ALLOWED
 

@@ -218,14 +218,14 @@ def test_reconfigure_key_and_decision_projection():
 
 def test_decisions_is_the_migrate_view_of_reconfigurations():
     core = RegistryCore(ManualClock(), "registry")
-    assert core.decisions == []
+    assert list(core.decisions) == []
     for effect in ("migrate", "expand", "migrate", "shrink"):
         core.reconfigurations.append(Reconfigure(
             at=0.0, effect=effect, source="ws1", dests=("ws2",),
             pid=1, app="a", reason="r", decision_seconds=0.0,
         ))
-    assert core.decisions == [core.reconfigurations[0],
-                              core.reconfigurations[2]]
+    assert list(core.decisions) == [core.reconfigurations[0],
+                                    core.reconfigurations[2]]
 
 
 # -- k-destination selection: production ≡ reference -------------------

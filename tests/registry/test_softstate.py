@@ -17,7 +17,7 @@ def test_register_and_get():
     rec = table.register("ws1", {"os": "SunOS"})
     assert table.get("ws1") is rec
     assert rec.static_info["os"] == "SunOS"
-    assert "ws1" in table and len(table) == 1
+    assert table.matrix.n == 1
 
 
 def test_registration_order_preserved():
@@ -66,7 +66,7 @@ def test_lease_expiry_makes_unavailable():
     env.process(advance(env))
     env.run()
     assert table.effective_state(rec) is SystemState.UNAVAILABLE
-    assert table.available() == []
+    assert not table.available_mask().any()
     assert not table.free_mask().any()
 
 
@@ -74,7 +74,7 @@ def test_update_implicitly_registers():
     env = Environment()
     table = SoftStateTable(env)
     table.update("ghost", SystemState.FREE, {})
-    assert "ghost" in table
+    assert table.get("ghost") is not None
 
 
 def test_unregister():
@@ -82,7 +82,7 @@ def test_unregister():
     table = SoftStateTable(env)
     table.register("a", {})
     table.unregister("a")
-    assert "a" not in table
+    assert table.get("a") is None
     table.unregister("a")  # idempotent
 
 
@@ -195,13 +195,15 @@ def test_expiry_traced_once_per_lapse(n_stale):
             table.update(name, SystemState.FREE, {})
         table.env.set(12.0)  # the rows not refreshed at t=8 lapse
         stale = hosts[:n_stale]
-        assert [r.host for r in table.available()] == hosts[n_stale:]
+        assert [host for host, ok in zip(table.matrix.hosts,
+                                         table.available_mask())
+                if ok] == hosts[n_stale:]
         assert expired() == stale
         assert table.free_mask().tolist() == [
             name not in stale for name in hosts]
         assert table.effective_state(table.get("ws0")) is (
             SystemState.UNAVAILABLE)
-        table.available()
+        table.available_mask()
         assert expired() == stale  # still one each
         # A push renews the lease; the next lapse is traced again.
         table.update("ws0", SystemState.FREE, {})

@@ -14,7 +14,7 @@ from repro.rules import (
 
 def test_parse_paper_rule_file():
     ruleset = parse_rule_file(PAPER_RULE_FILE)
-    assert len(ruleset) == 5
+    assert len(ruleset.rules) == 5
     r1 = ruleset.get(1)
     assert isinstance(r1, SimpleRule)
     assert r1.name == "processorStatus"
@@ -32,13 +32,6 @@ def test_parse_paper_rule_file():
     assert isinstance(r5, ComplexRule)
     assert r5.rule_numbers == (4, 1, 3, 2)
     assert "40%" in r5.expression
-
-
-def test_by_name_lookup():
-    ruleset = parse_rule_file(PAPER_RULE_FILE)
-    assert ruleset.by_name("cmp_rule").number == 5
-    with pytest.raises(KeyError):
-        ruleset.by_name("nope")
 
 
 def test_missing_required_key():

@@ -10,21 +10,6 @@ def test_severity_ordering():
     assert SystemState.FREE < SystemState.BUSY < SystemState.OVERLOADED
 
 
-def test_table1_free():
-    s = SystemState.FREE
-    assert not s.loaded
-
-
-def test_table1_busy():
-    s = SystemState.BUSY
-    assert s.loaded
-
-
-def test_table1_overloaded():
-    s = SystemState.OVERLOADED
-    assert s.loaded
-
-
 def test_combine_and_paper_semantics():
     F, B, O = SystemState.FREE, SystemState.BUSY, SystemState.OVERLOADED
     # "busy if both ... are in busy or one of them is in busy and the

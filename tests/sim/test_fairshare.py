@@ -56,17 +56,6 @@ def test_late_arrival_slows_running_job():
     assert log["late"] == pytest.approx(15.0)
 
 
-def test_weighted_sharing():
-    env = Environment()
-    cpu = FairShareServer(env, rate=3.0)
-    heavy = cpu.submit(20.0, weight=2.0)
-    light = cpu.submit(10.0, weight=1.0)
-    env.run()
-    # Rates: heavy 2.0, light 1.0 → both would finish at t=10.
-    assert heavy.finished_at == pytest.approx(10.0)
-    assert light.finished_at == pytest.approx(10.0)
-
-
 def test_zero_demand_completes_immediately():
     env = Environment()
     cpu = FairShareServer(env, rate=1.0)
@@ -177,8 +166,6 @@ def test_invalid_parameters():
     cpu = FairShareServer(env, rate=1.0)
     with pytest.raises(ValueError):
         cpu.submit(-1.0)
-    with pytest.raises(ValueError):
-        cpu.submit(1.0, weight=0)
 
 
 def test_many_staggered_jobs_work_conservation():

@@ -70,7 +70,7 @@ def test_store_len():
     store = Store(env)
     store.put("x")
     store.put("y")
-    assert len(store) == 2
+    assert len(store.items) == 2
 
 
 # ------------------------------------------------------- filtered gets
@@ -118,7 +118,7 @@ def test_filter_store_blocked_getter_does_not_stall_others():
     env.process(producer(env))
     env.run()
     assert got == [("eager", "yes", 1)]
-    assert len(store) == 0
+    assert len(store.items) == 0
 
 
 def test_close_fails_waiting_and_later_gets():

@@ -168,7 +168,7 @@ try:
     for n, host in enumerate(hosts, 1):  # one at a time: row order
         assert client.send_message(registry.address, Register(
             host=host, static_info={"cpu_speed": 1.0}), timestamp=0.0)
-        wait_for(lambda: len(registry.table) == n)
+        wait_for(lambda: registry.table.matrix.n == n)
     for host in hosts:
         assert client.send_message(registry.address, StatusUpdate(
             host=host, state=SystemState.FREE,

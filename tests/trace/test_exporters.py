@@ -62,9 +62,9 @@ def test_jsonl_coerces_non_json_attr_values():
 
 # ----------------------------------------------- Chrome / Perfetto
 def test_chrome_document_shape():
-    doc = to_chrome(_sample_tracer().records, label="unit")
+    doc = to_chrome(_sample_tracer().records)
     assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
-    assert doc["otherData"]["producer"] == "unit"
+    assert doc["otherData"]["producer"] == "repro"
     json.dumps(doc)  # the whole document must be valid JSON
 
     events = doc["traceEvents"]

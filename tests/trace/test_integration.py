@@ -38,7 +38,7 @@ def traced_run():
 
 def test_every_layer_appears_in_the_trace(traced_run):
     tracer, _ = traced_run
-    names = tracer.names()
+    names = {r.name for r in tracer.records}
     assert {EV_MONITOR_SAMPLE, EV_MONITOR_REPORT} <= names
     assert EV_RULE_EVALUATE in names
     assert {EV_REGISTRY_UPDATE, EV_REGISTRY_DECIDE,

@@ -21,9 +21,9 @@ def test_default_tracer_is_disabled_null():
 
 
 def test_untraced_experiment_leaves_no_records():
-    before = len(get_tracer())
+    before = len(get_tracer().records)
     run_table1()  # full instrumented pipeline, no tracer installed
-    assert len(get_tracer()) == before == 0
+    assert len(get_tracer().records) == before == 0
 
 
 def test_guarded_emission_is_cheap():

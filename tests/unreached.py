@@ -150,6 +150,7 @@ ALLOWED = {
     **_each(
         "loads analytic rows by hand; no cell does, tests do",
         "repro.cluster.builder:Cluster.add_analytic_host",
+        "repro.cluster.plane:HostPlane._analytic_row",
         "repro.cluster.plane:HostPlane.clear_hogs",
         "repro.cluster.plane:HostPlane.inject_hogs",
     ),
@@ -204,53 +205,7 @@ ALLOWED = {
         "repro.rules.parser:parse_rules",
     ),
     **_each(
-        "__repr__, for debugging",
-        "repro.cluster.cpu:Cpu.__repr__",
-        "repro.cluster.disk:Disk.__repr__",
-        "repro.cluster.host:Host.__repr__",
-        "repro.cluster.loadavg:LoadAverage.__repr__",
-        "repro.cluster.memory:Memory.__repr__",
-        "repro.cluster.network:Flow.__repr__",
-        "repro.mpi.group:CommGroup.__repr__",
-        "repro.mpi.process:MpiProcess.__repr__",
-        "repro.registry.hostmatrix:HostRecord.__repr__",
-        "repro.sim.events:Event.__repr__",
-        "repro.sim.events:Process.__repr__",
-    ),
-    **_each(
-        "container protocol (len, in, iter, bool, ==) that only tests use",
-        "repro.cluster.builder:Cluster.__len__",
-        "repro.cluster.disk:DiskSet.__contains__",
-        "repro.cluster.disk:DiskSet.__iter__",
-        "repro.cluster.disk:DiskSet.__len__",
-        "repro.cluster.plane:ClusterStateArrays.__len__",
-        "repro.cluster.proctable:ProcessTable.__contains__",
-        "repro.cluster.proctable:ProcessTable.__len__",
-        "repro.metrics.timeseries:TimeSeries.__bool__",
-        "repro.monitor.database:MonitoringDatabase.__contains__",
-        "repro.registry.core:Migrations.__eq__",
-        "repro.registry.hostmatrix:HostStateMatrix.__len__",
-        "repro.registry.softstate:SoftStateTable.__contains__",
-        "repro.registry.softstate:SoftStateTable.__len__",
-        "repro.rules.model:RuleSet.__len__",
-        "repro.sim.resources:Store.__len__",
-        "repro.trace.tracer:Tracer.__len__",
-    ),
-    **_each(
-        "accessor or helper that only tests read or call",
-        "repro.cluster.background:BulkTransferLoad.current_rate",
-        "repro.cluster.builder:Cluster.static_info",
-        "repro.cluster.cpu:Cpu.comm_load",
-        "repro.cluster.disk:Disk.used_pct",
-        "repro.cluster.disk:DiskSet.get",
-        "repro.cluster.disk:DiskSet.mounts",
-        "repro.cluster.network:Network.has_host",
-        "repro.cluster.plane:ClusterStateArrays.host_at",
-        "repro.cluster.plane:HostPlane._analytic_row",
-        "repro.cluster.plane:HostPlane.analytic_rows",
-        "repro.cluster.proctable:ProcessTable.entries",
-        "repro.commander.commander:Commander.address",
-        "repro.commander.commander:Commander.log",
+        "application API (paper §3.3): what an application's steps read",
         "repro.hpcm.context:AppContext.env",
         "repro.hpcm.context:AppContext.host",
         "repro.hpcm.context:AppContext.now",
@@ -259,52 +214,32 @@ ALLOWED = {
         "repro.hpcm.context:AppContext.rng",
         "repro.hpcm.context:AppContext.size",
         "repro.hpcm.context:AppContext.sleep",
-        "repro.hpcm.record:MigrationRecord.summary",
-        "repro.live.node:LiveNode.interval",
-        "repro.live.node:LiveNode.reported_state",
-        "repro.live.node:LiveNode.state",
-        "repro.live.registry:LiveRegistry.label",
-        "repro.live.registry:LiveRegistry.parent_address",
-        "repro.live.registry:LiveRegistry.policy",
-        "repro.live.registry:LiveRegistry.reports_guarded",
-        "repro.metrics.recorder:HostRecorder.flush",
-        "repro.metrics.recorder:HostRecorder.series",
-        "repro.monitor.database:MonitoringDatabase.latest",
-        "repro.monitor.database:MonitoringDatabase.latest_time",
-        "repro.monitor.database:MonitoringDatabase.mean",
-        "repro.monitor.database:MonitoringDatabase.metrics",
-        "repro.monitor.database:MonitoringDatabase.series",
-        "repro.monitor.database:MonitoringDatabase.window",
-        "repro.monitor.hub:MonitorHub.history",
-        "repro.monitor.monitor:Monitor.database",
-        "repro.monitor.monitor:Monitor.evaluator",
-        "repro.monitor.monitor:Monitor.interval",
-        "repro.monitor.monitor:Monitor.policy",
-        "repro.monitor.monitor:Monitor.registry_address",
-        "repro.monitor.monitor:Monitor.ruleset",
-        "repro.monitor.monitor:Monitor.state",
-        "repro.monitor.monitor:Monitor.sustain",
-        "repro.monitor.scripts:SnapshotScriptEngine.scripts",
-        "repro.monitor.selector:ProcessInfo.malleable",
         "repro.mpi.comm:Intercomm.rank",
         "repro.mpi.comm:SpawnedContext.env",
         "repro.mpi.comm:SpawnedContext.host",
         "repro.mpi.comm:SpawnedContext.rank",
-        "repro.registry.core:Reconfigure.key",
-        "repro.registry.hostmatrix:HostRecord.processes",
-        "repro.registry.hostmatrix:HostRecord.static_info",
+    ),
+    **_each(
+        "application API (paper §3.3): the requirement mask reads it for a "
+        "schema's min_cpu_speed or features; no shipped schema declares one",
         "repro.registry.hostmatrix:HostStateMatrix.cpu_speed",
         "repro.registry.hostmatrix:HostStateMatrix.features_at",
+    ),
+    **_each(
+        "test-oracle instrumentation: a differential or parity test "
+        "compares two implementations through it",
+        "repro.cluster.builder:Cluster.static_info",
+        "repro.cluster.plane:HostPlane.analytic_rows",
+        "repro.monitor.database:MonitoringDatabase.metrics",
+        "repro.monitor.database:MonitoringDatabase.series",
+        "repro.monitor.hub:MonitorHub.history",
+        "repro.registry.core:Reconfigure.key",
+        "repro.registry.hostmatrix:HostRecord.processes",
         "repro.registry.hostmatrix:HostStateMatrix.updates_received",
-        "repro.registry.registry:RegistryScheduler.label",
-        "repro.registry.registry:RegistryScheduler.parent_address",
-        "repro.registry.registry:RegistryScheduler.policy",
-        "repro.registry.softstate:SoftStateTable.available",
-        "repro.rules.model:RuleSet.by_name",
-        "repro.rules.states:SystemState.loaded",
+    ),
+    **_each(
+        "the only replacement is private",
+        "repro.registry.hostmatrix:HostRecord.static_info",
         "repro.sim.events:Event.ok",
-        "repro.trace.tracer:Tracer.clear",
-        "repro.trace.tracer:Tracer.names",
-        "repro.workloads.test_tree:TreeState.resident_bytes",
     ),
 }

@@ -12,7 +12,6 @@ from repro.workloads import (
     MonteCarloPiApp,
     StencilApp,
     TestTreeApp,
-    TreeState,
 )
 
 
@@ -71,15 +70,6 @@ def test_tree_state_picklable_and_sized():
     assert len(blob) >= state.n_nodes * 8
     back = pickle.loads(blob)
     assert np.array_equal(back.trees[0], state.trees[0])
-
-
-def test_tree_resident_bytes_tracks_trees():
-    state = TreeState(levels=10, trees_total=3, node_cost=0.0)
-    assert state.resident_bytes == 0
-    state.trees.append(np.zeros(1023))
-    assert state.resident_bytes == 1023 * 8
-    state.trees.append(None)
-    assert state.resident_bytes == 1023 * 8
 
 
 def test_tree_total_work_formula():
