@@ -64,9 +64,11 @@ class _Audited:
                           defaults))
         params += sorted((fn.__kwdefaults__ or {}).items())
         self.params: List[Tuple[str, Any]] = params
+        # The first entry's ``f_lasti``: the RESUME instruction's
+        # offset (Python 3.11+), or -1 before any instruction (3.10).
         self.first_offset: Optional[int] = (
-            next(i.offset for i in dis.get_instructions(code)
-                 if i.opname == "RESUME")
+            next((i.offset for i in dis.get_instructions(code)
+                  if i.opname == "RESUME"), -1)
             if code.co_flags & _RESUMABLE else None
         )
         self.calls = 0
