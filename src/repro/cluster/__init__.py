@@ -11,7 +11,6 @@ from .builder import DEFAULT_CPU_PER_BYTE, Cluster
 from .cpu import Cpu
 from .disk import Disk, DiskSet
 from .host import Host, HostSpec, StaticInfo
-from .loadavg import LoadAverage
 from .memory import Memory
 from .network import (
     DEFAULT_LATENCY,
@@ -41,7 +40,6 @@ __all__ = [
     "HostDownError",
     "HostPlane",
     "HostSpec",
-    "LoadAverage",
     "Memory",
     "Network",
     "ProcEntry",

@@ -121,13 +121,19 @@ class Host:
         for mount, total, used in DISKS:
             self.disks.add(mount, total=total, used=used)
         self.procs = ProcessTable(env)
-        # The load average is a passive value the cluster's host plane
-        # folds in batch.
-        self.loadavg = plane.attach(self)
+        # The cluster's host plane folds this host's load averages in
+        # its row.
+        self._arrays = plane.arrays
+        self._row = plane.attach(self)
         self.static_info = spec.static_info(name)
         network.add_host(name, cpu=self.cpu, bandwidth=spec.bandwidth)
 
     # -- convenience views ---------------------------------------------
+    def load_averages(self) -> tuple:
+        """(1-min, 5-min, 15-min) like ``os.getloadavg``, read from the
+        host plane's row."""
+        return self._arrays.load_averages(self._row)
+
     @property
     def up(self) -> bool:
         return self.network.host_is_up(self.name)

@@ -4,19 +4,28 @@ One Python sim-process per host per sensor family — a load-average
 sampler each, a duty-cycle generator each, a monitor loop each — caps
 credible sweeps at tens of hosts.  This module keeps that state as
 **columns** — one row per host in builder order — updated by a
-*single* periodic process per cluster: the exponentially damped fold
-of :mod:`.loadavg` runs as one vectorized statement
-(``load = load * k + n * (1 - k)``) across every host, and background
-duty cycles / injected hogs become closed-form run-queue columns
-instead of event-generating processes.
+*single* periodic process per cluster: the load-average fold runs as
+one vectorized statement across every host, and background duty
+cycles / injected hogs become closed-form run-queue columns instead of
+event-generating processes.
+
+**Load averages.**  The kernel's classic computation: every
+:data:`SAMPLE_INTERVAL` seconds the run-queue length ``n`` is folded
+into three exponentially damped moving averages::
+
+    load = load * k + n * (1 - k),   k = exp(-interval / window)
+
+with windows of 60 s (1-minute), 300 s (5-minute) and 900 s
+(15-minute); :data:`DECAY_FACTORS` holds the ``(k, 1 - k)`` pairs.
+The paper's Rule 1 and the §5.3 policies threshold on the 1-minute
+value; Figure 5 plots it.  The ``load1``/``load5``/``load15`` columns
+are the only copy of a host's load averages:
+:meth:`~repro.cluster.host.Host.load_averages` reads its row.
 
 Two kinds of row:
 
 * **backed** rows belong to a full :class:`~repro.cluster.host.Host`;
-  their run queue is gathered from ``host.cpu.run_queue`` each tick and
-  the folded averages are written back to the host's (passive)
-  :class:`~repro.cluster.loadavg.LoadAverage`, so every consumer — the
-  sensor suite, recorders, ``repr`` — reads ``host.loadavg``.
+  their run queue is gathered from ``host.cpu.run_queue`` each tick.
 * **analytic** rows model their background load in closed form: each
   duty cycle contributes its exact mean occupancy over the elapsed
   sample window (the integral of its on/off square wave — alias-free)
@@ -24,19 +33,17 @@ Two kinds of row:
   ``Host`` object.  This is where the O(1000s)-host scaling comes
   from.  When the cluster does build a ``Host`` for one (something is
   placed on it), the host attaches to the existing row: its load
-  average starts at the row's current values and is written back like
-  a backed host's, while the run queue stays closed-form.
+  averages go on from the row's current values, while the run queue
+  stays closed-form.
 
-The column fold is bit-identical to folding each host on its own with
-:meth:`~repro.cluster.loadavg.LoadAverage.fold`: the fold constants
-come from one table (:func:`~repro.cluster.loadavg.decay_factors`), and
-numpy's elementwise ``col * k + n * mk`` performs the same two float64
-multiplies and one add as the per-host statement (no fused
-multiply-add).  ``tests/cluster/test_plane.py`` holds that line with a
-per-host sampler (``tests/cluster/reference.py``) over whole simulated
-runs.  All rows fold on the cluster-wide grid
-``t0 + i * sample_interval``; a host attached *mid-run* joins the
-shared grid instead of starting its own.
+The column fold is bit-identical to folding each host on its own:
+numpy's elementwise ``col * k + n * mk`` performs exactly the two
+float64 multiplies and one add of the per-host statement
+``load = load * k + n * mk`` (no fused multiply-add).
+``tests/cluster/test_plane.py`` holds that line with a per-host sampler
+(``tests/cluster/reference.py``) over whole simulated runs.  All rows
+fold on the cluster-wide grid ``t0 + i * SAMPLE_INTERVAL``; a host
+attached *mid-run* joins the shared grid instead of starting its own.
 
 The keys of :meth:`HostPlane.analytic_sensor_columns` are the metric
 tuple of :mod:`repro.rules.vocabulary`, like those of
@@ -46,16 +53,29 @@ both producers to it.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage, decay_factors
+#: Seconds between folds: the traditional kernel sampling period.
+SAMPLE_INTERVAL = 5.0
 
-#: Baseline open sockets reported for analytic rows (matches
-#: ``repro.monitor.sensors.BASE_SOCKETS``; asserted equal by tests).
+#: ``((k, 1 - k), ...)`` for the 1/5/15-minute windows.
+DECAY_FACTORS = tuple(
+    (k, 1.0 - k)
+    for k in (math.exp(-SAMPLE_INTERVAL / window)
+              for window in (60.0, 300.0, 900.0))
+)
+(_K1, _MK1), (_K5, _MK5), (_K15, _MK15) = DECAY_FACTORS
+
+#: Baseline open sockets on an idle workstation (daemons etc.), for
+#: analytic rows and the sensor suite alike.
 BASE_SOCKETS = 25
+
+#: Rows the columns start with.
+_CAPACITY = 16
 
 
 class ClusterStateArrays:
@@ -75,17 +95,16 @@ class ClusterStateArrays:
         "duty_busy", "duty_period", "duty_phase", "hog_count",
         "mon_busy", "mon_period", "mon_phase",
         "mem_avail_bytes", "mem_avail_pct", "vmem_avail_pct",
-        "disk_avail_bytes", "send_kbs", "recv_kbs",
+        "disk_avail_bytes",
     )
 
-    def __init__(self, capacity: int = 16):
-        capacity = max(1, int(capacity))
+    def __init__(self):
         self._n = 0
         self._hosts: List[str] = []
         self._index: Dict[str, int] = {}
         for name in self._COLUMNS:
-            setattr(self, "_" + name, np.zeros(capacity))
-        self._analytic = np.zeros(capacity, dtype=bool)
+            setattr(self, "_" + name, np.zeros(_CAPACITY))
+        self._analytic = np.zeros(_CAPACITY, dtype=bool)
 
     # -- shape ----------------------------------------------------------
     @property
@@ -146,6 +165,11 @@ class ClusterStateArrays:
             raise KeyError(name)
         return getattr(self, "_" + name)[: self._n]
 
+    def load_averages(self, row: int) -> tuple:
+        """(1-min, 5-min, 15-min) of one row as Python floats."""
+        return (self._load1.item(row), self._load5.item(row),
+                self._load15.item(row))
+
     @property
     def analytic(self) -> np.ndarray:
         return self._analytic[: self._n]
@@ -167,7 +191,7 @@ class _Derived:
     instead of fancy-indexed copies of the same values."""
 
     __slots__ = ("version", "n", "analytic", "take", "families", "hogs",
-                 "attached", "runq", "load1", "load5", "load15", "sensor")
+                 "runq", "load1", "load5", "load15", "sensor")
 
     def __init__(self, plane: "HostPlane"):
         a = plane.arrays
@@ -192,8 +216,6 @@ class _Derived:
                 _frozen(a.col(f"{family}_{name}")[take][active])
                 for name in ("period", "busy", "phase")))
         self.hogs = _frozen(a.col("hog_count")[take])
-        self.attached = _frozen(np.array(plane._attached_rows,
-                                         dtype=np.intp))
         self.runq = a.col("runq")
         self.load1, self.load5, self.load15 = (
             a.col("load1"), a.col("load5"), a.col("load15"))
@@ -208,7 +230,7 @@ class _Derived:
                 util[active] += busy[active] / period[active]
         hogs = a.col("hog_count")
         util = np.minimum(1.0, util + np.where(hogs > 0, 1.0, 0.0))
-        send, recv = a.col("send_kbs"), a.col("recv_kbs")
+        comm = _frozen(np.zeros(self.n))
         self.sensor = {
             "loadavg1": self.load1,
             "loadavg5": self.load5,
@@ -222,9 +244,9 @@ class _Derived:
             "mem_avail_pct": a.col("mem_avail_pct"),
             "vmem_avail_pct": a.col("vmem_avail_pct"),
             "disk_avail_bytes": a.col("disk_avail_bytes"),
-            "send_kbs": send,
-            "recv_kbs": recv,
-            "comm_mbs": _frozen((send + recv) / 1024.0),
+            "send_kbs": comm,
+            "recv_kbs": comm,
+            "comm_mbs": comm,
         }
 
 
@@ -238,22 +260,17 @@ class HostPlane:
 
     A tick and :meth:`analytic_sensor_columns` read what they derive
     from rarely-changing columns — the analytic rows, their duty
-    families and hogs, the attached rows, utilisation — from one cache
-    (:class:`_Derived`), rebuilt when :attr:`version` has moved.  Every
-    mutator bumps it, as every register and unregister bumps
+    families and hogs, utilisation — from one cache (:class:`_Derived`),
+    rebuilt when :attr:`version` has moved.  Every mutator bumps it, as
+    every register and unregister bumps
     :attr:`repro.registry.hostmatrix.HostStateMatrix.layout`.
     """
 
-    def __init__(
-        self,
-        env: Any,
-        sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-    ):
+    def __init__(self, env: Any):
         self.env = env
-        self.sample_interval = float(sample_interval)
         self.arrays = ClusterStateArrays()
         #: The hosts that exist as objects and their rows (aligned):
-        #: the only rows gathered from and written back to each tick.
+        #: the only rows whose run queue each tick gathers.
         self._attached: List[Any] = []
         self._attached_rows: List[int] = []
         self.ticks = 0
@@ -263,33 +280,26 @@ class HostPlane:
         #: derived cache.
         self.version = 0
         self._derived = _Derived(self)
-        ((self._k1, self._mk1), (self._k5, self._mk5),
-         (self._k15, self._mk15)) = decay_factors(self.sample_interval)
 
     # -- registration ---------------------------------------------------
-    def attach(self, host: Any) -> LoadAverage:
-        """Register ``host`` for gather/write-back; returns its
-        (passive) load average, which this plane folds in batch.
+    def attach(self, host: Any) -> int:
+        """Register ``host`` for the run-queue gather; returns its row,
+        whose load averages this plane folds in batch.
 
         A new name gets a backed row.  A name that already has a row —
-        an analytic row whose ``Host`` is being built — keeps it, and
-        the returned load average starts at the row's current values.
+        an analytic row whose ``Host`` is being built — keeps it, load
+        averages and all.
         """
         a = self.arrays
         row = a.row_of(host.name)
         if row is None:
             row = a.add_row(host.name)
         self.version += 1
-        loadavg = LoadAverage(sample_interval=self.sample_interval)
-        loadavg.one, loadavg.five, loadavg.fifteen = (
-            float(a.col(name)[row])
-            for name in ("load1", "load5", "load15")
-        )
         self._attached.append(host)
         self._attached_rows.append(row)
         if self._proc is None:
             self._proc = self.env.process(self._run(), name="hostplane")
-        return loadavg
+        return row
 
     def add_analytic_rows(
         self,
@@ -375,7 +385,7 @@ class HostPlane:
     # -- the batched tick -----------------------------------------------
     def _run(self):
         while True:
-            yield self.sample_interval  # bare-delay fast path
+            yield SAMPLE_INTERVAL  # bare-delay fast path
             self._tick()
 
     @staticmethod
@@ -399,7 +409,7 @@ class HostPlane:
         ``mean_load`` for every period/phase combination.
         """
         q = derived.hogs.copy()
-        dt = self.sample_interval
+        dt = SAMPLE_INTERVAL
         for active, p, b, phase in derived.families:
             x1 = t - phase
             q[active] += (
@@ -414,30 +424,19 @@ class HostPlane:
             self.ticks += 1
             return
         runq = d.runq
-        hosts = self._attached
-        for row, host in zip(self._attached_rows, hosts):
+        for row, host in zip(self._attached_rows, self._attached):
             runq[row] = host.cpu.run_queue
         # Analytic rows stay closed-form, host attached or not.
         if d.analytic.size:
             runq[d.take] = self._analytic_runq(self.env.now, d)
         # The vectorized fold — one statement per window, all hosts.
         load1, load5, load15 = d.load1, d.load5, d.load15
-        load1 *= self._k1
-        load1 += runq * self._mk1
-        load5 *= self._k5
-        load5 += runq * self._mk5
-        load15 *= self._k15
-        load15 += runq * self._mk15
-        # Write-back: consumers keep reading host.loadavg.{one,five,...}.
-        rows = d.attached
-        for host, one, five, fifteen in zip(
-            hosts, load1[rows].tolist(), load5[rows].tolist(),
-            load15[rows].tolist(),
-        ):
-            view = host.loadavg
-            view.one = one
-            view.five = five
-            view.fifteen = fifteen
+        load1 *= _K1
+        load1 += runq * _MK1
+        load5 *= _K5
+        load5 += runq * _MK5
+        load15 *= _K15
+        load15 += runq * _MK15
         self.ticks += 1
         self.folds += d.n
 

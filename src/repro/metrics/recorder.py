@@ -70,9 +70,10 @@ class HostRecorder:
     def _sample(self) -> None:
         now = self.env.now
         host = self.host
+        one, five, _ = host.load_averages()
         values = {
-            "loadavg1": host.loadavg.one,
-            "loadavg5": host.loadavg.five,
+            "loadavg1": one,
+            "loadavg5": five,
             "run_queue": host.cpu.run_queue,
             "proc_count": float(host.procs.count()),
         }

@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "database": ("MonitoringDatabase",),
     "hub": ("MonitorHub",),
     "monitor": ("DEFAULT_CYCLE_COST", "DEFAULT_INTERVAL", "Monitor"),
-    "scripts": ("SimScriptEngine",),
     "selector": ("ProcessInfo", "collect_process_info", "select_victim"),
-    "sensors": ("SensorSuite",),
+    "sensors": ("SensorSuite", "SimScriptEngine"),
 })

@@ -21,8 +21,8 @@ from ..protocol.transport import Endpoint, EndpointRegistry
 from ..rules.model import RuleSet
 from ..rules.states import SystemState
 from .core import DEFAULT_INTERVAL, MonitorCore
-from .scripts import SimScriptEngine
 from .selector import collect_process_info
+from .sensors import SimScriptEngine
 
 #: CPU-seconds one monitoring cycle costs (script executions); chosen
 #: so the rescheduler's load-average overhead lands in the paper's

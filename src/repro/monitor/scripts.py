@@ -12,10 +12,9 @@ counters difference over exactly one interval).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..rules.vocabulary import script_metric
-from .sensors import SensorSuite
 
 
 class SnapshotScriptEngine:
@@ -57,19 +56,3 @@ class SnapshotScriptEngine:
             return float(handler(param))
         return float(self.metric(script_metric(script, param)))
 
-
-def SimScriptEngine(host: Any) -> SnapshotScriptEngine:
-    """The engine of one simulated host: its sensor suite as the
-    sampler, plus the one query a snapshot cannot answer — netstat
-    socket states other than ESTABLISHED, counted live."""
-    sensors = SensorSuite(host)
-    engine = SnapshotScriptEngine(sensors.sample)
-
-    def socket_states(param: str) -> float:
-        try:
-            return engine.metric(script_metric("ntStatIpv4.sh", param))
-        except ValueError:
-            return sensors.socket_count(param.strip())
-
-    engine.register("ntStatIpv4.sh", socket_states)
-    return engine

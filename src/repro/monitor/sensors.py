@@ -4,15 +4,19 @@ One :class:`SensorSuite` per host samples processor utilization and
 load, memory state, disk usage and communication rates.  Rate sensors
 (CPU utilization, KB/s) are windowed: each call reports the average
 since the previous call, exactly like differencing two reads of
-``vmstat`` counters.
+``vmstat`` counters.  :func:`SimScriptEngine` puts a suite behind the
+script engine of :mod:`.scripts`; live mode's engine reads ``/proc``
+instead and loads nothing of this module.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-#: Baseline open sockets on an idle workstation (daemons etc.).
-BASE_SOCKETS = 25
+from ..cluster.plane import BASE_SOCKETS
+from ..rules.vocabulary import script_metric
+from .scripts import SnapshotScriptEngine
+
 #: Additional established sockets per active bulk flow.
 SOCKETS_PER_FLOW = 2
 
@@ -27,9 +31,6 @@ class SensorSuite:
         self._last_rx: Optional[tuple] = None
 
     # -- individual sensors ------------------------------------------------
-    def load_averages(self) -> tuple:
-        return self.host.loadavg.as_tuple()
-
     def cpu_utilization(self) -> float:
         """Mean utilization since the last call, in [0, 1]."""
         util, self._cpu_state = self.host.cpu.utilization_sample(
@@ -86,7 +87,7 @@ class SensorSuite:
     def sample(self) -> Dict[str, float]:
         """One coherent reading of every metric in
         :data:`repro.rules.vocabulary.METRICS`."""
-        one, five, fifteen = self.load_averages()
+        one, five, fifteen = self.host.load_averages()
         util = self.cpu_utilization()
         snapshot: Dict[str, float] = {
             "loadavg1": one,
@@ -101,3 +102,20 @@ class SensorSuite:
         snapshot.update(self.disk())
         snapshot.update(self.comm_rates())
         return snapshot
+
+
+def SimScriptEngine(host: Any) -> SnapshotScriptEngine:
+    """The engine of one simulated host: its sensor suite as the
+    sampler, plus the one query a snapshot cannot answer — netstat
+    socket states other than ESTABLISHED, counted live."""
+    sensors = SensorSuite(host)
+    engine = SnapshotScriptEngine(sensors.sample)
+
+    def socket_states(param: str) -> float:
+        try:
+            return engine.metric(script_metric("ntStatIpv4.sh", param))
+        except ValueError:
+            return sensors.socket_count(param.strip())
+
+    engine.register("ntStatIpv4.sh", socket_states)
+    return engine

@@ -107,7 +107,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed ``delay``.
+    """An event that fires, with value ``None``, after a fixed ``delay``.
 
     Timeouts dominate the kernel's allocation profile (every simulated
     wait is one), so construction is fully inlined: slot writes plus a
@@ -116,12 +116,12 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, env: Any, delay: float, value: Any = None):
+    def __init__(self, env: Any, delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         env._seq = seq = env._seq + 1

@@ -31,11 +31,12 @@ from .events import PENDING, URGENT, AllOf, AnyOf, Event, Process, Timeout
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    Time is a float in arbitrary units (this project uses seconds).
+    Time is a float in arbitrary units (this project uses seconds); the
+    clock starts at 0.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
         #: Optional per-dispatch observer ``hook(now, event)`` — the
@@ -63,9 +64,10 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:  # pragma: no cover - shadowed per instance
-        """An event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:  # pragma: no cover - shadowed per instance
+        """An event firing ``delay`` time units from now (its value is
+        ``None``)."""
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""

@@ -3,8 +3,9 @@ sampling with one process per host, max-min filling over sets, and a
 mega-cluster built one host at a time.
 
 **Load average.**  The model the batched host plane replaces — every
-host owns a sampler process that wakes each ``sample_interval``
-seconds, reads its run queue and calls :meth:`LoadAverage.fold`.
+host owns a sampler process that wakes each ``SAMPLE_INTERVAL``
+seconds, reads its run queue and calls :meth:`ScalarLoadAverage.fold`,
+the per-host statement ``load = load * k + n * (1 - k)``.
 ``tests/cluster/`` runs it beside the plane's column fold and requires
 the same bytes.
 
@@ -49,21 +50,48 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.cluster.cpu import MAX_COMM_LOAD
-from repro.cluster.loadavg import DEFAULT_SAMPLE_INTERVAL, LoadAverage
 from repro.cluster.network import ETHERNET_100MBPS
-from repro.cluster.plane import BASE_SOCKETS, HostPlane
+from repro.cluster.plane import (
+    BASE_SOCKETS,
+    DECAY_FACTORS,
+    SAMPLE_INTERVAL,
+    HostPlane,
+)
 from repro.sim.events import Event
 
+(_K1, _MK1), (_K5, _MK5), (_K15, _MK15) = DECAY_FACTORS
 
-def sampled_loadavg(env, runqueue_fn,
-                    sample_interval=DEFAULT_SAMPLE_INTERVAL):
-    """A :class:`LoadAverage` folded by its own periodic sim process
-    from ``runqueue_fn()`` readings."""
-    loadavg = LoadAverage(sample_interval=sample_interval)
+
+class ScalarLoadAverage:
+    """The 1/5/15-minute load averages of one host, folded one host at
+    a time."""
+
+    def __init__(self):
+        self.one = 0.0
+        self.five = 0.0
+        self.fifteen = 0.0
+
+    def fold(self, n: float) -> None:
+        """Fold one run-queue reading into all three averages: the
+        per-host arithmetic the plane's column fold must reproduce bit
+        for bit."""
+        self.one = self.one * _K1 + n * _MK1
+        self.five = self.five * _K5 + n * _MK5
+        self.fifteen = self.fifteen * _K15 + n * _MK15
+
+    def as_tuple(self) -> tuple:
+        """(1-min, 5-min, 15-min) like ``os.getloadavg``."""
+        return (self.one, self.five, self.fifteen)
+
+
+def sampled_loadavg(env, runqueue_fn):
+    """A :class:`ScalarLoadAverage` folded by its own periodic sim
+    process from ``runqueue_fn()`` readings."""
+    loadavg = ScalarLoadAverage()
 
     def sampler():
         while True:
-            yield env.timeout(loadavg.sample_interval)
+            yield env.timeout(SAMPLE_INTERVAL)
             loadavg.fold(float(runqueue_fn()))
 
     env.process(sampler(), name="loadavg")
@@ -72,12 +100,10 @@ def sampled_loadavg(env, runqueue_fn,
 
 def per_host_samplers(cluster):
     """Start one reference sampler per backed host of ``cluster``;
-    returns ``{host name: LoadAverage}``."""
+    returns ``{host name: ScalarLoadAverage}``."""
     return {
         host.name: sampled_loadavg(
-            cluster.env, lambda host=host: host.cpu.run_queue,
-            sample_interval=cluster.plane.sample_interval,
-        )
+            cluster.env, lambda host=host: host.cpu.run_queue)
         for host in cluster
     }
 
@@ -466,7 +492,7 @@ class ReferencePlane(HostPlane):
     def _analytic_runq(self, t: float, rows: np.ndarray) -> np.ndarray:
         a = self.arrays
         q = a.col("hog_count")[rows].copy()
-        dt = self.sample_interval
+        dt = SAMPLE_INTERVAL
         for family in ("duty", "mon"):
             period = a.col(f"{family}_period")[rows]
             busy = a.col(f"{family}_busy")[rows]
@@ -497,20 +523,12 @@ class ReferencePlane(HostPlane):
             runq[analytic] = self._analytic_runq(t, analytic)
         load1, load5, load15 = (a.col("load1"), a.col("load5"),
                                 a.col("load15"))
-        load1 *= self._k1
-        load1 += runq * self._mk1
-        load5 *= self._k5
-        load5 += runq * self._mk5
-        load15 *= self._k15
-        load15 += runq * self._mk15
-        for host, one, five, fifteen in zip(
-            hosts, load1[rows].tolist(), load5[rows].tolist(),
-            load15[rows].tolist(),
-        ):
-            view = host.loadavg
-            view.one = one
-            view.five = five
-            view.fifteen = fifteen
+        load1 *= _K1
+        load1 += runq * _MK1
+        load5 *= _K5
+        load5 += runq * _MK5
+        load15 *= _K15
+        load15 += runq * _MK15
         self.ticks += 1
         self.folds += n
 
@@ -532,8 +550,7 @@ class ReferencePlane(HostPlane):
             (a.col("duty_period")[rows] > 0).astype(float)
             + a.col("hog_count")[rows]
         )
-        send = a.col("send_kbs")[rows]
-        recv = a.col("recv_kbs")[rows]
+        comm = np.zeros(rows.shape[0])
         return {
             "loadavg1": a.col("load1")[rows],
             "loadavg5": a.col("load5")[rows],
@@ -546,7 +563,7 @@ class ReferencePlane(HostPlane):
             "mem_avail_pct": a.col("mem_avail_pct")[rows],
             "vmem_avail_pct": a.col("vmem_avail_pct")[rows],
             "disk_avail_bytes": a.col("disk_avail_bytes")[rows],
-            "send_kbs": send,
-            "recv_kbs": recv,
-            "comm_mbs": (send + recv) / 1024.0,
+            "send_kbs": comm,
+            "recv_kbs": comm,
+            "comm_mbs": comm,
         }

@@ -8,46 +8,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cluster import (
-    Cluster,
-    ClusterStateArrays,
-    DutyCycleLoad,
-    LoadAverage,
-)
-from repro.cluster.loadavg import decay_factors
-from repro.monitor.sensors import BASE_SOCKETS
+from repro.cluster import Cluster, ClusterStateArrays, DutyCycleLoad
+from repro.cluster.plane import BASE_SOCKETS, DECAY_FACTORS
 from repro.rules.vocabulary import METRICS
 
 from ..callcount import count_calls
-from .reference import per_host_samplers
+from .reference import ScalarLoadAverage, per_host_samplers
 
 
 # ---------------------------------------------------- fold bit-identity
-#: Sample intervals including the k = exp(-interval/window) edges where
-#: the interval equals a window (k = 1/e) and extreme ratios.
-_INTERVALS = st.one_of(
-    st.sampled_from([0.25, 1.0, 5.0, 7.5, 60.0, 300.0, 900.0, 1800.0]),
-    st.floats(min_value=1e-3, max_value=3600.0, allow_nan=False),
-)
-
-
 @given(
     streams=hnp.arrays(
         dtype=np.float64,
         shape=st.tuples(st.integers(1, 8), st.integers(1, 60)),
         elements=st.floats(min_value=0.0, max_value=1e9, width=64),
     ),
-    interval=_INTERVALS,
 )
 @settings(max_examples=120, deadline=None)
-def test_column_fold_bit_identical_to_scalar(streams, interval):
-    """The vectorized fold produces ``LoadAverage.fold``'s exact bytes
-    for every host, every sample, every interval."""
+def test_column_fold_bit_identical_to_scalar(streams):
+    """The vectorized fold produces ``ScalarLoadAverage.fold``'s exact
+    bytes for every host, every sample."""
     n_hosts, n_samples = streams.shape
-    oracles = [
-        LoadAverage(sample_interval=interval) for _ in range(n_hosts)
-    ]
-    (k1, mk1), (k5, mk5), (k15, mk15) = decay_factors(interval)
+    oracles = [ScalarLoadAverage() for _ in range(n_hosts)]
+    (k1, mk1), (k5, mk5), (k15, mk15) = DECAY_FACTORS
     one = np.zeros(n_hosts)
     five = np.zeros(n_hosts)
     fifteen = np.zeros(n_hosts)
@@ -83,7 +66,7 @@ def _duty_cluster(seed: int, n_hosts: int = 6):
 def verify(cluster, reference):
     """Batched ≡ per-host, host by host, to the last bit."""
     for host in cluster:
-        assert host.loadavg.as_tuple() == reference[host.name].as_tuple(), (
+        assert host.load_averages() == reference[host.name].as_tuple(), (
             f"host plane fold diverged on {host.name} "
             f"at t={cluster.env.now}"
         )
@@ -92,23 +75,23 @@ def verify(cluster, reference):
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_whole_sim_scalar_equals_batched(seed):
     """The same simulated workload folded per host
-    (``LoadAverage.fold``) and folded as columns: identical bytes."""
+    (``ScalarLoadAverage.fold``) and folded as columns: identical
+    bytes."""
     cluster, reference = _duty_cluster(seed)
     cluster.run(until=171.0)
     verify(cluster, reference)
     # And the loads actually moved — the comparison is not 0 == 0.
-    assert any(host.loadavg.one > 0 for host in cluster)
+    assert any(host.load_averages()[0] > 0 for host in cluster)
 
 
-def test_auto_writes_back_to_host_views():
+def test_a_host_reads_its_plane_row():
     cluster, _ = _duty_cluster(seed=3)
     cluster.run(until=60.0)
     a = cluster.plane.arrays
     for host in cluster:
         row = a.row_of(host.name)
-        assert host.loadavg.one == a.col("load1")[row]
-        assert host.loadavg.five == a.col("load5")[row]
-        assert host.loadavg.fifteen == a.col("load15")[row]
+        assert host.load_averages() == (
+            a.col("load1")[row], a.col("load5")[row], a.col("load15")[row])
 
 
 # -------------------------------------------------- the differential itself
@@ -188,12 +171,6 @@ def test_analytic_sensor_columns_match_sensor_vocabulary():
     assert cols["cpu_util"][0] == 1.0
 
 
-def test_plane_base_sockets_matches_sensors():
-    from repro.cluster.plane import BASE_SOCKETS as PLANE_BASE_SOCKETS
-
-    assert PLANE_BASE_SOCKETS == BASE_SOCKETS
-
-
 @pytest.mark.costguard
 def test_analytic_hosts_are_rows_not_objects(monkeypatch):
     """An analytic host is a name, a plane row and a spec until
@@ -254,16 +231,16 @@ def test_analytic_hosts_are_rows_not_objects(monkeypatch):
     assert a.row_of("an7") == row and a.n == 2049
     # The load average shows the row's current loads from the moment
     # the host exists, not zeros until the next tick.
-    assert host.loadavg.as_tuple() == (
+    assert host.load_averages() == (
         a.col("load1")[row], a.col("load5")[row], a.col("load15")[row])
-    assert host.loadavg.one > 0.0
+    assert host.load_averages()[0] > 0.0
     assert cluster.host("an7") is host and cluster["an7"] is host
     assert built["Host"] == 1
     # ...and follows them from then on.
-    before = host.loadavg.as_tuple()
+    before = host.load_averages()
     cluster.run(until=90.0)
-    assert host.loadavg.as_tuple() != before
-    assert host.loadavg.one == a.col("load1")[row]
+    assert host.load_averages() != before
+    assert host.load_averages()[0] == a.col("load1")[row]
     assert set(cluster.hosts) == {"ws1", "an7"}
 
 
@@ -330,10 +307,10 @@ def test_hog_validation():
 
 
 def test_arrays_growth_and_duplicates():
-    arrays = ClusterStateArrays(capacity=2)
-    for i in range(9):
+    arrays = ClusterStateArrays()
+    for i in range(40):  # past 16 rows, then past 32: two doublings
         assert arrays.add_row(f"h{i}") == i
-    assert arrays.n == 9
+    assert arrays.n == 40 and arrays._analytic.shape == (64,)
     assert arrays.hosts[4] == "h4"
     assert arrays.row_of("h7") == 7
     assert arrays.row_of("nope") is None
@@ -341,13 +318,13 @@ def test_arrays_growth_and_duplicates():
         arrays.add_row("h3")
     with pytest.raises(KeyError):
         arrays.col("no_such_column")
-    assert arrays.col("load1").shape == (9,)
+    assert arrays.col("load1").shape == (40,)
 
 
 def test_a_batch_reserves_its_capacity_in_one_step():
     """One reallocation however far the batch overshoots; single
     appends keep doubling."""
-    arrays = ClusterStateArrays(capacity=2)
+    arrays = ClusterStateArrays()
     grown = []
     grow = arrays._grow
     arrays._grow = lambda need: (grown.append(need), grow(need))
@@ -457,4 +434,4 @@ def test_mega_cluster_smoke_4096_hosts():
     assert np.all(np.isfinite(load1))
     assert 0.05 < float(np.mean(load1[2:])) < 0.6
     # 1-minute decay: exp(-5/60) per 5 s tick, the shared constant.
-    assert plane._k1 == math.exp(-5.0 / 60.0)
+    assert DECAY_FACTORS[0][0] == math.exp(-5.0 / 60.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cluster.plane import HostPlane
+from repro.cluster.plane import SAMPLE_INTERVAL, HostPlane
 from repro.sim import Environment
 
 from .reference import ReferencePlane
@@ -58,8 +58,7 @@ def _apply(plane, op, analytic):
         _, index, run_queue = op
         name = (f"b{plane.arrays.n}" if index is None or not analytic
                 else analytic[index % len(analytic)])
-        host = _host(name, run_queue)
-        host.loadavg = plane.attach(host)
+        plane.attach(_host(name, run_queue))
     elif kind == "duty":
         _, mask, busy, period, phase = op
         rows = plane.analytic_rows()
@@ -86,8 +85,6 @@ def _assert_same(plane, reference):
     assert list(cols) == list(expected)
     for name, col in expected.items():
         assert cols[name].tolist() == col.tolist(), name
-    assert ([h.loadavg.as_tuple() for h in plane._attached]
-            == [h.loadavg.as_tuple() for h in reference._attached])
 
 
 def _apply_both(planes, op, analytic):
@@ -111,8 +108,7 @@ def test_a_cached_tick_equals_the_uncached_tick(initial, ops):
     planes = []
     for cls in (HostPlane, ReferencePlane):
         plane = cls(Environment())
-        ws = _host("ws0", 1.0)
-        ws.loadavg = plane.attach(ws)
+        plane.attach(_host("ws0", 1.0))
         planes.append(plane)
     analytic = []
     if initial:
@@ -122,7 +118,7 @@ def test_a_cached_tick_equals_the_uncached_tick(initial, ops):
     for op in ops:
         if op[0] == "tick":
             for plane in planes:
-                plane.env.run(until=plane.env.now + plane.sample_interval)
+                plane.env.run(until=plane.env.now + SAMPLE_INTERVAL)
             _assert_same(*planes)
         else:
             analytic += _apply_both(planes, op, analytic)
@@ -163,11 +159,9 @@ def test_every_mutator_bumps_the_version():
     assert bumped()
     plane.clear_hogs("an0")
     assert bumped()
-    host = _host("ws0", 0.0)
-    host.loadavg = plane.attach(host)       # a new row
+    plane.attach(_host("ws0", 0.0))         # a new row
     assert bumped()
-    host = _host("an1", 0.0)
-    host.loadavg = plane.attach(host)       # an analytic row's host
+    plane.attach(_host("an1", 0.0))         # an analytic row's host
     assert bumped()
     plane.env.run(until=12.0)               # ticks change no version
     plane.analytic_sensor_columns(plane.analytic_rows())

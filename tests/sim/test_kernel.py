@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_start():
-    env = Environment(initial_time=42.5)
-    assert env.now == 42.5
-
-
 def test_timeout_advances_clock():
     env = Environment()
 
@@ -33,7 +28,19 @@ def test_timeout_value():
     env = Environment()
 
     def proc(env):
-        got = yield env.timeout(1, value="hello")
+        got = yield env.timeout(1)
+        return got
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok and p.value is None
+
+
+def test_event_value_passes_through():
+    env = Environment()
+
+    def proc(env):
+        got = yield env.event().succeed("hello")
         return got
 
     p = env.process(proc(env))
@@ -85,7 +92,8 @@ def test_run_until_event():
 
 
 def test_run_until_past_raises():
-    env = Environment(initial_time=10)
+    env = Environment()
+    env.run(until=10)
     with pytest.raises(ValueError):
         env.run(until=5)
 
@@ -259,8 +267,8 @@ def test_all_of_waits_for_all():
     env = Environment()
 
     def parent(env):
-        t1 = env.timeout(3, value="x")
-        t2 = env.timeout(7, value="y")
+        t1 = env.timeout(3)
+        t2 = env.timeout(7)
         result = yield env.all_of([t1, t2])
         return (env.now, result, t1.processed, t2.processed)
 
@@ -273,8 +281,8 @@ def test_any_of_fires_on_first():
     env = Environment()
 
     def parent(env):
-        t1 = env.timeout(3, value="fast")
-        t2 = env.timeout(7, value="slow")
+        t1 = env.timeout(3)
+        t2 = env.timeout(7)
         result = yield env.any_of([t1, t2])
         return (env.now, result, t1.processed, t2.processed)
 

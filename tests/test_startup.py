@@ -56,7 +56,7 @@ def _within(modules, packages):
 
 
 def test_a_live_process_and_the_cli_import_no_simulator():
-    """The live import loads 37 ``repro`` modules (87 when every package
+    """The live import loads 36 ``repro`` modules (87 when every package
     ``__init__`` imported its siblings), ``--help`` loads 4 and no
     numpy (92 plus numpy then)."""
     live = _loaded(

@@ -97,7 +97,6 @@ ALLOWED = {
     **_each(
         "test oracle: the scalar reference a batched or compiled path is "
         "checked against",
-        "repro.cluster.loadavg:LoadAverage.fold",
         "repro.rules.evaluator:classify",
         "repro.rules.states:combine_and",
         "repro.rules.states:combine_or",
