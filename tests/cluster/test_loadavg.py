@@ -68,12 +68,40 @@ def test_one_minute_60s_step_response():
     assert loads()[0] == pytest.approx(1.0 - math.exp(-1), rel=0.01)
 
 
-def test_decay_constants():
+def test_decay_constants_are_plain_attributes():
     assert SAMPLE_INTERVAL == 5.0
     (k1, mk1), (k5, mk5), (k15, mk15) = DECAY_FACTORS
     assert k1 == math.exp(-5.0 / 60.0) and mk1 == 1.0 - k1
     assert k5 == math.exp(-5.0 / 300.0) and mk5 == 1.0 - k5
     assert k15 == math.exp(-5.0 / 900.0) and mk15 == 1.0 - k15
+
+
+def test_decay_factors_shared_table():
+    # The plane's column fold and the scalar oracle read the exact same
+    # float objects, so the bit-identity tests compare the arithmetic
+    # and not two separately computed constants.
+    from repro.cluster import plane
+
+    from . import reference
+
+    assert isinstance(DECAY_FACTORS, tuple)
+    assert (plane._K1, plane._MK1) == DECAY_FACTORS[0]
+    for name in ("_K1", "_MK1", "_K5", "_MK5", "_K15", "_MK15"):
+        assert getattr(reference, name) is getattr(plane, name), name
+
+
+def test_sampler_false_folds_only_on_demand():
+    # The scalar oracle is a passive value: it starts no process of its
+    # own, so only the sampler that drives it moves it.
+    from .reference import ScalarLoadAverage
+
+    env = Environment()
+    la = ScalarLoadAverage()
+    env.run(until=600)
+    assert la.as_tuple() == (0.0, 0.0, 0.0)  # nobody sampled
+    la.fold(2.0)
+    (_, mk1), (_, mk5), (_, mk15) = DECAY_FACTORS
+    assert la.as_tuple() == (2.0 * mk1, 2.0 * mk5, 2.0 * mk15)
 
 
 def test_load_metrics_are_python_floats():

@@ -84,7 +84,10 @@ def test_whole_sim_scalar_equals_batched(seed):
     assert any(host.load_averages()[0] > 0 for host in cluster)
 
 
-def test_a_host_reads_its_plane_row():
+def test_auto_writes_back_to_host_views():
+    """After the plane's own ticks, each host's view of its load
+    averages is its plane row: the row is the only copy, so nothing is
+    written back and nothing can lag."""
     cluster, _ = _duty_cluster(seed=3)
     cluster.run(until=60.0)
     a = cluster.plane.arrays
@@ -169,6 +172,19 @@ def test_analytic_sensor_columns_match_sensor_vocabulary():
     plane.inject_hogs("an0", 1)
     cols = plane.analytic_sensor_columns(plane.analytic_rows())
     assert cols["cpu_util"][0] == 1.0
+
+
+def test_plane_base_sockets_matches_sensors():
+    """An idle backed host's sensor suite and an analytic row report the
+    same baseline socket count."""
+    from repro.monitor.sensors import SensorSuite
+
+    cluster = Cluster(n_hosts=1, seed=0)
+    cluster.add_analytic_host("an0", mean_load=0.1)
+    plane = cluster.plane
+    cols = plane.analytic_sensor_columns(plane.analytic_rows())
+    assert SensorSuite(cluster["ws1"]).socket_count() == BASE_SOCKETS
+    assert cols["socket_count"][0] == float(BASE_SOCKETS)
 
 
 @pytest.mark.costguard
