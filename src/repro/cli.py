@@ -440,25 +440,15 @@ def _live(args) -> int:
 
 def _lint(args) -> int:
     from .lint import (
-        LintUsageError, exit_code, lint_paths, render_json,
-        render_sarif, render_text,
+        LintUsageError, exit_code, lint_paths, render_json, render_text,
     )
 
-    def _codes(raw):
-        if raw is None:
-            return None
-        return [c for c in (p.strip() for p in raw.split(",")) if c]
-
     try:
-        diags = lint_paths(args.paths, select=_codes(args.select),
-                           ignore=_codes(args.ignore))
+        diags = lint_paths(args.paths)
     except LintUsageError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
+    render = render_json if args.format == "json" else render_text
     print(render(diags))
     return exit_code(diags, strict=args.strict)
 
@@ -519,21 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check rule files, policies, app schemas "
-             "and the Python source contracts",
+        help="statically check rule files, policies and app schemas",
     )
     lint.add_argument("paths", nargs="+",
                       help="files or directories to lint")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text", help="report format (default text)")
     lint.add_argument("--strict", action="store_true",
                       help="treat warnings as errors")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="report only codes matching these "
-                           "comma-separated prefixes (e.g. D3,C701)")
-    lint.add_argument("--ignore", default=None, metavar="CODES",
-                      help="drop codes matching these comma-separated "
-                           "prefixes")
     lint.set_defaults(func=_lint)
 
     live = sub.add_parser(

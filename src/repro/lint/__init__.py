@@ -13,14 +13,12 @@ from .diagnostics import (
     JSON_REPORT_VERSION,
     Severity,
     exit_code,
-    filter_codes,
     render_json,
-    render_sarif,
     render_text,
     sort_diagnostics,
     summarize,
 )
-from .catalog import CODE_DETAILS, KNOWN_CODES
+from .catalog import CODE_DETAILS
 from .runner import (
     LintUsageError,
     classify_file,
@@ -29,26 +27,21 @@ from .runner import (
     lint_rule_text,
 )
 from .schemalint import HostClass, lint_schema
-from .srclint import lint_sources
 
 __all__ = [
     "CODE_DETAILS",
     "Diagnostic",
     "HostClass",
     "JSON_REPORT_VERSION",
-    "KNOWN_CODES",
     "LintUsageError",
     "Severity",
     "classify_file",
     "collect_files",
     "exit_code",
-    "filter_codes",
     "lint_paths",
     "lint_rule_text",
     "lint_schema",
-    "lint_sources",
     "render_json",
-    "render_sarif",
     "render_text",
     "sort_diagnostics",
     "summarize",

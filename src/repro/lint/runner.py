@@ -20,14 +20,9 @@ finding by finding, and a file that loads reports its warnings.  Lint
 adds only S201, which needs the cluster's host classes, and the
 "cannot load at all" codes (P100, S200).
 
-Python sources (``*.py``) route to the source-contract passes in
-:mod:`.srclint` (determinism, effects, trace discipline, concurrency,
-message flow);
-everything else (docs, CSVs, …) is skipped.  Driver-level problems use
-the ``Lxxx`` codes: ``L001`` unreadable file, ``L002`` invalid JSON,
-``L003`` nothing lintable found, ``L004`` unparsable Python source,
-``L005`` suppression naming an unknown code, ``L006`` a
-``--select``/``--ignore`` prefix matching no known code.
+Everything else (Python, docs, CSVs, …) is skipped.  Driver-level
+problems use the ``Lxxx`` codes: ``L001`` unreadable file, ``L002``
+invalid JSON, ``L003`` nothing lintable found.
 
 Overlapping path arguments (``repro lint examples examples/configs``)
 and symlinks to already-visited files are deduplicated by real path,
@@ -46,13 +41,7 @@ from ..core.policy import policy_from_dict
 from ..findings import try_build
 from ..rules.parser import rule_file_findings
 from ..schema import ApplicationSchema
-from .catalog import KNOWN_CODES
-from .diagnostics import (
-    Diagnostic,
-    Severity,
-    filter_codes,
-    sort_diagnostics,
-)
+from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .schemalint import HostClass, lint_schema
 
 
@@ -61,8 +50,10 @@ class LintUsageError(Exception):
 
 
 _RULE_EXTENSIONS = (".rules", ".rule")
+#: Python is skipped outright: modules that mention ``rl_number``
+#: (the rule parser among them) are not rule files.
 _SKIP_EXTENSIONS = (
-    ".pyc", ".md", ".rst", ".txt", ".csv", ".toml", ".cfg",
+    ".py", ".pyc", ".md", ".rst", ".txt", ".csv", ".toml", ".cfg",
     ".ini", ".yml", ".yaml", ".sh", ".lock",
 )
 #: Directory names never descended into: anything hidden (dotted),
@@ -114,13 +105,10 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 
 def classify_file(path: str, text: str) -> Optional[str]:
     """What kind of lintable file is this?  One of ``'rules'``,
-    ``'schema'``, ``'policy'``, ``'cluster'``, ``'pysource'`` — or
-    ``None`` (skip)."""
+    ``'schema'``, ``'policy'``, ``'cluster'`` — or ``None`` (skip)."""
     lower = path.lower()
     if lower.endswith(_RULE_EXTENSIONS):
         return "rules"
-    if lower.endswith(".py"):
-        return "pysource"
     if lower.endswith(_SKIP_EXTENSIONS):
         return None
     if lower.endswith(".xml"):
@@ -155,55 +143,14 @@ def _read(path: str, diags: List[Diagnostic]) -> Optional[str]:
         return None
 
 
-def _parse_code_prefixes(
-    raw: Optional[Sequence[str]],
-) -> Optional[Tuple[str, ...]]:
-    if not raw:
-        return None
-    prefixes = tuple(p.strip().upper() for p in raw if p.strip())
-    return prefixes or None
-
-
-def _unknown_prefix_diags(
-    prefixes: Optional[Tuple[str, ...]], option: str
-) -> List[Diagnostic]:
-    """L006: a filter prefix no registered code starts with is a typo
-    that would otherwise produce a silently-green (or silently-full)
-    run — ``--select C71`` when the C codes are C701–C705 must fail
-    loudly, not report nothing."""
-    diags: List[Diagnostic] = []
-    for prefix in prefixes or ():
-        if any(code.startswith(prefix) for code in KNOWN_CODES):
-            continue
-        diags.append(Diagnostic(
-            code="L006", severity=Severity.ERROR,
-            message=(
-                f"{option} prefix {prefix!r} matches no known "
-                "diagnostic code"
-            ),
-            obj=prefix,
-        ))
-    return diags
-
-
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Diagnostic]:
-    """Lint every configuration and Python source under ``paths``.
-
-    ``select``/``ignore`` are code prefixes (``("D3", "C701")``):
-    with ``select``, only matching codes are reported; ``ignore``
-    drops matching codes afterwards.
-    """
+def lint_paths(paths: Sequence[str]) -> List[Diagnostic]:
+    """Lint every configuration file under ``paths``."""
     if not paths:
         raise LintUsageError("no paths given")
     files = collect_files(paths)
 
     diags: List[Diagnostic] = []
     work: List[Tuple[str, str, str]] = []  # (kind, path, text)
-    pysources: List[Tuple[str, str]] = []  # (path, text)
     host_classes: List[HostClass] = []
 
     for path in files:
@@ -212,9 +159,6 @@ def lint_paths(
             continue
         kind = classify_file(path, text)
         if kind is None:
-            continue
-        if kind == "pysource":
-            pysources.append((path, text))
             continue
         if kind == "json":
             diags.append(Diagnostic(
@@ -238,7 +182,7 @@ def lint_paths(
             continue
         work.append((kind, path, text))
 
-    if not work and not pysources and not host_classes and not diags:
+    if not work and not host_classes and not diags:
         diags.append(Diagnostic(
             code="L003", severity=Severity.WARNING,
             message="no lintable files found",
@@ -252,18 +196,6 @@ def lint_paths(
             diags.extend(_lint_schema_file(path, text, host_classes))
         elif kind == "policy":
             diags.extend(_lint_policy_file(path, text))
-    if pysources:
-        from .srclint import lint_sources
-
-        diags.extend(lint_sources(pysources))
-    select_prefixes = _parse_code_prefixes(select)
-    ignore_prefixes = _parse_code_prefixes(ignore)
-    diags = filter_codes(
-        diags, select=select_prefixes, ignore=ignore_prefixes,
-    )
-    # After the filter, so the typo cannot filter itself out.
-    diags.extend(_unknown_prefix_diags(select_prefixes, "--select"))
-    diags.extend(_unknown_prefix_diags(ignore_prefixes, "--ignore"))
     return sort_diagnostics(diags)
 
 

@@ -18,13 +18,14 @@ This hub drives the *analytic* rows of the batched host plane
   then the same :func:`~repro.monitor.core.sharpen` and
   :func:`~repro.monitor.core.sustain` the core calls, with numpy over
   the tick's columns;
-* sustain warm-up, per-state cadence and the Figure 2 monitoring
-  database are row-aligned **columns** of the hub (overload streak,
-  classified and reported state, cycle count, ``next_due``) plus one
-  ``(samples, rows, metrics)`` ring behind :meth:`MonitorHub.history`,
-  so a tick runs no per-row Python; ``MonitorCore`` judges backed
-  hosts and live nodes and is the hub's oracle — one core per row in
-  ``tests/monitor/reference.py``, held equal to it tick for tick;
+* sustain warm-up and per-state cadence are row-aligned **columns**
+  of the hub (overload streak, classified and reported state, cycle
+  count, ``next_due``), so a tick runs no per-row Python; the hub
+  keeps no Figure 2 monitoring database, since no program reads a
+  sample back (a backed host's ``MonitorCore`` still records one);
+  ``MonitorCore`` judges backed hosts and live nodes and is the hub's
+  oracle — one core per row in ``tests/monitor/reference.py``, held
+  equal to it tick for tick;
 * FREE/BUSY results land in the registry's
   :meth:`~repro.registry.softstate.SoftStateTable.push_many` as one
   batch — sim-internal delivery, no per-host XML — while OVERLOADED
@@ -41,7 +42,7 @@ averages without per-host event traffic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -57,12 +58,6 @@ from .monitor import DEFAULT_CYCLE_COST
 #: Hub wake-ups per monitoring interval: due rows are batched onto this
 #: sub-cadence instead of one wake-up per host per cycle.
 TICKS_PER_INTERVAL = 8
-
-#: Snapshots each hub row keeps for :meth:`MonitorHub.history`.  Not
-#: the per-host database's ``MAX_SAMPLES``: at 4096 rows that depth
-#: would hold 4096 × 1024 snapshots.
-HISTORY_SAMPLES = 4
-
 
 class MonitorHub:
     """Batched monitoring of the host plane's analytic rows."""
@@ -115,8 +110,6 @@ class MonitorHub:
         self._stopped = False
 
         n = len(self.hosts)
-        #: Host name → hub row.
-        self._index = {name: i for i, name in enumerate(self.hosts)}
         self._rows = plane.arrays.rows_of(self.hosts)
         bad = (self._rows < 0) | ~plane.arrays.analytic[self._rows]
         if bad.any():
@@ -136,11 +129,6 @@ class MonitorHub:
             self.intervals_by_state.get(state, self.interval)
             for state in SystemState
         ], dtype=float)
-        # The monitoring database (Figure 2): each row's latest
-        # snapshots, cycle *c* in slot ``c % HISTORY_SAMPLES``.
-        self._metrics = list(plane.analytic_sensor_columns(self._rows[:0]))
-        self._ring = np.empty((HISTORY_SAMPLES, n, len(self._metrics)))
-        self._ring_t = np.empty((HISTORY_SAMPLES, n))
         # Vectorized classification over the current tick's columns.
         self._cols: Dict[str, np.ndarray] = {}
         self._vec = VectorRuleEvaluator(self.ruleset, self._column_engine)
@@ -178,17 +166,6 @@ class MonitorHub:
         """Total monitoring cycles completed across all rows."""
         return int(self.row_cycles.sum())
 
-    def history(self, host: str, metric: str) -> List[Tuple[float, float]]:
-        """One row's retained ``(time, value)`` samples, oldest first
-        (``MonitoringDatabase.series`` for a hub row)."""
-        i = self._index[host]
-        done = int(self.row_cycles[i])
-        kept = min(done, self._ring.shape[0])
-        slots = np.arange(done - kept, done) % self._ring.shape[0]
-        m = self._metrics.index(metric)
-        return list(zip(self._ring_t[slots, i].tolist(),
-                        self._ring[slots, i, m].tolist()))
-
     # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
         self._stopped = True
@@ -210,10 +187,6 @@ class MonitorHub:
         cols = self.plane.analytic_sensor_columns(self._rows[due])
         self._cols = cols
         states = self._vector_classify(cols, n)
-        slot = self.row_cycles[due] % self._ring.shape[0]
-        self._ring[slot, due] = np.stack(
-            [cols[name] for name in self._metrics], axis=1)
-        self._ring_t[slot, due] = now
         reported, self.streak[due] = sustain(
             np, states, self.streak[due], self.sustain)
         self.state[due] = states

@@ -1,9 +1,10 @@
-"""Artifacts that exist in pairs must agree: each diagnostic code and
-its row in docs/linting.md, each CLI subcommand and flag and its
-mention in README.md or docs/ (and each command those show and the
-parser), and each srclint fixture directory and
-a test that reads it.  EXPERIMENTS.md and EXPERIMENTS.json are checked
-in ``test_experiments_md.py``."""
+"""Artifacts that exist in pairs must agree: each ``repro lint`` code
+and its row in docs/linting.md, each self-lint code and its row in
+docs/srclint.md, each CLI subcommand and flag and its mention in
+README.md or docs/ (and each command those show and the parser), and
+each self-lint fixture directory and a test that reads it.
+EXPERIMENTS.md and EXPERIMENTS.json are checked in
+``test_experiments_md.py``."""
 
 import argparse
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import repro
 from repro.cli import build_parser
 from repro.lint.catalog import CODE_DETAILS
+from tests import srclint
 
 REPO = Path(repro.__file__).resolve().parents[2]
 
@@ -32,6 +34,13 @@ def test_registered_codes_match_the_linting_md_tables():
                                              _read("docs", "linting.md"))
     assert undocumented == [], "registered, but no docs/linting.md row"
     assert unregistered == [], "a docs/linting.md row, but not registered"
+
+
+def test_srclint_codes_match_the_srclint_md_tables():
+    undocumented, unregistered = _code_drift(srclint.CODE_DETAILS,
+                                             _read("docs", "srclint.md"))
+    assert undocumented == [], "emitted, but no docs/srclint.md row"
+    assert unregistered == [], "a docs/srclint.md row, but not emitted"
 
 
 def test_deleting_a_registered_code_is_caught():
@@ -82,10 +91,9 @@ def test_every_documented_command_and_flag_exists():
 
 
 def test_every_srclint_fixture_is_read_by_a_test():
-    lint_tests = REPO / "tests" / "lint"
     corpus = "\n".join(p.read_text(encoding="utf-8")
-                       for p in lint_tests.glob("*.py"))
-    fixtures = lint_tests / "fixtures" / "srclint"
+                       for p in (REPO / "tests" / "lint").glob("*.py"))
+    fixtures = REPO / "tests" / "srclint" / "fixtures"
     for fixture in sorted(p.name for p in fixtures.iterdir()
                           if p.is_dir() and not p.name.startswith("_")):
         assert fixture in corpus, f"fixture {fixture} is read by no test"

@@ -1,20 +1,19 @@
-"""The diagnostic framework: reporters, ordering, exit codes."""
+"""The diagnostic framework: reporters, ordering, exit codes.  The
+SARIF reporter is the source self-lint's (``tests/srclint``)."""
 
 import json
 
 from repro.lint import (
-    CODE_DETAILS,
     Diagnostic,
     JSON_REPORT_VERSION,
-    KNOWN_CODES,
     Severity,
     exit_code,
     render_json,
-    render_sarif,
     render_text,
     sort_diagnostics,
     summarize,
 )
+from tests.srclint import CODE_DETAILS, KNOWN_CODES, render_sarif
 
 
 def _diag(code="R001", severity=Severity.ERROR, **kw):
@@ -86,17 +85,17 @@ def test_summarize_counts():
 # ----------------------------------------------------------------- SARIF
 def test_render_sarif_structure():
     doc = json.loads(render_sarif([
-        _diag(),
+        _diag(code="D301"),
         _diag(code="C701", severity=Severity.WARNING, line=7),
     ]))
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
+    assert run["tool"]["driver"]["name"] == "repro-srclint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     # The rules array is the full registered catalogue (findings or
     # not), sorted; the finding codes are of course among them.
     assert rule_ids == sorted(KNOWN_CODES)
-    assert {"C701", "R001"} <= set(rule_ids)
+    assert {"C701", "D301"} <= set(rule_ids)
     assert len(run["results"]) == 2
 
 
@@ -112,7 +111,7 @@ def test_render_sarif_rules_carry_catalog_metadata():
     for rule in rules:
         severity, description = CODE_DETAILS[rule["id"]]
         assert rule["shortDescription"]["text"] == description
-        assert rule["helpUri"].startswith("docs/linting.md#")
+        assert rule["helpUri"].startswith("docs/srclint.md#")
         assert rule["defaultConfiguration"]["level"] == levels[severity]
 
 

@@ -11,7 +11,7 @@ from repro.lint import LintUsageError, classify_file, lint_paths
 
 def test_classify_file_by_extension_and_content():
     assert classify_file("a.rules", "") == "rules"
-    assert classify_file("a.py", "rl_number: 1") == "pysource"
+    assert classify_file("a.py", "rl_number: 1") is None
     assert classify_file("a.xml", "<applicationSchema/>") == "schema"
     assert classify_file("noext", "rl_number: 1\n") == "rules"
     assert classify_file("noext", "nothing here") is None
@@ -61,6 +61,16 @@ def test_lint_paths_warns_when_nothing_lintable(tmp_path):
     (tmp_path / "README.md").write_text("# hi")
     diags = lint_paths([str(tmp_path)])
     assert [d.code for d in diags] == ["L003"]
+
+
+def test_python_source_is_not_a_rule_file():
+    # The rule parser's own modules mention rl_number; none is linted.
+    from repro.rules import parser
+
+    src = os.path.dirname(os.path.dirname(os.path.dirname(parser.__file__)))
+    assert "rl_number" in open(parser.__file__, encoding="utf-8").read()
+    diags = lint_paths([src])
+    assert [(d.code, d.file) for d in diags] == [("L003", src)]
 
 
 def test_cluster_context_feeds_schema_check(fixture_path):

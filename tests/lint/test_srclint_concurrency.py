@@ -7,14 +7,14 @@ real-tree claim: the live drivers are C700-clean.
 
 import os
 
-from repro.lint import lint_paths
-from repro.lint.srclint import lint_concurrency
-from repro.lint.srclint.model import parse_sources
+from tests.srclint import lint_paths
+from tests.srclint.concurrency import lint_concurrency
+from tests.srclint.model import parse_sources
 
 
 def _fixture(name):
-    return os.path.join(os.path.dirname(__file__), "fixtures",
-                        "srclint", name)
+    return os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "srclint", "fixtures", name)
 
 
 def _repo_root():
@@ -26,6 +26,11 @@ def _codes(diags):
     return [d.code for d in diags]
 
 
+def _only(diags, prefix):
+    """The findings whose code starts with ``prefix``."""
+    return [d for d in diags if d.code.startswith(prefix)]
+
+
 def _lint_text(text, path="live/worker.py"):
     modules, parse_diags = parse_sources([(path, text)])
     assert not parse_diags
@@ -34,7 +39,7 @@ def _lint_text(text, path="live/worker.py"):
 
 # ------------------------------------------------------------ fixtures
 def test_firing_fixture_raises_every_code():
-    diags = lint_paths([_fixture("c700_firing")], select=["C7"])
+    diags = _only(lint_paths([_fixture("c700_firing")]), "C7")
     assert set(_codes(diags)) == {"C701", "C702", "C705"}
 
 
@@ -43,7 +48,7 @@ def test_c701_covers_both_shapes():
     # write to a public attribute (implied external reader), one
     # counter that two contexts increment.  The clean fixture holds the
     # exemption: a counter only its loop increments.
-    diags = lint_paths([_fixture("c700_firing")], select=["C701"])
+    diags = _only(lint_paths([_fixture("c700_firing")]), "C701")
     messages = [d.message for d in diags]
     assert len(diags) == 3
     assert any("'beats'" in m for m in messages)
@@ -54,8 +59,8 @@ def test_c701_covers_both_shapes():
 
 
 def test_c702_names_the_blocking_call_and_lock():
-    diag = next(d for d in lint_paths([_fixture("c700_firing")],
-                                      select=["C702"]))
+    diag = next(d for d in _only(lint_paths([_fixture("c700_firing")]),
+                                            "C702"))
     assert "time.sleep" in diag.message
     assert "_lock" in diag.message
 
@@ -154,4 +159,4 @@ def test_suppression_silences_c701(tmp_path):
 # ----------------------------------------------------------- real tree
 def test_live_drivers_are_concurrency_clean():
     live = os.path.join(_repo_root(), "src", "repro", "live")
-    assert lint_paths([live], select=["C7"]) == []
+    assert _only(lint_paths([live]), "C7") == []

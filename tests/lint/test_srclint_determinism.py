@@ -2,9 +2,9 @@
 
 import os
 
-from repro.lint import lint_paths
-from repro.lint.srclint import in_sim_scope, lint_sources
-from repro.lint.srclint.model import parse_sources
+from tests.srclint import lint_paths, lint_sources
+from tests.srclint.determinism import in_sim_scope
+from tests.srclint.model import parse_sources
 
 
 def _codes(diags):
@@ -12,8 +12,8 @@ def _codes(diags):
 
 
 def _fixture(name):
-    return os.path.join(os.path.dirname(__file__), "fixtures",
-                        "srclint", name)
+    return os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "srclint", "fixtures", name)
 
 
 def test_firing_fixture_raises_every_code():

@@ -1,25 +1,23 @@
-"""Runner + CLI behaviors for python-source linting.
+"""The source self-lint's driver, ``python -m tests.srclint``.
 
-Exit codes on mixed-severity runs, ``--select``/``--ignore`` routing,
-inline-suppression parsing, path dedupe, symlink handling, and the
-self-lint gate over ``src/``.
+Exit codes on mixed-severity runs, inline-suppression parsing, path
+dedupe, symlink handling, and the self-lint gate over ``src/`` and
+``examples/``.
 """
 
 import os
 
-from repro.cli import main
-from repro.lint import lint_paths
 from repro.lint.runner import collect_files
-
-
-def _fixture(name):
-    return os.path.join(os.path.dirname(__file__), "fixtures",
-                        "srclint", name)
+from tests.srclint import lint_paths, main
 
 
 def _repo_root():
     return os.path.dirname(
         os.path.dirname(os.path.dirname(__file__)))
+
+
+def _fixture(name):
+    return os.path.join(_repo_root(), "tests", "srclint", "fixtures", name)
 
 
 def _codes(diags):
@@ -30,41 +28,19 @@ def _codes(diags):
 def test_mixed_severity_run_exits_one_without_strict(capsys):
     # d300_firing carries both errors (D301-D303) and warnings
     # (D304-D306); errors dominate the exit code.
-    assert main(["lint", _fixture("d300_firing")]) == 1
+    assert main([_fixture("d300_firing")]) == 1
     out = capsys.readouterr().out
     assert "D301" in out and "D306" in out
 
 
-def test_warning_only_selection_needs_strict_to_fail(capsys):
-    path = _fixture("d300_firing")
-    assert main(["lint", path, "--select", "D305"]) == 0
-    assert main(["lint", path, "--select", "D305", "--strict"]) == 1
-
-
-# ------------------------------------------------------ select/ignore
-def test_select_narrows_to_listed_codes():
-    diags = lint_paths([_fixture("d300_firing")], select=["D301"])
-    assert set(_codes(diags)) == {"D301"}
-
-
-def test_ignore_drops_listed_codes():
-    diags = lint_paths([_fixture("d300_firing")],
-                       ignore=["D301", "D302", "D303"])
-    assert set(_codes(diags)) == {"D304", "D305", "D306"}
-
-
-def test_select_matches_by_prefix():
-    diags = lint_paths([_fixture("d300_firing")], select=["D"])
-    assert set(_codes(diags)) == {
-        "D301", "D302", "D303", "D304", "D305", "D306",
-    }
-
-
-def test_cli_comma_separated_codes(capsys):
-    rc = main(["lint", _fixture("d300_firing"),
-               "--ignore", "D301,D302,D303,D304,D305,D306"])
-    assert rc == 0
-    assert "0 error(s)" in capsys.readouterr().out
+def test_warning_only_selection_needs_strict_to_fail(tmp_path):
+    # A run whose only finding is a warning (D305).
+    mod = tmp_path / "sim" / "order.py"
+    mod.parent.mkdir()
+    mod.write_text("def f(xs):\n    return list(set(xs))\n")
+    assert _codes(lint_paths([str(tmp_path)])) == ["D305"]
+    assert main([str(tmp_path)]) == 0
+    assert main([str(tmp_path), "--strict"]) == 1
 
 
 # ------------------------------------------------------- suppressions
@@ -96,7 +72,7 @@ def test_syntax_error_is_l004(tmp_path):
     bad.write_text("def broken(:\n")
     diags = lint_paths([str(tmp_path)])
     assert _codes(diags) == ["L004"]
-    assert main(["lint", str(bad)]) == 1
+    assert main([str(bad)]) == 1
 
 
 # --------------------------------------------------- path collection
@@ -129,32 +105,6 @@ def test_symlink_directory_cycle_terminates(tmp_path):
     os.symlink(tmp_path, sub / "loop")
     files = collect_files([str(tmp_path)])
     assert files == [str(sub / "a.rules")]
-
-
-# --------------------------------------------------------------- L006
-def test_valid_prefixes_pass_quietly():
-    diags = lint_paths([_fixture("d300_firing")], select=["D", "C70"])
-    assert "L006" not in _codes(diags)
-
-
-def test_unknown_select_prefix_is_l006(capsys):
-    rc = main(["lint", _fixture("d300_clean"), "--select", "C79"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "L006" in out and "'C79'" in out
-
-
-def test_unknown_ignore_prefix_is_l006():
-    diags = lint_paths([_fixture("d300_clean")], ignore=["Q1"])
-    assert _codes(diags) == ["L006"]
-    assert "--ignore" in diags[0].message
-
-
-def test_l006_survives_its_own_filter():
-    # --select Q9 selects nothing, including L006 itself; the typo
-    # diagnostic is appended after filtering so it still surfaces.
-    diags = lint_paths([_fixture("d300_clean")], select=["Q9"])
-    assert _codes(diags) == ["L006"]
 
 
 # ------------------------------ multi-family same-line suppressions
@@ -195,19 +145,19 @@ def test_partial_suppression_keeps_the_other_family(tmp_path):
     assert _codes(diags) == ["D306"]
 
 
+
 # ---------------------------------------------------------- self-lint
 def test_src_tree_passes_strict_self_lint(capsys):
     src = os.path.join(_repo_root(), "src")
-    rc = main(["lint", src, "--strict"])
+    rc = main([src, "--strict"])
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "0 error(s), 0 warning(s)" in out
 
 
 def test_src_tree_self_lint_covers_new_families(capsys):
-    # C700 and D300 run as part of the default pass set: narrowing to
-    # them still exercises the whole tree and must stay clean.
-    src = os.path.join(_repo_root(), "src")
-    rc = main(["lint", src, "--strict", "--select", "C7,D3"])
+    # CI's invocation: both families over src/ and examples/, strict.
+    rc = main([os.path.join(_repo_root(), "src"),
+               os.path.join(_repo_root(), "examples"), "--strict"])
     out = capsys.readouterr().out
     assert rc == 0, out

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro import Cluster, Rescheduler, ReschedulerConfig, policy_2
 from repro.cluster.host import StaticInfo
-from repro.monitor import hub as hub_module
 from repro.monitor.core import MonitorCore
 from repro.monitor.hub import MonitorHub
 from repro.protocol.transport import EndpointRegistry
@@ -164,16 +163,6 @@ class SideBySide:
         self.wire.extend(self.reports)
         self.seen.update(hub.state.tolist())
 
-    def check_history(self):
-        """``hub.history`` ≡ the newest ``HISTORY_SAMPLES`` of each
-        reference core's own database."""
-        depth = hub_module.HISTORY_SAMPLES
-        for name, core in zip(self.hub.hosts, self.pump.cores):
-            for metric in core.database.metrics():
-                assert (self.hub.history(name, metric)
-                        == core.database.series(metric)[-depth:]), (
-                    name, metric)
-
 
 def test_hub_owns_analytic_rows_monitors_own_backed():
     cluster, rs = deploy()
@@ -251,7 +240,6 @@ def test_verify_mode_clean_run():
             cluster.run(until=float(until))
         assert side.ticks > 0 and rs.hub.core_cycles > 0
         assert len(side.seen) >= 2  # the comparison is not FREE == FREE
-        side.check_history()
 
 
 def test_verify_mode_catches_misclassification():
@@ -299,26 +287,6 @@ def test_hub_matches_row_pump_tick_for_tick(sustain):
     # Some report carried the victim's process list.
     assert any(m.processes for m in side.wire)
     assert any(d.source == "an1" for d in rs.decisions)
-    side.check_history()
-
-
-@pytest.mark.parametrize("samples", [1, 3])
-def test_history_ring_matches_database_across_wraparound(samples,
-                                                         monkeypatch):
-    """``hub.history`` ≡ the tail of a ``MonitoringDatabase`` fed the
-    same snapshots, before the ring fills and after it wraps, at ring
-    depths below the shipped ``HISTORY_SAMPLES``."""
-    monkeypatch.setattr(hub_module, "HISTORY_SAMPLES", samples)
-    cluster, hub = bare_hub(5)
-    side = SideBySide(hub)
-    assert hub.history("an2", "loadavg1") == []
-    for until in (12.0, 25.0, 70.0):
-        cluster.run(until=until)
-        side.check_history()
-    assert hub.row_cycles.min() > samples  # every row wrapped
-    series = hub.history("an2", "loadavg1")
-    assert len(series) == samples
-    assert [t for t, _ in series] == sorted(t for t, _ in series)
 
 
 @settings(max_examples=60, deadline=None)

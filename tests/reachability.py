@@ -14,8 +14,8 @@ only) that records every code object entered:
 * the CLI: ``repro run`` (``all``, and ``--trace`` to a ``.jsonl`` and
   a ``.json`` file), ``repro sweep`` (``--replicas``, ``--set``,
   ``--list-axes``, ``--dry-run``, and two it refuses), ``repro lint``
-  (the shipped configs, the known-broken fixtures and ``src/``; text,
-  json and sarif, ``--strict``), ``repro list`` and ``repro live``
+  (the shipped configs and the known-broken fixtures; text and json,
+  ``--strict``), ``repro list`` and ``repro live``
   (flat and ``--hierarchy``);
 * one iteration of each ``ledger/worker.py`` driver, the same
   iteration under the program's tracer, and the ledger's probe pass
@@ -158,9 +158,7 @@ def _cli(tmp: Path) -> None:
         (["run", "fig5", "--duration", "300"], 2),
         (["lint", configs, "--strict"], 0),
         (["lint", configs, fixtures, "--format", "json"], 1),
-        (["lint", fixtures, "--format", "sarif"], 1),
         (["lint", fixtures], 1),
-        (["lint", str(PACKAGE), "--strict"], 0),
         (["live", "--n", "4000000", "--interval", "0.1",
           "--timeout", "60"], 0),
         (["live", "--hierarchy", "--n", "4000000", "--interval", "0.1",

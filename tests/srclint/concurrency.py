@@ -40,7 +40,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..diagnostics import Diagnostic, Severity
+from repro.findings import Diagnostic, Severity
 from .model import PyModule, dotted_name
 
 #: Factories whose result is a mutual-exclusion lock.

@@ -34,7 +34,7 @@ import ast
 from pathlib import PurePath
 from typing import List, Optional, Sequence
 
-from ..diagnostics import Diagnostic, Severity
+from repro.findings import Diagnostic, Severity
 from .model import PyModule, dotted_name
 
 #: Directory segments that mark a file as reachable from the

@@ -17,7 +17,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..diagnostics import Diagnostic, Severity
+from repro.findings import Diagnostic, Severity
 
 #: ``# repro-lint: skip`` silences every source finding on its line;
 #: ``skip[D301]`` / ``skip[D301,C702]`` silence only those codes.

@@ -58,8 +58,9 @@ ALLOWED = {
         "repro.workloads.datascan:DataScanApp.run_step",
     ),
     **_each(
-        "item 3(c): the registry-side column rules; no program gives the "
-        "registry a rule set",
+        "item 3(c): the column rules; no program gives the registry a "
+        "rule set, nor the monitor hub one (the option audit lists "
+        "MonitorHub(ruleset) as never set)",
         "repro.monitor.hub:MonitorHub._column_engine",
         "repro.registry.hostmatrix:matrix_column_engine",
         "repro.registry.hostmatrix:matrix_column_engine.<locals>.engine",
@@ -229,12 +230,16 @@ ALLOWED = {
         "compares two implementations through it",
         "repro.cluster.builder:Cluster.static_info",
         "repro.cluster.plane:HostPlane.analytic_rows",
-        "repro.monitor.database:MonitoringDatabase.metrics",
-        "repro.monitor.database:MonitoringDatabase.series",
-        "repro.monitor.hub:MonitorHub.history",
         "repro.registry.core:Reconfigure.key",
         "repro.registry.hostmatrix:HostRecord.processes",
         "repro.registry.hostmatrix:HostStateMatrix.updates_received",
+    ),
+    **_each(
+        "the per-host monitoring database's read side: every cycle "
+        "records a sample, and nothing but the database's own tests "
+        "reads one back",
+        "repro.monitor.database:MonitoringDatabase.metrics",
+        "repro.monitor.database:MonitoringDatabase.series",
     ),
     **_each(
         "the only replacement is private",
