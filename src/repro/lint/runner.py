@@ -20,9 +20,12 @@ finding by finding, and a file that loads reports its warnings.  Lint
 adds only S201, which needs the cluster's host classes, and the
 "cannot load at all" codes (P100, S200).
 
-Everything else (Python, docs, CSVs, …) is skipped.  Driver-level
-problems use the ``Lxxx`` codes: ``L001`` unreadable file, ``L002``
-invalid JSON, ``L003`` nothing lintable found.
+Everything else (Python, docs, CSVs, …) is skipped — by its extension
+before it is read, or, for a file the directory walk found with no
+telling extension, when it is not UTF-8 text.  Driver-level problems
+use the ``Lxxx`` codes: ``L001`` unreadable file (a lintable one, or
+any file named on the command line), ``L002`` invalid JSON, ``L003``
+nothing lintable found.
 
 Overlapping path arguments (``repro lint examples examples/configs``)
 and symlinks to already-visited files are deduplicated by real path,
@@ -50,6 +53,8 @@ class LintUsageError(Exception):
 
 
 _RULE_EXTENSIONS = (".rules", ".rule")
+#: The extensions that make a file lintable whatever it holds.
+_LINT_EXTENSIONS = (*_RULE_EXTENSIONS, ".xml", ".json")
 #: Python is skipped outright: modules that mention ``rl_number``
 #: (the rule parser among them) are not rule files.
 _SKIP_EXTENSIONS = (
@@ -131,11 +136,19 @@ def classify_file(path: str, text: str) -> Optional[str]:
     return None
 
 
-def _read(path: str, diags: List[Diagnostic]) -> Optional[str]:
+def _read(path: str, named: bool,
+          diags: List[Diagnostic]) -> Optional[str]:
+    """The file's text, or ``None`` with an L001 — or, for a walked
+    file that is not UTF-8 and has no lintable extension (an image
+    beside the configs), ``None`` alone: only a sniff could have made
+    it a rule file, and rule files are text."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
+        if (isinstance(exc, UnicodeDecodeError) and not named
+                and not path.lower().endswith(_LINT_EXTENSIONS)):
+            return None
         diags.append(Diagnostic(
             code="L001", severity=Severity.ERROR,
             message=f"cannot read file: {exc}", file=path,
@@ -153,8 +166,11 @@ def lint_paths(paths: Sequence[str]) -> List[Diagnostic]:
     work: List[Tuple[str, str, str]] = []  # (kind, path, text)
     host_classes: List[HostClass] = []
 
+    named = {os.path.realpath(p) for p in paths if not os.path.isdir(p)}
     for path in files:
-        text = _read(path, diags)
+        if path.lower().endswith(_SKIP_EXTENSIONS):
+            continue  # decided by name, never read
+        text = _read(path, os.path.realpath(path) in named, diags)
         if text is None:
             continue
         kind = classify_file(path, text)

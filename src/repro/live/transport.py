@@ -106,7 +106,7 @@ class LiveEndpoint:
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()
         self.address = f"{self.host}:{self.port}"
-        self.inbox: "queue.Queue" = queue.Queue()
+        self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
         self._handler: Optional[Callable] = None
         #: Guards ``_peers`` and every peer's socket writes and buffer.
         self._lock = threading.Lock()

@@ -4,8 +4,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "hostmatrix": (
-        "METRIC_COLUMNS", "HostStateMatrix", "dest_mask",
-        "matrix_column_engine", "requirements_mask",
+        "METRIC_COLUMNS", "HostStateMatrix", "matrix_column_engine",
     ),
     "registry": (
         "DEFAULT_COMMAND_COOLDOWN", "DEFAULT_DECISION_COST", "DEFAULT_LEASE",

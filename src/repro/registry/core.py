@@ -48,7 +48,7 @@ from ..protocol.messages import (
     StatusUpdate,
     Unregister,
 )
-from ..rules.states import SystemState
+from ..rules.states import FREE, UNAVAILABLE, SystemState
 from ..trace import get_tracer
 from ..trace.events import (
     EV_REGISTRY_COMMAND,
@@ -56,7 +56,6 @@ from ..trace.events import (
     EV_REGISTRY_REGISTER,
     EV_REGISTRY_UPDATE,
 )
-from .hostmatrix import dest_mask, exclude_rows, requirements_mask
 from .softstate import DEFAULT_LEASE, SoftStateTable
 from .strategies import STRATEGIES
 
@@ -527,7 +526,7 @@ class RegistryCore:
         matrix = self.table.matrix
         # Only rows whose last push carried a process report are listed.
         for row, processes in sorted(matrix.processes.items()):
-            host = matrix.host_at(row)
+            host = matrix.hosts[row]
             if host in exclude or "@" in host:
                 continue
             if any(proc.get("name") == app_name for proc in processes):
@@ -542,25 +541,31 @@ class RegistryCore:
         destination conditions and own all the resources required
         (paper §3.2).
 
-        Eligibility is a chain of boolean columns over the soft-state
-        table's host-state matrix.  ``children`` says whether an ``@``
-        child-registry record is an admissible pick: the 1:1 path
-        delegates to it, a reshape does not.
+        The pick is one walk over the soft-state table's rows in
+        registration order (:meth:`SoftStateTable.fresh_rows`): a row is
+        eligible when it is FREE with its lease current, not excluded,
+        and meets the policy's conditions and the victim's requirements
+        (:meth:`HostStateMatrix.fits`).  The strategy pulls rows from
+        the walk, so first fit stops at its ``k``-th fit.  ``children``
+        says whether an ``@`` child-registry record is an admissible
+        pick: the 1:1 path delegates to it, a reshape does not.
         """
         if k <= 0:
             return []
         table = self.table
         matrix = table.matrix
-        mask = table.free_mask()
-        exclude_rows(matrix, mask, exclude)
-        if not children:
-            mask &= ~matrix.registry_mask
-        if mask.any():
-            mask &= dest_mask(matrix, self.policy)
-        if mask.any():
-            mask &= requirements_mask(matrix, requirements)
-        rows = self.strategy(matrix, mask, self.rng, k)
-        return [matrix.host_at(int(row)) for row in rows]
+        hosts = matrix.hosts
+        skip = {matrix.row_of(host) for host in exclude}
+        policy = self.policy
+        conditions = ()
+        if policy is not None and getattr(policy, "enabled", True):
+            conditions = getattr(policy, "dest_conditions", ())
+        fits = matrix.fits(conditions, requirements)
+        rows = (row for row, code in table.fresh_rows()
+                if code == FREE and row not in skip
+                and (children or "@" not in hosts[row]) and fits(row))
+        return [hosts[row]
+                for row in self.strategy(matrix, rows, self.rng, k)]
 
     # -- hierarchy --------------------------------------------------------
     def _resolve_destination(self, exclude: tuple, app_name: str,
@@ -645,23 +650,29 @@ class RegistryCore:
         """
         if not self.parent_address:
             return None
-        import numpy as np
-
         matrix = self.table.matrix
-        available = np.flatnonzero(self.table.available_mask())
-        if available.size:
-            state = SystemState(int(matrix.state_codes[available].min()))
-            # Advertise the best offer: the least-loaded available
-            # host's full metric set (the first such row; an
-            # unreported load ranks as 0.0), so the parent's
-            # destination conditions evaluate against a real candidate.
-            load = matrix.metric_column("loadavg1")[available]
-            best = available[np.argmin(np.where(np.isnan(load), 0.0, load))]
-            metrics = matrix.metrics_at(int(best))
+        # Advertise the best offer: the least-loaded available host's
+        # full metric set (the first such row; an unreported load ranks
+        # as 0.0), so the parent's destination conditions evaluate
+        # against a real candidate.
+        available, state, best, best_load = 0, UNAVAILABLE, None, 0.0
+        for row, code in self.table.fresh_rows():
+            if code == UNAVAILABLE:
+                continue
+            available += 1
+            state = min(state, code)
+            load = matrix.metric(row, "loadavg1")
+            if load != load:
+                load = 0.0
+            if best is None or load < best_load:
+                best, best_load = row, load
+        if best is not None:
+            state = SystemState(state)
+            metrics = matrix.metrics_at(best)
         else:
             state = SystemState.BUSY
             metrics = {}
-        metrics["hosts"] = float(available.size)
+        metrics["hosts"] = float(available)
         return Send(
             self.parent_address,
             StatusUpdate(host=self.label, state=state, metrics=metrics),

@@ -2,23 +2,22 @@
 
 Everything the registry knows about a host lives here once, as a set of
 columns — one row per registered host, in registration order (the
-paper's "machine list" order that makes first fit deterministic) — so
-the decision plane evaluates **all hosts at once**: policy destination
-conditions are column comparisons, destination selection is a strategy
-over the resulting row mask (:mod:`repro.registry.strategies`), and
-rule sets compile to column evaluators (:mod:`repro.rules.vector`).
+paper's "machine list" order that makes first fit deterministic).
 :class:`~repro.registry.softstate.SoftStateTable` is the thin lease and
 trace layer over it; a :class:`HostRecord` is a read-only view of one
 row for the callers that want to talk about one host.
 
-The columns are stdlib :mod:`array` buffers, so a registry that only
-folds pushes — every scalar path: register, status push, unregister,
-a :class:`HostRecord` read — never imports numpy.  The column API
-(``state_codes``, ``metric_column``, the mask builders …) hands out
-zero-copy numpy views of those buffers, built on first use and cached
-until :meth:`HostStateMatrix._grow` replaces the buffers.  Only the
-column API imports numpy, so a live registry loads it when it first
-decides.
+The columns are stdlib :mod:`array` buffers.  A decision reads them
+row by row: the destination pick walks the rows in registration order
+and tests each against the policy's destination conditions and the
+victim's requirements (:meth:`HostStateMatrix.fits`), stopping at the
+first fit (:mod:`repro.registry.strategies`), so a registry — pushes,
+records and decisions alike — never imports numpy.  Only the batch
+column API (:meth:`~HostStateMatrix.metric_column`,
+:meth:`~HostStateMatrix.set_status_rows`,
+:meth:`~HostStateMatrix.rows_of`), which the monitor hub and the column
+rules use, hands out zero-copy numpy views of the buffers, built on
+first use and cached until :meth:`HostStateMatrix._grow` replaces them.
 
 The full column contract (name, dtype, units, invalidation trigger)
 is documented in ``docs/decision_plane.md``.  In short:
@@ -32,16 +31,10 @@ is documented in ``docs/decision_plane.md``.  In short:
   report (OVERLOADED pushes) and metric keys outside the vocabulary
   (a child registry's ``"hosts"``), both keyed by row and replaced or
   cleared by the row's next push.
-* **Membership caches** (the lexsort-able host-name array and the
-  registry-record mask) are invalidated only when the *row set*
-  changes (register/unregister), exactly like the
-  :class:`~repro.metrics.timeseries.TimeSeries` array views are
-  invalidated on append — status pushes, the hot path, never touch
-  them.
 
 Missing data is ``NaN``: a predicate over an unreported metric is
-*false* (``NaN`` fails every numpy comparison), while a *static* field
-a record never declared does not disqualify it.
+*false*, while a *static* field a record never declared does not
+disqualify it.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ from __future__ import annotations
 import math
 from array import array
 from operator import methodcaller
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from ..rules.states import FREE, SystemState
 from ..rules.vocabulary import (
@@ -196,9 +189,6 @@ class HostStateMatrix:
         self._extras: Dict[int, Dict[str, float]] = {}
         #: Bumped when the row set changes (resolved rows hold till then).
         self.layout = 0
-        # Membership caches (rebuilt lazily after row-set changes).
-        self._hosts_arr: Optional[np.ndarray] = None
-        self._registry_mask: Optional[np.ndarray] = None
         #: Row-aligned :class:`HostRecord` handles, one per host for as
         #: long as it is registered; built on the first read, so they
         #: cover a prefix of the rows.
@@ -219,9 +209,6 @@ class HostStateMatrix:
 
     def row_of(self, host: str) -> Optional[int]:
         return self._index.get(host)
-
-    def host_at(self, row: int) -> str:
-        return self._hosts[row]
 
     def rows_of(self, hosts: List[str]) -> np.ndarray:
         """Row indices of a whole list of hosts (``KeyError`` when one
@@ -336,8 +323,6 @@ class HostStateMatrix:
         self._metrics[first * _WIDTH:n * _WIDTH] = _NAN_ROW * k
         self._n = n
         self.layout += 1
-        self._hosts_arr = None
-        self._registry_mask = None
         return first
 
     def add_row(self, host: str, static: dict, now: float) -> int:
@@ -461,8 +446,6 @@ class HostStateMatrix:
                 })
         self._n = n - 1
         self.layout += 1
-        self._hosts_arr = None
-        self._registry_mask = None
 
     def mark_expiry_traced(self, rows: List[int]) -> None:
         """Flag the current lease lapse of ``rows`` traced (their next
@@ -471,33 +454,63 @@ class HostStateMatrix:
         for row in rows:
             traced[row] = 1
 
-    # -- column views -----------------------------------------------------
-    @property
-    def state_codes(self) -> np.ndarray:
-        """int8 :class:`SystemState` codes as last pushed (lease
-        freshness is *not* applied here — see ``free_mask``)."""
-        return self._column("_state")[: self._n]
+    # -- reads ------------------------------------------------------------
+    def metric(self, row: int, name: str) -> float:
+        """One row's value of a :data:`METRIC_COLUMNS` metric; NaN =
+        unreported."""
+        return self._metrics[row * _WIDTH + _COL_INDEX[name]]
 
-    @property
-    def last_update(self) -> np.ndarray:
-        """float64 clock seconds of each row's last register/push."""
-        return self._column("_last_update")[: self._n]
+    def fits(self, conditions: Sequence[Any],
+             req: Any) -> Callable[[int], bool]:
+        """The destination test of one decision, as a row predicate:
+        every policy destination condition (paper §5.3) holds on the
+        row's metrics, and the row owns all the resources ``req``
+        needs (§3.2).
 
-    @property
-    def updates_received(self) -> np.ndarray:
-        """int64 count of status pushes folded into each row."""
-        return self._column("_updates")[: self._n]
+        ``req`` duck-types ResourceRequirements / ProcessInfo
+        (min_memory_bytes, min_disk_bytes, min_cpu_speed, features).
+        An unreported metric (NaN) fails its condition and a positive
+        memory or disk requirement — "ready and owns all the resources
+        required" is checked, not assumed — while an undeclared
+        *static* field (cpu_speed, features — e.g. a delegated child
+        registry's) is not held against a row.  Integer requirements
+        compare as doubles, like the float64 columns they meet.
+        """
+        values, speeds = self._metrics, self._cpu_speed
+        offered = self._features
+        metrics = _RowMetrics(values)
+        min_speed = min_mem = min_disk = 0.0
+        needed: set = set()
+        if req is not None:
+            min_speed = float(getattr(req, "min_cpu_speed", 0.0) or 0.0)
+            needed = set(getattr(req, "features", ()) or ())
+            min_mem = float(int(getattr(req, "min_memory_bytes", 0) or 0))
+            min_disk = float(int(getattr(req, "min_disk_bytes", 0) or 0))
+        mem = _COL_INDEX["mem_avail_bytes"]
+        disk = _COL_INDEX["disk_avail_bytes"]
 
-    @property
-    def expiry_traced(self) -> np.ndarray:
-        """bool: the row's current lease lapse has been traced."""
-        return self._column("_expiry_traced")[: self._n]
+        def fits(row: int) -> bool:
+            base = row * _WIDTH
+            if conditions:
+                metrics.base = base
+                if not all(cond.holds(metrics) for cond in conditions):
+                    return False
+            if min_speed:
+                cpu = speeds[row]  # NaN = undeclared
+                if cpu == cpu and not cpu >= min_speed:
+                    return False
+            if needed:
+                features = offered[row]
+                if features is not None and not needed <= features:
+                    return False
+            # ``not x >= y``: an unreported (NaN) metric fails.
+            if min_mem and not values[base + mem] >= min_mem:
+                return False
+            return not min_disk or values[base + disk] >= min_disk
 
-    @property
-    def cpu_speed(self) -> np.ndarray:
-        """float64 static CPU speed; NaN = undeclared."""
-        return self._column("_cpu_speed")[: self._n]
+        return fits
 
+    # -- batch columns ----------------------------------------------------
     def metric_column(self, name: str) -> np.ndarray:
         """float64 view of one metric column; NaN = unreported.
 
@@ -505,107 +518,27 @@ class HostStateMatrix:
         """
         return self._column("_metrics")[: self._n, _COL_INDEX[name]]
 
+
+class _RowMetrics:
+    """One row's metric columns as the mapping
+    :meth:`~repro.core.policy.MetricPredicate.holds` reads: ``get`` is
+    the row's value, ``None`` when unreported (NaN) or outside
+    :data:`METRIC_COLUMNS`.  :meth:`HostStateMatrix.fits` points one at
+    each row it tests instead of building a dict per row."""
+
+    __slots__ = ("_values", "base")
+
+    def __init__(self, values: array):
+        self._values = values
+        #: The row's first item in the row-major metric buffer.
+        self.base = 0
+
     def get(self, name: str, default: Any = None) -> Any:
-        """The mapping-of-columns read ``MetricPredicate.holds`` makes:
-        :meth:`metric_column`, ``default`` for names outside
-        :data:`METRIC_COLUMNS`."""
         j = _COL_INDEX.get(name)
         if j is None:
             return default
-        return self._column("_metrics")[: self._n, j]
-
-    def features_at(self, row: int) -> Optional[frozenset]:
-        return self._features[row]
-
-    @property
-    def hosts_array(self) -> np.ndarray:
-        """Host names as a numpy unicode array (for lexsort
-        tie-breaks); cached until the row set changes."""
-        arr = self._hosts_arr
-        if arr is None:
-            import numpy as np
-
-            arr = self._hosts_arr = np.array(self._hosts, dtype=str)
-        return arr
-
-    @property
-    def registry_mask(self) -> np.ndarray:
-        """True where the record is a child registry (``"@" in host``);
-        cached until the row set changes."""
-        mask = self._registry_mask
-        if mask is None:
-            import numpy as np
-
-            mask = self._registry_mask = np.fromiter(
-                ("@" in h for h in self._hosts), dtype=bool,
-                count=self._n,
-            )
-        return mask
-
-
-# -------------------------------------------------------- mask builders
-def exclude_rows(matrix: HostStateMatrix, mask: np.ndarray,
-                 exclude) -> np.ndarray:
-    """Clear the rows of every excluded host present in the matrix."""
-    for host in exclude:
-        row = matrix.row_of(host)
-        if row is not None:
-            mask[row] = False
-    return mask
-
-
-def dest_mask(matrix: HostStateMatrix, policy: Any) -> np.ndarray:
-    """Policy destination conditions (paper §5.3) as one boolean
-    column: a disabled/absent policy accepts everyone; otherwise *all*
-    predicates must hold, and an unreported metric (NaN) fails its
-    predicate.
-    """
-    import numpy as np
-
-    n = matrix.n
-    mask = np.ones(n, dtype=bool)
-    if policy is None or not getattr(policy, "enabled", True):
-        return mask
-    for cond in getattr(policy, "dest_conditions", ()):
-        mask &= cond.holds(matrix)
-    return mask
-
-
-def requirements_mask(matrix: HostStateMatrix, req: Any) -> np.ndarray:
-    """Victim resource requirements as one boolean column: does the
-    candidate own all the resources the victim needs?
-
-    ``req`` duck-types ResourceRequirements / ProcessInfo
-    (min_memory_bytes, min_disk_bytes, min_cpu_speed, features).
-    Undeclared *static* fields (cpu_speed, features — e.g. a delegated
-    child registry's) are not held against a record; missing *dynamic*
-    metrics fail a positive requirement — 'ready and owns all the
-    resources required' is checked, not assumed.
-    """
-    import numpy as np
-
-    n = matrix.n
-    mask = np.ones(n, dtype=bool)
-    if req is None:
-        return mask
-    min_speed = float(getattr(req, "min_cpu_speed", 0.0) or 0.0)
-    if min_speed:
-        cpu = matrix.cpu_speed
-        mask &= np.isnan(cpu) | (cpu >= min_speed)
-    needed = set(getattr(req, "features", ()) or ())
-    if needed:
-        mask &= np.fromiter(
-            (matrix.features_at(i) is None
-             or needed <= matrix.features_at(i) for i in range(n)),
-            dtype=bool, count=n,
-        )
-    min_mem = int(getattr(req, "min_memory_bytes", 0) or 0)
-    if min_mem:
-        mask &= matrix.metric_column("mem_avail_bytes") >= min_mem
-    min_disk = int(getattr(req, "min_disk_bytes", 0) or 0)
-    if min_disk:
-        mask &= matrix.metric_column("disk_avail_bytes") >= min_disk
-    return mask
+        value = self._values[self.base + j]
+        return value if value == value else None
 
 
 # -------------------------------------------------- rule-column engine

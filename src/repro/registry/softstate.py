@@ -6,14 +6,15 @@ information to the registry/scheduler through the *push* model,
 otherwise the registry/scheduler will consider them as *unavailable*."
 
 Records keep registration order, which is what makes "first fit"
-deterministic.
+deterministic: a decision walks the rows in that order
+(:meth:`SoftStateTable.fresh_rows`) and stops where its strategy does.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from ..rules.states import FREE, SystemState
+from ..rules.states import SystemState
 from ..trace import get_tracer
 from ..trace.events import EV_REGISTRY_EXPIRE
 from .hostmatrix import HostExists, HostRecord, HostStateMatrix
@@ -131,19 +132,6 @@ class SoftStateTable:
                     lease=self.lease,
                 )
 
-    def _stale(self) -> np.ndarray:
-        """Boolean column: rows whose lease has lapsed.  Owns the
-        once-per-lapse expiry trace for every column query."""
-        import numpy as np
-
-        matrix = self.matrix
-        stale = self.env.now - matrix.last_update > self.lease
-        if stale.any():
-            lapsed = np.flatnonzero(stale & ~matrix.expiry_traced)
-            if lapsed.size:
-                self._trace_expiry(lapsed.tolist())
-        return stale
-
     def effective_state(self, record: HostRecord) -> SystemState:
         """The record's state, demoted to UNAVAILABLE on lease expiry."""
         if self.env.now - record.last_update > self.lease:
@@ -163,12 +151,22 @@ class SoftStateTable:
         """
         return self.matrix.views()
 
-    def available_mask(self) -> np.ndarray:
-        """Boolean row mask over :attr:`matrix`: hosts whose lease is
-        current (and that did not report themselves UNAVAILABLE)."""
-        return (self.matrix.state_codes != SystemState.UNAVAILABLE) & ~self._stale()
+    def fresh_rows(self) -> Iterator[Tuple[int, int]]:
+        """``(row, state code as last pushed)`` for each row whose
+        lease holds, in registration order (the first-fit order).
 
-    def free_mask(self) -> np.ndarray:
-        """Boolean row mask over :attr:`matrix`: hosts currently in
-        the FREE state (migration targets), lease expiry applied."""
-        return (self.matrix.state_codes == FREE) & ~self._stale()
+        A lapsed row is skipped; the first walk (or
+        :meth:`effective_state`) that meets it traces its lapse.  The
+        walk reads a row only when its caller asks for the next, so a
+        caller that stops early — first fit — reads, and traces, only
+        the rows before the stop."""
+        matrix = self.matrix
+        state, last = matrix._state, matrix._last_update
+        traced = matrix._expiry_traced
+        now, lease = self.env.now, self.lease
+        for row in range(matrix.n):
+            if now - last[row] > lease:
+                if not traced[row]:
+                    self._trace_expiry([row])
+                continue
+            yield row, state[row]

@@ -21,8 +21,8 @@ overloaded  yes     no         yes
 =========== ======= ========== ===========
 
 The registry reads the last two columns directly: only FREE hosts are
-destinations (``SoftStateTable.free_mask``), and an OVERLOADED report
-starts a decision (``RegistryCore.handle``).
+destinations (``RegistryCore._pick_destinations``), and an OVERLOADED
+report starts a decision (``RegistryCore.handle``).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ class SystemState(IntEnum):
 FREE = int(SystemState.FREE)
 BUSY = int(SystemState.BUSY)
 OVERLOADED = int(SystemState.OVERLOADED)
+UNAVAILABLE = int(SystemState.UNAVAILABLE)
 
 
 def combine_and(a: SystemState, b: SystemState) -> SystemState:

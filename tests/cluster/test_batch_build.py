@@ -63,7 +63,6 @@ def test_batch_build_equals_one_by_one(hosts, seed):
                           r._column("_metrics")[:r.n], equal_nan=True)
     assert m._static == r._static
     assert m._features == r._features
-    assert np.array_equal(m.registry_mask, r.registry_mask)
     assert [v.host for v in m.views()] == names
     assert m.rows_of(names).tolist() == list(range(hosts))
 
@@ -116,4 +115,5 @@ def test_static_dicts_equal_static_info_as_dict(batches, data):
     assert matrix._features == [
         frozenset(f for f in d["features"].split(",") if f)
         for d in oracle]
-    assert matrix.cpu_speed.tolist() == [d["cpu_speed"] for d in oracle]
+    assert matrix._cpu_speed[:matrix.n].tolist() == [
+        d["cpu_speed"] for d in oracle]

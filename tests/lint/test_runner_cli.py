@@ -100,6 +100,26 @@ def test_unloadable_policy_is_p100(tmp_path):
     assert [d.code for d in diags] == ["P100"]
 
 
+def test_walked_binary_and_skipped_files_are_never_read(tmp_path, capsys):
+    """The extension decides before the file is read: a Latin-1 module
+    is skipped as Python, and a PNG the walk finds, which only a sniff
+    could have made a rule file, is skipped for not being text."""
+    examples = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        "examples", "configs", "paper.rules",
+    )
+    with open(examples, encoding="utf-8") as fh:
+        (tmp_path / "paper.rules").write_text(fh.read(), encoding="utf-8")
+    png = tmp_path / "fig.png"
+    png.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff")
+    (tmp_path / "plot.py").write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert main(["lint", str(tmp_path)]) == 0, capsys.readouterr().out
+    # Named on the command line, the unreadable file is still L001.
+    diags = lint_paths([str(png)])
+    assert [d.code for d in diags] == ["L001"]
+    assert lint_paths([str(tmp_path / "plot.py")])[0].code == "L003"
+
+
 # ------------------------------------------------------------------ CLI
 @pytest.mark.parametrize("name", [
     "r001_undefined_ref.rules",

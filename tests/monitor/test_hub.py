@@ -424,7 +424,7 @@ def test_a_hub_tick_looks_up_no_host_name():
             hub._tick()
             assert index.lookups == 0, n_rows
         assert len(hub.table.batches) == 4 and hub.sent == []
-        assert matrix.updates_received.tolist() == [4] * n_rows
+        assert [r.updates_received for r in matrix.views()] == [4] * n_rows
 
 
 @pytest.mark.costguard
@@ -470,7 +470,7 @@ def test_pushes_follow_the_registry_rows_across_unregister_and_register():
         push_many(hosts, states, columns, rows)
         for j, host in enumerate(hosts):
             row = matrix.row_of(host)
-            assert matrix.last_update[row] == cluster.env.now, host
+            assert matrix._last_update[row] == cluster.env.now, host
             assert (matrix.metric_column("loadavg1")[row]
                     == columns["loadavg1"][j]), host
 

@@ -4,8 +4,9 @@ The paper's §3.2 procedure spelled out the slow, obvious way — walk the
 soft-state records one by one, test each predicate on the record's own
 dicts, then pick with ``min``/``sorted``/an rng draw.  Production
 (``RegistryCore._pick_destinations``, ``monitor.selector.select_victim``)
-computes the same answers over numpy columns; the differential tests
-push randomized registries through both and compare pick for pick.
+computes the same answers by walking the host table's buffers row by
+row, first fit stopping at its first fit; the differential tests push
+randomized registries through both and compare pick for pick.
 
 This module deliberately shares no selection code with ``src/``: it
 spells its own eligibility predicates and its own sort keys.  When the
@@ -127,6 +128,22 @@ def pick_destinations(core, k, exclude, requirements, children):
     ]
     strategy = STRATEGIES[core.strategy.__name__]
     return [rec.host for rec in strategy(eligible, core.rng, k)]
+
+
+def parent_offer(core):
+    """What ``core.parent_update()`` must send upward, by record walk:
+    the least severe state among the available records (BUSY when
+    none), the metrics of the first least-loaded one (an unreported
+    load ranks as 0.0) and how many there are."""
+    available = [
+        rec for rec in core.table.records()
+        if core.table.effective_state(rec) is not SystemState.UNAVAILABLE
+    ]
+    if not available:
+        return SystemState.BUSY, {"hosts": 0.0}
+    best = min(available, key=lambda rec: rec.metrics.get("loadavg1", 0.0))
+    state = min(rec.state for rec in available)
+    return state, {**best.metrics, "hosts": float(len(available))}
 
 
 # -- victim -------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Column contract tests for ``registry/hostmatrix.py`` — row alignment
 with the record list through register/update/unregister, NaN semantics
-for unreported metrics, static-field parsing, membership-cache
-invalidation, and the mask builders' equivalence with the per-record
-reference predicates (docs/decision_plane.md).
+for unreported metrics, static-field parsing, and the destination
+walk's equivalence with the per-record reference predicates
+(docs/decision_plane.md).
 """
 
 import dataclasses
@@ -14,12 +14,8 @@ import pytest
 
 from repro.core.policy import policy_3
 from repro.entity.clock import ManualClock
-from repro.registry.hostmatrix import (
-    HostStateMatrix,
-    dest_mask,
-    matrix_column_engine,
-    requirements_mask,
-)
+from repro.registry.core import RegistryCore
+from repro.registry.hostmatrix import HostStateMatrix, matrix_column_engine
 from repro.registry.softstate import SoftStateTable
 from repro.rules import VectorRuleEvaluator, paper_ruleset
 from repro.rules.states import SystemState
@@ -39,7 +35,7 @@ def test_rows_follow_registration_order():
     for name in ("ws3", "ws1", "ws2"):
         table.register(name, {})
     m = table.matrix
-    assert [m.host_at(i) for i in range(m.n)] == ["ws3", "ws1", "ws2"]
+    assert m.hosts == ["ws3", "ws1", "ws2"]
     assert [r.host for r in table.records()] == ["ws3", "ws1", "ws2"]
     assert m.row_of("ws1") == 1
     assert m.row_of("nope") is None
@@ -53,8 +49,8 @@ def test_update_writes_status_columns_in_place():
                  {"loadavg1": 2.5, "proc_count": 40.0})
     m = table.matrix
     row = m.row_of("ws1")
-    assert m.state_codes[row] == int(SystemState.BUSY)
-    assert m.last_update[row] == 5.0
+    assert m._state[row] == int(SystemState.BUSY)
+    assert m._last_update[row] == 5.0
     assert m.metric_column("loadavg1")[row] == 2.5
     assert m.metric_column("proc_count")[row] == 40.0
     # Unreported metrics are NaN...
@@ -79,14 +75,14 @@ def test_static_columns_and_features():
     table.register("fast", {"cpu_speed": 2200.0, "features": "gpu,ib"})
     table.register("plain", {})
     m = table.matrix
-    assert m.cpu_speed[m.row_of("fast")] == 2200.0
-    assert np.isnan(m.cpu_speed[m.row_of("plain")])
-    assert m.features_at(m.row_of("fast")) == frozenset({"gpu", "ib"})
-    assert m.features_at(m.row_of("plain")) is None
+    assert m._cpu_speed[m.row_of("fast")] == 2200.0
+    assert np.isnan(m._cpu_speed[m.row_of("plain")])
+    assert m._features[m.row_of("fast")] == frozenset({"gpu", "ib"})
+    assert m._features[m.row_of("plain")] is None
     # Re-register refreshes statics.
     table.register("plain", {"cpu_speed": 900.0, "features": ""})
-    assert m.cpu_speed[m.row_of("plain")] == 900.0
-    assert m.features_at(m.row_of("plain")) == frozenset()
+    assert m._cpu_speed[m.row_of("plain")] == 900.0
+    assert m._features[m.row_of("plain")] == frozenset()
 
 
 def test_unregister_compacts_and_keeps_alignment():
@@ -99,7 +95,7 @@ def test_unregister_compacts_and_keeps_alignment():
     m = table.matrix
     assert m.n == len(table.records()) == 3
     for i, record in enumerate(table.records()):
-        assert m.host_at(i) == record.host
+        assert m.hosts[i] == record.host
         assert m.metric_column("loadavg1")[i] == record.metrics["loadavg1"]
     assert m.row_of("ws1") is None
     assert m.row_of("ws4") == 2
@@ -116,7 +112,7 @@ def test_growth_past_initial_capacity():
                      {"loadavg1": float(i)})
     m = table.matrix
     assert m.n == 100
-    assert m.cpu_speed[99] == 99.0
+    assert m._cpu_speed[99] == 99.0
     assert m.metric_column("loadavg1")[0] == 0.0
 
 
@@ -132,7 +128,7 @@ def test_a_column_view_outlives_growth_and_compaction():
         table.register(f"ws{i}", {})
     m = table.matrix
     loads = m.metric_column("loadavg1")
-    codes = m.state_codes
+    codes = m._column("_state")[:m.n]
     table.update("ws0", SystemState.BUSY, {"loadavg1": 1.5})
     assert loads[0] == 1.5 and codes[0] == int(SystemState.BUSY)
     table.register("ws16", {})  # past the first capacity
@@ -146,7 +142,7 @@ def test_a_column_view_outlives_growth_and_compaction():
     for i in range(17, 80):  # grows again with views alive
         table.register(f"ws{i}", {})
     assert m.n == 79 and np.isnan(fresh).all()
-    assert m.state_codes.tolist() == [0] * 79
+    assert m._column("_state")[:m.n].tolist() == [0] * 79
 
 
 def test_scalar_and_batch_pushes_agree_after_growth():
@@ -167,10 +163,10 @@ def test_scalar_and_batch_pushes_agree_after_growth():
                 table.update(host, SystemState(code), {"loadavg1": load})
         tables.append(table.matrix)
     scalar, batch = tables
-    for name in ("state_codes", "last_update", "updates_received",
-                 "expiry_traced", "cpu_speed"):
-        np.testing.assert_array_equal(getattr(scalar, name),
-                                      getattr(batch, name), name)
+    for attr in ("_state", "_last_update", "_updates", "_expiry_traced",
+                 "_cpu_speed"):
+        np.testing.assert_array_equal(scalar._column(attr)[:scalar.n],
+                                      batch._column(attr)[:batch.n], attr)
     for name in ("loadavg1", "loadavg5"):
         np.testing.assert_array_equal(scalar.metric_column(name),
                                       batch.metric_column(name), name)
@@ -215,26 +211,13 @@ def test_a_record_reads_python_scalars():
     assert rec.expiry_traced is True
 
 
-def test_membership_caches_invalidate_on_row_changes_only():
-    table = make_table()
-    table.register("ws0", {})
-    table.register("reg@child", {})
-    m = table.matrix
-    hosts1 = m.hosts_array
-    regmask1 = m.registry_mask
-    assert list(hosts1) == ["ws0", "reg@child"]
-    assert list(regmask1) == [False, True]
-    # A status push does not rebuild them...
-    table.update("ws0", SystemState.BUSY, {"loadavg1": 1.0})
-    assert m.hosts_array is hosts1
-    assert m.registry_mask is regmask1
-    # ...a membership change does.
-    table.register("ws1", {})
-    assert m.hosts_array is not hosts1
-    assert list(m.hosts_array) == ["ws0", "reg@child", "ws1"]
+def _free_rows(table):
+    """The hosts the destination walk admits as FREE, in row order."""
+    return [table.matrix.hosts[row] for row, code in table.fresh_rows()
+            if code == SystemState.FREE]
 
 
-def test_free_mask_matches_free_hosts_with_expired_leases():
+def test_free_rows_match_free_hosts_with_expired_leases():
     table = make_table(lease=10.0)
     for i in range(4):
         table.register(f"ws{i}", {})
@@ -243,42 +226,47 @@ def test_free_mask_matches_free_hosts_with_expired_leases():
     table.update("ws1", SystemState.OVERLOADED, {})
     table.update("ws2", SystemState.FREE, {})
     table.env.set(12.0)  # ws0/ws3 leases (t=0) now expired
-    expected = {r.host for r in reference.free_hosts(table)}
-    mask = table.free_mask()
-    got = {table.matrix.host_at(i) for i in np.flatnonzero(mask)}
-    assert got == expected == {"ws2"}
+    expected = [r.host for r in reference.free_hosts(table)]
+    assert _free_rows(table) == expected == ["ws2"]
     # Expiry is sticky until the next push.
     table.env.set(13.0)
-    assert {table.matrix.host_at(i)
-            for i in np.flatnonzero(table.free_mask())} == {"ws2"}
-    assert {host for host, ok in zip(table.matrix.hosts,
-                                     table.available_mask())
-            if ok} == {"ws1", "ws2"}
+    assert _free_rows(table) == ["ws2"]
+    assert [table.matrix.hosts[row]
+            for row, _ in table.fresh_rows()] == ["ws1", "ws2"]
 
 
-def test_free_mask_traces_expiry_once_like_scalar():
+def test_a_decision_traces_a_lapse_it_walks_past_once():
+    """A first-fit decision reads the rows up to its first fit: a
+    lapsed row before the fit is traced once across two decisions, a
+    lapsed row after it not at all (until a walk reaches it)."""
     from repro.trace import use
     from repro.trace.events import EV_REGISTRY_EXPIRE
     from repro.trace.tracer import Tracer
 
-    def expiry_events(query):
-        table = make_table(lease=10.0)
-        table.register("ws0", {})
-        table.update("ws0", SystemState.FREE, {})
-        table.env.set(20.0)
-        tracer = Tracer(clock=lambda: table.env.now)
-        with use(tracer):
-            query(table)
-            query(table)  # second query: no second expiry event
+    core = RegistryCore(ManualClock(), "registry", lease=10.0)
+    table = core.table
+    for name in ("early", "fit", "late"):
+        table.register(name, {})
+        table.update(name, SystemState.FREE, {})
+    table.env.set(8.0)
+    table.update("fit", SystemState.FREE, {})
+    table.env.set(12.0)  # "early" and "late" (t=0) lapse
+    tracer = Tracer(clock=lambda: table.env.now)
+    with use(tracer):
+        for _ in range(2):
+            assert core._pick_destinations(1, (), None, True) == ["fit"]
         assert_catalogued(tracer.records)
-        return [r for r in tracer.records if r.name == EV_REGISTRY_EXPIRE]
+        expired = [r.host for r in tracer.records
+                   if r.name == EV_REGISTRY_EXPIRE]
+        assert expired == ["early"]
+        # A walk that reads every row meets the later lapse once.
+        assert core._pick_destinations(5, (), None, True) == ["fit"]
+        expired = [r.host for r in tracer.records
+                   if r.name == EV_REGISTRY_EXPIRE]
+        assert expired == ["early", "late"]
 
-    by_record = expiry_events(reference.free_hosts)
-    by_mask = expiry_events(lambda t: t.free_mask())
-    assert len(by_record) == len(by_mask) == 1
 
-
-def test_dest_mask_matches_scalar_predicates():
+def test_dest_conditions_match_scalar_predicates():
     table = make_table()
     policy = policy_3()
     rows = [
@@ -290,17 +278,21 @@ def test_dest_mask_matches_scalar_predicates():
     for host, metrics in rows:
         table.register(host, {})
         table.update(host, SystemState.FREE, metrics)
-    mask = dest_mask(table.matrix, policy)
+    fits = table.matrix.fits(policy.dest_conditions, None)
     for i, record in enumerate(table.records()):
-        assert mask[i] == reference.dest_ok(policy, record), record.host
-    assert list(mask) == [True, False, False, False]
-    # Disabled or absent policies accept every row.
-    assert dest_mask(table.matrix, None).all()
+        assert fits(i) == reference.dest_ok(policy, record), record.host
+    assert [fits(i) for i in range(4)] == [True, False, False, False]
+    # The pick applies them; disabled or absent policies accept every
+    # row.
     disabled = dataclasses.replace(policy_3(), enabled=False)
-    assert dest_mask(table.matrix, disabled).all()
+    for chosen, picked in ((policy, ["ok"]), (None, list(dict(rows))),
+                           (disabled, list(dict(rows)))):
+        core = RegistryCore(table.env, "registry", policy=chosen)
+        core.table = table
+        assert core._pick_destinations(9, (), None, True) == picked
 
 
-def test_requirements_mask_matches_scalar_matcher():
+def test_requirements_match_scalar_matcher():
     table = make_table()
     cases = [
         ("full", {"cpu_speed": 2000.0, "features": "gpu,ib"},
@@ -319,11 +311,12 @@ def test_requirements_mask_matches_scalar_matcher():
         min_memory_bytes=int(1e9), min_disk_bytes=int(1e9),
         min_cpu_speed=1000.0, features=("gpu", "ib"),
     )
-    mask = requirements_mask(table.matrix, req)
+    fits = table.matrix.fits((), req)
     for i, record in enumerate(table.records()):
         expected = reference.meets_requirements(record, req)
-        assert mask[i] == expected, record.host
-    assert requirements_mask(table.matrix, None).all()
+        assert fits(i) == expected, record.host
+    assert [fits(i) for i in range(5)] == [True, False, True, False, False]
+    assert all(map(table.matrix.fits((), None), range(5)))
 
 
 def test_matrix_column_engine_drives_vector_rules():

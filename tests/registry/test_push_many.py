@@ -29,6 +29,11 @@ def _columns(n, seed=7):
     }
 
 
+def _updates(table):
+    """Each row's count of folded pushes, in row order."""
+    return [r.updates_received for r in table.records()]
+
+
 def _fresh_table():
     env = Environment()
     table = SoftStateTable(env, lease=35.0)
@@ -65,7 +70,7 @@ def test_push_many_equivalent_to_update_loop():
                 scalar.matrix.metric_column(metric),
             )
         np.testing.assert_array_equal(
-            batched.matrix.state_codes, scalar.matrix.state_codes
+            batched.matrix._column("_state"), scalar.matrix._column("_state")
         )
 
 
@@ -91,13 +96,13 @@ def test_push_many_takes_a_row_hint_only_at_its_layout():
     hint = (m.layout, m.rows_of(["ws2", "ws4"]))
     load = {"loadavg1": np.array([0.25, 0.75])}
     table.push_many(["ws2", "ws4"], [SystemState.FREE] * 2, load, hint)
-    assert m.updates_received.tolist() == [0, 1, 0, 1, 0]
+    assert _updates(table) == [0, 1, 0, 1, 0]
     table.unregister("ws1")  # every later row moves up by one
     table.push_many(["ws2", "ws4", "ws9"], [SystemState.BUSY] * 3,
                     {"loadavg1": np.array([1.0, 2.0, 3.0])},
                     (hint[0], np.array([1, 3, 4])))
     assert m.hosts == ["ws2", "ws3", "ws4", "ws5", "ws9"]
-    assert m.updates_received.tolist() == [2, 0, 2, 0, 1]
+    assert _updates(table) == [2, 0, 2, 0, 1]
     assert m.metric_column("loadavg1")[[0, 2, 4]].tolist() == [1.0, 2.0,
                                                                 3.0]
     assert table.get("ws5").state is SystemState.FREE
@@ -161,12 +166,13 @@ def test_set_status_rows_direct():
         {"loadavg1": np.array([1.1, 4.4])},
         now=12.0,
     )
-    assert matrix.state_codes[1] == int(SystemState.BUSY)
-    assert matrix.state_codes[3] == int(SystemState.OVERLOADED)
+    records = table.records()
+    assert records[1].state is SystemState.BUSY
+    assert records[3].state is SystemState.OVERLOADED
     assert matrix.metric_column("loadavg1")[3] == 4.4
-    assert matrix.last_update[1] == 12.0
+    assert records[1].last_update == 12.0
     # Untouched rows keep their state.
-    assert matrix.state_codes[0] == int(SystemState.FREE)
+    assert records[0].state is SystemState.FREE
     assert np.isnan(matrix.metric_column("loadavg1")[0])
 
 
@@ -226,8 +232,7 @@ def test_call_count_of_push_many_is_flat_in_rows():
         codes = np.zeros(n_rows, dtype=np.int8)
         counts[n_rows] = count_calls(
             lambda: table.push_many(hosts, codes, cols))
-        assert table.matrix.updates_received.tolist() == (
-            [1, 1, 1, 2] + [1] * (n_rows - 4))
+        assert _updates(table) == [1, 1, 1, 2] + [1] * (n_rows - 4)
         assert table.get("ws3").processes == []
         np.testing.assert_array_equal(
             table.matrix.metric_column("loadavg5"), cols["loadavg5"])
@@ -256,8 +261,6 @@ def _assert_same_table(table, ref):
                                       r._column(attr)[:r.n], attr)
     assert m._static == r._static and m._features == r._features
     assert m._index == r._index
-    np.testing.assert_array_equal(m.registry_mask, r.registry_mask)
-    np.testing.assert_array_equal(m.hosts_array, r.hosts_array)
     assert [v.host for v in m.views()] == m.hosts
 
 
@@ -277,7 +280,6 @@ def test_register_many_equals_register_one_by_one(n_rows):
         tables.append(table)
     _assert_same_table(*tables)
     m = tables[0].matrix
-    assert m.registry_mask.tolist() == [False] * (n_rows + 1) + [True]
     assert m._registered_at[:m.n].tolist() == [0.0] + [12.5] * (n_rows + 1)
     # The batch's static dicts are copies, as ``register``'s are.
     statics = _statics(2)
@@ -320,7 +322,6 @@ def test_a_refused_add_rows_leaves_nothing_behind():
     before = (list(m.hosts), dict(m._index), list(m._static),
               list(m._features), list(m.views()))
     layout = m.layout
-    hosts_array = m.hosts_array
     columns = {a: m._column(a)[:m.n].copy() for a in _COLUMNS}
     metrics = m._column("_metrics")[:m.n].copy()
     malformed = [{"cpu_speed": 1.0}] * 2 + [{"cpu_speed": "fast"}]
@@ -344,8 +345,6 @@ def test_a_refused_add_rows_leaves_nothing_behind():
                 m.views()) == before
         assert m.layout == layout
         assert m.n == 5 and "a" not in m and "b" not in m
-        # The membership caches were not even invalidated.
-        assert m.hosts_array is hosts_array
         for attr, col in columns.items():
             np.testing.assert_array_equal(m._column(attr)[:m.n], col)
         np.testing.assert_array_equal(m._column("_metrics")[:m.n],
@@ -357,8 +356,8 @@ def test_a_refused_add_rows_leaves_nothing_behind():
     static = m._static[row]
     with pytest.raises(ValueError, match="fast"):
         table.register("ws2", {"cpu_speed": "fast", "features": "gpu"})
-    assert m._static[row] is static and m.features_at(row) is None
-    assert m.cpu_speed[row] == 450.0
+    assert m._static[row] is static and m._features[row] is None
+    assert m._cpu_speed[row] == 450.0
 
 
 def test_a_batch_reserves_its_capacity_in_one_step():

@@ -5,12 +5,11 @@ resources required" (paper §3.2)."""
 from repro.cluster import Cluster, CpuHog
 from repro.core import Rescheduler, ReschedulerConfig, policy_2
 from repro.entity.clock import ManualClock
-from repro.registry.hostmatrix import requirements_mask
+from repro.registry.core import RegistryCore
 from repro.registry.registry import (
     _requirements_from_xml,
     _requirements_xml,
 )
-from repro.registry.softstate import SoftStateTable
 from repro.rules.states import SystemState
 from repro.schema import ApplicationSchema, ResourceRequirements
 from repro.workloads import TestTreeApp
@@ -19,22 +18,23 @@ from . import reference
 
 
 def rec(host, static=None, metrics=None):
-    """A one-host soft-state table holding the record under test."""
-    table = SoftStateTable(ManualClock())
-    table.register(host, static or {})
-    table.update(host, SystemState.FREE, metrics or {})
-    return table
+    """A registry core whose one-host soft-state table holds the
+    record under test."""
+    core = RegistryCore(ManualClock(), "registry")
+    core.table.register(host, static or {})
+    core.table.update(host, SystemState.FREE, metrics or {})
+    return core
 
 
 def req(**kw):
     return ResourceRequirements(**kw)
 
 
-def meets(table, requirements):
-    """The production column predicate on the table's single row —
+def meets(core, requirements):
+    """Whether the production pick takes the table's single row —
     which must be what the record-walking reference says."""
-    answer = bool(requirements_mask(table.matrix, requirements)[0])
-    (record,) = table.records()
+    answer = core._pick_destinations(1, (), requirements, True) == ["a"]
+    (record,) = core.table.records()
     assert answer == reference.meets_requirements(record, requirements)
     return answer
 

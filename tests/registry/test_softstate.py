@@ -3,7 +3,7 @@
 import pytest
 
 from repro.entity.clock import ManualClock
-from repro.registry import SoftStateTable
+from repro.registry import METRIC_COLUMNS, SoftStateTable
 from repro.rules import SystemState
 from repro.sim import Environment
 from repro.trace import use
@@ -66,8 +66,7 @@ def test_lease_expiry_makes_unavailable():
     env.process(advance(env))
     env.run()
     assert table.effective_state(rec) is SystemState.UNAVAILABLE
-    assert not table.available_mask().any()
-    assert not table.free_mask().any()
+    assert list(table.fresh_rows()) == []
 
 
 def test_update_implicitly_registers():
@@ -95,7 +94,8 @@ def test_free_hosts_filters_states():
                         ("d", SystemState.FREE)):
         table.register(name, {})
         table.update(name, state, {})
-    assert list(table.free_mask()) == [True, False, False, True]
+    assert [code == SystemState.FREE
+            for _, code in table.fresh_rows()] == [True, False, False, True]
 
 
 def test_updates_counted():
@@ -168,7 +168,7 @@ def test_off_vocabulary_metrics_and_processes_round_trip():
     rec = table.get("reg@child")
     assert rec.metrics == {"loadavg1": 0.2, "hosts": 5.0}
     assert rec.processes == report
-    assert table.matrix.get("hosts") is None  # not a column
+    assert "hosts" not in METRIC_COLUMNS  # not a column
     table.update("reg@child", SystemState.FREE, {"loadavg1": 0.3})
     assert rec.metrics == {"loadavg1": 0.3}
     assert rec.processes == []
@@ -177,8 +177,8 @@ def test_off_vocabulary_metrics_and_processes_round_trip():
 @pytest.mark.parametrize("n_stale", [1, 5])
 def test_expiry_traced_once_per_lapse(n_stale):
     """One ``EV_REGISTRY_EXPIRE`` per row per lapse — whether one row
-    or every row goes stale, whichever query notices, and again after
-    a push has renewed the lease."""
+    or every row goes stale, whichever walk or record query notices,
+    and again after a push has renewed the lease."""
     table = SoftStateTable(ManualClock(), lease=10.0)
     hosts = [f"ws{i}" for i in range(5)]
     for name in hosts:
@@ -189,26 +189,25 @@ def test_expiry_traced_once_per_lapse(n_stale):
         return sorted(r.host for r in tracer.records
                       if r.name == EV_REGISTRY_EXPIRE)
 
+    def fresh():
+        return [hosts[row] for row, _ in table.fresh_rows()]
+
     with use(tracer):
         table.env.set(8.0)
         for name in hosts[n_stale:]:
             table.update(name, SystemState.FREE, {})
         table.env.set(12.0)  # the rows not refreshed at t=8 lapse
         stale = hosts[:n_stale]
-        assert [host for host, ok in zip(table.matrix.hosts,
-                                         table.available_mask())
-                if ok] == hosts[n_stale:]
+        assert fresh() == hosts[n_stale:]
         assert expired() == stale
-        assert table.free_mask().tolist() == [
-            name not in stale for name in hosts]
+        assert fresh() == hosts[n_stale:]
         assert table.effective_state(table.get("ws0")) is (
             SystemState.UNAVAILABLE)
-        table.available_mask()
         assert expired() == stale  # still one each
         # A push renews the lease; the next lapse is traced again.
         table.update("ws0", SystemState.FREE, {})
         assert table.get("ws0").expiry_traced is False
         table.env.set(30.0)
-        table.free_mask()
+        assert fresh() == []
         # Every row is stale now: ws0 has lapsed twice, the rest once.
         assert expired() == sorted(hosts + ["ws0"])

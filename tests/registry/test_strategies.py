@@ -1,4 +1,5 @@
-"""Destination-selection strategies over the host-state matrix."""
+"""Destination-selection strategies over a walk of the host-state
+matrix's rows."""
 
 import numpy as np
 import pytest
@@ -18,30 +19,36 @@ def matrix_of(*hosts):
 
 
 def everyone(matrix):
-    return np.ones(matrix.n, dtype=bool)
+    return iter(range(matrix.n))
 
 
 def nobody(matrix):
-    return np.zeros(matrix.n, dtype=bool)
+    return iter(())
 
 
 def names(matrix, rows):
-    return [matrix.host_at(int(row)) for row in rows]
+    return [matrix.hosts[int(row)] for row in rows]
 
 
 def test_first_fit_takes_first():
     m = matrix_of(("b", 0.9), ("a", 0.1), ("c", 0.5))
     assert names(m, first_fit(m, everyone(m), None, 1)) == ["b"]
     assert names(m, first_fit(m, everyone(m), None, 2)) == ["b", "a"]
-    mask = np.array([False, True, True])
-    assert names(m, first_fit(m, mask, None, 1)) == ["a"]
+    assert names(m, first_fit(m, iter([1, 2]), None, 1)) == ["a"]
+
+
+def test_first_fit_stops_at_its_kth_fit():
+    m = matrix_of(("b", 0.9), ("a", 0.1), ("c", 0.5))
+    rows = everyone(m)
+    assert first_fit(m, rows, None, 2) == [0, 1]
+    assert list(rows) == [2]  # the third row was never read
 
 
 def test_first_fit_empty():
     m = matrix_of(("a", 0.1))
-    assert first_fit(m, nobody(m), None, 1).size == 0
+    assert first_fit(m, nobody(m), None, 1) == []
     empty = HostStateMatrix()
-    assert first_fit(empty, nobody(empty), None, 1).size == 0
+    assert first_fit(empty, everyone(empty), None, 1) == []
 
 
 def test_best_fit_takes_least_loaded():
@@ -60,7 +67,7 @@ def test_best_fit_tie_breaks_by_name():
 
 def test_best_fit_empty():
     m = matrix_of(("a", 0.1))
-    assert best_fit(m, nobody(m), None, 1).size == 0
+    assert best_fit(m, nobody(m), None, 1) == []
 
 
 def test_random_fit_uniform_and_seeded():
@@ -76,7 +83,7 @@ def test_random_fit_uniform_and_seeded():
     assert seeded.bit_generator.state == twin.bit_generator.state
     # Wider requests: k distinct rows, ascending, capped at the pool.
     rows = random_fit(m, everyone(m), rng, 3)
-    assert len(set(rows.tolist())) == 3 and list(rows) == sorted(rows)
+    assert len(set(rows)) == 3 and rows == sorted(rows)
     assert len(random_fit(m, everyone(m), rng, 9)) == 4
 
 
@@ -88,4 +95,4 @@ def test_random_fit_requires_rng():
 
 def test_random_fit_empty():
     m = matrix_of(("a", 0.0))
-    assert random_fit(m, nobody(m), np.random.default_rng(0), 1).size == 0
+    assert random_fit(m, nobody(m), np.random.default_rng(0), 1) == []

@@ -3,13 +3,13 @@
 Randomized registries — duplicated load values, expired leases,
 exclusions, child-registry (``@``) rows, resource requirements, policy
 conditions, unreported metrics — are pushed through the production
-column path (``RegistryCore._pick_destinations``,
+row walk (``RegistryCore._pick_destinations``,
 ``monitor.selector.select_victim``) and the record-walking reference
 (``tests/registry/reference.py``); any divergence is a bug in the
-column code, never a tolerance.  Tie-breaking gets dedicated property
-tests because stable-sort edge cases (equal est_completion, equal
-loadavg1) are exactly where a lexsort and a Python ``max``/``min``
-could silently part ways.
+production walk, never a tolerance.  Tie-breaking gets dedicated
+property tests because stable-sort edge cases (equal est_completion,
+equal loadavg1) are exactly where a sort key and a Python
+``max``/``min`` could silently part ways.
 """
 
 from dataclasses import replace
@@ -154,6 +154,23 @@ def test_destination_differential(strategy, policy_no):
     assert widest >= 3
 
 
+@pytest.mark.parametrize("seed", range(0, 200, 40))
+def test_parent_update_differential(seed):
+    """The aggregate a child registry reports upward is the record
+    walk's on 40 random registries per seed, every state pushed
+    (UNAVAILABLE too), leases lapsed and loads tied or unreported."""
+    for trial in range(seed, seed + 40):
+        core, _ = random_core(trial, first_fit)
+        core.parent_address = "parent"
+        rng = seeded_generator(trial + 7)
+        for host in core.table.matrix.hosts[::3]:
+            if rng.random() < 0.5:
+                core.table.update(host, SystemState.UNAVAILABLE,
+                                  random_metrics(rng))
+        msg = core.parent_update().msg
+        assert (msg.state, msg.metrics) == reference.parent_offer(core)
+
+
 def test_verify_mode_runs_both_paths_clean():
     for strategy in (first_fit, best_fit, random_fit):
         core, rng = random_core(7, strategy, policy=PAPER_POLICIES[1]())
@@ -162,13 +179,14 @@ def test_verify_mode_runs_both_paths_clean():
 
 
 def test_verify_mode_raises_on_divergence():
-    """The differential has teeth: a column predicate that drifted
-    from the record walk makes production and reference disagree.
-    (Records are views of the same columns, so corrupting the data
-    moves both sides; corrupting the column *code* does not.)"""
+    """The differential has teeth: a row test that drifted from the
+    record walk makes production and reference disagree.  (Records
+    are views of the same columns, so corrupting the data moves both
+    sides; corrupting the walk's *code* does not.)"""
     core, _ = random_core(11, first_fit)
-    free_mask = core.table.free_mask
-    core.table.free_mask = lambda: ~free_mask()
+    fresh_rows = core.table.fresh_rows
+    core.table.fresh_rows = lambda: (
+        (row, int(code == SystemState.FREE)) for row, code in fresh_rows())
     with pytest.raises(AssertionError):
         verify(core, 1, (), None, True)
 
@@ -218,7 +236,7 @@ def test_victim_lexsort_matches_scalar_max(processes, max_locality):
 
 def test_first_fit_vector_respects_machine_list_order():
     """The paper's first fit scans the machine list in registration
-    order; the first rows of the mask must preserve that."""
+    order; the walk must preserve that."""
     core = RegistryCore(ManualClock(), "registry")
     for name in ("late", "alpha", "zulu"):
         core.table.register(name, {})

@@ -25,11 +25,8 @@ from repro.monitor import SensorSuite, SimScriptEngine
 from repro.monitor.hub import MonitorHub
 from repro.monitor.scripts import SnapshotScriptEngine
 from repro.protocol.transport import EndpointRegistry
-from repro.registry.hostmatrix import (
-    METRIC_COLUMNS,
-    dest_mask,
-    matrix_column_engine,
-)
+from repro.registry.core import RegistryCore
+from repro.registry.hostmatrix import METRIC_COLUMNS, matrix_column_engine
 from repro.registry.softstate import SoftStateTable
 from repro.rules import (
     RuleEvaluator,
@@ -174,8 +171,9 @@ def test_bad_load_window_is_one_error_through_both_evaluators(
 @settings(max_examples=300, deadline=None)
 def test_every_comparison_path_agrees(op, value, a, b):
     """``classify``, ``classify_column``, ``MetricPredicate.holds`` and
-    ``dest_mask`` over one reading; ``None`` is an unreported metric,
-    which the matrix stores as NaN and every path treats as *false*."""
+    the registry's destination pick over one reading; ``None`` is an
+    unreported metric, which the matrix stores as NaN and every path
+    treats as *false*."""
     busy, over = (max(a, b), min(a, b)) if op.startswith("<") \
         else (min(a, b), max(a, b))
     number = math.nan if value is None else value
@@ -197,7 +195,10 @@ def test_every_comparison_path_agrees(op, value, a, b):
             # No load average satisfies it: refused, never masked.
             assert [d.code for d in found] == ["P102"]
             continue
-        assert dest_mask(table.matrix, policy).tolist() == [reached]
+        core = RegistryCore(table.env, "registry", policy=policy)
+        core.table = table
+        assert core._pick_destinations(1, (), None, True) == (
+            ["h"] if reached else [])
 
 
 # ----------------------------------------------- (d) nobody restates it

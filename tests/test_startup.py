@@ -144,13 +144,16 @@ node.stop()
     assert "numpy" not in lint
 
 
-def test_a_live_registry_loads_numpy_when_it_first_decides():
+def test_a_live_registry_decides_without_numpy():
     """A live registry that took 64 registrations over the wire and a
-    FREE heartbeat from each host holds no numpy (its host columns
-    loaded it at import before); the first OVERLOADED report loads it,
-    and is answered with a migration to the first registered host."""
+    FREE heartbeat from each host answers an OVERLOADED report with a
+    migration to the first registered host, and one under a best-fit
+    policy with the least-loaded host, and holds no numpy (the first
+    decision loaded it for the mask chain before the pick walked the
+    rows)."""
     registry = _loaded("""\
 import sys, time
+from repro.core.policy import MigrationPolicy
 from repro.live import LiveEndpoint, LiveRegistry
 from repro.protocol import MigrateCommand, Register, StatusUpdate
 from repro.rules.states import SystemState
@@ -161,37 +164,80 @@ def wait_for(predicate):
         assert time.monotonic() < deadline
         time.sleep(0.001)
 
-registry = LiveRegistry(lease=3600.0, command_cooldown=0.0)
-client = LiveEndpoint("client")
-try:
-    hosts = [f"h{i}" for i in range(64)]
-    for n, host in enumerate(hosts, 1):  # one at a time: row order
-        assert client.send_message(registry.address, Register(
-            host=host, static_info={"cpu_speed": 1.0}), timestamp=0.0)
-        wait_for(lambda: registry.table.matrix.n == n)
-    for host in hosts:
+def decide(registry, loads):
+    \"\"\"Register one host per load, push each FREE, report the
+    client OVERLOADED: the destination of the MigrateCommand.\"\"\"
+    client = LiveEndpoint("client")
+    try:
+        hosts = [f"h{i}" for i in range(len(loads))]
+        for n, host in enumerate(hosts, 1):  # one at a time: row order
+            assert client.send_message(registry.address, Register(
+                host=host, static_info={"cpu_speed": 1.0}), timestamp=0.0)
+            wait_for(lambda: registry.table.matrix.n == n)
+        for host, load in zip(hosts, loads):
+            assert client.send_message(registry.address, StatusUpdate(
+                host=host, state=SystemState.FREE,
+                metrics={"loadavg1": load}), timestamp=1.0)
+        wait_for(lambda: sum(r.updates_received
+                             for r in registry.table.records()) == len(hosts))
+        assert "numpy" not in sys.modules
+        process = {"pid": 7, "name": "sqrt_sum", "start_time": 0.0,
+                   "est_completion": 60.0, "data_locality": 0.0}
         assert client.send_message(registry.address, StatusUpdate(
-            host=host, state=SystemState.FREE,
-            metrics={"loadavg1": 0.1}), timestamp=1.0)
-    wait_for(lambda: sum(r.updates_received
-                         for r in registry.table.records()) == 64)
-    assert "numpy" not in sys.modules
-    process = {"pid": 7, "name": "sqrt_sum", "start_time": 0.0,
-               "est_completion": 60.0, "data_locality": 0.0}
-    assert client.send_message(registry.address, StatusUpdate(
-        host=client.address, state=SystemState.OVERLOADED,
-        metrics={"loadavg1": 3.0}, processes=[process]), timestamp=2.0)
-    while True:
-        kind, payload = client.recv(timeout=30.0)
-        if kind == "msg" and isinstance(payload[0], MigrateCommand):
-            break
-    command = payload[0]
-    assert (command.host, command.pid, command.dest) == (
-        client.address, 7, "h0"), command
-    assert len(registry.decisions) == 1
-finally:
-    client.close()
-    registry.stop()
+            host=client.address, state=SystemState.OVERLOADED,
+            metrics={"loadavg1": 3.0}, processes=[process]), timestamp=2.0)
+        while True:
+            kind, payload = client.recv(timeout=30.0)
+            if kind == "msg" and isinstance(payload[0], MigrateCommand):
+                break
+        command = payload[0]
+        assert (command.host, command.pid) == (client.address, 7), command
+        assert len(registry.decisions) == 1
+        return command.dest
+    finally:
+        client.close()
+        registry.stop()
+
+first = LiveRegistry(lease=3600.0, command_cooldown=0.0)
+assert decide(first, [0.1] * 64) == "h0"
+assert "numpy" not in sys.modules
+best = LiveRegistry(lease=3600.0, command_cooldown=0.0,
+                    policy=MigrationPolicy(name="least-loaded",
+                                           strategy="best_fit"))
+assert decide(best, [0.5, 0.3, 0.2, 0.2]) == "h2"
 """)
     assert "repro.registry.hostmatrix" in registry
-    assert "numpy" in registry
+    assert "repro.registry.strategies" in registry
+    assert "numpy" not in registry
+
+
+def test_a_first_fit_decision_reads_one_row():
+    """A first-fit decision over 4096 FREE hosts makes the calls one
+    over 2 hosts makes: the walk stops at the first fit, row 0."""
+    from repro.entity.clock import ManualClock
+    from repro.entity.outbox import Task
+    from repro.protocol import StatusUpdate
+    from repro.registry.core import RegistryCore
+    from repro.rules.states import SystemState
+
+    from .callcount import count_calls
+
+    process = {"pid": 7, "name": "app", "start_time": 0.0,
+               "est_completion": 60.0, "data_locality": 0.0}
+    calls, walked = {}, {}
+    for n_rows in (2, 4096):
+        core = RegistryCore(ManualClock(), "registry", decision_cost=0.0)
+        hosts = [f"ws{i}" for i in range(n_rows)]
+        core.table.register_many(hosts, [{} for _ in hosts])
+        (task,) = core.handle(StatusUpdate(
+            host="src", state=SystemState.OVERLOADED,
+            metrics={"loadavg1": 3.0}, processes=[process]), "src")
+        assert isinstance(task, Task)
+        rows = core.table.fresh_rows
+        seen = []
+        core.table.fresh_rows = lambda: (seen.append(r) or r for r in rows())
+        calls[n_rows] = count_calls(lambda: list(task.gen))
+        walked[n_rows] = seen
+        assert core.decisions[0].dest == "ws0"
+    assert [row for row, _ in walked[4096]] == [0], walked
+    assert calls[4096] == calls[2], calls

@@ -62,6 +62,7 @@ ALLOWED = {
         "rule set, nor the monitor hub one (the option audit lists "
         "MonitorHub(ruleset) as never set)",
         "repro.monitor.hub:MonitorHub._column_engine",
+        "repro.registry.hostmatrix:HostStateMatrix.metric_column",
         "repro.registry.hostmatrix:matrix_column_engine",
         "repro.registry.hostmatrix:matrix_column_engine.<locals>.engine",
         "repro.rules.vector:VectorRuleEvaluator._as_state",
@@ -220,19 +221,12 @@ ALLOWED = {
         "repro.mpi.comm:SpawnedContext.rank",
     ),
     **_each(
-        "application API (paper §3.3): the requirement mask reads it for a "
-        "schema's min_cpu_speed or features; no shipped schema declares one",
-        "repro.registry.hostmatrix:HostStateMatrix.cpu_speed",
-        "repro.registry.hostmatrix:HostStateMatrix.features_at",
-    ),
-    **_each(
         "test-oracle instrumentation: a differential or parity test "
         "compares two implementations through it",
         "repro.cluster.builder:Cluster.static_info",
         "repro.cluster.plane:HostPlane.analytic_rows",
         "repro.registry.core:Reconfigure.key",
         "repro.registry.hostmatrix:HostRecord.processes",
-        "repro.registry.hostmatrix:HostStateMatrix.updates_received",
     ),
     **_each(
         "the per-host monitoring database's read side: every cycle "

@@ -75,7 +75,7 @@ def test_a_storm_run_folds_no_heartbeat_after_the_drain(reschedulers):
         assert completed_at < 1000.0
         stop = completed_at + DRAIN_SECONDS
         assert rs.env.now == stop
-        assert rs.registry.table.matrix.last_update.max() <= stop
+        assert max(r.last_update for r in rs.registry.table.records()) <= stop
         interval = rs.config.interval
         cycles = sum(m.cycles for m in rs.monitors.values())
         assert cycles <= len(rs.monitors) * (stop / interval + 1)
